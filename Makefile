@@ -137,7 +137,7 @@ test-serve:
 # siren-receiver process with -pprof.
 test-obs:
 	$(GO) test -race -count=1 \
-		-run 'Histogram|Counter|Gauge|Registry|Prometheus|Expvar|Metrics|StatsLine|Percentiles|DebugVars|ProberInstrumented|RetryTransportBridge|NilSafety|BucketBounds' \
+		-run 'Histogram|Counter|Gauge|Registry|RegisterDuringScrape|Prometheus|Expvar|Metrics|StatsLine|Percentiles|DebugVars|ProberInstrumented|RetryTransportBridge|NilSafety|BucketBounds' \
 		. ./internal/obs ./internal/receiver ./internal/server ./internal/membership
 
 # Serving-tier benchmarks (EXPERIMENTS.md §6): identify throughput through
@@ -148,7 +148,8 @@ bench-serve:
 		-benchmem -benchtime=$(BENCHTIME) ./internal/catalog ./internal/server
 
 # Benchmark-regression gate (DESIGN.md §9). One representative benchmark per
-# tier — indexed identify (analysis and full handler stack), incremental
+# tier — indexed identify (analysis and full handler stack), the cold
+# fingerprint-index build a replica pays at start-up, incremental
 # catalog refresh, store insert, receiver ingest, and the sealed-vs-replay
 # open pair (the flat sealed open is the storage tier's claim) — each run
 # -count times so
@@ -163,6 +164,7 @@ BENCH_GATE_OUT ?= .bench/gate.txt
 bench-gate-run:
 	@mkdir -p .bench && rm -f $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkIdentify/n=10000$$/indexed$$' -count=$(BENCH_GATE_COUNT) ./internal/analysis | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkIndexDerive/rebuild/n=10000$$' -count=$(BENCH_GATE_COUNT) ./internal/analysis | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkIdentify/serial/jobs=16$$' -count=$(BENCH_GATE_COUNT) ./internal/server | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkCatalogRefresh/incremental/jobs=16$$' -count=$(BENCH_GATE_COUNT) ./internal/catalog | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkInsertBatch/store=mem/shards=4/writers=4$$' -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)

@@ -236,6 +236,11 @@ func run() (err error) {
 		Metrics:    reg,
 	})
 	defer func() { err = errors.Join(err, rcv.Close()) }()
+	// Registered before any socket opens: a SIGTERM that follows the very
+	// first datagram or HTTP answer must find the handler installed, or the
+	// default action kills the process without the drain at the end of run.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	bound, err := rcv.ListenUDP(*addr)
 	if err != nil {
 		return err
@@ -337,7 +342,9 @@ func run() (err error) {
 	// published generation and never block ingest.
 	if *serveAddr != "" {
 		cat := catalog.New(catalog.StoreSource(db), catalog.Options{Metrics: reg})
-		cat.Refresh()
+		rs := cat.Refresh()
+		fmt.Printf("siren-receiver: catalog generation %d: %d jobs, %d fingerprints (%s)\n",
+			rs.Gen, rs.Jobs, cat.Generation().Index.Len(), rs.BuildLine())
 		srv := server.NewWithMetrics(cat, reg)
 		ln, err := net.Listen("tcp", *serveAddr)
 		if err != nil {
@@ -423,8 +430,6 @@ func run() (err error) {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
 
 	if err := rcv.Close(); err != nil {

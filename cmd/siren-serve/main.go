@@ -96,8 +96,8 @@ func run() (err error) {
 	reg := obs.NewRegistry("siren-serve")
 	cat := catalog.New(catalog.SetSource(set), catalog.Options{Workers: *workers, Metrics: reg})
 	rs := cat.Refresh()
-	fmt.Printf("siren-serve: catalog generation %d: %d jobs, %d processes, %d fingerprints (built in %s from %d members)\n",
-		rs.Gen, rs.Jobs, cat.Generation().Stats.Processes, cat.Generation().Index.Len(), rs.Elapsed.Round(time.Millisecond), len(paths))
+	fmt.Printf("siren-serve: catalog generation %d: %d jobs, %d processes, %d fingerprints (%s from %d members)\n",
+		rs.Gen, rs.Jobs, cat.Generation().Stats.Processes, cat.Generation().Index.Len(), rs.BuildLine(), len(paths))
 
 	srv := server.NewWithMetrics(cat, reg)
 	// The query API hangs off an outer mux so profiling can ride the same
@@ -114,6 +114,11 @@ func run() (err error) {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	hs := &http.Server{Handler: mux}
+	// Registered before the listener exists: a SIGTERM that follows the very
+	// first answer must find the handler installed, or the default action
+	// kills the process without the drain below.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -139,8 +144,6 @@ func run() (err error) {
 		}()
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case <-sig:
 	case err := <-serveErr:

@@ -20,14 +20,14 @@ import (
 // application); distinct families are gram-disjoint with overwhelming
 // probability, so a query touches one family's worth of candidates no
 // matter how many families the catalog holds.
-func benchDigest(rng *rand.Rand, base []byte) string {
+func benchDigest(rng *rand.Rand, base []byte, alphabet string) string {
 	s1 := append([]byte(nil), base...)
 	for m := 0; m < 4; m++ {
-		s1[rng.Intn(len(s1))] = b64[rng.Intn(64)]
+		s1[rng.Intn(len(s1))] = alphabet[rng.Intn(len(alphabet))]
 	}
 	s2 := append([]byte(nil), base[:32]...)
 	for m := 0; m < 2; m++ {
-		s2[rng.Intn(len(s2))] = b64[rng.Intn(64)]
+		s2[rng.Intn(len(s2))] = alphabet[rng.Intn(len(alphabet))]
 	}
 	bs := uint32(192) << rng.Intn(3)
 	return fmt.Sprintf("%d:%s:%s", bs, s1, s2)
@@ -36,20 +36,22 @@ func benchDigest(rng *rand.Rand, base []byte) string {
 // benchCatalog builds n records spread over n/64 families, plus 32 queries
 // drawn from the same families. Query candidate counts stay roughly flat in
 // n — the regime the index targets; the exhaustive path still scores all n.
-func benchCatalog(n int) ([]*postprocess.ProcessRecord, []Digests) {
+// Signatures are drawn from alphabet: a smaller one makes chance gram
+// collisions between families more likely.
+func benchCatalog(n int, alphabet string) ([]*postprocess.ProcessRecord, []Digests) {
 	rng := rand.New(rand.NewSource(271828))
 	families := max(16, n/64)
 	bases := make([][]byte, families)
 	for f := range bases {
 		bases[f] = make([]byte, 64)
 		for i := range bases[f] {
-			bases[f][i] = b64[rng.Intn(64)]
+			bases[f][i] = alphabet[rng.Intn(len(alphabet))]
 		}
 	}
 	six := func(base []byte) [6]string {
 		var d [6]string
 		for c := range d {
-			d[c] = benchDigest(rng, base)
+			d[c] = benchDigest(rng, base, alphabet)
 		}
 		return d
 	}
@@ -83,7 +85,7 @@ func BenchmarkIdentify(b *testing.B) {
 			if testing.Short() && n > 10000 {
 				b.Skip("100k catalog skipped in -short mode")
 			}
-			records, queries := benchCatalog(n)
+			records, queries := benchCatalog(n, b64)
 			ix := NewFingerprintIndex(records)
 			if ix.Len() != n {
 				b.Fatalf("catalog admitted %d of %d records", ix.Len(), n)
@@ -108,7 +110,7 @@ func BenchmarkIdentify(b *testing.B) {
 // catalog refresh: a large unchanged base plus a small batch of new records.
 func BenchmarkIndexDerive(b *testing.B) {
 	const n = 10000
-	records, _ := benchCatalog(n + 64)
+	records, _ := benchCatalog(n+64, b64)
 	base := records[:n]
 	ix := NewFingerprintIndex(base)
 	b.Run(fmt.Sprintf("splice/n=%d", n), func(b *testing.B) {

@@ -106,19 +106,27 @@ type fpBlock struct {
 	idx [numChars]*ssdeep.Index
 }
 
+// buildBlock indexes entries, one goroutine per characteristic: the six
+// indexes share nothing but the read-only entries, so base builds,
+// compaction rebuilds and per-refresh extra blocks all use whatever cores
+// are idle, and each index comes out the same however they are scheduled.
 func buildBlock(entries []fpEntry, idBase int32) *fpBlock {
 	b := &fpBlock{fps: entries}
+	var wg sync.WaitGroup
 	for c := range b.idx {
-		b.idx[c] = ssdeep.NewIndex()
-	}
-	for i := range entries {
-		id := idBase + int32(i)
-		for c := range entries[i].chars {
-			if entries[i].chars[c].ok {
-				b.idx[c].Add(id, entries[i].chars[c].p)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ies := make([]ssdeep.IndexEntry, 0, len(entries))
+			for i := range entries {
+				if ch := &entries[i].chars[c]; ch.ok {
+					ies = append(ies, ssdeep.IndexEntry{ID: idBase + int32(i), Digest: ch.p})
+				}
 			}
-		}
+			b.idx[c] = ssdeep.NewIndex(ies)
+		}()
 	}
+	wg.Wait()
 	return b
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -181,6 +182,95 @@ func TestSearchEquivalentToExhaustive(t *testing.T) {
 		queries = append(queries, Digests{File: near}, Digests{Strings: near, Symbols: "bogus"})
 		assertSearchEquivalence(t, ix, queries)
 	})
+
+	// The end-to-end benchmark's catalogue shape (bench/gen.go): a 32-letter
+	// alphabet, all six digests mutated from one 64-character family base,
+	// block sizes 192/384/768 — plus the digests the flat layout treats
+	// specially. Built fresh, spliced and compacted, the three must agree
+	// with the exhaustive scan and with each other.
+	t.Run("benchmark-shaped", func(t *testing.T) {
+		records, queries := benchCatalog(320, b64[:32])
+		edge := func(i int, modules string) *postprocess.ProcessRecord {
+			return &postprocess.ProcessRecord{
+				JobID: "edge", Category: "user", Exe: fmt.Sprintf("/appl/gromacs/edge/gmx%d", i),
+				FileH: fmt.Sprintf("3:edge%d:e", i), ModulesH: modules,
+			}
+		}
+		records = append(records,
+			edge(0, "96:ABCDEFGABCDEFGH:ABCDEFGABCDEFG"),                          // repeats a 7-gram
+			edge(1, "96:ab:c"),                                                    // shorter than a gram: exact table only
+			edge(2, fmt.Sprintf("%d:ABCDEFGHIJKL:MNOPQRSTUVWX", uint32(3)+1<<31))) // doubles to 6 in uint32
+		edgeQueries := []Digests{
+			{Modules: "96:xxABCDEFGxx:yy"},
+			{Modules: "96:ab:c"},
+			{Modules: "6:MNOPQRSTUVWX:zz"},
+		}
+		fresh := NewFingerprintIndex(records)
+		spliced := NewFingerprintIndexFrom(NewFingerprintIndex(records[:300]), records)
+		compacted := NewFingerprintIndexFrom(NewFingerprintIndex(records[:100]), records)
+		if s := spliced.Stats(); s.Base != 300 || s.Extra != 23 {
+			t.Fatalf("spliced stats = %+v, want base 300 + extra 23", s)
+		}
+		if s := compacted.Stats(); s != fresh.Stats() {
+			t.Fatalf("compacted stats = %+v, want the fresh build's %+v", s, fresh.Stats())
+		}
+		for qi, q := range edgeQueries {
+			if rows := fresh.Search(q, 0, ssdeep.BackendWeighted); len(rows) != 1 || rows[0].Exe != records[320+qi].Exe {
+				t.Errorf("edge query %d found %+v, want exactly %s", qi, rows, records[320+qi].Exe)
+			}
+		}
+		queries = append(queries[:12], edgeQueries...)
+		for name, ix := range map[string]*FingerprintIndex{"fresh": fresh, "spliced": spliced, "compacted": compacted} {
+			t.Run(name, func(t *testing.T) {
+				assertSearchEquivalence(t, ix, queries)
+				for qi, q := range queries {
+					if got, want := ix.Search(q, 0, ssdeep.BackendWeighted), fresh.Search(q, 0, ssdeep.BackendWeighted); !reflect.DeepEqual(got, want) {
+						t.Fatalf("query %d: ranking differs from the fresh build's", qi)
+					}
+				}
+			})
+		}
+	})
+}
+
+// TestIndexBuildIndependentOfParallelism pins that the concurrent
+// per-characteristic build is only a schedule: on one processor and on four
+// it yields the same index shape and byte-identical rankings.
+func TestIndexBuildIndependentOfParallelism(t *testing.T) {
+	records, _ := benchCatalog(512, b64[:32])
+	rng := rand.New(rand.NewSource(7))
+	queries := make([]Digests, 200)
+	for i := range queries {
+		queries[i] = RecordDigests(records[rng.Intn(len(records))])
+		if i%4 == 0 { // a partial query: some characteristics missing
+			queries[i].Objects, queries[i].Symbols = "", ""
+		}
+	}
+	build := func(procs int) (IndexStats, [][]SimilarityRow) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		// Base build, splice and compaction all go through buildBlock.
+		ix := NewFingerprintIndex(records[:256])
+		ix = NewFingerprintIndexFrom(ix, records[:280])
+		ix = NewFingerprintIndexFrom(ix, records)
+		rows := make([][]SimilarityRow, len(queries))
+		for i, q := range queries {
+			rows[i] = ix.Search(q, 0, ssdeep.BackendWeighted)
+		}
+		return ix.Stats(), rows
+	}
+	stats1, rows1 := build(1)
+	stats4, rows4 := build(4)
+	if stats1 != stats4 {
+		t.Errorf("IndexStats differ: GOMAXPROCS=1 %+v, GOMAXPROCS=4 %+v", stats1, stats4)
+	}
+	for i := range queries {
+		if len(rows1[i]) == 0 {
+			t.Fatalf("query %d found nothing: the comparison is vacuous", i)
+		}
+		if !reflect.DeepEqual(rows1[i], rows4[i]) {
+			t.Fatalf("query %d: rows differ between GOMAXPROCS=1 and GOMAXPROCS=4", i)
+		}
+	}
 }
 
 func assertSearchEquivalence(t *testing.T, ix *FingerprintIndex, queries []Digests) {

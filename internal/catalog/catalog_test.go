@@ -16,6 +16,7 @@ import (
 
 	"siren/internal/analysis"
 	"siren/internal/catalog"
+	"siren/internal/obs"
 	"siren/internal/postprocess"
 	"siren/internal/report"
 	"siren/internal/sirendb"
@@ -148,13 +149,17 @@ func TestIncrementalRefreshMatchesFull(t *testing.T) {
 		seedJob(t, db, j, 1733900000+int64(j))
 	}
 
-	cat := catalog.New(catalog.StoreSource(db), catalog.Options{})
+	reg := obs.NewRegistry("catalog-test")
+	cat := catalog.New(catalog.StoreSource(db), catalog.Options{Metrics: reg})
 	if g := cat.Generation(); g.Gen != 0 || g.Index.Len() != 0 {
 		t.Fatalf("boot generation not empty: gen=%d fingerprints=%d", g.Gen, g.Index.Len())
 	}
 	rs := cat.Refresh()
 	if rs.Gen != 1 || rs.Reconsolidated != initialJobs || rs.Carried != 0 || rs.NoOp {
 		t.Fatalf("first refresh stats = %+v, want gen 1, %d reconsolidated, 0 carried", rs, initialJobs)
+	}
+	if rs.IndexElapsed <= 0 || rs.IndexElapsed > rs.Elapsed {
+		t.Errorf("first refresh index time %v is not a part of the pass's %v", rs.IndexElapsed, rs.Elapsed)
 	}
 
 	// Wave 2: one brand-new job, plus new processes appended to job-1.
@@ -213,11 +218,16 @@ func TestIncrementalRefreshMatchesFull(t *testing.T) {
 
 	// No new rows: refresh is a no-op and the pointer is untouched.
 	rs = cat.Refresh()
-	if !rs.NoOp || rs.Gen != 2 {
+	if !rs.NoOp || rs.Gen != 2 || rs.IndexElapsed != 0 {
 		t.Fatalf("no-op refresh stats = %+v", rs)
 	}
 	if cat.Generation() != gen {
 		t.Error("no-op refresh replaced the generation pointer")
+	}
+	// Three passes, two of which derived an index.
+	if refreshes, builds := reg.Histogram("siren_catalog_refresh_ns", "").Snapshot().Count,
+		reg.Histogram("siren_catalog_index_build_ns", "").Snapshot().Count; refreshes != 3 || builds != 2 {
+		t.Errorf("refresh_ns count = %d, index_build_ns count = %d, want 3 and 2", refreshes, builds)
 	}
 }
 

@@ -19,7 +19,7 @@ func (r *Registry) Expvar() expvar.Var {
 	return expvar.Func(func() any {
 		out := make(map[string]any)
 		for _, f := range r.sortedFamilies() {
-			for _, e := range f.entries {
+			for _, e := range f.load() {
 				key := f.name + renderLabels(e.labels, "", 0)
 				switch {
 				case e.counter != nil:

@@ -25,6 +25,7 @@ import (
 	"math"
 	"math/bits"
 	"regexp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,24 +62,40 @@ const (
 // A Registry is a named, self-contained set of instruments. The name is
 // informational (it appears in error messages and the expvar bridge), not a
 // metric-name prefix. Methods are safe for concurrent use.
+//
+// Registration serialises on mu; scrapes never take it. What a scrape walks
+// — the name-sorted family list and each family's entry list — is published
+// through atomic pointers and replaced, never appended to in place, so a
+// scrape racing a registration sees either the old list or the new one, and
+// every entry it reaches was fully built before it was published.
 type Registry struct {
 	name string
 
-	mu   sync.Mutex
-	fams map[string]*family
+	mu     sync.Mutex
+	fams   map[string]*family        // registration-time lookup; guarded by mu
+	sorted atomic.Pointer[[]*family] // name order; copy-on-write
 }
 
 // family groups every instrument sharing one metric name: one HELP/TYPE
-// header, N labeled children.
+// header, N labeled children. name, help and kind never change.
 type family struct {
 	name    string
 	help    string
 	kind    kind
-	entries []*entry // registration order; exposition preserves it
+	entries atomic.Pointer[[]*entry] // registration order; copy-on-write
+}
+
+// load returns the family's published entries.
+func (f *family) load() []*entry {
+	if p := f.entries.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // entry is one labeled instrument inside a family. Exactly one of the
-// instrument fields is set, matching the family kind.
+// instrument fields is set, matching the family kind; none changes once the
+// entry is published.
 type entry struct {
 	labels []Label
 	sig    string // canonical label signature, for idempotent registration
@@ -113,12 +130,14 @@ func labelSig(labels []Label) string {
 	return sig
 }
 
-// register finds or creates the (name, labels) entry of the given kind.
-// Registering the same name+labels twice returns the existing entry, so
-// independent components can share one instrument; re-registering a name
-// with a different kind or a malformed name panics — both are programmer
-// errors, caught at construction time, never on the record path.
-func (r *Registry) register(name, help string, k kind, labels []Label) *entry {
+// register finds or creates the (name, labels) entry of the given kind; a
+// new entry gets its instrument from build, under the lock and before any
+// scrape can reach it. Registering the same name+labels twice returns the
+// existing entry, so independent components can share one instrument;
+// re-registering a name with a different kind or a malformed name panics —
+// both are programmer errors, caught at construction time, never on the
+// record path.
+func (r *Registry) register(name, help string, k kind, labels []Label, build func(*entry)) *entry {
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("obs: registry %q: invalid metric name %q", r.name, name))
 	}
@@ -131,34 +150,38 @@ func (r *Registry) register(name, help string, k kind, labels []Label) *entry {
 	defer r.mu.Unlock()
 	f := r.fams[name]
 	if f == nil {
-		f = &family{name: name, help: help, kind: k}
-		r.fams[name] = f
-	}
-	if f.kind != k {
+		f = &family{name: name, help: help, kind: k} // published below, with its first entry in place
+	} else if f.kind != k {
 		panic(fmt.Sprintf("obs: registry %q: metric %q registered as %s, re-registered as %s", r.name, name, f.kind, k))
 	}
 	sig := labelSig(labels)
-	for _, e := range f.entries {
+	entries := f.load()
+	for _, e := range entries {
 		if e.sig == sig {
 			return e
 		}
 	}
 	e := &entry{labels: append([]Label(nil), labels...), sig: sig}
-	f.entries = append(f.entries, e)
+	build(e)
+	entries = append(entries[:len(entries):len(entries)], e) // always a fresh array
+	f.entries.Store(&entries)
+	if r.fams[name] == nil {
+		r.fams[name] = f
+		old := r.sortedFamilies()
+		at := sort.Search(len(old), func(i int) bool { return old[i].name > name })
+		fams := slices.Insert(slices.Clone(old), at, f)
+		r.sorted.Store(&fams)
+	}
 	return e
 }
 
-// sortedFamilies snapshots the families in name order for deterministic
-// exposition.
+// sortedFamilies returns the published families in name order, for
+// deterministic exposition. The slice is shared: read-only.
 func (r *Registry) sortedFamilies() []*family {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
+	if p := r.sorted.Load(); p != nil {
+		return *p
 	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return fams
+	return nil
 }
 
 // ---- Counter ----
@@ -169,13 +192,14 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Counter finds or creates the counter (name, labels).
+// Counter finds or creates the counter (name, labels). It panics when that
+// name and label set is already a CounterFunc: the two cannot share a value.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	e := r.register(name, help, kindCounter, labels)
-	if e.counter == nil {
-		e.counter = &Counter{}
+	c := r.register(name, help, kindCounter, labels, func(e *entry) { e.counter = &Counter{} }).counter
+	if c == nil {
+		panic(fmt.Sprintf("obs: registry %q: metric %q registered as a CounterFunc, re-registered as a Counter", r.name, name))
 	}
-	return e.counter
+	return c
 }
 
 // Inc adds 1.
@@ -206,13 +230,14 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Gauge finds or creates the gauge (name, labels).
+// Gauge finds or creates the gauge (name, labels). It panics when that name
+// and label set is already a GaugeFunc: the two cannot share a value.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	e := r.register(name, help, kindGauge, labels)
-	if e.gauge == nil {
-		e.gauge = &Gauge{}
+	g := r.register(name, help, kindGauge, labels, func(e *entry) { e.gauge = &Gauge{} }).gauge
+	if g == nil {
+		panic(fmt.Sprintf("obs: registry %q: metric %q registered as a GaugeFunc, re-registered as a Gauge", r.name, name))
 	}
-	return e.gauge
+	return g
 }
 
 // Set stores v.
@@ -245,10 +270,7 @@ func (g *Gauge) Value() int64 {
 // single existing increment and the registry reads it only when scraped.
 // f must be monotone non-decreasing and safe to call from any goroutine.
 func (r *Registry) CounterFunc(name, help string, f func() int64, labels ...Label) {
-	e := r.register(name, help, kindCounter, labels)
-	if e.gfunc == nil {
-		e.gfunc = f
-	}
+	r.register(name, help, kindCounter, labels, func(e *entry) { e.gfunc = f })
 }
 
 // GaugeFunc registers a gauge whose value is computed by f at exposition
@@ -257,10 +279,7 @@ func (r *Registry) CounterFunc(name, help string, f func() int64, labels ...Labe
 // costs nothing until somebody scrapes). f must be safe to call from any
 // goroutine.
 func (r *Registry) GaugeFunc(name, help string, f func() int64, labels ...Label) {
-	e := r.register(name, help, kindGauge, labels)
-	if e.gfunc == nil {
-		e.gfunc = f
-	}
+	r.register(name, help, kindGauge, labels, func(e *entry) { e.gfunc = f })
 }
 
 // ---- Histogram ----
@@ -286,11 +305,7 @@ type Histogram struct {
 
 // Histogram finds or creates the histogram (name, labels).
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	e := r.register(name, help, kindHistogram, labels)
-	if e.hist == nil {
-		e.hist = &Histogram{}
-	}
-	return e.hist
+	return r.register(name, help, kindHistogram, labels, func(e *entry) { e.hist = &Histogram{} }).hist
 }
 
 // Record adds one sample. Negative samples clamp to 0 (they can only come

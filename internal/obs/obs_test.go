@@ -57,14 +57,21 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestRegistryKindMismatchPanics(t *testing.T) {
-	r := NewRegistry("test")
-	r.Counter("siren_x", "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on kind mismatch")
-		}
-	}()
-	r.Gauge("siren_x", "")
+	one := func() int64 { return 1 }
+	for name, reregister := range map[string]func(r *Registry){
+		"counter as gauge":     func(r *Registry) { r.Counter("siren_x", ""); r.Gauge("siren_x", "") },
+		"counterfunc as value": func(r *Registry) { r.CounterFunc("siren_x", "", one); r.Counter("siren_x", "") },
+		"gaugefunc as value":   func(r *Registry) { r.GaugeFunc("siren_x", "", one); r.Gauge("siren_x", "") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic on kind mismatch")
+				}
+			}()
+			reregister(NewRegistry("test"))
+		})
+	}
 }
 
 func TestRegistryBadNamePanics(t *testing.T) {
@@ -394,5 +401,48 @@ func TestConcurrentRecord(t *testing.T) {
 	s := h.Snapshot()
 	if s.Count != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", s.Count, workers*perWorker)
+	}
+}
+
+// TestRegisterDuringScrape registers labelled children and whole families
+// while both expositions scrape in a loop — under -race, the proof that a
+// scrape only ever reaches fully built, published entries (labelled children
+// are created on first use, long after the first scrape).
+func TestRegisterDuringScrape(t *testing.T) {
+	r := NewRegistry("x")
+	r.Counter("siren_x_total", "", L("i", "seed")).Inc()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = r.WritePrometheus(io.Discard)
+			_ = r.Expvar().String()
+		}
+	}()
+	const n = 2000
+	for i := 0; i < n; i++ {
+		r.Counter("siren_x_total", "", L("i", strconv.Itoa(i))).Inc()
+		if i%100 == 0 {
+			r.Histogram("siren_fam_"+strconv.Itoa(i)+"_ns", "").Record(1)
+		}
+	}
+	close(stop)
+	<-done
+
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(b.String(), "siren_x_total{"); got != n+1 {
+		t.Errorf("exposition has %d siren_x_total children, want %d", got, n+1)
+	}
+	if got := strings.Count(b.String(), "# TYPE siren_fam_"); got != n/100 {
+		t.Errorf("exposition has %d late families, want %d", got, n/100)
 	}
 }

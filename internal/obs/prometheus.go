@@ -26,7 +26,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		for _, e := range f.entries {
+		for _, e := range f.load() {
 			switch {
 			case e.counter != nil:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, renderLabels(e.labels, "", 0), e.counter.Value())

@@ -16,11 +16,14 @@
 // inverted index. A query unions the posting lists of its own grams across
 // the comparable buckets — probing Sig1 grams against the signature slot its
 // Sig1 would be compared with, and likewise Sig2 — plus an exact-signature
-// table for the equality shortcut (which fires even for signatures shorter
-// than a gram). Everything the probe does not return provably scores zero,
-// so scoring only touches returned candidates and results stay byte-identical
-// to an exhaustive scan.
+// table for the equality shortcut, which fires even between digests whose
+// signatures are both shorter than a gram (any longer equal signature is
+// found by its grams). Everything the probe does not return provably scores
+// zero, so scoring only touches returned candidates and results stay
+// byte-identical to an exhaustive scan.
 package ssdeep
+
+import "math"
 
 // GramSize is the pruning n-gram width: the rolling-hash window length,
 // which is also the minimum common-substring length scoreStrings requires
@@ -133,21 +136,37 @@ func (cs *CandidateSet) add(id int32) {
 	}
 }
 
-// Index is the candidate-pruning index over one digest population. Entries
-// are identified by caller-assigned ids (dense, starting at 0 — they size
-// the CandidateSet mark table); Add must be called with nondecreasing ids.
-// An Index is immutable once populated and safe for concurrent Candidates
-// calls; Add must not race with Candidates.
+// Index is the candidate-pruning index over one digest population. It is
+// built in one shot by NewIndex and has no mutable state afterwards, so any
+// number of goroutines may call Candidates concurrently.
 type Index struct {
 	buckets map[uint32]*indexBucket
 	exact   map[exactKey][]int32
 }
 
-// indexBucket holds one block size's inverted gram postings, one map per
+// IndexEntry is one digest to index under a caller-assigned id. Ids are
+// dense and start at 0 — they size the CandidateSet mark table.
+type IndexEntry struct {
+	ID     int32
+	Digest PreparedDigest
+}
+
+// indexBucket holds one block size's inverted gram postings, one set per
 // signature slot.
 type indexBucket struct {
-	s1 map[uint64][]int32 // grams of clamped Sig1 → ids
-	s2 map[uint64][]int32 // grams of clamped Sig2 → ids
+	s1 postings // grams of clamped Sig1 → ids
+	s2 postings // grams of clamped Sig2 → ids
+}
+
+// postings is an inverted gram index in flat, pointer-free form: every
+// distinct gram is interned to a dense number, and gram number n's ids are
+// ids[offs[n]:offs[n+1]] (compressed sparse rows). Neither the map (integer
+// keys and values) nor the two slices hold pointers, so the garbage
+// collector never scans a posting, however large the catalogue.
+type postings struct {
+	nums map[uint64]uint32
+	offs []uint32
+	ids  []int32
 }
 
 type exactKey struct {
@@ -155,49 +174,103 @@ type exactKey struct {
 	s1, s2 string
 }
 
-// NewIndex returns an empty index.
-func NewIndex() *Index {
-	return &Index{
-		buckets: make(map[uint32]*indexBucket),
-		exact:   make(map[exactKey][]int32),
-	}
+// gramPair is one posting awaiting placement: the id of an entry whose
+// signature contains gram number num.
+type gramPair struct {
+	num uint32
+	id  int32
 }
 
-// Add posts a prepared digest under id. Ids must be nondecreasing across
-// calls (posting lists stay sorted and deduplicated by construction).
-func (ix *Index) Add(id int32, p PreparedDigest) {
-	b := ix.buckets[p.BlockSize]
-	if b == nil {
-		b = &indexBucket{s1: make(map[uint64][]int32), s2: make(map[uint64][]int32)}
-		ix.buckets[p.BlockSize] = b
-	}
-	addGrams(b.s1, id, p.S1)
-	addGrams(b.s2, id, p.S2)
-	k := exactKey{bs: p.BlockSize, s1: p.S1, s2: p.S2}
-	ix.exact[k] = append(ix.exact[k], id)
+// gramState is the build-time state of one interned gram.
+type gramState struct {
+	n    uint32 // postings emitted for the gram
+	last int32  // ordinal of the last entry that posted it, plus one
 }
 
-func addGrams(m map[uint64][]int32, id int32, s string) {
-	if len(s) < GramSize {
-		return
+// buildPostings inverts one signature slot (sig picks it) of the entries
+// whose ordinals are in members. Postings are first emitted as (gram number,
+// id) pairs into an exactly pre-sized buffer, then laid out by a counting
+// sort on the gram number — a handful of large pointer-free blocks, where a
+// slice per gram would be one small allocation and one read-then-append per
+// posting. A gram occurring more than once in a signature posts its id once,
+// so every row is duplicate-free.
+func buildPostings(entries []IndexEntry, members []int32, sig func(*PreparedDigest) string) postings {
+	want := 0
+	for _, ord := range members {
+		want += max(0, len(sig(&entries[ord].Digest))-GramSize+1)
 	}
-	var g uint64
-	for i := 0; i < GramSize-1; i++ {
-		g = g<<8 | uint64(s[i])
+	if uint64(want) > math.MaxUint32 {
+		panic("ssdeep: more than 2³² postings in one index bucket")
 	}
-	for i := GramSize - 1; i < len(s); i++ {
-		g = (g<<8 | uint64(s[i])) & gramMask
-		if l := m[g]; len(l) == 0 || l[len(l)-1] != id {
-			m[g] = append(m[g], id)
+	nums := make(map[uint64]uint32)
+	var grams []gramState
+	pairs := make([]gramPair, 0, want)
+	var windows []uint64
+	for _, ord := range members {
+		e := &entries[ord]
+		windows = AppendGrams(windows[:0], sig(&e.Digest))
+		for _, g := range windows {
+			num, ok := nums[g]
+			if !ok {
+				num = uint32(len(grams))
+				nums[g] = num
+				grams = append(grams, gramState{})
+			}
+			st := &grams[num]
+			if st.last == ord+1 {
+				continue
+			}
+			st.last = ord + 1
+			st.n++
+			pairs = append(pairs, gramPair{num: num, id: e.ID})
 		}
 	}
+
+	offs := make([]uint32, len(grams)+1)
+	for num, st := range grams {
+		offs[num+1] = offs[num] + st.n
+	}
+	ids := make([]int32, len(pairs))
+	for _, p := range pairs {
+		st := &grams[p.num]
+		ids[offs[p.num+1]-st.n] = p.id // st.n counts the row's unplaced ids
+		st.n--
+	}
+	return postings{nums: nums, offs: offs, ids: ids}
+}
+
+// NewIndex builds the index over entries, which it only reads. Entries are
+// grouped by block size first and each bucket's two signature slots are
+// inverted one after the other, so one gram table at a time is hot.
+func NewIndex(entries []IndexEntry) *Index {
+	members := make(map[uint32][]int32) // block size → entry ordinals
+	exact := make(map[exactKey][]int32)
+	for i := range entries {
+		p := &entries[i].Digest
+		members[p.BlockSize] = append(members[p.BlockSize], int32(i))
+		// An equal digest with a signature of gram length or more is already
+		// found through that signature's first gram; only digests too short
+		// to post any gram need the table.
+		if len(p.S1) < GramSize && len(p.S2) < GramSize {
+			k := exactKey{bs: p.BlockSize, s1: p.S1, s2: p.S2}
+			exact[k] = append(exact[k], entries[i].ID)
+		}
+	}
+	buckets := make(map[uint32]*indexBucket, len(members))
+	for bs, m := range members {
+		buckets[bs] = &indexBucket{
+			s1: buildPostings(entries, m, func(p *PreparedDigest) string { return p.S1 }),
+			s2: buildPostings(entries, m, func(p *PreparedDigest) string { return p.S2 }),
+		}
+	}
+	return &Index{buckets: buckets, exact: exact}
 }
 
 // Candidates adds to set every entry that could score nonzero against q:
-// the exact-signature matches at q's block size, plus every entry of a
-// comparable bucket sharing at least one gram with the signature q would be
-// compared against. The comparability arithmetic mirrors ComparePrepared's
-// uint32 semantics exactly, including wrap-around doubles.
+// the gram-less exact-signature matches at q's block size, plus every entry
+// of a comparable bucket sharing at least one gram with the signature q
+// would be compared against. The comparability arithmetic mirrors
+// ComparePrepared's uint32 semantics exactly, including wrap-around doubles.
 func (ix *Index) Candidates(q PreparedDigest, set *CandidateSet) {
 	for _, id := range ix.exact[exactKey{bs: q.BlockSize, s1: q.S1, s2: q.S2}] {
 		set.add(id)
@@ -206,14 +279,14 @@ func (ix *Index) Candidates(q PreparedDigest, set *CandidateSet) {
 	// against Sig2 of entries whose block size doubles to the query's.
 	grams := AppendGrams(set.grams[:0], q.S1)
 	if b := ix.buckets[q.BlockSize]; b != nil {
-		probeGrams(b.s1, grams, set)
+		b.s1.probe(grams, set)
 	}
 	if q.BlockSize%2 == 0 {
 		// e.BlockSize*2 == q.BlockSize in uint32 arithmetic has two
 		// solutions: q/2 and q/2 + 2³¹ (the doubling wraps).
 		for _, hb := range [2]uint32{q.BlockSize / 2, q.BlockSize/2 + 1<<31} {
 			if b := ix.buckets[hb]; b != nil {
-				probeGrams(b.s2, grams, set)
+				b.s2.probe(grams, set)
 			}
 		}
 	}
@@ -221,21 +294,24 @@ func (ix *Index) Candidates(q PreparedDigest, set *CandidateSet) {
 	// Sig1 of double-block-size entries (uint32 wrap included).
 	grams = AppendGrams(grams[:0], q.S2)
 	if b := ix.buckets[q.BlockSize]; b != nil {
-		probeGrams(b.s2, grams, set)
+		b.s2.probe(grams, set)
 	}
 	if b := ix.buckets[q.BlockSize*2]; b != nil {
-		probeGrams(b.s1, grams, set)
+		b.s1.probe(grams, set)
 	}
 	set.grams = grams
 }
 
-func probeGrams(m map[uint64][]int32, grams []uint64, set *CandidateSet) {
-	if len(m) == 0 {
+// probe adds the ids posted under any of grams to set.
+func (p *postings) probe(grams []uint64, set *CandidateSet) {
+	if len(p.nums) == 0 {
 		return
 	}
 	for _, g := range grams {
-		for _, id := range m[g] {
-			set.add(id)
+		if num, ok := p.nums[g]; ok {
+			for _, id := range p.ids[p.offs[num]:p.offs[num+1]] {
+				set.add(id)
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -140,21 +141,25 @@ func TestIndexCandidatesCoverNonzeroScores(t *testing.T) {
 		pop = append(pop, randomDigestString(rng))
 	}
 	pop = append(pop, "3:ab:c", "3:ab:c", "3::", "6:abc:ab",
-		// Wrap-around pair: (3 + 2³¹) * 2 == 6 in uint32 arithmetic, so a
+		// Wrap-around pairs: (3 + 2³¹) * 2 == 6 in uint32 arithmetic, so a
 		// query with block size 6 must probe this bucket too.
 		fmt.Sprintf("%d:%s:%s", uint32(3)+1<<31, "AAAABBBBCCCCDDDD", "kkkkllll"),
+		fmt.Sprintf("%d:%s:%s", uint32(3)+1<<31, "ABCDEFGHIJKL", "MNOPQRSTUVWX"),
+		// A signature repeating a 7-gram, twice so the row has two ids.
+		"96:ABCDEFGABCDEFGH:ABCDEFGABCDEFG", "96:ABCDEFGABCDEFGH:zz",
 	)
 
-	ix := NewIndex()
 	prepared := make([]PreparedDigest, len(pop))
+	entries := make([]IndexEntry, len(pop))
 	for i, d := range pop {
 		p, err := ParsePrepared(d)
 		if err != nil {
 			t.Fatalf("ParsePrepared(%q): %v", d, err)
 		}
 		prepared[i] = p
-		ix.Add(int32(i), p)
+		entries[i] = IndexEntry{ID: int32(i), Digest: p}
 	}
+	ix := NewIndex(entries)
 
 	queries := append([]string{}, pop[:80]...) // self-queries
 	queries = append(queries, relatedDigests(rng, 40)...)
@@ -162,7 +167,10 @@ func TestIndexCandidatesCoverNonzeroScores(t *testing.T) {
 		queries = append(queries, randomDigestString(rng))
 	}
 	queries = append(queries, "3:ab:c", "6:abcdefghijklm:zz",
-		"6:kkkkllllXXXX:AAAABBBB") // sig2 sharing grams with the wrap entry's sig1
+		"6:kkkkllllXXXX:AAAABBBB", // sig2 sharing grams with the wrap entry's sig1
+		"6:MNOPQRSTUVWX:zz",       // sig1 equal to the second wrap entry's sig2
+		"96:xxABCDEFGxx:yy", "48:qq:ABCDEFGHxx")
+	scored := 0
 
 	var set CandidateSet
 	for _, qs := range queries {
@@ -185,6 +193,94 @@ func TestIndexCandidatesCoverNonzeroScores(t *testing.T) {
 				t.Fatalf("query %q scores %d against entry %d (%q) but the index did not return it",
 					qs, score, i, pop[i])
 			}
+			if score > 0 && strings.HasPrefix(qs, "6:MNOP") {
+				scored++
+			}
+		}
+	}
+	if scored == 0 {
+		t.Error("the wrap-around query scored against nothing: the pair no longer exercises the 2³¹ probe")
+	}
+}
+
+// TestIndexLayout pins the flat form NewIndex produces: rows partition ids
+// exactly, a gram repeated inside one signature posts its id once, and only
+// digests too short to post a gram sit in the exact table.
+func TestIndexLayout(t *testing.T) {
+	var entries []IndexEntry
+	for i, d := range []string{
+		"96:ABCDEFGABCDEFGH:ABCDEFGABCDEFG", // every gram of both signatures occurs twice or thrice
+		"96:ABCDEFGH:zz",
+		"96:ab:c", "96:ab:c", // gram-less twins
+		"96:ABCDEFGABCDEFGH:ABCDEFGABCDEFG", // equal to entry 0, found by its grams
+		"192:ABCDEFGH:ABCDEFG",
+	} {
+		p, err := ParsePrepared(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, IndexEntry{ID: int32(i), Digest: p})
+	}
+	ix := NewIndex(entries)
+
+	row := func(p *postings, gram string) []int32 {
+		num, ok := p.nums[AppendGrams(nil, gram)[0]]
+		if !ok {
+			return nil
+		}
+		return p.ids[p.offs[num]:p.offs[num+1]]
+	}
+	b := ix.buckets[96]
+	for _, c := range []struct {
+		name string
+		got  []int32
+		want []int32
+	}{
+		{"96/s1 ABCDEFG", row(&b.s1, "ABCDEFG"), []int32{0, 1, 4}},
+		{"96/s1 GABCDEF", row(&b.s1, "GABCDEF"), []int32{0, 4}},
+		{"96/s1 BCDEFGH", row(&b.s1, "BCDEFGH"), []int32{0, 1, 4}},
+		{"96/s2 ABCDEFG", row(&b.s2, "ABCDEFG"), []int32{0, 4}},
+		{"96/s2 zzzzzzz", row(&b.s2, "zzzzzzz"), nil},
+		{"192/s2 ABCDEFG", row(&ix.buckets[192].s2, "ABCDEFG"), []int32{5}},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("row %s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	for bs, b := range ix.buckets {
+		for slot, p := range []*postings{&b.s1, &b.s2} {
+			if len(p.offs) != len(p.nums)+1 || p.offs[0] != 0 || int(p.offs[len(p.nums)]) != len(p.ids) {
+				t.Errorf("bucket %d slot %d: %d grams, offs %v, %d ids: rows do not partition ids",
+					bs, slot+1, len(p.nums), p.offs, len(p.ids))
+			}
+		}
+	}
+	// "ABCDEFGABCDEFGH" has 9 windows over 8 distinct grams.
+	if got := len(b.s1.nums); got != 8 {
+		t.Errorf("bucket 96 slot 1 interned %d grams, want 8", got)
+	}
+	if len(ix.exact) != 1 || !slices.Equal(ix.exact[exactKey{bs: 96, s1: "ab", s2: "c"}], []int32{2, 3}) {
+		t.Errorf("exact table = %v, want only the gram-less twins", ix.exact)
+	}
+
+	var set CandidateSet
+	for _, c := range []struct {
+		q    string
+		want []int32
+	}{
+		{"96:ab:c", []int32{2, 3}},
+		{"96:ABCDEFGABCDEFGH:zz", []int32{0, 1, 4}},
+		{"192:ABCDEFGxyz:zz", []int32{0, 4, 5}}, // sig1 meets sig1 at 192 and sig2 of the half block size
+		{"48:zz:ABCDEFGxyz", []int32{0, 1, 4}},  // sig2 meets sig1 of the double block size
+	} {
+		q, err := ParsePrepared(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.Reset(len(entries))
+		ix.Candidates(q, &set)
+		if got := uniqueIDs(set.IDs); !slices.Equal(got, c.want) || len(got) != len(set.IDs) {
+			t.Errorf("Candidates(%q) = %v, want %v", c.q, set.IDs, c.want)
 		}
 	}
 }
@@ -199,12 +295,11 @@ func uniqueIDs(ids []int32) []int32 {
 // across many queries never leaks candidates between queries, including
 // across a mark-table regrow.
 func TestCandidateSetEpochReuse(t *testing.T) {
-	ix := NewIndex()
 	p, err := ParsePrepared("96:AAAABBBBCCCCDDDDEEEE:AAAABBBBCC")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.Add(0, p)
+	ix := NewIndex([]IndexEntry{{ID: 0, Digest: p}})
 	var set CandidateSet
 	for i := 0; i < 5; i++ {
 		set.Reset(1)
@@ -277,5 +372,45 @@ func TestMatcherMatchesExhaustive(t *testing.T) {
 				t.Fatalf("Matches(%q, %d):\n got  %v\n want %v", qs, minScore, got, want)
 			}
 		}
+	}
+}
+
+// TestMatcherQueriesDuringAdds runs queries while entries are still being
+// registered: every Add outdates the bulk-built index, so each query may
+// rebuild it, and must see a population that is a prefix of the adds — the
+// first entry always, never a half-registered one.
+func TestMatcherQueriesDuringAdds(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	pop := relatedDigests(rng, 200)
+	m := NewMatcher(BackendWeighted)
+	if err := m.Add("e000", pop[0]); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				ms, err := m.Matches(pop[0], 100)
+				if err != nil || len(ms) == 0 || ms[0].Label != "e000" {
+					t.Errorf("query %d during adds: %v, %v; want e000 first", i, ms, err)
+					return
+				}
+			}
+		}()
+	}
+	for i, d := range pop[1:] {
+		if err := m.Add(fmt.Sprintf("e%03d", i+1), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if m.Len() != len(pop) {
+		t.Fatalf("Len = %d, want %d", m.Len(), len(pop))
+	}
+	last, ok, err := m.Best(pop[len(pop)-1])
+	if err != nil || !ok || last.Score != 100 {
+		t.Errorf("the last entry added is not found: %+v, %v, %v", last, ok, err)
 	}
 }

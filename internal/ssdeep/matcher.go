@@ -31,7 +31,7 @@ type Match struct {
 type Matcher struct {
 	mu      sync.RWMutex
 	entries []Entry
-	index   *Index
+	index   *Index // over all of entries; nil when an Add has outdated it
 	backend Backend
 }
 
@@ -42,7 +42,7 @@ var candidatePool = sync.Pool{New: func() any { return new(CandidateSet) }}
 
 // NewMatcher returns an empty Matcher scoring with the given backend.
 func NewMatcher(backend Backend) *Matcher {
-	return &Matcher{index: NewIndex(), backend: backend}
+	return &Matcher{backend: backend}
 }
 
 // Len reports the number of registered entries.
@@ -52,7 +52,9 @@ func (m *Matcher) Len() int {
 	return len(m.entries)
 }
 
-// Add registers a labelled digest. Malformed digests are rejected.
+// Add registers a labelled digest. Malformed digests are rejected. The index
+// is bulk-built, so Add only drops it; the next query rebuilds it over every
+// entry registered by then.
 func (m *Matcher) Add(label, digest string) error {
 	p, err := ParsePrepared(digest)
 	if err != nil {
@@ -60,10 +62,31 @@ func (m *Matcher) Add(label, digest string) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id := int32(len(m.entries))
 	m.entries = append(m.entries, Entry{Label: label, Digest: digest, parsed: p})
-	m.index.Add(id, p)
+	m.index = nil
 	return nil
+}
+
+// snapshot returns the registered entries and an index over exactly those,
+// building the index if an Add dropped it. Both are immutable: entries is
+// append-only and the caller's slice header ends where the index does.
+func (m *Matcher) snapshot() ([]Entry, *Index) {
+	m.mu.RLock()
+	entries, ix := m.entries, m.index
+	m.mu.RUnlock()
+	if ix != nil {
+		return entries, ix
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.index == nil {
+		ies := make([]IndexEntry, len(m.entries))
+		for i := range m.entries {
+			ies[i] = IndexEntry{ID: int32(i), Digest: m.entries[i].parsed}
+		}
+		m.index = NewIndex(ies)
+	}
+	return m.entries, m.index
 }
 
 // Matches returns every entry scoring at least minScore against the query
@@ -79,18 +102,17 @@ func (m *Matcher) Matches(digest string, minScore int) ([]Match, error) {
 	set := candidatePool.Get().(*CandidateSet)
 	defer candidatePool.Put(set)
 
-	m.mu.RLock()
-	set.Reset(len(m.entries))
-	m.index.Candidates(q, set)
+	entries, ix := m.snapshot()
+	set.Reset(len(entries))
+	ix.Candidates(q, set)
 	slices.Sort(set.IDs)
 	var out []Match
 	for _, id := range set.IDs {
-		e := &m.entries[id]
+		e := &entries[id]
 		if score := ComparePrepared(q, e.parsed, m.backend); score >= minScore {
 			out = append(out, Match{Label: e.Label, Digest: e.Digest, Score: score})
 		}
 	}
-	m.mu.RUnlock()
 
 	slices.SortFunc(out, func(a, b Match) int {
 		switch {

@@ -118,6 +118,7 @@ func TestReceiverMetricsE2E(t *testing.T) {
 		"siren_wal_fdatasync_ns_count",
 		"siren_seal_ns_count",
 		"siren_catalog_refresh_ns_count",
+		"siren_catalog_index_build_ns_count",
 		`siren_http_request_ns_count{endpoint="jobs"}`,
 	}
 	deadline := time.Now().Add(15 * time.Second)

@@ -164,13 +164,35 @@ func TestServeCommand(t *testing.T) {
 	if !strings.Contains(text, "# TYPE siren_http_request_ns histogram") {
 		t.Errorf("/metrics missing the endpoint latency histogram:\n%s", text)
 	}
-	if got := sampleValue(text, "siren_catalog_refresh_ns_count"); got != 1 {
-		t.Errorf("siren_catalog_refresh_ns_count = %d, want 1 (the boot refresh)", got)
+	for _, name := range []string{"siren_catalog_refresh_ns_count", "siren_catalog_index_build_ns_count"} {
+		if got := sampleValue(text, name); got != 1 {
+			t.Errorf("%s = %d, want 1 (the boot refresh)", name, got)
+		}
 	}
 
 	out := stop()
 	if !strings.Contains(out, "drained") {
 		t.Errorf("shutdown did not drain cleanly:\n%s", out)
+	}
+
+	// A SIGTERM sent the moment the first request is answered must still
+	// take the drain path (stop fails the test on a non-zero exit): the
+	// handler is installed before the listener exists. Several starts,
+	// because the window it guards is a few goroutine starts wide.
+	for i := 0; i < 5; i++ {
+		found, stop := startCmd(t, filepath.Join(bin, "siren-serve"),
+			[]string{"-db", wal, "-addr", "127.0.0.1:0", "-readonly"},
+			[]string{"serving on "})
+		resp, err := http.Get(found["serving on "] + "/healthz")
+		if err != nil {
+			stop()
+			t.Fatalf("start %d: healthz: %v", i, err)
+		}
+		out := stop()
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(out, "drained") {
+			t.Fatalf("start %d: SIGTERM right after the first answer (status %d) skipped the drain:\n%s", i, resp.StatusCode, out)
+		}
 	}
 }
 
