@@ -49,7 +49,7 @@ lint: vet fmt-check staticcheck sirenlint
 # 10 seconds of coverage-guided fuzzing per target — enough to replay the
 # checked-in seeds (including the hostile-TOT reassembly datagram) plus a
 # short randomized excursion, cheap enough for every CI push. Go allows one
-# -fuzz pattern per invocation, hence three runs.
+# -fuzz pattern per invocation, hence one run per target.
 # FuzzRunDecode caps minimization at 5 attempts: the default 60s budget per
 # shrink makes a single found crash look like a hang in CI logs.
 fuzz-smoke:
@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReassemble$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzParseDigest$$' -fuzztime=10s ./internal/ssdeep
 	$(GO) test -run=NONE -fuzz='^FuzzRunDecode$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/sirendb/runfmt
+	$(GO) test -run=NONE -fuzz='^FuzzEditKernels$$' -fuzztime=10s ./internal/editdist
 
 # Full benchmark suite (regenerates the evaluation tables alongside timings).
 bench:
@@ -151,8 +152,11 @@ bench-serve:
 # tier — indexed identify (analysis and full handler stack), the cold
 # fingerprint-index build a replica pays at start-up, incremental
 # catalog refresh, store insert, receiver ingest, and the sealed-vs-replay
-# open pair (the flat sealed open is the storage tier's claim) — each run
-# -count times so
+# open pair (the flat sealed open is the storage tier's claim) — plus the
+# scoring kernels by themselves (a 64-byte distance and a 1000-entry Matcher
+# query): in a geomean over a dozen benchmarks a return to DP cost in
+# BenchmarkIdentify alone would sit at the threshold, with these two it is
+# far past it. Each is run -count times so
 # benchdiff can take the noise-resistant minimum, compared against the
 # committed baseline and failing on a >25% geometric-mean slowdown. After an
 # intentional perf change, re-baseline with `make bench-rebaseline` on the
@@ -165,6 +169,8 @@ bench-gate-run:
 	@mkdir -p .bench && rm -f $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkIdentify/n=10000$$/indexed$$' -count=$(BENCH_GATE_COUNT) ./internal/analysis | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkIndexDerive/rebuild/n=10000$$' -count=$(BENCH_GATE_COUNT) ./internal/analysis | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkMatcher1000$$' -count=$(BENCH_GATE_COUNT) ./internal/ssdeep | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkWeighted64$$' -count=$(BENCH_GATE_COUNT) ./internal/editdist | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkIdentify/serial/jobs=16$$' -count=$(BENCH_GATE_COUNT) ./internal/server | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkCatalogRefresh/incremental/jobs=16$$' -count=$(BENCH_GATE_COUNT) ./internal/catalog | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkInsertBatch/store=mem/shards=4/writers=4$$' -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)

@@ -74,8 +74,8 @@ func (d *Dataset) SimilarityClusters(threshold int, backend ssdeep.Backend) []Cl
 		return bins[i].rec.FileH < bins[j].rec.FileH
 	})
 
-	// Union-find over pairwise scores, pruned by the block-size bucketing
-	// inside the Matcher.
+	// Union-find over all pairwise scores; a pair already in one component is
+	// not scored again.
 	parent := make([]int, len(bins))
 	for i := range parent {
 		parent[i] = i
@@ -94,25 +94,23 @@ func (d *Dataset) SimilarityClusters(threshold int, backend ssdeep.Backend) []Cl
 		}
 	}
 
-	digests := make([]ssdeep.Digest, len(bins))
-	valid := make([]bool, len(bins))
+	// Each digest is parsed and clamped once; an unparseable one leaves its
+	// bin a singleton. Row i is the scorer's query for its whole inner loop.
+	prepared := make([]preparedChar, len(bins))
 	for i, b := range bins {
-		dg, err := ssdeep.ParseDigest(b.rec.FileH)
-		if err != nil {
-			continue // unparseable digest: the bin stays a singleton
-		}
-		digests[i] = dg
-		valid[i] = true
+		prepared[i] = prepareChar(b.rec.FileH)
 	}
-	for i := 0; i < len(bins); i++ {
-		if !valid[i] {
+	var sc ssdeep.Scorer
+	for i := range bins {
+		if !prepared[i].ok {
 			continue
 		}
+		sc.Reset(prepared[i].p)
 		for j := i + 1; j < len(bins); j++ {
-			if !valid[j] || find(i) == find(j) {
+			if !prepared[j].ok || find(i) == find(j) {
 				continue
 			}
-			if ssdeep.CompareDigests(digests[i], digests[j], backend) >= threshold {
+			if sc.Score(prepared[j].p, backend) >= threshold {
 				union(i, j)
 			}
 		}

@@ -1,7 +1,7 @@
 // Edge cases of the two functions the identify endpoint leans on hardest:
-// DeriveLabel (every query row's label) and scoreOrZero (every digest
-// comparison — a malformed digest from a hostile or truncated request must
-// score 0, never abort the search).
+// DeriveLabel (every query row's label) and prepareChar (every digest a
+// query or a catalogue entry brings — a malformed digest from a hostile or
+// truncated request must score 0, never abort the search).
 package analysis
 
 import (
@@ -50,7 +50,7 @@ func TestDeriveLabelEdges(t *testing.T) {
 	}
 }
 
-func TestScoreOrZeroMalformed(t *testing.T) {
+func TestIdentifyByHashMalformed(t *testing.T) {
 	valid, err := ssdeep.HashString("the quick brown fox jumps over the lazy dog, 400 times over, with feeling")
 	if err != nil {
 		t.Fatal(err)
@@ -71,15 +71,20 @@ func TestScoreOrZeroMalformed(t *testing.T) {
 		{"invalid base64 chars", "3:a|b:c~d", valid},
 		{"malformed on the right", valid, "3:abc"},
 	}
+	// a is the query, b the one catalogued binary's FILE_H.
+	identify := func(a, b string, backend ssdeep.Backend) []SimilarityRow {
+		d := NewDataset([]*postprocess.ProcessRecord{{JobID: "1", Category: "user", Exe: "/appl/lammps/lmp", FileH: b}})
+		return d.IdentifyByHash(a, 0, backend)
+	}
 	for _, c := range zeroCases {
 		for _, backend := range []ssdeep.Backend{ssdeep.BackendWeighted, ssdeep.BackendDamerau, ssdeep.BackendLevenshtein} {
-			if got := scoreOrZero(c.a, c.b, backend); got != 0 {
-				t.Errorf("scoreOrZero(%s, backend %v) = %d, want 0", c.name, backend, got)
+			if got := identify(c.a, c.b, backend); len(got) != 0 {
+				t.Errorf("IdentifyByHash(%s, backend %v) = %+v, want no rows", c.name, backend, got)
 			}
 		}
 	}
-	if got := scoreOrZero(valid, valid, ssdeep.BackendWeighted); got != 100 {
-		t.Errorf("scoreOrZero(self) = %d, want 100", got)
+	if got := identify(valid, valid, ssdeep.BackendWeighted); len(got) != 1 || got[0].FileS != 100 {
+		t.Errorf("IdentifyByHash(self) = %+v, want one row scoring 100", got)
 	}
 }
 

@@ -91,6 +91,15 @@ type preparedChar struct {
 	ok bool
 }
 
+// prepareChar parses and clamps one characteristic digest.
+func prepareChar(d string) preparedChar {
+	if d == "" {
+		return preparedChar{}
+	}
+	p, err := ssdeep.ParsePrepared(d)
+	return preparedChar{p: p, ok: err == nil}
+}
+
 // fpEntry is one catalog entry with its parse-once comparison state.
 type fpEntry struct {
 	fp    Fingerprint
@@ -215,12 +224,7 @@ func prepareEntry(s selected) fpEntry {
 		rec: r,
 	}
 	for c, d := range RecordDigests(r).array() {
-		if d == "" {
-			continue
-		}
-		if p, err := ssdeep.ParsePrepared(d); err == nil {
-			e.chars[c] = preparedChar{p: p, ok: true}
-		}
+		e.chars[c] = prepareChar(d)
 	}
 	return e
 }
@@ -395,31 +399,37 @@ func (ix *FingerprintIndex) live(id int32) bool {
 	return int(id) >= len(ix.base.fps) || ix.dead == nil || !ix.dead[id]
 }
 
-// prepareQuery parses the six query digests once. ok is false for empty or
-// malformed digests (they score 0 against everything — missing information
-// must not abort the search; SIREN hashes the lists precisely so that
-// partial data stays comparable).
-func prepareQuery(q Digests) (qp [numChars]preparedChar, any bool) {
+// queryChar is one characteristic of a prepared query: the digest the index
+// is probed with, and the scorer — built once per query — that every
+// candidate's digest is scored against.
+type queryChar struct {
+	preparedChar
+	sc ssdeep.Scorer
+}
+
+// prepareQuery parses the six query digests once into qp (about 25 KB; the
+// caller keeps it on its stack) and reports whether any is usable. ok is
+// false for empty or malformed digests (they score 0 against everything —
+// missing information must not abort the search; SIREN hashes the lists
+// precisely so that partial data stays comparable).
+func prepareQuery(q Digests, qp *[numChars]queryChar) (any bool) {
 	for c, d := range q.array() {
-		if d == "" {
-			continue
-		}
-		if p, err := ssdeep.ParsePrepared(d); err == nil {
-			qp[c] = preparedChar{p: p, ok: true}
+		if qp[c].preparedChar = prepareChar(d); qp[c].ok {
+			qp[c].sc.Reset(qp[c].p)
 			any = true
 		}
 	}
-	return qp, any
+	return any
 }
 
 // scoreEntry computes one entry's Table 7 row against a prepared query; ok
 // is false when every characteristic scored zero (the row is dropped).
-func scoreEntry(e *fpEntry, qp *[numChars]preparedChar, backend ssdeep.Backend) (SimilarityRow, bool) {
+func scoreEntry(e *fpEntry, qp *[numChars]queryChar, backend ssdeep.Backend) (SimilarityRow, bool) {
 	var s [numChars]int
 	total := 0
 	for c := range s {
 		if qp[c].ok && e.chars[c].ok {
-			s[c] = ssdeep.ComparePrepared(qp[c].p, e.chars[c].p, backend)
+			s[c] = qp[c].sc.Score(e.chars[c].p, backend)
 			total += s[c]
 		}
 	}
@@ -502,8 +512,8 @@ func finishRows(rows []SimilarityRow, topN int) []SimilarityRow {
 // characteristics. Every non-candidate scores zero on all six digests, so
 // the result is byte-identical to SearchExhaustive.
 func (ix *FingerprintIndex) Search(q Digests, topN int, backend ssdeep.Backend) []SimilarityRow {
-	qp, any := prepareQuery(q)
-	if !any {
+	var qp [numChars]queryChar
+	if !prepareQuery(q, &qp) {
 		return nil
 	}
 	set := candPool.Get().(*ssdeep.CandidateSet)
@@ -533,8 +543,8 @@ func (ix *FingerprintIndex) Search(q Digests, topN int, backend ssdeep.Backend) 
 // entry. Retained as the oracle for the index-equivalence tests and as the
 // scaling baseline BenchmarkIdentify measures the index against.
 func (ix *FingerprintIndex) SearchExhaustive(q Digests, topN int, backend ssdeep.Backend) []SimilarityRow {
-	qp, any := prepareQuery(q)
-	if !any {
+	var qp [numChars]queryChar
+	if !prepareQuery(q, &qp) {
 		return nil
 	}
 	var rows []SimilarityRow
@@ -544,20 +554,6 @@ func (ix *FingerprintIndex) SearchExhaustive(q Digests, topN int, backend ssdeep
 		}
 	})
 	return finishRows(rows, topN)
-}
-
-// scoreOrZero compares two digests, returning 0 for empty or malformed
-// digests (missing information must not abort the search — SIREN hashes the
-// lists precisely so that partial data stays comparable).
-func scoreOrZero(a, b string, backend ssdeep.Backend) int {
-	if a == "" || b == "" {
-		return 0
-	}
-	s, err := ssdeep.CompareWith(a, b, backend)
-	if err != nil {
-		return 0
-	}
-	return s
 }
 
 // SimilaritySearch computes Table 7: it ranks every *known* (labelled) user
@@ -589,6 +585,12 @@ func (d *Dataset) FindUnknown() (*postprocess.ProcessRecord, bool) {
 // (FILE_H only) — the simpler identification mode used by the quickstart
 // example and the exact-vs-fuzzy ablation.
 func (d *Dataset) IdentifyByHash(fileH string, topN int, backend ssdeep.Backend) []SimilarityRow {
+	q := prepareChar(fileH)
+	if !q.ok {
+		return nil // an empty or malformed query scores 0 against everything
+	}
+	var sc ssdeep.Scorer
+	sc.Reset(q.p)
 	seen := make(map[string]bool)
 	var rows []SimilarityRow
 	for _, r := range d.Records {
@@ -596,7 +598,11 @@ func (d *Dataset) IdentifyByHash(fileH string, topN int, backend ssdeep.Backend)
 			continue
 		}
 		seen[r.FileH] = true
-		s := scoreOrZero(fileH, r.FileH, backend)
+		p := prepareChar(r.FileH)
+		if !p.ok {
+			continue
+		}
+		s := sc.Score(p.p, backend)
 		if s == 0 {
 			continue
 		}

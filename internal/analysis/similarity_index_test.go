@@ -273,16 +273,21 @@ func TestIndexBuildIndependentOfParallelism(t *testing.T) {
 	}
 }
 
+// assertSearchEquivalence holds Search to SearchExhaustive under every
+// backend: the pruning argument (DESIGN.md §9) rests on the gate alone, so it
+// must hold whichever distance scores the survivors.
 func assertSearchEquivalence(t *testing.T, ix *FingerprintIndex, queries []Digests) {
 	t.Helper()
-	for qi, q := range queries {
-		full := ix.SearchExhaustive(q, 0, ssdeep.BackendWeighted)
-		for _, topN := range []int{0, 1, 5, len(full)} {
-			got := ix.Search(q, topN, ssdeep.BackendWeighted)
-			want := ix.SearchExhaustive(q, topN, ssdeep.BackendWeighted)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("query %d topN=%d: indexed and exhaustive rankings diverge\n got  %+v\n want %+v",
-					qi, topN, got, want)
+	for _, backend := range []ssdeep.Backend{ssdeep.BackendWeighted, ssdeep.BackendDamerau, ssdeep.BackendLevenshtein} {
+		for qi, q := range queries {
+			full := ix.SearchExhaustive(q, 0, backend)
+			for _, topN := range []int{0, 1, 5, len(full)} {
+				got := ix.Search(q, topN, backend)
+				want := ix.SearchExhaustive(q, topN, backend)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v, query %d topN=%d: indexed and exhaustive rankings diverge\n got  %+v\n want %+v",
+						backend, qi, topN, got, want)
+				}
 			}
 		}
 	}

@@ -59,25 +59,12 @@ func ParsePrepared(s string) (PreparedDigest, error) {
 }
 
 // ComparePrepared scores two prepared digests, identically to CompareDigests
-// on the corresponding parsed digests.
+// on the corresponding parsed digests. It builds a Scorer for p1 and scores
+// p2; callers comparing one digest against many keep the Scorer instead.
 func ComparePrepared(p1, p2 PreparedDigest, backend Backend) int {
-	bs1, bs2 := p1.BlockSize, p2.BlockSize
-	if bs1 != bs2 && bs1 != bs2*2 && bs2 != bs1*2 {
-		return 0
-	}
-	if bs1 == bs2 && p1.S1 == p2.S1 && p1.S2 == p2.S2 {
-		return 100
-	}
-	switch {
-	case bs1 == bs2:
-		sc1 := scoreStrings(p1.S1, p2.S1, bs1, backend)
-		sc2 := scoreStrings(p1.S2, p2.S2, bs1*2, backend)
-		return max(sc1, sc2)
-	case bs1 == bs2*2:
-		return scoreStrings(p1.S1, p2.S2, bs1, backend)
-	default: // bs2 == bs1*2
-		return scoreStrings(p1.S2, p2.S1, bs2, backend)
-	}
+	var sc Scorer
+	sc.Reset(p1)
+	return sc.Score(p2, backend)
 }
 
 // AppendGrams appends every GramSize-byte window of s, packed big-endian

@@ -104,6 +104,166 @@ func TestComparePreparedMatchesCompareDigests(t *testing.T) {
 	}
 }
 
+// refDistance is the textbook full-table DP for the backend's distance,
+// written from the definitions and sharing nothing with editdist.
+func refDistance(a, b string, backend Backend) int {
+	sub := 1
+	if backend == BackendWeighted {
+		sub = 2
+	}
+	d := make([][]int, len(a)+1)
+	for i := range d {
+		d[i] = make([]int, len(b)+1)
+		d[i][0] = i
+	}
+	for j := range d[0] {
+		d[0][j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		for j := 1; j <= len(b); j++ {
+			cost := sub
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			d[i][j] = min(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
+			if backend == BackendDamerau && i > 1 && j > 1 && a[i-1] == b[j-2] && a[i-2] == b[j-1] {
+				d[i][j] = min(d[i][j], d[i-2][j-2]+1)
+			}
+		}
+	}
+	return d[len(a)][len(b)]
+}
+
+// refCompare is the comparison as it was before the bit-vector kernels:
+// ComparePrepared's case analysis over a scoreStrings whose gate is a
+// substring search and whose distance is refDistance.
+func refCompare(p1, p2 PreparedDigest, backend Backend) int {
+	score := func(s1, s2 string, bs uint32) int {
+		if len(s1) > spamsumLength || len(s2) > spamsumLength {
+			return 0
+		}
+		common := false
+		for i := 0; i+rollingWindow <= len(s1) && !common; i++ {
+			common = strings.Contains(s2, s1[i:i+rollingWindow])
+		}
+		if !common {
+			return 0
+		}
+		sc := refDistance(s1, s2, backend) * spamsumLength / (len(s1) + len(s2))
+		sc = 100 * sc / 64
+		if sc >= 100 {
+			return 0
+		}
+		sc = 100 - sc
+		if bs >= (99+rollingWindow)/rollingWindow*blockMin {
+			return sc
+		}
+		return min(sc, int(bs)/blockMin*min(len(s1), len(s2)))
+	}
+	bs1, bs2 := p1.BlockSize, p2.BlockSize
+	switch {
+	case bs1 == bs2 && p1.S1 == p2.S1 && p1.S2 == p2.S2:
+		return 100
+	case bs1 == bs2:
+		return max(score(p1.S1, p2.S1, bs1), score(p1.S2, p2.S2, bs1*2))
+	case bs1 == bs2*2:
+		return score(p1.S1, p2.S2, bs1)
+	case bs2 == bs1*2:
+		return score(p1.S2, p2.S1, bs2)
+	}
+	return 0
+}
+
+// TestComparePreparedMatchesDPReference pins every score, for all three
+// backends, to the DP-scored reference: index-versus-exhaustive equivalence
+// runs the same kernel on both sides and cannot see a wrong one. The corpus
+// is the benchmark's catalogue shape (bench/gen.go: all digests of a family
+// mutated from one 64-letter base over a 32- or 64-letter alphabet, block
+// sizes 192/384/768 so the ×2 pairings occur), digests of real buffers at
+// graded mutation distances, the adversarial population of
+// TestComparePreparedMatchesCompareDigests, and hand-written digests with a
+// signature past the 64-byte cap.
+func TestComparePreparedMatchesDPReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	var pairs [][2]string
+
+	benchShaped := func(base []byte, alphabet string) string {
+		s1 := append([]byte(nil), base...)
+		for m := 0; m < 4; m++ {
+			s1[rng.Intn(len(s1))] = alphabet[rng.Intn(len(alphabet))]
+		}
+		s2 := append([]byte(nil), base[:32]...)
+		for m := 0; m < 2; m++ {
+			s2[rng.Intn(len(s2))] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return fmt.Sprintf("%d:%s:%s", uint32(192)<<rng.Intn(3), s1, s2)
+	}
+	for _, alphabet := range []string{base64Chars[:32], base64Chars} {
+		bases := make([][]byte, 40)
+		for f := range bases {
+			bases[f] = make([]byte, spamsumLength)
+			for i := range bases[f] {
+				bases[f][i] = alphabet[rng.Intn(len(alphabet))]
+			}
+		}
+		for i := 0; i < 5000; i++ {
+			f, g := rng.Intn(len(bases)), rng.Intn(len(bases))
+			if i%8 != 0 {
+				g = f // mostly family members: the pairs that pass the gate
+			}
+			pairs = append(pairs, [2]string{benchShaped(bases[f], alphabet), benchShaped(bases[g], alphabet)})
+		}
+	}
+
+	var hashed []string
+	for _, size := range []int{3000, 40000} {
+		base := randomBlob(rng, size)
+		for _, nmut := range []int{0, 1, 5, 20, 80, 300, 1000} {
+			v := append([]byte(nil), base...)
+			for i := 0; i < nmut; i++ {
+				v[rng.Intn(len(v))] ^= byte(1 + rng.Intn(255))
+			}
+			// An insertion shifts everything after it: the digests differ by
+			// an indel, not only by substitutions.
+			at := rng.Intn(len(v))
+			v = append(v[:at], append(randomBlob(rng, nmut), v[at:]...)...)
+			hashed = append(hashed, mustHash(t, v))
+		}
+	}
+	pop := append(relatedDigests(rng, 40), hashed...)
+	for i := 0; i < 60; i++ {
+		pop = append(pop, randomDigestString(rng))
+	}
+	long := strings.Repeat("ABCDEFGHIJKLM", 6) // 78 bytes, no run to clamp
+	pop = append(pop, "192:"+long+":"+long[:32], "192:"+long[:64]+":"+long[:32], "384:"+long[:60]+":"+long, "3:ab:c", "3:ab:c")
+	for _, a := range pop {
+		for _, b := range pop {
+			pairs = append(pairs, [2]string{a, b})
+		}
+	}
+
+	nonzero := 0
+	for _, pair := range pairs {
+		p1, err1 := ParsePrepared(pair[0])
+		p2, err2 := ParsePrepared(pair[1])
+		if err1 != nil || err2 != nil {
+			t.Fatalf("synthesized unparseable digest: %v %v", err1, err2)
+		}
+		for _, b := range []Backend{BackendWeighted, BackendDamerau, BackendLevenshtein} {
+			want := refCompare(p1, p2, b)
+			if got := ComparePrepared(p1, p2, b); got != want {
+				t.Fatalf("ComparePrepared(%q, %q, %v) = %d, DP reference %d", pair[0], pair[1], b, got, want)
+			}
+			if want > 0 && want < 100 {
+				nonzero++
+			}
+		}
+	}
+	if nonzero < 15000 {
+		t.Fatalf("only %d of %d pair×backend scores are strictly between 0 and 100: the corpus no longer exercises the distances", nonzero, 3*len(pairs))
+	}
+}
+
 func TestAppendGrams(t *testing.T) {
 	if g := AppendGrams(nil, "abcdef"); len(g) != 0 {
 		t.Errorf("grams of 6-byte string = %v, want none", g)

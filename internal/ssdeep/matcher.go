@@ -106,10 +106,12 @@ func (m *Matcher) Matches(digest string, minScore int) ([]Match, error) {
 	set.Reset(len(entries))
 	ix.Candidates(q, set)
 	slices.Sort(set.IDs)
+	var sc Scorer
+	sc.Reset(q)
 	var out []Match
 	for _, id := range set.IDs {
 		e := &entries[id]
-		if score := ComparePrepared(q, e.parsed, m.backend); score >= minScore {
+		if score := sc.Score(e.parsed, m.backend); score >= minScore {
 			out = append(out, Match{Label: e.Label, Digest: e.Digest, Score: score})
 		}
 	}

@@ -259,14 +259,17 @@ func ParseBackend(name string) (Backend, error) {
 	return BackendWeighted, fmt.Errorf("unknown backend %q (want weighted|damerau|levenshtein)", name)
 }
 
-func (b Backend) distance(s1, s2 string) int {
+// distance is the backend's edit distance between the pattern string and s.
+// All three distances are symmetric, so which signature of a pair sits in the
+// table does not matter.
+func (b Backend) distance(p *editdist.Pattern, s string) int {
 	switch b {
 	case BackendDamerau:
-		return editdist.DamerauLevenshtein(s1, s2)
+		return p.DamerauLevenshtein(s)
 	case BackendLevenshtein:
-		return editdist.Levenshtein(s1, s2)
+		return p.Levenshtein(s)
 	default:
-		return editdist.Weighted(s1, s2)
+		return p.Weighted(s)
 	}
 }
 
@@ -303,19 +306,64 @@ func CompareDigests(p1, p2 Digest, backend Backend) int {
 	return ComparePrepared(PrepareDigest(p1), PrepareDigest(p2), backend)
 }
 
+// The bit-vector kernels hold one signature per machine word.
+const _ = uint(editdist.WordSize - spamsumLength)
+
+// Scorer scores digests against one fixed digest, the query. Everything the
+// comparison derives from one side alone — the match-mask tables of its two
+// clamped signatures that the gate and the distance kernels read — is built
+// once by Reset, so a search pays for it per query, not per candidate. The
+// zero value scores against nothing; a Scorer is about 4 KB and must not be
+// used concurrently with its Reset.
+type Scorer struct {
+	q      PreparedDigest
+	s1, s2 editdist.Pattern // of q.S1 and q.S2
+}
+
+// Reset makes q the digest that Score compares against. A signature longer
+// than the spamsum cap (only a hand-written digest has one) leaves its
+// pattern empty; the empty pattern fails the common-substring gate, so such
+// a signature scores 0 against everything, as scoreStrings requires.
+func (sc *Scorer) Reset(q PreparedDigest) {
+	sc.q = q
+	sc.s1.Set(q.S1)
+	sc.s2.Set(q.S2)
+}
+
+// Score is ComparePrepared(q, p, backend) for the query q given to Reset.
+func (sc *Scorer) Score(p PreparedDigest, backend Backend) int {
+	bs1, bs2 := sc.q.BlockSize, p.BlockSize
+	if bs1 != bs2 && bs1 != bs2*2 && bs2 != bs1*2 {
+		return 0
+	}
+	if bs1 == bs2 && sc.q.S1 == p.S1 && sc.q.S2 == p.S2 {
+		return 100
+	}
+	switch {
+	case bs1 == bs2:
+		return max(scoreStrings(&sc.s1, p.S1, bs1, backend), scoreStrings(&sc.s2, p.S2, bs1*2, backend))
+	case bs1 == bs2*2:
+		return scoreStrings(&sc.s1, p.S2, bs1, backend)
+	default: // bs2 == bs1*2
+		return scoreStrings(&sc.s2, p.S1, bs2, backend)
+	}
+}
+
 // scoreStrings maps the edit distance between two same-block-size signatures
-// onto 0–100, with the reference small-block-size cap that prevents short
-// digests of tiny files from overstating similarity.
-func scoreStrings(s1, s2 string, bs uint32, backend Backend) int {
-	if len(s1) > spamsumLength || len(s2) > spamsumLength {
+// — the pattern's and s2 — onto 0–100, with the reference small-block-size
+// cap that prevents short digests of tiny files from overstating similarity.
+// Both signatures are at most spamsumLength bytes when the distance runs, so
+// scoring never leaves the bit-vector kernels.
+func scoreStrings(p1 *editdist.Pattern, s2 string, bs uint32, backend Backend) int {
+	if len(s2) > spamsumLength {
 		return 0
 	}
-	if !editdist.HasCommonSubstring(s1, s2, rollingWindow) {
+	if !p1.HasCommonSubstring(s2, rollingWindow) {
 		return 0
 	}
-	score := backend.distance(s1, s2)
+	score := backend.distance(p1, s2)
 	// Rescale: distance relative to combined length, onto 0..64, then 0..100.
-	score = score * spamsumLength / (len(s1) + len(s2))
+	score = score * spamsumLength / (p1.Len() + len(s2))
 	score = 100 * score / 64
 	if score >= 100 {
 		return 0
@@ -326,7 +374,7 @@ func scoreStrings(s1, s2 string, bs uint32, backend Backend) int {
 	if bs >= (99+rollingWindow)/rollingWindow*blockMin {
 		return score
 	}
-	capScore := int(bs) / blockMin * min(len(s1), len(s2))
+	capScore := int(bs) / blockMin * min(p1.Len(), len(s2))
 	if score > capScore {
 		return capScore
 	}

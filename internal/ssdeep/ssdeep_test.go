@@ -304,60 +304,64 @@ func TestQuickCompareProperties(t *testing.T) {
 }
 
 func TestMatcherRanksCloserVariantsHigher(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	base := randomBlob(rng, 40000)
-	variant := func(nmut int) []byte {
-		v := append([]byte(nil), base...)
-		for i := 0; i < nmut; i++ {
-			v[rng.Intn(len(v))] ^= byte(1 + rng.Intn(255))
-		}
-		return v
-	}
-	m := NewMatcher(BackendWeighted)
-	h0 := mustHash(t, base)
-	if err := m.Add("exact", h0); err != nil {
-		t.Fatal(err)
-	}
-	hNear := mustHash(t, variant(10))
-	if err := m.Add("near", hNear); err != nil {
-		t.Fatal(err)
-	}
-	hFar := mustHash(t, variant(3000))
-	if err := m.Add("far", hFar); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Add("unrelated", mustHash(t, randomBlob(rand.New(rand.NewSource(999)), 40000))); err != nil {
-		t.Fatal(err)
-	}
-
-	matches, err := m.Matches(h0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) < 2 {
-		t.Fatalf("want at least 2 matches, got %d: %+v", len(matches), matches)
-	}
-	if matches[0].Label != "exact" || matches[0].Score != 100 {
-		t.Errorf("best match = %+v, want exact/100", matches[0])
-	}
-	scoreOf := func(label string) int {
-		for _, mt := range matches {
-			if mt.Label == label {
-				return mt.Score
+	for _, backend := range []Backend{BackendWeighted, BackendDamerau, BackendLevenshtein} {
+		t.Run(backend.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(14))
+			base := randomBlob(rng, 40000)
+			variant := func(nmut int) []byte {
+				v := append([]byte(nil), base...)
+				for i := 0; i < nmut; i++ {
+					v[rng.Intn(len(v))] ^= byte(1 + rng.Intn(255))
+				}
+				return v
 			}
-		}
-		return 0
-	}
-	if scoreOf("near") <= scoreOf("far") {
-		t.Errorf("near (%d) should outscore far (%d)", scoreOf("near"), scoreOf("far"))
-	}
+			m := NewMatcher(backend)
+			h0 := mustHash(t, base)
+			if err := m.Add("exact", h0); err != nil {
+				t.Fatal(err)
+			}
+			hNear := mustHash(t, variant(10))
+			if err := m.Add("near", hNear); err != nil {
+				t.Fatal(err)
+			}
+			hFar := mustHash(t, variant(3000))
+			if err := m.Add("far", hFar); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Add("unrelated", mustHash(t, randomBlob(rand.New(rand.NewSource(999)), 40000))); err != nil {
+				t.Fatal(err)
+			}
 
-	best, ok, err := m.Best(h0)
-	if err != nil || !ok || best.Label != "exact" {
-		t.Errorf("Best = %+v ok=%v err=%v, want exact", best, ok, err)
-	}
-	if m.Len() != 4 {
-		t.Errorf("Len = %d, want 4", m.Len())
+			matches, err := m.Matches(h0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(matches) < 2 {
+				t.Fatalf("want at least 2 matches, got %d: %+v", len(matches), matches)
+			}
+			if matches[0].Label != "exact" || matches[0].Score != 100 {
+				t.Errorf("best match = %+v, want exact/100", matches[0])
+			}
+			scoreOf := func(label string) int {
+				for _, mt := range matches {
+					if mt.Label == label {
+						return mt.Score
+					}
+				}
+				return 0
+			}
+			if scoreOf("near") <= scoreOf("far") {
+				t.Errorf("near (%d) should outscore far (%d)", scoreOf("near"), scoreOf("far"))
+			}
+
+			best, ok, err := m.Best(h0)
+			if err != nil || !ok || best.Label != "exact" {
+				t.Errorf("Best = %+v ok=%v err=%v, want exact", best, ok, err)
+			}
+			if m.Len() != 4 {
+				t.Errorf("Len = %d, want 4", m.Len())
+			}
+		})
 	}
 }
 
