@@ -65,21 +65,21 @@ bench:
 
 # One iteration per benchmark: proves every bench still compiles and runs
 # (includes the segmented-store benchmarks in internal/sirendb and the
-# sharded-vs-single-mutex store comparison in internal/receiver).
+# receiver ingest benchmarks in internal/receiver).
 # -short skips the 100k-entry identify catalogs: the smoke run proves the
 # benches compile and run, not how they scale.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -short ./...
 
 # Segmented-store throughput: the sharded-store insert path and the receiver
-# ingest comparison against the single-mutex store (EXPERIMENTS.md §3).
+# ingest path over it (EXPERIMENTS.md §3).
 bench-store:
 	$(GO) test -run=NONE -bench='BenchmarkInsertBatch|BenchmarkReceiverIngest' -benchmem ./internal/sirendb ./internal/receiver
 
-# Read-path benchmarks (EXPERIMENTS.md §4/§5): snapshot scans vs the retired
-# full-RLock scan, insert latency under a concurrent scanner, per-job index
-# merges, the streaming consolidation vs the load-everything baseline, and
-# the multi-receiver merged-snapshot consolidation vs the single store —
+# Read-path benchmarks (EXPERIMENTS.md §4/§5): snapshot scans, insert
+# latency under a concurrent scanner, per-job index merges, the streaming
+# consolidation, and the multi-receiver merged-snapshot consolidation vs the
+# single store —
 # always with -benchmem so allocation regressions are visible. Override
 # BENCHTIME (e.g. BENCHTIME=1x) for a smoke run, -cpu via BENCHCPU for the
 # parallel-speedup curve on multi-core hosts.
@@ -90,11 +90,11 @@ bench-read:
 		-benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) ./internal/sirendb ./internal/postprocess
 
 # WAL durability suite under the race detector: replay-corruption matrix,
-# crash-mid-group-commit and crash-mid-compact recovery, locking, migration,
-# and shard-count changes. The focused uncached runner for store work;
+# crash-mid-group-commit and crash-mid-seal recovery, locking, and
+# shard-count changes. The focused uncached runner for store work;
 # test-race already covers these tests, so ci does not run them twice.
 test-replay:
-	$(GO) test -race -count=1 -run 'Replay|Corrupt|Crash|Torn|GroupCommit|Closed|Locked|Legacy|ShardCount|Compact|Persist' ./internal/sirendb
+	$(GO) test -race -count=1 -run 'Replay|Corrupt|Crash|Torn|GroupCommit|Closed|Locked|Seal|ShardCount|Persist' ./internal/sirendb
 
 # Sealed-run storage tier suite under the race detector: the seal crash
 # matrix (debris sweep, post-marker roll-forward, torn-committed-run

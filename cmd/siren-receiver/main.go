@@ -9,7 +9,7 @@
 //	siren-receiver [-addr 127.0.0.1:8787] [-db siren.wal]
 //	               [-partition k/N]
 //	               [-readers N] [-writers M] [-depth D] [-batch B]
-//	               [-db-shards S] [-sync-interval 100ms]
+//	               [-sync-interval 100ms]
 //	               [-rcvbuf BYTES] [-stats-interval 10s]
 //	               [-serve-addr HOST:PORT] [-refresh-interval 5s]
 //	               [-seal-interval 0] [-retain 0] [-pprof]
@@ -138,7 +138,6 @@ func run() (err error) {
 	depth := flag.Int("depth", 0, "total buffered-channel capacity across shards (0 = default)")
 	batch := flag.Int("batch", 0, "max messages per database insert batch (0 = default)")
 	rcvbuf := flag.Int("rcvbuf", 0, "requested SO_RCVBUF in bytes (0 = default 4 MiB)")
-	dbShards := flag.Int("db-shards", 0, "store shards, each with its own WAL segment (0 = match writers)")
 	syncEvery := flag.Duration("sync-interval", sirendb.DefaultSyncInterval,
 		"group-commit fsync latency bound (negative = fsync every batch)")
 	statsEvery := flag.Duration("stats-interval", 10*time.Second, "period of the stats log line (0 disables)")
@@ -198,9 +197,6 @@ func run() (err error) {
 		}
 	}
 
-	// Defaulting the store shards to the writer count keeps the writer→store
-	// mapping 1:1, so every batch lands in its store shard without
-	// re-partitioning (receiver.ShardedStore).
 	if *pprofOn && *expvarAddr == "" {
 		return errors.New("-pprof needs -expvar-addr: the profiling handlers live on the stats mux")
 	}
@@ -212,10 +208,10 @@ func run() (err error) {
 	// whole pipeline (DESIGN.md §13).
 	reg := obs.NewRegistry("siren-receiver")
 
-	shards := *dbShards
-	if shards <= 0 {
-		shards = receiver.Options{Writers: *writers}.ResolvedWriters()
-	}
+	// One store shard (and WAL segment) per writer keeps the writer→store
+	// mapping 1:1, so every batch lands in its store shard without
+	// re-partitioning (receiver.ShardedStore).
+	shards := receiver.Options{Writers: *writers}.ResolvedWriters()
 	db, err := sirendb.OpenOptions(*dbPath, sirendb.Options{Shards: shards, SyncInterval: *syncEvery, Metrics: reg})
 	if err != nil {
 		return err

@@ -26,9 +26,9 @@
 // -readonly opens every member with a shared lock instead of the exclusive
 // one: several siren-serve processes (or any other readers) can serve the
 // same campaign side by side, and none of them can mutate it. Writers are
-// still excluded for as long as any reader holds the lock. Read-only opens
-// require fully recovered stores — a member with an unfinished compaction
-// or an unmigrated legacy WAL is refused (open it writable once first).
+// still excluded for as long as any reader holds the lock. No store state
+// needs a writable open first: a crash-interrupted seal is rolled forward by
+// filtering its WAL residue, which a read-only open does too.
 //
 // API: POST /api/v1/identify, GET /api/v1/jobs, /api/v1/clusters?threshold=,
 // /api/v1/report, /api/v1/stats, /healthz (see internal/server). GET /metrics

@@ -14,7 +14,7 @@
 // mutexes named syncMu exist precisely to serialize fdatasync outside `mu`
 // and are exempt; `go` statements start with an empty held set (a new
 // goroutine does not inherit the launcher's locks); and the rare
-// freeze-the-world path (compaction) documents itself with
+// freeze-the-world path (sirendb.Seal) documents itself with
 // //lint:ignore mutexscope.
 //
 // The walk is a structural may-held analysis, not a CFG: a mutex counts as

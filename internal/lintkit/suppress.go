@@ -2,7 +2,7 @@
 //
 // A directive names the rules it silences and must say why:
 //
-//	//lint:ignore mutexscope freeze-the-world compaction holds every lock by design
+//	//lint:ignore mutexscope freeze-the-world sealing holds every lock by design
 //	fsyncDir(dir)
 //
 // It covers findings on its own line (trailing-comment form) and on the

@@ -2,11 +2,9 @@
 //
 //	go test -bench=BenchmarkConsolidate -benchmem ./internal/postprocess
 //
-// BenchmarkConsolidate compares the streaming, shard-parallel path against
-// the load-everything baseline (db.All() → ConsolidateMessages) on the same
-// store. The headline is -benchmem: the baseline's footprint grows with the
-// total message count (the full []wire.Message copy plus one global
-// reassembly and group map), the streaming path's with the in-flight jobs.
+// BenchmarkConsolidate times the streaming, shard-parallel path; the
+// headline is -benchmem, whose footprint tracks the in-flight jobs, not the
+// total message count.
 package postprocess
 
 import (
@@ -43,15 +41,6 @@ func BenchmarkConsolidate(b *testing.B) {
 			}
 		})
 	}
-	b.Run("load-everything-baseline", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			recs, _ := ConsolidateMessages(db.All())
-			if len(recs) != want {
-				b.Fatalf("records = %d, want %d", len(recs), want)
-			}
-		}
-	})
 }
 
 // samplePeak spawns a 200 µs-period HeapAlloc sampler recording the
@@ -81,8 +70,7 @@ func samplePeak(stop chan struct{}, peak *uint64) *sync.WaitGroup {
 // BenchmarkConsolidatePeakMemory pins the acceptance criterion directly:
 // peak live heap during consolidation. The streaming consumer aggregates
 // per job without retaining records (the Execution-Fingerprint-Dictionary
-// shape: repeated whole-campaign group-bys); the baseline must materialise
-// every message and record by construction. Reported as "peak-live-MB", the
+// shape: repeated whole-campaign group-bys). Reported as "peak-live-MB", the
 // high-water mark of HeapAlloc sampled during the pass over a floor levelled
 // by runtime.GC.
 func BenchmarkConsolidatePeakMemory(b *testing.B) {
@@ -119,12 +107,6 @@ func BenchmarkConsolidatePeakMemory(b *testing.B) {
 				return true
 			})
 			return jobs
-		})
-	})
-	b.Run("load-everything-baseline", func(b *testing.B) {
-		run(b, func() int {
-			_, stats := ConsolidateMessages(db.All())
-			return stats.Jobs
 		})
 	})
 }
@@ -192,9 +174,7 @@ func BenchmarkMergedConsolidate(b *testing.B) {
 
 // BenchmarkMergedConsolidatePeakMemory pins the merge step's memory bound:
 // consolidating M member stores through the merged snapshot must stay
-// O(shards × members) — cursors plus in-flight jobs — while merging by
-// materialising the union (the load-everything shape a naive multi-DB
-// analysis would use) pays for every message at once.
+// O(shards × members) — cursors plus in-flight jobs — not O(messages).
 func BenchmarkMergedConsolidatePeakMemory(b *testing.B) {
 	const members = 3
 	// 256 jobs × 32 processes ≈ 57k messages across 3 member stores.
@@ -248,16 +228,6 @@ func BenchmarkMergedConsolidatePeakMemory(b *testing.B) {
 				return true
 			})
 			return jobs
-		})
-	})
-	b.Run("merged-load-everything-baseline", func(b *testing.B) {
-		run(b, func() int {
-			var all []wire.Message
-			for _, db := range dbs {
-				all = append(all, db.All()...)
-			}
-			_, stats := ConsolidateMessages(all)
-			return stats.Jobs
 		})
 	})
 }

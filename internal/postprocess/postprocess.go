@@ -126,19 +126,6 @@ func Consolidate(db *sirendb.DB) ([]*ProcessRecord, Stats) {
 	return ConsolidateSnapshot(db.Snapshot(), StreamOptions{})
 }
 
-// ConsolidateMessages is consolidation over an explicit message slice — the
-// compatibility entry point for callers that already hold messages in
-// memory, and the load-everything baseline BenchmarkConsolidate compares
-// the streaming path against.
-func ConsolidateMessages(msgs []wire.Message) ([]*ProcessRecord, Stats) {
-	stats := Stats{Messages: len(msgs)}
-	out, nRecords := consolidateChunk(msgs)
-	stats.Records = nRecords
-	SortRecords(out)
-	countRecordStats(&stats, out)
-	return out, stats
-}
-
 // consolidateChunk consolidates one self-contained message subset into
 // process records. "Self-contained" means every chunk and record of every
 // process mentioned is inside msgs — true for the whole store, and equally
@@ -232,23 +219,6 @@ func SortRecords(out []*ProcessRecord) {
 		}
 		return a.ExeHash < b.ExeHash
 	})
-}
-
-// countRecordStats fills the process- and job-level counters from the final
-// record set.
-func countRecordStats(stats *Stats, out []*ProcessRecord) {
-	jobs := make(map[string]bool)
-	jobsMissing := make(map[string]bool)
-	for _, p := range out {
-		stats.Processes++
-		jobs[p.JobID] = true
-		if len(p.MissingFields) > 0 {
-			stats.ProcessesWithMissing++
-			jobsMissing[p.JobID] = true
-		}
-	}
-	stats.Jobs = len(jobs)
-	stats.JobsWithMissing = len(jobsMissing)
 }
 
 func applySelf(p *ProcessRecord, typ, content string) {

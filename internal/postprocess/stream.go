@@ -1,10 +1,10 @@
 // Streaming, shard-parallel consolidation — the read-path counterpart of
 // the sharded ingest pipeline.
 //
-// The load-everything shape (db.All() → ConsolidateMessages) materialises
-// every stored message, one global reassembly map, and one global group map
-// before producing a single record: peak memory O(total messages). The
-// streaming path mirrors the store shards instead:
+// A load-everything pass (db.All(), then one global consolidation)
+// materialises every stored message, one global reassembly map, and one
+// global group map before producing a single record: peak memory O(total
+// messages). The streaming path mirrors the store shards instead:
 //
 //	store shard 0 ── cursor ─▶ worker 0 ─┐  per-(shard, job) segments
 //	store shard 1 ── cursor ─▶ worker 1 ─┼─▶ fan-in reducer ─▶ yield(job)

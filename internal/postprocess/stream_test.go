@@ -46,6 +46,35 @@ func synthWorld(t testing.TB, shards, jobs, procsPerJob int) *sirendb.DB {
 	return db
 }
 
+// ConsolidateMessages is the load-everything consolidation — one global
+// reassembly and group pass over an explicit message slice. It is the
+// equality oracle the streaming, merged and sealed paths are pinned against.
+func ConsolidateMessages(msgs []wire.Message) ([]*ProcessRecord, Stats) {
+	stats := Stats{Messages: len(msgs)}
+	out, nRecords := consolidateChunk(msgs)
+	stats.Records = nRecords
+	SortRecords(out)
+	countRecordStats(&stats, out)
+	return out, stats
+}
+
+// countRecordStats fills the process- and job-level counters from the final
+// record set.
+func countRecordStats(stats *Stats, out []*ProcessRecord) {
+	jobs := make(map[string]bool)
+	jobsMissing := make(map[string]bool)
+	for _, p := range out {
+		stats.Processes++
+		jobs[p.JobID] = true
+		if len(p.MissingFields) > 0 {
+			stats.ProcessesWithMissing++
+			jobsMissing[p.JobID] = true
+		}
+	}
+	stats.Jobs = len(jobs)
+	stats.JobsWithMissing = len(jobsMissing)
+}
+
 // TestStreamingMatchesLoadEverything pins the equivalence that lets the
 // streaming path replace the old one: record-for-record identical output
 // and identical stats versus ConsolidateMessages(db.All()).

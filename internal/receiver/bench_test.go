@@ -1,6 +1,5 @@
-// Ingest throughput benchmarks for the sharded receiver, comparing the
-// single-reader/single-writer baseline against multi-shard configurations
-// across datagram sizes:
+// Ingest throughput benchmarks for the sharded receiver across shard counts
+// and datagram sizes:
 //
 //	go test -bench=BenchmarkReceiverIngest -benchmem ./internal/receiver
 //
@@ -15,8 +14,6 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 
 	"siren/internal/obs"
@@ -36,8 +33,8 @@ func benchDatagrams(payload int) [][]byte {
 	return dgs
 }
 
-func benchIngest(b *testing.B, writers, payload, dbShards int, reg *obs.Registry) {
-	db, err := sirendb.OpenOptions("", sirendb.Options{Shards: dbShards})
+func benchIngest(b *testing.B, writers, payload int, reg *obs.Registry) {
+	db, err := sirendb.OpenOptions("", sirendb.Options{Shards: writers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,7 +67,7 @@ func BenchmarkReceiverIngest(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		for _, payload := range []int{64, 512, 1300} {
 			b.Run(fmt.Sprintf("shards=%d/payload=%d", shards, payload), func(b *testing.B) {
-				benchIngest(b, shards, payload, shards, nil)
+				benchIngest(b, shards, payload, nil)
 			})
 		}
 	}
@@ -85,143 +82,9 @@ func BenchmarkIngestInstrumented(b *testing.B) {
 	for _, shards := range []int{4} {
 		for _, payload := range []int{512} {
 			b.Run(fmt.Sprintf("shards=%d/payload=%d", shards, payload), func(b *testing.B) {
-				benchIngest(b, shards, payload, shards, obs.NewRegistry("bench"))
+				benchIngest(b, shards, payload, obs.NewRegistry("bench"))
 			})
 		}
-	}
-}
-
-// BenchmarkReceiverIngestSingleMutexStore pins the pre-sharding store shape:
-// four writer shards funnelling into one store shard, re-serialising every
-// insert on a single mutex — the contention the sharded store removes.
-func BenchmarkReceiverIngestSingleMutexStore(b *testing.B) {
-	for _, payload := range []int{64, 512, 1300} {
-		b.Run(fmt.Sprintf("writers=4/payload=%d", payload), func(b *testing.B) {
-			benchIngest(b, 4, payload, 1, nil)
-		})
-	}
-}
-
-// baselineParse is the seed implementation of wire.Parse, kept verbatim so
-// BenchmarkReceiverIngestBaseline reproduces the pre-refactor per-message
-// cost: one string conversion of the whole datagram, a second copy for the
-// content, and a per-field prefix concatenation.
-func baselineParse(datagram []byte) (wire.Message, error) {
-	s := string(datagram)
-	if !strings.HasPrefix(s, "SIREN1|") {
-		return wire.Message{}, fmt.Errorf("bad magic")
-	}
-	s = s[len("SIREN1|"):]
-	var m wire.Message
-	fields := []string{"JOBID", "STEPID", "PID", "HASH", "HOST", "TIME", "LAYER", "TYPE", "SEQ", "TOT"}
-	for _, name := range fields {
-		prefix := name + "="
-		if !strings.HasPrefix(s, prefix) {
-			return wire.Message{}, fmt.Errorf("expected field %s", name)
-		}
-		s = s[len(prefix):]
-		sep := strings.IndexByte(s, '|')
-		if sep < 0 {
-			return wire.Message{}, fmt.Errorf("unterminated field %s", name)
-		}
-		val := s[:sep]
-		s = s[sep+1:]
-		var err error
-		switch name {
-		case "JOBID":
-			m.JobID = val
-		case "STEPID":
-			m.StepID = val
-		case "PID":
-			m.PID, err = strconv.Atoi(val)
-		case "HASH":
-			m.Hash = val
-		case "HOST":
-			m.Host = val
-		case "TIME":
-			m.Time, err = strconv.ParseInt(val, 10, 64)
-		case "LAYER":
-			m.Layer = val
-		case "TYPE":
-			m.Type = val
-		case "SEQ":
-			m.Seq, err = strconv.Atoi(val)
-		case "TOT":
-			m.Total, err = strconv.Atoi(val)
-		}
-		if err != nil {
-			return wire.Message{}, fmt.Errorf("field %s: %v", name, err)
-		}
-	}
-	if !strings.HasPrefix(s, "CONTENT=") {
-		return wire.Message{}, fmt.Errorf("missing CONTENT")
-	}
-	m.Content = []byte(s[len("CONTENT="):])
-	if m.Total < 1 || m.Seq < 0 || m.Seq >= m.Total {
-		return wire.Message{}, fmt.Errorf("chunk out of range")
-	}
-	return m, nil
-}
-
-// BenchmarkReceiverIngestBaseline reproduces the seed ingest pipeline — one
-// reader-side per-packet heap copy, one channel, one writer goroutine
-// running the seed parse — as the comparison floor for the sharded
-// receiver's speedup target.
-func BenchmarkReceiverIngestBaseline(b *testing.B) {
-	for _, payload := range []int{64, 512, 1300} {
-		b.Run(fmt.Sprintf("payload=%d", payload), func(b *testing.B) {
-			db, _ := sirendb.OpenOptions("", sirendb.Options{Shards: 1}) // the seed's single-mutex store
-			ch := make(chan []byte, 1<<14)
-			done := make(chan struct{})
-			go func() { // the seed writeLoop, batching up to 256
-				defer close(done)
-				batch := make([]wire.Message, 0, 256)
-				flush := func() {
-					if len(batch) == 0 {
-						return
-					}
-					_ = db.InsertBatch(batch)
-					batch = batch[:0]
-				}
-				add := func(d []byte) {
-					if m, err := baselineParse(d); err == nil {
-						batch = append(batch, m)
-					}
-				}
-				for d := range ch {
-					add(d)
-				drain:
-					for len(batch) < 256 {
-						select {
-						case d, ok := <-ch:
-							if !ok {
-								flush()
-								return
-							}
-							add(d)
-						default:
-							break drain
-						}
-					}
-					flush()
-				}
-				flush()
-			}()
-			dgs := benchDatagrams(payload)
-			b.SetBytes(int64(len(dgs[0])))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d := dgs[i&15]
-				ch <- append([]byte(nil), d...) // the seed's per-packet allocation
-			}
-			close(ch)
-			<-done
-			b.StopTimer()
-			if db.Count() != b.N {
-				b.Fatalf("stored %d of %d", db.Count(), b.N)
-			}
-		})
 	}
 }
 

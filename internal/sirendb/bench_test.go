@@ -14,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"siren/internal/wire"
 )
@@ -93,8 +92,7 @@ func BenchmarkInsertBatch(b *testing.B) {
 }
 
 // --------------------------------------------------------------------------
-// Read path: snapshot scans versus the retired full-RLock scan
-// (EXPERIMENTS.md §4).
+// Read path: snapshot scans (EXPERIMENTS.md §4).
 
 // benchReadDB seeds an in-memory sharded store with rows spread over jobs
 // and hosts, the shape a campaign leaves behind.
@@ -120,81 +118,58 @@ func benchReadDB(b *testing.B, shards, rows int) *DB {
 	return db
 }
 
-// BenchmarkScanSnapshot measures a whole-store scan on an idle store: the
-// snapshot path (brief lock, then lock-free merge) against the pre-snapshot
-// shape that held every shard RLock for the scan's duration.
+// BenchmarkScanSnapshot measures a whole-store scan on an idle store: a
+// brief all-shard lock for the capture, then a lock-free k-way merge.
 func BenchmarkScanSnapshot(b *testing.B) {
 	const rows = 100_000
-	for _, mode := range []struct {
-		name string
-		scan func(*DB, func(wire.Message) bool)
-	}{
-		{"scan=snapshot", (*DB).Scan},
-		{"scan=full-rlock-baseline", (*DB).scanHoldingAllLocks},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			db := benchReadDB(b, 4, rows)
-			defer db.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n := 0
-				mode.scan(db, func(m wire.Message) bool { n++; return true })
-				if n != rows {
-					b.Fatalf("scanned %d of %d", n, rows)
-				}
-			}
-		})
+	db := benchReadDB(b, 4, rows)
+	defer db.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		db.Scan(func(m wire.Message) bool { n++; return true })
+		if n != rows {
+			b.Fatalf("scanned %d of %d", n, rows)
+		}
 	}
 }
 
-// BenchmarkInsertDuringScan prices what the full-RLock scan cost writers: a
-// background goroutine scans the store in a loop while the benchmark op is
-// one 64-message InsertBatch. Under the baseline every insert stalls until
-// the in-flight scan releases the shard locks; under the snapshot path the
-// scanner holds locks only for the O(shards) capture.
+// BenchmarkInsertDuringScan prices what a concurrent reader costs writers:
+// a background goroutine scans the store in a loop while the benchmark op
+// is one 64-message InsertBatch. The scanner holds shard locks only for the
+// O(shards) capture, so inserts should cost what they cost on an idle store.
 func BenchmarkInsertDuringScan(b *testing.B) {
-	const rows = 100_000
-	for _, mode := range []struct {
-		name string
-		scan func(*DB, func(wire.Message) bool)
-	}{
-		{"scan=snapshot", (*DB).Scan},
-		{"scan=full-rlock-baseline", (*DB).scanHoldingAllLocks},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			db := benchReadDB(b, 4, rows)
-			defer db.Close()
-			stop := make(chan struct{})
-			var scans atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					mode.scan(db, func(m wire.Message) bool { return true })
-					scans.Add(1)
-				}
-			}()
-			batch := benchBatch("job-bench", "nid000099", 64)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := db.InsertBatch(batch); err != nil {
-					b.Fatal(err)
-				}
+	db := benchReadDB(b, 4, 100_000)
+	defer db.Close()
+	stop := make(chan struct{})
+	var scans atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-			b.StopTimer()
-			close(stop)
-			wg.Wait()
-			b.ReportMetric(float64(scans.Load()), "bg-scans")
-		})
+			db.Scan(func(m wire.Message) bool { return true })
+			scans.Add(1)
+		}
+	}()
+	batch := benchBatch("job-bench", "nid000099", 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.InsertBatch(batch); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
+	b.ReportMetric(float64(scans.Load()), "bg-scans")
 }
 
 // BenchmarkByJob measures the per-job read: the k-way index merge into one
@@ -222,25 +197,6 @@ func BenchmarkJobs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if got := len(db.Jobs()); got != 16 {
 			b.Fatalf("Jobs = %d", got)
-		}
-	}
-}
-
-// BenchmarkInsertBatchSyncEveryBatch prices full per-batch durability, the
-// policy group commit amortises away.
-func BenchmarkInsertBatchSyncEveryBatch(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "bench.wal")
-	db, err := OpenOptions(path, Options{Shards: 1, SyncInterval: -time.Nanosecond})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	batch := benchBatch("job-0", "nid000001", 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := db.InsertShard(0, batch); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -52,17 +52,13 @@ func ResolveSetPaths(spec string) ([]string, error) {
 }
 
 // basePath folds one of a store's on-disk artifacts back to its WAL base
-// path: the advisory lock "base.lock", compaction temporaries
-// "base.N.compact" / "base.compact-commit", seal artifacts
+// path: the advisory lock "base.lock", seal artifacts
 // "base.seal-commit" (and its ".tmp") / "base.run.G.S", and segment files
 // "base.N". Exactly one numeric (segment) suffix is stripped — a base path
 // that itself ends in digits must not collapse further ("siren.0.2" is
 // segment 2 of base "siren.0", not of base "siren").
 func basePath(p string) string {
 	if s, ok := strings.CutSuffix(p, ".lock"); ok {
-		return s
-	}
-	if s, ok := strings.CutSuffix(p, ".compact-commit"); ok {
 		return s
 	}
 	if s, ok := strings.CutSuffix(p, ".seal-commit"); ok {
@@ -74,7 +70,6 @@ func basePath(p string) string {
 	if s, ok := cutRunSuffix(p); ok {
 		return s
 	}
-	p = strings.TrimSuffix(p, ".compact")
 	if i := strings.LastIndexByte(p, '.'); i >= 0 && i < len(p)-1 && isDigits(p[i+1:]) {
 		return p[:i]
 	}

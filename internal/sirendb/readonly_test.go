@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"siren/internal/wire"
@@ -69,9 +70,6 @@ func TestReadOnlyOpenServesAndRefusesWrites(t *testing.T) {
 	if err := db.Seal(); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Seal = %v, want ErrReadOnly", err)
 	}
-	if err := db.Compact(); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Compact = %v, want ErrReadOnly", err)
-	}
 	if _, err := db.DropSealedBefore(1 << 62); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("DropSealedBefore = %v, want ErrReadOnly", err)
 	}
@@ -126,28 +124,45 @@ func TestReadOnlySharedLock(t *testing.T) {
 	}
 }
 
-// TestReadOnlyRefusesRecovery: read-only opens cannot mutate, so a store
-// needing recovery work — an uncommitted compaction to finish, a legacy
-// single-file WAL to migrate — must be refused, not half-served.
-func TestReadOnlyRefusesRecovery(t *testing.T) {
-	t.Run("compact_marker", func(t *testing.T) {
-		path, _ := buildSealedStore(t, 50, 30)
-		if err := os.WriteFile(compactMarkerPath(path), []byte("shards=2\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenOptions(path, Options{Shards: 2, ReadOnly: true}); err == nil {
-			t.Fatal("read-only open accepted a store mid-compaction")
-		}
-	})
-	t.Run("legacy_wal", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "siren.wal")
-		if err := os.WriteFile(path, []byte(segMagic), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenOptions(path, Options{Shards: 2, ReadOnly: true}); err == nil {
-			t.Fatal("read-only open accepted an unmigrated legacy WAL")
-		}
-	})
+// TestOpenRefusesFileAtBasePath: the store lives in "<path>.<suffix>" files
+// only, so a regular file at the base path itself is somebody else's data
+// (or a mistyped -db). Opening an empty store beside it would report a
+// zero-row campaign as success; both open modes must refuse instead.
+func TestOpenRefusesFileAtBasePath(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"writable", Options{Shards: 2}},
+		{"readonly", Options{Shards: 2, ReadOnly: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path, _ := buildSealedStore(t, 50, 30)
+			if err := os.WriteFile(path, []byte("not a store"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			db, err := OpenOptions(path, tc.opts)
+			if err == nil {
+				db.Close()
+				t.Fatal("open ignored a regular file at the base path")
+			}
+			if want := path + " is a file, not a store base path"; !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want it to contain %q", err, want)
+			}
+			// The refusal released the lock and touched nothing.
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			db, err = OpenOptions(path, tc.opts)
+			if err != nil {
+				t.Fatalf("open after removing the file: %v", err)
+			}
+			defer db.Close()
+			if db.Count() != 50 {
+				t.Fatalf("Count = %d, want 50", db.Count())
+			}
+		})
+	}
 }
 
 // TestOpenSetReadOnly: the serving tier opens the receivers' stores

@@ -7,7 +7,8 @@
 // O(index) (map the file, decode footer + job index, no row replay) and
 // replays only the WAL head — open cost stops growing with campaign history.
 //
-// The transaction mirrors Compact's commit-marker shape:
+// Seal is the store's only rewrite transaction, and "base.seal-commit" its
+// only commit marker:
 //
 //	phase 1: write + fsync one run per non-empty shard, fsync the directory
 //	phase 2: atomically replace "base.seal-commit" with "gen=G maxseq=N\n"
@@ -237,14 +238,15 @@ func (db *DB) closeRunsLocked() {
 // generation with a durable marker, and truncates the segments — after
 // which Open replays only rows inserted since. Leftover segments from an
 // older shard count are folded in (their replayed rows are part of the
-// sealed head) and removed. Sealing an empty head is a no-op.
+// sealed head) and removed; torn or corrupt WAL residue goes with the
+// truncation. Sealing an empty head is a no-op.
 //
-// Seal is transactional against crashes exactly like Compact: the marker is
-// the commit point, a pre-marker crash changes nothing, a post-marker crash
-// is rolled forward by the next Open (runs are authoritative, WAL residue
-// with seq <= the marker's maxseq is filtered during replay). On a
-// post-marker failure the store is poisoned — an insert acknowledged into a
-// segment that recovery will re-filter could otherwise be lost.
+// Seal is transactional against crashes: the marker is the commit point, a
+// pre-marker crash changes nothing, a post-marker crash is rolled forward by
+// the next Open (runs are authoritative, WAL residue with seq <= the
+// marker's maxseq is filtered during replay). On a post-marker failure the
+// store is poisoned — an insert acknowledged into a segment that recovery
+// will re-filter could otherwise be lost.
 func (db *DB) Seal() error {
 	if db.path == "" {
 		return nil
@@ -255,8 +257,9 @@ func (db *DB) Seal() error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	// Freeze the world, same order as Compact: all syncMu (stops group
-	// commits mid-swap), then all mu (freezes rows and segment offsets).
+	// Freeze the world in the global lock order: all syncMu (keeps the
+	// group-commit syncers off the handles being truncated), then all mu
+	// (freezes rows and segment offsets), ascending shards.
 	for _, s := range db.shards {
 		s.syncMu.Lock()
 		defer s.syncMu.Unlock()
@@ -323,7 +326,7 @@ func (db *DB) Seal() error {
 	// Phase 2: commit. The marker replace is atomic; once durable, the runs
 	// are the authoritative home of every sealed row. A marker-write error
 	// is ambiguous (the rename may yet be durable), so fail forward into the
-	// poisoned state recovery knows how to finish, exactly like Compact.
+	// poisoned state recovery knows how to finish.
 	if err := writeSealMarker(db.path, db.dir, gen, maxSeq); err != nil {
 		db.recordSyncErr(fmt.Errorf("sirendb: seal interrupted, reopen to recover: %w", err))
 		return fmt.Errorf("sirendb: seal: %w", err)
@@ -394,7 +397,7 @@ func (db *DB) Seal() error {
 	db.sealedSeq = maxSeq
 	db.sealMu.Unlock()
 	// Corrupt WAL residue (skipped, counted records) was truncated with the
-	// segments, same as after a Compact rewrite.
+	// segments.
 	db.corrupt.Store(0)
 	db.mx.sealPhaseNS[3].Since(phaseStart)
 	db.mx.sealNS.Since(sealStart)

@@ -161,34 +161,6 @@ func TestCorruptRecordSkipped(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "siren.wal")
-	db, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		db.Insert(msg("9", i, wire.TypeMetadata, "payload"))
-	}
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Still writable after compaction.
-	if err := db.Insert(msg("9", 99, wire.TypeObjects, "after")); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-
-	db2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	if db2.Count() != 51 {
-		t.Errorf("after compact+append: %d rows, want 51", db2.Count())
-	}
-}
-
 func TestByProcessIndex(t *testing.T) {
 	db, _ := Open("")
 	defer db.Close()

@@ -9,9 +9,10 @@
 // either the payload or the sequence field is detected; the payload hash is
 // computed outside the shard lock and only the cheap XOR happens inside.
 // The sequence number is store-wide and strictly increasing within a
-// segment, which lets replay (a) restore global insertion order across
-// segments and (b) drop the duplicate copy of a record that a
-// crash-interrupted Compact left in both a fresh segment and a leftover.
+// segment, which lets replay restore global insertion order across segments
+// and filter out residue a crash-interrupted Seal left behind (records with
+// seq <= the seal marker's maxseq already live in a run). A record is only
+// ever written to one segment file, so replay needs no duplicate filter.
 //
 // Recovery rules, per segment: a torn record header or payload at any point
 // ends replay of that segment (crash mid-append); a framed record whose
@@ -19,14 +20,6 @@
 // appends resume at the end of the valid prefix, overwriting torn residue —
 // the seed implementation appended after the tear, leaving every later
 // record unreachable to replay.
-//
-// Single-file WALs written by earlier versions (records framed as
-// [length][checksum][payload] directly in "<path>") are migrated on open:
-// rows are re-partitioned into fresh segments, fsynced, and only then is the
-// legacy file removed (directory fsynced in between). If segments and the
-// legacy file ever coexist, the migration crashed before the removal — the
-// legacy file is still the complete store, so the partial segments are
-// discarded and the migration redone.
 package sirendb
 
 import (
@@ -48,7 +41,6 @@ import (
 const (
 	segMagic     = "SIRENSEG1\n"
 	recHdrSize   = 16 // length + checksum + sequence
-	legacyHdrLen = 8  // length + checksum
 	maxRecordLen = 64 << 20
 )
 
@@ -87,155 +79,6 @@ func patchRecordSeq(buf []byte, off int, payloadSum uint32, seq uint64) {
 	binary.LittleEndian.PutUint64(buf[off+8:], seq)
 }
 
-// appendRecord frames one message with a known sequence (the Compact path).
-func appendRecord(buf []byte, m wire.Message, seq uint64) []byte {
-	payload := wire.Encode(m)
-	var hdr [recHdrSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(xxhash.Sum64(payload))^seqMix(seq))
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
-}
-
-// writeSegmentSnapshot writes rows as a fresh fsynced segment file and
-// returns the still-open handle (positioned at the end, ready to become a
-// shard's WAL handle) and its size.
-func writeSegmentSnapshot(path string, rows []row) (*os.File, int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	fail := func(err error) (*os.File, int64, error) {
-		_ = f.Close() // abandoning the temp; the write error wins
-		os.Remove(path)
-		return nil, 0, err
-	}
-	size := int64(0)
-	buf := []byte(segMagic)
-	for _, r := range rows {
-		buf = appendRecord(buf, r.msg, r.seq)
-		if len(buf) >= 1<<20 {
-			if _, err := f.Write(buf); err != nil {
-				return fail(err)
-			}
-			size += int64(len(buf))
-			buf = buf[:0]
-		}
-	}
-	if _, err := f.Write(buf); err != nil {
-		return fail(err)
-	}
-	size += int64(len(buf))
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	return f, size, nil
-}
-
-// compactMarkerPath is the commit record of a compaction transaction: its
-// durable presence means the "<segment>.compact" temp set is complete and
-// authoritative, so a crashed compaction must be rolled forward (renames
-// finished) rather than discarded.
-func compactMarkerPath(base string) string { return base + ".compact-commit" }
-
-func writeCompactMarker(base string, shards int) error {
-	marker := compactMarkerPath(base)
-	f, err := os.Create(marker)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(f, "shards=%d\n", shards); err != nil {
-		_ = f.Close() // marker is being abandoned; the write error wins
-		os.Remove(marker)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // ditto for a failed sync
-		os.Remove(marker)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return fsyncDir(filepath.Dir(marker))
-}
-
-func removeCompactMarker(base, dir string) error {
-	if err := os.Remove(compactMarkerPath(base)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return fsyncDir(dir)
-}
-
-// parseCompactMarker returns the transaction's shard count, or 0 when the
-// content is not an *exact* "shards=N\n". The marker is written in one
-// Write, so a torn marker is a strict prefix — and a decimal prefix of a
-// multi-digit count ("shards=1" torn from "shards=16\n") still parses under
-// a lenient scan; trusting it would delete live segments whose replacements
-// never get renamed in. Only the full line, trailing newline included,
-// proves the commit happened.
-func parseCompactMarker(data []byte) int {
-	s := string(data)
-	if !strings.HasPrefix(s, "shards=") || !strings.HasSuffix(s, "\n") {
-		return 0
-	}
-	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(s, "shards="), "\n"))
-	if err != nil || n <= 0 {
-		return 0
-	}
-	return n
-}
-
-// completeCompact rolls a compaction transaction forward or back before any
-// replay happens. With a durable marker the fsynced temps are the truth:
-// finish the renames and drop segments the transaction folded in. Without
-// one (or with a torn, unparseable marker — it is fsynced before the first
-// rename, so torn means uncommitted), any temps are a discarded phase-1 and
-// are swept.
-func (db *DB) completeCompact() error {
-	segs, err := discoverSegments(db.path)
-	if err != nil {
-		return err
-	}
-	data, err := os.ReadFile(compactMarkerPath(db.path))
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("sirendb: %w", err)
-	}
-	shards := parseCompactMarker(data)
-	if err != nil || shards == 0 {
-		// No marker, or a torn one: the transaction never committed. Sweep
-		// the phase-1 temps — every temp's segment exists (segments are
-		// created at open, temps only for 0..S-1), so the discovered set
-		// covers them all.
-		for _, sf := range segs {
-			if rerr := os.Remove(sf.path + ".compact"); rerr != nil && !os.IsNotExist(rerr) {
-				return fmt.Errorf("sirendb: %w", rerr)
-			}
-		}
-		if err == nil { // torn marker present: retire it
-			return removeCompactMarker(db.path, db.dir)
-		}
-		return nil
-	}
-	for i := 0; i < shards; i++ {
-		segPath := segmentPath(db.path, i)
-		if err := os.Rename(segPath+".compact", segPath); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("sirendb: completing crashed compaction: %w", err)
-		}
-	}
-	// Segments beyond the transaction's shard count were folded into the
-	// temp set before the marker was committed.
-	for _, sf := range segs {
-		if sf.index >= shards {
-			if err := os.Remove(sf.path); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("sirendb: completing crashed compaction: %w", err)
-			}
-		}
-	}
-	return removeCompactMarker(db.path, db.dir)
-}
-
 type segmentFile struct {
 	index int
 	path  string
@@ -259,12 +102,25 @@ func discoverSegments(base string) ([]segmentFile, error) {
 		}
 		idx, err := strconv.Atoi(e.Name()[len(name)+1:])
 		if err != nil || idx < 0 {
-			continue // ".lock", ".compact", or unrelated
+			continue // ".lock", ".seal-commit", ".run.G.S", or unrelated
 		}
 		segs = append(segs, segmentFile{index: idx, path: filepath.Join(dir, e.Name())})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
 	return segs, nil
+}
+
+// checkBasePath refuses a store whose base path is itself a file. The store
+// lives in "<path>.<suffix>" files only, so a file at path (a database of
+// another format, a mistyped -db) would otherwise be ignored and an empty
+// store opened beside it — a zero-row campaign reported as success.
+func checkBasePath(path string) error {
+	if _, err := os.Stat(path); err == nil {
+		return fmt.Errorf("sirendb: %s is a file, not a store base path", path)
+	} else if !os.IsNotExist(err) {
+		return fmt.Errorf("sirendb: %w", err)
+	}
+	return nil
 }
 
 // openSegments replays everything on disk and leaves each shard with an
@@ -274,19 +130,12 @@ func (db *DB) openSegments() error {
 	if db.opts.ReadOnly {
 		return db.openSegmentsReadOnly()
 	}
-	// Roll a crash-interrupted Compact forward (or sweep its discarded
-	// temps) before anything is replayed.
-	if err := db.completeCompact(); err != nil {
+	if err := checkBasePath(db.path); err != nil {
 		return err
 	}
 	segs, err := discoverSegments(db.path)
 	if err != nil {
 		return err
-	}
-	if _, err := os.Stat(db.path); err == nil {
-		return db.migrateLegacy(segs)
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("sirendb: %w", err)
 	}
 	// Attach the sealed tier — O(index) per run, no row replay — and sweep
 	// debris from a seal that never committed. Sets the sealed-residue floor
@@ -295,11 +144,6 @@ func (db *DB) openSegments() error {
 	if err := db.loadRuns(); err != nil {
 		return err
 	}
-
-	// A Compact abandoned between its renames (rename failure, or leftover
-	// segments not yet removed) can leave a record in two files; the
-	// sequence dedup collapses such copies to one row.
-	seen := make(map[uint64]struct{})
 
 	have := make(map[int]*segmentFile, len(segs))
 	for i := range segs {
@@ -315,7 +159,7 @@ func (db *DB) openSegments() error {
 		if _, ok := have[i]; !ok {
 			created = true
 		}
-		validEnd, err := db.replaySegment(f, segPath, true, seen)
+		validEnd, err := db.replaySegment(f, segPath, true)
 		if err != nil {
 			_ = f.Close() // open is failing; the replay error wins
 			return err
@@ -330,8 +174,8 @@ func (db *DB) openSegments() error {
 	}
 	// Leftover segments from a larger previous shard count: replay their
 	// rows (hash routing folds them into the current shards) and remember
-	// them so Compact can fold them into the active segments and delete
-	// them. Until then they are read-only.
+	// them so Seal can delete them once those rows live in runs. Until then
+	// they are read-only.
 	for _, sf := range segs {
 		if sf.index < len(db.shards) {
 			continue
@@ -340,7 +184,7 @@ func (db *DB) openSegments() error {
 		if err != nil {
 			return fmt.Errorf("sirendb: opening %s: %w", sf.path, err)
 		}
-		_, err = db.replaySegment(f, sf.path, false, seen)
+		_, err = db.replaySegment(f, sf.path, false)
 		_ = f.Close() // read-only replay handle; nothing durable at stake
 		if err != nil {
 			return err
@@ -362,19 +206,10 @@ func (db *DB) openSegments() error {
 // O(index), segments replay from read-only handles, and nothing on disk is
 // created, repaired, truncated, or swept. The shared lock guarantees no
 // writer is live (a writer's exclusive lock would have excluded us), so the
-// on-disk state is quiescent. Stores abandoned mid-recovery — a legacy WAL
-// awaiting migration or an uncompleted compaction — need a writable open
-// first: finishing either transaction is inherently a mutation.
+// on-disk state is quiescent.
 func (db *DB) openSegmentsReadOnly() error {
-	if _, err := os.Stat(compactMarkerPath(db.path)); err == nil {
-		return fmt.Errorf("sirendb: read-only open: uncompleted compaction at %s; open writable once to recover", db.path)
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("sirendb: %w", err)
-	}
-	if _, err := os.Stat(db.path); err == nil {
-		return fmt.Errorf("sirendb: read-only open: unmigrated legacy WAL at %s; open writable once to migrate", db.path)
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("sirendb: %w", err)
+	if err := checkBasePath(db.path); err != nil {
+		return err
 	}
 	if err := db.loadRuns(); err != nil {
 		return err
@@ -383,13 +218,12 @@ func (db *DB) openSegmentsReadOnly() error {
 	if err != nil {
 		return err
 	}
-	seen := make(map[uint64]struct{})
 	for _, sf := range segs {
 		f, err := os.Open(sf.path)
 		if err != nil {
 			return fmt.Errorf("sirendb: opening %s: %w", sf.path, err)
 		}
-		_, err = db.replaySegment(f, sf.path, false, seen)
+		_, err = db.replaySegment(f, sf.path, false)
 		_ = f.Close() // read-only replay handle; nothing durable at stake
 		if err != nil {
 			return err
@@ -406,9 +240,8 @@ func (db *DB) openSegmentsReadOnly() error {
 // hint — records in the "wrong" segment still land correctly). It returns
 // the end of the valid prefix — where appends must resume. repairHeader
 // rewrites a missing/torn magic on writable active segments; leftover
-// segments are opened read-only and must not be mutated. seen, when
-// non-nil, deduplicates records by sequence.
-func (db *DB) replaySegment(f *os.File, name string, repairHeader bool, seen map[uint64]struct{}) (int64, error) {
+// segments are opened read-only and must not be mutated.
+func (db *DB) replaySegment(f *os.File, name string, repairHeader bool) (int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("sirendb: %w", err)
 	}
@@ -473,100 +306,9 @@ func (db *DB) replaySegment(f *os.File, name string, repairHeader bool, seen map
 			// segment). Not corruption — just roll-forward leftovers.
 			continue
 		}
-		if seen != nil {
-			if _, dup := seen[seq]; dup {
-				continue
-			}
-			seen[seq] = struct{}{}
-		}
 		if cur := db.seq.Load(); seq > cur {
 			db.seq.Store(seq)
 		}
-		db.shards[db.shardIndex(msg)].appendReplay(msg, seq)
-	}
-}
-
-// migrateLegacy converts a pre-segment single-file WAL at db.path into
-// per-shard segments. Any existing segments are an incomplete earlier
-// migration (the legacy file is removed last, so its presence proves they
-// are partial) and are discarded first.
-func (db *DB) migrateLegacy(segs []segmentFile) error {
-	for _, sf := range segs {
-		if err := os.Remove(sf.path); err != nil {
-			return fmt.Errorf("sirendb: discarding partial migration %s: %w", sf.path, err)
-		}
-	}
-	f, err := os.Open(db.path)
-	if err != nil {
-		return fmt.Errorf("sirendb: %w", err)
-	}
-	err = db.replayLegacy(f)
-	_ = f.Close() // read-only legacy file; nothing durable at stake
-	if err != nil {
-		return err
-	}
-	for _, s := range db.shards {
-		s.rebuildIndex()
-	}
-	for i, s := range db.shards {
-		segPath := segmentPath(db.path, i)
-		sf, size, err := writeSegmentSnapshot(segPath, s.rows)
-		if err != nil {
-			return fmt.Errorf("sirendb: migrating to %s: %w", segPath, err)
-		}
-		s.wal = sf
-		s.written = size
-		s.synced.Store(size)
-	}
-	// Crash ordering: segments must be durable (files + directory entries)
-	// before the legacy file disappears, and its removal must be durable
-	// before any new append is acknowledged — otherwise a resurrected
-	// legacy file would make a later open discard the segments holding
-	// those appends.
-	if err := fsyncDir(db.dir); err != nil {
-		return fmt.Errorf("sirendb: %w", err)
-	}
-	if err := os.Remove(db.path); err != nil {
-		return fmt.Errorf("sirendb: removing migrated WAL: %w", err)
-	}
-	if err := fsyncDir(db.dir); err != nil {
-		return fmt.Errorf("sirendb: %w", err)
-	}
-	return nil
-}
-
-// replayLegacy loads all intact records from a pre-segment WAL file
-// ([length][checksum][payload] framing, no sequence numbers — they are
-// assigned in file order).
-func (db *DB) replayLegacy(f *os.File) error {
-	r := bufio.NewReaderSize(f, 1<<20)
-	var hdr [legacyHdrLen]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil // clean end or torn header
-			}
-			return fmt.Errorf("sirendb: replaying legacy WAL: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if length > maxRecordLen {
-			return nil // corrupt length: treat as torn tail
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil // torn record
-		}
-		if uint32(xxhash.Sum64(payload)) != sum {
-			db.corrupt.Add(1)
-			continue
-		}
-		msg, err := wire.Parse(payload)
-		if err != nil {
-			db.corrupt.Add(1)
-			continue
-		}
-		seq := db.seq.Add(1)
 		db.shards[db.shardIndex(msg)].appendReplay(msg, seq)
 	}
 }
