@@ -50,11 +50,14 @@ lint: vet fmt-check staticcheck sirenlint
 # checked-in seeds (including the hostile-TOT reassembly datagram) plus a
 # short randomized excursion, cheap enough for every CI push. Go allows one
 # -fuzz pattern per invocation, hence one run per target.
-# FuzzRunDecode caps minimization at 5 attempts: the default 60s budget per
-# shrink makes a single found crash look like a hang in CI logs.
+# FuzzRunDecode and FuzzConsolidate cap minimization at 5 attempts: the
+# default 60s budget per shrink makes a single found crash look like a hang
+# in CI logs, and spends FuzzConsolidate's ten seconds shrinking new coverage
+# instead of comparing the kernel with its oracle.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzWireParse$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzReassemble$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run=NONE -fuzz='^FuzzConsolidate$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/postprocess
 	$(GO) test -run=NONE -fuzz='^FuzzParseDigest$$' -fuzztime=10s ./internal/ssdeep
 	$(GO) test -run=NONE -fuzz='^FuzzRunDecode$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/sirendb/runfmt
 	$(GO) test -run=NONE -fuzz='^FuzzEditKernels$$' -fuzztime=10s ./internal/editdist
@@ -151,14 +154,18 @@ bench-serve:
 # Benchmark-regression gate (DESIGN.md §9). One representative benchmark per
 # tier — indexed identify (analysis and full handler stack), the cold
 # fingerprint-index build a replica pays at start-up, incremental
-# catalog refresh, store insert, receiver ingest, and the sealed-vs-replay
-# open pair (the flat sealed open is the storage tier's claim) — plus the
+# catalog refresh, store insert, receiver ingest, the sealed-vs-replay
+# open pair (the flat sealed open is the storage tier's claim), and the
+# consolidation every refresh and every analysis runs (through the store, and
+# the kernel alone on the campaign capture) — plus the
 # scoring kernels by themselves (a 64-byte distance and a 1000-entry Matcher
 # query): in a geomean over a dozen benchmarks a return to DP cost in
 # BenchmarkIdentify alone would sit at the threshold, with these two it is
-# far past it. Each is run -count times so
+# far past it. Each is run -count times with -benchmem so
 # benchdiff can take the noise-resistant minimum, compared against the
-# committed baseline and failing on a >25% geometric-mean slowdown. After an
+# committed baseline and failing on a >25% geometric-mean slowdown or on any
+# one benchmark's allocs/op rising >10% (counts repeat, so they get no
+# geomean slack). After an
 # intentional perf change, re-baseline with `make bench-rebaseline` on the
 # reference machine and commit the new BENCH_BASELINE.json.
 BENCH_GATE_COUNT ?= 5
@@ -167,18 +174,20 @@ BENCH_GATE_OUT ?= .bench/gate.txt
 
 bench-gate-run:
 	@mkdir -p .bench && rm -f $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkIdentify/n=10000$$/indexed$$' -count=$(BENCH_GATE_COUNT) ./internal/analysis | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkIndexDerive/rebuild/n=10000$$' -count=$(BENCH_GATE_COUNT) ./internal/analysis | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkMatcher1000$$' -count=$(BENCH_GATE_COUNT) ./internal/ssdeep | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkWeighted64$$' -count=$(BENCH_GATE_COUNT) ./internal/editdist | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkIdentify/serial/jobs=16$$' -count=$(BENCH_GATE_COUNT) ./internal/server | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkCatalogRefresh/incremental/jobs=16$$' -count=$(BENCH_GATE_COUNT) ./internal/catalog | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkInsertBatch/store=mem/shards=4/writers=4$$' -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkReceiverIngest/shards=4/payload=512$$' -count=$(BENCH_GATE_COUNT) ./internal/receiver | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkIngestInstrumented/shards=4/payload=512$$' -count=$(BENCH_GATE_COUNT) ./internal/receiver | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkHistogramRecord$$' -count=$(BENCH_GATE_COUNT) ./internal/obs | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkOpenSealed/rows=10000$$' -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkOpenReplay/rows=10000$$' -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkIdentify/n=10000$$/indexed$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/analysis | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkIndexDerive/rebuild/n=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/analysis | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkMatcher1000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/ssdeep | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkWeighted64$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/editdist | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkIdentify/serial/jobs=16$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/server | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkCatalogRefresh/incremental/jobs=16$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/catalog | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkInsertBatch/store=mem/shards=4/writers=4$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkReceiverIngest/shards=4/payload=512$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/receiver | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkIngestInstrumented/shards=4/payload=512$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/receiver | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkHistogramRecord$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/obs | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkOpenSealed/rows=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkOpenReplay/rows=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='^BenchmarkConsolidate$$/streaming-workers=1$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkConsolidateCampaign$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)
 
 bench-gate: bench-gate-run
 	$(GO) run ./cmd/benchdiff -baseline $(BENCH_BASELINE) -threshold 1.25 $(BENCH_GATE_OUT)

@@ -1,9 +1,12 @@
 // benchdiff is the benchmark-regression gate behind `make bench-gate`: it
-// parses `go test -bench` output, reduces each benchmark to its best (minimum)
-// ns/op across repeated counts — the run least disturbed by scheduler noise —
-// and either writes that reduction as a baseline JSON or compares it against a
-// committed baseline, failing when the geometric-mean slowdown exceeds the
-// threshold.
+// parses `go test -bench -benchmem` output, reduces each benchmark to its best
+// (minimum) ns/op, B/op and allocs/op across repeated counts — the run least
+// disturbed by scheduler noise — and either writes that reduction as a
+// baseline JSON or compares it against a committed baseline, failing when the
+// geometric-mean slowdown exceeds the threshold or when any single
+// benchmark's allocs/op rose by more than 10 %. Time is noisy, so it is gated
+// on a geomean with slack; allocation counts repeat from run to run, so each
+// benchmark is held to its own.
 //
 // Write a baseline:
 //
@@ -33,13 +36,22 @@ import (
 	"strings"
 )
 
-// Baseline is the committed artifact: benchmark key -> best ns/op.
+// Baseline is the committed artifact: benchmark key -> best value per unit.
 type Baseline struct {
 	// Note records how the file was produced, for humans re-baselining.
 	Note string `json:"note"`
 	// NsPerOp maps "pkg.BenchmarkName" to minimum ns/op across counts.
 	NsPerOp map[string]float64 `json:"ns_per_op"`
+	// AllocsPerOp and BytesPerOp hold the -benchmem columns the same way.
+	// Allocations are gated; bytes are recorded for the trajectory.
+	AllocsPerOp map[string]float64 `json:"allocs_per_op"`
+	BytesPerOp  map[string]float64 `json:"bytes_per_op"`
 }
+
+// maxAllocGrowth is how far one benchmark's allocs/op may rise over its
+// baseline: enough for a parallel benchmark's count to wobble, far below
+// what one new allocation per operation adds to any gated benchmark.
+const maxAllocGrowth = 1.10
 
 func main() {
 	write := flag.Bool("write", false, "write a baseline instead of comparing")
@@ -65,7 +77,7 @@ func main() {
 	if err != nil {
 		fatalf("parsing bench output: %v", err)
 	}
-	if len(cur) == 0 {
+	if len(cur["ns/op"]) == 0 {
 		fatalf("no benchmark results in input")
 	}
 
@@ -76,11 +88,12 @@ func main() {
 	compare(*baselinePath, cur, *threshold)
 }
 
-// parseBench reads `go test -bench` output. Package headers ("pkg: path")
-// scope the benchmark lines that follow; repeated counts of one benchmark
-// reduce to the minimum ns/op.
-func parseBench(r io.Reader) (map[string]float64, error) {
-	best := make(map[string]float64)
+// parseBench reads `go test -bench` output into one map per unit ("ns/op",
+// "B/op", "allocs/op"; custom metrics are skipped). Package headers
+// ("pkg: path") scope the benchmark lines that follow; repeated counts of
+// one benchmark reduce to the minimum of each unit.
+func parseBench(r io.Reader) (map[string]map[string]float64, error) {
+	best := map[string]map[string]float64{"ns/op": {}, "B/op": {}, "allocs/op": {}}
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -94,28 +107,23 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		// Name  N  ns/op-value  "ns/op"  [more metric pairs]
+		// Name  N  value unit  [value unit ...]
 		if len(fields) < 4 {
 			continue
 		}
-		nsIdx := -1
+		key := pkg + "." + trimProcSuffix(fields[0])
 		for i := 2; i+1 < len(fields); i += 2 {
-			if fields[i+1] == "ns/op" {
-				nsIdx = i
-				break
+			unit, ok := best[fields[i+1]]
+			if !ok {
+				continue
 			}
-		}
-		if nsIdx < 0 {
-			continue
-		}
-		ns, err := strconv.ParseFloat(fields[nsIdx], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %v", line, err)
-		}
-		name := trimProcSuffix(fields[0])
-		key := pkg + "." + name
-		if old, ok := best[key]; !ok || ns < old {
-			best[key] = ns
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad %s in %q: %v", fields[i+1], line, err)
+			}
+			if old, ok := unit[key]; !ok || v < old {
+				unit[key] = v
+			}
 		}
 	}
 	return best, sc.Err()
@@ -134,10 +142,10 @@ func trimProcSuffix(name string) string {
 	return name[:i]
 }
 
-func writeBaseline(path, note string, cur map[string]float64) {
-	b := Baseline{Note: note, NsPerOp: cur}
+func writeBaseline(path, note string, cur map[string]map[string]float64) {
+	b := Baseline{Note: note, NsPerOp: cur["ns/op"], AllocsPerOp: cur["allocs/op"], BytesPerOp: cur["B/op"]}
 	if b.Note == "" {
-		b.Note = "min ns/op across -count repeats; re-baseline with `make bench-rebaseline` (see DESIGN.md §9)"
+		b.Note = "min ns/op, allocs/op and B/op across -count repeats; re-baseline with `make bench-rebaseline` (see DESIGN.md §9)"
 	}
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
@@ -146,10 +154,10 @@ func writeBaseline(path, note string, cur map[string]float64) {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		fatalf("%v", err)
 	}
-	fmt.Printf("benchdiff: wrote %d benchmarks to %s\n", len(cur), path)
+	fmt.Printf("benchdiff: wrote %d benchmarks to %s\n", len(b.NsPerOp), path)
 }
 
-func compare(path string, cur map[string]float64, threshold float64) {
+func compare(path string, cur map[string]map[string]float64, threshold float64) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf("reading baseline: %v", err)
@@ -169,21 +177,32 @@ func compare(path string, cur map[string]float64, threshold float64) {
 	sort.Strings(keys)
 
 	logSum, n := 0.0, 0
-	var missing []string
-	fmt.Printf("%-72s %12s %12s %8s\n", "benchmark", "baseline", "current", "ratio")
+	var missing, fatter []string
+	fmt.Printf("%-72s %12s %12s %8s %21s\n", "benchmark", "baseline", "current", "ratio", "allocs/op")
 	for _, k := range keys {
 		b := base.NsPerOp[k]
-		c, ok := cur[k]
+		c, ok := cur["ns/op"][k]
 		if !ok {
 			missing = append(missing, k)
 			continue
 		}
 		ratio := c / b
-		fmt.Printf("%-72s %12.0f %12.0f %7.2fx\n", k, b, c, ratio)
+		allocs := ""
+		if ba, ok := base.AllocsPerOp[k]; ok {
+			ca, ok := cur["allocs/op"][k]
+			if !ok {
+				fatalf("%s has allocs/op in the baseline but none in this run: was it run with -benchmem?", k)
+			}
+			allocs = fmt.Sprintf("%.0f -> %.0f", ba, ca)
+			if ca > ba*maxAllocGrowth {
+				fatter = append(fatter, fmt.Sprintf("%s (%s)", k, allocs))
+			}
+		}
+		fmt.Printf("%-72s %12.0f %12.0f %7.2fx %21s\n", k, b, c, ratio, allocs)
 		logSum += math.Log(ratio)
 		n++
 	}
-	for k, c := range cur {
+	for k, c := range cur["ns/op"] {
 		if _, ok := base.NsPerOp[k]; !ok {
 			fmt.Printf("%-72s %12s %12.0f   (new)\n", k, "-", c)
 		}
@@ -193,6 +212,9 @@ func compare(path string, cur map[string]float64, threshold float64) {
 	}
 	geomean := math.Exp(logSum / float64(n))
 	fmt.Printf("geomean slowdown: %.3fx (threshold %.2fx, %d benchmarks)\n", geomean, threshold, n)
+	if len(fatter) > 0 {
+		fatalf("allocation regression: allocs/op up more than %.0f%% in %s", (maxAllocGrowth-1)*100, strings.Join(fatter, ", "))
+	}
 	if geomean > threshold {
 		fatalf("benchmark regression: geomean %.3fx exceeds threshold %.2fx", geomean, threshold)
 	}

@@ -104,15 +104,19 @@ func (g *Generation) Jobs() []JobInfo {
 
 // RefreshStats describe one refresh pass.
 type RefreshStats struct {
-	Gen            uint64        // generation published by this pass
-	LastSeq        uint64        // watermark of the published generation
-	NewRows        uint64        // sequence numbers gained since the previous generation
-	Jobs           int           // total jobs in the published generation
-	Reconsolidated int           // jobs re-consolidated by this pass
-	Carried        int           // jobs spliced forward unchanged
-	NoOp           bool          // store unchanged: previous generation kept
-	Elapsed        time.Duration // wall time of the pass
-	IndexElapsed   time.Duration // part of Elapsed spent deriving the fingerprint index
+	Gen            uint64 // generation published by this pass
+	LastSeq        uint64 // watermark of the published generation
+	NewRows        uint64 // sequence numbers gained since the previous generation
+	Jobs           int    // total jobs in the published generation
+	Reconsolidated int    // jobs re-consolidated by this pass
+	// RowsReconsolidated is the stored rows those jobs hold — every one of
+	// them re-read by this pass. Against NewRows it is the refresh's read
+	// amplification: rows re-read per row gained.
+	RowsReconsolidated int
+	Carried            int           // jobs spliced forward unchanged
+	NoOp               bool          // store unchanged: previous generation kept
+	Elapsed            time.Duration // wall time of the pass
+	IndexElapsed       time.Duration // part of Elapsed spent deriving the fingerprint index
 }
 
 // BuildLine renders the pass's wall time split into its two halves, for the
@@ -136,11 +140,12 @@ type Catalog struct {
 	refreshMu sync.Mutex // serialises refreshes; never held by queries
 
 	// obs instruments (nil when Options.Metrics is nil; all nil-safe).
-	refreshNS      *obs.Histogram
-	indexBuildNS   *obs.Histogram
-	carriedTotal   *obs.Counter
-	reconsolidated *obs.Counter
-	refreshesCt    *obs.Counter
+	refreshNS          *obs.Histogram
+	indexBuildNS       *obs.Histogram
+	carriedTotal       *obs.Counter
+	reconsolidated     *obs.Counter
+	rowsReconsolidated *obs.Counter
+	refreshesCt        *obs.Counter
 }
 
 // New builds a catalog over source. The catalog starts at an empty boot
@@ -153,6 +158,7 @@ func New(source Source, opts Options) *Catalog {
 		c.indexBuildNS = reg.Histogram("siren_catalog_index_build_ns", "fingerprint-index derivation time per publishing refresh (splice or rebuild)")
 		c.carriedTotal = reg.Counter("siren_catalog_jobs_carried_total", "jobs spliced forward unchanged across refreshes")
 		c.reconsolidated = reg.Counter("siren_catalog_jobs_reconsolidated_total", "jobs re-consolidated by refreshes")
+		c.rowsReconsolidated = reg.Counter("siren_catalog_rows_reconsolidated_total", "stored rows re-read by refreshes re-consolidating their jobs")
 		c.refreshesCt = reg.Counter("siren_catalog_refreshes_total", "refresh passes run (no-ops included)")
 	}
 	boot := &Generation{
@@ -242,6 +248,7 @@ func (c *Catalog) Refresh() RefreshStats {
 		},
 	}, func(j postprocess.JobRecords) bool {
 		jobs[j.JobID] = jobEntry{records: j.Records, messages: j.Messages, logical: j.Reassembled}
+		rs.RowsReconsolidated += j.Messages
 		return true
 	})
 
@@ -293,5 +300,6 @@ func (c *Catalog) finish(rs RefreshStats) {
 	c.refreshNS.Observe(rs.Elapsed)
 	c.carriedTotal.Add(int64(rs.Carried))
 	c.reconsolidated.Add(int64(rs.Reconsolidated))
+	c.rowsReconsolidated.Add(int64(rs.RowsReconsolidated))
 	c.refreshesCt.Inc()
 }

@@ -154,12 +154,16 @@ func TestIncrementalRefreshMatchesFull(t *testing.T) {
 	if g := cat.Generation(); g.Gen != 0 || g.Index.Len() != 0 {
 		t.Fatalf("boot generation not empty: gen=%d fingerprints=%d", g.Gen, g.Index.Len())
 	}
+	initialRows := db.Count()
 	rs := cat.Refresh()
 	if rs.Gen != 1 || rs.Reconsolidated != initialJobs || rs.Carried != 0 || rs.NoOp {
 		t.Fatalf("first refresh stats = %+v, want gen 1, %d reconsolidated, 0 carried", rs, initialJobs)
 	}
 	if rs.IndexElapsed <= 0 || rs.IndexElapsed > rs.Elapsed {
 		t.Errorf("first refresh index time %v is not a part of the pass's %v", rs.IndexElapsed, rs.Elapsed)
+	}
+	if rs.RowsReconsolidated != initialRows {
+		t.Errorf("full pass re-read %d rows, want the store's %d", rs.RowsReconsolidated, initialRows)
 	}
 
 	// Wave 2: one brand-new job, plus new processes appended to job-1.
@@ -170,6 +174,13 @@ func TestIncrementalRefreshMatchesFull(t *testing.T) {
 	rs = cat.Refresh()
 	if rs.Gen != 2 || rs.Reconsolidated != 2 || rs.Carried != initialJobs-1 {
 		t.Fatalf("incremental refresh stats = %+v, want gen 2, 2 reconsolidated, %d carried", rs, initialJobs-1)
+	}
+	changedRows := len(db.ByJob("job-1")) + len(db.ByJob(fmt.Sprintf("job-%d", initialJobs)))
+	if rs.RowsReconsolidated != changedRows {
+		t.Errorf("incremental pass re-read %d rows, want the two changed jobs' %d", rs.RowsReconsolidated, changedRows)
+	}
+	if got := reg.Counter("siren_catalog_rows_reconsolidated_total", "").Value(); got != int64(initialRows+changedRows) {
+		t.Errorf("rows_reconsolidated_total = %d, want %d", got, initialRows+changedRows)
 	}
 	// The gen-2 fingerprint index must be a splice off gen 1, not a full
 	// rebuild: a rebuild lands every fingerprint in the base block, a splice

@@ -43,6 +43,27 @@ func BenchmarkConsolidate(b *testing.B) {
 	}
 }
 
+// BenchmarkConsolidateCampaign is the consolidation kernel alone on the
+// traffic the end-to-end benchmark replays: the seed-1 campaign capture in
+// per-job chunks, single goroutine, no store — what one row costs each time
+// its job is consolidated. ns/row is the headline; allocs/op is per pass over
+// the whole capture.
+func BenchmarkConsolidateCampaign(b *testing.B) {
+	if testing.Short() {
+		b.Skip("generates the full scale-0.02 campaign capture")
+	}
+	capture := campaignCapture()
+	chunks := jobChunks(capture)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, chunk := range chunks {
+			consolidateChunk(chunk)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(capture)), "ns/row")
+}
+
 // samplePeak spawns a 200 µs-period HeapAlloc sampler recording the
 // high-water mark into *peak until stop closes — the shared probe of the
 // peak-memory benchmarks.

@@ -26,7 +26,6 @@ package postprocess
 
 import (
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -255,10 +254,10 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 // shards, and identity includes the host). Duplicates within one segment
 // are legitimate PID reuse and don't count.
 func identityCollision(segs []jobSegment) bool {
-	seen := make(map[string]int) // identity → index of the segment that saw it
+	seen := make(map[identity]int) // identity → index of the segment that saw it
 	for si := range segs {
 		for _, r := range segs[si].recs {
-			k := r.StepID + "\x1f" + strconv.Itoa(r.PID) + "\x1f" + r.ExeHash + "\x1f" + r.Host
+			k := identity{r.JobID, r.StepID, r.PID, r.ExeHash, r.Host}
 			if prev, ok := seen[k]; ok && prev != si {
 				return true
 			}

@@ -47,11 +47,12 @@ func synthWorld(t testing.TB, shards, jobs, procsPerJob int) *sirendb.DB {
 }
 
 // ConsolidateMessages is the load-everything consolidation — one global
-// reassembly and group pass over an explicit message slice. It is the
-// equality oracle the streaming, merged and sealed paths are pinned against.
+// reassembly and group pass over an explicit message slice, through the
+// oracle kernel (kernel_test.go). It is the equality oracle the streaming,
+// merged and sealed paths are pinned against.
 func ConsolidateMessages(msgs []wire.Message) ([]*ProcessRecord, Stats) {
 	stats := Stats{Messages: len(msgs)}
-	out, nRecords := consolidateChunk(msgs)
+	out, nRecords := consolidateChunkOracle(msgs)
 	stats.Records = nRecords
 	SortRecords(out)
 	countRecordStats(&stats, out)

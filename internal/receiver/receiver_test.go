@@ -119,9 +119,9 @@ func TestLossyTransportMissingFields(t *testing.T) {
 	r.Close()
 
 	// Count processes with missing fields.
-	byProc := make(map[string]int)
+	byProc := make(map[string]int) // keyed by HASH, unique per process above
 	db.Scan(func(m wire.Message) bool {
-		byProc[m.ProcessKey()]++
+		byProc[m.Hash]++
 		return true
 	})
 	missing := 0

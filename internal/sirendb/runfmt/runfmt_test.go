@@ -2,11 +2,14 @@ package runfmt
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 
 	"siren/internal/wire"
@@ -361,4 +364,46 @@ func FuzzRunDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRunFileBytesPinned pins the run format byte for byte: the SHA-256 was
+// computed from the file the pre-AppendEncode, copy-and-sort Write produced
+// for this input (5 000 rows, 7 jobs × 5 hosts, seqs permuted so the sort is
+// exercised, extents that span several blocks). A change to the row order,
+// the framing, the encoder or the index moves it.
+func TestRunFileBytesPinned(t *testing.T) {
+	types := []string{wire.TypeMetadata, wire.TypeObjects, wire.TypeMaps, wire.TypeFileH, "CUSTOM"}
+	rows := make([]Row, 5000)
+	for i := range rows {
+		layer := wire.LayerSelf
+		if i%11 == 0 {
+			layer = wire.LayerScript
+		}
+		rows[i] = Row{
+			Seq: uint64((i*2741)%len(rows) + 1),
+			Msg: wire.Message{
+				Header: wire.Header{
+					JobID: fmt.Sprintf("job-%d", i%7), StepID: strconv.Itoa(i % 3), PID: 1000 + i,
+					Hash: fmt.Sprintf("%032x", uint64(i)*2654435761), Host: fmt.Sprintf("node%02d", i%5),
+					Time: 1700000000 + int64(i), Layer: layer, Type: types[i%len(types)],
+					Seq: i % 4, Total: 4 + i%3,
+				},
+				Content: bytes.Repeat([]byte{byte('a' + i%26)}, (i*37)%1900),
+			},
+		}
+	}
+	before := append([]Row(nil), rows...)
+	data, err := os.ReadFile(writeRun(t, rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "357dce8eb1bccc1fb49f6fe8f004a468bc0877bb1ab72d263cf47913a32b2d1d"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want || len(data) != 5531789 {
+		t.Errorf("run file = %d bytes, sha256 %s; want 5531789 bytes, %s", len(data), got, want)
+	}
+	// Write sorts references: the caller's rows (a live shard's head, shared
+	// with snapshots) must come back untouched.
+	if !reflect.DeepEqual(rows, before) {
+		t.Error("Write reordered or modified its input")
+	}
 }

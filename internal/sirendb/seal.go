@@ -303,12 +303,8 @@ func (db *DB) Seal() error {
 		if len(s.rows) == 0 {
 			continue
 		}
-		rows := make([]runfmt.Row, len(s.rows))
-		for j, r := range s.rows {
-			rows[j] = runfmt.Row{Seq: r.seq, Msg: r.msg}
-		}
 		path := runFilePath(db.path, gen, i)
-		size, err := runfmt.Write(path, rows)
+		size, err := runfmt.Write(path, s.rows)
 		if err != nil {
 			discard()
 			return fmt.Errorf("sirendb: seal: %w", err)
@@ -386,11 +382,12 @@ func (db *DB) Seal() error {
 		copy(runs, s.runs)
 		s.runs = append(runs, sealedRun{gen: gen, fileShard: w.shard, path: w.path, run: r})
 		s.sealedRows += r.Rows()
-		s.rows = nil
+		// The next head starts with room for as many rows as this one held —
+		// the process's own measurement of what a seal interval brings —
+		// instead of doubling its way back up from nil under the insert lock.
+		s.rows = make([]row, 0, len(s.rows))
 		s.byJob = make(map[string][]int)
-		s.byProcess = make(map[string][]int)
 		s.jobKeys.Store(nil)
-		s.procKeys.Store(nil)
 	}
 	db.sealMu.Lock()
 	db.sealGen = gen

@@ -40,7 +40,7 @@ func sealCorpus(n int) []wire.Message {
 // exactly once, none lost, none invented. Sealed runs store rows in
 // (job, host, seq) order, so All's order is not insertion order once a seal
 // has happened; each sealCorpus row is a distinct process, so multiset
-// equality over (ProcessKey, Content) is the exact no-loss/no-duplicate
+// equality over (process, Content) is the exact no-loss/no-duplicate
 // check.
 func assertAll(t *testing.T, db *DB, ms []wire.Message) {
 	t.Helper()
@@ -48,23 +48,31 @@ func assertAll(t *testing.T, db *DB, ms []wire.Message) {
 	if len(got) != len(ms) {
 		t.Fatalf("All: %d rows, want %d", len(got), len(ms))
 	}
-	want := make(map[string]string, len(ms))
+	want := make(map[wire.Header]string, len(ms))
 	for _, m := range ms {
-		want[m.ProcessKey()] = string(m.Content)
+		want[processOf(m)] = string(m.Content)
 	}
 	for _, m := range got {
-		c, ok := want[m.ProcessKey()]
+		c, ok := want[processOf(m)]
 		if !ok {
 			t.Fatalf("unexpected or duplicated row %v", m.Header)
 		}
 		if c != string(m.Content) {
 			t.Fatalf("row %v content = %q, want %q", m.Header, m.Content, c)
 		}
-		delete(want, m.ProcessKey())
+		delete(want, processOf(m))
 	}
 	if len(want) != 0 {
 		t.Fatalf("%d rows missing from All", len(want))
 	}
+}
+
+// processOf is the identity of the process instance a message belongs to:
+// its header without the per-record fields.
+func processOf(m wire.Message) wire.Header {
+	h := m.Header
+	h.Layer, h.Type, h.Seq, h.Total = "", "", 0, 0
+	return h
 }
 
 func TestSealRoundTrip(t *testing.T) {
@@ -94,15 +102,8 @@ func TestSealRoundTrip(t *testing.T) {
 	if len(byJob) != 80 {
 		t.Fatalf("ByJob(job-2) = %d rows, want 80", len(byJob))
 	}
-	pk := ms[7].ProcessKey()
-	if got := db.ByProcess(pk); len(got) != 1 || string(got[0].Content) != "row-7" {
-		t.Fatalf("ByProcess = %v", got)
-	}
 	if jobs := db.Jobs(); len(jobs) != 5 {
 		t.Fatalf("Jobs = %v", jobs)
-	}
-	if keys := db.ProcessKeys(); len(keys) != len(ms) {
-		t.Fatalf("ProcessKeys = %d, want %d", len(keys), len(ms))
 	}
 
 	// Segments were truncated back to their magic.
@@ -569,12 +570,12 @@ func TestSealConcurrentWithReads(t *testing.T) {
 		t.Fatalf("Count = %d, want %d", db.Count(), len(ms))
 	}
 	got := db.All()
-	seen := make(map[string]bool, len(got))
+	seen := make(map[wire.Header]bool, len(got))
 	for _, m := range got {
-		if seen[m.ProcessKey()] {
+		if seen[processOf(m)] {
 			t.Fatalf("duplicate row %v", m.Header)
 		}
-		seen[m.ProcessKey()] = true
+		seen[processOf(m)] = true
 	}
 }
 

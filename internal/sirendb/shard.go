@@ -1,7 +1,9 @@
 package sirendb
 
 import (
+	"cmp"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,22 +27,19 @@ type sealedRun struct {
 }
 
 // row is one stored message plus its store-wide sequence number, the key the
-// shard-merge in Scan/ByJob orders by.
-type row struct {
-	seq uint64
-	msg wire.Message
-}
+// shard-merge in Scan/ByJob orders by. It is the sealed tier's row type, so
+// Seal hands a shard's head to runfmt.Write as it stands, without a copy.
+type row = runfmt.Row
 
-// shard owns one partition of the store: its rows, secondary indexes, and
+// shard owns one partition of the store: its rows, by-job index, and
 // WAL segment file. All writes to one (JobID, Host) land on one shard, so
 // inserts across shards never contend.
 type shard struct {
-	mu        sync.RWMutex
-	rows      []row
-	byJob     map[string][]int
-	byProcess map[string][]int
-	wal       *os.File
-	written   int64 // valid bytes appended to the segment (under mu)
+	mu      sync.RWMutex
+	rows    []row
+	byJob   map[string][]int
+	wal     *os.File
+	written int64 // valid bytes appended to the segment (under mu)
 
 	// runs are the shard's sealed tier, oldest generation first. The slice
 	// is copy-on-write under mu: Seal and retention swap in a fresh slice,
@@ -49,15 +48,13 @@ type shard struct {
 	runs       []sealedRun
 	sealedRows int
 
-	// jobKeys/procKeys cache the sorted key sets of the two indexes so
-	// Jobs/ProcessKeys stop re-sorting on every call. A cache entry is an
-	// immutable slice stamped with the map size it was built from; the maps
-	// only ever gain keys, so size equality means freshness. Readers load
-	// and (re)build the caches under the shard's read lock — a racing
-	// duplicate rebuild stores an identical value, and the atomic pointer
-	// keeps old snapshots of the slice valid forever.
-	jobKeys  atomic.Pointer[sortedKeys]
-	procKeys atomic.Pointer[sortedKeys]
+	// jobKeys caches the sorted key set of byJob so Jobs stops re-sorting on
+	// every call. A cache entry is an immutable slice stamped with the map
+	// size it was built from; the map only ever gains keys, so size equality
+	// means freshness. Readers load and (re)build the cache under the shard's
+	// read lock — a racing duplicate rebuild stores an identical value, and
+	// the atomic pointer keeps old snapshots of the slice valid forever.
+	jobKeys atomic.Pointer[sortedKeys]
 
 	// synced is how many segment bytes are known durable (fdatasync
 	// confirmed). Only the group-commit path under syncMu advances it, so
@@ -80,7 +77,7 @@ type shard struct {
 	commitBytes *obs.Histogram
 }
 
-// sortedKeys is an immutable sorted key cache for one secondary index.
+// sortedKeys is an immutable sorted key cache for the by-job index.
 type sortedKeys struct {
 	keys []string
 	n    int // len of the index map when built; maps only grow, so n == len(m) ⇔ fresh
@@ -104,39 +101,42 @@ func sortedKeysOf(cache *atomic.Pointer[sortedKeys], m map[string][]int) []strin
 
 func newShard() *shard {
 	return &shard{
-		byJob:     make(map[string][]int),
-		byProcess: make(map[string][]int),
-		dirty:     make(chan struct{}, 1),
+		byJob: make(map[string][]int),
+		dirty: make(chan struct{}, 1),
 	}
 }
 
 func (s *shard) appendLocked(m wire.Message, seq uint64) {
 	idx := len(s.rows)
-	s.rows = append(s.rows, row{seq, m})
+	s.rows = append(s.rows, row{Seq: seq, Msg: m})
 	s.byJob[m.JobID] = append(s.byJob[m.JobID], idx)
-	pk := m.ProcessKey()
-	s.byProcess[pk] = append(s.byProcess[pk], idx)
 }
 
 // appendReplay adds a replayed row without index maintenance; the caller
-// runs rebuildIndex once after all segments are read.
-func (s *shard) appendReplay(m wire.Message, seq uint64) {
-	s.rows = append(s.rows, row{seq, m})
+// runs rebuildIndex once after all segments are read. reserve is the
+// caller's estimate of how many more rows follow: when the slice is full it
+// grows to fit them at once instead of doubling its way up from nil.
+func (s *shard) appendReplay(m wire.Message, seq uint64, reserve int) {
+	if len(s.rows) == cap(s.rows) {
+		s.rows = slices.Grow(s.rows, reserve+1)
+	}
+	s.rows = append(s.rows, row{Seq: seq, Msg: m})
 }
 
-// rebuildIndex seq-sorts the rows and rebuilds both secondary indexes.
-// Replay can deliver one shard's rows from several files (its own segment
-// plus leftovers from an older shard count), so file order is not seq order.
+// rebuildIndex restores seq order and rebuilds the by-job index. One segment
+// delivers its rows seq-ascending, which is the normal case and needs no
+// sort; only leftovers from an older shard count, replayed after the
+// shard's own segment, interleave.
 func (s *shard) rebuildIndex() {
-	sort.SliceStable(s.rows, func(i, j int) bool { return s.rows[i].seq < s.rows[j].seq })
+	bySeq := func(a, b row) int { return cmp.Compare(a.Seq, b.Seq) }
+	if !slices.IsSortedFunc(s.rows, bySeq) {
+		slices.SortStableFunc(s.rows, bySeq)
+	}
 	s.byJob = make(map[string][]int)
-	s.byProcess = make(map[string][]int)
 	s.jobKeys.Store(nil)
-	s.procKeys.Store(nil)
-	for idx, r := range s.rows {
-		s.byJob[r.msg.JobID] = append(s.byJob[r.msg.JobID], idx)
-		pk := r.msg.ProcessKey()
-		s.byProcess[pk] = append(s.byProcess[pk], idx)
+	for idx := range s.rows {
+		job := s.rows[idx].Msg.JobID
+		s.byJob[job] = append(s.byJob[job], idx)
 	}
 }
 

@@ -3,9 +3,8 @@
 //
 // The paper's schema is a single table keyed by the UDP header columns
 // (JOBID, STEPID, PID, HASH, HOST, TIME, LAYER, TYPE) with the message
-// CONTENT as payload. The store is sharded: rows, secondary indexes (by job
-// and by process key), and the append-only write-ahead log are split into S
-// shards partitioned by wire.PartitionHash(JOBID, HOST) — the same hash the
+// CONTENT as payload. The store is sharded: rows, the by-job index, and the
+// append-only write-ahead log are split into S shards partitioned by wire.PartitionHash(JOBID, HOST) — the same hash the
 // receiver's dispatcher uses — so concurrent writer shards insert with zero
 // cross-shard lock contention. Each shard persists to its own WAL segment
 // file ("path.0" … "path.S-1"); a per-shard group-commit syncer batches
@@ -27,8 +26,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -274,11 +271,10 @@ func (db *DB) insertShard(s *shard, ms []wire.Message) error {
 		return db.takeSyncErr()
 	}
 	var buf []byte
-	var offs []int
-	var sums []uint32
+	var marks []recordMark
 	if persistent {
 		var err error
-		if buf, offs, sums, err = encodeRecords(ms); err != nil {
+		if buf, marks, err = encodeRecords(ms); err != nil {
 			return err
 		}
 	}
@@ -292,8 +288,8 @@ func (db *DB) insertShard(s *shard, ms []wire.Message) error {
 	// the counter consistent across shards.
 	start := db.seq.Add(uint64(len(ms))) - uint64(len(ms))
 	if buf != nil {
-		for i := range offs {
-			patchRecordSeq(buf, offs[i], sums[i], start+1+uint64(i))
+		for i, mk := range marks {
+			patchRecordSeq(buf, mk, start+1+uint64(i))
 		}
 		appendStart := time.Now()
 		if _, err := s.wal.Write(buf); err != nil {
@@ -422,17 +418,17 @@ func (db *DB) All() []wire.Message {
 }
 
 // jobTierViews captures, under one all-shard read lock, each shard's head
-// rows, one head secondary-index entry, and the sealed runs that contain
+// rows, its by-job index entry for jobID, and the sealed runs that contain
 // jobID (located through each run's embedded job index — O(log jobs), no
 // row decode). n counts head index entries plus run job rows.
-func (db *DB) jobTierViews(jobID string, pick func(*shard) []int) (rows [][]row, idxs [][]int, runs [][]sealedRun, n int) {
+func (db *DB) jobTierViews(jobID string) (rows [][]row, idxs [][]int, runs [][]sealedRun, n int) {
 	rows = make([][]row, len(db.shards))
 	idxs = make([][]int, len(db.shards))
 	runs = make([][]sealedRun, len(db.shards))
 	unlock := db.rlockAll()
 	for i, s := range db.shards {
 		rows[i] = s.rows
-		idxs[i] = pick(s)
+		idxs[i] = s.byJob[jobID]
 		n += len(idxs[i])
 		for _, sr := range s.runs {
 			if jr, _, _, ok := sr.run.JobStats(jobID); ok {
@@ -449,9 +445,9 @@ func (db *DB) jobTierViews(jobID string, pick func(*shard) []int) (rows [][]row,
 // included. The head contributes its sequence-sorted index lists, each run
 // its indexed job extents; the per-shard streams k-way merge by sequence.
 func (db *DB) ByJob(jobID string) []wire.Message {
-	rows, idxs, runs, n := db.jobTierViews(jobID, func(s *shard) []int { return s.byJob[jobID] })
+	rows, idxs, runs, n := db.jobTierViews(jobID)
 	out := make([]wire.Message, 0, n)
-	mergeSrcs(jobSources(rows, idxs, runs, jobID, nil, db.noteRunErr), func(m wire.Message, _ uint64) bool {
+	mergeSrcs(jobSources(rows, idxs, runs, jobID, db.noteRunErr), func(m wire.Message, _ uint64) bool {
 		out = append(out, m)
 		return true
 	})
@@ -462,52 +458,8 @@ func (db *DB) ByJob(jobID string) []wire.Message {
 // materialising a slice — the zero-copy variant of ByJob. Return false to
 // stop. No store lock is held while f runs.
 func (db *DB) ByJobFunc(jobID string, f func(m wire.Message) bool) {
-	rows, idxs, runs, _ := db.jobTierViews(jobID, func(s *shard) []int { return s.byJob[jobID] })
-	mergeSrcs(jobSources(rows, idxs, runs, jobID, nil, db.noteRunErr), func(m wire.Message, _ uint64) bool { return f(m) })
-}
-
-// ByProcess returns all messages sharing a process key, in insertion order,
-// sealed runs included. Head rows come straight off the byProcess index;
-// run files index by job only, so the job's extents are streamed and
-// filtered on the full key.
-func (db *DB) ByProcess(processKey string) []wire.Message {
-	var out []wire.Message
-	db.ByProcessFunc(processKey, func(m wire.Message) bool {
-		out = append(out, m)
-		return true
-	})
-	return out
-}
-
-// ByProcessFunc streams one process's messages in insertion order — the
-// zero-copy variant of ByProcess. Return false to stop.
-func (db *DB) ByProcessFunc(processKey string, f func(m wire.Message) bool) {
-	jobID := processKeyJob(processKey)
-	rows, idxs, runs, _ := db.jobTierViews(jobID, func(s *shard) []int { return s.byProcess[processKey] })
-	filter := func(m wire.Message) bool { return m.ProcessKey() == processKey }
-	mergeSrcs(jobSources(rows, idxs, runs, jobID, filter, db.noteRunErr), func(m wire.Message, _ uint64) bool { return f(m) })
-}
-
-// processKeyJob extracts the JobID field (the first) from a process key —
-// the fields are joined with 0x1f, same as wire.Header.ProcessKey.
-func processKeyJob(pk string) string {
-	if i := strings.IndexByte(pk, '\x1f'); i >= 0 {
-		return pk[:i]
-	}
-	return pk
-}
-
-// keys returns the sorted union of one secondary-index key set over all
-// shards, merging the per-shard sorted caches — no per-call re-sort once
-// the caches are warm (they invalidate only when a shard gains a new key).
-func (db *DB) keys(pick func(*shard) []string) []string {
-	lists := make([][]string, len(db.shards))
-	unlock := db.rlockAll()
-	for i, s := range db.shards {
-		lists[i] = pick(s)
-	}
-	unlock()
-	return mergeSortedUnique(lists)
+	rows, idxs, runs, _ := db.jobTierViews(jobID)
+	mergeSrcs(jobSources(rows, idxs, runs, jobID, db.noteRunErr), func(m wire.Message, _ uint64) bool { return f(m) })
 }
 
 // Jobs returns the distinct job IDs, sorted — the head's cached key sets
@@ -524,42 +476,6 @@ func (db *DB) Jobs() []string {
 	}
 	unlock()
 	return mergeSortedUnique(lists)
-}
-
-// ProcessKeys returns the distinct process keys, sorted. Runs index by job
-// only, so their rows are decoded to recover process keys — O(sealed rows),
-// acceptable for this diagnostic accessor (no serving path calls it).
-func (db *DB) ProcessKeys() []string {
-	keys := db.keys(func(s *shard) []string { return sortedKeysOf(&s.procKeys, s.byProcess) })
-	_, runs := db.tierViews()
-	set := map[string]struct{}{}
-	for _, shardRuns := range runs {
-		for _, sr := range shardRuns {
-			c := sr.run.Cursor()
-			for {
-				m, _, ok := c.Next()
-				if !ok {
-					break
-				}
-				set[m.ProcessKey()] = struct{}{}
-			}
-			if err := c.Err(); err != nil {
-				db.noteRunErr(err)
-			}
-		}
-	}
-	if len(set) == 0 {
-		return keys
-	}
-	for _, k := range keys {
-		set[k] = struct{}{}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // mergeSortedUnique k-way merges sorted string lists, dropping duplicates.

@@ -161,26 +161,6 @@ func TestCorruptRecordSkipped(t *testing.T) {
 	}
 }
 
-func TestByProcessIndex(t *testing.T) {
-	db, _ := Open("")
-	defer db.Close()
-	m1 := msg("1", 10, wire.TypeMetadata, "a")
-	m2 := msg("1", 10, wire.TypeObjects, "b")
-	m3 := msg("1", 10, wire.TypeMetadata, "c")
-	m3.Hash = "ffff" // exec(): same PID, different executable
-	db.InsertBatch([]wire.Message{m1, m2, m3})
-
-	if got := db.ByProcess(m1.ProcessKey()); len(got) != 2 {
-		t.Errorf("ByProcess = %d rows, want 2", len(got))
-	}
-	if got := db.ByProcess(m3.ProcessKey()); len(got) != 1 {
-		t.Errorf("exec'd process rows = %d, want 1", len(got))
-	}
-	if len(db.ProcessKeys()) != 2 {
-		t.Errorf("ProcessKeys = %d, want 2", len(db.ProcessKeys()))
-	}
-}
-
 func TestConcurrentInsertAndScan(t *testing.T) {
 	db, _ := Open("")
 	defer db.Close()

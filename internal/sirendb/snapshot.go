@@ -121,14 +121,13 @@ type src struct {
 	pseq   uint64
 }
 
-// runCursorSrc wraps a runfmt cursor with the filter and error sink the
-// in-memory sources don't need.
+// runCursorSrc wraps a runfmt cursor with the error sink the in-memory
+// sources don't need.
 type runCursorSrc struct {
-	next   func() (wire.Message, uint64, bool)
-	err    func() error
-	filter func(wire.Message) bool
-	onErr  func(error)
-	done   bool
+	next  func() (wire.Message, uint64, bool)
+	err   func() error
+	onErr func(error)
+	done  bool
 }
 
 func (s *src) peek() (uint64, bool) {
@@ -139,36 +138,31 @@ func (s *src) peek() (uint64, bool) {
 		if s.rc.done {
 			return 0, false
 		}
-		for {
-			m, seq, ok := s.rc.next()
-			if !ok {
-				s.rc.done = true
-				if err := s.rc.err(); err != nil && s.rc.onErr != nil {
-					s.rc.onErr(err)
-				}
-				return 0, false
+		m, seq, ok := s.rc.next()
+		if !ok {
+			s.rc.done = true
+			if err := s.rc.err(); err != nil && s.rc.onErr != nil {
+				s.rc.onErr(err)
 			}
-			if s.rc.filter != nil && !s.rc.filter(m) {
-				continue
-			}
-			s.pm, s.pseq, s.peeked = m, seq, true
-			return seq, true
+			return 0, false
 		}
+		s.pm, s.pseq, s.peeked = m, seq, true
+		return seq, true
 	}
 	if s.idxs != nil {
 		if s.pos >= len(s.idxs) {
 			return 0, false
 		}
 		r := &s.rows[s.idxs[s.pos]]
-		s.pm, s.pseq, s.peeked = r.msg, r.seq, true
-		return r.seq, true
+		s.pm, s.pseq, s.peeked = r.Msg, r.Seq, true
+		return r.Seq, true
 	}
 	if s.pos >= len(s.rows) {
 		return 0, false
 	}
 	r := &s.rows[s.pos]
-	s.pm, s.pseq, s.peeked = r.msg, r.seq, true
-	return r.seq, true
+	s.pm, s.pseq, s.peeked = r.Msg, r.Seq, true
+	return r.Seq, true
 }
 
 // take consumes the peeked row; only valid right after a successful peek.
@@ -214,12 +208,11 @@ func runSrc(sr sealedRun, onErr func(error)) *src {
 	return &src{rc: &runCursorSrc{next: c.Next, err: c.Err, onErr: onErr}, rem: sr.run.Rows()}
 }
 
-// runJobSrc builds a source over one job's rows in a sealed run, optionally
-// filtered (ByProcess recovers its exact key by filtering job extents).
-func runJobSrc(sr sealedRun, job string, filter func(wire.Message) bool, onErr func(error)) *src {
+// runJobSrc builds a source over one job's rows in a sealed run.
+func runJobSrc(sr sealedRun, job string, onErr func(error)) *src {
 	c := sr.run.JobCursor(job)
 	rows, _, _, _ := sr.run.JobStats(job)
-	return &src{rc: &runCursorSrc{next: c.Next, err: c.Err, filter: filter, onErr: onErr}, rem: rows}
+	return &src{rc: &runCursorSrc{next: c.Next, err: c.Err, onErr: onErr}, rem: rows}
 }
 
 // tierSources builds the full source set for whole-store iteration: every
@@ -240,11 +233,11 @@ func tierSources(rows [][]row, runs [][]sealedRun, onErr func(error)) []*src {
 // jobSources builds the source set for one job across shards: per shard the
 // runs known (via their job index) to hold the job, plus the head's
 // index-selected rows.
-func jobSources(rows [][]row, idxs [][]int, runs [][]sealedRun, job string, filter func(wire.Message) bool, onErr func(error)) []*src {
+func jobSources(rows [][]row, idxs [][]int, runs [][]sealedRun, job string, onErr func(error)) []*src {
 	var srcs []*src
 	for i := range rows {
 		for _, sr := range runs[i] {
-			srcs = append(srcs, runJobSrc(sr, job, filter, onErr))
+			srcs = append(srcs, runJobSrc(sr, job, onErr))
 		}
 		if len(idxs[i]) > 0 {
 			srcs = append(srcs, &src{rows: rows[i], idxs: idxs[i], rem: len(idxs[i])})
@@ -365,7 +358,7 @@ func (sn *Snapshot) JobsChangedSince(since uint64) []string {
 			if _, ok := seen[job]; ok {
 				continue
 			}
-			if sv.rows[idxs[len(idxs)-1]].seq > since {
+			if sv.rows[idxs[len(idxs)-1]].Seq > since {
 				seen[job] = struct{}{}
 			}
 		}
@@ -396,7 +389,7 @@ func (sn *Snapshot) ShardJobs(i int) []string {
 	sv := &sn.shards[i]
 	first := make(map[string]uint64, len(sv.byJob))
 	for k, idxs := range sv.byJob {
-		first[k] = sv.rows[idxs[0]].seq
+		first[k] = sv.rows[idxs[0]].Seq
 	}
 	for _, sr := range sv.runs {
 		sr.run.EachJob(func(job string, _ int, minSeq, _ uint64) bool {
@@ -456,7 +449,7 @@ func (sn *Snapshot) ShardJobRows(shard int, job string, f func(m wire.Message, s
 	if len(sv.runs) == 0 { // head-only fast path: no merge state needed
 		for _, idx := range idxs {
 			r := &sv.rows[idx]
-			if !f(r.msg, r.seq) {
+			if !f(r.Msg, r.Seq) {
 				return
 			}
 		}
@@ -465,7 +458,7 @@ func (sn *Snapshot) ShardJobRows(shard int, job string, f func(m wire.Message, s
 	var srcs []*src
 	for _, sr := range sv.runs {
 		if sr.run.HasJob(job) {
-			srcs = append(srcs, runJobSrc(sr, job, nil, sn.noteErr))
+			srcs = append(srcs, runJobSrc(sr, job, sn.noteErr))
 		}
 	}
 	if len(idxs) > 0 {
@@ -485,7 +478,7 @@ func (sn *Snapshot) JobRows(job string, f func(m wire.Message) bool) {
 		sv := &sn.shards[i]
 		for _, sr := range sv.runs {
 			if sr.run.HasJob(job) {
-				srcs = append(srcs, runJobSrc(sr, job, nil, sn.noteErr))
+				srcs = append(srcs, runJobSrc(sr, job, sn.noteErr))
 			}
 		}
 		if idxs := sv.byJob[job]; len(idxs) > 0 {

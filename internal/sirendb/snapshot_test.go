@@ -196,20 +196,6 @@ func TestSnapshotPerJobOrder(t *testing.T) {
 	if !reflect.DeepEqual(streamed, want[:250]) {
 		t.Fatalf("ByJobFunc diverged from ByJob prefix (got %d rows)", len(streamed))
 	}
-	// ByProcessFunc matches ByProcess for one process key.
-	pk := byJob[0].ProcessKey()
-	var a, b []string
-	for _, m := range db.ByProcess(pk) {
-		a = append(a, string(m.Content))
-	}
-	db.ByProcessFunc(pk, func(m wire.Message) bool {
-		b = append(b, string(m.Content))
-		return true
-	})
-	if len(a) == 0 || !reflect.DeepEqual(a, b) {
-		t.Fatalf("ByProcessFunc (%d rows) diverged from ByProcess (%d rows)", len(b), len(a))
-	}
-
 	// Shard-local segments: seq-ascending, and their union is the job.
 	counts := snap.JobShardCounts()
 	total, shardsWithJob := 0, 0
@@ -256,9 +242,9 @@ func TestSnapshotPerJobOrder(t *testing.T) {
 	}
 }
 
-// TestKeysCacheFreshness: Jobs/ProcessKeys answers stay correct across
-// inserts that add new keys (the sorted-key caches must invalidate), and
-// repeated calls return equal results.
+// TestKeysCacheFreshness: Jobs answers stay correct across inserts that add
+// new keys (the sorted-key cache must invalidate), and repeated calls return
+// equal results.
 func TestKeysCacheFreshness(t *testing.T) {
 	db, err := OpenOptions("", Options{Shards: 4})
 	if err != nil {
@@ -276,9 +262,6 @@ func TestKeysCacheFreshness(t *testing.T) {
 	db.Insert(jobMsg("0-first", "h3", 3, "x"))
 	if got := db.Jobs(); !reflect.DeepEqual(got, []string{"0-first", "a", "b"}) {
 		t.Fatalf("Jobs after new key = %q", got)
-	}
-	if got := len(db.ProcessKeys()); got != 3 {
-		t.Fatalf("ProcessKeys = %d, want 3", got)
 	}
 	// Same-key inserts must not invalidate (exercises the fresh-cache path).
 	db.Insert(jobMsg("a", "h2", 2, "y"))

@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,33 +51,51 @@ func segmentPath(base string, i int) string {
 	return base + "." + strconv.Itoa(i)
 }
 
-// encodeRecords frames ms into one contiguous buffer with zeroed checksum
-// and sequence fields, returning each record's offset and payload hash so
-// insertShard can patch the sequence in under the shard lock. A message
-// exceeding maxRecordLen is rejected up front: replay treats an oversized
-// length field as a torn tail, so writing one would make the record — and
-// every record after it in the segment — silently unreplayable.
-func encodeRecords(ms []wire.Message) (buf []byte, offs []int, sums []uint32, err error) {
-	offs = make([]int, len(ms))
-	sums = make([]uint32, len(ms))
-	var hdr [recHdrSize]byte
-	for i := range ms {
-		payload := wire.Encode(ms[i])
-		if len(payload) > maxRecordLen {
-			return nil, nil, nil, fmt.Errorf("sirendb: message of %d bytes exceeds the %d-byte record limit", len(payload), maxRecordLen)
-		}
-		offs[i] = len(buf)
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, payload...)
-		sums[i] = uint32(xxhash.Sum64(payload))
-	}
-	return buf, offs, sums, nil
+// recordMark locates one framed record inside an encodeRecords buffer and
+// carries its payload hash, so insertShard can patch the sequence in under
+// the shard lock.
+type recordMark struct {
+	off int
+	sum uint32
 }
 
-func patchRecordSeq(buf []byte, off int, payloadSum uint32, seq uint64) {
-	binary.LittleEndian.PutUint32(buf[off+4:], payloadSum^seqMix(seq))
-	binary.LittleEndian.PutUint64(buf[off+8:], seq)
+// encodeRecords frames ms into one contiguous buffer with zeroed checksum
+// and sequence fields. Every record is appended straight into that buffer
+// (wire.AppendEncode) and its length patched in afterwards; the buffer is
+// sized up front from the field lengths, so a batch costs one allocation of
+// WAL bytes however many rows it carries. A message exceeding maxRecordLen is
+// rejected up front: replay treats an oversized length field as a torn tail,
+// so writing one would make the record — and every record after it in the
+// segment — silently unreplayable.
+func encodeRecords(ms []wire.Message) (buf []byte, marks []recordMark, err error) {
+	// Per record: the frame header, the wire format's fixed text (76 bytes)
+	// and room for its four integers; a longer rendering just grows the buffer.
+	size := 0
+	for i := range ms {
+		m := &ms[i]
+		size += recHdrSize + 112 + len(m.JobID) + len(m.StepID) + len(m.Hash) + len(m.Host) +
+			len(m.Layer) + len(m.Type) + len(m.Content)
+	}
+	buf = make([]byte, 0, size)
+	marks = make([]recordMark, len(ms))
+	var hdr [recHdrSize]byte
+	for i := range ms {
+		off := len(buf)
+		buf = append(buf, hdr[:]...)
+		buf = wire.AppendEncode(buf, ms[i])
+		payload := buf[off+recHdrSize:]
+		if len(payload) > maxRecordLen {
+			return nil, nil, fmt.Errorf("sirendb: message of %d bytes exceeds the %d-byte record limit", len(payload), maxRecordLen)
+		}
+		binary.LittleEndian.PutUint32(buf[off:], uint32(len(payload)))
+		marks[i] = recordMark{off: off, sum: uint32(xxhash.Sum64(payload))}
+	}
+	return buf, marks, nil
+}
+
+func patchRecordSeq(buf []byte, mk recordMark, seq uint64) {
+	binary.LittleEndian.PutUint32(buf[mk.off+4:], mk.sum^seqMix(seq))
+	binary.LittleEndian.PutUint64(buf[mk.off+8:], seq)
 }
 
 type segmentFile struct {
@@ -159,7 +178,7 @@ func (db *DB) openSegments() error {
 		if _, ok := have[i]; !ok {
 			created = true
 		}
-		validEnd, err := db.replaySegment(f, segPath, true)
+		validEnd, err := db.replaySegment(f, segPath, i, true)
 		if err != nil {
 			_ = f.Close() // open is failing; the replay error wins
 			return err
@@ -184,7 +203,7 @@ func (db *DB) openSegments() error {
 		if err != nil {
 			return fmt.Errorf("sirendb: opening %s: %w", sf.path, err)
 		}
-		_, err = db.replaySegment(f, sf.path, false)
+		_, err = db.replaySegment(f, sf.path, sf.index, false)
 		_ = f.Close() // read-only replay handle; nothing durable at stake
 		if err != nil {
 			return err
@@ -223,7 +242,7 @@ func (db *DB) openSegmentsReadOnly() error {
 		if err != nil {
 			return fmt.Errorf("sirendb: opening %s: %w", sf.path, err)
 		}
-		_, err = db.replaySegment(f, sf.path, false)
+		_, err = db.replaySegment(f, sf.path, sf.index, false)
 		_ = f.Close() // read-only replay handle; nothing durable at stake
 		if err != nil {
 			return err
@@ -235,16 +254,34 @@ func (db *DB) openSegmentsReadOnly() error {
 	return nil
 }
 
+// replayMeanAfter is how many records replaySegment reads before it trusts
+// their mean size to predict the rest of the segment.
+const replayMeanAfter = 256
+
 // replaySegment reads every intact record of one segment file, routing each
-// row to its shard by hash (the segment's nominal owner is only a locality
-// hint — records in the "wrong" segment still land correctly). It returns
-// the end of the valid prefix — where appends must resume. repairHeader
-// rewrites a missing/torn magic on writable active segments; leftover
-// segments are opened read-only and must not be mutated.
-func (db *DB) replaySegment(f *os.File, name string, repairHeader bool) (int64, error) {
+// row to its shard by hash (the segment's nominal owner, shard index, is only
+// a locality hint — records in the "wrong" segment still land correctly). It
+// returns the end of the valid prefix — where appends must resume.
+// repairHeader rewrites a missing/torn magic on writable active segments;
+// leftover segments are opened read-only and must not be mutated.
+//
+// Rows landing on the segment's own shard — all of them unless the shard
+// count changed — reserve their slice from the file itself: the bytes left
+// divided by the mean record size read so far, so a 100 000-row head is one
+// or two allocations instead of seventeen doublings and their copies. The
+// first replayMeanAfter records grow the slice the ordinary way: a mean taken
+// from fewer is the size of whatever came first, and one small record ahead
+// of near-MTU chunks would reserve an order of magnitude too many rows and
+// hold them until the next Seal.
+func (db *DB) replaySegment(f *os.File, name string, index int, repairHeader bool) (int64, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, fmt.Errorf("sirendb: %w", err)
 	}
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("sirendb: %w", err)
+	}
+	size := fi.Size()
 	r := bufio.NewReaderSize(f, 1<<20)
 	magic := make([]byte, len(segMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -265,6 +302,8 @@ func (db *DB) replaySegment(f *os.File, name string, repairHeader bool) (int64, 
 	}
 	off := int64(len(segMagic))
 	var hdr [recHdrSize]byte
+	var payload []byte // reused: wire.Parse copies what it keeps
+	records := int64(0)
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -278,7 +317,7 @@ func (db *DB) replaySegment(f *os.File, name string, repairHeader bool) (int64, 
 		if length > maxRecordLen {
 			return off, nil // out-of-bounds length: treat as torn tail
 		}
-		payload := make([]byte, length)
+		payload = slices.Grow(payload[:0], int(length))[:length]
 		if _, err := io.ReadFull(r, payload); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return off, nil // torn payload
@@ -286,6 +325,7 @@ func (db *DB) replaySegment(f *os.File, name string, repairHeader bool) (int64, 
 			return 0, fmt.Errorf("sirendb: replaying %s: %w", name, err)
 		}
 		recEnd := off + recHdrSize + int64(length)
+		records++
 		if uint32(xxhash.Sum64(payload))^seqMix(seq) != sum {
 			// An in-bounds corrupt length lands here too: framing may now be
 			// lost, but scanning on recovers any later intact records.
@@ -309,7 +349,11 @@ func (db *DB) replaySegment(f *os.File, name string, repairHeader bool) (int64, 
 		if cur := db.seq.Load(); seq > cur {
 			db.seq.Store(seq)
 		}
-		db.shards[db.shardIndex(msg)].appendReplay(msg, seq)
+		sh, reserve := db.shardIndex(msg), 0
+		if sh == index && size > recEnd && records >= replayMeanAfter {
+			reserve = int((size - recEnd) * records / (recEnd - int64(len(segMagic))))
+		}
+		db.shards[sh].appendReplay(msg, seq, reserve)
 	}
 }
 

@@ -3,11 +3,14 @@ package wire
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
 // FuzzWireParse: Parse must never panic and must round-trip what Encode
-// produced, no matter how datagrams are mutated in flight.
+// produced, no matter how datagrams are mutated in flight; AppendEncode must
+// produce the bytes the old string-built Encode did, after any prefix.
 func FuzzWireParse(f *testing.F) {
 	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1|CONTENT=x"))
 	f.Add([]byte("garbage"))
@@ -28,6 +31,20 @@ func FuzzWireParse(f *testing.F) {
 		if m2.Header != m.Header || !bytes.Equal(m2.Content, m.Content) {
 			t.Fatalf("round-trip mismatch: %+v vs %+v", m, m2)
 		}
+		if got, want := AppendEncode(nil, m), encodeOracle(m); !bytes.Equal(got, want) {
+			t.Fatalf("AppendEncode diverged from the old Encode:\n got %q\nwant %q", got, want)
+		}
+		// Appending after a prefix (the WAL batch and run block shape) leaves
+		// the prefix alone and adds exactly the datagram.
+		prefix := data[:len(data)/2]
+		buf := AppendEncode(append([]byte(nil), prefix...), m)
+		if !bytes.Equal(buf[:len(prefix)], prefix) {
+			t.Fatal("AppendEncode clobbered the bytes before it")
+		}
+		m3, err := Parse(buf[len(prefix):])
+		if err != nil || m3.Header != m.Header || !bytes.Equal(m3.Content, m.Content) {
+			t.Fatalf("Parse(AppendEncode(prefix, m)[len(prefix):]) = %+v, %v; want %+v", m3, err, m)
+		}
 	})
 }
 
@@ -37,7 +54,11 @@ func FuzzWireParse(f *testing.F) {
 // chunk payloads, and Complete records reproducing the chunked content
 // exactly. The giant-TOT seed pins the hostile-Total fix — Reassemble must
 // walk the chunks that arrived, not the announced range, or this seed alone
-// costs two billion iterations.
+// costs two billion iterations. Every result is also compared record for
+// record with reassembleOracle — the map-of-maps implementation this kernel
+// replaced — on the parsed set, on the parsed set delivered twice in opposite
+// orders (every Seq duplicated, so "the later arrival wins" decides the
+// content), and on the chunked input.
 func FuzzReassemble(f *testing.F) {
 	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1|CONTENT=x"), uint8(16))
 	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=2000000000|CONTENT=x"), uint8(0))
@@ -58,7 +79,16 @@ func FuzzReassemble(f *testing.F) {
 			msgs = append(msgs, m)
 			payload += len(m.Content)
 		}
-		for _, r := range Reassemble(msgs) {
+		recs := Reassemble(msgs)
+		if want := reassembleOracle(msgs); !reflect.DeepEqual(recs, want) {
+			t.Fatalf("Reassemble diverged from the oracle:\n got %+v\nwant %+v", recs, want)
+		}
+		twice := append(append([]Message(nil), msgs...), msgs...)
+		slices.Reverse(twice[len(msgs):])
+		if got, want := Reassemble(twice), reassembleOracle(twice); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Reassemble diverged from the oracle on duplicated chunks:\n got %+v\nwant %+v", got, want)
+		}
+		for _, r := range recs {
 			if len(r.Content) > payload {
 				t.Fatalf("record content %d bytes exceeds %d bytes of chunk payload", len(r.Content), payload)
 			}
@@ -74,7 +104,10 @@ func FuzzReassemble(f *testing.F) {
 		for i, j := 0, len(chunks)-1; i < j; i, j = i+1, j-1 {
 			chunks[i], chunks[j] = chunks[j], chunks[i]
 		}
-		recs := Reassemble(chunks)
+		recs = Reassemble(chunks)
+		if want := reassembleOracle(chunks); !reflect.DeepEqual(recs, want) {
+			t.Fatalf("Reassemble diverged from the oracle on chunked input: %+v vs %+v", recs[0].Header, want[0].Header)
+		}
 		if len(recs) != 1 {
 			t.Fatalf("chunked input reassembled to %d records", len(recs))
 		}

@@ -9,13 +9,25 @@
 // JOBID, STEPID, PID, HASH, HOST, TIME, LAYER, TYPE — let the receiver's
 // post-processing reassemble chunks and distinguish processes, including
 // exec()-reused PIDs, via the executable-path hash.
+//
+// A header value may contain any byte except the field separator '|'. Code
+// that has to tell two headers apart therefore compares fields (Header is
+// comparable; Reassemble's recordKey), and never a string made by joining
+// them around some other "unused" byte: there is none.
+//
+// AppendEncode is the one encoder — senders, the store's WAL batches and its
+// run blocks all append through it into a buffer they own — and Parse its
+// inverse; both sit on the receiver's per-datagram path and Reassemble on
+// the per-row path of every consolidation, so all three are written to
+// allocate as little as the data allows.
 package wire
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -66,54 +78,45 @@ type Header struct {
 	Total  int    // chunk count (>= 1)
 }
 
-// Key returns the grouping key shared by all chunks of one logical record:
-// everything except Seq/Total.
-func (h Header) Key() string {
-	return strings.Join([]string{h.JobID, h.StepID, strconv.Itoa(h.PID), h.Hash, h.Host,
-		strconv.FormatInt(h.Time, 10), h.Layer, h.Type}, "\x1f")
-}
-
-// ProcessKey groups all records of one process instance (all types).
-func (h Header) ProcessKey() string {
-	return strings.Join([]string{h.JobID, h.StepID, strconv.Itoa(h.PID), h.Hash, h.Host,
-		strconv.FormatInt(h.Time, 10)}, "\x1f")
-}
-
 // Message is one datagram: header plus content chunk.
 type Message struct {
 	Header
 	Content []byte
 }
 
-// Encode renders the message as a datagram. The content is last and raw, so
-// it may contain any bytes including the field separator.
+// AppendEncode appends m rendered as a datagram to dst and returns the
+// extended buffer. The content is last and raw, so it may contain any bytes
+// including the field separator. This is the one encoder: the store's WAL
+// batches and run blocks append every row into a buffer they own, so a stored
+// row costs one encode per tier and no intermediate copy.
+func AppendEncode(dst []byte, m Message) []byte {
+	dst = append(dst, magic+"|JOBID="...)
+	dst = append(dst, m.JobID...)
+	dst = append(dst, "|STEPID="...)
+	dst = append(dst, m.StepID...)
+	dst = append(dst, "|PID="...)
+	dst = strconv.AppendInt(dst, int64(m.PID), 10)
+	dst = append(dst, "|HASH="...)
+	dst = append(dst, m.Hash...)
+	dst = append(dst, "|HOST="...)
+	dst = append(dst, m.Host...)
+	dst = append(dst, "|TIME="...)
+	dst = strconv.AppendInt(dst, m.Time, 10)
+	dst = append(dst, "|LAYER="...)
+	dst = append(dst, m.Layer...)
+	dst = append(dst, "|TYPE="...)
+	dst = append(dst, m.Type...)
+	dst = append(dst, "|SEQ="...)
+	dst = strconv.AppendInt(dst, int64(m.Seq), 10)
+	dst = append(dst, "|TOT="...)
+	dst = strconv.AppendInt(dst, int64(m.Total), 10)
+	dst = append(dst, "|CONTENT="...)
+	return append(dst, m.Content...)
+}
+
+// Encode renders the message as a fresh datagram.
 func Encode(m Message) []byte {
-	var sb strings.Builder
-	sb.Grow(128 + len(m.Content))
-	sb.WriteString(magic)
-	sb.WriteString("|JOBID=")
-	sb.WriteString(m.JobID)
-	sb.WriteString("|STEPID=")
-	sb.WriteString(m.StepID)
-	sb.WriteString("|PID=")
-	sb.WriteString(strconv.Itoa(m.PID))
-	sb.WriteString("|HASH=")
-	sb.WriteString(m.Hash)
-	sb.WriteString("|HOST=")
-	sb.WriteString(m.Host)
-	sb.WriteString("|TIME=")
-	sb.WriteString(strconv.FormatInt(m.Time, 10))
-	sb.WriteString("|LAYER=")
-	sb.WriteString(m.Layer)
-	sb.WriteString("|TYPE=")
-	sb.WriteString(m.Type)
-	sb.WriteString("|SEQ=")
-	sb.WriteString(strconv.Itoa(m.Seq))
-	sb.WriteString("|TOT=")
-	sb.WriteString(strconv.Itoa(m.Total))
-	sb.WriteString("|CONTENT=")
-	sb.WriteString(string(m.Content))
-	return []byte(sb.String())
+	return AppendEncode(make([]byte, 0, 128+len(m.Content)), m)
 }
 
 // ErrMalformed is returned by Parse for datagrams that do not follow the
@@ -304,63 +307,134 @@ type Record struct {
 	Complete bool
 }
 
-// Reassemble groups messages by record key and joins chunk contents. Records
-// with missing chunks are returned with Complete=false — SIREN keeps partial
-// data rather than discarding it (the fuzzy hashes of list categories remain
-// comparable even with gaps, which is why the lists are hashed as well).
+// Reassemble groups messages by record key — every header field except
+// Seq/Total — and joins chunk contents. Records with missing chunks are
+// returned with Complete=false — SIREN keeps partial data rather than
+// discarding it (the fuzzy hashes of list categories remain comparable even
+// with gaps, which is why the lists are hashed as well). Records come out in
+// first-appearance order.
 //
 // Chunks arrive in any order, so the group's chunk count is the maximum
 // Total announced across its chunks — not the first-seen header's. Sizing
 // the loop from the first chunk silently dropped any chunk with
 // Seq >= firstTotal (a reordered re-send with a larger Total) and could mark
 // the record Complete with data missing. Groups whose chunks disagree on
-// Total mix two versions of the record and are never Complete.
+// Total mix two versions of the record and are never Complete. When one Seq
+// arrives twice, the later arrival wins.
+//
+// This runs once per stored row on every consolidation, so it is shaped for
+// the traffic that exists: most records are one chunk, and a record's chunks
+// arrive together. A message that continues the previous message's record is
+// matched without a lookup; any other goes through one map keyed by
+// recordKey. Each record is built in place in the result; a single-chunk
+// record keeps its content without a copy, and only a second chunk allocates
+// a chunk list.
 func Reassemble(msgs []Message) []Record {
-	type group struct {
-		header   Header
-		maxTotal int  // largest Total announced by any chunk
-		mismatch bool // chunks disagreed on Total: two record versions mixed
-		chunks   map[int][]byte
+	// While grouping, a Record's Header is its first chunk's with Total raised
+	// to the largest announced, and its Content the first chunk's; state holds
+	// the rest of what is known about it.
+	type state struct {
+		mismatch bool    // chunks disagreed on Total: two record versions mixed
+		chunks   []chunk // every chunk in arrival order, once a second one arrived
 	}
-	groups := make(map[string]*group)
-	var keys []string
-	for _, m := range msgs {
-		k := m.Key()
-		g, ok := groups[k]
-		if !ok {
-			g = &group{header: m.Header, maxTotal: m.Total, chunks: make(map[int][]byte)}
-			groups[k] = g
-			keys = append(keys, k)
-		}
-		if m.Total != g.maxTotal {
-			g.mismatch = true
-			if m.Total > g.maxTotal {
-				g.maxTotal = m.Total
+	out := make([]Record, 0, len(msgs))
+	states := make([]state, 0, len(msgs))
+	index := make(map[recordKey]int32, len(msgs))
+	var lastKey recordKey
+	last := int32(-1) // the record the previous message belonged to
+	for i := range msgs {
+		m := &msgs[i]
+		key := recordKey{m.JobID, m.StepID, m.PID, m.Hash, m.Host, m.Time, m.Layer, m.Type}
+		if last < 0 || key != lastKey {
+			lastKey = key
+			var seen bool
+			if last, seen = index[key]; !seen { // first chunk of a new record
+				last = int32(len(out))
+				index[key] = last
+				out = append(out, Record{Header: m.Header, Content: m.Content})
+				states = append(states, state{})
+				continue
 			}
 		}
-		g.chunks[m.Seq] = m.Content
+		rec, st := &out[last], &states[last]
+		if m.Total != rec.Header.Total {
+			st.mismatch = true
+			if m.Total > rec.Header.Total {
+				rec.Header.Total = m.Total
+			}
+		}
+		if st.chunks == nil {
+			st.chunks = append(st.chunks, chunk{rec.Header.Seq, rec.Content})
+		}
+		st.chunks = append(st.chunks, chunk{m.Seq, m.Content})
 	}
-	out := make([]Record, 0, len(keys))
-	for _, k := range keys {
-		g := groups[k]
-		g.header.Total = g.maxTotal
-		// Walk the chunks that actually arrived, in Seq order, never the
-		// announced range: a single datagram with TOT=2000000000 must not
-		// cost two billion map probes. The Seqs are distinct ints, so
-		// len == maxTotal with min 0 and max maxTotal-1 pigeonholes to
-		// exactly the full range [0, maxTotal).
-		seqs := make([]int, 0, len(g.chunks))
-		for s := range g.chunks {
-			seqs = append(seqs, s)
+	for i := range out {
+		rec, st := &out[i], &states[i]
+		if st.chunks == nil {
+			if len(rec.Content) == 0 {
+				rec.Content = nil
+			}
+			rec.Complete = rec.Header.Total == 1 && rec.Header.Seq == 0
+			continue
 		}
-		sort.Ints(seqs)
-		complete := !g.mismatch && len(seqs) == g.maxTotal &&
-			seqs[0] == 0 && seqs[len(seqs)-1] == g.maxTotal-1
-		var content []byte
-		for _, s := range seqs {
-			content = append(content, g.chunks[s]...)
-		}
-		out = append(out, Record{Header: g.header, Content: content, Complete: complete})
+		var full bool
+		rec.Content, full = joinChunks(st.chunks, rec.Header.Total)
+		rec.Complete = full && !st.mismatch
 	}
 	return out
+}
+
+// recordKey identifies one logical record: every header field except
+// Seq/Total. A comparable struct rather than the fields joined with a
+// separator: header values may contain any byte but '|', so a joined key can
+// make two records collide, and building it costs an allocation per message.
+// As a map key every field goes through the runtime's per-map seeded hash, so
+// no sender can aim datagrams at one bucket.
+type recordKey struct {
+	jobID, stepID string
+	pid           int
+	hash, host    string
+	time          int64
+	layer, typ    string
+}
+
+// chunk is one arrived piece of a multi-chunk record.
+type chunk struct {
+	seq     int
+	content []byte
+}
+
+// joinChunks concatenates a record's chunks in Seq order and reports whether
+// they cover exactly [0, total). It walks the chunks that actually arrived,
+// never the announced range: a datagram with TOT=2000000000 must not cost two
+// billion steps. Arrival order is Seq order unless UDP reordered or re-sent,
+// so the sort runs only then; it is stable, which leaves the latest arrival
+// of a repeated Seq last in its run — the one that wins. The distinct Seqs
+// are ints, so count == total with min 0 and max total-1 pigeonholes to the
+// full range.
+func joinChunks(chunks []chunk, total int) (content []byte, complete bool) {
+	bySeq := func(a, b chunk) int { return cmp.Compare(a.seq, b.seq) }
+	if !slices.IsSortedFunc(chunks, bySeq) {
+		slices.SortStableFunc(chunks, bySeq)
+	}
+	distinct, size := 0, 0
+	for i, c := range chunks {
+		if i+1 < len(chunks) && chunks[i+1].seq == c.seq {
+			continue // superseded by a later arrival of the same Seq
+		}
+		distinct++
+		size += len(c.content)
+	}
+	complete = distinct == total && chunks[0].seq == 0 && chunks[len(chunks)-1].seq == total-1
+	if size == 0 {
+		return nil, complete
+	}
+	content = make([]byte, 0, size)
+	for i, c := range chunks {
+		if i+1 < len(chunks) && chunks[i+1].seq == c.seq {
+			continue
+		}
+		content = append(content, c.content...)
+	}
+	return content, complete
 }

@@ -286,9 +286,77 @@ func TestExecPIDReuseDistinguishedByHash(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("exec-reused PID collapsed into %d record(s)", len(recs))
 	}
-	if recs[0].Header.ProcessKey() == recs[1].Header.ProcessKey() {
-		t.Error("process keys must differ when the executable hash differs")
+	if recs[0].Header.Hash == recs[1].Header.Hash {
+		t.Error("records must keep their own executable hash")
 	}
+}
+
+// TestReassembleSeparatorByteInsideValues: 0x1f is a legal byte inside a
+// header value (Parse only excludes '|'), so a key that joins fields with it
+// is ambiguous. These two datagrams differ in JOBID and STEPID yet used to
+// share the joined key "100\x1f7\x1f0…" and reassemble into one record.
+func TestReassembleSeparatorByteInsideValues(t *testing.T) {
+	var msgs []Message
+	for _, d := range []string{
+		"SIREN1|JOBID=100\x1f7|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=FILE_H|SEQ=0|TOT=1|CONTENT=3:aaa:bbb",
+		"SIREN1|JOBID=100|STEPID=7\x1f0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=FILE_H|SEQ=0|TOT=1|CONTENT=3:ccc:ddd",
+	} {
+		m, err := Parse([]byte(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs = append(msgs, m)
+	}
+	recs := Reassemble(msgs)
+	if len(recs) != 2 {
+		t.Fatalf("two records of different jobs reassembled into %d", len(recs))
+	}
+	for i, r := range recs {
+		if r.Header != msgs[i].Header || !bytes.Equal(r.Content, msgs[i].Content) || !r.Complete {
+			t.Errorf("record %d = %+v %q, want its own datagram back", i, r.Header, r.Content)
+		}
+	}
+}
+
+// TestReassembleMatchesOracle runs the kernel and the implementation it
+// replaced over traffic shaped to hit every branch: interleaved records,
+// duplicated and reordered chunks, Total disagreement, empty contents.
+func TestReassembleMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var msgs []Message
+	for p := 0; p < 40; p++ {
+		h := sampleHeader()
+		h.PID = 100 + p%9 // PIDs repeat: later records re-join earlier groups
+		h.Time += int64(p % 3)
+		h.Type = []string{TypeMetadata, TypeObjects, TypeMaps, "CUSTOM"}[p%4]
+		content := bytes.Repeat([]byte{byte('a' + p%26)}, (p*211)%3000)
+		chunks := Chunk(h, content, 300)
+		if p%5 == 0 {
+			chunks = append(chunks, Chunk(h, content[:len(content)/2], 300)...) // stale re-send, smaller Total
+		}
+		if p%7 == 0 {
+			chunks = append(chunks, chunks...) // every chunk twice
+		}
+		msgs = append(msgs, chunks...)
+	}
+	check := func(name string, in []Message) {
+		t.Helper()
+		want := reassembleOracle(in)
+		if got := Reassemble(in); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Reassemble diverged from the oracle (%d vs %d records)", name, len(got), len(want))
+		}
+	}
+	check("in order", msgs)
+	rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
+	check("shuffled", msgs)
+	lossy := msgs[:0:0]
+	for _, m := range msgs {
+		if rng.Intn(10) > 0 {
+			lossy = append(lossy, m)
+		}
+	}
+	check("lossy", lossy)
+	check("empty", nil)
 }
 
 func TestQuickRoundTrip(t *testing.T) {
