@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race vet fmt fmt-check lint staticcheck sirenlint fuzz-smoke bench bench-smoke bench-store bench-read bench-serve bench-gate bench-gate-run bench-rebaseline test-replay test-cluster test-serve test-failover test-runs test-obs ci
+.PHONY: build test test-race vet fmt fmt-check lint staticcheck sirenlint fuzz-smoke bench bench-smoke bench-store bench-read bench-serve bench-gate bench-gate-run bench-rebaseline test-replay test-serve test-failover test-runs test-obs ci
 
 build:
 	$(GO) build ./...
@@ -107,20 +107,16 @@ test-runs:
 	$(GO) test -race -count=1 -run 'Seal|ReadOnly|RoundTrip|JobCursor|WriteSorts|WriteEmpty|CorruptionDetected' \
 		./internal/sirendb ./internal/sirendb/runfmt ./internal/postprocess
 
-# Multi-receiver deployment suite under the race detector: partition
-# admission at the receiver, merged snapshots over member databases, the
-# merged-vs-single consolidation equivalence, and the 3-receiver UDP
-# end-to-end run (real siren-receiver processes, byte-compared reports).
-test-cluster:
-	$(GO) test -race -count=1 -run 'MultiReceiver|Partition|Merged|OpenSet' \
-		. ./internal/receiver ./internal/sirendb ./internal/postprocess ./internal/wire
-
-# Failover suite under the race detector (DESIGN.md §11): rendezvous
-# ownership and view convergence, confirm-probed death reporting, sender
-# journal-replay dispatch, merge-back overlap dedup, and the kill-one-of-N
-# UDP end-to-end run (SIGKILL a member mid-campaign, byte-compared reports).
+# Multi-receiver suite under the race detector (DESIGN.md §11): roster
+# admission at the receiver, rendezvous ownership and view convergence,
+# confirm-probed death reporting, sender journal-replay dispatch, merged
+# snapshots over member databases, the merged-vs-single consolidation
+# equivalence, merge-back overlap dedup, and the two UDP end-to-end runs —
+# three members of a roster nobody probes against a single receiver, and
+# kill-one-of-N (SIGKILL a member mid-campaign) — both byte-comparing the
+# merged report.
 test-failover:
-	$(GO) test -race -count=1 -run 'Failover|Membership|Dedup|Prober|Dispatch|Backoff|Probe|Roster|Route|Health|Score|PartitionHashGolden' \
+	$(GO) test -race -count=1 -run 'MultiReceiver|Merged|OpenSet|Failover|Membership|Dedup|Prober|Dispatch|Backoff|Probe|Roster|Route|Health|Score|PartitionHashGolden' \
 		. ./internal/membership ./internal/campaign ./internal/receiver ./internal/sirendb ./internal/postprocess ./internal/wire
 
 # Serving-tier suite under the race detector: watermark deltas, incremental
@@ -158,10 +154,9 @@ bench-serve:
 # open pair (the flat sealed open is the storage tier's claim), and the
 # consolidation every refresh and every analysis runs (through the store, and
 # the kernel alone on the campaign capture) — plus the
-# scoring kernels by themselves (a 64-byte distance and a 1000-entry Matcher
-# query): in a geomean over a dozen benchmarks a return to DP cost in
-# BenchmarkIdentify alone would sit at the threshold, with these two it is
-# far past it. Each is run -count times with -benchmem so
+# scoring kernel by itself (a 64-byte distance): in a geomean over a dozen
+# benchmarks a return to DP cost in BenchmarkIdentify alone would sit at the
+# threshold, with this one beside it it is far past it. Each is run -count times with -benchmem so
 # benchdiff can take the noise-resistant minimum, compared against the
 # committed baseline and failing on a >25% geometric-mean slowdown or on any
 # one benchmark's allocs/op rising >10% (counts repeat, so they get no
@@ -176,7 +171,6 @@ bench-gate-run:
 	@mkdir -p .bench && rm -f $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkIdentify/n=10000$$/indexed$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/analysis | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkIndexDerive/rebuild/n=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/analysis | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkMatcher1000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/ssdeep | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkWeighted64$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/editdist | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkIdentify/serial/jobs=16$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/server | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkCatalogRefresh/incremental/jobs=16$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/catalog | tee -a $(BENCH_GATE_OUT)
@@ -196,7 +190,7 @@ bench-rebaseline: bench-gate-run
 	$(GO) run ./cmd/benchdiff -write -out $(BENCH_BASELINE) $(BENCH_GATE_OUT)
 
 # Everything the three CI jobs run (test, e2e, bench), serially.
-ci: build vet fmt-check staticcheck sirenlint test-race test-runs test-cluster test-failover test-serve test-obs fuzz-smoke bench-smoke
+ci: build vet fmt-check staticcheck sirenlint test-race test-runs test-failover test-serve test-obs fuzz-smoke bench-smoke
 	$(MAKE) bench-read BENCHTIME=1x
 	$(MAKE) bench-serve BENCHTIME=1x
 	$(MAKE) bench-gate

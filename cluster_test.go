@@ -1,8 +1,9 @@
 // Multi-receiver cluster end-to-end test: one campaign broadcast over real
-// UDP to an unpartitioned receiver process and to three -partition k/3
-// receiver processes, then analysed both ways — the single database versus
-// the merged three-member set. The partitioned deployment must be
-// indistinguishable in the report output and ingest exactly once in total.
+// UDP to a roster-less receiver process and to the three members of a roster
+// without health addresses — the static deployment, a roster nobody probes —
+// then analysed both ways: the single database versus the merged
+// three-member set. The three-member deployment must be indistinguishable in
+// the report output and ingest exactly once in total.
 package siren_test
 
 import (
@@ -117,7 +118,7 @@ func finalStats(t *testing.T, lines []string) rcvStats {
 }
 
 // fanoutTransport broadcasts every datagram to all member transports — the
-// sender side of a partitioned deployment where collectors spray across all
+// sender side of a multi-receiver deployment where collectors spray across all
 // receiver ports and rely on admission to deduplicate.
 type fanoutTransport struct {
 	members []wire.Transport
@@ -164,18 +165,31 @@ func TestMultiReceiverClusterEndToEnd(t *testing.T) {
 
 	work := t.TempDir()
 	const parts = 3
-	common := []string{"-stats-interval", "0", "-rcvbuf", "8388608", "-addr", "127.0.0.1:0"}
+	common := []string{"-stats-interval", "0", "-rcvbuf", "8388608"}
+
+	// Roster: every member's UDP port reserved up front, no health address,
+	// so no member is ever probed or marked down.
+	udpAddrs := make([]string, parts)
+	entries := make([]string, parts)
+	for k := 0; k < parts; k++ {
+		udpAddrs[k] = freeAddr(t, "udp")
+		entries[k] = fmt.Sprintf("r%d=%s", k, udpAddrs[k])
+	}
+	roster := strings.Join(entries, ",")
 
 	singleWAL := filepath.Join(work, "single.wal")
-	single := startReceiver(t, receiverBin, append([]string{"-db", singleWAL}, common...)...)
+	single := startReceiver(t, receiverBin, append([]string{"-db", singleWAL, "-addr", "127.0.0.1:0"}, common...)...)
 	members := make([]*rcvProc, parts)
 	memberWALs := make([]string, parts)
 	for k := 0; k < parts; k++ {
 		memberWALs[k] = filepath.Join(work, fmt.Sprintf("member-%d.wal", k))
+		// -addr defaults from the member's roster entry.
 		members[k] = startReceiver(t, receiverBin, append([]string{
-			"-db", memberWALs[k],
-			"-partition", fmt.Sprintf("%d/%d", k, parts),
+			"-db", memberWALs[k], "-member-id", fmt.Sprintf("r%d", k), "-roster", roster,
 		}, common...)...)
+		if members[k].addr != udpAddrs[k] {
+			t.Fatalf("member %d bound %s, want its roster address %s", k, members[k].addr, udpAddrs[k])
+		}
 	}
 
 	// One campaign, every datagram broadcast to all four receivers: the
@@ -204,13 +218,16 @@ func TestMultiReceiverClusterEndToEnd(t *testing.T) {
 
 	// The equality assertions below presuppose lossless delivery; loopback
 	// with an 8 MiB socket buffer and drain-on-close provides it, and this
-	// check tells a kernel-drop flake apart from a partitioning bug.
+	// check tells a kernel-drop flake apart from an admission bug.
 	for i, st := range append([]rcvStats{singleStats}, memberStats...) {
 		if st.received != fan.sent {
-			t.Fatalf("receiver %d saw %d of %d datagrams (kernel loss?); cannot assert partition equalities", i, st.received, fan.sent)
+			t.Fatalf("receiver %d saw %d of %d datagrams (kernel loss?); cannot assert admission equalities", i, st.received, fan.sent)
 		}
 		if st.malformed != 0 || st.dropped != 0 || st.insertErrors != 0 || st.insertLost != 0 {
 			t.Fatalf("receiver %d reported losses: %+v", i, st)
+		}
+		if st.acceptedFailover != 0 {
+			t.Errorf("receiver %d accepted_failover=%d under a roster nobody probes, want 0", i, st.acceptedFailover)
 		}
 	}
 
@@ -223,7 +240,7 @@ func TestMultiReceiverClusterEndToEnd(t *testing.T) {
 	sumRows := 0
 	for k, st := range memberStats {
 		if st.inserted == 0 {
-			t.Errorf("member %d ingested nothing; partition admission over-rejected", k)
+			t.Errorf("member %d ingested nothing; roster admission over-rejected", k)
 		}
 		if st.rejected != fan.sent-st.inserted {
 			t.Errorf("member %d: rejected=%d, want received-inserted=%d", k, st.rejected, fan.sent-st.inserted)
@@ -234,7 +251,7 @@ func TestMultiReceiverClusterEndToEnd(t *testing.T) {
 		sumRows += st.rows
 	}
 	if sumRows != singleStats.rows {
-		t.Errorf("member rows sum to %d, single receiver stored %d: double- or under-ingest across the partition set", sumRows, singleStats.rows)
+		t.Errorf("member rows sum to %d, single receiver stored %d: double- or under-ingest across the roster", sumRows, singleStats.rows)
 	}
 
 	// Analysis equivalence: the merged member set must reproduce the single

@@ -12,8 +12,10 @@
 // -db takes a comma-separated list of WAL base paths, each element optionally
 // a glob. Glob matches may name the member databases' on-disk artifacts
 // directly (segment files "base.N", "base.lock"); they are folded back to
-// their base paths and deduplicated. Multiple members — the databases of an
-// N-receiver partitioned deployment — are analysed through one merged
+// their base paths and deduplicated. Multiple members — the databases of the
+// N receivers of one roster (siren-receiver -member-id rK -roster
+// 'r0=…,r1=…,r2=…'; a static split is a roster without @health addresses,
+// which nobody probes) — are analysed through one merged
 // snapshot, producing exactly the report a single receiver ingesting the
 // whole campaign would. Overlapping (JOBID, HOST) runs left by a receiver
 // failover (the dead member's recovered WAL vs. the replayed copy its keys'
@@ -72,7 +74,7 @@ func run() (err error) {
 	}
 	defer func() { err = errors.Join(err, set.Close()) }()
 	// Streaming, shard-parallel consolidation over the merged snapshot
-	// cursor: member databases (one per receiver partition) and their WAL
+	// cursor: member databases (one per roster member) and their WAL
 	// shards are grouped per job without ever materialising the whole
 	// message set. A single -db path is the one-member degenerate case.
 	snap := set.Snapshot()
@@ -80,8 +82,9 @@ func run() (err error) {
 		// Failover merge-back (DESIGN.md §11): a receiver that died and
 		// recovered contributes a WAL whose runs are sub-multisets of the
 		// copies its keys' new owners hold. Suppress those before
-		// consolidating so overlap windows never double-count; disjoint
-		// static partitions dedup to nothing, so this is safe to always run.
+		// consolidating so overlap windows never double-count; the disjoint
+		// members of a static roster dedup to nothing, so this is safe to
+		// always run.
 		snap.DedupOverlaps()
 	}
 	data, stats := analysis.ConsolidateDataset(snap, postprocess.StreamOptions{Workers: *workers})

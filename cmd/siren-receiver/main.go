@@ -7,7 +7,7 @@
 // Usage:
 //
 //	siren-receiver [-addr 127.0.0.1:8787] [-db siren.wal]
-//	               [-partition k/N]
+//	               [-member-id ID -roster 'id=udp[@health],...']
 //	               [-readers N] [-writers M] [-depth D] [-batch B]
 //	               [-sync-interval 100ms]
 //	               [-rcvbuf BYTES] [-stats-interval 10s]
@@ -38,34 +38,34 @@
 // deployment accepting datagrams from compute nodes binds a routable
 // interface explicitly, e.g. -addr 0.0.0.0:8787.
 //
-// Multi-receiver deployment: N processes share one campaign by running each
-// with its own database and a distinct partition slice,
+// Multi-receiver deployment (DESIGN.md §11): N processes share one campaign
+// by running each with its own database, a member ID, and the same roster.
+// A static three-way split is a roster without health addresses — nobody
+// probes it, so ownership never moves:
 //
-//	siren-receiver -addr 0.0.0.0:8787 -db siren-0.wal -partition 0/3
-//	siren-receiver -addr 0.0.0.0:8788 -db siren-1.wal -partition 1/3
-//	siren-receiver -addr 0.0.0.0:8789 -db siren-2.wal -partition 2/3
+//	siren-receiver -db siren-0.wal -member-id r0 -roster 'r0=0.0.0.0:8787,r1=0.0.0.0:8788,r2=0.0.0.0:8789'
+//	siren-receiver -db siren-1.wal -member-id r1 -roster 'r0=0.0.0.0:8787,r1=0.0.0.0:8788,r2=0.0.0.0:8789'
+//	siren-receiver -db siren-2.wal -member-id r2 -roster 'r0=0.0.0.0:8787,r1=0.0.0.0:8788,r2=0.0.0.0:8789'
 //
-// Each receiver admits only datagrams whose wire.PartitionHash(JOBID, HOST)
-// lands in its slice and counts the rest as rejected, so senders may spray
-// or broadcast across all N ports with no double-ingest. Analysis merges the
-// member databases back together: siren-analyze -db 'siren-0.wal,siren-1.wal,siren-2.wal'.
+// Each process admits only the (JOBID, HOST) keys it owns under rendezvous
+// hashing over the live members and counts the rest as rejected, so senders
+// may spray or broadcast across all N ports with no double-ingest. Analysis
+// merges the member databases back together:
+// siren-analyze -db 'siren-0.wal,siren-1.wal,siren-2.wal'.
 //
-// Membership mode (DESIGN.md §11) replaces the static -partition slices with
-// a failover-capable roster:
+// Giving members health addresses makes the roster failover-capable:
 //
 //	siren-receiver -db siren-0.wal -member-id r0 \
 //	    -roster 'r0=127.0.0.1:8787@127.0.0.1:9787,r1=127.0.0.1:8788@127.0.0.1:9788,r2=127.0.0.1:8789@127.0.0.1:9789'
 //
-// Each process admits the keys it owns under rendezvous hashing over the
-// currently-live members, so when one receiver dies its keys reassign to
-// survivors with no operator action (admitted keys whose all-live owner was
-// the dead member are counted accepted_failover). -addr and -expvar-addr
-// default from the member's roster entry (UDP@health); the health side of
-// the stats mux serves /healthz (liveness + ingest-stall, see -health-stall),
-// GET /membership (the live view as JSON), and POST /membership/down?id=X
-// (confirm-probed death reports from senders). A background prober
+// When one receiver dies its keys reassign to survivors with no operator
+// action (admitted keys whose all-live owner was the dead member are counted
+// accepted_failover). -addr and -expvar-addr default from the member's
+// roster entry (UDP@health); the health side of the stats mux serves
+// /healthz (liveness + ingest-stall, see -health-stall), GET /membership
+// (the live view as JSON), and POST /membership/down?id=X (confirm-probed
+// death reports from senders). A background prober
 // (-probe-interval/-probe-timeout) also detects peer deaths directly.
-// -partition and membership mode are mutually exclusive.
 package main
 
 import (
@@ -80,8 +80,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -100,30 +98,6 @@ func main() {
 	}
 }
 
-// parsePartition parses a "k/N" partition spec ("" = unpartitioned).
-func parsePartition(spec string) (k, n int, err error) {
-	if spec == "" {
-		return 0, 0, nil
-	}
-	bad := func() (int, int, error) {
-		return 0, 0, fmt.Errorf("invalid -partition %q: want k/N with 0 <= k < N", spec)
-	}
-	ks, ns, ok := strings.Cut(spec, "/")
-	if !ok {
-		return bad()
-	}
-	if k, err = strconv.Atoi(ks); err != nil {
-		return bad()
-	}
-	if n, err = strconv.Atoi(ns); err != nil {
-		return bad()
-	}
-	if n < 1 || k < 0 || k >= n {
-		return bad()
-	}
-	return k, n, nil
-}
-
 // run owns the whole process lifecycle so every defer — the store's final
 // fsync-and-close, the receiver drain, the expvar listener — fires on the
 // error paths too. The old main called os.Exit from a fatal() helper, which
@@ -132,7 +106,6 @@ func parsePartition(spec string) (k, n int, err error) {
 func run() (err error) {
 	addr := flag.String("addr", "127.0.0.1:8787", "UDP listen address (loopback by default; bind 0.0.0.0 to accept remote collectors)")
 	dbPath := flag.String("db", "siren.wal", "WAL file for the message store")
-	partSpec := flag.String("partition", "", "admit only partition k of N as \"k/N\" (e.g. 0/3); empty = admit everything")
 	readers := flag.Int("readers", 0, "UDP reader goroutines (0 = auto)")
 	writers := flag.Int("writers", 0, "writer shards, hash-partitioned by (JobID, Host) (0 = default)")
 	depth := flag.Int("depth", 0, "total buffered-channel capacity across shards (0 = default)")
@@ -154,10 +127,6 @@ func run() (err error) {
 	refreshEvery := flag.Duration("refresh-interval", 5*time.Second, "period of incremental catalog refresh behind -serve-addr (<= 0 disables: the served catalog then never sees ingested rows)")
 	flag.Parse()
 
-	partition, partitions, err := parsePartition(*partSpec)
-	if err != nil {
-		return err
-	}
 	if *retain < 0 {
 		return errors.New("-retain must be >= 0")
 	}
@@ -165,16 +134,13 @@ func run() (err error) {
 		return errors.New("-retain needs -seal-interval: generations only accumulate when sealing runs")
 	}
 
-	// Membership mode: rendezvous admission over the roster's live members,
-	// replacing (not composing with) the static partition slice.
+	// Membership mode: rendezvous admission over the roster's live members;
+	// without a roster the receiver admits everything.
 	var view *membership.View
 	if (*memberID != "") != (*rosterSpec != "") {
 		return errors.New("-member-id and -roster must be set together")
 	}
 	if *rosterSpec != "" {
-		if partitions > 1 {
-			return errors.New("-partition and -roster are mutually exclusive: membership admission supersedes static slices")
-		}
 		table, err := membership.ParseRoster(*rosterSpec)
 		if err != nil {
 			return err
@@ -226,8 +192,6 @@ func run() (err error) {
 		Readers:    *readers,
 		Writers:    *writers,
 		ReadBuffer: *rcvbuf,
-		Partition:  partition,
-		Partitions: partitions,
 		View:       view,
 		Metrics:    reg,
 	})
@@ -241,10 +205,7 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	slice := "all partitions"
-	if partitions > 1 {
-		slice = fmt.Sprintf("partition %d/%d", partition, partitions)
-	}
+	slice := "all keys"
 	if view != nil {
 		slice = fmt.Sprintf("member %s of %d", *memberID, view.Table().Len())
 	}

@@ -11,11 +11,13 @@
 //
 // -db takes the same grammar as siren-analyze: a comma-separated list of WAL
 // base paths, each element optionally a glob over the stores' on-disk
-// artifacts. The members of an N-receiver partitioned deployment,
+// artifacts. The members of an N-receiver deployment — here a static
+// three-way roster, one nobody probes because no member has an @health
+// address —
 //
-//	siren-receiver -addr 0.0.0.0:8787 -db siren-0.wal -partition 0/3
-//	siren-receiver -addr 0.0.0.0:8788 -db siren-1.wal -partition 1/3
-//	siren-receiver -addr 0.0.0.0:8789 -db siren-2.wal -partition 2/3
+//	siren-receiver -db siren-0.wal -member-id r0 -roster 'r0=0.0.0.0:8787,r1=0.0.0.0:8788,r2=0.0.0.0:8789'
+//	siren-receiver -db siren-1.wal -member-id r1 -roster 'r0=0.0.0.0:8787,r1=0.0.0.0:8788,r2=0.0.0.0:8789'
+//	siren-receiver -db siren-2.wal -member-id r2 -roster 'r0=0.0.0.0:8787,r1=0.0.0.0:8788,r2=0.0.0.0:8789'
 //
 // are served as one merged catalog: siren-serve -db 'siren-*.wal*' answers
 // exactly what a single receiver ingesting the whole campaign would. Every

@@ -17,7 +17,7 @@ import (
 	"testing"
 	"time"
 
-	"siren/internal/wire"
+	"siren/internal/membership"
 )
 
 func runCmd(t *testing.T, dir string, name string, args ...string) string {
@@ -110,11 +110,11 @@ func TestCommandLineSurface(t *testing.T) {
 	}
 }
 
-// TestReceiverExpvar runs siren-receiver with -expvar-addr and -partition,
-// feeds it real datagrams over UDP — half owned by its partition, half not
-// — and checks the /debug/vars endpoint serves the receiver and store
-// counters, including the rejected-datagram count (the backpressure- and
-// partition-telemetry satellites).
+// TestReceiverExpvar runs siren-receiver with -expvar-addr as one member of a
+// two-member roster, feeds it real datagrams over UDP — some owned by this
+// member, some by its (absent) sibling — and checks the /debug/vars endpoint
+// serves the receiver and store counters, including the rejected-datagram
+// count.
 func TestReceiverExpvar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping CLI build")
@@ -126,26 +126,36 @@ func TestReceiverExpvar(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "siren-receiver")
 	runCmd(t, repo, "go", "build", "-o", bin, "./cmd/siren-receiver")
 
-	// The receiver runs as partition k/2 where k owns (JOBID=7, HOST=n1);
-	// datagrams for (JOBID=7, HOST=reject-me) are crafted to hash to the
-	// other partition so exactly those must surface as Rejected.
-	owned := wire.PartitionIndex([]byte("7"), []byte("n1"), 2)
+	// The receiver runs as whichever member of the roster {r0, r1} owns
+	// (JOBID=7, HOST=n1); datagrams for (JOBID=7, HOST=rejectHost) are
+	// chosen so the other member owns them, and exactly those must surface
+	// as Rejected.
+	ids := []string{"r0", "r1"}
+	owner := func(host string) string {
+		job, h := []byte("7"), []byte(host)
+		if membership.Score(ids[0], job, h) >= membership.Score(ids[1], job, h) { // ties go to the smaller ID
+			return ids[0]
+		}
+		return ids[1]
+	}
+	self := owner("n1")
 	rejectHost := ""
 	for _, h := range []string{"n2", "n3", "n4", "n5", "n6", "n7"} {
-		if wire.PartitionIndex([]byte("7"), []byte(h), 2) != owned {
+		if owner(h) != self {
 			rejectHost = h
 			break
 		}
 	}
 	if rejectHost == "" {
-		t.Fatal("no candidate host hashes to the foreign partition")
+		t.Fatal("no candidate host is owned by the other member")
 	}
 
 	work := t.TempDir()
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
 		"-db", filepath.Join(work, "siren.wal"),
-		"-partition", fmt.Sprintf("%d/2", owned),
+		"-member-id", self,
+		"-roster", "r0=127.0.0.1:1,r1=127.0.0.1:2",
 		"-expvar-addr", "127.0.0.1:0",
 		"-stats-interval", "0")
 	stdout, err := cmd.StdoutPipe()
@@ -186,8 +196,8 @@ func TestReceiverExpvar(t *testing.T) {
 		t.Fatalf("startup lines missing (udp=%q expvar=%q): %v", udpAddr, expvarURL, sc.Err())
 	}
 
-	// Feed real datagrams so the counters move: 5 owned by this partition,
-	// 3 owned by the (absent) sibling receiver.
+	// Feed real datagrams so the counters move: 5 owned by this member,
+	// 3 owned by the (absent) sibling member.
 	conn, err := net.Dial("udp", udpAddr)
 	if err != nil {
 		t.Fatal(err)

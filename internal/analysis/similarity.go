@@ -151,8 +151,8 @@ func buildBlock(entries []fpEntry, idBase int32) *fpBlock {
 // block-size-bucketed, gram-inverted ssdeep.Index (DESIGN.md §9), so scoring
 // touches only entries that share at least one 7-gram with the query — every
 // other entry provably scores zero under the ssdeep common-substring
-// precondition. SearchExhaustive retains the full linear scan; both produce
-// identical rankings.
+// precondition. The tests hold it to SearchExhaustive, the full linear scan
+// (similarity_index_test.go): both produce identical rankings.
 //
 // The entry population is split into an immutable base block — shared, never
 // copied, across the generations NewFingerprintIndexFrom derives — plus a
@@ -510,7 +510,7 @@ func finishRows(rows []SimilarityRow, topN int) []SimilarityRow {
 // sharing a block-size bucket and at least one signature 7-gram with the
 // query (plus exact signature matches), unioned across the six
 // characteristics. Every non-candidate scores zero on all six digests, so
-// the result is byte-identical to SearchExhaustive.
+// the result is byte-identical to the exhaustive scan.
 func (ix *FingerprintIndex) Search(q Digests, topN int, backend ssdeep.Backend) []SimilarityRow {
 	var qp [numChars]queryChar
 	if !prepareQuery(q, &qp) {
@@ -536,23 +536,6 @@ func (ix *FingerprintIndex) Search(q Digests, topN int, backend ssdeep.Backend) 
 		}
 	}
 	candPool.Put(set)
-	return finishRows(rows, topN)
-}
-
-// SearchExhaustive is Search without candidate pruning: it scores every live
-// entry. Retained as the oracle for the index-equivalence tests and as the
-// scaling baseline BenchmarkIdentify measures the index against.
-func (ix *FingerprintIndex) SearchExhaustive(q Digests, topN int, backend ssdeep.Backend) []SimilarityRow {
-	var qp [numChars]queryChar
-	if !prepareQuery(q, &qp) {
-		return nil
-	}
-	var rows []SimilarityRow
-	ix.eachLive(func(e *fpEntry) {
-		if row, ok := scoreEntry(e, &qp, backend); ok {
-			rows = append(rows, row)
-		}
-	})
 	return finishRows(rows, topN)
 }
 

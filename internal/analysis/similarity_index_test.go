@@ -273,6 +273,23 @@ func TestIndexBuildIndependentOfParallelism(t *testing.T) {
 	}
 }
 
+// SearchExhaustive is Search without candidate pruning: it scores every live
+// entry. It is the oracle of the index-equivalence tests and the scaling
+// baseline BenchmarkIdentify measures the index against.
+func (ix *FingerprintIndex) SearchExhaustive(q Digests, topN int, backend ssdeep.Backend) []SimilarityRow {
+	var qp [numChars]queryChar
+	if !prepareQuery(q, &qp) {
+		return nil
+	}
+	var rows []SimilarityRow
+	ix.eachLive(func(e *fpEntry) {
+		if row, ok := scoreEntry(e, &qp, backend); ok {
+			rows = append(rows, row)
+		}
+	})
+	return finishRows(rows, topN)
+}
+
 // assertSearchEquivalence holds Search to SearchExhaustive under every
 // backend: the pruning argument (DESIGN.md §9) rests on the gate alone, so it
 // must hold whichever distance scores the survivors.
@@ -425,5 +442,85 @@ func TestSearchRankingIndependentOfConstruction(t *testing.T) {
 		if got := ix.Search(q, 0, ssdeep.BackendWeighted); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s construction ranks differently:\n got  %+v\n want %+v", name, got, want)
 		}
+	}
+}
+
+// TestSearchRanksCloserVariantsHigher: under every backend, a query finds
+// its own binary at 100 and ranks a lightly mutated build above a heavily
+// mutated one — the ranking the identify endpoint serves.
+func TestSearchRanksCloserVariantsHigher(t *testing.T) {
+	// blob is binary-like content: repeated instruction-ish words separated
+	// by random bytes, so mutated copies keep most of their 7-grams.
+	blob := func(rng *rand.Rand, n int) []byte {
+		words := []string{"mov", "call", "ret", "push", "pop", "xor", "lea", "jmp",
+			"climate", "solver", "matrix", "kernel", "flux", "grid", "halo"}
+		var b []byte
+		for len(b) < n {
+			w := words[rng.Intn(len(words))]
+			for r := rng.Intn(4); r >= 0; r-- {
+				b = append(b, w...)
+				b = append(b, byte(rng.Intn(256)))
+			}
+		}
+		return b[:n]
+	}
+	hash := func(data []byte) string {
+		h, err := ssdeep.Hash(data)
+		if err != nil {
+			t.Fatalf("Hash: %v", err)
+		}
+		return h
+	}
+	for _, backend := range []ssdeep.Backend{ssdeep.BackendWeighted, ssdeep.BackendDamerau, ssdeep.BackendLevenshtein} {
+		t.Run(backend.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(14))
+			base := blob(rng, 40000)
+			variant := func(nmut int) []byte {
+				v := append([]byte(nil), base...)
+				for i := 0; i < nmut; i++ {
+					v[rng.Intn(len(v))] ^= byte(1 + rng.Intn(255))
+				}
+				return v
+			}
+			h0 := hash(base)
+			files := map[string]string{
+				"exact":     h0,
+				"near":      hash(variant(10)),
+				"far":       hash(variant(3000)),
+				"unrelated": hash(blob(rand.New(rand.NewSource(999)), 40000)),
+			}
+			var records []*postprocess.ProcessRecord
+			for _, name := range []string{"exact", "near", "far", "unrelated"} {
+				records = append(records, &postprocess.ProcessRecord{
+					JobID: "1", Category: "user", Exe: "/appl/lammps/" + name + "/lmp", FileH: files[name],
+				})
+			}
+			ix := NewFingerprintIndex(records)
+			if ix.Len() != 4 {
+				t.Fatalf("Len = %d, want 4", ix.Len())
+			}
+
+			rows := ix.Search(Digests{File: h0}, 0, backend)
+			if len(rows) < 2 {
+				t.Fatalf("want at least 2 matches, got %d: %+v", len(rows), rows)
+			}
+			if rows[0].Exe != "/appl/lammps/exact/lmp" || rows[0].FileS != 100 {
+				t.Errorf("best match = %+v, want exact/100", rows[0])
+			}
+			scoreOf := func(name string) int {
+				for _, r := range rows {
+					if r.Exe == "/appl/lammps/"+name+"/lmp" {
+						return r.FileS
+					}
+				}
+				return 0
+			}
+			if scoreOf("near") <= scoreOf("far") {
+				t.Errorf("near (%d) should outscore far (%d)", scoreOf("near"), scoreOf("far"))
+			}
+			if best := ix.Search(Digests{File: h0}, 1, backend); len(best) != 1 || best[0] != rows[0] {
+				t.Errorf("top-1 = %+v, want %+v", best, rows[0])
+			}
+		})
 	}
 }

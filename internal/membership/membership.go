@@ -1,18 +1,19 @@
 // Package membership defines the campaign roster of a multi-receiver
 // deployment and the rendezvous-hashing ownership rule over it — the
-// replacement for the static `-partition k/N` admission.
+// receiver's only admission rule.
 //
 // A Table lists every receiver of a campaign (ID, UDP ingest address,
 // health/stats HTTP address). Ownership of a (JOBID, HOST) key is decided by
 // rendezvous (highest-random-weight) hashing: every member is scored against
-// the key and the highest-scoring *live* member owns it. The score chains
-// wire.PartitionHash — the canonical (JOBID, HOST) keyed hash the receiver
-// shards and the static partitioner already agree on — through the same
-// xxhash, seeded per member ID, so sender dispatch and receiver admission
-// compute identical ownership from identical inputs. When a member dies,
-// ownership of each of its keys falls independently to the next-highest
-// scorer, and — the rendezvous property — keys owned by surviving members
-// never move.
+// the key and the highest-scoring *live* member owns it. A roster whose
+// members have no health address is never probed, so its ownership never
+// moves: that is a static N-way deployment. The score chains
+// wire.PartitionHash — the canonical (JOBID, HOST) keyed hash the receiver's
+// writer shards already agree on — through the same xxhash, seeded per
+// member ID, so sender dispatch and receiver admission compute identical
+// ownership from identical inputs. When a member dies, ownership of each of
+// its keys falls independently to the next-highest scorer, and — the
+// rendezvous property — keys owned by surviving members never move.
 //
 // A View layers liveness over the table. Deaths are sticky: a member marked
 // down stays down for the lifetime of the view, so sender and receivers
@@ -68,6 +69,7 @@ func NewTable(members []Member) (*Table, error) {
 		byID:    make(map[string]int, len(members)),
 		idBytes: make([][]byte, len(members)),
 	}
+	udp := make(map[string]string, len(members))
 	for i, m := range t.members {
 		if m.ID == "" {
 			return nil, fmt.Errorf("membership: member %d has an empty ID", i)
@@ -81,6 +83,10 @@ func NewTable(members []Member) (*Table, error) {
 		if _, dup := t.byID[m.ID]; dup {
 			return nil, fmt.Errorf("membership: duplicate member ID %q", m.ID)
 		}
+		if other, dup := udp[m.UDPAddr]; dup {
+			return nil, fmt.Errorf("membership: members %q and %q share UDP address %s", other, m.ID, m.UDPAddr)
+		}
+		udp[m.UDPAddr] = m.ID
 		t.byID[m.ID] = i
 		t.idBytes[i] = []byte(m.ID)
 	}
@@ -151,7 +157,7 @@ func (t *Table) Index(id string) (int, bool) {
 // Score is the rendezvous weight of the member named id for the key
 // (job, host): wire.PartitionHash reused as the keyed hash, its 64-bit key
 // digest seeding one more xxhash round over the member ID. Like
-// PartitionHash and PartitionIndex, this is a cross-process wire contract —
+// PartitionHash, this is a cross-process wire contract —
 // every sender and receiver of a campaign must compute identical scores —
 // pinned by golden-value tests.
 func Score(id string, job, host []byte) uint64 {

@@ -67,6 +67,22 @@ func TestParseRosterErrors(t *testing.T) {
 	}
 }
 
+// Two members sharing one UDP address cannot both bind it: one process would
+// fail to start while senders kept routing its keys to the other, which
+// rejects them — and with no health address nobody would ever mark the
+// missing member down, so its slice would be lost silently.
+func TestRosterRejectsDuplicateUDPAddr(t *testing.T) {
+	if _, err := NewTable([]Member{
+		{ID: "r0", UDPAddr: "127.0.0.1:9000"},
+		{ID: "r1", UDPAddr: "127.0.0.1:9000"},
+	}); err == nil {
+		t.Error("NewTable accepted two members on one UDP address")
+	}
+	if _, err := ParseRoster("r0=127.0.0.1:9000,r1=127.0.0.1:9001,r2=127.0.0.1:9000"); err == nil {
+		t.Error("ParseRoster accepted two members on one UDP address")
+	}
+}
+
 // The failover order of a key must be a pure function of member IDs and the
 // key — independent of roster order — or differently-configured processes
 // would route the same datagram to different members.

@@ -134,7 +134,7 @@ func BenchmarkConsolidatePeakMemory(b *testing.B) {
 
 // BenchmarkMergedConsolidate measures the multi-receiver merge step: the
 // same campaign consolidated from one store versus from M member stores
-// (the databases of M -partition k/M receivers) through a merged snapshot.
+// (the databases of M roster members) through a merged snapshot.
 // The merged path adds only the per-member snapshot captures and the
 // (member × shard)-wide cursor table — time and allocations should track
 // the single-store streaming path, not the member count times it.
@@ -146,8 +146,9 @@ func BenchmarkMergedConsolidate(b *testing.B) {
 	buildMembers := func(members, shards int) []*sirendb.DB {
 		dbs := make([]*sirendb.DB, members)
 		groups := make([][]wire.Message, members)
+		owner := rosterOwner(b, members)
 		for _, m := range single.All() {
-			k := wire.PartitionIndex([]byte(m.JobID), []byte(m.Host), members)
+			k := owner(m)
 			groups[k] = append(groups[k], m)
 		}
 		for k := range dbs {
@@ -201,8 +202,9 @@ func BenchmarkMergedConsolidatePeakMemory(b *testing.B) {
 	// 256 jobs × 32 processes ≈ 57k messages across 3 member stores.
 	seedDB := synthWorld(b, 4, 256, 32)
 	groups := make([][]wire.Message, members)
+	owner := rosterOwner(b, members)
 	for _, m := range seedDB.All() {
-		k := wire.PartitionIndex([]byte(m.JobID), []byte(m.Host), members)
+		k := owner(m)
 		groups[k] = append(groups[k], m)
 	}
 	seedDB.Close()

@@ -33,8 +33,9 @@ func TestDedupedFailoverMergeMatchesSingleStore(t *testing.T) {
 
 	groups := make([][]wire.Message, members)
 	deadRuns := make(map[[2]string][]wire.Message) // (job, host) -> full run
+	owner := rosterOwner(t, members)
 	for _, m := range single.All() {
-		k := wire.PartitionIndex([]byte(m.JobID), []byte(m.Host), members)
+		k := owner(m)
 		if k == dead {
 			key := [2]string{m.JobID, m.Host}
 			deadRuns[key] = append(deadRuns[key], m)

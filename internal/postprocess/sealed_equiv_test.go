@@ -134,8 +134,9 @@ func TestSealedMergedConsolidationMatchesSingleStore(t *testing.T) {
 
 	const members = 3
 	groups := make([][]wire.Message, members)
+	owner := rosterOwner(t, members)
 	for _, m := range single.All() {
-		k := wire.PartitionIndex([]byte(m.JobID), []byte(m.Host), members)
+		k := owner(m)
 		groups[k] = append(groups[k], m)
 	}
 	snaps := make([]*sirendb.Snapshot, members)

@@ -6,10 +6,29 @@ import (
 	"sort"
 	"testing"
 
+	"siren/internal/membership"
 	"siren/internal/sirendb"
 	"siren/internal/slurm"
 	"siren/internal/wire"
 )
+
+// rosterOwner returns, for an n-member roster (r0 … r{n-1}), the member
+// that owns a message's (JOBID, HOST) key — the split n receivers sharing
+// one campaign admit.
+func rosterOwner(t testing.TB, n int) func(wire.Message) int {
+	t.Helper()
+	ms := make([]membership.Member, n)
+	for i := range ms {
+		ms[i] = membership.Member{ID: fmt.Sprintf("r%d", i), UDPAddr: fmt.Sprintf("127.0.0.1:%d", 9000+i)}
+	}
+	tbl, err := membership.NewTable(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(m wire.Message) int {
+		return tbl.RankedOwners([]byte(m.JobID), []byte(m.Host))[0]
+	}
+}
 
 // synthWorld inserts a deterministic multi-job, multi-host workload into a
 // sharded store: procsPerJob processes per job, each with METADATA, a
@@ -279,9 +298,8 @@ func TestStreamingEndToEndPipeline(t *testing.T) {
 }
 
 // TestMergedSnapshotMatchesSingleStore pins the multi-receiver equivalence:
-// partitioning one campaign across N member stores by
-// wire.PartitionHash(JOBID, HOST) — exactly what N -partition k/N receivers
-// do — and consolidating the merged snapshot produces record-for-record the
+// splitting one campaign across N member stores by roster ownership of
+// (JOBID, HOST) — exactly what N roster members do — and consolidating the merged snapshot produces record-for-record the
 // same output and stats as consolidating the union from one store.
 func TestMergedSnapshotMatchesSingleStore(t *testing.T) {
 	single := synthWorld(t, 4, 11, 7)
@@ -298,8 +316,9 @@ func TestMergedSnapshotMatchesSingleStore(t *testing.T) {
 		defer db.Close()
 	}
 	groups := make([][]wire.Message, members)
+	owner := rosterOwner(t, members)
 	for _, m := range single.All() {
-		k := wire.PartitionIndex([]byte(m.JobID), []byte(m.Host), members)
+		k := owner(m)
 		groups[k] = append(groups[k], m)
 	}
 	snaps := make([]*sirendb.Snapshot, members)

@@ -12,6 +12,19 @@ import (
 	"siren/internal/wire"
 )
 
+// jobMsg builds a message for one (job, host) pair — the admission unit.
+func jobMsg(job, host string, pid int) wire.Message {
+	return wire.Message{
+		Header: wire.Header{
+			JobID: job, StepID: "0", PID: pid, Hash: "beef", Host: host,
+			Time: 1733900000, Layer: wire.LayerSelf, Type: wire.TypeMetadata, Seq: 0, Total: 1,
+		},
+		Content: []byte("EXE=/bin/x"),
+	}
+}
+
+// testRoster builds an n-member roster without health addresses — the
+// static deployment: nobody probes it, so ownership never moves.
 func testRoster(t *testing.T, n int) *membership.Table {
 	t.Helper()
 	ms := make([]membership.Member, n)
@@ -25,11 +38,11 @@ func testRoster(t *testing.T, n int) *membership.Table {
 	return tbl
 }
 
-// TestMembershipAdmission is TestPartitionAdmission's contract under the
-// membership table: broadcast one mixed-job campaign to every member of a
-// 3-member roster (all live) and check that each member admits exactly the
-// keys it rendezvous-owns, rejects the rest, the union ingests every
-// message exactly once, and — with nobody down — AcceptedFailover stays 0.
+// TestMembershipAdmission broadcasts one mixed-job campaign to every member
+// of a 3-member roster (all live) and checks the admission contract: each
+// member admits exactly the keys it rendezvous-owns, rejects the rest, the
+// union ingests every message exactly once — zero double-ingest — and, with
+// nobody down, AcceptedFailover stays 0.
 func TestMembershipAdmission(t *testing.T) {
 	tbl := testRoster(t, 3)
 	var msgs []wire.Message
@@ -77,6 +90,9 @@ func TestMembershipAdmission(t *testing.T) {
 		st := r.Stats().Snapshot()
 		if st.Rejected != int64(len(msgs)-wantOwned[k]) {
 			t.Errorf("member %d Rejected = %d, want %d", k, st.Rejected, len(msgs)-wantOwned[k])
+		}
+		if st.Received != int64(len(msgs)) {
+			t.Errorf("member %d Received = %d, want %d", k, st.Received, len(msgs))
 		}
 		if st.AcceptedFailover != 0 {
 			t.Errorf("member %d AcceptedFailover = %d with everyone live, want 0", k, st.AcceptedFailover)
@@ -153,33 +169,89 @@ func TestMembershipFailoverAdmission(t *testing.T) {
 	}
 }
 
-// TestMembershipConfigValidation: the fail-loudly contract extends to the
-// membership mode — mixing admission modes or passing an observer view
-// panics at construction.
+// TestMembershipMalformedBypassesAdmission: datagrams whose header cannot be
+// scanned are admitted (and counted Malformed by the parse stage) on every
+// member, never Rejected — rejection is a statement that another member
+// owns the datagram, which is unknowable without a header.
+func TestMembershipMalformedBypassesAdmission(t *testing.T) {
+	tbl := testRoster(t, 3)
+	for k := 0; k < tbl.Len(); k++ {
+		view, err := membership.NewView(tbl, fmt.Sprintf("r%d", k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, _ := sirendb.Open("")
+		r := New(db, Options{View: view})
+		src := wire.NewChanTransport(64)
+		r.AttachChannel(src.C())
+		src.Send([]byte("garbage"))
+		src.Send([]byte("SIREN1|also garbage"))
+		src.Close()
+		r.Close()
+		if got := r.Stats().Malformed.Load(); got != 2 {
+			t.Errorf("member %d Malformed = %d, want 2", k, got)
+		}
+		if got := r.Stats().Rejected.Load(); got != 0 {
+			t.Errorf("member %d Rejected = %d, want 0 for unscannable headers", k, got)
+		}
+	}
+}
+
+// TestMembershipAdmissionSpreadsAcrossShards pins the independence of the
+// admission rule (rendezvous scores) from writer/store shard routing (the
+// low bits of wire.PartitionHash): if both reduced the same bits, a
+// member's admitted traffic would be confined to a subset of its shards —
+// with members == shards == 4, possibly to exactly one, re-serialising the
+// whole sharded ingest path.
+func TestMembershipAdmissionSpreadsAcrossShards(t *testing.T) {
+	const members, shards = 4, 4
+	view, err := membership.NewView(testRoster(t, members), "r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := sirendb.OpenOptions("", sirendb.Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(db, Options{View: view, Writers: shards})
+	src := wire.NewChanTransport(1 << 12)
+	r.AttachChannel(src.C())
+	for j := 0; j < 400; j++ {
+		m := jobMsg(fmt.Sprintf("job-%d", j), "nid000001", j)
+		if err := src.Send(wire.Encode(m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.Close()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Count() == 0 {
+		t.Fatal("member r1 of 4 admitted nothing out of 400 jobs")
+	}
+	sn := db.Snapshot()
+	for i := 0; i < sn.Shards(); i++ {
+		if sn.ShardCursor(i).Len() == 0 {
+			t.Errorf("store shard %d received no rows: admitted traffic is not spreading across shards", i)
+		}
+	}
+}
+
+// TestMembershipConfigValidation: an observer view (no self member) cannot
+// admit anything correctly, so New panics at construction instead of
+// silently double-ingesting or dropping a slice.
 func TestMembershipConfigValidation(t *testing.T) {
-	tbl := testRoster(t, 2)
-	observer, err := membership.NewView(tbl, "")
+	observer, err := membership.NewView(testRoster(t, 2), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	memberView, err := membership.NewView(tbl, "r0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, bad := range map[string]Options{
-		"observer view":   {View: observer},
-		"view+partitions": {View: memberView, Partitions: 2},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New accepted invalid config %q", name)
-				}
-			}()
-			db, _ := sirendb.Open("")
-			New(db, bad)
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted an observer view")
+		}
+	}()
+	db, _ := sirendb.Open("")
+	New(db, Options{View: observer})
 }
 
 // TestHealthStallDetection drives the /healthz contract: healthy while

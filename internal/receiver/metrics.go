@@ -49,7 +49,7 @@ func (r *Receiver) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("siren_ingest_inserted_total", "messages stored in the database", r.stats.Inserted.Load)
 	reg.CounterFunc("siren_ingest_malformed_total", "datagrams that failed to parse", r.stats.Malformed.Load)
 	reg.CounterFunc("siren_ingest_dropped_total", "datagrams dropped on a full shard channel", r.stats.Dropped.Load)
-	reg.CounterFunc("siren_ingest_rejected_total", "datagrams outside this receiver's partition or ownership", r.stats.Rejected.Load)
+	reg.CounterFunc("siren_ingest_rejected_total", "datagrams owned by another roster member", r.stats.Rejected.Load)
 	reg.CounterFunc("siren_ingest_insert_errors_total", "failed insert calls", r.stats.InsertErrors.Load)
 }
 

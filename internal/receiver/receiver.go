@@ -23,21 +23,23 @@
 // dispatch point, exactly as the network may; chunk reassembly and
 // consolidation key on SEQ/TIME and never depended on arrival order.)
 //
-// The same hash's high bits (wire.PartitionIndex — kept independent of the
-// low-bits shard modulo so admitted traffic still spreads over all shards)
-// also partition whole campaigns across receiver *processes*
-// (Options.Partition/Partitions): receiver k of N admits only datagrams whose
-// partition index is k and counts the rest as Rejected, so N receivers on N
-// ports share one campaign with no double-ingest even when senders broadcast
-// to all of them. Analysis merges the N databases back together
+// Whole campaigns split across receiver *processes* by membership
+// (Options.View): each member of a roster admits only the (JobID, Host) keys
+// it owns under rendezvous hashing over the live members and counts the rest
+// as Rejected, so N receivers on N ports share one campaign with no
+// double-ingest even when senders broadcast to all of them. A roster without
+// health addresses is never probed, so its ownership never moves — that is
+// the static N-way deployment. Rendezvous scores are independent of the
+// low-bits shard modulo, so a member's admitted keys still spread over all
+// its shards. Analysis merges the N databases back together
 // (sirendb.OpenSet).
 //
 // A slow disk never backs up into the socket: when a shard channel is full,
 // datagrams are dropped exactly as the kernel would drop them — SIREN's
 // loss-tolerant design makes that safe. Every loss and failure mode is
 // counted in Stats (kernel-style channel drops, malformed datagrams,
-// rejected partitions, failed database inserts) instead of disappearing
-// silently.
+// datagrams owned by another member, failed database inserts) instead of
+// disappearing silently.
 package receiver
 
 import (
@@ -61,13 +63,13 @@ type Stats struct {
 	Inserted     atomic.Int64 // messages stored in the database
 	Malformed    atomic.Int64 // datagrams that failed to parse (dropped)
 	Dropped      atomic.Int64 // datagrams dropped due to a full shard channel
-	Rejected     atomic.Int64 // datagrams outside this receiver's partition/ownership (dropped by admission)
+	Rejected     atomic.Int64 // datagrams owned by another roster member (dropped by admission)
 	InsertErrors atomic.Int64 // failed InsertBatch calls
 	InsertLost   atomic.Int64 // messages in failed InsertBatch calls (upper bound: a partially-applied batch counts whole)
 	// AcceptedFailover counts admitted datagrams whose key this receiver
 	// owns only because the key's rank-0 member is marked down in the
 	// membership view — the observable trace of a failover reassignment
-	// (membership-table admission only; always 0 under static partitioning).
+	// (always 0 without a view, and under a roster nobody probes).
 	AcceptedFailover atomic.Int64
 }
 
@@ -148,18 +150,16 @@ var bufPool = sync.Pool{New: func() any {
 
 // Receiver drains a datagram source into a Store.
 type Receiver struct {
-	db         Store
-	direct     ShardedStore // non-nil when writer shards map 1:1 onto store shards
-	shards     []chan pkt
-	stats      *Stats
-	batchMax   int
-	readBuf    int
-	readers    int
-	partition  int              // this receiver's slice of the campaign partition space
-	partitions int              // size of the partition space (<= 1: accept everything)
-	view       *membership.View // membership-table admission (nil: static partition admission)
-	selfIdx    int              // this receiver's index in view's roster
-	mx         rcvMetrics       // obs instruments (zero value = uninstrumented)
+	db       Store
+	direct   ShardedStore // non-nil when writer shards map 1:1 onto store shards
+	shards   []chan pkt
+	stats    *Stats
+	batchMax int
+	readBuf  int
+	readers  int
+	view     *membership.View // membership-table admission (nil: admit everything)
+	selfIdx  int              // this receiver's index in view's roster
+	mx       rcvMetrics       // obs instruments (zero value = uninstrumented)
 
 	// Health state (see health.go): when the datagram source opened and when
 	// the last datagram arrived, as UnixNano (0 = never).
@@ -201,26 +201,20 @@ type Options struct {
 	// bytes (default 4 MiB; the kernel caps it at net.core.rmem_max). A
 	// large socket buffer absorbs sender bursts while writers flush.
 	ReadBuffer int
-	// Partition/Partitions select this receiver's slice of a horizontally
-	// partitioned deployment: with Partitions = N > 1, only datagrams whose
-	// wire.PartitionIndex(JOBID, HOST, N) equals k (0 <= k < N) are
-	// admitted; the rest are counted in Stats.Rejected and discarded before
-	// parsing. N receiver processes with partitions 0/N … N-1/N therefore
-	// share one campaign with no double-ingest even when every sender
-	// broadcasts to all of them. Partitions <= 1 (the default) admits
-	// everything — the paper's single-receiver deployment. Datagrams whose
-	// header cannot be scanned bypass admission and are counted Malformed by
-	// the parse stage, identically on every receiver.
-	Partition  int
-	Partitions int
-	// View switches admission from the static Partition/Partitions table to
-	// the membership table (DESIGN.md §11): a datagram is admitted when this
-	// receiver is the highest-rendezvous-scoring member of the view's live
-	// set for the datagram's (JOBID, HOST) — so a dead member's slice falls
-	// to the surviving next-highest scorers instead of being lost until
-	// restart. The view must be a member view (its self ID names this
-	// receiver). Admissions whose rank-0 owner is marked down are counted in
-	// Stats.AcceptedFailover. Mutually exclusive with Partitions > 1.
+	// View selects this receiver's slice of a multi-receiver deployment
+	// (DESIGN.md §11): a datagram is admitted when this receiver is the
+	// highest-rendezvous-scoring member of the view's live set for the
+	// datagram's (JOBID, HOST); the rest are counted in Stats.Rejected and
+	// discarded before parsing, so N members share one campaign with no
+	// double-ingest even when every sender broadcasts to all of them. A dead
+	// member's slice falls to the surviving next-highest scorers instead of
+	// being lost until restart; a roster nobody probes never changes, which
+	// is the static N-way split. The view must be a member view (its self ID
+	// names this receiver). Admissions whose rank-0 owner is marked down are
+	// counted in Stats.AcceptedFailover. Datagrams whose header cannot be
+	// scanned bypass admission and are counted Malformed by the parse stage,
+	// identically on every member. Nil (the default) admits everything —
+	// the paper's single-receiver deployment.
 	View *membership.View
 	// Metrics, when non-nil, registers the receiver's instruments there:
 	// per-stage latency histograms (parse, shard-queue wait, insert batch),
@@ -253,35 +247,23 @@ func (o *Options) defaults() {
 	}
 }
 
-// New creates a receiver writing to db. New panics when Options.Partition
-// is outside [0, Partitions): a receiver silently admitting everything (or
-// nothing) under a mistyped partition config would double-ingest or drop a
-// whole campaign slice, so misconfiguration fails loudly at startup.
+// New creates a receiver writing to db. New panics when Options.View is an
+// observer view: a receiver admitting under the wrong rule would
+// double-ingest or drop a whole campaign slice, so misconfiguration fails
+// loudly at startup.
 func New(db Store, opts Options) *Receiver {
 	opts.defaults()
-	if opts.Partitions > 1 && (opts.Partition < 0 || opts.Partition >= opts.Partitions) {
-		panic(fmt.Sprintf("receiver: partition %d out of range [0,%d)", opts.Partition, opts.Partitions))
-	}
-	if opts.View != nil {
-		// The same fail-loudly contract as a bad partition: a receiver
-		// admitting under the wrong rule double-ingests or drops a slice.
-		if opts.Partitions > 1 {
-			panic("receiver: View and Partitions>1 are mutually exclusive admission modes")
-		}
-		if opts.View.SelfIndex() < 0 {
-			panic("receiver: View must be a member view (NewView with this receiver's ID), not an observer view")
-		}
+	if opts.View != nil && opts.View.SelfIndex() < 0 {
+		panic("receiver: View must be a member view (NewView with this receiver's ID), not an observer view")
 	}
 	r := &Receiver{
-		db:         db,
-		stats:      &Stats{},
-		batchMax:   opts.BatchMax,
-		readBuf:    opts.ReadBuffer,
-		readers:    opts.Readers,
-		partition:  opts.Partition,
-		partitions: opts.Partitions,
-		view:       opts.View,
-		shards:     make([]chan pkt, opts.Writers),
+		db:       db,
+		stats:    &Stats{},
+		batchMax: opts.BatchMax,
+		readBuf:  opts.ReadBuffer,
+		readers:  opts.Readers,
+		view:     opts.View,
+		shards:   make([]chan pkt, opts.Writers),
 	}
 	if r.view != nil {
 		r.selfIdx = r.view.SelfIndex()
@@ -396,25 +378,23 @@ func (r *Receiver) ingest(d []byte, block bool) {
 	r.dispatch(pkt{data: data, buf: bp}, block)
 }
 
-// dispatch applies partition admission and routes a datagram to its writer
+// dispatch applies membership admission and routes a datagram to its writer
 // shard — both decisions come from one wire.PartitionFields scan of the
-// header, but from different bits of the hash (wire.PartitionIndex vs the
-// low-bits shard modulo), so a receiver's admitted slice still spreads over
-// all its writer and store shards. A datagram outside this receiver's
-// partition is counted Rejected and discarded (another receiver of the set
-// owns it); one whose header cannot be scanned bypasses admission and lands
-// on shard 0, where Parse counts it as malformed — every receiver of a
-// partitioned set agrees on that, so a malformed datagram is never
-// double-ingested either. Unpartitioned single-shard receivers skip the
-// header scan entirely (its result would be unused). Blocking mode (channel
+// header, but from independent hashes (rendezvous scores vs the low-bits
+// shard modulo of wire.PartitionHash), so a member's admitted slice still
+// spreads over all its writer and store shards. A datagram another member
+// owns is counted Rejected and discarded; one whose header cannot be scanned
+// bypasses admission and lands on shard 0, where Parse counts it as
+// malformed — every member of a roster agrees on that, so a malformed
+// datagram is never double-ingested either. Single-shard receivers without
+// a view skip the header scan entirely (its result would be unused). Blocking mode (channel
 // transport) applies backpressure; non-blocking mode (UDP)
 // drops-and-counts like the kernel would.
 func (r *Receiver) dispatch(p pkt, block bool) {
 	idx := 0
-	if r.view != nil || r.partitions > 1 || len(r.shards) > 1 {
+	if r.view != nil || len(r.shards) > 1 {
 		if job, host, ok := wire.PartitionFields(p.data); ok {
-			switch {
-			case r.view != nil:
+			if r.view != nil {
 				// Membership admission: accept exactly the keys this member
 				// owns under the current live view; when ownership arrived by
 				// failover (the key's rank-0 member is down), count it.
@@ -426,12 +406,6 @@ func (r *Receiver) dispatch(p pkt, block bool) {
 				}
 				if rank0 != r.selfIdx {
 					r.stats.AcceptedFailover.Add(1)
-				}
-			case r.partitions > 1:
-				if wire.PartitionIndex(job, host, r.partitions) != r.partition {
-					r.stats.Rejected.Add(1)
-					release(p)
-					return
 				}
 			}
 			if len(r.shards) > 1 {

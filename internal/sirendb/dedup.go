@@ -1,7 +1,7 @@
 // Overlap dedup: merging back a recovered member without double-ingest.
 //
-// Under static partitioning, member WALs hold disjoint (JOBID, HOST) sets by
-// construction. Failover (DESIGN.md §11) breaks that: when a member dies
+// Under a roster nobody probes, member WALs hold disjoint (JOBID, HOST) sets
+// by construction. Failover (DESIGN.md §11) breaks that: when a member dies
 // mid-campaign, the sender replays that member's journaled traffic to the
 // keys' new rendezvous owners, so the new owner ends up holding a complete
 // copy of each reassigned key's stream — while the dead member's recovered
@@ -32,8 +32,8 @@ import "siren/internal/wire"
 // DedupStats reports what DedupOverlaps found and removed.
 type DedupStats struct {
 	// OverlappingKeys is the number of (JOBID, HOST) keys held by >= 2
-	// members — the size of the failover overlap window (0 in a healthy
-	// statically-partitioned campaign).
+	// members — the size of the failover overlap window (0 in a campaign
+	// without failover).
 	OverlappingKeys int
 	// SuppressedRuns / SuppressedRows count the duplicate member runs (and
 	// their rows) removed from the merged view.

@@ -259,7 +259,7 @@ func TestDedupMultiHostJob(t *testing.T) {
 	checkViewConsistency(t, ms)
 }
 
-// TestDedupNoOverlapIsFree: disjoint members (the static-partition case)
+// TestDedupNoOverlapIsFree: disjoint members (the static-roster case)
 // dedup to nothing and the view is untouched.
 func TestDedupNoOverlapIsFree(t *testing.T) {
 	a, _ := Open("")

@@ -1,7 +1,7 @@
 // Multi-open: analysing a horizontally partitioned deployment.
 //
-// A multi-receiver deployment runs N receiver processes, each admitting one
-// slice of the campaign (wire.PartitionIndex(JOBID, HOST, N)) and writing
+// A multi-receiver deployment runs N receiver processes, each admitting the
+// (JOBID, HOST) keys it owns under the campaign roster and writing
 // its own WAL-backed store. Analysis needs the union: OpenSet opens every
 // member database and MergedSnapshot presents their snapshots as one —
 // per-shard cursors from every member, globally ordered by (member, seq).

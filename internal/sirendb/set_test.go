@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"siren/internal/membership"
 	"siren/internal/wire"
 )
 
@@ -120,11 +121,15 @@ func TestMergedSnapshotNoInterleavingWithinJob(t *testing.T) {
 }
 
 // TestOpenSetPersistent partitions one campaign across three WAL-backed
-// stores the way three -partition k/3 receivers would, reopens them as a
+// stores the way a three-member roster would, reopens them as a
 // set, and checks the union: every message exactly once, member order
 // preserved, Jobs merged.
 func TestOpenSetPersistent(t *testing.T) {
 	const parts = 3
+	tbl, err := membership.ParseRoster("r0=127.0.0.1:9000,r1=127.0.0.1:9001,r2=127.0.0.1:9002")
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	paths := make([]string, parts)
 	dbs := make([]*DB, parts)
@@ -140,7 +145,7 @@ func TestOpenSetPersistent(t *testing.T) {
 	for j := 0; j < 12; j++ {
 		for h := 0; h < 2; h++ {
 			m := setMsg(fmt.Sprintf("job-%d", j), fmt.Sprintf("nid%06d", h), j, h)
-			k := wire.PartitionIndex([]byte(m.JobID), []byte(m.Host), parts)
+			k := tbl.RankedOwners([]byte(m.JobID), []byte(m.Host))[0]
 			if err := dbs[k].Insert(m); err != nil {
 				t.Fatal(err)
 			}

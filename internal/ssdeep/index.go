@@ -1,5 +1,5 @@
 // Sub-linear candidate pruning over fuzzy-hash digests — the shared search
-// engine behind Matcher and analysis.FingerprintIndex.
+// engine behind analysis.FingerprintIndex.
 //
 // The engine exploits two structural preconditions of the ssdeep score
 // (CompareDigests): a pair of digests can score nonzero only when

@@ -1,7 +1,7 @@
 // Tests of the shared candidate-pruning engine: prepared digests must score
 // exactly as parsed ones, and Index.Candidates must return a superset of
-// every entry scoring nonzero — the zero-score pruning guarantee both
-// Matcher and analysis.FingerprintIndex stand on.
+// every entry scoring nonzero — the zero-score pruning guarantee
+// analysis.FingerprintIndex stands on.
 package ssdeep
 
 import (
@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -481,96 +480,5 @@ func TestCandidateSetEpochReuse(t *testing.T) {
 	ix.Candidates(other, &set)
 	if len(set.IDs) != 0 {
 		t.Fatalf("unrelated query leaked candidates: %v", set.IDs)
-	}
-}
-
-// TestMatcherMatchesExhaustive pins that the rebased Matcher returns exactly
-// the entries a brute-force scan over all registered digests would, for a
-// population spanning comparable and incomparable block sizes.
-func TestMatcherMatchesExhaustive(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	m := NewMatcher(BackendWeighted)
-	var pop []string
-	pop = append(pop, relatedDigests(rng, 80)...)
-	for i := 0; i < 120; i++ {
-		pop = append(pop, randomDigestString(rng))
-	}
-	for i, d := range pop {
-		if err := m.Add(fmt.Sprintf("e%03d", i), d); err != nil {
-			t.Fatalf("Add(%q): %v", d, err)
-		}
-	}
-	queries := append([]string{}, pop[:30]...)
-	queries = append(queries, relatedDigests(rng, 10)...)
-	for _, minScore := range []int{0, 1, 40, 100} {
-		for _, qs := range queries {
-			got, err := m.Matches(qs, minScore)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, _ := ParsePrepared(qs)
-			var want []Match
-			for i, d := range pop {
-				p, _ := ParsePrepared(d)
-				if score := ComparePrepared(q, p, BackendWeighted); score >= max(minScore, 1) {
-					want = append(want, Match{Label: fmt.Sprintf("e%03d", i), Digest: d, Score: score})
-				}
-			}
-			slices.SortFunc(want, func(a, b Match) int {
-				switch {
-				case a.Score != b.Score:
-					if a.Score > b.Score {
-						return -1
-					}
-					return 1
-				case a.Label != b.Label:
-					return strings.Compare(a.Label, b.Label)
-				}
-				return strings.Compare(a.Digest, b.Digest)
-			})
-			if !slices.Equal(got, want) {
-				t.Fatalf("Matches(%q, %d):\n got  %v\n want %v", qs, minScore, got, want)
-			}
-		}
-	}
-}
-
-// TestMatcherQueriesDuringAdds runs queries while entries are still being
-// registered: every Add outdates the bulk-built index, so each query may
-// rebuild it, and must see a population that is a prefix of the adds — the
-// first entry always, never a half-registered one.
-func TestMatcherQueriesDuringAdds(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	pop := relatedDigests(rng, 200)
-	m := NewMatcher(BackendWeighted)
-	if err := m.Add("e000", pop[0]); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				ms, err := m.Matches(pop[0], 100)
-				if err != nil || len(ms) == 0 || ms[0].Label != "e000" {
-					t.Errorf("query %d during adds: %v, %v; want e000 first", i, ms, err)
-					return
-				}
-			}
-		}()
-	}
-	for i, d := range pop[1:] {
-		if err := m.Add(fmt.Sprintf("e%03d", i+1), d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
-	if m.Len() != len(pop) {
-		t.Fatalf("Len = %d, want %d", m.Len(), len(pop))
-	}
-	last, ok, err := m.Best(pop[len(pop)-1])
-	if err != nil || !ok || last.Score != 100 {
-		t.Errorf("the last entry added is not found: %+v, %v, %v", last, ok, err)
 	}
 }

@@ -303,78 +303,6 @@ func TestQuickCompareProperties(t *testing.T) {
 	}
 }
 
-func TestMatcherRanksCloserVariantsHigher(t *testing.T) {
-	for _, backend := range []Backend{BackendWeighted, BackendDamerau, BackendLevenshtein} {
-		t.Run(backend.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(14))
-			base := randomBlob(rng, 40000)
-			variant := func(nmut int) []byte {
-				v := append([]byte(nil), base...)
-				for i := 0; i < nmut; i++ {
-					v[rng.Intn(len(v))] ^= byte(1 + rng.Intn(255))
-				}
-				return v
-			}
-			m := NewMatcher(backend)
-			h0 := mustHash(t, base)
-			if err := m.Add("exact", h0); err != nil {
-				t.Fatal(err)
-			}
-			hNear := mustHash(t, variant(10))
-			if err := m.Add("near", hNear); err != nil {
-				t.Fatal(err)
-			}
-			hFar := mustHash(t, variant(3000))
-			if err := m.Add("far", hFar); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Add("unrelated", mustHash(t, randomBlob(rand.New(rand.NewSource(999)), 40000))); err != nil {
-				t.Fatal(err)
-			}
-
-			matches, err := m.Matches(h0, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(matches) < 2 {
-				t.Fatalf("want at least 2 matches, got %d: %+v", len(matches), matches)
-			}
-			if matches[0].Label != "exact" || matches[0].Score != 100 {
-				t.Errorf("best match = %+v, want exact/100", matches[0])
-			}
-			scoreOf := func(label string) int {
-				for _, mt := range matches {
-					if mt.Label == label {
-						return mt.Score
-					}
-				}
-				return 0
-			}
-			if scoreOf("near") <= scoreOf("far") {
-				t.Errorf("near (%d) should outscore far (%d)", scoreOf("near"), scoreOf("far"))
-			}
-
-			best, ok, err := m.Best(h0)
-			if err != nil || !ok || best.Label != "exact" {
-				t.Errorf("Best = %+v ok=%v err=%v, want exact", best, ok, err)
-			}
-			if m.Len() != 4 {
-				t.Errorf("Len = %d, want 4", m.Len())
-			}
-		})
-	}
-}
-
-func TestMatcherRejectsMalformed(t *testing.T) {
-	m := NewMatcher(BackendWeighted)
-	if err := m.Add("x", "not-a-digest"); err == nil {
-		t.Error("Add should reject malformed digest")
-	}
-	if _, err := m.Matches("not-a-digest", 0); err == nil {
-		t.Error("Matches should reject malformed digest")
-	}
-}
-
 func BenchmarkHash4K(b *testing.B)  { benchHash(b, 4<<10) }
 func BenchmarkHash64K(b *testing.B) { benchHash(b, 64<<10) }
 func BenchmarkHash1M(b *testing.B)  { benchHash(b, 1<<20) }
@@ -406,30 +334,6 @@ func BenchmarkCompare(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Compare(h1, h2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMatcher1000(b *testing.B) {
-	rng := rand.New(rand.NewSource(22))
-	m := NewMatcher(BackendWeighted)
-	base := randomBlob(rng, 32<<10)
-	for i := 0; i < 1000; i++ {
-		v := append([]byte(nil), base...)
-		for j := 0; j < i%500; j++ {
-			v[rng.Intn(len(v))] ^= byte(i)
-		}
-		h, _ := Hash(v)
-		if err := m.Add("v", h); err != nil {
-			b.Fatal(err)
-		}
-	}
-	q, _ := Hash(base)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Matches(q, 50); err != nil {
 			b.Fatal(err)
 		}
 	}

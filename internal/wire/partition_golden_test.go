@@ -2,11 +2,10 @@ package wire
 
 import "testing"
 
-// TestPartitionHashGolden pins PartitionHash and PartitionIndex to fixed
-// values. These outputs are a cross-process protocol, not an implementation
-// detail: membership rendezvous scores are seeded by PartitionHash, static
-// -partition admission slices are PartitionIndex, and senders and receivers
-// built from different commits must agree on both — a hash change silently
+// TestPartitionHashGolden pins PartitionHash to fixed values. Its outputs are
+// a cross-process protocol, not an implementation detail: membership
+// rendezvous scores are seeded by PartitionHash, and senders and receivers
+// built from different commits must agree on it — a hash change silently
 // reshuffles key ownership and makes every receiver reject everything.
 // If this test fails, the wire-compatibility contract broke: bump it
 // deliberately alongside a deployment-wide flag day, never casually.
@@ -14,30 +13,18 @@ func TestPartitionHashGolden(t *testing.T) {
 	cases := []struct {
 		job, host string
 		hash      uint64
-		idx2      int // PartitionIndex(..., 2)
-		idx3      int // PartitionIndex(..., 3)
-		idx16     int // PartitionIndex(..., 16)
 	}{
-		{"", "", 0xa258d6ec1fb5d95c, 0, 1, 12},
-		{"8103607", "nid001234", 0xe2b8ebb2cdb96f9d, 0, 1, 2},
-		{"8103607", "nid005678", 0x79c8000068085599, 0, 0, 0},
-		{"9000001", "nid001234", 0x52f1758dc74128ce, 1, 2, 13},
-		{"4242", "uan01", 0xecef9dae8cc606b1, 0, 2, 14},
-		{"12345678", "nid007777", 0xb94375cc4f1f0ebd, 0, 0, 12},
+		{"", "", 0xa258d6ec1fb5d95c},
+		{"8103607", "nid001234", 0xe2b8ebb2cdb96f9d},
+		{"8103607", "nid005678", 0x79c8000068085599},
+		{"9000001", "nid001234", 0x52f1758dc74128ce},
+		{"4242", "uan01", 0xecef9dae8cc606b1},
+		{"12345678", "nid007777", 0xb94375cc4f1f0ebd},
 	}
 	for _, c := range cases {
 		job, host := []byte(c.job), []byte(c.host)
 		if got := PartitionHash(job, host); got != c.hash {
 			t.Errorf("PartitionHash(%q, %q) = %#016x, want %#016x", c.job, c.host, got, c.hash)
-		}
-		if got := PartitionIndex(job, host, 2); got != c.idx2 {
-			t.Errorf("PartitionIndex(%q, %q, 2) = %d, want %d", c.job, c.host, got, c.idx2)
-		}
-		if got := PartitionIndex(job, host, 3); got != c.idx3 {
-			t.Errorf("PartitionIndex(%q, %q, 3) = %d, want %d", c.job, c.host, got, c.idx3)
-		}
-		if got := PartitionIndex(job, host, 16); got != c.idx16 {
-			t.Errorf("PartitionIndex(%q, %q, 16) = %d, want %d", c.job, c.host, got, c.idx16)
 		}
 	}
 }

@@ -168,20 +168,10 @@ var fieldPrefixes = [...]string{"JOBID=", "STEPID=", "PID=", "HASH=", "HOST=", "
 // the store's shard count, every message a writer handles hashes to the store
 // shard with the writer's own index, so batches route shard→shard with no
 // re-partitioning and no cross-shard lock contention.
+// Membership rendezvous scores are seeded by it too, so it is a
+// cross-process protocol pinned by TestPartitionHashGolden.
 func PartitionHash(job, host []byte) uint64 {
 	return xxhash.Sum64Seed(host, xxhash.Sum64(job))
-}
-
-// PartitionIndex maps a (JOBID, HOST) pair to one of n receiver partitions —
-// the admission rule of a multi-receiver deployment. It reduces the *high*
-// 32 bits of PartitionHash, while writer/store shard routing reduces the
-// full hash (in practice its low bits) modulo the shard count: taking both
-// from the same low bits would leave a partition-k receiver with only hash
-// residues ≡ k, concentrating its admitted traffic on gcd(n, shards)-th of
-// the writer and store shards. High and low xxhash bits are independent, so
-// every receiver's slice still spreads across all its shards.
-func PartitionIndex(job, host []byte, n int) int {
-	return int((PartitionHash(job, host) >> 32) % uint64(n))
 }
 
 // Parse decodes a datagram produced by Encode.
