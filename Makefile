@@ -132,13 +132,14 @@ test-serve:
 # Telemetry suite under the race detector (DESIGN.md §13): the obs core
 # (lock-free records racing scrapes and registration), the Prometheus
 # exposition golden and grammar tests, the per-tier instrument tests
-# (receiver stages, server percentiles and shape-compat pins, membership
-# probe/retry), and the live-campaign /metrics scrape of a real
-# siren-receiver process with -pprof.
+# (receiver stages and the Stats-to-/metrics parity walk, server percentiles,
+# shape-compat and one-instrument pins, the store's single run-read-error
+# counter, membership probe/retry), and the live-campaign /metrics scrape of
+# a real siren-receiver process with -pprof.
 test-obs:
 	$(GO) test -race -count=1 \
-		-run 'Histogram|Counter|Gauge|Registry|RegisterDuringScrape|Prometheus|Expvar|Metrics|StatsLine|Percentiles|DebugVars|ProberInstrumented|RetryTransportBridge|NilSafety|BucketBounds' \
-		. ./internal/obs ./internal/receiver ./internal/server ./internal/membership
+		-run 'Histogram|Counter|Gauge|Registry|RegisterDuringScrape|Prometheus|Expvar|Metrics|StatsLine|Percentiles|DebugVars|ProberInstrumented|RetryTransportBridge|BucketBounds' \
+		. ./internal/obs ./internal/receiver ./internal/server ./internal/membership ./internal/sirendb
 
 # Serving-tier benchmarks (EXPERIMENTS.md §6): identify throughput through
 # the full handler stack, and incremental-vs-full catalog refresh across
@@ -176,7 +177,6 @@ bench-gate-run:
 	$(GO) test -run=NONE -bench='BenchmarkCatalogRefresh/incremental/jobs=16$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/catalog | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkInsertBatch/store=mem/shards=4/writers=4$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkReceiverIngest/shards=4/payload=512$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/receiver | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkIngestInstrumented/shards=4/payload=512$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/receiver | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkHistogramRecord$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/obs | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkOpenSealed/rows=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkOpenReplay/rows=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)

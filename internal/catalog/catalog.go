@@ -49,9 +49,11 @@ type Options struct {
 	// Workers bounds the streaming-consolidation workers per refresh pass
 	// (0 = one per shard cursor, the shard-mirrored default).
 	Workers int
-	// Metrics, when non-nil, registers the catalog's instruments there:
+	// Metrics is the registry the catalog's instruments register in:
 	// Refresh wall-time histogram and counters for jobs spliced forward vs
-	// re-consolidated (see internal/obs). Nil leaves Refresh uninstrumented.
+	// re-consolidated (see internal/obs). Nil gets a private registry.
+	// Catalogs sharing a registry share its instruments, the refresh count
+	// behind Refreshes included.
 	Metrics *obs.Registry
 }
 
@@ -133,33 +135,37 @@ type Catalog struct {
 	source Source
 	opts   Options
 
-	cur       atomic.Pointer[Generation]
-	last      atomic.Pointer[RefreshStats]
-	refreshes atomic.Uint64
+	cur  atomic.Pointer[Generation]
+	last atomic.Pointer[RefreshStats]
 
 	refreshMu sync.Mutex // serialises refreshes; never held by queries
 
-	// obs instruments (nil when Options.Metrics is nil; all nil-safe).
+	// obs instruments; refreshes also backs Refreshes().
 	refreshNS          *obs.Histogram
 	indexBuildNS       *obs.Histogram
 	carriedTotal       *obs.Counter
 	reconsolidated     *obs.Counter
 	rowsReconsolidated *obs.Counter
-	refreshesCt        *obs.Counter
+	refreshes          *obs.Counter
 }
 
 // New builds a catalog over source. The catalog starts at an empty boot
 // generation (Gen 0) so queries are valid immediately; call Refresh to
 // publish the first real generation.
 func New(source Source, opts Options) *Catalog {
-	c := &Catalog{source: source, opts: opts}
-	if reg := opts.Metrics; reg != nil {
-		c.refreshNS = reg.Histogram("siren_catalog_refresh_ns", "catalog Refresh wall time per pass (no-ops included)")
-		c.indexBuildNS = reg.Histogram("siren_catalog_index_build_ns", "fingerprint-index derivation time per publishing refresh (splice or rebuild)")
-		c.carriedTotal = reg.Counter("siren_catalog_jobs_carried_total", "jobs spliced forward unchanged across refreshes")
-		c.reconsolidated = reg.Counter("siren_catalog_jobs_reconsolidated_total", "jobs re-consolidated by refreshes")
-		c.rowsReconsolidated = reg.Counter("siren_catalog_rows_reconsolidated_total", "stored rows re-read by refreshes re-consolidating their jobs")
-		c.refreshesCt = reg.Counter("siren_catalog_refreshes_total", "refresh passes run (no-ops included)")
+	reg := opts.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry("siren-catalog")
+	}
+	c := &Catalog{
+		source:             source,
+		opts:               opts,
+		refreshNS:          reg.Histogram("siren_catalog_refresh_ns", "catalog Refresh wall time per pass (no-ops included)"),
+		indexBuildNS:       reg.Histogram("siren_catalog_index_build_ns", "fingerprint-index derivation time per publishing refresh (splice or rebuild)"),
+		carriedTotal:       reg.Counter("siren_catalog_jobs_carried_total", "jobs spliced forward unchanged across refreshes"),
+		reconsolidated:     reg.Counter("siren_catalog_jobs_reconsolidated_total", "jobs re-consolidated by refreshes"),
+		rowsReconsolidated: reg.Counter("siren_catalog_rows_reconsolidated_total", "stored rows re-read by refreshes re-consolidating their jobs"),
+		refreshes:          reg.Counter("siren_catalog_refreshes_total", "refresh passes run (no-ops included)"),
 	}
 	boot := &Generation{
 		Dataset: analysis.NewDataset(nil),
@@ -175,7 +181,7 @@ func New(source Source, opts Options) *Catalog {
 func (c *Catalog) Generation() *Generation { return c.cur.Load() }
 
 // Refreshes reports how many refresh passes have run (no-ops included).
-func (c *Catalog) Refreshes() uint64 { return c.refreshes.Load() }
+func (c *Catalog) Refreshes() uint64 { return uint64(c.refreshes.Value()) }
 
 // LastRefresh returns the stats of the most recent refresh pass, or false
 // before the first.
@@ -295,11 +301,10 @@ func (c *Catalog) Refresh() RefreshStats {
 }
 
 func (c *Catalog) finish(rs RefreshStats) {
-	c.refreshes.Add(1)
+	c.refreshes.Inc()
 	c.last.Store(&rs)
 	c.refreshNS.Observe(rs.Elapsed)
 	c.carriedTotal.Add(int64(rs.Carried))
 	c.reconsolidated.Add(int64(rs.Reconsolidated))
 	c.rowsReconsolidated.Add(int64(rs.RowsReconsolidated))
-	c.refreshesCt.Inc()
 }

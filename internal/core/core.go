@@ -54,10 +54,10 @@ type Options struct {
 	// on the first error, and surfaces what remains in SendStats. Applied
 	// inside any loss injection so LossRate still measures end-loss.
 	SendRetries int
-	// Metrics, when non-nil, instruments the whole pipeline into one
-	// registry: the store's WAL/seal histograms, the receiver's stage
-	// latencies and queue gauges, and the retrying sender's delivery
-	// counters (see internal/obs). Nil runs uninstrumented.
+	// Metrics is the one registry the whole pipeline records into: the
+	// store's WAL/seal histograms, the receiver's stage latencies and queue
+	// gauges, and the retrying sender's delivery counters (see
+	// internal/obs). Nil gets a private registry.
 	Metrics *obs.Registry
 }
 
@@ -74,6 +74,9 @@ type Pipeline struct {
 
 // NewPipeline builds a pipeline per opts.
 func NewPipeline(opts Options) (*Pipeline, error) {
+	if opts.Metrics == nil {
+		opts.Metrics = obs.NewRegistry("siren-pipeline")
+	}
 	depth := opts.ChannelDepth
 	if depth <= 0 {
 		depth = 1 << 18

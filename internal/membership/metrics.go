@@ -9,23 +9,19 @@ import "siren/internal/obs"
 // InstrumentWith registers the prober's instruments in reg: a probe RTT
 // histogram (successful probes only — a timeout would dominate the tail with
 // the configured deadline, not a measurement) and a counter of failed
-// probes. Call before Start; nil reg leaves the prober uninstrumented.
+// probes. Call before Start to share reg; Start registers a prober that
+// was not given one into a private registry, so a probing prober is always
+// instrumented.
 func (p *Prober) InstrumentWith(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	p.rttNS = reg.Histogram("siren_probe_rtt_ns", "membership liveness probe round-trip time (successful probes)")
 	p.probeFails = reg.Counter("siren_probe_failures_total", "membership liveness probes that failed at the transport level")
 }
 
 // InstrumentWith bridges the transport's send counters into reg so they ride
 // the /metrics exposition. The counters stay the transport's own atomics —
-// evaluated at scrape time, never double-counted on the send path. Nil reg
-// is a no-op.
+// always counted, evaluated at scrape time, never double-counted on the send
+// path; Stats reads the same atomics.
 func (r *RetryTransport) InstrumentWith(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	reg.CounterFunc("siren_send_delivered_total", "datagrams ultimately delivered by the retrying sender", func() int64 {
 		return int64(r.sent.Load())
 	})

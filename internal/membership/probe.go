@@ -80,7 +80,7 @@ type Prober struct {
 	stop  chan struct{}
 	fails []int
 
-	// obs instruments, set by InstrumentWith (nil-safe when absent).
+	// obs instruments, set by InstrumentWith (or by Start, privately).
 	rttNS      *obs.Histogram
 	probeFails *obs.Counter
 }
@@ -95,6 +95,9 @@ func (p *Prober) Start() {
 	}
 	if p.FailThreshold <= 0 {
 		p.FailThreshold = 2
+	}
+	if p.rttNS == nil {
+		p.InstrumentWith(obs.NewRegistry("siren-prober"))
 	}
 	p.stop = make(chan struct{})
 	p.fails = make([]int, p.View.Table().Len())

@@ -18,14 +18,12 @@ import (
 func (r *Registry) Expvar() expvar.Var {
 	return expvar.Func(func() any {
 		out := make(map[string]any)
-		for _, f := range r.sortedFamilies() {
-			for _, e := range f.load() {
+		for f := range r.families() {
+			for e := range f.entries() {
 				key := f.name + renderLabels(e.labels, "", 0)
 				switch {
 				case e.counter != nil:
 					out[key] = e.counter.Value()
-				case e.gauge != nil:
-					out[key] = e.gauge.Value()
 				case e.gfunc != nil:
 					out[key] = e.gfunc()
 				case e.hist != nil:

@@ -1,6 +1,7 @@
 // Package obs is the zero-dependency metrics core shared by every siren
-// serving tier: atomic counters, gauges, and log-bucketed histograms with
-// percentile snapshots, grouped under a named Registry.
+// serving tier: atomic counters, scrape-time gauges and counters over values
+// a component already tracks, and log-bucketed histograms with percentile
+// snapshots, grouped under a named Registry.
 //
 // There are no package-level globals and nothing is registered on the
 // process-wide expvar or http.DefaultServeMux registries — a Registry is an
@@ -11,22 +12,23 @@
 // GET /metrics endpoint, and Expvar bridges the same instruments into the
 // /debug/vars JSON shape the existing tooling already scrapes.
 //
-// Recording on the hot path is lock-free and allocation-free: counters and
-// gauges are single atomics, and Histogram.Record is three atomic adds plus
-// a CAS-bounded max — no mutex, no map lookup, no allocation. Registration
+// Recording on the hot path is lock-free and allocation-free: a counter is a
+// single atomic, and Histogram.Record is three atomic adds plus a
+// CAS-bounded max — no mutex, no map lookup, no allocation. Registration
 // (Registry.Counter, .Histogram, ...) takes a mutex and may allocate; do it
-// once at construction time and keep the returned pointer. All instrument
-// methods are nil-receiver safe, so optional instrumentation sites can hold
-// a nil *Histogram and skip recording without branching at every call.
+// once at construction time and keep the returned pointer. Telemetry is
+// always on: every tier records into a registry (a private one when its
+// caller supplies none), so an instrument is never nil and no recording
+// site branches on whether it is instrumented.
 package obs
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/bits"
 	"regexp"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,33 +66,29 @@ const (
 // metric-name prefix. Methods are safe for concurrent use.
 //
 // Registration serialises on mu; scrapes never take it. What a scrape walks
-// — the name-sorted family list and each family's entry list — is published
-// through atomic pointers and replaced, never appended to in place, so a
-// scrape racing a registration sees either the old list or the new one, and
-// every entry it reaches was fully built before it was published.
+// — the name-sorted family list and each family's entry list — is a linked
+// list of atomic next pointers: a node is fully built before one Store
+// links it in, and is never changed afterwards, so a scrape racing a
+// registration sees the list with or without the new node. Registering one
+// instrument costs about two allocations (its family, and its entry with
+// the instrument inside), so a tier that builds a registry per store open
+// pays next to nothing for it.
 type Registry struct {
 	name string
 
-	mu     sync.Mutex
-	fams   map[string]*family        // registration-time lookup; guarded by mu
-	sorted atomic.Pointer[[]*family] // name order; copy-on-write
+	mu   sync.Mutex             // serialises registration
+	head atomic.Pointer[family] // first family in name order
 }
 
 // family groups every instrument sharing one metric name: one HELP/TYPE
 // header, N labeled children. name, help and kind never change.
 type family struct {
-	name    string
-	help    string
-	kind    kind
-	entries atomic.Pointer[[]*entry] // registration order; copy-on-write
-}
-
-// load returns the family's published entries.
-func (f *family) load() []*entry {
-	if p := f.entries.Load(); p != nil {
-		return *p
-	}
-	return nil
+	name  string
+	help  string
+	kind  kind
+	next  atomic.Pointer[family] // next family in name order
+	first atomic.Pointer[entry]  // children in registration order
+	last  *entry                 // guarded by Registry.mu
 }
 
 // entry is one labeled instrument inside a family. Exactly one of the
@@ -98,46 +96,63 @@ func (f *family) load() []*entry {
 // entry is published.
 type entry struct {
 	labels []Label
-	sig    string // canonical label signature, for idempotent registration
+	inline [1]Label // backing for labels: most instruments carry at most one
+	next   atomic.Pointer[entry]
 
 	counter *Counter
-	gauge   *Gauge
 	gfunc   func() int64
 	hist    *Histogram
+}
+
+// families yields the published families in name order, for deterministic
+// exposition.
+func (r *Registry) families() iter.Seq[*family] {
+	return func(yield func(*family) bool) {
+		for f := r.head.Load(); f != nil && yield(f); f = f.next.Load() {
+		}
+	}
+}
+
+// entries yields the family's published children in registration order.
+func (f *family) entries() iter.Seq[*entry] {
+	return func(yield func(*entry) bool) {
+		for e := f.first.Load(); e != nil && yield(e); e = e.next.Load() {
+		}
+	}
 }
 
 // NewRegistry returns an empty registry. name identifies the owning process
 // or subsystem (e.g. "siren-receiver") in diagnostics and the expvar bridge.
 func NewRegistry(name string) *Registry {
-	return &Registry{name: name, fams: make(map[string]*family)}
+	return &Registry{name: name}
 }
 
 // Name returns the registry's name.
 func (r *Registry) Name() string { return r.name }
 
-// labelSig canonicalizes a label set for duplicate detection: sorted by key,
-// rendered as the exposition string. Registration-time only.
-func labelSig(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
+// sameLabels reports whether two label sets are equal regardless of order.
+// Registration-time only.
+func sameLabels(a, b []Label) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	sig := ""
-	for _, l := range ls {
-		sig += l.Key + "=" + l.Value + ","
+	for _, l := range a {
+		if !slices.Contains(b, l) {
+			return false
+		}
 	}
-	return sig
+	return true
 }
 
 // register finds or creates the (name, labels) entry of the given kind; a
-// new entry gets its instrument from build, under the lock and before any
+// new entry comes from build — which allocates the entry together with its
+// instrument — and is linked in under the lock, fully built, before any
 // scrape can reach it. Registering the same name+labels twice returns the
 // existing entry, so independent components can share one instrument;
 // re-registering a name with a different kind or a malformed name panics —
 // both are programmer errors, caught at construction time, never on the
 // record path.
-func (r *Registry) register(name, help string, k kind, labels []Label, build func(*entry)) *entry {
+func (r *Registry) register(name, help string, k kind, labels []Label, build func() *entry) *entry {
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("obs: registry %q: invalid metric name %q", r.name, name))
 	}
@@ -148,46 +163,45 @@ func (r *Registry) register(name, help string, k kind, labels []Label, build fun
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.fams[name]
-	if f == nil {
-		f = &family{name: name, help: help, kind: k} // published below, with its first entry in place
-	} else if f.kind != k {
-		panic(fmt.Sprintf("obs: registry %q: metric %q registered as %s, re-registered as %s", r.name, name, f.kind, k))
+	// One walk of the name-sorted list finds the family, or the link a new
+	// one is spliced into: ahead of the first family whose name sorts after.
+	at := &r.head
+	f := at.Load()
+	for ; f != nil && f.name < name; f = at.Load() {
+		at = &f.next
 	}
-	sig := labelSig(labels)
-	entries := f.load()
-	for _, e := range entries {
-		if e.sig == sig {
-			return e
+	if f != nil && f.name != name {
+		f = nil // a new name: it goes into the link at
+	}
+	if f != nil {
+		if f.kind != k {
+			panic(fmt.Sprintf("obs: registry %q: metric %q registered as %s, re-registered as %s", r.name, name, f.kind, k))
+		}
+		for e := range f.entries() {
+			if sameLabels(e.labels, labels) {
+				return e
+			}
 		}
 	}
-	e := &entry{labels: append([]Label(nil), labels...), sig: sig}
-	build(e)
-	entries = append(entries[:len(entries):len(entries)], e) // always a fresh array
-	f.entries.Store(&entries)
-	if r.fams[name] == nil {
-		r.fams[name] = f
-		old := r.sortedFamilies()
-		at := sort.Search(len(old), func(i int) bool { return old[i].name > name })
-		fams := slices.Insert(slices.Clone(old), at, f)
-		r.sorted.Store(&fams)
+	e := build()
+	e.labels = append(e.inline[:0], labels...)
+	if f != nil {
+		f.last.next.Store(e)
+		f.last = e
+		return e
 	}
+	// A new family is published with its first entry already in place.
+	f = &family{name: name, help: help, kind: k, last: e}
+	f.first.Store(e)
+	f.next.Store(at.Load())
+	at.Store(f)
 	return e
-}
-
-// sortedFamilies returns the published families in name order, for
-// deterministic exposition. The slice is shared: read-only.
-func (r *Registry) sortedFamilies() []*family {
-	if p := r.sorted.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // ---- Counter ----
 
 // A Counter is a monotonically increasing value. The zero value is unusable;
-// obtain one from Registry.Counter. All methods are nil-safe no-ops.
+// obtain one from Registry.Counter.
 type Counter struct {
 	v atomic.Int64
 }
@@ -195,7 +209,14 @@ type Counter struct {
 // Counter finds or creates the counter (name, labels). It panics when that
 // name and label set is already a CounterFunc: the two cannot share a value.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := r.register(name, help, kindCounter, labels, func(e *entry) { e.counter = &Counter{} }).counter
+	c := r.register(name, help, kindCounter, labels, func() *entry {
+		n := &struct {
+			entry
+			c Counter
+		}{}
+		n.counter = &n.c
+		return &n.entry
+	}).counter
 	if c == nil {
 		panic(fmt.Sprintf("obs: registry %q: metric %q registered as a CounterFunc, re-registered as a Counter", r.name, name))
 	}
@@ -208,61 +229,14 @@ func (c *Counter) Inc() { c.Add(1) }
 // Add increases the counter by n. Negative n is ignored: counters are
 // monotone by contract and a decrement is always a call-site bug.
 func (c *Counter) Add(n int64) {
-	if c == nil || n < 0 {
+	if n < 0 {
 		return
 	}
 	c.v.Add(n)
 }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// ---- Gauge ----
-
-// A Gauge is a value that can go up and down. Obtain one from
-// Registry.Gauge. All methods are nil-safe.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Gauge finds or creates the gauge (name, labels). It panics when that name
-// and label set is already a GaugeFunc: the two cannot share a value.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := r.register(name, help, kindGauge, labels, func(e *entry) { e.gauge = &Gauge{} }).gauge
-	if g == nil {
-		panic(fmt.Sprintf("obs: registry %q: metric %q registered as a GaugeFunc, re-registered as a Gauge", r.name, name))
-	}
-	return g
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adds n (which may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // CounterFunc registers a counter whose value is computed by f at
 // exposition time — the bridge for monotone counts a component already
@@ -270,7 +244,7 @@ func (g *Gauge) Value() int64 {
 // single existing increment and the registry reads it only when scraped.
 // f must be monotone non-decreasing and safe to call from any goroutine.
 func (r *Registry) CounterFunc(name, help string, f func() int64, labels ...Label) {
-	r.register(name, help, kindCounter, labels, func(e *entry) { e.gfunc = f })
+	r.register(name, help, kindCounter, labels, func() *entry { return &entry{gfunc: f} })
 }
 
 // GaugeFunc registers a gauge whose value is computed by f at exposition
@@ -279,7 +253,7 @@ func (r *Registry) CounterFunc(name, help string, f func() int64, labels ...Labe
 // costs nothing until somebody scrapes). f must be safe to call from any
 // goroutine.
 func (r *Registry) GaugeFunc(name, help string, f func() int64, labels ...Label) {
-	r.register(name, help, kindGauge, labels, func(e *entry) { e.gfunc = f })
+	r.register(name, help, kindGauge, labels, func() *entry { return &entry{gfunc: f} })
 }
 
 // ---- Histogram ----
@@ -295,8 +269,7 @@ const histBuckets = 65
 // A Histogram is a log₂-bucketed distribution of non-negative int64
 // samples (by convention: nanoseconds for latencies, bytes for sizes).
 // Record is lock-free and allocation-free; Snapshot derives percentiles.
-// Obtain one from Registry.Histogram. All methods are nil-safe, so a nil
-// *Histogram is a valid "not instrumented" sentinel on hot paths.
+// Obtain one from Registry.Histogram.
 type Histogram struct {
 	sum     atomic.Int64
 	max     atomic.Int64
@@ -305,15 +278,19 @@ type Histogram struct {
 
 // Histogram finds or creates the histogram (name, labels).
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	return r.register(name, help, kindHistogram, labels, func(e *entry) { e.hist = &Histogram{} }).hist
+	return r.register(name, help, kindHistogram, labels, func() *entry {
+		n := &struct {
+			entry
+			h Histogram
+		}{}
+		n.hist = &n.h
+		return &n.entry
+	}).hist
 }
 
 // Record adds one sample. Negative samples clamp to 0 (they can only come
 // from clock steps; losing them beats corrupting the bucket index).
 func (h *Histogram) Record(v int64) {
-	if h == nil {
-		return
-	}
 	if v < 0 {
 		v = 0
 	}
@@ -332,12 +309,7 @@ func (h *Histogram) Observe(d time.Duration) { h.Record(int64(d)) }
 
 // Since records the nanoseconds elapsed since start — the one-liner for
 // deferred latency recording: defer h.Since(time.Now()).
-func (h *Histogram) Since(start time.Time) {
-	if h == nil {
-		return
-	}
-	h.Record(int64(time.Since(start)))
-}
+func (h *Histogram) Since(start time.Time) { h.Record(int64(time.Since(start))) }
 
 // A HistogramSnapshot is a point-in-time summary. Percentiles are
 // upper-bound estimates from the bucket boundaries (within 2x of the true
@@ -355,9 +327,6 @@ type HistogramSnapshot struct {
 // the individual bucket loads; Count is derived from the loaded buckets so
 // the snapshot is internally consistent.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
 	var b [histBuckets]uint64
 	var total uint64
 	for i := range b {

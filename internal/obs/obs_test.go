@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -27,41 +26,30 @@ func TestCounter(t *testing.T) {
 	}
 }
 
+// TestGauge checks a GaugeFunc is evaluated at every scrape, so it tracks a
+// value that goes up and down between scrapes.
 func TestGauge(t *testing.T) {
 	r := NewRegistry("test")
-	g := r.Gauge("siren_depth", "help")
-	g.Set(10)
-	g.Add(-3)
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
-	}
-}
-
-func TestNilSafety(t *testing.T) {
-	var c *Counter
-	var g *Gauge
-	var h *Histogram
-	c.Inc()
-	c.Add(1)
-	g.Set(1)
-	g.Add(1)
-	h.Record(1)
-	h.Observe(time.Second)
-	h.Since(time.Now())
-	if c.Value() != 0 || g.Value() != 0 {
-		t.Fatal("nil instruments must read zero")
-	}
-	if s := h.Snapshot(); s.Count != 0 || s.P99 != 0 {
-		t.Fatalf("nil histogram snapshot = %+v, want zero", s)
+	depth := int64(10)
+	r.GaugeFunc("siren_depth", "help", func() int64 { return depth })
+	for _, want := range []int64{10, 7} {
+		depth = want
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if line := "siren_depth " + strconv.FormatInt(want, 10) + "\n"; !strings.Contains(b.String(), line) {
+			t.Fatalf("exposition %q lacks %q", b.String(), line)
+		}
 	}
 }
 
 func TestRegistryKindMismatchPanics(t *testing.T) {
 	one := func() int64 { return 1 }
 	for name, reregister := range map[string]func(r *Registry){
-		"counter as gauge":     func(r *Registry) { r.Counter("siren_x", ""); r.Gauge("siren_x", "") },
+		"counter as gauge":     func(r *Registry) { r.Counter("siren_x", ""); r.GaugeFunc("siren_x", "", one) },
 		"counterfunc as value": func(r *Registry) { r.CounterFunc("siren_x", "", one); r.Counter("siren_x", "") },
-		"gaugefunc as value":   func(r *Registry) { r.GaugeFunc("siren_x", "", one); r.Gauge("siren_x", "") },
+		"gaugefunc as value":   func(r *Registry) { r.GaugeFunc("siren_x", "", one); r.Counter("siren_x", "") },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -151,7 +139,7 @@ func TestPrometheusGolden(t *testing.T) {
 	r := NewRegistry("golden")
 	r.Counter("siren_ingest_total", "datagrams ingested", L("shard", "0")).Add(7)
 	r.Counter("siren_ingest_total", "datagrams ingested", L("shard", "1")).Add(3)
-	r.Gauge("siren_queue_depth", "pending datagrams").Set(5)
+	r.GaugeFunc("siren_queue_depth", "pending datagrams", func() int64 { return 5 })
 	r.GaugeFunc("siren_up", "always one", func() int64 { return 1 })
 	h := r.Histogram("siren_insert_ns", "insert latency")
 	h.Record(3) // bit-len 2 → le 3
@@ -279,7 +267,7 @@ func splitLabels(s string) []string {
 func TestPrometheusGrammar(t *testing.T) {
 	r := NewRegistry("grammar")
 	r.Counter("siren_a_total", "a", L("shard", "0")).Inc()
-	r.Gauge("siren_b_depth", "with \"quotes\" and \\slash", L("path", `C:\tmp`)).Set(-3)
+	r.GaugeFunc("siren_b_depth", "with \"quotes\" and \\slash", func() int64 { return -3 }, L("path", `C:\tmp`))
 	r.GaugeFunc("siren_c", "c", func() int64 { return 9 })
 	h := r.Histogram("siren_d_ns", "d", L("phase", "write-runs"))
 	for i := int64(1); i < 1_000_000; i *= 3 {
@@ -320,7 +308,7 @@ func TestPrometheusGrammar(t *testing.T) {
 func TestExpvarBridge(t *testing.T) {
 	r := NewRegistry("bridge")
 	r.Counter("siren_n_total", "").Add(4)
-	r.Gauge("siren_g", "", L("shard", "2")).Set(8)
+	r.GaugeFunc("siren_g", "", func() int64 { return 8 }, L("shard", "2"))
 	h := r.Histogram("siren_h_ns", "")
 	h.Record(1024)
 
@@ -350,7 +338,7 @@ func TestConcurrentRecord(t *testing.T) {
 	r := NewRegistry("race")
 	h := r.Histogram("siren_race_ns", "")
 	c := r.Counter("siren_race_total", "")
-	g := r.Gauge("siren_race_depth", "")
+	r.GaugeFunc("siren_race_depth", "", c.Value)
 
 	const workers = 8
 	const perWorker = 10000
@@ -379,7 +367,6 @@ func TestConcurrentRecord(t *testing.T) {
 			for i := int64(0); i < perWorker; i++ {
 				h.Record(seed*1000 + i)
 				c.Inc()
-				g.Add(1)
 			}
 		}(int64(w))
 	}

@@ -21,17 +21,15 @@ import (
 // the signal), with the mandatory le="+Inf" bucket always present.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, f := range r.sortedFamilies() {
+	for f := range r.families() {
 		if f.help != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		for _, e := range f.load() {
+		for e := range f.entries() {
 			switch {
 			case e.counter != nil:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, renderLabels(e.labels, "", 0), e.counter.Value())
-			case e.gauge != nil:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, renderLabels(e.labels, "", 0), e.gauge.Value())
 			case e.gfunc != nil:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, renderLabels(e.labels, "", 0), e.gfunc())
 			case e.hist != nil:

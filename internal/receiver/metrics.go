@@ -8,11 +8,9 @@ import (
 )
 
 // rcvMetrics holds the receiver's obs instruments, one per ingest stage.
-// The zero value (every field nil) is the uninstrumented state: obs methods
-// are nil-receiver safe, and the per-datagram paths additionally gate their
-// time.Now() calls on instrumented() so an uninstrumented receiver pays
-// only a nil check — pinned by BenchmarkReceiverIngest staying on its
-// baseline while BenchmarkIngestInstrumented gates the instrumented cost.
+// Every receiver has them (New registers into a private registry when
+// Options.Metrics is nil), so the per-datagram paths record unconditionally;
+// BenchmarkReceiverIngest gates what that costs.
 type rcvMetrics struct {
 	// parseNS is wire.Parse latency per datagram — the CPU half of the
 	// write path; a p99 jump here means malformed floods or jumbo payloads.
@@ -25,16 +23,11 @@ type rcvMetrics struct {
 	insertNS *obs.Histogram
 }
 
-func (m *rcvMetrics) instrumented() bool { return m.parseNS != nil }
-
 // registerMetrics creates the receiver's instruments in reg: the three
-// stage histograms, a queue-depth gauge per writer shard, and counter
-// bridges onto the existing Stats atomics (the hot path keeps its single
-// increment; the registry reads the atomics only when scraped).
+// stage histograms, a queue-depth gauge per writer shard, and a counter
+// bridge onto every Stats atomic (the hot path keeps its single increment;
+// the registry reads the atomics only when scraped).
 func (r *Receiver) registerMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	r.mx = rcvMetrics{
 		parseNS:     reg.Histogram("siren_ingest_parse_ns", "wire.Parse latency per datagram"),
 		queueWaitNS: reg.Histogram("siren_ingest_queue_wait_ns", "shard-channel residency from dispatch to writer dequeue"),
@@ -51,11 +44,13 @@ func (r *Receiver) registerMetrics(reg *obs.Registry) {
 	reg.CounterFunc("siren_ingest_dropped_total", "datagrams dropped on a full shard channel", r.stats.Dropped.Load)
 	reg.CounterFunc("siren_ingest_rejected_total", "datagrams owned by another roster member", r.stats.Rejected.Load)
 	reg.CounterFunc("siren_ingest_insert_errors_total", "failed insert calls", r.stats.InsertErrors.Load)
+	reg.CounterFunc("siren_ingest_insert_lost_total", "messages in failed insert calls", r.stats.InsertLost.Load)
+	reg.CounterFunc("siren_ingest_accepted_failover_total", "datagrams admitted only because their rank-0 owner is down", r.stats.AcceptedFailover.Load)
 }
 
 // StatsLine renders the periodic log line cmd/siren-receiver prints: the
 // Stats counter snapshot plus the live queue depth and the insert-latency
-// p99 so far (0 when the receiver is uninstrumented or idle) — the two
+// p99 so far (0 while the receiver is idle) — the two
 // leading indicators of a drowning writer tier, visible without a scrape.
 func (r *Receiver) StatsLine() string {
 	return fmt.Sprintf("%s queue=%d insert_p99_ns=%d",

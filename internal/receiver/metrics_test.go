@@ -1,9 +1,11 @@
 package receiver
 
 import (
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"unicode"
 
 	"siren/internal/obs"
 	"siren/internal/sirendb"
@@ -69,20 +71,20 @@ func TestReceiverMetrics(t *testing.T) {
 func TestStatsLine(t *testing.T) {
 	lineRe := regexp.MustCompile(`^received=\d+ inserted=\d+ malformed=\d+ dropped=\d+ rejected=\d+ insert_errors=\d+ insert_lost=\d+ accepted_failover=\d+ queue=\d+ insert_p99_ns=\d+$`)
 
-	// Uninstrumented: p99 must read 0, not panic.
+	// Idle: nothing inserted yet, so p99 reads 0.
 	db, _ := sirendb.Open("")
 	r := New(db, Options{Writers: 1})
 	if line := r.StatsLine(); !lineRe.MatchString(line) {
-		t.Fatalf("uninstrumented StatsLine %q does not match the pinned shape", line)
+		t.Fatalf("idle StatsLine %q does not match the pinned shape", line)
 	}
 	if !strings.HasSuffix(r.StatsLine(), "queue=0 insert_p99_ns=0") {
-		t.Fatalf("uninstrumented StatsLine = %q, want zero telemetry fields", r.StatsLine())
+		t.Fatalf("idle StatsLine = %q, want zero telemetry fields", r.StatsLine())
 	}
 
-	// Instrumented: after traffic the p99 is a real sample.
-	reg := obs.NewRegistry("test")
+	// After traffic the p99 is a real sample, with or without a registry
+	// from the caller.
 	db2, _ := sirendb.OpenOptions("", sirendb.Options{Shards: 1})
-	r2 := New(db2, Options{Writers: 1, Metrics: reg})
+	r2 := New(db2, Options{Writers: 1})
 	src := make(chan []byte, 8)
 	for i := 0; i < 8; i++ {
 		src <- wire.Encode(mkMsg(200+i, wire.TypeObjects))
@@ -94,9 +96,47 @@ func TestStatsLine(t *testing.T) {
 	}
 	line := r2.StatsLine()
 	if !lineRe.MatchString(line) {
-		t.Fatalf("instrumented StatsLine %q does not match the pinned shape", line)
+		t.Fatalf("StatsLine %q does not match the pinned shape", line)
 	}
 	if strings.HasSuffix(line, "insert_p99_ns=0") {
-		t.Fatalf("instrumented StatsLine %q has p99 = 0 after %d inserts", line, 8)
+		t.Fatalf("StatsLine %q has p99 = 0 after %d inserts", line, 8)
 	}
+}
+
+// TestStatsMetricsParity requires every StatsSnapshot counter to reach
+// /metrics: field InsertLost must appear as siren_ingest_insert_lost_total,
+// and so on for each field, so a counter added to Stats cannot stay
+// invisible to scrapers.
+func TestStatsMetricsParity(t *testing.T) {
+	reg := obs.NewRegistry("test")
+	db, _ := sirendb.Open("")
+	New(db, Options{Writers: 1, Metrics: reg})
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	fields := reflect.TypeOf(StatsSnapshot{})
+	for i := 0; i < fields.NumField(); i++ {
+		fam := "siren_ingest_" + snakeCase(fields.Field(i).Name) + "_total"
+		if !strings.Contains(text, "# TYPE "+fam+" counter\n") {
+			t.Errorf("StatsSnapshot.%s has no %s counter in the exposition", fields.Field(i).Name, fam)
+		}
+	}
+}
+
+// snakeCase turns a Go field name into its metric-name form:
+// AcceptedFailover → accepted_failover.
+func snakeCase(name string) string {
+	var b strings.Builder
+	for i, r := range name {
+		if unicode.IsUpper(r) {
+			if i > 0 {
+				b.WriteByte('_')
+			}
+			r = unicode.ToLower(r)
+		}
+		b.WriteRune(r)
+	}
+	return b.String()
 }

@@ -131,8 +131,8 @@ type ShardedStore interface {
 
 // pkt is one in-flight datagram. When buf is non-nil the data slice aliases
 // a pooled buffer that must be returned to bufPool after parsing. enq is
-// the dispatch timestamp (UnixNano) stamped only when the receiver is
-// instrumented; the writer turns it into the queue-wait histogram sample.
+// the dispatch timestamp (UnixNano); the writer turns it into the
+// queue-wait histogram sample.
 type pkt struct {
 	data []byte
 	buf  *[]byte
@@ -159,7 +159,7 @@ type Receiver struct {
 	readers  int
 	view     *membership.View // membership-table admission (nil: admit everything)
 	selfIdx  int              // this receiver's index in view's roster
-	mx       rcvMetrics       // obs instruments (zero value = uninstrumented)
+	mx       rcvMetrics       // obs instruments, registered by New
 
 	// Health state (see health.go): when the datagram source opened and when
 	// the last datagram arrived, as UnixNano (0 = never).
@@ -216,10 +216,11 @@ type Options struct {
 	// identically on every member. Nil (the default) admits everything —
 	// the paper's single-receiver deployment.
 	View *membership.View
-	// Metrics, when non-nil, registers the receiver's instruments there:
+	// Metrics is the registry the receiver's instruments register in:
 	// per-stage latency histograms (parse, shard-queue wait, insert batch),
-	// per-shard queue-depth gauges, and counter bridges onto Stats (see
-	// internal/obs). Nil leaves the per-datagram paths uninstrumented.
+	// per-shard queue-depth gauges, and counter bridges onto every Stats
+	// counter (see internal/obs). Nil gets a private registry; telemetry is
+	// always recorded.
 	Metrics *obs.Registry
 }
 
@@ -278,7 +279,11 @@ func New(db Store, opts Options) *Receiver {
 	if ss, ok := db.(ShardedStore); ok && ss.StoreShards() == len(r.shards) {
 		r.direct = ss
 	}
-	r.registerMetrics(opts.Metrics)
+	reg := opts.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry("siren-receiver")
+	}
+	r.registerMetrics(reg)
 	return r
 }
 
@@ -413,9 +418,7 @@ func (r *Receiver) dispatch(p pkt, block bool) {
 			}
 		}
 	}
-	if r.mx.instrumented() {
-		p.enq = time.Now().UnixNano()
-	}
+	p.enq = time.Now().UnixNano()
 	sh := r.shards[idx]
 	if block {
 		sh <- p
@@ -452,10 +455,7 @@ func (r *Receiver) writeLoop(idx int, ch chan pkt) {
 		if len(batch) == 0 {
 			return
 		}
-		var insStart time.Time
-		if r.mx.insertNS != nil {
-			insStart = time.Now()
-		}
+		insStart := time.Now()
 		if err := insert(); err != nil {
 			// The batch is lost, but never silently: both the failed call
 			// and the message count surface in Stats.
@@ -468,14 +468,9 @@ func (r *Receiver) writeLoop(idx int, ch chan pkt) {
 		batch = batch[:0]
 	}
 	add := func(p pkt) {
-		var parseStart time.Time
-		if r.mx.instrumented() {
-			// One clock read ends the queue-wait stage and starts parse.
-			parseStart = time.Now()
-			if p.enq != 0 {
-				r.mx.queueWaitNS.Record(parseStart.UnixNano() - p.enq)
-			}
-		}
+		// One clock read ends the queue-wait stage and starts parse.
+		parseStart := time.Now()
+		r.mx.queueWaitNS.Record(parseStart.UnixNano() - p.enq)
 		m, err := wire.Parse(p.data)
 		r.mx.parseNS.Since(parseStart)
 		release(p) // Parse copied what it needs; recycle immediately

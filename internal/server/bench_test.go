@@ -30,7 +30,7 @@ func benchServer(b *testing.B, jobs int) (http.Handler, []byte) {
 	cat := catalog.New(catalog.StoreSource(db), catalog.Options{})
 	cat.Refresh()
 	body, _ := json.Marshal(server.IdentifyRequest{FileH: digest(b, appContent("lammps", 39))})
-	return server.New(cat).Handler(), body
+	return server.NewWithMetrics(cat, nil).Handler(), body
 }
 
 func BenchmarkIdentify(b *testing.B) {

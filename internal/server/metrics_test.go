@@ -6,6 +6,7 @@ package server_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"reflect"
@@ -140,6 +141,62 @@ func TestMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestDebugVarsOneInstrument pins that /debug/vars, /api/v1/stats and
+// /metrics report each endpoint's requests, errors and cumulative latency
+// from the same instruments, and that the endpoint_<name> maps keep their
+// exact expvar rendering.
+func TestDebugVarsOneInstrument(t *testing.T) {
+	_, _, ts := newServed(t, 1)
+	getJSON(t, ts.URL+"/api/v1/jobs", nil)
+	getJSON(t, ts.URL+"/api/v1/jobs", nil)
+	resp, err := http.Post(ts.URL+"/api/v1/identify", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("empty identify: status %d, want 400", resp.StatusCode)
+	}
+
+	var vars map[string]json.RawMessage
+	getJSON(t, ts.URL+"/debug/vars", &vars)
+	var stats server.StatsResponse
+	getJSON(t, ts.URL+"/api/v1/stats", &stats)
+	mr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(mr.Body)
+	mr.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(body)
+
+	for _, c := range []struct {
+		endpoint       string
+		requests, errs int64
+	}{{"jobs", 2, 0}, {"identify", 1, 1}} {
+		ep := stats.Endpoints[c.endpoint]
+		if ep.Requests != c.requests || ep.Errors != c.errs || ep.LatencyNSTotal <= 0 {
+			t.Fatalf("%s stats = %+v, want %d requests, %d errors", c.endpoint, ep, c.requests, c.errs)
+		}
+		want := fmt.Sprintf(`{"errors": %d, "latency_ns_total": %d, "requests": %d}`, ep.Errors, ep.LatencyNSTotal, ep.Requests)
+		if got := string(vars["endpoint_"+c.endpoint]); got != want {
+			t.Fatalf("/debug/vars endpoint_%s = %s, want %s", c.endpoint, got, want)
+		}
+		for _, sample := range []string{
+			fmt.Sprintf("siren_http_request_ns_count{endpoint=%q} %d\n", c.endpoint, ep.Requests),
+			fmt.Sprintf("siren_http_request_ns_sum{endpoint=%q} %d\n", c.endpoint, ep.LatencyNSTotal),
+			fmt.Sprintf("siren_http_errors_total{endpoint=%q} %d\n", c.endpoint, ep.Errors),
+		} {
+			if !strings.Contains(text, sample) {
+				t.Fatalf("/metrics lacks %q:\n%s", sample, text)
+			}
 		}
 	}
 }

@@ -15,13 +15,15 @@
 //	GET  /api/v1/report              full evaluation (report.JSONReport)
 //	GET  /api/v1/stats               catalog generation + request counters
 //	GET  /healthz                    liveness
-//	GET  /debug/vars                 per-endpoint latency expvars
+//	GET  /debug/vars                 per-endpoint request counters
 //	GET  /metrics                    Prometheus text exposition (internal/obs)
 //
-// Every endpoint is instrumented with a log-bucketed latency histogram
-// (internal/obs) alongside the original cumulative expvar counters, so
-// /api/v1/stats reports tail percentiles, /metrics serves scrapers, and the
-// /debug/vars shapes existing tooling parses stay byte-compatible.
+// Every endpoint has exactly two instruments (internal/obs): a log-bucketed
+// latency histogram, whose count and sum are the endpoint's request count
+// and cumulative latency, and an error counter. /metrics exposes them,
+// /api/v1/stats adds the histogram's tail percentiles, and the /debug/vars
+// endpoint maps existing tooling parses are rendered from the same two
+// instruments in their original shape.
 //
 // The server owns a dedicated mux and http.Server — nothing registers on
 // http.DefaultServeMux, and nothing publishes to the global expvar registry,
@@ -53,15 +55,12 @@ import (
 // for one.
 const DefaultTopK = 10
 
-// endpointVars are one endpoint's counters, exposed both under /debug/vars
-// and inside /api/v1/stats. The expvar ints are the backward-compatible
-// cumulative counters; lat is the obs histogram behind the percentile
-// fields and the /metrics exposition.
+// endpointVars are one endpoint's instruments, the single source of both
+// /debug/vars and /api/v1/stats: lat's Count and Sum are the request count
+// and cumulative latency, errs counts failed requests.
 type endpointVars struct {
-	Requests  expvar.Int
-	Errors    expvar.Int
-	LatencyNS expvar.Int
-	lat       *obs.Histogram
+	lat  *obs.Histogram
+	errs *obs.Counter
 }
 
 // Server is the query tier over one catalog.
@@ -70,7 +69,7 @@ type Server struct {
 	mux  *http.ServeMux
 	hs   *http.Server
 	vars *expvar.Map   // unregistered: never touches the global expvar registry
-	reg  *obs.Registry // the /metrics registry; shared when injected via NewWithMetrics
+	reg  *obs.Registry // the /metrics registry; shared when injected
 
 	endpoints map[string]*endpointVars
 	started   time.Time
@@ -99,15 +98,10 @@ type clustersEntry struct {
 	resp *ClustersResponse
 }
 
-// New builds a server over cat with a dedicated mux and its own private
-// metrics registry (served on GET /metrics).
-func New(cat *catalog.Catalog) *Server {
-	return NewWithMetrics(cat, nil)
-}
-
-// NewWithMetrics builds a server whose instruments register into reg, so a
-// process running several tiers (a receiver with -serve-addr) exposes one
-// unified /metrics covering all of them. A nil reg gets a private registry.
+// NewWithMetrics builds a server over cat with a dedicated mux, whose
+// instruments register into reg, so a process running several tiers (a
+// receiver with -serve-addr) exposes one unified /metrics covering all of
+// them. A nil reg gets a private registry.
 func NewWithMetrics(cat *catalog.Catalog, reg *obs.Registry) *Server {
 	if reg == nil {
 		reg = obs.NewRegistry("siren-server")
@@ -148,10 +142,6 @@ func NewWithMetrics(cat *catalog.Catalog, reg *obs.Registry) *Server {
 	return s
 }
 
-// Metrics returns the server's registry — the injection point for callers
-// that want to add their own instruments to this server's /metrics.
-func (s *Server) Metrics() *obs.Registry { return s.reg }
-
 // apiError carries an HTTP status with its message.
 type apiError struct {
 	status int
@@ -181,26 +171,26 @@ func (cw *committedWriter) Write(p []byte) (int, error) {
 	return cw.ResponseWriter.Write(p)
 }
 
-// handle wires one instrumented endpoint: request/error counters and a
-// cumulative latency gauge per endpoint, grouped under "endpoint_<name>" in
-// the vars map.
+// handle wires one instrumented endpoint: its latency histogram and error
+// counter, rendered as request/error/latency-total counters under
+// "endpoint_<name>" in the vars map.
 func (s *Server) handle(name, pattern string, h func(w http.ResponseWriter, r *http.Request) error) {
-	ev := &endpointVars{lat: s.reg.Histogram("siren_http_request_ns", "request latency per endpoint", obs.L("endpoint", name))}
+	ev := &endpointVars{
+		lat:  s.reg.Histogram("siren_http_request_ns", "request latency per endpoint", obs.L("endpoint", name)),
+		errs: s.reg.Counter("siren_http_errors_total", "requests answered with an error status per endpoint", obs.L("endpoint", name)),
+	}
 	s.endpoints[name] = ev
 	em := new(expvar.Map).Init()
-	em.Set("requests", &ev.Requests)
-	em.Set("errors", &ev.Errors)
-	em.Set("latency_ns_total", &ev.LatencyNS)
+	em.Set("requests", expvar.Func(func() any { return ev.lat.Snapshot().Count }))
+	em.Set("errors", expvar.Func(func() any { return ev.errs.Value() }))
+	em.Set("latency_ns_total", expvar.Func(func() any { return ev.lat.Snapshot().Sum }))
 	s.vars.Set("endpoint_"+name, em)
 
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		cw := &committedWriter{ResponseWriter: w}
 		err := h(cw, r)
-		elapsed := time.Since(start)
-		ev.Requests.Add(1)
-		ev.LatencyNS.Add(elapsed.Nanoseconds())
-		ev.lat.Observe(elapsed)
+		ev.lat.Since(start)
 		if err == nil {
 			return
 		}
@@ -212,7 +202,7 @@ func (s *Server) handle(name, pattern string, h func(w http.ResponseWriter, r *h
 			// with every disconnect.
 			return
 		}
-		ev.Errors.Add(1)
+		ev.errs.Inc()
 		status := http.StatusInternalServerError
 		var ae *apiError
 		if errors.As(err, &ae) {
@@ -296,11 +286,11 @@ type ReportResponse struct {
 	Report     *report.JSONReport `json:"report"`
 }
 
-// EndpointStats are one endpoint's counters in /api/v1/stats. The original
-// cumulative fields are kept byte-compatible; the percentile fields are
-// additive, derived from the endpoint's latency histogram — a cumulative
-// sum divided by requests is a mean, and a mean hides exactly the tail an
-// operator is hunting.
+// EndpointStats are one endpoint's counters in /api/v1/stats, all read
+// from its latency histogram and error counter. The original cumulative
+// fields are kept byte-compatible; the percentile fields are additive — a
+// cumulative sum divided by requests is a mean, and a mean hides exactly
+// the tail an operator is hunting.
 type EndpointStats struct {
 	Requests       int64 `json:"requests"`
 	Errors         int64 `json:"errors"`
@@ -519,9 +509,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) error {
 	for name, ev := range s.endpoints {
 		hs := ev.lat.Snapshot()
 		resp.Endpoints[name] = EndpointStats{
-			Requests:       ev.Requests.Value(),
-			Errors:         ev.Errors.Value(),
-			LatencyNSTotal: ev.LatencyNS.Value(),
+			Requests:       int64(hs.Count),
+			Errors:         ev.errs.Value(),
+			LatencyNSTotal: hs.Sum,
 			LatencyP50NS:   hs.P50,
 			LatencyP90NS:   hs.P90,
 			LatencyP99NS:   hs.P99,

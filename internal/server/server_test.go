@@ -115,7 +115,7 @@ func newServed(t testing.TB, jobs int) (*sirendb.DB, *catalog.Catalog, *httptest
 	}
 	cat := catalog.New(catalog.StoreSource(db), catalog.Options{})
 	cat.Refresh()
-	ts := httptest.NewServer(server.New(cat).Handler())
+	ts := httptest.NewServer(server.NewWithMetrics(cat, nil).Handler())
 	t.Cleanup(ts.Close)
 	return db, cat, ts
 }
@@ -368,7 +368,7 @@ func TestGracefulShutdown(t *testing.T) {
 	cat := catalog.New(catalog.StoreSource(db), catalog.Options{})
 	cat.Refresh()
 
-	srv := server.New(cat)
+	srv := server.NewWithMetrics(cat, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

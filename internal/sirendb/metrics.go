@@ -4,10 +4,9 @@ import (
 	"siren/internal/obs"
 )
 
-// storeMetrics holds the store's obs instruments. The zero value (every
-// field nil) is the uninstrumented state: all obs methods are nil-receiver
-// safe, so hot paths record unconditionally and pay nothing but a nil check
-// when Options.Metrics was not set.
+// storeMetrics holds the store's obs instruments. Every store has them
+// (OpenOptions registers into a private registry when Options.Metrics is
+// nil), so hot paths record unconditionally.
 type storeMetrics struct {
 	// walAppendNS is the write(2) latency of a WAL segment append, measured
 	// under the shard lock — the synchronous disk cost every insert batch
@@ -25,8 +24,9 @@ type storeMetrics struct {
 	// truncate) vs rename (commit) vs in-memory swap (attach).
 	sealNS      *obs.Histogram
 	sealPhaseNS [4]*obs.Histogram
-	// runReadErrs mirrors StoreStats.RunReadErrors: lazy run-read failures
-	// (block checksum mismatches) discovered while serving the sealed tier.
+	// runReadErrs counts lazy run-read failures (block checksum mismatches)
+	// discovered while serving the sealed tier; StoreStats.RunReadErrors
+	// reads it, so the stats and /metrics cannot disagree.
 	runReadErrs *obs.Counter
 }
 
@@ -34,11 +34,11 @@ type storeMetrics struct {
 // of storeMetrics.sealPhaseNS follow it.
 var sealPhases = [4]string{"write-runs", "commit", "truncate", "attach"}
 
-// newStoreMetrics registers the store's instruments in r; a nil registry
-// yields the zero (uninstrumented) value.
+// newStoreMetrics registers the store's instruments in r, or in a private
+// registry when r is nil.
 func newStoreMetrics(r *obs.Registry) storeMetrics {
 	if r == nil {
-		return storeMetrics{}
+		r = obs.NewRegistry("sirendb")
 	}
 	m := storeMetrics{
 		walAppendNS: r.Histogram("siren_wal_append_ns", "WAL segment append (write syscall) latency"),

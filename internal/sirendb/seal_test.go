@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"siren/internal/obs"
 	"siren/internal/sirendb/runfmt"
 	"siren/internal/wire"
 )
@@ -358,6 +359,56 @@ func TestSealedTornRunDetected(t *testing.T) {
 			t.Fatal("open accepted a store with a corrupt committed run")
 		}
 	})
+}
+
+// TestSealedRunReadErrorsOneCounter flips a bit inside a sealed run's data
+// block — invisible at Open, found by the lazy checksum on read — and
+// requires StoreStats.RunReadErrors and the /metrics sample of
+// siren_run_read_errors_total to report the same non-zero count: they read
+// one instrument.
+func TestSealedRunReadErrorsOneCounter(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "siren.wal")
+	db, err := OpenOptions(path, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertBatch(sealCorpus(150)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	run := runFilePath(path, 1, 0)
+	b, err := os.ReadFile(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len("SIRENRUN1\n")+8+5] ^= 0x01 // first block's payload, past its header
+	if err := os.WriteFile(run, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry("test")
+	db, err = OpenOptions(path, Options{Shards: 1, Metrics: reg})
+	if err != nil {
+		t.Fatalf("block corruption must stay lazy, Open: %v", err)
+	}
+	defer db.Close()
+	if got := len(db.All()); got >= 150 {
+		t.Fatalf("All yielded %d rows from a corrupt run, want a truncated stream", got)
+	}
+	stats := db.Stats().RunReadErrors
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	sample := fmt.Sprintf("\nsiren_run_read_errors_total %d\n", stats)
+	if stats == 0 || !strings.Contains(text.String(), sample) {
+		t.Fatalf("RunReadErrors = %d, /metrics lacks %q:\n%s", stats, sample, text.String())
+	}
 }
 
 func TestSealRetention(t *testing.T) {

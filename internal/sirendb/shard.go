@@ -71,8 +71,7 @@ type shard struct {
 	dirty chan struct{}
 
 	// fsyncNS / commitBytes are the store's group-commit instruments,
-	// shared by every shard (nil-safe no-ops when the store is
-	// uninstrumented; see storeMetrics).
+	// shared by every shard (see storeMetrics).
 	fsyncNS     *obs.Histogram
 	commitBytes *obs.Histogram
 }

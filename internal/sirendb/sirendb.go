@@ -70,10 +70,11 @@ type Options struct {
 	// operations return ErrReadOnly. No on-disk state needs a writable open
 	// first: a crash-interrupted Seal rolls forward by filtering, not mutation.
 	ReadOnly bool
-	// Metrics, when non-nil, registers the store's instruments there: WAL
+	// Metrics is the registry the store's instruments register in: WAL
 	// append and group-commit fdatasync latency, commit batch bytes, Seal
-	// phase durations, and run-read errors (see internal/obs). Nil leaves
-	// every hot path uninstrumented at zero cost.
+	// phase durations, and run-read errors (see internal/obs). Nil gets a
+	// private registry; telemetry is always recorded. Stores sharing a
+	// registry share its instruments, StoreStats.RunReadErrors included.
 	Metrics *obs.Registry
 }
 
@@ -107,15 +108,12 @@ type DB struct {
 	// sealMu guards the sealed-tier bookkeeping. sealGen is the highest
 	// committed seal generation; sealedSeq is the marker's maxseq — the
 	// replay filter's floor for WAL residue a crashed post-commit seal left
-	// behind. Both only ever grow. runReadErrs counts lazy run-read failures
-	// (block checksum mismatches found after Open) surfaced through Stats.
-	sealMu      sync.Mutex
-	sealGen     int
-	sealedSeq   uint64
-	runReadErrs atomic.Int64
+	// behind. Both only ever grow.
+	sealMu    sync.Mutex
+	sealGen   int
+	sealedSeq uint64
 
-	// mx holds the store's obs instruments; the zero value is the
-	// uninstrumented no-op state (see storeMetrics).
+	// mx holds the store's obs instruments (see storeMetrics).
 	mx storeMetrics
 
 	stopSync   chan struct{}
@@ -378,7 +376,6 @@ func (db *DB) tierViews() (rows [][]row, runs [][]sealedRun) {
 // so the loss is observable, in keeping with SIREN's graceful-failure
 // design (a torn *committed* run is caught hard at Open instead).
 func (db *DB) noteRunErr(error) {
-	db.runReadErrs.Add(1)
 	db.mx.runReadErrs.Inc()
 }
 
@@ -533,7 +530,7 @@ func (db *DB) Stats() StoreStats {
 		LastSeq:        db.seq.Load(),
 		CorruptRecords: int(db.corrupt.Load()),
 		SyncFailed:     db.syncFailed.Load(),
-		RunReadErrors:  int(db.runReadErrs.Load()),
+		RunReadErrors:  int(db.mx.runReadErrs.Value()),
 	}
 	db.sealMu.Lock()
 	st.SealedGen = db.sealGen

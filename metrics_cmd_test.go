@@ -143,6 +143,13 @@ func TestReceiverMetricsE2E(t *testing.T) {
 	if got := sampleValue(text, "siren_ingest_received_total"); got != 200 {
 		t.Errorf("siren_ingest_received_total = %d, want 200", got)
 	}
+	// The loss and failover counters are exposed even while they read zero:
+	// an operator's alert needs the series to exist before it fires.
+	for _, fam := range []string{"siren_ingest_insert_lost_total", "siren_ingest_accepted_failover_total"} {
+		if got := sampleValue(text, fam); got != 0 {
+			t.Errorf("%s = %d, want an exposed 0", fam, got)
+		}
+	}
 	if sampleValue(text, "siren_seal_phase_ns_count{phase=\"commit\"}") < 1 {
 		t.Errorf("seal phase histograms missing commit samples:\n%s", text)
 	}
