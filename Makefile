@@ -80,16 +80,15 @@ bench-store:
 	$(GO) test -run=NONE -bench='BenchmarkInsertBatch|BenchmarkReceiverIngest' -benchmem ./internal/sirendb ./internal/receiver
 
 # Read-path benchmarks (EXPERIMENTS.md §4/§5): snapshot scans, insert
-# latency under a concurrent scanner, per-job index merges, the streaming
-# consolidation, and the multi-receiver merged-snapshot consolidation vs the
-# single store —
+# latency under a concurrent scanner, the streaming consolidation, and the
+# multi-receiver merged-snapshot consolidation vs the single store —
 # always with -benchmem so allocation regressions are visible. Override
 # BENCHTIME (e.g. BENCHTIME=1x) for a smoke run, -cpu via BENCHCPU for the
 # parallel-speedup curve on multi-core hosts.
 BENCHTIME ?= 2s
 BENCHCPU ?= $(shell nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 1)
 bench-read:
-	$(GO) test -run=NONE -bench='BenchmarkScanSnapshot|BenchmarkInsertDuringScan|BenchmarkByJob|BenchmarkJobs|BenchmarkConsolidate|BenchmarkMergedConsolidate' \
+	$(GO) test -run=NONE -bench='BenchmarkScanSnapshot|BenchmarkInsertDuringScan|BenchmarkConsolidate|BenchmarkMergedConsolidate' \
 		-benchmem -benchtime=$(BENCHTIME) -cpu=$(BENCHCPU) ./internal/sirendb ./internal/postprocess
 
 # WAL durability suite under the race detector: replay-corruption matrix,

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	siren-serve -db siren.wal [-addr 127.0.0.1:8899]
+//	siren-serve -db siren.wal [-addr 127.0.0.1:8899] [-readonly] [-workers N] [-pprof]
 //	siren-serve -db 'siren-0.wal,siren-1.wal,siren-2.wal'   # multi-receiver
 //	siren-serve -db 'campaign/siren-*.wal*'                 # glob over members
 //
@@ -38,9 +38,8 @@
 // catalog's refresh timings — in Prometheus text format, and -pprof adds the
 // net/http/pprof profiling handlers under /debug/pprof/ on the same listener.
 //
-// -refresh-interval re-captures the catalog periodically; it defaults to 0
-// (off) because an exclusively locked set cannot change. It exists for
-// future sources that can.
+// The catalog is built once at start-up: both open modes hold a lock that
+// excludes writers, so the served set cannot change.
 package main
 
 import (
@@ -74,7 +73,6 @@ func main() {
 func run() (err error) {
 	dbSpec := flag.String("db", "siren.wal", "WAL file(s) to serve: comma-separated base paths, each optionally a glob")
 	addr := flag.String("addr", "127.0.0.1:8899", "HTTP listen address of the query API")
-	refreshEvery := flag.Duration("refresh-interval", 0, "period of catalog re-capture (0 = off; a locked set cannot change)")
 	workers := flag.Int("workers", 0, "streaming-consolidation workers per refresh (0 = one per store shard)")
 	readonly := flag.Bool("readonly", false, "open every member with a shared lock: concurrent serve processes may share the campaign, writers stay excluded")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the query listener")
@@ -128,23 +126,6 @@ func run() (err error) {
 	fmt.Printf("siren-serve: serving on http://%s\n", ln.Addr())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-
-	stop := make(chan struct{})
-	defer close(stop)
-	if *refreshEvery > 0 {
-		go func() {
-			t := time.NewTicker(*refreshEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					cat.Refresh()
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
 
 	select {
 	case <-sig:

@@ -256,6 +256,34 @@ func TestReceiverExpvar(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRefusesMissingStore: siren-analyze pointed at a store that does
+// not exist exits non-zero and creates nothing, instead of opening (and so
+// creating) an empty store and reporting a zero-row campaign.
+func TestAnalyzeRefusesMissingStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping CLI build")
+	}
+	repo, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(t.TempDir(), "siren-analyze")
+	runCmd(t, repo, "go", "build", "-o", bin, "./cmd/siren-analyze")
+
+	work := t.TempDir()
+	out, err := exec.Command(bin, "-db", filepath.Join(work, "missing.wal"), "-json").CombinedOutput()
+	if err == nil {
+		t.Fatalf("siren-analyze on a missing store exited 0:\n%s", truncate(string(out)))
+	}
+	entries, err := os.ReadDir(work)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("siren-analyze on a missing store created %s", e.Name())
+	}
+}
+
 func truncate(s string) string {
 	if len(s) > 800 {
 		return s[:800] + "…"

@@ -175,7 +175,11 @@ func TestIncrementalRefreshMatchesFull(t *testing.T) {
 	if rs.Gen != 2 || rs.Reconsolidated != 2 || rs.Carried != initialJobs-1 {
 		t.Fatalf("incremental refresh stats = %+v, want gen 2, 2 reconsolidated, %d carried", rs, initialJobs-1)
 	}
-	changedRows := len(db.ByJob("job-1")) + len(db.ByJob(fmt.Sprintf("job-%d", initialJobs)))
+	changedRows := 0
+	sn := db.Snapshot()
+	for _, job := range []string{"job-1", fmt.Sprintf("job-%d", initialJobs)} {
+		sn.JobRows(job, func(wire.Message) bool { changedRows++; return true })
+	}
 	if rs.RowsReconsolidated != changedRows {
 		t.Errorf("incremental pass re-read %d rows, want the two changed jobs' %d", rs.RowsReconsolidated, changedRows)
 	}

@@ -147,7 +147,7 @@ func BenchmarkMergedConsolidate(b *testing.B) {
 		dbs := make([]*sirendb.DB, members)
 		groups := make([][]wire.Message, members)
 		owner := rosterOwner(b, members)
-		for _, m := range single.All() {
+		for _, m := range allRows(single) {
 			k := owner(m)
 			groups[k] = append(groups[k], m)
 		}
@@ -203,7 +203,7 @@ func BenchmarkMergedConsolidatePeakMemory(b *testing.B) {
 	seedDB := synthWorld(b, 4, 256, 32)
 	groups := make([][]wire.Message, members)
 	owner := rosterOwner(b, members)
-	for _, m := range seedDB.All() {
+	for _, m := range allRows(seedDB) {
 		k := owner(m)
 		groups[k] = append(groups[k], m)
 	}

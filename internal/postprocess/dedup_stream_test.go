@@ -34,7 +34,7 @@ func TestDedupedFailoverMergeMatchesSingleStore(t *testing.T) {
 	groups := make([][]wire.Message, members)
 	deadRuns := make(map[[2]string][]wire.Message) // (job, host) -> full run
 	owner := rosterOwner(t, members)
-	for _, m := range single.All() {
+	for _, m := range allRows(single) {
 		k := owner(m)
 		if k == dead {
 			key := [2]string{m.JobID, m.Host}

@@ -50,7 +50,7 @@ func diffReports(t *testing.T, name string, got, want []byte) {
 func TestSealedConsolidationMatchesReplay(t *testing.T) {
 	ref := synthWorld(t, 4, 11, 7)
 	defer ref.Close()
-	msgs := ref.All() // in-memory store: global insertion order
+	msgs := allRows(ref) // in-memory store: global insertion order
 	want := reportBytes(ConsolidateSnapshot(ref.Snapshot(), StreamOptions{}))
 
 	// Replay-the-world: every row rides the WAL through a reopen.
@@ -135,7 +135,7 @@ func TestSealedMergedConsolidationMatchesSingleStore(t *testing.T) {
 	const members = 3
 	groups := make([][]wire.Message, members)
 	owner := rosterOwner(t, members)
-	for _, m := range single.All() {
+	for _, m := range allRows(single) {
 		k := owner(m)
 		groups[k] = append(groups[k], m)
 	}

@@ -65,6 +65,14 @@ func synthWorld(t testing.TB, shards, jobs, procsPerJob int) *sirendb.DB {
 	return db
 }
 
+// allRows reads every row of db through a fresh snapshot, in global
+// insertion order (the order an unsealed store's Iter yields).
+func allRows(db *sirendb.DB) []wire.Message {
+	var out []wire.Message
+	db.Snapshot().Iter(func(m wire.Message) bool { out = append(out, m); return true })
+	return out
+}
+
 // ConsolidateMessages is the load-everything consolidation — one global
 // reassembly and group pass over an explicit message slice, through the
 // oracle kernel (kernel_test.go). It is the equality oracle the streaming,
@@ -97,14 +105,14 @@ func countRecordStats(stats *Stats, out []*ProcessRecord) {
 
 // TestStreamingMatchesLoadEverything pins the equivalence that lets the
 // streaming path replace the old one: record-for-record identical output
-// and identical stats versus ConsolidateMessages(db.All()).
+// and identical stats versus ConsolidateMessages(allRows(db)).
 func TestStreamingMatchesLoadEverything(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			db := synthWorld(t, shards, 11, 7)
 			defer db.Close()
 
-			want, wantStats := ConsolidateMessages(db.All())
+			want, wantStats := ConsolidateMessages(allRows(db))
 			got, gotStats := ConsolidateSnapshot(db.Snapshot(), StreamOptions{})
 
 			if gotStats != wantStats {
@@ -193,7 +201,7 @@ func TestConsolidateStreamEarlyStop(t *testing.T) {
 func TestConsolidateStreamWorkerCap(t *testing.T) {
 	db := synthWorld(t, 4, 8, 3)
 	defer db.Close()
-	want, _ := ConsolidateMessages(db.All())
+	want, _ := ConsolidateMessages(allRows(db))
 	for _, workers := range []int{1, 2, 8} {
 		got, _ := ConsolidateSnapshot(db.Snapshot(), StreamOptions{Workers: workers})
 		if len(got) != len(want) {
@@ -231,7 +239,7 @@ func TestStreamingToleratesMisroutedInserts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want, _ := ConsolidateMessages(db.All())
+	want, _ := ConsolidateMessages(allRows(db))
 	if len(want) != 1 {
 		t.Fatalf("baseline produced %d records, want 1", len(want))
 	}
@@ -273,7 +281,7 @@ func TestStreamingEndToEndPipeline(t *testing.T) {
 	}
 	p.finish()
 
-	want, wantStats := ConsolidateMessages(p.db.All())
+	want, wantStats := ConsolidateMessages(allRows(p.db))
 	got, gotStats := Consolidate(p.db)
 	if gotStats != wantStats {
 		t.Errorf("stats diverged: %+v vs %+v", gotStats, wantStats)
@@ -317,7 +325,7 @@ func TestMergedSnapshotMatchesSingleStore(t *testing.T) {
 	}
 	groups := make([][]wire.Message, members)
 	owner := rosterOwner(t, members)
-	for _, m := range single.All() {
+	for _, m := range allRows(single) {
 		k := owner(m)
 		groups[k] = append(groups[k], m)
 	}

@@ -97,11 +97,12 @@ func TestMembershipAdmission(t *testing.T) {
 		if st.AcceptedFailover != 0 {
 			t.Errorf("member %d AcceptedFailover = %d with everyone live, want 0", k, st.AcceptedFailover)
 		}
-		for _, m := range db.All() {
+		db.Snapshot().Iter(func(m wire.Message) bool {
 			if owner(m) != k {
 				t.Errorf("member %d ingested foreign message job=%s host=%s", k, m.JobID, m.Host)
 			}
-		}
+			return true
+		})
 		total += db.Count()
 	}
 	if total != len(msgs) {

@@ -120,7 +120,7 @@ func TestLossyTransportMissingFields(t *testing.T) {
 
 	// Count processes with missing fields.
 	byProc := make(map[string]int) // keyed by HASH, unique per process above
-	db.Scan(func(m wire.Message) bool {
+	db.Snapshot().Iter(func(m wire.Message) bool {
 		byProc[m.Hash]++
 		return true
 	})
@@ -263,7 +263,8 @@ func TestShardingPreservesPerJobOrder(t *testing.T) {
 	// Within one job (same host), insertion order must match send order even
 	// though four writer shards ran concurrently.
 	for j := 0; j < jobs; j++ {
-		ms := db.ByJob(fmt.Sprintf("job-%d", j))
+		var ms []wire.Message
+		db.Snapshot().JobRows(fmt.Sprintf("job-%d", j), func(m wire.Message) bool { ms = append(ms, m); return true })
 		if len(ms) != perJob {
 			t.Fatalf("job %d: %d messages, want %d", j, len(ms), perJob)
 		}
@@ -333,8 +334,11 @@ func TestDirectShardRoutingEndToEnd(t *testing.T) {
 	if got := db.Count(); got != n {
 		t.Errorf("stored %d, want %d", got, n)
 	}
+	sn := db.Snapshot()
 	for j := 0; j < 9; j++ {
-		if got := len(db.ByJob(fmt.Sprintf("job-%d", j))); got != n/9 {
+		got := 0
+		sn.JobRows(fmt.Sprintf("job-%d", j), func(wire.Message) bool { got++; return true })
+		if got != n/9 {
 			t.Errorf("job-%d: %d rows, want %d", j, got, n/9)
 		}
 	}

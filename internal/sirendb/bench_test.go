@@ -128,7 +128,7 @@ func BenchmarkScanSnapshot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		db.Scan(func(m wire.Message) bool { n++; return true })
+		db.Snapshot().Iter(func(m wire.Message) bool { n++; return true })
 		if n != rows {
 			b.Fatalf("scanned %d of %d", n, rows)
 		}
@@ -154,7 +154,7 @@ func BenchmarkInsertDuringScan(b *testing.B) {
 				return
 			default:
 			}
-			db.Scan(func(m wire.Message) bool { return true })
+			db.Snapshot().Iter(func(m wire.Message) bool { return true })
 			scans.Add(1)
 		}
 	}()
@@ -170,33 +170,4 @@ func BenchmarkInsertDuringScan(b *testing.B) {
 	close(stop)
 	wg.Wait()
 	b.ReportMetric(float64(scans.Load()), "bg-scans")
-}
-
-// BenchmarkByJob measures the per-job read: the k-way index merge into one
-// exact-size allocation (the old path re-sorted a growing temporary slice
-// on every call).
-func BenchmarkByJob(b *testing.B) {
-	db := benchReadDB(b, 4, 100_000)
-	defer db.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := len(db.ByJob("job-3")); got != 100_000/16 {
-			b.Fatalf("ByJob = %d rows", got)
-		}
-	}
-}
-
-// BenchmarkJobs measures the sorted-key listing, now served from the
-// per-shard sorted caches after the first call.
-func BenchmarkJobs(b *testing.B) {
-	db := benchReadDB(b, 4, 100_000)
-	defer db.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := len(db.Jobs()); got != 16 {
-			b.Fatalf("Jobs = %d", got)
-		}
-	}
 }

@@ -2,6 +2,7 @@ package sirendb
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 )
@@ -9,13 +10,13 @@ import (
 // ResolveSetPaths expands a database spec into member WAL base paths — the
 // shared -db argument grammar of cmd/siren-analyze and cmd/siren-serve:
 // split on commas; an element without glob metacharacters is a literal base
-// path, used verbatim (a fresh WAL path opens an empty store, and a base
-// path that happens to end in digits is never mangled); an element with
+// path, used verbatim (a base path that happens to end in digits is never
+// mangled) once some on-disk artifact folds back to it; an element with
 // metacharacters is expanded, its matches — the stores' on-disk artifacts —
 // folded back to base paths, and the result deduplicated preserving order.
-// A pattern matching nothing is an error: silently analysing a freshly
-// created empty store instead of the intended members would report a
-// zero-row campaign as success.
+// A literal naming no store and a pattern matching nothing are both errors:
+// silently analysing a freshly created empty store instead of the intended
+// members would report a zero-row campaign as success.
 func ResolveSetPaths(spec string) ([]string, error) {
 	var out []string
 	seen := make(map[string]bool)
@@ -31,6 +32,9 @@ func ResolveSetPaths(spec string) ([]string, error) {
 			continue
 		}
 		if !strings.ContainsAny(part, "*?[") {
+			if !hasArtifact(part) {
+				return nil, fmt.Errorf("-db %q names no store: no file there folds back to it", part)
+			}
 			add(part)
 			continue
 		}
@@ -49,6 +53,22 @@ func ResolveSetPaths(spec string) ([]string, error) {
 		return nil, fmt.Errorf("-db %q names no databases", spec)
 	}
 	return out, nil
+}
+
+// hasArtifact reports whether any file beside base folds back to it through
+// basePath, i.e. whether a store exists at base.
+func hasArtifact(base string) bool {
+	entries, err := os.ReadDir(filepath.Dir(base))
+	if err != nil {
+		return false
+	}
+	name := filepath.Base(base)
+	for _, e := range entries {
+		if basePath(e.Name()) == name {
+			return true
+		}
+	}
+	return false
 }
 
 // basePath folds one of a store's on-disk artifacts back to its WAL base

@@ -52,8 +52,8 @@ func TestReadOnlyOpenServesAndRefusesWrites(t *testing.T) {
 	if st := db.Stats(); st.SealedRows != 120 || st.Rows != 200 {
 		t.Fatalf("Stats = %+v", st)
 	}
-	if got := db.ByJob("job-1"); len(got) != 40 {
-		t.Fatalf("ByJob = %d rows, want 40", len(got))
+	if got := jobRows(db, "job-1"); len(got) != 40 {
+		t.Fatalf("JobRows = %d rows, want 40", len(got))
 	}
 	sn := db.Snapshot()
 	if sn.Count() != 200 {

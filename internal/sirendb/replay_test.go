@@ -232,7 +232,7 @@ func TestCrashMidGroupCommit(t *testing.T) {
 			if db2.CorruptRecords() != 0 {
 				t.Errorf("corrupt = %d after clean group-commit crash", db2.CorruptRecords())
 			}
-			for _, m := range db2.All() {
+			for _, m := range allRows(db2) {
 				if string(m.Content) != "acknowledged" {
 					t.Fatalf("unacknowledged row %q replayed as durable", m.Content)
 				}
@@ -547,15 +547,15 @@ func TestScanMergesShardsInInsertionOrder(t *testing.T) {
 		}
 	}
 	want := 0
-	db.Scan(func(m wire.Message) bool {
+	db.Snapshot().Iter(func(m wire.Message) bool {
 		if string(m.Content) != fmt.Sprintf("%d", want) {
-			t.Fatalf("Scan position %d yielded %q (shard merge out of order)", want, m.Content)
+			t.Fatalf("Iter position %d yielded %q (shard merge out of order)", want, m.Content)
 		}
 		want++
 		return true
 	})
 	if want != rows {
-		t.Errorf("Scan visited %d rows, want %d", want, rows)
+		t.Errorf("Iter visited %d rows, want %d", want, rows)
 	}
 }
 

@@ -387,7 +387,6 @@ func (db *DB) Seal() error {
 		// instead of doubling its way back up from nil under the insert lock.
 		s.rows = make([]row, 0, len(s.rows))
 		s.byJob = make(map[string][]int)
-		s.jobKeys.Store(nil)
 	}
 	db.sealMu.Lock()
 	db.sealGen = gen

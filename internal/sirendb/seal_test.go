@@ -37,17 +37,17 @@ func sealCorpus(n int) []wire.Message {
 	return ms
 }
 
-// assertAll checks the store yields exactly ms through All — every row
-// exactly once, none lost, none invented. Sealed runs store rows in
-// (job, host, seq) order, so All's order is not insertion order once a seal
+// assertAll checks the store yields exactly ms through a snapshot — every
+// row exactly once, none lost, none invented. Sealed runs store rows in
+// (job, host, seq) order, so Iter's order is not insertion order once a seal
 // has happened; each sealCorpus row is a distinct process, so multiset
 // equality over (process, Content) is the exact no-loss/no-duplicate
 // check.
 func assertAll(t *testing.T, db *DB, ms []wire.Message) {
 	t.Helper()
-	got := db.All()
+	got := allRows(db)
 	if len(got) != len(ms) {
-		t.Fatalf("All: %d rows, want %d", len(got), len(ms))
+		t.Fatalf("Iter: %d rows, want %d", len(got), len(ms))
 	}
 	want := make(map[wire.Header]string, len(ms))
 	for _, m := range ms {
@@ -64,7 +64,7 @@ func assertAll(t *testing.T, db *DB, ms []wire.Message) {
 		delete(want, processOf(m))
 	}
 	if len(want) != 0 {
-		t.Fatalf("%d rows missing from All", len(want))
+		t.Fatalf("%d rows missing from Iter", len(want))
 	}
 }
 
@@ -99,11 +99,10 @@ func TestSealRoundTrip(t *testing.T) {
 	if st.SealedGen != 1 || st.SealedRows != len(ms) || st.SealedRuns == 0 || st.Rows != len(ms) {
 		t.Fatalf("Stats = %+v", st)
 	}
-	byJob := db.ByJob("job-2")
-	if len(byJob) != 80 {
-		t.Fatalf("ByJob(job-2) = %d rows, want 80", len(byJob))
+	if got := jobRows(db, "job-2"); len(got) != 80 {
+		t.Fatalf("JobRows(job-2) = %d rows, want 80", len(got))
 	}
-	if jobs := db.Jobs(); len(jobs) != 5 {
+	if jobs := db.Snapshot().Jobs(); len(jobs) != 5 {
 		t.Fatalf("Jobs = %v", jobs)
 	}
 
@@ -363,7 +362,8 @@ func TestSealedTornRunDetected(t *testing.T) {
 
 // TestSealedRunReadErrorsOneCounter flips a bit inside a sealed run's data
 // block — invisible at Open, found by the lazy checksum on read — and
-// requires StoreStats.RunReadErrors and the /metrics sample of
+// requires the reading snapshot's Err to report the withheld rows, and
+// StoreStats.RunReadErrors and the /metrics sample of
 // siren_run_read_errors_total to report the same non-zero count: they read
 // one instrument.
 func TestSealedRunReadErrorsOneCounter(t *testing.T) {
@@ -397,8 +397,14 @@ func TestSealedRunReadErrorsOneCounter(t *testing.T) {
 		t.Fatalf("block corruption must stay lazy, Open: %v", err)
 	}
 	defer db.Close()
-	if got := len(db.All()); got >= 150 {
-		t.Fatalf("All yielded %d rows from a corrupt run, want a truncated stream", got)
+	sn := db.Snapshot()
+	got := 0
+	sn.Iter(func(wire.Message) bool { got++; return true })
+	if got >= 150 {
+		t.Fatalf("Iter yielded %d rows from a corrupt run, want a truncated stream", got)
+	}
+	if sn.Err() == nil {
+		t.Fatal("snapshot Err is nil after a truncated stream: the withheld rows are silent")
 	}
 	stats := db.Stats().RunReadErrors
 	var text strings.Builder
@@ -506,8 +512,8 @@ func TestSealShardCountChange(t *testing.T) {
 	assertAll(t, db2, ms)
 	for j := 0; j < 5; j++ {
 		job := fmt.Sprintf("job-%d", j)
-		if got := db2.ByJob(job); len(got) != 40 {
-			t.Fatalf("ByJob(%s) = %d rows under new shard count, want 40", job, len(got))
+		if got := jobRows(db2, job); len(got) != 40 {
+			t.Fatalf("JobRows(%s) = %d rows under new shard count, want 40", job, len(got))
 		}
 	}
 	// Snapshot contract: within every shard-job stream, each host's
@@ -620,7 +626,7 @@ func TestSealConcurrentWithReads(t *testing.T) {
 	if db.Count() != len(ms) {
 		t.Fatalf("Count = %d, want %d", db.Count(), len(ms))
 	}
-	got := db.All()
+	got := allRows(db)
 	seen := make(map[wire.Header]bool, len(got))
 	for _, m := range got {
 		if seen[processOf(m)] {

@@ -22,6 +22,7 @@ package sirendb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"siren/internal/wire"
@@ -302,9 +303,10 @@ func (ms *MergedSnapshot) Iter(f func(m wire.Message) bool) {
 
 // Jobs returns the distinct job IDs across all members, sorted.
 func (ms *MergedSnapshot) Jobs() []string {
-	lists := make([][]string, len(ms.members))
-	for i, sn := range ms.members {
-		lists[i] = sn.Jobs()
+	var out []string
+	for _, sn := range ms.members {
+		out = append(out, sn.Jobs()...)
 	}
-	return mergeSortedUnique(lists)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

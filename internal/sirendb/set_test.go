@@ -3,6 +3,7 @@ package sirendb
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -223,7 +224,7 @@ func TestOpenSetSingleMemberMatchesDB(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := db.All()
+	want := allRows(db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -246,5 +247,45 @@ func TestOpenSetSingleMemberMatchesDB(t *testing.T) {
 	}
 	if ms.LastSeq() != 5 {
 		t.Errorf("LastSeq = %d, want 5 (unshifted)", ms.LastSeq())
+	}
+}
+
+// TestResolveSetPathsRefusesMissingStore: a literal -db element that no
+// on-disk artifact folds back to is an error, like a pattern matching
+// nothing — opening it would create an empty store and report a zero-row
+// campaign as success. A literal naming a store resolves verbatim, even one
+// whose base path ends in digits.
+func TestResolveSetPathsRefusesMissingStore(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "siren.0")
+	db, err := OpenOptions(path, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ResolveSetPaths(path)
+	if err != nil || len(got) != 1 || got[0] != path {
+		t.Fatalf("ResolveSetPaths(%s) = %v, %v; want [%s]", path, got, err, path)
+	}
+	for _, spec := range []string{
+		filepath.Join(dir, "typo.wal"),
+		path + "," + filepath.Join(dir, "typo.wal"),
+		filepath.Join(dir, "siren"), // "siren.0" is a base path here, not segment 0 of "siren"
+		filepath.Join(dir, "no-such-dir", "siren.wal"),
+	} {
+		if got, err := ResolveSetPaths(spec); err == nil {
+			t.Errorf("ResolveSetPaths(%s) = %v, want an error: no store there", spec, got)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if basePath(e.Name()) != "siren.0" {
+			t.Errorf("resolving created %s", e.Name())
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,8 +25,8 @@ type sealedRun struct {
 	run       *runfmt.Run
 }
 
-// row is one stored message plus its store-wide sequence number, the key the
-// shard-merge in Scan/ByJob orders by. It is the sealed tier's row type, so
+// row is one stored message plus its store-wide sequence number, the key a
+// snapshot's shard merge orders by. It is the sealed tier's row type, so
 // Seal hands a shard's head to runfmt.Write as it stands, without a copy.
 type row = runfmt.Row
 
@@ -48,14 +47,6 @@ type shard struct {
 	runs       []sealedRun
 	sealedRows int
 
-	// jobKeys caches the sorted key set of byJob so Jobs stops re-sorting on
-	// every call. A cache entry is an immutable slice stamped with the map
-	// size it was built from; the map only ever gains keys, so size equality
-	// means freshness. Readers load and (re)build the cache under the shard's
-	// read lock — a racing duplicate rebuild stores an identical value, and
-	// the atomic pointer keeps old snapshots of the slice valid forever.
-	jobKeys atomic.Pointer[sortedKeys]
-
 	// synced is how many segment bytes are known durable (fdatasync
 	// confirmed). Only the group-commit path under syncMu advances it, so
 	// it grows monotonically; the crash-recovery tests read it to model
@@ -74,28 +65,6 @@ type shard struct {
 	// shared by every shard (see storeMetrics).
 	fsyncNS     *obs.Histogram
 	commitBytes *obs.Histogram
-}
-
-// sortedKeys is an immutable sorted key cache for the by-job index.
-type sortedKeys struct {
-	keys []string
-	n    int // len of the index map when built; maps only grow, so n == len(m) ⇔ fresh
-}
-
-// sortedKeysOf returns the sorted keys of index map m through the cache,
-// rebuilding it only when the map gained keys since the last build. Call
-// with the shard lock held (read suffices).
-func sortedKeysOf(cache *atomic.Pointer[sortedKeys], m map[string][]int) []string {
-	if c := cache.Load(); c != nil && c.n == len(m) {
-		return c.keys
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	cache.Store(&sortedKeys{keys: keys, n: len(m)})
-	return keys
 }
 
 func newShard() *shard {
@@ -132,7 +101,6 @@ func (s *shard) rebuildIndex() {
 		slices.SortStableFunc(s.rows, bySeq)
 	}
 	s.byJob = make(map[string][]int)
-	s.jobKeys.Store(nil)
 	for idx := range s.rows {
 		job := s.rows[idx].Msg.JobID
 		s.byJob[job] = append(s.byJob[job], idx)

@@ -11,12 +11,12 @@
 // fdatasync calls under a configurable latency bound, so durability does not
 // ride on OS write-back and an fsync never stalls concurrent appends.
 //
-// Every record carries a store-wide sequence number, so Scan/All/ByJob
-// present the merged shards in global insertion order. Replay tolerates a
-// torn final record (crash mid-write) and skips corrupt records
-// (checksummed), in keeping with SIREN's graceful-failure design. Seal
-// (seal.go) is the store's only rewrite transaction: it freezes the WAL head
-// into immutable sorted runs and truncates the segments.
+// Every record carries a store-wide sequence number, so a Snapshot — the
+// store's only reader — presents the merged shards in global insertion
+// order. Replay tolerates a torn final record (crash mid-write) and skips
+// corrupt records (checksummed), in keeping with SIREN's graceful-failure
+// design. Seal (seal.go) is the store's only rewrite transaction: it freezes
+// the WAL head into immutable sorted runs and truncates the segments.
 package sirendb
 
 import (
@@ -352,157 +352,6 @@ func (db *DB) Count() int {
 		n += len(s.rows) + s.sealedRows
 	}
 	return n
-}
-
-// tierViews captures every shard's head rows and sealed-run set under one
-// brief all-shard read lock. Both are copy-on-write (rows append-only, run
-// slices swapped wholesale by Seal/retention), so the captured headers stay
-// valid without the lock.
-func (db *DB) tierViews() (rows [][]row, runs [][]sealedRun) {
-	rows = make([][]row, len(db.shards))
-	runs = make([][]sealedRun, len(db.shards))
-	unlock := db.rlockAll()
-	for i, s := range db.shards {
-		rows[i] = s.rows
-		runs[i] = s.runs
-	}
-	unlock()
-	return rows, runs
-}
-
-// noteRunErr records a lazy run-read failure (a block checksum mismatch
-// found while decoding an already-opened run). The affected stream ends
-// early rather than yielding wrong rows; the counter surfaces through Stats
-// so the loss is observable, in keeping with SIREN's graceful-failure
-// design (a torn *committed* run is caught hard at Open instead).
-func (db *DB) noteRunErr(error) {
-	db.mx.runReadErrs.Inc()
-}
-
-// Scan streams every message exactly once; return false to stop. The
-// stream is a seq-merge across shard heads and sealed runs: head rows come
-// out in global insertion order, a sealed run's rows in its on-disk
-// (job, host, seq) sort — so any one (job, host) stream is always in
-// insertion order, while rows of different hosts may be grouped rather than
-// globally seq-interleaved once sealed. Scan reads a
-// point-in-time snapshot captured under a brief lock: the callback runs
-// with no store lock held, so it may block, take arbitrarily long, or even
-// insert into the store without stalling writers or deadlocking; rows
-// inserted after the Scan began are not surfaced. Use Snapshot for repeated
-// reads of one cut.
-func (db *DB) Scan(f func(m wire.Message) bool) {
-	rows, runs := db.tierViews()
-	mergeSrcs(tierSources(rows, runs, db.noteRunErr), func(m wire.Message, _ uint64) bool { return f(m) })
-}
-
-// All returns a copy of every message, sealed runs included, in Scan's
-// order (insertion order per (job, host); host blocks once sealed).
-func (db *DB) All() []wire.Message {
-	rows, runs := db.tierViews()
-	n := 0
-	for i := range rows {
-		n += len(rows[i])
-		for _, sr := range runs[i] {
-			n += sr.run.Rows()
-		}
-	}
-	out := make([]wire.Message, 0, n)
-	mergeSrcs(tierSources(rows, runs, db.noteRunErr), func(m wire.Message, _ uint64) bool {
-		out = append(out, m)
-		return true
-	})
-	return out
-}
-
-// jobTierViews captures, under one all-shard read lock, each shard's head
-// rows, its by-job index entry for jobID, and the sealed runs that contain
-// jobID (located through each run's embedded job index — O(log jobs), no
-// row decode). n counts head index entries plus run job rows.
-func (db *DB) jobTierViews(jobID string) (rows [][]row, idxs [][]int, runs [][]sealedRun, n int) {
-	rows = make([][]row, len(db.shards))
-	idxs = make([][]int, len(db.shards))
-	runs = make([][]sealedRun, len(db.shards))
-	unlock := db.rlockAll()
-	for i, s := range db.shards {
-		rows[i] = s.rows
-		idxs[i] = s.byJob[jobID]
-		n += len(idxs[i])
-		for _, sr := range s.runs {
-			if jr, _, _, ok := sr.run.JobStats(jobID); ok {
-				runs[i] = append(runs[i], sr)
-				n += jr
-			}
-		}
-	}
-	unlock()
-	return rows, idxs, runs, n
-}
-
-// ByJob returns all messages of one job in insertion order, sealed runs
-// included. The head contributes its sequence-sorted index lists, each run
-// its indexed job extents; the per-shard streams k-way merge by sequence.
-func (db *DB) ByJob(jobID string) []wire.Message {
-	rows, idxs, runs, n := db.jobTierViews(jobID)
-	out := make([]wire.Message, 0, n)
-	mergeSrcs(jobSources(rows, idxs, runs, jobID, db.noteRunErr), func(m wire.Message, _ uint64) bool {
-		out = append(out, m)
-		return true
-	})
-	return out
-}
-
-// ByJobFunc streams one job's messages in insertion order without
-// materialising a slice — the zero-copy variant of ByJob. Return false to
-// stop. No store lock is held while f runs.
-func (db *DB) ByJobFunc(jobID string, f func(m wire.Message) bool) {
-	rows, idxs, runs, _ := db.jobTierViews(jobID)
-	mergeSrcs(jobSources(rows, idxs, runs, jobID, db.noteRunErr), func(m wire.Message, _ uint64) bool { return f(m) })
-}
-
-// Jobs returns the distinct job IDs, sorted — the head's cached key sets
-// merged with each sealed run's embedded job index (already sorted, no row
-// decode).
-func (db *DB) Jobs() []string {
-	lists := make([][]string, 0, len(db.shards))
-	unlock := db.rlockAll()
-	for _, s := range db.shards {
-		lists = append(lists, sortedKeysOf(&s.jobKeys, s.byJob))
-		for _, sr := range s.runs {
-			lists = append(lists, sr.run.Jobs())
-		}
-	}
-	unlock()
-	return mergeSortedUnique(lists)
-}
-
-// mergeSortedUnique k-way merges sorted string lists, dropping duplicates.
-func mergeSortedUnique(lists [][]string) []string {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	out := make([]string, 0, n)
-	pos := make([]int, len(lists))
-	for {
-		best, found := "", false
-		for i, l := range lists {
-			if pos[i] >= len(l) {
-				continue
-			}
-			if !found || l[pos[i]] < best {
-				best, found = l[pos[i]], true
-			}
-		}
-		if !found {
-			return out
-		}
-		out = append(out, best)
-		for i, l := range lists {
-			if pos[i] < len(l) && l[pos[i]] == best {
-				pos[i]++
-			}
-		}
-	}
 }
 
 // StoreStats is a point-in-time summary of store state for telemetry

@@ -18,6 +18,21 @@ func msg(job string, pid int, typ string, content string) wire.Message {
 	}
 }
 
+// allRows reads every row of db through a fresh snapshot, in Iter's order.
+func allRows(db *DB) []wire.Message {
+	var out []wire.Message
+	db.Snapshot().Iter(func(m wire.Message) bool { out = append(out, m); return true })
+	return out
+}
+
+// jobRows reads one job's rows of db through a fresh snapshot, in insertion
+// order.
+func jobRows(db *DB, job string) []wire.Message {
+	var out []wire.Message
+	db.Snapshot().JobRows(job, func(m wire.Message) bool { out = append(out, m); return true })
+	return out
+}
+
 func TestInMemoryBasics(t *testing.T) {
 	db, err := Open("")
 	if err != nil {
@@ -36,22 +51,23 @@ func TestInMemoryBasics(t *testing.T) {
 	if db.Count() != 3 {
 		t.Errorf("Count = %d", db.Count())
 	}
-	if got := db.ByJob("1"); len(got) != 2 {
-		t.Errorf("ByJob(1) = %d rows", len(got))
+	sn := db.Snapshot()
+	if got := jobRows(db, "1"); len(got) != 2 {
+		t.Errorf("JobRows(1) = %d rows", len(got))
 	}
-	if got := db.Jobs(); len(got) != 2 || got[0] != "1" || got[1] != "2" {
+	if got := sn.Jobs(); len(got) != 2 || got[0] != "1" || got[1] != "2" {
 		t.Errorf("Jobs = %q", got)
 	}
 	n := 0
-	db.Scan(func(m wire.Message) bool { n++; return true })
+	sn.Iter(func(m wire.Message) bool { n++; return true })
 	if n != 3 {
-		t.Errorf("Scan visited %d", n)
+		t.Errorf("Iter visited %d", n)
 	}
 	// Early stop.
 	n = 0
-	db.Scan(func(m wire.Message) bool { n++; return false })
+	sn.Iter(func(m wire.Message) bool { n++; return false })
 	if n != 1 {
-		t.Errorf("Scan early-stop visited %d", n)
+		t.Errorf("Iter early-stop visited %d", n)
 	}
 }
 
@@ -175,7 +191,7 @@ func TestConcurrentInsertAndScan(t *testing.T) {
 	}
 	go func() {
 		for i := 0; i < 100; i++ {
-			db.Scan(func(m wire.Message) bool { return true })
+			db.Snapshot().Iter(func(m wire.Message) bool { return true })
 			db.Count()
 		}
 		done <- true

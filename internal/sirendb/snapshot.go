@@ -37,7 +37,7 @@ type Snapshot struct {
 	shards  []shardView
 	count   int
 	lastSeq uint64 // highest sequence number assigned at capture time
-	db      *DB    // stats backlink for lazy run-read errors; nil in tests
+	db      *DB    // owner of the run-read error counter
 
 	jobsOnce sync.Once
 	jobs     []string
@@ -81,9 +81,7 @@ func (sn *Snapshot) noteErr(err error) {
 		sn.firstErr = err
 	}
 	sn.errMu.Unlock()
-	if sn.db != nil {
-		sn.db.noteRunErr(err)
-	}
+	sn.db.mx.runReadErrs.Inc()
 }
 
 // Err reports the first sealed-run read failure any cursor or stream of
@@ -141,7 +139,7 @@ func (s *src) peek() (uint64, bool) {
 		m, seq, ok := s.rc.next()
 		if !ok {
 			s.rc.done = true
-			if err := s.rc.err(); err != nil && s.rc.onErr != nil {
+			if err := s.rc.err(); err != nil {
 				s.rc.onErr(err)
 			}
 			return 0, false
@@ -176,27 +174,12 @@ func (s *src) take() (wire.Message, uint64) {
 }
 
 // mergeSrcs streams the union of the sources in ascending sequence order —
-// the shared engine behind every tiered read path. A linear best-pick per
-// step is fine at the store's source counts (shards × runs-per-shard, both
-// small); the peek cache keeps it one comparison per source per step.
+// a Cursor driven to the end, handing each row straight from its source to
+// f; return false to stop.
 func mergeSrcs(srcs []*src, f func(m wire.Message, seq uint64) bool) {
-	for {
-		best := -1
-		var bestSeq uint64
-		for i, s := range srcs {
-			seq, ok := s.peek()
-			if !ok {
-				continue
-			}
-			if best < 0 || seq < bestSeq {
-				best, bestSeq = i, seq
-			}
-		}
-		if best < 0 {
-			return
-		}
-		m, seq := srcs[best].take()
-		if !f(m, seq) {
+	c := Cursor{srcs: srcs}
+	for s := c.pick(); s != nil; s = c.pick() {
+		if !f(s.take()) {
 			return
 		}
 	}
@@ -213,37 +196,6 @@ func runJobSrc(sr sealedRun, job string, onErr func(error)) *src {
 	c := sr.run.JobCursor(job)
 	rows, _, _, _ := sr.run.JobStats(job)
 	return &src{rc: &runCursorSrc{next: c.Next, err: c.Err, onErr: onErr}, rem: rows}
-}
-
-// tierSources builds the full source set for whole-store iteration: every
-// shard contributes its sealed runs plus its head rows.
-func tierSources(rows [][]row, runs [][]sealedRun, onErr func(error)) []*src {
-	var srcs []*src
-	for i := range rows {
-		for _, sr := range runs[i] {
-			srcs = append(srcs, runSrc(sr, onErr))
-		}
-		if len(rows[i]) > 0 {
-			srcs = append(srcs, &src{rows: rows[i], rem: len(rows[i])})
-		}
-	}
-	return srcs
-}
-
-// jobSources builds the source set for one job across shards: per shard the
-// runs known (via their job index) to hold the job, plus the head's
-// index-selected rows.
-func jobSources(rows [][]row, idxs [][]int, runs [][]sealedRun, job string, onErr func(error)) []*src {
-	var srcs []*src
-	for i := range rows {
-		for _, sr := range runs[i] {
-			srcs = append(srcs, runJobSrc(sr, job, onErr))
-		}
-		if len(idxs[i]) > 0 {
-			srcs = append(srcs, &src{rows: rows[i], idxs: idxs[i], rem: len(idxs[i])})
-		}
-	}
-	return srcs
 }
 
 // shardSources builds shard i's sources: its sealed runs (oldest generation
@@ -287,28 +239,37 @@ func (c *Cursor) Len() int {
 
 // Next returns the next message and its store-wide sequence number.
 func (c *Cursor) Next() (wire.Message, uint64, bool) {
-	best := -1
-	var bestSeq uint64
-	for i, s := range c.srcs {
-		seq, ok := s.peek()
-		if !ok {
-			continue
-		}
-		if best < 0 || seq < bestSeq {
-			best, bestSeq = i, seq
-		}
-	}
-	if best < 0 {
+	s := c.pick()
+	if s == nil {
 		return wire.Message{}, 0, false
 	}
-	m, seq := c.srcs[best].take()
+	m, seq := s.take()
 	return m, seq, true
 }
 
-// Iter streams every snapshot message in global insertion order (a
-// sequence-merge across all shards' runs and heads); return false to stop.
-// No store lock is held: the callback may block, take arbitrarily long, or
-// insert into the store without stalling writers or deadlocking.
+// pick returns the source whose next row has the lowest sequence number, or
+// nil once every source is drained — the one best-pick loop behind every
+// merge. A linear scan per step is fine at the store's source counts
+// (shards × runs-per-shard, both small); the peek cache keeps it one
+// comparison per source per step.
+func (c *Cursor) pick() *src {
+	var best *src
+	var bestSeq uint64
+	for _, s := range c.srcs {
+		if seq, ok := s.peek(); ok && (best == nil || seq < bestSeq) {
+			best, bestSeq = s, seq
+		}
+	}
+	return best
+}
+
+// Iter streams every snapshot message exactly once, a sequence-merge across
+// all shards' runs and heads; return false to stop. Head rows come out in
+// global insertion order, a sealed run's rows in its on-disk (job, host,
+// seq) sort — so any one (job, host) stream is always in insertion order,
+// while rows of different hosts may be grouped once sealed. No store lock
+// is held: the callback may block, take arbitrarily long, or insert into
+// the store without stalling writers or deadlocking.
 func (sn *Snapshot) Iter(f func(m wire.Message) bool) {
 	var srcs []*src
 	for i := range sn.shards {
@@ -470,8 +431,7 @@ func (sn *Snapshot) ShardJobRows(shard int, job string, f func(m wire.Message, s
 // JobRows streams every row of one job in global insertion order, merged
 // across shards and tiers, without copying head rows or re-sorting: each
 // head index list is already sequence-ascending and each run decodes its
-// job extents in sequence order — the zero-copy, lock-free counterpart of
-// DB.ByJob.
+// job extents in sequence order.
 func (sn *Snapshot) JobRows(job string, f func(m wire.Message) bool) {
 	var srcs []*src
 	for i := range sn.shards {

@@ -7,6 +7,7 @@ package sirendb
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -116,8 +117,8 @@ func TestSnapshotStableUnderConcurrentInserts(t *testing.T) {
 	}
 }
 
-// TestInsertInsideScanCallback pins the no-locks-held contract of the
-// rewired Scan: inserting from inside the callback must work. Under the old
+// TestInsertInsideScanCallback pins the no-locks-held contract of
+// Snapshot.Iter: inserting from inside the callback must work. Under the old
 // full-RLock scan this was a guaranteed deadlock (RLock held while Insert
 // waits for the write lock).
 func TestInsertInsideScanCallback(t *testing.T) {
@@ -130,7 +131,7 @@ func TestInsertInsideScanCallback(t *testing.T) {
 		db.Insert(jobMsg("j", "h", i, "x"))
 	}
 	n := 0
-	db.Scan(func(m wire.Message) bool {
+	db.Snapshot().Iter(func(m wire.Message) bool {
 		n++
 		// Mutating the store mid-scan: legal now, and the scan must not
 		// surface the row it just inserted.
@@ -148,8 +149,9 @@ func TestInsertInsideScanCallback(t *testing.T) {
 }
 
 // TestSnapshotPerJobOrder checks JobRows/ShardJobRows: per-job streams are
-// in insertion order (ascending seq), match ByJob exactly, and jobs created
-// after the capture do not exist in the snapshot.
+// in insertion order (ascending seq), stop early when asked, and jobs
+// created after the capture do not exist in the snapshot but do in a fresh
+// one.
 func TestSnapshotPerJobOrder(t *testing.T) {
 	db, err := OpenOptions("", Options{Shards: 4})
 	if err != nil {
@@ -177,24 +179,14 @@ func TestSnapshotPerJobOrder(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("JobRows order diverged from insertion order (got %d rows)", len(got))
 	}
-	// ByJob (the merged slice API) agrees with the zero-copy stream.
-	byJob := db.ByJob("spanner")
-	if len(byJob) != 500 {
-		t.Fatalf("ByJob = %d rows", len(byJob))
-	}
-	for i, m := range byJob {
-		if string(m.Content) != want[i] {
-			t.Fatalf("ByJob[%d] = %q, want %q", i, m.Content, want[i])
-		}
-	}
-	// ByJobFunc: same order and content, early stop honoured.
+	// Early stop honoured, same order and content.
 	var streamed []string
-	db.ByJobFunc("spanner", func(m wire.Message) bool {
+	snap.JobRows("spanner", func(m wire.Message) bool {
 		streamed = append(streamed, string(m.Content))
 		return len(streamed) < 250
 	})
 	if !reflect.DeepEqual(streamed, want[:250]) {
-		t.Fatalf("ByJobFunc diverged from ByJob prefix (got %d rows)", len(streamed))
+		t.Fatalf("early-stopped JobRows diverged from the full stream's prefix (got %d rows)", len(streamed))
 	}
 	// Shard-local segments: seq-ascending, and their union is the job.
 	counts := snap.JobShardCounts()
@@ -237,36 +229,12 @@ func TestSnapshotPerJobOrder(t *testing.T) {
 			t.Error("snapshot Jobs surfaced a post-capture job")
 		}
 	}
-	if rows := len(db.ByJob("late-job")); rows != 1 {
+	if rows := len(jobRows(db, "late-job")); rows != 1 {
 		t.Errorf("db sees %d late-job rows, want 1", rows)
 	}
-}
-
-// TestKeysCacheFreshness: Jobs answers stay correct across inserts that add
-// new keys (the sorted-key cache must invalidate), and repeated calls return
-// equal results.
-func TestKeysCacheFreshness(t *testing.T) {
-	db, err := OpenOptions("", Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	db.Insert(jobMsg("b", "h1", 1, "x"))
-	db.Insert(jobMsg("a", "h2", 2, "x"))
-	if got := db.Jobs(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Fatalf("Jobs = %q", got)
-	}
-	if got := db.Jobs(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Fatalf("cached Jobs = %q", got)
-	}
-	db.Insert(jobMsg("0-first", "h3", 3, "x"))
-	if got := db.Jobs(); !reflect.DeepEqual(got, []string{"0-first", "a", "b"}) {
-		t.Fatalf("Jobs after new key = %q", got)
-	}
-	// Same-key inserts must not invalidate (exercises the fresh-cache path).
-	db.Insert(jobMsg("a", "h2", 2, "y"))
-	if got := db.Jobs(); !reflect.DeepEqual(got, []string{"0-first", "a", "b"}) {
-		t.Fatalf("Jobs after same-key insert = %q", got)
+	// A fresh snapshot lists the new key, still sorted.
+	if fresh := db.Snapshot().Jobs(); !slices.Contains(fresh, "late-job") || !slices.IsSorted(fresh) || len(fresh) != len(jobs)+1 {
+		t.Errorf("fresh snapshot Jobs = %q, want the captured %d jobs plus late-job, sorted", fresh, len(jobs))
 	}
 }
 
@@ -297,8 +265,8 @@ func TestStoreStats(t *testing.T) {
 	}
 }
 
-// TestScanMatchesBaseline: on an unsealed store Scan yields every row in
-// global insertion order, however the rows were spread over shards.
+// TestScanMatchesBaseline: on an unsealed store Snapshot.Iter yields every
+// row in global insertion order, however the rows were spread over shards.
 func TestScanMatchesBaseline(t *testing.T) {
 	db, err := OpenOptions("", Options{Shards: 4})
 	if err != nil {
@@ -311,7 +279,7 @@ func TestScanMatchesBaseline(t *testing.T) {
 		db.Insert(jobMsg(fmt.Sprintf("j%d", i%13), fmt.Sprintf("h%d", i%7), i, c))
 		want = append(want, c)
 	}
-	db.Scan(func(m wire.Message) bool { got = append(got, string(m.Content)); return true })
+	db.Snapshot().Iter(func(m wire.Message) bool { got = append(got, string(m.Content)); return true })
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("snapshot scan diverged from insertion order")
 	}
