@@ -21,6 +21,10 @@
 // both analysis and server export BenchmarkIdentify — never collide. A
 // benchmark present in the baseline but missing from the current run fails
 // the gate: a silently-dropped benchmark must not pass as "no regression".
+//
+// `benchdiff pairs` is the end-to-end counterpart: it alternates bench/run.sh
+// runs of a parent and a change and judges every end-to-end metric over the
+// pairs (pairs.go).
 package main
 
 import (
@@ -54,6 +58,12 @@ type Baseline struct {
 const maxAllocGrowth = 1.10
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "pairs" {
+		if err := runPairs(os.Args[2:]); err != nil {
+			fatalf("%v", err)
+		}
+		return
+	}
 	write := flag.Bool("write", false, "write a baseline instead of comparing")
 	out := flag.String("out", "BENCH_BASELINE.json", "baseline file to write (with -write)")
 	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "baseline file to compare against")

@@ -171,6 +171,12 @@ type IndexStats struct {
 	Base  int // entries in the shared base block (tombstoned included)
 	Dead  int // tombstoned base entries
 	Extra int // entries in this generation's extra block
+
+	// The posting tables of both blocks, summed over the six
+	// characteristics (ssdeep.IndexSize).
+	Grams    int   // distinct grams
+	Postings int   // (gram, entry) postings
+	Bytes    int64 // bytes held by gram slots and id rows
 }
 
 // candPool recycles candidate-set scratch across Search calls (all indexes
@@ -323,14 +329,21 @@ func (ix *FingerprintIndex) splice(sel []selected) (*FingerprintIndex, bool) {
 			entries = append(entries, *e)
 		}
 	}
+	fresh := 0
+	for i := range sel {
+		if !taken[i] {
+			fresh++
+		}
+	}
+	// Checked before parsing anything: a first refresh (prev is the empty
+	// boot index) always lands here, and buildFull parses the entries itself.
+	if next.deadN+len(entries)+fresh > max(compactionSlack, baseN/4) {
+		return nil, false
+	}
 	for i := range sel {
 		if !taken[i] {
 			entries = append(entries, prepareEntry(sel[i]))
 		}
-	}
-
-	if next.deadN+len(entries) > max(compactionSlack, baseN/4) {
-		return nil, false
 	}
 	next.extra = buildBlock(entries, int32(baseN))
 	return next, true
@@ -378,9 +391,19 @@ func (ix *FingerprintIndex) Len() int {
 }
 
 // Stats reports the physical block shape (base/tombstones/extra) — how much
-// of the index the last derivation carried versus rebuilt.
+// of the index the last derivation carried versus rebuilt — and the size of
+// its posting tables.
 func (ix *FingerprintIndex) Stats() IndexStats {
-	return IndexStats{Base: len(ix.base.fps), Dead: ix.deadN, Extra: len(ix.extra.fps)}
+	var size ssdeep.IndexSize
+	for _, b := range [2]*fpBlock{ix.base, ix.extra} {
+		for _, idx := range b.idx {
+			size.Add(idx.Size())
+		}
+	}
+	return IndexStats{
+		Base: len(ix.base.fps), Dead: ix.deadN, Extra: len(ix.extra.fps),
+		Grams: size.Grams, Postings: size.Postings, Bytes: size.Bytes,
+	}
 }
 
 // numIDs is the id-space size (live and tombstoned).

@@ -211,7 +211,7 @@ func TestSearchEquivalentToExhaustive(t *testing.T) {
 		if s := spliced.Stats(); s.Base != 300 || s.Extra != 23 {
 			t.Fatalf("spliced stats = %+v, want base 300 + extra 23", s)
 		}
-		if s := compacted.Stats(); s != fresh.Stats() {
+		if s := compacted.Stats(); !sameShape(s, fresh.Stats()) {
 			t.Fatalf("compacted stats = %+v, want the fresh build's %+v", s, fresh.Stats())
 		}
 		for qi, q := range edgeQueries {
@@ -231,6 +231,16 @@ func TestSearchEquivalentToExhaustive(t *testing.T) {
 			})
 		}
 	})
+}
+
+// sameShape reports whether two indexes have the same blocks and posting
+// tables. Each build draws its own gram multiplier, so how far a table's last
+// run spills past its homes — a few slots — differs between builds: Bytes
+// may differ by 1 %.
+func sameShape(a, b IndexStats) bool {
+	ab, bb := a.Bytes, b.Bytes
+	a.Bytes, b.Bytes = 0, 0
+	return a == b && max(ab, bb) <= min(ab, bb)*101/100
 }
 
 // TestIndexBuildIndependentOfParallelism pins that the concurrent
@@ -260,7 +270,7 @@ func TestIndexBuildIndependentOfParallelism(t *testing.T) {
 	}
 	stats1, rows1 := build(1)
 	stats4, rows4 := build(4)
-	if stats1 != stats4 {
+	if !sameShape(stats1, stats4) {
 		t.Errorf("IndexStats differ: GOMAXPROCS=1 %+v, GOMAXPROCS=4 %+v", stats1, stats4)
 	}
 	for i := range queries {

@@ -193,6 +193,9 @@ func TestIncrementalRefreshMatchesFull(t *testing.T) {
 	if s := cat.Generation().Index.Stats(); s.Extra == 0 {
 		t.Errorf("gen-2 index stats = %+v, want spliced entries in the extra block", s)
 	}
+	if s := cat.Generation().Index.Stats(); rs.IndexBytes != s.Bytes || s.Bytes <= 0 || s.Postings < s.Grams || s.Grams <= 0 {
+		t.Errorf("refresh reports %d index bytes for a generation of %+v", rs.IndexBytes, s)
+	}
 
 	// The incremental generation must be indistinguishable from a full
 	// offline pass over the same snapshot.

@@ -1,6 +1,9 @@
 package ssdeep
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParseDigest: ParseDigest must never panic, and any digest it accepts
 // must render back (String) to a form that re-parses to the identical
@@ -39,5 +42,37 @@ func FuzzParseDigest(f *testing.F) {
 		if score < 0 || score > 100 {
 			t.Fatalf("self-compare score %d outside [0, 100]", score)
 		}
+	})
+}
+
+// FuzzIndexCandidates holds the flat gram table to the map-based oracle it
+// replaced: over a fuzzed digest population (one digest per line of corpus)
+// and fuzzed queries (one per line of queries, plus every indexed digest),
+// NewIndex must collect exactly the oracle's candidate ids, in the same
+// order. Seeds cover wrap-around block sizes, gram-less twins, grams repeated
+// inside one signature and signatures sharing grams across buckets.
+func FuzzIndexCandidates(f *testing.F) {
+	f.Add("96:ABCDEFGABCDEFGH:ABCDEFGABCDEFG\n96:ABCDEFGH:zz\n96:ab:c\n96:ab:c\n192:ABCDEFGH:ABCDEFG",
+		"192:ABCDEFGxyz:zz\n48:zz:ABCDEFGxyz\n96:ab:c")
+	f.Add("2147483651:AAAABBBBCCCCDDDD:kkkkllll\n2147483651:ABCDEFGHIJKL:MNOPQRSTUVWX\n6:abc:ab\n3::",
+		"6:kkkkllllXXXX:AAAABBBB\n6:MNOPQRSTUVWX:zz\n4294967295:ABCDEFGHIJ:x")
+	f.Add("3:hVd7PBXPaHVd7PBXPa:hV\n6:Vd7PBXPaHVd7:hVd7PBXPa\n12:PBXPaHVd7PBX:Vd7PBXPaH",
+		"3:hVd7PBXPa:hVd7PBXPaHVd7\n6:hVd7PBXPa:x")
+	f.Add("", "3:abcdefg:hijklmn")
+	f.Fuzz(func(t *testing.T, corpus, queries string) {
+		var entries []IndexEntry
+		var qs []PreparedDigest
+		for _, line := range strings.Split(corpus, "\n") {
+			if p, err := ParsePrepared(line); err == nil && len(entries) < 256 {
+				entries = append(entries, IndexEntry{ID: int32(len(entries)), Digest: p})
+				qs = append(qs, p)
+			}
+		}
+		for _, line := range strings.Split(queries, "\n") {
+			if p, err := ParsePrepared(line); err == nil && len(qs) < 512 {
+				qs = append(qs, p)
+			}
+		}
+		mustMatchOracle(t, "fuzz", entries, qs)
 	})
 }

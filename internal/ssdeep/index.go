@@ -23,7 +23,14 @@
 // byte-identical to an exhaustive scan.
 package ssdeep
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
+	"unsafe"
+)
 
 // GramSize is the pruning n-gram width: the rolling-hash window length,
 // which is also the minimum common-substring length scoreStrings requires
@@ -109,8 +116,10 @@ func (cs *CandidateSet) Reset(n int) {
 	}
 	cs.marks = cs.marks[:n]
 	cs.epoch++
-	if cs.epoch == 0 { // epoch wrapped: stale marks could alias, clear once
-		clear(cs.marks)
+	if cs.epoch == 0 {
+		// The epoch wrapped: every old mark could alias a coming epoch. Marks
+		// past n count too — a later Reset with a larger n re-slices over them.
+		clear(cs.marks[:cap(cs.marks)])
 		cs.epoch = 1
 	}
 	cs.IDs = cs.IDs[:0]
@@ -127,12 +136,16 @@ func (cs *CandidateSet) add(id int32) {
 // built in one shot by NewIndex and has no mutable state afterwards, so any
 // number of goroutines may call Candidates concurrently.
 type Index struct {
-	buckets map[uint32]*indexBucket
+	// mul is this build's gram multiplier: random and odd, so gram·mul is a
+	// bijection on uint64 that an input cannot aim at one slot (see postings).
+	mul     uint64
+	buckets []indexBucket // ascending block size
 	exact   map[exactKey][]int32
+	size    IndexSize
 }
 
 // IndexEntry is one digest to index under a caller-assigned id. Ids are
-// dense and start at 0 — they size the CandidateSet mark table.
+// dense, start at 0 and are distinct — they size the CandidateSet mark table.
 type IndexEntry struct {
 	ID     int32
 	Digest PreparedDigest
@@ -141,19 +154,42 @@ type IndexEntry struct {
 // indexBucket holds one block size's inverted gram postings, one set per
 // signature slot.
 type indexBucket struct {
+	bs uint32
 	s1 postings // grams of clamped Sig1 → ids
 	s2 postings // grams of clamped Sig2 → ids
 }
 
-// postings is an inverted gram index in flat, pointer-free form: every
-// distinct gram is interned to a dense number, and gram number n's ids are
-// ids[offs[n]:offs[n+1]] (compressed sparse rows). Neither the map (integer
-// keys and values) nor the two slices hold pointers, so the garbage
-// collector never scans a posting, however large the catalogue.
+// postings is an inverted gram index in flat, pointer-free form: an
+// open-addressed table of gram slots over one array of ids. A gram is stored
+// as its key, gram·mul; the key's home slot is ⌊key·homes / 2⁶⁴⌋, and a slot
+// holds the key with its row bounds, so a probe reads the one or two slots
+// from the home onwards — one cache line — and then the ids. The table is
+// laid out from keys in ascending order, each placed at the first free slot
+// at or after its home, so a run of occupied slots holds ascending keys and a
+// probe stops at the first key not below its own. Homes number 4/3 of the
+// distinct grams (load 3/4); the slice runs past them by whatever the last
+// run spilled plus one empty sentinel, so no probe wraps around. Neither
+// slice holds a pointer: the garbage collector never scans a posting,
+// however large the catalogue.
 type postings struct {
-	nums map[uint64]uint32
-	offs []uint32
-	ids  []int32
+	slots []gramSlot
+	ids   []int32
+	homes uint64
+}
+
+// gramSlot is one slot of the table: a gram's key and its row, ids[lo:hi].
+// An empty slot holds emptySlot, whose key is the largest possible: probes
+// stop at it, and a probe for that key itself reads an empty row.
+type gramSlot struct {
+	key    uint64
+	lo, hi uint32
+}
+
+var emptySlot = gramSlot{key: math.MaxUint64}
+
+func (p *postings) home(key uint64) uint64 {
+	h, _ := bits.Mul64(key, p.homes)
+	return h
 }
 
 type exactKey struct {
@@ -161,96 +197,233 @@ type exactKey struct {
 	s1, s2 string
 }
 
-// gramPair is one posting awaiting placement: the id of an entry whose
-// signature contains gram number num.
-type gramPair struct {
-	num uint32
+// posting is one (key, id) pair awaiting layout.
+type posting struct {
+	key uint64
 	id  int32
 }
 
-// gramState is the build-time state of one interned gram.
-type gramState struct {
-	n    uint32 // postings emitted for the gram
-	last int32  // ordinal of the last entry that posted it, plus one
+// indexBuilder holds what one NewIndex reuses across all of its buckets and
+// both signature slots: the emission and sort buffers, sized once for the
+// largest, and the running size.
+type indexBuilder struct {
+	mul      uint64
+	buf, tmp []posting
+	grams    []uint64
+	size     IndexSize
 }
 
-// buildPostings inverts one signature slot (sig picks it) of the entries
-// whose ordinals are in members. Postings are first emitted as (gram number,
-// id) pairs into an exactly pre-sized buffer, then laid out by a counting
-// sort on the gram number — a handful of large pointer-free blocks, where a
-// slice per gram would be one small allocation and one read-then-append per
-// posting. A gram occurring more than once in a signature posts its id once,
-// so every row is duplicate-free.
-func buildPostings(entries []IndexEntry, members []int32, sig func(*PreparedDigest) string) postings {
-	want := 0
+// postingCount is the number of gram windows sig has across members.
+func postingCount(entries []IndexEntry, members []int32, sig func(*PreparedDigest) string) int {
+	n := 0
 	for _, ord := range members {
-		want += max(0, len(sig(&entries[ord].Digest))-GramSize+1)
+		n += max(0, len(sig(&entries[ord].Digest))-GramSize+1)
 	}
-	if uint64(want) > math.MaxUint32 {
-		panic("ssdeep: more than 2³² postings in one index bucket")
+	return n
+}
+
+// postings inverts one signature slot (sig picks it) of the entries whose
+// ordinals are in members. Every (key, id) posting is emitted into the
+// builder's buffer, radix-sorted by key and deduplicated — a gram occurring
+// more than once in a signature posts its id once — and the distinct keys
+// are laid out into a table sized from their exact count: two allocations
+// whatever the posting count.
+func (ib *indexBuilder) postings(entries []IndexEntry, members []int32, sig func(*PreparedDigest) string) postings {
+	want := postingCount(entries, members, sig)
+	if want == 0 {
+		return postings{}
 	}
-	nums := make(map[uint64]uint32)
-	var grams []gramState
-	pairs := make([]gramPair, 0, want)
-	var windows []uint64
+	buf := ib.buf[:0]
 	for _, ord := range members {
 		e := &entries[ord]
-		windows = AppendGrams(windows[:0], sig(&e.Digest))
-		for _, g := range windows {
-			num, ok := nums[g]
-			if !ok {
-				num = uint32(len(grams))
-				nums[g] = num
-				grams = append(grams, gramState{})
-			}
-			st := &grams[num]
-			if st.last == ord+1 {
-				continue
-			}
-			st.last = ord + 1
-			st.n++
-			pairs = append(pairs, gramPair{num: num, id: e.ID})
+		ib.grams = AppendGrams(ib.grams[:0], sig(&e.Digest))
+		for _, g := range ib.grams {
+			buf = append(buf, posting{key: g * ib.mul, id: e.ID})
 		}
 	}
+	radixSort(buf, ib.tmp, 56)
 
-	offs := make([]uint32, len(grams)+1)
-	for num, st := range grams {
-		offs[num+1] = offs[num] + st.n
+	// Deduplicate in place: the first grams entries of buf become the
+	// distinct keys, each with the offset of its row in ids. A repeat of one
+	// entry's id under one key is adjacent (the sort is stable and an entry's
+	// postings were emitted together), so rows come out duplicate-free and in
+	// member order.
+	ids := make([]int32, len(buf))
+	grams, n := 0, 0
+	var prev posting
+	for i, q := range buf {
+		if i > 0 && q.key == prev.key {
+			if q.id == prev.id {
+				continue
+			}
+		} else {
+			buf[grams] = posting{key: q.key, id: int32(n)}
+			grams++
+		}
+		prev = q
+		ids[n] = q.id
+		n++
 	}
-	ids := make([]int32, len(pairs))
-	for _, p := range pairs {
-		st := &grams[p.num]
-		ids[offs[p.num+1]-st.n] = p.id // st.n counts the row's unplaced ids
-		st.n--
+	if n < len(ids) { // a gram repeated inside a signature
+		ids = slices.Clone(ids[:n])
 	}
-	return postings{nums: nums, offs: offs, ids: ids}
+	p := postings{ids: ids, homes: uint64(grams) + uint64(grams)/3 + 1}
+	keys := buf[:grams]
+	end := uint64(0) // one past the last occupied slot
+	for _, k := range keys {
+		end = max(end, p.home(k.key)) + 1
+	}
+	p.slots = make([]gramSlot, max(end, p.homes)+1)
+	at := uint64(0)
+	for i, k := range keys {
+		for h := p.home(k.key); at < h; at++ {
+			p.slots[at] = emptySlot
+		}
+		hi := uint32(n)
+		if i+1 < len(keys) {
+			hi = uint32(keys[i+1].id)
+		}
+		p.slots[at] = gramSlot{key: k.key, lo: uint32(k.id), hi: hi}
+		at++
+	}
+	for ; at < uint64(len(p.slots)); at++ {
+		p.slots[at] = emptySlot
+	}
+	ib.size.Add(IndexSize{
+		Grams:    grams,
+		Postings: n,
+		Bytes:    int64(len(p.slots))*int64(unsafe.Sizeof(gramSlot{})) + int64(n)*int64(unsafe.Sizeof(int32(0))),
+	})
+	return p
+}
+
+// insertionMax is the run length below which radixSort finishes with an
+// insertion sort: shorter than a histogram pass is worth.
+const insertionMax = 32
+
+// radixSort sorts a by key, stably, with scratch (at least as long as a) as
+// the scatter target. It counts and scatters on the key byte at shift, then
+// sorts each bucket on the next byte down, most significant first; a byte
+// every key shares is skipped without a scatter. Each level is one linear
+// pass and there are at most eight, so the sort stays linear whatever the
+// keys — all equal included — and on random keys two levels leave runs of a
+// posting or two.
+func radixSort(a, scratch []posting, shift uint) {
+	if len(a) > insertionMax && a[0].key == a[len(a)-1].key {
+		i := 1
+		for i < len(a) && a[i].key == a[0].key {
+			i++
+		}
+		if i == len(a) {
+			return // one gram in every posting: the emission order stands
+		}
+	}
+	for len(a) > insertionMax {
+		var count [256]int
+		for _, q := range a {
+			count[byte(q.key>>shift)]++
+		}
+		if count[byte(a[0].key>>shift)] < len(a) {
+			next, at := count, 0
+			for d, c := range count {
+				next[d] = at
+				at += c
+			}
+			b := scratch[:len(a)]
+			for _, q := range a {
+				d := byte(q.key >> shift)
+				b[next[d]] = q
+				next[d]++
+			}
+			copy(a, b)
+			if shift == 0 {
+				return
+			}
+			lo := 0
+			for _, c := range count {
+				switch {
+				case c > insertionMax:
+					radixSort(a[lo:lo+c], scratch[lo:lo+c], shift-8)
+				case c > 1:
+					insertionSort(a[lo : lo+c])
+				}
+				lo += c
+			}
+			return
+		}
+		if shift == 0 {
+			return // every key equal
+		}
+		shift -= 8
+	}
+	insertionSort(a)
+}
+
+// insertionSort sorts a short run by key, stably.
+func insertionSort(a []posting) {
+	for i := 1; i < len(a); i++ {
+		q := a[i]
+		j := i
+		for ; j > 0 && a[j-1].key > q.key; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = q
+	}
 }
 
 // NewIndex builds the index over entries, which it only reads. Entries are
 // grouped by block size first and each bucket's two signature slots are
-// inverted one after the other, so one gram table at a time is hot.
+// inverted one after the other through one reused scratch buffer. Each build
+// draws its own gram multiplier.
 func NewIndex(entries []IndexEntry) *Index {
-	members := make(map[uint32][]int32) // block size → entry ordinals
-	exact := make(map[exactKey][]int32)
-	for i := range entries {
+	ix := &Index{exact: make(map[exactKey][]int32)}
+	ords := make([]int32, len(entries))
+	for i := range ords {
+		ords[i] = int32(i)
 		p := &entries[i].Digest
-		members[p.BlockSize] = append(members[p.BlockSize], int32(i))
 		// An equal digest with a signature of gram length or more is already
 		// found through that signature's first gram; only digests too short
 		// to post any gram need the table.
 		if len(p.S1) < GramSize && len(p.S2) < GramSize {
 			k := exactKey{bs: p.BlockSize, s1: p.S1, s2: p.S2}
-			exact[k] = append(exact[k], entries[i].ID)
+			ix.exact[k] = append(ix.exact[k], entries[i].ID)
 		}
 	}
-	buckets := make(map[uint32]*indexBucket, len(members))
-	for bs, m := range members {
-		buckets[bs] = &indexBucket{
-			s1: buildPostings(entries, m, func(p *PreparedDigest) string { return p.S1 }),
-			s2: buildPostings(entries, m, func(p *PreparedDigest) string { return p.S2 }),
+	blockSize := func(ord int32) uint32 { return entries[ord].Digest.BlockSize }
+	slices.SortFunc(ords, func(a, b int32) int { return cmp.Or(cmp.Compare(blockSize(a), blockSize(b)), cmp.Compare(a, b)) })
+	s1 := func(p *PreparedDigest) string { return p.S1 }
+	s2 := func(p *PreparedDigest) string { return p.S2 }
+	var runs [][]int32 // the entry ordinals of each block size
+	most := 0
+	for lo := 0; lo < len(ords); {
+		hi := lo + 1
+		for hi < len(ords) && blockSize(ords[hi]) == blockSize(ords[lo]) {
+			hi++
 		}
+		m := ords[lo:hi]
+		runs = append(runs, m)
+		most = max(most, postingCount(entries, m, s1), postingCount(entries, m, s2))
+		lo = hi
 	}
-	return &Index{buckets: buckets, exact: exact}
+	if most > math.MaxInt32 {
+		panic("ssdeep: more than 2³¹ postings in one index bucket")
+	}
+	ib := indexBuilder{mul: rand.Uint64() | 1, buf: make([]posting, most), tmp: make([]posting, most)}
+	ix.buckets = make([]indexBucket, len(runs))
+	for i, m := range runs {
+		ix.buckets[i] = indexBucket{bs: blockSize(m[0]), s1: ib.postings(entries, m, s1), s2: ib.postings(entries, m, s2)}
+	}
+	ix.mul, ix.size = ib.mul, ib.size
+	return ix
+}
+
+// bucket returns the bucket of block size bs, or nil.
+func (ix *Index) bucket(bs uint32) *indexBucket {
+	i, ok := slices.BinarySearchFunc(ix.buckets, bs, func(b indexBucket, bs uint32) int { return cmp.Compare(b.bs, bs) })
+	if !ok {
+		return nil
+	}
+	return &ix.buckets[i]
 }
 
 // Candidates adds to set every entry that could score nonzero against q:
@@ -264,41 +437,81 @@ func (ix *Index) Candidates(q PreparedDigest, set *CandidateSet) {
 	}
 	// Query Sig1 is compared against Sig1 of equal-block-size entries and
 	// against Sig2 of entries whose block size doubles to the query's.
-	grams := AppendGrams(set.grams[:0], q.S1)
-	if b := ix.buckets[q.BlockSize]; b != nil {
-		b.s1.probe(grams, set)
+	keys := ix.keys(set.grams[:0], q.S1)
+	if b := ix.bucket(q.BlockSize); b != nil {
+		b.s1.probe(keys, set)
 	}
 	if q.BlockSize%2 == 0 {
 		// e.BlockSize*2 == q.BlockSize in uint32 arithmetic has two
 		// solutions: q/2 and q/2 + 2³¹ (the doubling wraps).
 		for _, hb := range [2]uint32{q.BlockSize / 2, q.BlockSize/2 + 1<<31} {
-			if b := ix.buckets[hb]; b != nil {
-				b.s2.probe(grams, set)
+			if b := ix.bucket(hb); b != nil {
+				b.s2.probe(keys, set)
 			}
 		}
 	}
 	// Query Sig2 is compared against Sig2 at equal block size and against
 	// Sig1 of double-block-size entries (uint32 wrap included).
-	grams = AppendGrams(grams[:0], q.S2)
-	if b := ix.buckets[q.BlockSize]; b != nil {
-		b.s2.probe(grams, set)
+	keys = ix.keys(keys[:0], q.S2)
+	if b := ix.bucket(q.BlockSize); b != nil {
+		b.s2.probe(keys, set)
 	}
-	if b := ix.buckets[q.BlockSize*2]; b != nil {
-		b.s1.probe(grams, set)
+	if b := ix.bucket(q.BlockSize * 2); b != nil {
+		b.s1.probe(keys, set)
 	}
-	set.grams = grams
+	set.grams = keys
 }
 
-// probe adds the ids posted under any of grams to set.
-func (p *postings) probe(grams []uint64, set *CandidateSet) {
-	if len(p.nums) == 0 {
-		return
+// keys appends the keys of s's grams under this index's multiplier to dst.
+func (ix *Index) keys(dst []uint64, s string) []uint64 {
+	n := len(dst)
+	dst = AppendGrams(dst, s)
+	for i := n; i < len(dst); i++ {
+		dst[i] *= ix.mul
 	}
-	for _, g := range grams {
-		if num, ok := p.nums[g]; ok {
-			for _, id := range p.ids[p.offs[num]:p.offs[num+1]] {
-				set.add(id)
-			}
+	return dst
+}
+
+// probe adds the ids posted under any of keys to set.
+func (p *postings) probe(keys []uint64, set *CandidateSet) {
+	for _, key := range keys {
+		for _, id := range p.row(key) {
+			set.add(id)
 		}
 	}
 }
+
+// row returns the ids posted under key: it walks from the key's home slot
+// past the smaller keys of the run and stops at the first key not below its
+// own (an empty slot included).
+func (p *postings) row(key uint64) []int32 {
+	if p.homes == 0 {
+		return nil
+	}
+	i := p.home(key)
+	for p.slots[i].key < key {
+		i++
+	}
+	if s := &p.slots[i]; s.key == key {
+		return p.ids[s.lo:s.hi]
+	}
+	return nil
+}
+
+// IndexSize is the footprint of an Index's posting tables.
+type IndexSize struct {
+	Grams    int   // distinct grams, summed over buckets and signature slots
+	Postings int   // (gram, id) postings
+	Bytes    int64 // bytes held by the gram slots and id rows
+}
+
+// Add accumulates o into s.
+func (s *IndexSize) Add(o IndexSize) {
+	s.Grams += o.Grams
+	s.Postings += o.Postings
+	s.Bytes += o.Bytes
+}
+
+// Size reports the footprint of the index's posting tables (the small
+// exact-signature table of gram-less digests is not counted).
+func (ix *Index) Size() IndexSize { return ix.size }

@@ -5,11 +5,14 @@
 package ssdeep
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // randomDigestString synthesizes a parseable digest: block size from a
@@ -362,9 +365,11 @@ func TestIndexCandidatesCoverNonzeroScores(t *testing.T) {
 	}
 }
 
-// TestIndexLayout pins the flat form NewIndex produces: rows partition ids
-// exactly, a gram repeated inside one signature posts its id once, and only
-// digests too short to post a gram sit in the exact table.
+// TestIndexLayout pins the flat form NewIndex produces: every distinct gram
+// has one slot, at or after its home with only occupied slots between, keys
+// ascend along the table, rows tile ids exactly in gram order, a gram
+// repeated inside one signature posts its id once, and only digests too
+// short to post a gram sit in the exact table.
 func TestIndexLayout(t *testing.T) {
 	var entries []IndexEntry
 	for i, d := range []string{
@@ -383,40 +388,48 @@ func TestIndexLayout(t *testing.T) {
 	ix := NewIndex(entries)
 
 	row := func(p *postings, gram string) []int32 {
-		num, ok := p.nums[AppendGrams(nil, gram)[0]]
-		if !ok {
-			return nil
-		}
-		return p.ids[p.offs[num]:p.offs[num+1]]
+		return p.row(AppendGrams(nil, gram)[0] * ix.mul)
 	}
-	b := ix.buckets[96]
+	b96, b192 := ix.bucket(96), ix.bucket(192)
+	if b96 == nil || b192 == nil || ix.bucket(48) != nil || len(ix.buckets) != 2 {
+		t.Fatalf("buckets = %+v, want exactly 96 and 192", ix.buckets)
+	}
 	for _, c := range []struct {
 		name string
 		got  []int32
 		want []int32
 	}{
-		{"96/s1 ABCDEFG", row(&b.s1, "ABCDEFG"), []int32{0, 1, 4}},
-		{"96/s1 GABCDEF", row(&b.s1, "GABCDEF"), []int32{0, 4}},
-		{"96/s1 BCDEFGH", row(&b.s1, "BCDEFGH"), []int32{0, 1, 4}},
-		{"96/s2 ABCDEFG", row(&b.s2, "ABCDEFG"), []int32{0, 4}},
-		{"96/s2 zzzzzzz", row(&b.s2, "zzzzzzz"), nil},
-		{"192/s2 ABCDEFG", row(&ix.buckets[192].s2, "ABCDEFG"), []int32{5}},
+		{"96/s1 ABCDEFG", row(&b96.s1, "ABCDEFG"), []int32{0, 1, 4}},
+		{"96/s1 GABCDEF", row(&b96.s1, "GABCDEF"), []int32{0, 4}},
+		{"96/s1 BCDEFGH", row(&b96.s1, "BCDEFGH"), []int32{0, 1, 4}},
+		{"96/s2 ABCDEFG", row(&b96.s2, "ABCDEFG"), []int32{0, 4}},
+		{"96/s2 zzzzzzz", row(&b96.s2, "zzzzzzz"), nil},
+		{"192/s2 ABCDEFG", row(&b192.s2, "ABCDEFG"), []int32{5}},
 	} {
 		if !slices.Equal(c.got, c.want) {
 			t.Errorf("row %s = %v, want %v", c.name, c.got, c.want)
 		}
 	}
-	for bs, b := range ix.buckets {
+	for _, b := range ix.buckets {
 		for slot, p := range []*postings{&b.s1, &b.s2} {
-			if len(p.offs) != len(p.nums)+1 || p.offs[0] != 0 || int(p.offs[len(p.nums)]) != len(p.ids) {
-				t.Errorf("bucket %d slot %d: %d grams, offs %v, %d ids: rows do not partition ids",
-					bs, slot+1, len(p.nums), p.offs, len(p.ids))
+			if msg := checkTable(p); msg != "" {
+				t.Errorf("bucket %d slot %d: %s", b.bs, slot+1, msg)
 			}
 		}
 	}
 	// "ABCDEFGABCDEFGH" has 9 windows over 8 distinct grams.
-	if got := len(b.s1.nums); got != 8 {
-		t.Errorf("bucket 96 slot 1 interned %d grams, want 8", got)
+	if got := countGrams(&b96.s1); got != 8 {
+		t.Errorf("bucket 96 slot 1 holds %d grams, want 8", got)
+	}
+	// Grams: 96/s1 8, 96/s2 7 ("ABCDEFGABCDEFG"), 192/s1 2, 192/s2 1.
+	// Postings: 96/s1 18 (8 of entry 0, 2 of entry 1, 8 of entry 4), 96/s2 14,
+	// 192 3.
+	want := IndexSize{Grams: 18, Postings: 35}
+	for _, b := range ix.buckets {
+		want.Bytes += int64(16*(len(b.s1.slots)+len(b.s2.slots)) + 4*(len(b.s1.ids)+len(b.s2.ids)))
+	}
+	if got := ix.Size(); got != want {
+		t.Errorf("Size() = %+v, want %+v", got, want)
 	}
 	if len(ix.exact) != 1 || !slices.Equal(ix.exact[exactKey{bs: 96, s1: "ab", s2: "c"}], []int32{2, 3}) {
 		t.Errorf("exact table = %v, want only the gram-less twins", ix.exact)
@@ -442,6 +455,63 @@ func TestIndexLayout(t *testing.T) {
 			t.Errorf("Candidates(%q) = %v, want %v", c.q, set.IDs, c.want)
 		}
 	}
+}
+
+// checkTable returns what is wrong with p's layout, or "".
+func checkTable(p *postings) string {
+	if p.homes == 0 {
+		if len(p.slots) != 0 || len(p.ids) != 0 {
+			return fmt.Sprintf("no homes but %d slots, %d ids", len(p.slots), len(p.ids))
+		}
+		return ""
+	}
+	if uint64(len(p.slots)) < p.homes+1 || p.slots[len(p.slots)-1] != emptySlot {
+		return fmt.Sprintf("%d slots over %d homes: no empty sentinel after the homes", len(p.slots), p.homes)
+	}
+	grams := countGrams(p)
+	if want := uint64(grams) + uint64(grams)/3 + 1; p.homes != want {
+		return fmt.Sprintf("%d homes for %d grams, want %d", p.homes, grams, want)
+	}
+	next := uint32(0) // rows tile ids in key order
+	var prev uint64
+	for i, s := range p.slots {
+		if s == emptySlot {
+			continue
+		}
+		if s.lo != next || s.hi <= s.lo {
+			return fmt.Sprintf("slot %d row [%d:%d], want it to start at %d and be non-empty", i, s.lo, s.hi, next)
+		}
+		if next > 0 && s.key <= prev {
+			return fmt.Sprintf("slot %d key %x does not ascend past %x", i, s.key, prev)
+		}
+		next, prev = s.hi, s.key
+		h := p.home(s.key)
+		if h > uint64(i) {
+			return fmt.Sprintf("slot %d holds a key whose home is %d", i, h)
+		}
+		for j := h; j < uint64(i); j++ {
+			if p.slots[j] == emptySlot {
+				return fmt.Sprintf("slot %d is empty between home %d and key slot %d", j, h, i)
+			}
+		}
+		if ids := p.ids[s.lo:s.hi]; len(uniqueIDs(ids)) != len(ids) {
+			return fmt.Sprintf("slot %d row %v repeats an id", i, ids)
+		}
+	}
+	if int(next) != len(p.ids) {
+		return fmt.Sprintf("rows cover %d of %d ids", next, len(p.ids))
+	}
+	return ""
+}
+
+func countGrams(p *postings) int {
+	n := 0
+	for _, s := range p.slots {
+		if s != emptySlot {
+			n++
+		}
+	}
+	return n
 }
 
 func uniqueIDs(ids []int32) []int32 {
@@ -480,5 +550,279 @@ func TestCandidateSetEpochReuse(t *testing.T) {
 	ix.Candidates(other, &set)
 	if len(set.IDs) != 0 {
 		t.Fatalf("unrelated query leaked candidates: %v", set.IDs)
+	}
+}
+
+// TestCandidateSetEpochWrapClearsWholeTable: a pooled set serves indexes of
+// different id-space sizes (a compaction shrinks one), so marks past the
+// current n survive a Reset. When the epoch wraps, those must be cleared too:
+// otherwise, once the epoch climbs back to a stale mark's value, a later
+// Reset over the larger id space takes that id as already added and drops it.
+func TestCandidateSetEpochWrapClearsWholeTable(t *testing.T) {
+	p, err := ParsePrepared("96:AAAABBBBCCCCDDDDEEEE:AAAABBBBCC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := NewIndex([]IndexEntry{{ID: 50, Digest: p}})
+	var set CandidateSet
+	set.Reset(100)
+	set.Reset(100)
+	ix.Candidates(p, &set)     // marks id 50 with epoch 2
+	set.epoch = math.MaxUint32 // 2³² − 3 queries later
+	set.Reset(10)              // the shrunk id space: the epoch wraps to 1
+	set.Reset(100)             // grown back: epoch 2 again
+	ix.Candidates(p, &set)
+	if !slices.Equal(set.IDs, []int32{50}) {
+		t.Fatalf("after an epoch wrap behind a shrink and a grow: IDs = %v, want [50]", set.IDs)
+	}
+}
+
+// TestIndexBuildWorstCaseStaysLinear holds building the index and probing it
+// to the same per-posting cost on hostile shapes as on a catalogue-shaped
+// population: every posting under one gram (one long row, all keys equal in
+// the sort), distinct grams that a fixed multiplier would all send to one
+// home slot (a crafted catalogue against a known hash), and every entry in
+// one block size. Each shape is also held to the map-based oracle.
+func TestIndexBuildWorstCaseStaysLinear(t *testing.T) {
+	const n = 50_000
+	rng := rand.New(rand.NewSource(17))
+	randSig := func(alphabet string, length int) string {
+		b := make([]byte, length)
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	entriesOf := func(digests []PreparedDigest) []IndexEntry {
+		es := make([]IndexEntry, len(digests))
+		for i, d := range digests {
+			es[i] = IndexEntry{ID: int32(i), Digest: d}
+		}
+		return es
+	}
+	// perUnit is the best of three: build, then probe every query, divided
+	// by postings built plus ids returned.
+	perUnit := func(es []IndexEntry, queries []PreparedDigest) time.Duration {
+		var best time.Duration
+		var set CandidateSet
+		for try := 0; try < 3; try++ {
+			start := time.Now()
+			ix := NewIndex(es)
+			units := ix.Size().Postings
+			for _, q := range queries {
+				set.Reset(len(es))
+				ix.Candidates(q, &set)
+				units += len(set.IDs) + len(q.S1) + len(q.S2)
+			}
+			if d := time.Since(start) / time.Duration(max(units, 1)); try == 0 || d < best {
+				best = d
+			}
+		}
+		return best
+	}
+
+	// The catalogue shape: families of mutated 64-byte signatures over three
+	// block sizes, queried with members of the same families.
+	var catalogue []PreparedDigest
+	for f := 0; f < n/64; f++ {
+		base := randSig(base64Chars, spamsumLength)
+		for m := 0; m < 64; m++ {
+			s1 := []byte(base)
+			for k := 0; k < 4; k++ {
+				s1[rng.Intn(len(s1))] = base64Chars[rng.Intn(64)]
+			}
+			catalogue = append(catalogue, PreparedDigest{BlockSize: 192 << rng.Intn(3), S1: string(s1), S2: string(s1[:32])})
+		}
+	}
+	baseline := perUnit(entriesOf(catalogue), catalogue[:2000])
+
+	oneGram := make([]PreparedDigest, n)
+	for i := range oneGram {
+		oneGram[i] = PreparedDigest{BlockSize: 96, S1: "ABCDEFG"}
+	}
+
+	// Grams g with g·fixedMul < 2⁶⁴/homes: under that multiplier every one of
+	// them has home slot 0, so the table would be one run of n keys and every
+	// probe a scan of it. g = h·fixedMul⁻¹ for small h, kept when it fits in
+	// a gram's 56 bits.
+	const fixedMul = 0x9e3779b97f4a7c15
+	inv := uint64(fixedMul) // Newton's iteration for the inverse of an odd number mod 2⁶⁴
+	for i := 0; i < 6; i++ {
+		inv *= 2 - fixedMul*inv
+	}
+	homes := uint64(n) + n/3 + 1
+	oneHome := make([]PreparedDigest, 0, n)
+	for len(oneHome) < n {
+		if g := rng.Uint64() % (math.MaxUint64 / homes) * inv; g < 1<<56 {
+			var b [8]byte
+			binary.BigEndian.PutUint64(b[:], g)
+			oneHome = append(oneHome, PreparedDigest{BlockSize: 96, S1: string(b[1:])})
+		}
+	}
+	ib := indexBuilder{mul: fixedMul, buf: make([]posting, n), tmp: make([]posting, n)}
+	members := make([]int32, n)
+	for i := range members {
+		members[i] = int32(i)
+	}
+	if p := ib.postings(entriesOf(oneHome), members, func(p *PreparedDigest) string { return p.S1 }); p.homes != homes || p.slots[n-1] == emptySlot {
+		t.Fatalf("the crafted grams do not pile up under the fixed multiplier: %d homes, slot %d empty", p.homes, n-1)
+	}
+
+	oneBucket := make([]PreparedDigest, n)
+	for i := range oneBucket {
+		oneBucket[i] = PreparedDigest{BlockSize: 3, S1: randSig(base64Chars, spamsumLength/2), S2: randSig(base64Chars, spamsumLength/4)}
+	}
+
+	for _, tc := range []struct {
+		name    string
+		digests []PreparedDigest
+		queries []PreparedDigest
+	}{
+		{"one-gram", oneGram, oneGram[:1]},
+		{"one-home-under-a-fixed-multiplier", oneHome, oneHome},
+		{"one-block-size", oneBucket, oneBucket[:2000]},
+	} {
+		es := entriesOf(tc.digests)
+		got := perUnit(es, tc.queries)
+		t.Logf("%s: %v per unit (catalogue: %v)", tc.name, got, baseline)
+		if got > 10*baseline {
+			t.Errorf("%s: %v per posting built or id returned, more than 10x the catalogue's %v", tc.name, got, baseline)
+		}
+		mustMatchOracle(t, tc.name, es, tc.queries[:min(len(tc.queries), 500)])
+	}
+}
+
+// mustMatchOracle holds NewIndex to the map-based oracle: every query must
+// collect the same ids in the same order.
+func mustMatchOracle(t *testing.T, name string, entries []IndexEntry, queries []PreparedDigest) {
+	t.Helper()
+	ix, or := NewIndex(entries), newOracleIndex(entries)
+	n := 0
+	for _, e := range entries {
+		n = max(n, int(e.ID)+1)
+	}
+	var got, want CandidateSet
+	for _, q := range queries {
+		got.Reset(n)
+		want.Reset(n)
+		ix.Candidates(q, &got)
+		or.candidates(q, &want)
+		if !slices.Equal(got.IDs, want.IDs) {
+			t.Fatalf("%s: Candidates(%+v) = %v, oracle %v", name, q, got.IDs, want.IDs)
+		}
+	}
+}
+
+// oracleIndex is the map-based index the flat gram table replaced — a Go map
+// interning each gram to a row number over compressed sparse rows — kept as
+// the reference NewIndex is held to.
+type oracleIndex struct {
+	buckets map[uint32]*oracleBucket
+	exact   map[exactKey][]int32
+}
+
+type oracleBucket struct{ s1, s2 oraclePostings }
+
+type oraclePostings struct {
+	nums map[uint64]uint32
+	offs []uint32
+	ids  []int32
+}
+
+func newOracleIndex(entries []IndexEntry) *oracleIndex {
+	members := make(map[uint32][]int32)
+	exact := make(map[exactKey][]int32)
+	for i := range entries {
+		p := &entries[i].Digest
+		members[p.BlockSize] = append(members[p.BlockSize], int32(i))
+		if len(p.S1) < GramSize && len(p.S2) < GramSize {
+			k := exactKey{bs: p.BlockSize, s1: p.S1, s2: p.S2}
+			exact[k] = append(exact[k], entries[i].ID)
+		}
+	}
+	buckets := make(map[uint32]*oracleBucket, len(members))
+	for bs, m := range members {
+		buckets[bs] = &oracleBucket{
+			s1: buildOraclePostings(entries, m, func(p *PreparedDigest) string { return p.S1 }),
+			s2: buildOraclePostings(entries, m, func(p *PreparedDigest) string { return p.S2 }),
+		}
+	}
+	return &oracleIndex{buckets: buckets, exact: exact}
+}
+
+func buildOraclePostings(entries []IndexEntry, members []int32, sig func(*PreparedDigest) string) oraclePostings {
+	nums := make(map[uint64]uint32)
+	type gramState struct {
+		n    uint32
+		last int32
+	}
+	type gramPair struct {
+		num uint32
+		id  int32
+	}
+	var grams []gramState
+	var pairs []gramPair
+	for _, ord := range members {
+		e := &entries[ord]
+		for _, g := range AppendGrams(nil, sig(&e.Digest)) {
+			num, ok := nums[g]
+			if !ok {
+				num = uint32(len(grams))
+				nums[g] = num
+				grams = append(grams, gramState{})
+			}
+			st := &grams[num]
+			if st.last == ord+1 {
+				continue
+			}
+			st.last = ord + 1
+			st.n++
+			pairs = append(pairs, gramPair{num: num, id: e.ID})
+		}
+	}
+	offs := make([]uint32, len(grams)+1)
+	for num, st := range grams {
+		offs[num+1] = offs[num] + st.n
+	}
+	ids := make([]int32, len(pairs))
+	for _, p := range pairs {
+		st := &grams[p.num]
+		ids[offs[p.num+1]-st.n] = p.id
+		st.n--
+	}
+	return oraclePostings{nums: nums, offs: offs, ids: ids}
+}
+
+func (ix *oracleIndex) candidates(q PreparedDigest, set *CandidateSet) {
+	for _, id := range ix.exact[exactKey{bs: q.BlockSize, s1: q.S1, s2: q.S2}] {
+		set.add(id)
+	}
+	grams := AppendGrams(nil, q.S1)
+	if b := ix.buckets[q.BlockSize]; b != nil {
+		b.s1.probe(grams, set)
+	}
+	if q.BlockSize%2 == 0 {
+		for _, hb := range [2]uint32{q.BlockSize / 2, q.BlockSize/2 + 1<<31} {
+			if b := ix.buckets[hb]; b != nil {
+				b.s2.probe(grams, set)
+			}
+		}
+	}
+	grams = AppendGrams(nil, q.S2)
+	if b := ix.buckets[q.BlockSize]; b != nil {
+		b.s2.probe(grams, set)
+	}
+	if b := ix.buckets[q.BlockSize*2]; b != nil {
+		b.s1.probe(grams, set)
+	}
+}
+
+func (p *oraclePostings) probe(grams []uint64, set *CandidateSet) {
+	for _, g := range grams {
+		if num, ok := p.nums[g]; ok {
+			for _, id := range p.ids[p.offs[num]:p.offs[num+1]] {
+				set.add(id)
+			}
+		}
 	}
 }

@@ -169,6 +169,9 @@ func TestServeCommand(t *testing.T) {
 			t.Errorf("%s = %d, want 1 (the boot refresh)", name, got)
 		}
 	}
+	if got := sampleValue(text, "siren_catalog_index_bytes"); got <= 0 {
+		t.Errorf("siren_catalog_index_bytes = %d, want the served index's size", got)
+	}
 
 	out := stop()
 	if !strings.Contains(out, "drained") {
