@@ -56,6 +56,7 @@ lint: vet fmt-check staticcheck sirenlint
 # instead of comparing the kernel with its oracle.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzWireParse$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run=NONE -fuzz='^FuzzDecoder$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzReassemble$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzConsolidate$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/postprocess
 	$(GO) test -run=NONE -fuzz='^FuzzParseDigest$$' -fuzztime=10s ./internal/ssdeep
@@ -153,8 +154,9 @@ bench-serve:
 # fingerprint-index build a replica pays at start-up, incremental
 # catalog refresh, store insert, receiver ingest, the sealed-vs-replay
 # open pair (the flat sealed open is the storage tier's claim), and the
-# consolidation every refresh and every analysis runs (through the store, and
-# the kernel alone on the campaign capture) — plus the
+# consolidation every refresh and every analysis runs (through the store, over
+# sealed runs plus a replayed head as a restarted store reads it, and the
+# kernel alone on the campaign capture) — plus the
 # scoring kernel by itself (a 64-byte distance): in a geomean over a dozen
 # benchmarks a return to DP cost in BenchmarkIdentify alone would sit at the
 # threshold, with this one beside it it is far past it. Each is run -count times with -benchmem so
@@ -182,6 +184,7 @@ bench-gate-run:
 	$(GO) test -run=NONE -bench='BenchmarkOpenReplay/rows=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='^BenchmarkConsolidate$$/streaming-workers=1$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkConsolidateCampaign$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkConsolidateSealed$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)
 
 bench-gate: bench-gate-run
 	$(GO) run ./cmd/benchdiff -baseline $(BENCH_BASELINE) -threshold 1.25 $(BENCH_GATE_OUT)

@@ -178,10 +178,12 @@ func run() (err error) {
 	// mapping 1:1, so every batch lands in its store shard without
 	// re-partitioning (receiver.ShardedStore).
 	shards := receiver.Options{Writers: *writers}.ResolvedWriters()
+	openStart := time.Now()
 	db, err := sirendb.OpenOptions(*dbPath, sirendb.Options{Shards: shards, SyncInterval: *syncEvery, Metrics: reg})
 	if err != nil {
 		return err
 	}
+	opened := time.Since(openStart).Round(100 * time.Microsecond) // run indexes + WAL replay; sub-ms when sealed
 	// Backstop for early-return paths; Close is idempotent, so the happy
 	// path's explicit shutdown below makes this a no-op. A failed WAL close
 	// here is lost durability and must surface in run's error.
@@ -209,8 +211,8 @@ func run() (err error) {
 	if view != nil {
 		slice = fmt.Sprintf("member %s of %d", *memberID, view.Table().Len())
 	}
-	fmt.Printf("siren-receiver: listening on %s (%s), storing to %s (%d shards, %d replayed rows, %d corrupt skipped)\n",
-		bound, slice, *dbPath, db.StoreShards(), db.Count(), db.CorruptRecords())
+	fmt.Printf("siren-receiver: listening on %s (%s), storing to %s (%d shards, %d replayed rows, %d corrupt skipped, opened in %s)\n",
+		bound, slice, *dbPath, db.StoreShards(), db.Count(), db.CorruptRecords(), opened)
 
 	// Telemetry: the same counters the periodic log line prints, plus the
 	// store's WAL/durability state, as machine-readable expvar JSON — the

@@ -82,10 +82,12 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
+	openStart := time.Now()
 	set, err := sirendb.OpenSet(paths, sirendb.Options{ReadOnly: *readonly})
 	if err != nil {
 		return err
 	}
+	opened := time.Since(openStart).Round(100 * time.Microsecond) // run indexes + WAL replay; sub-ms when sealed
 	// Backstop for early-return paths; Close is idempotent, so the explicit
 	// close at the end of the drain sequence makes this a no-op. A failing
 	// member close must surface in run's error, not vanish.
@@ -96,8 +98,8 @@ func run() (err error) {
 	reg := obs.NewRegistry("siren-serve")
 	cat := catalog.New(catalog.SetSource(set), catalog.Options{Workers: *workers, Metrics: reg})
 	rs := cat.Refresh()
-	fmt.Printf("siren-serve: catalog generation %d: %d jobs, %d processes, %d fingerprints (%s from %d members)\n",
-		rs.Gen, rs.Jobs, cat.Generation().Stats.Processes, cat.Generation().Index.Len(), rs.BuildLine(), len(paths))
+	fmt.Printf("siren-serve: catalog generation %d: %d jobs, %d processes, %d fingerprints (store opened in %s, %s from %d members)\n",
+		rs.Gen, rs.Jobs, cat.Generation().Stats.Processes, cat.Generation().Index.Len(), opened, rs.BuildLine(), len(paths))
 
 	srv := server.NewWithMetrics(cat, reg)
 	// The query API hangs off an outer mux so profiling can ride the same

@@ -9,6 +9,7 @@ package postprocess
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -59,6 +60,54 @@ func BenchmarkConsolidateCampaign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, chunk := range chunks {
 			consolidateChunk(chunk)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(capture)), "ns/row")
+}
+
+// BenchmarkConsolidateSealed is the path a restarted receiver and every
+// siren-analyze run take: the campaign capture of BenchmarkConsolidateCampaign
+// in a persistent 4-shard store, two thirds of it sealed into two run
+// generations and the last third left in the WAL head, reopened read-only and
+// consolidated through ConsolidateSnapshot by one worker. Sealed rows decode
+// from their run blocks on every pass, so ns/row and allocs/op cover the run
+// cursors, the sequence merge and the kernel together.
+func BenchmarkConsolidateSealed(b *testing.B) {
+	if testing.Short() {
+		b.Skip("generates the full scale-0.02 campaign capture")
+	}
+	capture := campaignCapture()
+	path := filepath.Join(b.TempDir(), "siren.wal")
+	opts := sirendb.Options{Shards: 4}
+	db, err := sirendb.OpenOptions(path, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	third := len(capture) / 3
+	for g, part := range [][]wire.Message{capture[:third], capture[third : 2*third], capture[2*third:]} {
+		if err := db.InsertBatch(part); err != nil {
+			b.Fatal(err)
+		}
+		if g < 2 {
+			if err := db.Seal(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	opts.ReadOnly = true
+	if db, err = sirendb.OpenOptions(path, opts); err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap := db.Snapshot()
+		if _, stats := ConsolidateSnapshot(snap, StreamOptions{Workers: 1}); stats.Messages != len(capture) || snap.Err() != nil {
+			b.Fatalf("consolidated %d of %d rows (%v)", stats.Messages, len(capture), snap.Err())
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(capture)), "ns/row")

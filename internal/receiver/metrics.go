@@ -12,7 +12,7 @@ import (
 // Options.Metrics is nil), so the per-datagram paths record unconditionally;
 // BenchmarkReceiverIngest gates what that costs.
 type rcvMetrics struct {
-	// parseNS is wire.Parse latency per datagram — the CPU half of the
+	// parseNS is the writer's decode latency per datagram — the CPU half of the
 	// write path; a p99 jump here means malformed floods or jumbo payloads.
 	parseNS *obs.Histogram
 	// queueWaitNS is shard-channel residency (dispatch → writer dequeue) —
@@ -29,7 +29,7 @@ type rcvMetrics struct {
 // the registry reads the atomics only when scraped).
 func (r *Receiver) registerMetrics(reg *obs.Registry) {
 	r.mx = rcvMetrics{
-		parseNS:     reg.Histogram("siren_ingest_parse_ns", "wire.Parse latency per datagram"),
+		parseNS:     reg.Histogram("siren_ingest_parse_ns", "the writer's wire.Decoder latency per datagram (malformed included)"),
 		queueWaitNS: reg.Histogram("siren_ingest_queue_wait_ns", "shard-channel residency from dispatch to writer dequeue"),
 		insertNS:    reg.Histogram("siren_ingest_insert_ns", "store insert latency per flushed batch"),
 	}

@@ -13,8 +13,9 @@ import (
 // backing abstracts how a run file's bytes are reached: a shared read-only
 // mmap on unix (this file), positional reads elsewhere. Slice returns the
 // requested byte range; on the mmap backing it aliases the mapping, so the
-// bytes must not outlive the backing — which is why wire.Parse (which copies)
-// is the only decoder allowed to touch them.
+// bytes must not outlive the backing — which is why the cursor's
+// wire.Decoder, whose strings and content are copies, is the only decoder
+// allowed to touch them.
 type backing interface {
 	Slice(off, length int64) ([]byte, error)
 	Close() error

@@ -572,16 +572,21 @@ func (r *Run) EachJob(f func(job string, rows int, minSeq, maxSeq uint64) bool) 
 }
 
 // Cursor streams a run's rows in ascending sequence order, k-way merging
-// the per-(job, host) extent streams. Blocks decode (and checksum-verify)
-// lazily as the cursor crosses them.
+// the per-(job, host) extent streams. Blocks load (and checksum-verify)
+// lazily as the cursor crosses them. The merge compares the sequence numbers
+// in the record headers and decodes only the row it hands out, straight into
+// the caller's Message, through one wire.Decoder per extent — whose rows are
+// one (job, host), so their header strings are mostly shared.
 type Cursor struct {
 	streams []*extentCursor
+	best    int // stream holding the next row once PeekSeq found it, else -1
+	bestSeq uint64
 	err     error
 }
 
 // Cursor returns a cursor over every row of the run, seq-ascending.
 func (r *Run) Cursor() *Cursor {
-	c := &Cursor{}
+	c := &Cursor{best: -1}
 	for i := range r.jobs {
 		for e := range r.jobs[i].extents {
 			c.streams = append(c.streams, newExtentCursor(r, &r.jobs[i].extents[e]))
@@ -594,7 +599,7 @@ func (r *Run) Cursor() *Cursor {
 // extents merged). A job absent from the run yields an immediately-empty
 // cursor.
 func (r *Run) JobCursor(job string) *Cursor {
-	c := &Cursor{}
+	c := &Cursor{best: -1}
 	i, ok := r.byJob[job]
 	if !ok {
 		return c
@@ -605,36 +610,42 @@ func (r *Run) JobCursor(job string) *Cursor {
 	return c
 }
 
-// Next returns the next row in sequence order. ok=false means exhausted or
-// failed — check Err to distinguish.
-func (c *Cursor) Next() (wire.Message, uint64, bool) {
+// PeekSeq reports the sequence number of the next row without decoding it.
+// ok=false means exhausted or failed — check Err to distinguish.
+func (c *Cursor) PeekSeq() (seq uint64, ok bool) {
 	if c.err != nil {
-		return wire.Message{}, 0, false
+		return 0, false
 	}
-	best := -1
-	var bestSeq uint64
+	if c.best >= 0 {
+		return c.bestSeq, true
+	}
 	for i, s := range c.streams {
 		seq, ok, err := s.peekSeq()
 		if err != nil {
 			c.err = err
-			return wire.Message{}, 0, false
+			return 0, false
 		}
-		if !ok {
-			continue
-		}
-		if best < 0 || seq < bestSeq {
-			best, bestSeq = i, seq
+		if ok && (c.best < 0 || seq < c.bestSeq) {
+			c.best, c.bestSeq = i, seq
 		}
 	}
-	if best < 0 {
-		return wire.Message{}, 0, false
+	return c.bestSeq, c.best >= 0
+}
+
+// NextInto decodes the next row in sequence order into *m, overwriting every
+// field, and returns its sequence number. ok=false means exhausted or failed
+// — check Err to distinguish — and *m then holds no row.
+func (c *Cursor) NextInto(m *wire.Message) (seq uint64, ok bool) {
+	if seq, ok = c.PeekSeq(); !ok {
+		return 0, false
 	}
-	m, seq, err := c.streams[best].next()
-	if err != nil {
+	s := c.streams[c.best]
+	c.best = -1
+	if err := s.decodeInto(m); err != nil {
 		c.err = err
-		return wire.Message{}, 0, false
+		return 0, false
 	}
-	return m, seq, true
+	return seq, true
 }
 
 // Err reports the first corruption or decode error the cursor hit; nil
@@ -647,73 +658,51 @@ type extentCursor struct {
 	off     int64 // next unread block
 	end     int64
 	payload []byte // current block's verified payload
-	pos     int    // read position within payload
-	peeked  bool
-	pSeq    uint64
-	pMsg    wire.Message
+	pos     int    // start of the next record's header within payload
+	dec     wire.Decoder
 }
 
 func newExtentCursor(r *Run, e *extent) *extentCursor {
 	return &extentCursor{r: r, off: e.off, end: e.off + e.length}
 }
 
-// peekSeq reports the sequence number of the next row without consuming it.
+func (ec *extentCursor) corrupt(what string) error {
+	return fmt.Errorf("%w: %s: %s", ErrCorrupt, ec.r.path, what)
+}
+
+// peekSeq reports the sequence number of the next record without decoding
+// it: the record header is read in place, loading and verifying the next
+// block when the current payload is exhausted, and its length is checked
+// against the block so decodeInto cannot run past it.
 func (ec *extentCursor) peekSeq() (uint64, bool, error) {
-	if ec.peeked {
-		return ec.pSeq, true, nil
-	}
-	m, seq, ok, err := ec.decodeNext()
-	if err != nil || !ok {
-		return 0, false, err
-	}
-	ec.peeked, ec.pMsg, ec.pSeq = true, m, seq
-	return seq, true, nil
-}
-
-func (ec *extentCursor) next() (wire.Message, uint64, error) {
-	if !ec.peeked {
-		m, seq, ok, err := ec.decodeNext()
-		if err != nil {
-			return wire.Message{}, 0, err
-		}
-		if !ok {
-			return wire.Message{}, 0, fmt.Errorf("%w: %s: cursor advanced past extent end", ErrCorrupt, ec.r.path)
-		}
-		return m, seq, nil
-	}
-	ec.peeked = false
-	return ec.pMsg, ec.pSeq, nil
-}
-
-// decodeNext yields the next record, loading and verifying the next block
-// when the current payload is exhausted.
-func (ec *extentCursor) decodeNext() (wire.Message, uint64, bool, error) {
 	for ec.pos >= len(ec.payload) {
 		if ec.off >= ec.end {
-			return wire.Message{}, 0, false, nil
+			return 0, false, nil
 		}
 		if err := ec.loadBlock(); err != nil {
-			return wire.Message{}, 0, false, err
+			return 0, false, err
 		}
 	}
-	bad := func(what string) (wire.Message, uint64, bool, error) {
-		return wire.Message{}, 0, false, fmt.Errorf("%w: %s: %s", ErrCorrupt, ec.r.path, what)
-	}
 	if ec.pos+recHdrSize > len(ec.payload) {
-		return bad("torn record header inside a verified block")
+		return 0, false, ec.corrupt("torn record header inside a verified block")
 	}
 	length := binary.LittleEndian.Uint32(ec.payload[ec.pos:])
-	seq := binary.LittleEndian.Uint64(ec.payload[ec.pos+4:])
-	ec.pos += recHdrSize
-	if length > maxRecordLen || ec.pos+int(length) > len(ec.payload) {
-		return bad("record length outside its block")
+	if length > maxRecordLen || ec.pos+recHdrSize+int(length) > len(ec.payload) {
+		return 0, false, ec.corrupt("record length outside its block")
 	}
-	m, err := wire.Parse(ec.payload[ec.pos : ec.pos+int(length)])
-	if err != nil {
-		return bad(fmt.Sprintf("undecodable record: %v", err))
+	return binary.LittleEndian.Uint64(ec.payload[ec.pos+4:]), true, nil
+}
+
+// decodeInto decodes the record peekSeq last reported into *m and steps past
+// it; it is only valid right after a successful peekSeq.
+func (ec *extentCursor) decodeInto(m *wire.Message) error {
+	length := int(binary.LittleEndian.Uint32(ec.payload[ec.pos:]))
+	start := ec.pos + recHdrSize
+	if err := ec.dec.Decode(ec.payload[start:start+length], m); err != nil {
+		return ec.corrupt(fmt.Sprintf("undecodable record: %v", err))
 	}
-	ec.pos += int(length)
-	return m, seq, true, nil
+	ec.pos = start + length
+	return nil
 }
 
 // loadBlock reads and checksum-verifies the block at ec.off.

@@ -3,6 +3,7 @@ package runfmt
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -37,6 +38,13 @@ func testRows(n int) []Row {
 		})
 	}
 	return rows
+}
+
+// next takes one row from c by value — the shape the assertions compare.
+func next(c *Cursor) (wire.Message, uint64, bool) {
+	var m wire.Message
+	seq, ok := c.NextInto(&m)
+	return m, seq, ok
 }
 
 func writeRun(t *testing.T, rows []Row) string {
@@ -85,7 +93,7 @@ func TestRoundTrip(t *testing.T) {
 	c := r.Cursor()
 	var got []Row
 	for {
-		m, seq, ok := c.Next()
+		m, seq, ok := next(c)
 		if !ok {
 			break
 		}
@@ -127,7 +135,7 @@ func TestJobCursorAndStats(t *testing.T) {
 		c := r.JobCursor(job)
 		var got []Row
 		for {
-			m, seq, ok := c.Next()
+			m, seq, ok := next(c)
 			if !ok {
 				break
 			}
@@ -156,7 +164,7 @@ func TestJobCursorAndStats(t *testing.T) {
 		t.Fatalf("per-job rows sum to %d, footer says %d", total, r.Rows())
 	}
 
-	if m, seq, ok := r.JobCursor("absent").Next(); ok {
+	if m, seq, ok := next(r.JobCursor("absent")); ok {
 		t.Fatalf("absent job yielded (%v, %d)", m, seq)
 	}
 
@@ -191,7 +199,7 @@ func TestWriteSortsInput(t *testing.T) {
 	var prev uint64
 	n := 0
 	for {
-		_, seq, ok := c.Next()
+		_, seq, ok := next(c)
 		if !ok {
 			break
 		}
@@ -277,7 +285,7 @@ func TestCorruptionDetected(t *testing.T) {
 		defer r.Close()
 		c := r.Cursor()
 		for {
-			if _, _, ok := c.Next(); !ok {
+			if _, _, ok := next(c); !ok {
 				break
 			}
 		}
@@ -302,6 +310,84 @@ func TestCorruptionDetected(t *testing.T) {
 			t.Fatalf("Open err = %v, want ErrCorrupt", err)
 		}
 	})
+}
+
+// TestCorruptionDetectedWhilePeeked: the merge reads a stream's next sequence
+// number before it takes the row, and that peek is what loads and verifies
+// the stream's next block. A block that fails its checksum while its first
+// record is only peeked must end the cursor with ErrCorrupt, and every row
+// handed out before must be exactly the run's row at that position.
+func TestCorruptionDetectedWhilePeeked(t *testing.T) {
+	// Host a: small rows at odd seqs; host b: 4 KiB rows at even seqs, so
+	// b's extent spans several blocks and its second block is first read by
+	// a peek while a's rows are still being taken.
+	var rows []Row
+	for i := 0; i < 200; i++ {
+		h := wire.Header{JobID: "j", StepID: "0", PID: i, Hash: "h", Host: "a", Time: 1, Layer: wire.LayerSelf, Type: wire.TypeFileH, Total: 1}
+		content := []byte("x")
+		if i%2 == 1 {
+			h.Host, content = "b", bytes.Repeat([]byte{byte('0' + i%10)}, 4096)
+		}
+		rows = append(rows, Row{Seq: uint64(i + 1), Msg: wire.Message{Header: h, Content: content}})
+	}
+	path := writeRun(t, rows)
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := r.jobs[0].extents[1]
+	if b.host != "b" {
+		t.Fatalf("second extent is host %q", b.host)
+	}
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	second := b.off + blockHdrSize + int64(binary.LittleEndian.Uint32(orig[b.off:]))
+	if second >= b.off+b.length {
+		t.Fatal("host b's extent fits one block; the test needs two")
+	}
+	// Flip a byte of the first record's message in b's second block.
+	bad := mutate(t, path, second+blockHdrSize+recHdrSize+10, 0x01)
+
+	for _, tc := range []struct {
+		name   string
+		cursor func(*Run) *Cursor
+	}{{"run", (*Run).Cursor}, {"job", func(r *Run) *Cursor { return r.JobCursor("j") }}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := Open(bad)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer r.Close()
+			c := tc.cursor(r)
+			n, fromB := 0, 0
+			for {
+				m, seq, ok := next(c)
+				if !ok {
+					break
+				}
+				want := rows[n]
+				if seq != want.Seq || !reflect.DeepEqual(m, want.Msg) {
+					t.Fatalf("row %d: got seq %d %+v, want seq %d %+v", n, seq, m.Header, want.Seq, want.Msg.Header)
+				}
+				if m.Host == "b" {
+					fromB++
+				}
+				n++
+			}
+			if !errors.Is(c.Err(), ErrCorrupt) {
+				t.Fatalf("cursor err = %v after %d rows, want ErrCorrupt", c.Err(), n)
+			}
+			if fromB == 0 || n >= len(rows) {
+				t.Fatalf("stream ended after %d rows (%d of host b): the corrupt block was not the one peeked", n, fromB)
+			}
+			if _, ok := c.PeekSeq(); ok {
+				t.Fatal("PeekSeq reports a row after the cursor failed")
+			}
+		})
+	}
 }
 
 // FuzzRunDecode throws arbitrary bytes — seeded with a valid run and
@@ -345,7 +431,7 @@ func FuzzRunDecode(f *testing.F) {
 		n := 0
 		c := r.Cursor()
 		for {
-			if _, _, ok := c.Next(); !ok {
+			if _, _, ok := next(c); !ok {
 				break
 			}
 			n++
@@ -358,7 +444,7 @@ func FuzzRunDecode(f *testing.F) {
 		for _, job := range r.Jobs() {
 			jc := r.JobCursor(job)
 			for {
-				if _, _, ok := jc.Next(); !ok {
+				if _, _, ok := next(jc); !ok {
 					break
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 
+	"siren/internal/sirendb/runfmt"
 	"siren/internal/wire"
 )
 
@@ -106,71 +107,68 @@ func (sn *Snapshot) Count() int { return sn.count }
 func (sn *Snapshot) LastSeq() uint64 { return sn.lastSeq }
 
 // src is one sequence-ascending row stream inside a merge: a sealed-run
-// cursor (lazy block decode), or an in-memory row slice, optionally
-// index-selected. A one-row lookahead (peek) drives the k-way merges.
+// cursor, or an in-memory row slice, optionally index-selected. The merge
+// reads each source's next sequence number (peek) and moves only the row it
+// takes: a head row is handed out in place, a sealed row is decoded straight
+// into the merge's one Message slot.
 type src struct {
-	rc     *runCursorSrc
-	rows   []row
-	idxs   []int // non-nil: select rows[idxs[pos]] instead of rows[pos]
-	pos    int
-	rem    int // rows not yet yielded (run streams: advertised count)
-	peeked bool
-	pm     wire.Message
-	pseq   uint64
-}
-
-// runCursorSrc wraps a runfmt cursor with the error sink the in-memory
-// sources don't need.
-type runCursorSrc struct {
-	next  func() (wire.Message, uint64, bool)
-	err   func() error
-	onErr func(error)
-	done  bool
+	run   *runfmt.Cursor // non-nil: a sealed run's stream; nil once drained
+	onErr func(error)    // where a run stream's read failure goes
+	rows  []row
+	idxs  []int // non-nil: select rows[idxs[pos]] instead of rows[pos]
+	pos   int
+	rem   int // rows not yet yielded (run streams: advertised count)
 }
 
 func (s *src) peek() (uint64, bool) {
-	if s.peeked {
-		return s.pseq, true
-	}
-	if s.rc != nil {
-		if s.rc.done {
-			return 0, false
-		}
-		m, seq, ok := s.rc.next()
+	if s.run != nil {
+		seq, ok := s.run.PeekSeq()
 		if !ok {
-			s.rc.done = true
-			if err := s.rc.err(); err != nil {
-				s.rc.onErr(err)
+			// Drained or failed: report a failure once, then the source is
+			// an empty row slice.
+			if err := s.run.Err(); err != nil {
+				s.onErr(err)
 			}
-			return 0, false
+			s.run = nil
 		}
-		s.pm, s.pseq, s.peeked = m, seq, true
-		return seq, true
+		return seq, ok
 	}
 	if s.idxs != nil {
 		if s.pos >= len(s.idxs) {
 			return 0, false
 		}
-		r := &s.rows[s.idxs[s.pos]]
-		s.pm, s.pseq, s.peeked = r.Msg, r.Seq, true
-		return r.Seq, true
+		return s.rows[s.idxs[s.pos]].Seq, true
 	}
 	if s.pos >= len(s.rows) {
 		return 0, false
 	}
-	r := &s.rows[s.pos]
-	s.pm, s.pseq, s.peeked = r.Msg, r.Seq, true
-	return r.Seq, true
+	return s.rows[s.pos].Seq, true
 }
 
-// take consumes the peeked row; only valid right after a successful peek.
-func (s *src) take() (wire.Message, uint64) {
-	s.peeked = false
-	s.pos++
+// take consumes the row the last successful peek reported: a head row in
+// place, a sealed row decoded into *slot. A sealed row that fails to decode
+// is reported like any run-read failure and yields nil.
+func (s *src) take(slot *wire.Message) (*wire.Message, uint64) {
+	m, seq := slot, uint64(0)
+	if s.run != nil {
+		var ok bool
+		if seq, ok = s.run.NextInto(slot); !ok {
+			s.onErr(s.run.Err())
+			s.run = nil
+			return nil, 0
+		}
+	} else {
+		i := s.pos
+		if s.idxs != nil {
+			i = s.idxs[i]
+		}
+		s.pos++
+		m, seq = &s.rows[i].Msg, s.rows[i].Seq
+	}
 	if s.rem > 0 {
 		s.rem--
 	}
-	return s.pm, s.pseq
+	return m, seq
 }
 
 // mergeSrcs streams the union of the sources in ascending sequence order —
@@ -178,8 +176,9 @@ func (s *src) take() (wire.Message, uint64) {
 // f; return false to stop.
 func mergeSrcs(srcs []*src, f func(m wire.Message, seq uint64) bool) {
 	c := Cursor{srcs: srcs}
+	var slot wire.Message
 	for s := c.pick(); s != nil; s = c.pick() {
-		if !f(s.take()) {
+		if m, seq := s.take(&slot); m != nil && !f(*m, seq) {
 			return
 		}
 	}
@@ -187,15 +186,13 @@ func mergeSrcs(srcs []*src, f func(m wire.Message, seq uint64) bool) {
 
 // runSrc builds a source over one sealed run's full row stream.
 func runSrc(sr sealedRun, onErr func(error)) *src {
-	c := sr.run.Cursor()
-	return &src{rc: &runCursorSrc{next: c.Next, err: c.Err, onErr: onErr}, rem: sr.run.Rows()}
+	return &src{run: sr.run.Cursor(), onErr: onErr, rem: sr.run.Rows()}
 }
 
 // runJobSrc builds a source over one job's rows in a sealed run.
 func runJobSrc(sr sealedRun, job string, onErr func(error)) *src {
-	c := sr.run.JobCursor(job)
 	rows, _, _, _ := sr.run.JobStats(job)
-	return &src{rc: &runCursorSrc{next: c.Next, err: c.Err, onErr: onErr}, rem: rows}
+	return &src{run: sr.run.JobCursor(job), onErr: onErr, rem: rows}
 }
 
 // shardSources builds shard i's sources: its sealed runs (oldest generation
@@ -239,19 +236,20 @@ func (c *Cursor) Len() int {
 
 // Next returns the next message and its store-wide sequence number.
 func (c *Cursor) Next() (wire.Message, uint64, bool) {
-	s := c.pick()
-	if s == nil {
-		return wire.Message{}, 0, false
+	var slot wire.Message
+	for s := c.pick(); s != nil; s = c.pick() {
+		if m, seq := s.take(&slot); m != nil {
+			return *m, seq, true
+		}
 	}
-	m, seq := s.take()
-	return m, seq, true
+	return wire.Message{}, 0, false
 }
 
 // pick returns the source whose next row has the lowest sequence number, or
 // nil once every source is drained — the one best-pick loop behind every
 // merge. A linear scan per step is fine at the store's source counts
-// (shards × runs-per-shard, both small); the peek cache keeps it one
-// comparison per source per step.
+// (shards × runs-per-shard, both small); a peek reads a sequence number, never
+// a row, so it is one comparison per source per step.
 func (c *Cursor) pick() *src {
 	var best *src
 	var bestSeq uint64

@@ -302,7 +302,8 @@ func (db *DB) replaySegment(f *os.File, name string, index int, repairHeader boo
 	}
 	off := int64(len(segMagic))
 	var hdr [recHdrSize]byte
-	var payload []byte // reused: wire.Parse copies what it keeps
+	var payload []byte // reused: the decoder copies what it keeps
+	var dec wire.Decoder
 	records := int64(0)
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -333,8 +334,8 @@ func (db *DB) replaySegment(f *os.File, name string, index int, repairHeader boo
 			off = recEnd
 			continue
 		}
-		msg, err := wire.Parse(payload)
-		if err != nil {
+		var msg wire.Message
+		if err := dec.Decode(payload, &msg); err != nil {
 			db.corrupt.Add(1)
 			off = recEnd
 			continue

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -46,6 +47,140 @@ func FuzzWireParse(f *testing.F) {
 			t.Fatalf("Parse(AppendEncode(prefix, m)[len(prefix):]) = %+v, %v; want %+v", m3, err, m)
 		}
 	})
+}
+
+// FuzzDecoder feeds one Decoder a fuzzed sequence of datagrams: each line of
+// the input, then for every line that parses its re-encoding, the same row
+// with each header value in turn replaced (by the previous row's value, by a
+// fresh one, by a constant spelled in new bytes), and byte-mutated copies.
+// Every result must equal Parse on that datagram — message and error — and
+// Parse must equal parseOracle, the implementation before the Decoder, error
+// text included. The slot is pre-filled with the previous row, so a field the
+// Decoder failed to write shows as a previous row's value; and every input is
+// overwritten after its decode, so a string aliasing the input shows too.
+func FuzzDecoder(f *testing.F) {
+	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1|CONTENT=x"), uint64(0))
+	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=FILE_H|SEQ=0|TOT=2|CONTENT=x\n"+
+		"SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=FILE_H|SEQ=1|TOT=2|CONTENT=y\n"+
+		"SIREN1|JOBID=|STEPID=|PID=2|HASH=|HOST=|TIME=1|LAYER=|TYPE=|SEQ=0|TOT=1|CONTENT="), uint64(7))
+	f.Add([]byte("garbage\nSIREN1|JOBID=1|STEPID=0|PID=x|HASH=h"), uint64(1<<40))
+	f.Add(Encode(Message{Header: sampleHeader(), Content: []byte("3:abc:def")}), uint64(99))
+	f.Fuzz(func(t *testing.T, data []byte, mutations uint64) {
+		rng := rand.New(rand.NewSource(int64(mutations)))
+		var seq [][]byte
+		var prev Header
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			seq = append(seq, line)
+			m, err := Parse(line)
+			if err != nil {
+				continue
+			}
+			seq = append(seq, Encode(m))
+			fresh := [...]string{"", "0", "x" + m.JobID, LayerScript, TypeMapsH, string([]byte(TypeObjects))}
+			for _, field := range []*string{&m.JobID, &m.StepID, &m.Hash, &m.Host, &m.Layer, &m.Type} {
+				saved := *field
+				*field = fresh[rng.Intn(len(fresh))]
+				seq = append(seq, Encode(m))
+				*field = saved
+			}
+			swapped := m
+			swapped.Header = prev
+			swapped.PID, swapped.Time, swapped.Seq, swapped.Total = m.PID, m.Time, m.Seq, m.Total
+			seq = append(seq, Encode(swapped))
+			prev = m.Header
+			enc := Encode(m)
+			for n := rng.Intn(4); n > 0; n-- {
+				enc[rng.Intn(len(enc))] = byte(rng.Intn(256))
+			}
+			seq = append(seq, enc)
+		}
+		var d Decoder
+		var last Message
+		for i, dg := range seq {
+			want, werr := Parse(dg)
+			oracle, oerr := parseOracle(dg)
+			if (werr == nil) != (oerr == nil) || (werr != nil && werr.Error() != oerr.Error()) {
+				t.Fatalf("datagram %d %q: Parse err %v, oracle err %v", i, dg, werr, oerr)
+			}
+			if !reflect.DeepEqual(want, oracle) {
+				t.Fatalf("datagram %d %q: Parse %+v, oracle %+v", i, dg, want, oracle)
+			}
+			got := last // a field Decode leaves alone keeps this row's value
+			err := d.Decode(dg, &got)
+			if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+				t.Fatalf("datagram %d %q: Decode err %v, Parse err %v", i, dg, err, werr)
+			}
+			for j := range dg {
+				dg[j] = '|' // a decoded string that aliased the input changes here
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("datagram %d: Decode %+v, Parse %+v", i, got, want)
+			}
+			if err == nil {
+				last = got
+			}
+		}
+	})
+}
+
+// TestDecoderAllocations pins the sharing rule's cost: a row that repeats its
+// predecessor's header allocates only its content, a changed LAYER or TYPE
+// naming a package constant nothing more, and any other change one header
+// region more — what Parse allocates for every row.
+func TestDecoderAllocations(t *testing.T) {
+	h := sampleHeader()
+	same := Encode(Message{Header: h, Content: []byte("c")})
+	h.Layer, h.Type = LayerScript, TypeFileH
+	constants := Encode(Message{Header: h, Content: []byte("c")})
+	h.JobID, h.Host = "other", "node9"
+	changed := Encode(Message{Header: h, Content: []byte("c")})
+	for _, tc := range []struct {
+		name string
+		a, b []byte // decoded alternately, so each decode follows the other row
+		want float64
+	}{
+		{"repeated", same, same, 1},
+		{"constants", same, constants, 1},
+		{"changed", same, changed, 2},
+	} {
+		var d Decoder
+		var m Message
+		got := testing.AllocsPerRun(100, func() {
+			if d.Decode(tc.a, &m) != nil || d.Decode(tc.b, &m) != nil {
+				t.Fatal("decode failed")
+			}
+		}) / 2
+		if got != tc.want {
+			t.Errorf("%s: %v allocations per decode, want %v", tc.name, got, tc.want)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { _, _ = Parse(changed) }); got != 2 {
+		t.Errorf("Parse: %v allocations, want 2 (header region, content)", got)
+	}
+}
+
+// TestDecimalMatchesStrconv: the decoder's inline integer parse must accept,
+// reject and word errors exactly as the strconv calls Parse always made.
+func TestDecimalMatchesStrconv(t *testing.T) {
+	for _, v := range []string{"0", "7", "-0", "+5", "-", "+", "", "007", "1_0", " 1", "1a",
+		"123456789012345678", "-12345678901234567", "1234567890123456789", "9223372036854775807",
+		"9223372036854775808", "-9223372036854775808", "99999999999999999999", "2147483648", "0x10"} {
+		for _, wide := range []bool{false, true} {
+			got, gerr := decimal([]byte(v), wide)
+			var want int64
+			var werr error
+			if wide {
+				want, werr = strconv.ParseInt(v, 10, 64)
+			} else {
+				var n int
+				n, werr = strconv.Atoi(v)
+				want = int64(n)
+			}
+			if got != want || (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+				t.Errorf("decimal(%q, %v) = %d, %v; strconv gives %d, %v", v, wide, got, gerr, want, werr)
+			}
+		}
+	}
 }
 
 // FuzzReassemble feeds Reassemble with parsed datagrams (one per line of the

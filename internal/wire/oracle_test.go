@@ -1,14 +1,17 @@
 package wire
 
 import (
+	"bytes"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 )
 
 // Differential oracles: the implementations Reassemble and Encode had before
-// the allocation-lean rewrite, kept as the reference the production kernels
-// are pinned against (FuzzReassemble, FuzzWireParse, the table tests). One
+// the allocation-lean rewrite, and Parse before the Decoder, kept as the
+// reference the production kernels are pinned against (FuzzReassemble,
+// FuzzWireParse, FuzzDecoder, the table tests). One
 // deliberate difference: the grouping key length-prefixes every field. The
 // old key joined them with 0x1f, a byte the header grammar admits inside a
 // value, so two different records could share a key — the bug the struct key
@@ -97,4 +100,70 @@ func encodeOracle(m Message) []byte {
 	sb.WriteString("|CONTENT=")
 	sb.WriteString(string(m.Content))
 	return []byte(sb.String())
+}
+
+func parseOracle(datagram []byte) (Message, error) {
+	const contentMark = "|CONTENT="
+	ci := bytes.Index(datagram, []byte(contentMark))
+	if ci < 0 {
+		if len(datagram) < len(magic)+1 || string(datagram[:len(magic)+1]) != magic+"|" {
+			return Message{}, fmt.Errorf("%w: bad magic", ErrMalformed)
+		}
+		return Message{}, fmt.Errorf("%w: missing CONTENT", ErrMalformed)
+	}
+	s := string(datagram[:ci])
+	if !strings.HasPrefix(s, magic+"|") {
+		return Message{}, fmt.Errorf("%w: bad magic", ErrMalformed)
+	}
+	s = s[len(magic)+1:]
+	var m Message
+	for i, prefix := range fieldPrefixes {
+		name := prefix[:len(prefix)-1]
+		if !strings.HasPrefix(s, prefix) {
+			return Message{}, fmt.Errorf("%w: expected field %s", ErrMalformed, name)
+		}
+		s = s[len(prefix):]
+		var val string
+		if sep := strings.IndexByte(s, '|'); sep >= 0 {
+			val, s = s[:sep], s[sep+1:]
+		} else if i == len(fieldPrefixes)-1 {
+			val, s = s, ""
+		} else {
+			return Message{}, fmt.Errorf("%w: unterminated field %s", ErrMalformed, name)
+		}
+		var err error
+		switch i {
+		case 0:
+			m.JobID = val
+		case 1:
+			m.StepID = val
+		case 2:
+			m.PID, err = strconv.Atoi(val)
+		case 3:
+			m.Hash = val
+		case 4:
+			m.Host = val
+		case 5:
+			m.Time, err = strconv.ParseInt(val, 10, 64)
+		case 6:
+			m.Layer = val
+		case 7:
+			m.Type = val
+		case 8:
+			m.Seq, err = strconv.Atoi(val)
+		case 9:
+			m.Total, err = strconv.Atoi(val)
+		}
+		if err != nil {
+			return Message{}, fmt.Errorf("%w: field %s: %v", ErrMalformed, name, err)
+		}
+	}
+	if s != "" {
+		return Message{}, fmt.Errorf("%w: trailing header bytes", ErrMalformed)
+	}
+	m.Content = append([]byte{}, datagram[ci+len(contentMark):]...)
+	if m.Total < 1 || m.Seq < 0 || m.Seq >= m.Total {
+		return Message{}, fmt.Errorf("%w: chunk %d/%d out of range", ErrMalformed, m.Seq, m.Total)
+	}
+	return m, nil
 }

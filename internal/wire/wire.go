@@ -27,9 +27,9 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"strconv"
-	"strings"
 
 	"siren/internal/xxhash"
 )
@@ -174,79 +174,209 @@ func PartitionHash(job, host []byte) uint64 {
 	return xxhash.Sum64Seed(host, xxhash.Sum64(job))
 }
 
-// Parse decodes a datagram produced by Encode.
-//
-// This is the receiver's per-message hot path, so copying is kept minimal:
-// the header region is converted to a string exactly once (every string
+// Parse decodes a datagram produced by Encode. It is a zero Decoder: the
+// header region is converted to a string at most once (every changed string
 // field of the Message shares that one small allocation) and the content
-// bytes are copied exactly once. A valid datagram's header cannot contain
-// '|' inside a value, so the first "|CONTENT=" occurrence is always the real
-// content marker — content itself may contain the pattern freely.
+// bytes are copied exactly once.
 func Parse(datagram []byte) (Message, error) {
-	const contentMark = "|CONTENT="
+	var d Decoder
+	var m Message
+	err := d.Decode(datagram, &m)
+	return m, err
+}
+
+// Decoder parses datagrams like Parse, remembering the header strings of its
+// previous successful decode. Stored rows arrive in runs of one process — a
+// sealed extent is one (job, host), a job's chunks and categories are written
+// together — so most headers repeat the last one, and a Decoder hands those
+// values out again instead of allocating them:
+//
+//   - a value byte-equal to the previous successful decode's value reuses
+//     that string;
+//   - a LAYER or TYPE value equal to a package constant reuses the constant;
+//   - every other value is sliced from one fresh string of the header region,
+//     made once per decode and only when some value needs it.
+//
+// So no decode allocates more than Parse, and a row that repeats its
+// predecessor's identity allocates only its content. The strings handed out
+// are ordinary heap strings, never views of the input, so the input may be
+// reused (a pooled datagram, a mapped run block) as soon as Decode returns.
+// A Decoder is not safe for concurrent use; its zero value is ready.
+type Decoder struct {
+	prev [6]string // JOBID, STEPID, HASH, HOST, LAYER, TYPE of the last success
+}
+
+// stringField maps the string-valued header fields, in wire order, onto the
+// Decoder's memory; -1 marks the integer fields.
+var stringField = [len(fieldPrefixes)]int{0, 1, -1, 2, 3, -1, 4, 5, -1, -1}
+
+// contentMark ends the header region. A valid datagram's header cannot contain
+// '|' inside a value, so its first occurrence is always the real content
+// marker — content itself may contain the pattern freely.
+const contentMark = "|CONTENT="
+
+// Decode parses datagram into *m, overwriting every field. On error *m is the
+// zero Message and the Decoder's memory is unchanged.
+func (d *Decoder) Decode(datagram []byte, m *Message) error {
+	err := d.decode(datagram, m)
+	if err != nil {
+		*m = Message{}
+	}
+	return err
+}
+
+// decode stores *m once, whole, and only on success.
+func (d *Decoder) decode(datagram []byte, m *Message) error {
 	ci := bytes.Index(datagram, []byte(contentMark))
 	if ci < 0 {
 		if len(datagram) < len(magic)+1 || string(datagram[:len(magic)+1]) != magic+"|" {
-			return Message{}, fmt.Errorf("%w: bad magic", ErrMalformed)
+			return fmt.Errorf("%w: bad magic", ErrMalformed)
 		}
-		return Message{}, fmt.Errorf("%w: missing CONTENT", ErrMalformed)
+		return fmt.Errorf("%w: missing CONTENT", ErrMalformed)
 	}
-	s := string(datagram[:ci])
-	if !strings.HasPrefix(s, magic+"|") {
-		return Message{}, fmt.Errorf("%w: bad magic", ErrMalformed)
+	hdr := datagram[:ci]
+	if len(hdr) < len(magic)+1 || string(hdr[:len(magic)+1]) != magic+"|" {
+		return fmt.Errorf("%w: bad magic", ErrMalformed)
 	}
-	s = s[len(magic)+1:]
-	var m Message
+	vals := d.prev              // committed back only once the whole header is valid
+	var fresh [len(vals)][2]int // [lo, hi) of each value to slice from the region; hi 0 if none
+	var h Header
+	pos := len(magic) + 1
 	for i, prefix := range fieldPrefixes {
-		name := prefix[:len(prefix)-1]
-		if !strings.HasPrefix(s, prefix) {
-			return Message{}, fmt.Errorf("%w: expected field %s", ErrMalformed, name)
+		if len(hdr)-pos < len(prefix) || string(hdr[pos:pos+len(prefix)]) != prefix {
+			return fmt.Errorf("%w: expected field %s", ErrMalformed, prefix[:len(prefix)-1])
 		}
-		s = s[len(prefix):]
-		var val string
-		if sep := strings.IndexByte(s, '|'); sep >= 0 {
-			val, s = s[:sep], s[sep+1:]
+		pos += len(prefix)
+		lo, hi := pos, len(hdr)
+		if sep := bytes.IndexByte(hdr[pos:], '|'); sep >= 0 {
+			hi, pos = pos+sep, pos+sep+1
 		} else if i == len(fieldPrefixes)-1 {
-			val, s = s, "" // TOT runs to the content marker
+			pos = hi // TOT runs to the content marker
 		} else {
-			return Message{}, fmt.Errorf("%w: unterminated field %s", ErrMalformed, name)
+			return fmt.Errorf("%w: unterminated field %s", ErrMalformed, prefix[:len(prefix)-1])
 		}
-		var err error
-		switch i {
-		case 0:
-			m.JobID = val
-		case 1:
-			m.StepID = val
-		case 2:
-			m.PID, err = strconv.Atoi(val)
-		case 3:
-			m.Hash = val
-		case 4:
-			m.Host = val
-		case 5:
-			m.Time, err = strconv.ParseInt(val, 10, 64)
-		case 6:
-			m.Layer = val
-		case 7:
-			m.Type = val
-		case 8:
-			m.Seq, err = strconv.Atoi(val)
-		case 9:
-			m.Total, err = strconv.Atoi(val)
+		val := hdr[lo:hi]
+		if k := stringField[i]; k >= 0 {
+			if string(val) != vals[k] {
+				fresh[k] = [2]int{lo, hi}
+				if k >= 4 { // LAYER, TYPE
+					if c, ok := constantValue(val); ok {
+						vals[k], fresh[k] = c, [2]int{}
+					}
+				}
+			}
+			continue
 		}
+		n, err := decimal(val, i == 5) // TIME is an int64, the rest ints
 		if err != nil {
-			return Message{}, fmt.Errorf("%w: field %s: %v", ErrMalformed, name, err)
+			return fmt.Errorf("%w: field %s: %v", ErrMalformed, prefix[:len(prefix)-1], err)
+		}
+		switch i {
+		case 2:
+			h.PID = int(n)
+		case 5:
+			h.Time = n
+		case 8:
+			h.Seq = int(n)
+		case 9:
+			h.Total = int(n)
 		}
 	}
-	if s != "" {
+	if pos != len(hdr) {
 		// Extra bytes between TOT and the content marker: not Encode output.
-		return Message{}, fmt.Errorf("%w: trailing header bytes", ErrMalformed)
+		return fmt.Errorf("%w: trailing header bytes", ErrMalformed)
 	}
-	m.Content = append([]byte{}, datagram[ci+len(contentMark):]...) // non-nil even when empty, like []byte("")
-	if m.Total < 1 || m.Seq < 0 || m.Seq >= m.Total {
-		return Message{}, fmt.Errorf("%w: chunk %d/%d out of range", ErrMalformed, m.Seq, m.Total)
+	if h.Total < 1 || h.Seq < 0 || h.Seq >= h.Total {
+		return fmt.Errorf("%w: chunk %d/%d out of range", ErrMalformed, h.Seq, h.Total)
 	}
-	return m, nil
+	var region string // the header as one string, made for the first changed value
+	for k, f := range fresh {
+		if f[1] != 0 {
+			if region == "" {
+				region = string(hdr)
+			}
+			vals[k] = region[f[0]:f[1]]
+		}
+	}
+	d.prev = vals
+	h.JobID, h.StepID, h.Hash, h.Host, h.Layer, h.Type = vals[0], vals[1], vals[2], vals[3], vals[4], vals[5]
+	*m = Message{Header: h, Content: append([]byte{}, datagram[ci+len(contentMark):]...)} // content non-nil even when empty, like []byte("")
+	return nil
+}
+
+// decimal parses a header integer exactly as strconv.Atoi does, or as
+// strconv.ParseInt(s, 10, 64) when wide. The values Encode writes — an
+// optional sign and fewer than 19 bytes in all (10 for a 32-bit int) — are
+// converted inline, as strconv's own fast path does, without first copying
+// them into a string; anything else goes to strconv, which also words every
+// error.
+func decimal(v []byte, wide bool) (int64, error) {
+	limit := 19
+	if !wide && strconv.IntSize == 32 {
+		limit = 10
+	}
+	if 0 < len(v) && len(v) < limit {
+		digits, neg := v, false
+		if v[0] == '-' || v[0] == '+' {
+			digits, neg = v[1:], v[0] == '-'
+		}
+		var n int64
+		ok := len(digits) > 0
+		for _, c := range digits {
+			if c < '0' || c > '9' {
+				ok = false
+				break
+			}
+			n = n*10 + int64(c-'0')
+		}
+		if ok {
+			if neg {
+				n = -n
+			}
+			return n, nil
+		}
+	}
+	if wide {
+		return strconv.ParseInt(string(v), 10, 64)
+	}
+	n, err := strconv.Atoi(string(v))
+	return int64(n), err
+}
+
+// constantValue returns the package constant spelled by a LAYER or TYPE
+// value, so a changed value of a known category allocates nothing.
+func constantValue(v []byte) (string, bool) {
+	switch string(v) {
+	case LayerSelf:
+		return LayerSelf, true
+	case LayerScript:
+		return LayerScript, true
+	case TypeMetadata:
+		return TypeMetadata, true
+	case TypeObjects:
+		return TypeObjects, true
+	case TypeModules:
+		return TypeModules, true
+	case TypeCompilers:
+		return TypeCompilers, true
+	case TypeMaps:
+		return TypeMaps, true
+	case TypeFileH:
+		return TypeFileH, true
+	case TypeStringsH:
+		return TypeStringsH, true
+	case TypeSymbolsH:
+		return TypeSymbolsH, true
+	case TypeObjectsH:
+		return TypeObjectsH, true
+	case TypeModulesH:
+		return TypeModulesH, true
+	case TypeCompilersH:
+		return TypeCompilersH, true
+	case TypeMapsH:
+		return TypeMapsH, true
+	}
+	return "", false
 }
 
 // Chunk splits one logical record into datagrams no larger than maxSize.
@@ -315,10 +445,9 @@ type Record struct {
 // This runs once per stored row on every consolidation, so it is shaped for
 // the traffic that exists: most records are one chunk, and a record's chunks
 // arrive together. A message that continues the previous message's record is
-// matched without a lookup; any other goes through one map keyed by
-// recordKey. Each record is built in place in the result; a single-chunk
-// record keeps its content without a copy, and only a second chunk allocates
-// a chunk list.
+// matched without a lookup; any other goes through one recordTable. Each
+// record is built in place in the result; a single-chunk record keeps its
+// content without a copy, and only a second chunk allocates a chunk list.
 func Reassemble(msgs []Message) []Record {
 	// While grouping, a Record's Header is its first chunk's with Total raised
 	// to the largest announced, and its Content the first chunk's; state holds
@@ -329,18 +458,18 @@ func Reassemble(msgs []Message) []Record {
 	}
 	out := make([]Record, 0, len(msgs))
 	states := make([]state, 0, len(msgs))
-	index := make(map[recordKey]int32, len(msgs))
+	index := newRecordTable(len(msgs))
 	var lastKey recordKey
 	last := int32(-1) // the record the previous message belonged to
 	for i := range msgs {
 		m := &msgs[i]
-		key := recordKey{m.JobID, m.StepID, m.PID, m.Hash, m.Host, m.Time, m.Layer, m.Type}
+		key := keyOf(&m.Header)
 		if last < 0 || key != lastKey {
 			lastKey = key
-			var seen bool
-			if last, seen = index[key]; !seen { // first chunk of a new record
+			slot := index.find(key, out)
+			if last = index.slots[slot] - 1; last < 0 { // first chunk of a new record
 				last = int32(len(out))
-				index[key] = last
+				index.slots[slot] = last + 1
 				out = append(out, Record{Header: m.Header, Content: m.Content})
 				states = append(states, state{})
 				continue
@@ -378,14 +507,51 @@ func Reassemble(msgs []Message) []Record {
 // Seq/Total. A comparable struct rather than the fields joined with a
 // separator: header values may contain any byte but '|', so a joined key can
 // make two records collide, and building it costs an allocation per message.
-// As a map key every field goes through the runtime's per-map seeded hash, so
-// no sender can aim datagrams at one bucket.
 type recordKey struct {
 	jobID, stepID string
 	pid           int
 	hash, host    string
 	time          int64
 	layer, typ    string
+}
+
+func keyOf(h *Header) recordKey {
+	return recordKey{h.JobID, h.StepID, h.PID, h.Hash, h.Host, h.Time, h.Layer, h.Type}
+}
+
+// recordTable finds a record by its key: an open-addressed table of record
+// numbers plus one, 0 marking an empty slot, linear probing at load at most
+// one half. It is Reassemble's only lookup, sized once per call, so it costs
+// one allocation however many records there are — a Go map keyed by the
+// 112-byte recordKey hashed every miss twice (lookup, then insert) and copied
+// each key into the map.
+//
+// Keys are hashed with maphash.Comparable under a seed drawn per table, which
+// covers every field of the struct — the two integers included — so a sender
+// who does not know the seed cannot choose keys that share a probe run; and a
+// probe compares full keys, so two keys with one hash are still two records.
+type recordTable struct {
+	seed  maphash.Seed
+	mask  uint64
+	slots []int32
+}
+
+func newRecordTable(n int) recordTable {
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	return recordTable{seed: maphash.MakeSeed(), mask: uint64(size - 1), slots: make([]int32, size)}
+}
+
+// find returns the slot holding key's record number, or the empty slot where
+// it belongs. recs are the records numbered so far.
+func (t *recordTable) find(key recordKey, recs []Record) uint64 {
+	i := maphash.Comparable(t.seed, key) & t.mask
+	for t.slots[i] != 0 && keyOf(&recs[t.slots[i]-1].Header) != key {
+		i = (i + 1) & t.mask
+	}
+	return i
 }
 
 // chunk is one arrived piece of a multi-chunk record.
