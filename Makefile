@@ -3,10 +3,24 @@
 
 GO ?= go
 
-.PHONY: build test test-race vet fmt fmt-check lint staticcheck sirenlint fuzz-smoke bench bench-smoke bench-store bench-read bench-serve bench-gate bench-gate-run bench-rebaseline test-replay test-serve test-failover test-runs test-obs ci
+.PHONY: build cross-build test test-race vet fmt fmt-check lint staticcheck sirenlint fuzz-smoke bench bench-smoke bench-store bench-read bench-serve bench-gate bench-gate-run bench-rebaseline test-replay test-serve test-failover test-runs test-obs ci
 
 build:
 	$(GO) build ./...
+
+# Cross-compile every package except bench/ — Linux-only by design
+# (Pdeathsig, Statfs) — for the other operating systems and word sizes the
+# receiver supports, so the portable ReadFrom reader, the per-arch
+# mmsghdr layout and the other _other.go files keep compiling. The
+# receiver's tests are compiled too: they pin that layout.
+CROSS_TARGETS ?= darwin/amd64 windows/amd64 freebsd/amd64 linux/386 linux/arm64
+cross-build:
+	@set -e; pkgs="$$($(GO) list ./... | grep -v '/bench$$')"; \
+	for t in $(CROSS_TARGETS); do \
+		echo "cross-build $$t"; \
+		GOOS=$${t%/*} GOARCH=$${t#*/} $(GO) build $$pkgs; \
+		GOOS=$${t%/*} GOARCH=$${t#*/} $(GO) test -c -o /dev/null ./internal/receiver; \
+	done
 
 test:
 	$(GO) test ./...
@@ -193,7 +207,7 @@ bench-rebaseline: bench-gate-run
 	$(GO) run ./cmd/benchdiff -write -out $(BENCH_BASELINE) $(BENCH_GATE_OUT)
 
 # Everything the three CI jobs run (test, e2e, bench), serially.
-ci: build vet fmt-check staticcheck sirenlint test-race test-runs test-failover test-serve test-obs fuzz-smoke bench-smoke
+ci: build cross-build vet fmt-check staticcheck sirenlint test-race test-runs test-failover test-serve test-obs fuzz-smoke bench-smoke
 	$(MAKE) bench-read BENCHTIME=1x
 	$(MAKE) bench-serve BENCHTIME=1x
 	$(MAKE) bench-gate

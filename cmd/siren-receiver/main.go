@@ -8,7 +8,7 @@
 //
 //	siren-receiver [-addr 127.0.0.1:8787] [-db siren.wal]
 //	               [-member-id ID -roster 'id=udp[@health],...']
-//	               [-readers N] [-writers M] [-depth D] [-batch B]
+//	               [-writers M] [-depth D] [-batch B]
 //	               [-sync-interval 100ms]
 //	               [-rcvbuf BYTES] [-stats-interval 10s]
 //	               [-serve-addr HOST:PORT] [-refresh-interval 5s]
@@ -106,7 +106,6 @@ func main() {
 func run() (err error) {
 	addr := flag.String("addr", "127.0.0.1:8787", "UDP listen address (loopback by default; bind 0.0.0.0 to accept remote collectors)")
 	dbPath := flag.String("db", "siren.wal", "WAL file for the message store")
-	readers := flag.Int("readers", 0, "UDP reader goroutines (0 = auto)")
 	writers := flag.Int("writers", 0, "writer shards, hash-partitioned by (JobID, Host) (0 = default)")
 	depth := flag.Int("depth", 0, "total buffered-channel capacity across shards (0 = default)")
 	batch := flag.Int("batch", 0, "max messages per database insert batch (0 = default)")
@@ -191,7 +190,6 @@ func run() (err error) {
 	rcv := receiver.New(db, receiver.Options{
 		Depth:      *depth,
 		BatchMax:   *batch,
-		Readers:    *readers,
 		Writers:    *writers,
 		ReadBuffer: *rcvbuf,
 		View:       view,

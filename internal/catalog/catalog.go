@@ -10,9 +10,10 @@
 // indexes are sequence-sorted, so "which jobs gained rows after W" is an
 // O(shards × jobs) index probe (SnapshotView.JobsChangedSince), never a row
 // scan. A refresh therefore re-consolidates only the changed jobs through
-// the job-filtered streaming pass, splices the untouched jobs' records
-// forward from the previous generation, and publishes the result as a new
-// immutable Generation behind an atomic pointer:
+// the job-filtered streaming pass, merges their sorted records with the
+// untouched jobs' records, carried forward in order from the previous
+// generation, and publishes the result as a new immutable Generation
+// behind an atomic pointer:
 //
 //	ingest ──▶ store ──▶ Snapshot ──▶ changed jobs ──▶ consolidate ─┐
 //	                         │            (delta)                   ▼
@@ -251,6 +252,7 @@ func (c *Catalog) Refresh() RefreshStats {
 	rs.Reconsolidated = len(changed)
 
 	// Re-consolidate only the changed jobs, streaming and shard-parallel.
+	var fresh []*postprocess.ProcessRecord
 	postprocess.ConsolidateStream(snap, postprocess.StreamOptions{
 		Workers: c.opts.Workers,
 		JobFilter: func(job string) bool {
@@ -260,22 +262,23 @@ func (c *Catalog) Refresh() RefreshStats {
 	}, func(j postprocess.JobRecords) bool {
 		jobs[j.JobID] = jobEntry{records: j.Records, messages: j.Messages, logical: j.Reassembled}
 		rs.RowsReconsolidated += j.Messages
+		fresh = append(fresh, j.Records...)
 		return true
 	})
 
 	// Assemble the new generation: records in the deterministic whole-store
-	// order, stats accumulated over carried and fresh jobs alike.
+	// order, stats accumulated over carried and fresh jobs alike. Only the
+	// fresh records are sorted; the carried ones are already in order in the
+	// previous generation and are merged in (DESIGN.md §8).
 	var stats postprocess.Stats
-	total := 0
-	for _, e := range jobs {
-		total += len(e.records)
-	}
-	records := make([]*postprocess.ProcessRecord, 0, total)
 	for _, e := range jobs {
 		stats.AddJob(e.records, e.messages, e.logical)
-		records = append(records, e.records...)
 	}
-	postprocess.SortRecords(records)
+	postprocess.SortRecords(fresh)
+	records := fresh
+	if rs.Carried > 0 {
+		records = mergeRecords(prev.Dataset.Records, changedSet, fresh)
+	}
 
 	// Derive the fingerprint index from the previous generation's: unchanged
 	// fingerprints keep their parsed digests and base-block postings (carried
@@ -313,4 +316,27 @@ func (c *Catalog) finish(rs RefreshStats) {
 	c.carriedTotal.Add(int64(rs.Carried))
 	c.reconsolidated.Add(int64(rs.Reconsolidated))
 	c.rowsReconsolidated.Add(int64(rs.RowsReconsolidated))
+}
+
+// mergeRecords merges fresh (sorted by postprocess.SortRecords) into prev
+// (a generation's ordered records), leaving out prev's records of the
+// changed jobs — one pass, O(len(prev) + len(fresh)). No carried record
+// compares equal to a fresh one (equal records share a JobID, and a job is
+// either carried or fresh), so the result is exactly the order SortRecords
+// gives the union: a full pass and a merged refresh agree element by
+// element.
+func mergeRecords(prev []*postprocess.ProcessRecord, changed map[string]struct{}, fresh []*postprocess.ProcessRecord) []*postprocess.ProcessRecord {
+	out := make([]*postprocess.ProcessRecord, 0, len(prev)+len(fresh))
+	j := 0
+	for _, r := range prev {
+		if _, ok := changed[r.JobID]; ok {
+			continue
+		}
+		for j < len(fresh) && postprocess.CompareRecords(fresh[j], r) < 0 {
+			out = append(out, fresh[j])
+			j++
+		}
+		out = append(out, r)
+	}
+	return append(out, fresh[j:]...)
 }

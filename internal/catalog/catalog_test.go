@@ -249,6 +249,65 @@ func TestIncrementalRefreshMatchesFull(t *testing.T) {
 	}
 }
 
+// TestIncrementalRefreshTieOrder pins the record order itself, not just the
+// report: records that tie on SortRecords' key — one PID on several hosts
+// of a job, or in several steps — must come out of a merged refresh in
+// exactly the order a full consolidation gives them, because
+// selectFingerprints reads that order.
+func TestIncrementalRefreshTieOrder(t *testing.T) {
+	db, err := sirendb.OpenOptions("", sirendb.Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// Every process of a job shares its PID, hash and time: they differ
+	// only in host and step, so each job is one run of tied records.
+	tied := func(job string, hosts, steps int) {
+		var ms []wire.Message
+		for h := 0; h < hosts; h++ {
+			for s := 0; s < steps; s++ {
+				ms = append(ms, wire.Message{
+					Header: wire.Header{
+						JobID: job, StepID: fmt.Sprint(s), PID: 500, Hash: "cafe",
+						Host: fmt.Sprintf("nid%04d", h), Time: 1733900000,
+						Layer: wire.LayerSelf, Type: wire.TypeMetadata, Seq: 0, Total: 1,
+					},
+					Content: []byte(fmt.Sprintf("EXE=/bin/app-%d-%d\nCATEGORY=user", h, s)),
+				})
+			}
+		}
+		if err := db.InsertBatch(ms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := 0; j < 12; j++ {
+		tied(fmt.Sprintf("job-%02d", j), 4, 3)
+	}
+	cat := catalog.New(catalog.StoreSource(db), catalog.Options{})
+	cat.Refresh()
+
+	// Wave 2 grows one old job and adds a new one; the other jobs ride
+	// through the merge.
+	tied("job-03", 6, 3)
+	tied("job-99", 4, 3)
+	if rs := cat.Refresh(); rs.Reconsolidated != 2 || rs.Carried != 11 {
+		t.Fatalf("incremental refresh stats = %+v, want 2 reconsolidated, 11 carried", rs)
+	}
+
+	got := cat.Generation().Dataset.Records
+	want, _ := postprocess.ConsolidateSnapshot(db.Snapshot(), postprocess.StreamOptions{})
+	if len(got) != len(want) {
+		t.Fatalf("merged refresh holds %d records, full pass %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("record %d: merged refresh has %s/%s/%s step %s, full pass %s/%s/%s step %s",
+				i, got[i].JobID, got[i].Host, got[i].Exe, got[i].StepID,
+				want[i].JobID, want[i].Host, want[i].Exe, want[i].StepID)
+		}
+	}
+}
+
 func TestCatalogOverMergedSet(t *testing.T) {
 	dir := t.TempDir()
 	paths := []string{filepath.Join(dir, "m0.wal"), filepath.Join(dir, "m1.wal")}

@@ -40,10 +40,8 @@ type Options struct {
 	UDPAddr string
 	// ChannelDepth is the transport/receiver buffer depth (default 1<<18).
 	ChannelDepth int
-	// Readers is the number of UDP reader goroutines and Writers the number
-	// of hash-partitioned writer shards of the receiver (0 = receiver
-	// defaults; see receiver.Options).
-	Readers int
+	// Writers is the number of hash-partitioned writer shards of the
+	// receiver (0 = the receiver default; see receiver.Options).
 	Writers int
 	// LossRate injects random datagram loss (0..1) on the sender side, for
 	// loss-tolerance experiments. Seeded by LossSeed.
@@ -91,7 +89,7 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{db: db}
-	p.rcv = receiver.New(db, receiver.Options{Depth: depth, Readers: opts.Readers, Writers: opts.Writers, Metrics: opts.Metrics})
+	p.rcv = receiver.New(db, receiver.Options{Depth: depth, Writers: opts.Writers, Metrics: opts.Metrics})
 
 	if opts.UDPAddr != "" {
 		addr, err := p.rcv.ListenUDP(opts.UDPAddr)

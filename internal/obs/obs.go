@@ -290,12 +290,20 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 
 // Record adds one sample. Negative samples clamp to 0 (they can only come
 // from clock steps; losing them beats corrupting the bucket index).
-func (h *Histogram) Record(v int64) {
+func (h *Histogram) Record(v int64) { h.RecordN(v, 1) }
+
+// RecordN adds n samples of value v at the cost of one: the record for a
+// batch whose members share one measurement (a burst of datagrams queued
+// together waits together).
+func (h *Histogram) RecordN(v, n int64) {
+	if n <= 0 {
+		return
+	}
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[bits.Len64(uint64(v))].Add(1)
-	h.sum.Add(v)
+	h.buckets[bits.Len64(uint64(v))].Add(uint64(n))
+	h.sum.Add(v * n)
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {

@@ -17,7 +17,6 @@ package postprocess
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -332,25 +331,34 @@ func (s *typeSet) add(layer, typ string) {
 	s.other[[2]string{layer, typ}] = struct{}{}
 }
 
-// SortRecords orders records by (Time, JobID, PID, ExeHash) — the
-// deterministic output order of every consolidation entry point. Exported
-// so incremental consumers (the serving catalog) that splice per-job record
-// sets across refresh passes can restore exactly the order a fresh
-// whole-store consolidation would produce.
+// CompareRecords orders two records by (Time, JobID, PID, ExeHash) — the
+// key of SortRecords, exported for incremental consumers (the serving
+// catalog) that merge already-ordered record sets instead of re-sorting.
+// It is not a total order: one PID on two hosts of a job, or in two steps,
+// compares equal. Equal records always share a JobID, though, so their
+// relative order can be taken from the job's own record order.
+func CompareRecords(a, b *ProcessRecord) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.JobID, b.JobID); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.PID, b.PID); c != 0 {
+		return c
+	}
+	return strings.Compare(a.ExeHash, b.ExeHash)
+}
+
+// SortRecords orders records by CompareRecords — the deterministic output
+// order of every consolidation entry point. The sort is stable: records
+// that compare equal belong to one job and keep the order they have in it,
+// so the result depends only on each job's own record order (which a
+// consolidation pass fixes), never on how jobs were interleaved on input —
+// a full pass's fan-in order and an incremental catalog's merge agree
+// element by element.
 func SortRecords(out []*ProcessRecord) {
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.JobID != b.JobID {
-			return a.JobID < b.JobID
-		}
-		if a.PID != b.PID {
-			return a.PID < b.PID
-		}
-		return a.ExeHash < b.ExeHash
-	})
+	slices.SortStableFunc(out, CompareRecords)
 }
 
 func applySelf(p *ProcessRecord, typ, content string) {

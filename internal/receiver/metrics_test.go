@@ -1,10 +1,12 @@
 package receiver
 
 import (
+	"fmt"
 	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 	"unicode"
 
 	"siren/internal/obs"
@@ -47,6 +49,10 @@ func TestReceiverMetrics(t *testing.T) {
 	if ins.Count == 0 || ins.Count > n {
 		t.Fatalf("insert histogram count = %d, want between 1 and %d batches", ins.Count, n)
 	}
+	recv := reg.Histogram("siren_ingest_recv_batch", "").Snapshot()
+	if recv.Sum != n+1 || recv.Count == 0 || recv.Max > burstMax {
+		t.Fatalf("recv batch histogram = %+v, want %d datagrams in calls of at most %d", recv, n+1, burstMax)
+	}
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -59,10 +65,61 @@ func TestReceiverMetrics(t *testing.T) {
 		`siren_ingest_received_total 51`,
 		`siren_ingest_inserted_total 50`,
 		`siren_ingest_malformed_total 1`,
+		`siren_ingest_read_errors_total 0`,
+		`siren_ingest_recv_batch_count `,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestReadErrorMetrics makes the socket fail reads while the receiver
+// runs: each failure is counted in siren_ingest_read_errors_total, and the
+// reader keeps serving once the socket recovers.
+func TestReadErrorMetrics(t *testing.T) {
+	reg := obs.NewRegistry("test")
+	db, _ := sirendb.Open("")
+	r := New(db, Options{Writers: 1, Metrics: reg})
+	addr, err := r.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A deadline in the past fails every read until it is cleared.
+	if err := r.conn.SetReadDeadline(time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	for r.Stats().ReadErrors.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := r.conn.SetReadDeadline(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := wire.DialUDP(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if err := tr.Send(wire.Encode(mkMsg(1, wire.TypeMetadata))); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for db.Count() < 1 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Count() != 1 {
+		t.Fatalf("stored %d after the socket recovered, want 1", db.Count())
+	}
+	want := r.Stats().ReadErrors.Load()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if line := fmt.Sprintf("siren_ingest_read_errors_total %d\n", want); !strings.Contains(b.String(), line) {
+		t.Fatalf("exposition missing %q", line)
 	}
 }
 
@@ -116,6 +173,11 @@ func TestStatsMetricsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := b.String()
+	// The batching factor is not a Stats counter but must be scrapeable
+	// beside them.
+	if !strings.Contains(text, "# TYPE siren_ingest_recv_batch histogram\n") {
+		t.Error("no siren_ingest_recv_batch histogram in the exposition")
+	}
 	fields := reflect.TypeOf(StatsSnapshot{})
 	for i := 0; i < fields.NumField(); i++ {
 		fam := "siren_ingest_" + snakeCase(fields.Field(i).Name) + "_total"

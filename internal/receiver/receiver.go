@@ -5,23 +5,27 @@
 // The pipeline generalises the paper's reader-goroutine → buffered-channel →
 // writer-goroutine design into a sharded, multi-worker subsystem:
 //
-//	N reader goroutines ── hash(JobID, Host) ──▶ M shard channels ──▶ M writers
-//	                                                                    │ 1:1
-//	                                                              M store shards
+//	one reader ── hash(JobID, Host) ──▶ M shard queues ──▶ M writers
+//	(recvmmsg      one burst per shard                      │ 1:1
+//	 bursts)       per receive call                   M store shards
 //
-// Readers drain the socket (tuned SO_RCVBUF) into sync.Pool-backed datagram
-// buffers, so the hot path performs no per-packet heap allocation. Each
-// datagram is hash-partitioned by its (JobID, Host) header fields onto one of
-// M writer shards: messages of one job on one host always land on the same
-// shard — so sharding itself never introduces cross-shard interleaving for a
-// job — while independent jobs insert into the database concurrently. When
-// the store is itself sharded by the same hash with a matching count
-// (ShardedStore), each writer inserts straight into its own store shard, so
-// the parallelism of the channel pipeline carries through the database
-// instead of re-serialising on a store-wide mutex. (UDP
-// delivery and concurrent readers may still reorder datagrams before the
-// dispatch point, exactly as the network may; chunk reassembly and
-// consolidation key on SEQ/TIME and never depended on arrival order.)
+// The reader drains the socket (tuned SO_RCVBUF) a burst at a time: on
+// Linux one recvmmsg call returns every queued datagram, up to burstMax,
+// into an arena mapped outside the Go heap (reader.go). Each datagram is
+// hash-partitioned by its (JobID, Host) header fields onto one of M writer
+// shards and copied into that shard's burst; each shard then receives its
+// burst in one channel operation, so the read side pays one system call,
+// one clock read and one hand-off per shard per burst, not per datagram,
+// and allocates nothing once its pool is warm. Messages of one job on one
+// host always land on the same shard — so sharding itself never
+// introduces cross-shard interleaving for a job — while independent jobs
+// insert into the database concurrently. When the store is itself sharded
+// by the same hash with a matching count (ShardedStore), each writer
+// inserts straight into its own store shard, so the parallelism of the
+// pipeline carries through the database instead of re-serialising on a
+// store-wide mutex. (UDP delivery may still reorder datagrams before the
+// reader sees them; chunk reassembly and consolidation key on SEQ/TIME and
+// never depended on arrival order.)
 //
 // Whole campaigns split across receiver *processes* by membership
 // (Options.View): each member of a roster admits only the (JobID, Host) keys
@@ -34,12 +38,12 @@
 // its shards. Analysis merges the N databases back together
 // (sirendb.OpenSet).
 //
-// A slow disk never backs up into the socket: when a shard channel is full,
-// datagrams are dropped exactly as the kernel would drop them — SIREN's
-// loss-tolerant design makes that safe. Every loss and failure mode is
-// counted in Stats (kernel-style channel drops, malformed datagrams,
-// datagrams owned by another member, failed database inserts) instead of
-// disappearing silently.
+// A slow disk never backs up into the socket: when a shard queue is full,
+// the datagrams that do not fit are dropped exactly as the kernel would
+// drop them — SIREN's loss-tolerant design makes that safe. Every loss and
+// failure mode is counted in Stats (kernel-style queue drops, malformed
+// datagrams, datagrams owned by another member, failed database inserts,
+// failed socket reads) instead of disappearing silently.
 package receiver
 
 import (
@@ -62,7 +66,7 @@ type Stats struct {
 	Received     atomic.Int64 // datagrams read from the transport
 	Inserted     atomic.Int64 // messages stored in the database
 	Malformed    atomic.Int64 // datagrams that failed to parse (dropped)
-	Dropped      atomic.Int64 // datagrams dropped due to a full shard channel
+	Dropped      atomic.Int64 // datagrams dropped due to a full shard queue
 	Rejected     atomic.Int64 // datagrams owned by another roster member (dropped by admission)
 	InsertErrors atomic.Int64 // failed InsertBatch calls
 	InsertLost   atomic.Int64 // messages in failed InsertBatch calls (upper bound: a partially-applied batch counts whole)
@@ -71,6 +75,9 @@ type Stats struct {
 	// membership view — the observable trace of a failover reassignment
 	// (always 0 without a view, and under a roster nobody probes).
 	AcceptedFailover atomic.Int64
+	// ReadErrors counts failed socket reads other than the receiver's own
+	// shutdown; the reader keeps serving after each.
+	ReadErrors atomic.Int64
 }
 
 // StatsSnapshot is a plain-value copy of the counters at one instant — the
@@ -85,6 +92,7 @@ type StatsSnapshot struct {
 	InsertErrors     int64
 	InsertLost       int64
 	AcceptedFailover int64
+	ReadErrors       int64
 }
 
 // Snapshot copies the counters. Each counter is loaded atomically; the set
@@ -100,6 +108,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		InsertErrors:     s.InsertErrors.Load(),
 		InsertLost:       s.InsertLost.Load(),
 		AcceptedFailover: s.AcceptedFailover.Load(),
+		ReadErrors:       s.ReadErrors.Load(),
 	}
 }
 
@@ -129,34 +138,15 @@ type ShardedStore interface {
 	InsertShard(shard int, ms []wire.Message) error
 }
 
-// pkt is one in-flight datagram. When buf is non-nil the data slice aliases
-// a pooled buffer that must be returned to bufPool after parsing. enq is
-// the dispatch timestamp (UnixNano); the writer turns it into the
-// queue-wait histogram sample.
-type pkt struct {
-	data []byte
-	buf  *[]byte
-	enq  int64
-}
-
-// bufPool recycles datagram buffers between readers and writers, eliminating
-// the per-packet heap allocation (and its GC pressure) of the naive
-// append([]byte(nil), ...) copy. Buffers start at MaxDatagram-friendly size
-// and grow in place for jumbo datagrams.
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 2048)
-	return &b
-}}
-
 // Receiver drains a datagram source into a Store.
 type Receiver struct {
 	db       Store
 	direct   ShardedStore // non-nil when writer shards map 1:1 onto store shards
-	shards   []chan pkt
+	shards   []*shard
 	stats    *Stats
 	batchMax int
+	burstCap int // most datagrams in one hand-off: min(burstMax, a shard's limit)
 	readBuf  int
-	readers  int
 	view     *membership.View // membership-table admission (nil: admit everything)
 	selfIdx  int              // this receiver's index in view's roster
 	mx       rcvMetrics       // obs instruments, registered by New
@@ -177,25 +167,23 @@ type Receiver struct {
 
 // Options configure a receiver.
 type Options struct {
-	// Depth is the total buffered capacity across all shard channels
-	// (default 65536) — the paper's "buffered channel of the receiver
-	// server", split evenly among writers.
+	// Depth is the total buffered capacity in datagrams across all shard
+	// queues (default 65536) — the paper's "buffered channel of the
+	// receiver server", split evenly among writers. Datagrams cross in
+	// bursts, but the bound counts datagrams: a burst that does not fit
+	// queues the datagrams that do and drops the rest.
 	Depth int
 	// BatchMax bounds how many messages are folded into one DB insert
 	// (default 256).
 	BatchMax int
-	// Readers is the number of goroutines draining the UDP socket
-	// (default min(GOMAXPROCS, 4); channel mode always uses one forwarder).
-	Readers int
 	// Writers is the number of writer shards inserting into the database
 	// (default min(GOMAXPROCS, 4): sharding buys parallel parse+insert, so
 	// extra shards on a single-core host would only add scheduling
 	// overhead). Datagrams are partitioned by hash(JobID, Host), so
 	// sharding never splits one job's messages across writers: within one
-	// (JobID, Host), dispatch order is storage order. Global insertion
-	// order across jobs is scheduler-dependent once Writers > 1, and with
-	// multiple UDP Readers the socket→dispatch handoff itself can reorder,
-	// just like UDP transit — consolidation never depends on either.
+	// (JobID, Host), read order is storage order. Global insertion order
+	// across jobs is scheduler-dependent once Writers > 1 — consolidation
+	// never depends on it.
 	Writers int
 	// ReadBuffer is the SO_RCVBUF size requested for the UDP socket in
 	// bytes (default 4 MiB; the kernel caps it at net.core.rmem_max). A
@@ -231,12 +219,6 @@ func (o *Options) defaults() {
 	if o.BatchMax <= 0 {
 		o.BatchMax = 256
 	}
-	if o.Readers <= 0 {
-		o.Readers = runtime.GOMAXPROCS(0)
-		if o.Readers > 4 {
-			o.Readers = 4
-		}
-	}
 	if o.Writers <= 0 {
 		o.Writers = runtime.GOMAXPROCS(0)
 		if o.Writers > 4 {
@@ -262,9 +244,8 @@ func New(db Store, opts Options) *Receiver {
 		stats:    &Stats{},
 		batchMax: opts.BatchMax,
 		readBuf:  opts.ReadBuffer,
-		readers:  opts.Readers,
 		view:     opts.View,
-		shards:   make([]chan pkt, opts.Writers),
+		shards:   make([]*shard, opts.Writers),
 	}
 	if r.view != nil {
 		r.selfIdx = r.view.SelfIndex()
@@ -274,8 +255,9 @@ func New(db Store, opts Options) *Receiver {
 	}
 	per := opts.Depth / opts.Writers
 	for i := range r.shards {
-		r.shards[i] = make(chan pkt, per)
+		r.shards[i] = newShard(per)
 	}
+	r.burstCap = min(burstMax, per)
 	if ss, ok := db.(ShardedStore); ok && ss.StoreShards() == len(r.shards) {
 		r.direct = ss
 	}
@@ -319,127 +301,184 @@ func (r *Receiver) ListenUDP(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("receiver: listen %s: %w", addr, err)
 	}
+	if err := r.serve(conn); err != nil {
+		return "", errors.Join(err, conn.Close())
+	}
+	return conn.LocalAddr().String(), nil
+}
+
+// serve starts draining a bound socket: tuned SO_RCVBUF, the burst
+// reader, the writers. The receiver owns conn from here on and closes it
+// in Close. One reader is all a socket can use: every read of one file
+// descriptor serialises on its read lock, so a second reader would only
+// park on that lock (DESIGN.md §2).
+func (r *Receiver) serve(conn net.PacketConn) error {
 	if uc, ok := conn.(*net.UDPConn); ok {
 		// Best-effort: the kernel silently caps at net.core.rmem_max.
 		_ = uc.SetReadBuffer(r.readBuf)
 	}
+	br, err := newBatchReader(conn)
+	if err != nil {
+		return err
+	}
 	r.conn = conn
 	r.sourceOpenNano.Store(time.Now().UnixNano())
-	for i := 0; i < r.readers; i++ {
-		r.readerWG.Add(1)
-		go r.readLoop(conn)
-	}
+	r.readerWG.Add(1)
+	go r.readLoop(br)
 	r.startWriters()
-	return conn.LocalAddr().String(), nil
+	return nil
 }
 
 // AttachChannel consumes datagrams from a channel source (wire.ChanTransport)
 // instead of a socket — the deterministic in-process mode used by tests and
-// simulations. Unlike the UDP path, the forwarder applies backpressure
-// instead of dropping: the source channel already models the lossy socket
-// buffer, so a second drop point would double-count loss.
+// simulations. The forwarder gathers what the channel holds, up to
+// burstMax datagrams, into one burst per shard, exactly as a socket read
+// would. Unlike the UDP path it applies backpressure instead of dropping:
+// the source channel already models the lossy socket buffer, so a second
+// drop point would double-count loss.
 func (r *Receiver) AttachChannel(src <-chan []byte) {
 	r.sourceOpenNano.Store(time.Now().UnixNano())
 	r.readerWG.Add(1)
 	go func() {
 		defer r.readerWG.Done()
+		pending := make([]*burst, len(r.shards))
+		msgs := make([][]byte, 0, burstMax)
 		for d := range src {
-			r.stats.Received.Add(1)
-			r.lastRecvNano.Store(time.Now().UnixNano())
-			r.dispatch(pkt{data: d}, true)
+			msgs = append(msgs[:0], d)
+		gather:
+			for len(msgs) < burstMax {
+				select {
+				case d, ok := <-src:
+					if !ok {
+						break gather
+					}
+					msgs = append(msgs, d)
+				default:
+					break gather
+				}
+			}
+			r.ingest(pending, msgs, true)
 		}
 	}()
 	r.startWriters()
 }
 
-func (r *Receiver) readLoop(conn net.PacketConn) {
+func (r *Receiver) readLoop(br *batchReader) {
 	defer r.readerWG.Done()
-	scratch := make([]byte, 64<<10) // one max-size UDP datagram
+	defer br.close()
+	pending := make([]*burst, len(r.shards))
 	for {
-		n, _, err := conn.ReadFrom(scratch)
-		if err != nil {
-			if r.closing.Load() || errors.Is(err, net.ErrClosed) {
+		if err := br.read(); err != nil {
+			if r.closing.Load() {
+				r.drainSocket(br, pending)
 				return
 			}
-			// Transient socket error: keep serving (graceful failure).
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
+			// Transient socket error: count it and keep serving.
+			r.stats.ReadErrors.Add(1)
 			continue
 		}
-		r.ingest(scratch[:n], false)
+		r.ingest(pending, br.msgs, false)
 	}
 }
 
-// ingest copies one received datagram into a pooled buffer, counts it, and
-// dispatches it to its shard — the shared post-ReadFrom path of the reader
-// and shutdown-drain loops.
-func (r *Receiver) ingest(d []byte, block bool) {
-	r.stats.Received.Add(1)
-	r.lastRecvNano.Store(time.Now().UnixNano())
-	bp := bufPool.Get().(*[]byte)
-	if cap(*bp) < len(d) {
-		*bp = make([]byte, len(d))
-	}
-	data := (*bp)[:len(d)]
-	copy(data, d)
-	r.dispatch(pkt{data: data, buf: bp}, block)
-}
-
-// dispatch applies membership admission and routes a datagram to its writer
-// shard — both decisions come from one wire.PartitionFields scan of the
-// header, but from independent hashes (rendezvous scores vs the low-bits
-// shard modulo of wire.PartitionHash), so a member's admitted slice still
-// spreads over all its writer and store shards. A datagram another member
-// owns is counted Rejected and discarded; one whose header cannot be scanned
-// bypasses admission and lands on shard 0, where Parse counts it as
-// malformed — every member of a roster agrees on that, so a malformed
-// datagram is never double-ingested either. Single-shard receivers without
-// a view skip the header scan entirely (its result would be unused). Blocking mode (channel
-// transport) applies backpressure; non-blocking mode (UDP)
-// drops-and-counts like the kernel would.
-func (r *Receiver) dispatch(p pkt, block bool) {
-	idx := 0
-	if r.view != nil || len(r.shards) > 1 {
-		if job, host, ok := wire.PartitionFields(p.data); ok {
-			if r.view != nil {
-				// Membership admission: accept exactly the keys this member
-				// owns under the current live view; when ownership arrived by
-				// failover (the key's rank-0 member is down), count it.
-				rank0, owner := r.view.Route(job, host)
-				if owner != r.selfIdx {
-					r.stats.Rejected.Add(1)
-					release(p)
-					return
-				}
-				if rank0 != r.selfIdx {
-					r.stats.AcceptedFailover.Add(1)
-				}
-			}
-			if len(r.shards) > 1 {
-				idx = int(wire.PartitionHash(job, host) % uint64(len(r.shards)))
-			}
+// ingest takes one receive call's datagrams: it counts them and stamps the
+// last-receive and queue-wait clocks once, routes each datagram to its
+// shard's burst — copying it out of the reader's slot, the only
+// per-datagram work on the read side besides the header scan — and hands
+// every shard its burst in one channel operation. A burst is handed off
+// early when it reaches burstCap, so it always fits an empty shard.
+// pending holds the bursts under construction, one slot per shard, all nil
+// between calls; the socket reader and the channel forwarder each own one.
+func (r *Receiver) ingest(pending []*burst, msgs [][]byte, block bool) {
+	now := time.Now().UnixNano()
+	r.stats.Received.Add(int64(len(msgs)))
+	r.lastRecvNano.Store(now)
+	r.mx.recvBatch.Record(int64(len(msgs)))
+	for _, d := range msgs {
+		idx, ok := r.route(d)
+		if !ok {
+			continue
+		}
+		b := pending[idx]
+		if b == nil {
+			b = burstPool.Get().(*burst)
+			pending[idx] = b
+		}
+		b.add(d)
+		if len(b.ends) == r.burstCap {
+			r.handOff(r.shards[idx], b, now, block)
+			pending[idx] = nil
 		}
 	}
-	p.enq = time.Now().UnixNano()
-	sh := r.shards[idx]
+	for idx, b := range pending {
+		if b != nil {
+			r.handOff(r.shards[idx], b, now, block)
+			pending[idx] = nil
+		}
+	}
+}
+
+// route applies membership admission and picks a datagram's writer shard
+// — both decisions come from one wire.PartitionFields scan of the header,
+// but from independent hashes (rendezvous scores vs the low-bits shard
+// modulo of wire.PartitionHash), so a member's admitted slice still spreads
+// over all its writer and store shards. A datagram another member owns is
+// counted Rejected and not routed (ok false); one whose header cannot be
+// scanned bypasses admission and lands on shard 0, where Parse counts it as
+// malformed — every member of a roster agrees on that, so a malformed
+// datagram is never double-ingested either. Single-shard receivers without
+// a view skip the header scan entirely (its result would be unused).
+func (r *Receiver) route(d []byte) (idx int, ok bool) {
+	if r.view == nil && len(r.shards) == 1 {
+		return 0, true
+	}
+	job, host, scanned := wire.PartitionFields(d)
+	if !scanned {
+		return 0, true
+	}
+	if r.view != nil {
+		// Membership admission: accept exactly the keys this member owns
+		// under the current live view; when ownership arrived by failover
+		// (the key's rank-0 member is down), count it.
+		rank0, owner := r.view.Route(job, host)
+		if owner != r.selfIdx {
+			r.stats.Rejected.Add(1)
+			return 0, false
+		}
+		if rank0 != r.selfIdx {
+			r.stats.AcceptedFailover.Add(1)
+		}
+	}
+	if len(r.shards) > 1 {
+		idx = int(wire.PartitionHash(job, host) % uint64(len(r.shards)))
+	}
+	return idx, true
+}
+
+// handOff queues one burst on its shard. Blocking mode (channel transport,
+// shutdown drain) waits for room; non-blocking mode (UDP) queues the
+// datagrams that fit and drops the rest, counting each in Dropped, like a
+// kernel socket-buffer overflow.
+func (r *Receiver) handOff(sh *shard, b *burst, enq int64, block bool) {
+	b.enq = enq
+	n := len(b.ends)
 	if block {
-		sh <- p
-		return
+		sh.reserveAll(n)
+	} else if k := sh.reserveUpTo(n); k < n {
+		r.stats.Dropped.Add(int64(n - k))
+		if k == 0 {
+			putBurst(b)
+			return
+		}
+		b.truncate(k)
 	}
-	select {
-	case sh <- p:
-	default:
-		r.stats.Dropped.Add(1)
-		release(p)
-	}
+	sh.ch <- b
 }
 
-// release returns a pooled datagram buffer for reuse.
-func release(p pkt) {
-	if p.buf != nil {
-		bufPool.Put(p.buf)
-	}
-}
-
-func (r *Receiver) writeLoop(idx int, ch chan pkt) {
+func (r *Receiver) writeLoop(idx int, sh *shard) {
 	defer r.writerWG.Done()
 	batch := make([]wire.Message, 0, r.batchMax)
 	var dec wire.Decoder // this writer's alone: header strings shared across its rows
@@ -468,33 +507,45 @@ func (r *Receiver) writeLoop(idx int, ch chan pkt) {
 		r.mx.insertNS.Since(insStart)
 		batch = batch[:0]
 	}
-	add := func(p pkt) {
-		// One clock read ends the queue-wait stage and starts parse.
-		parseStart := time.Now()
-		r.mx.queueWaitNS.Record(parseStart.UnixNano() - p.enq)
-		var m wire.Message
-		err := dec.Decode(p.data, &m)
-		r.mx.parseNS.Since(parseStart)
-		release(p) // the decoder copied what it needs; recycle immediately
-		if err != nil {
-			r.stats.Malformed.Add(1)
-			return
+	take := func(b *burst) {
+		sh.release(len(b.ends))
+		// One clock read ends the burst's queue wait and starts the first
+		// parse; each parse's end starts the next.
+		t := time.Now()
+		r.mx.queueWaitNS.RecordN(t.UnixNano()-b.enq, int64(len(b.ends)))
+		start := 0
+		for _, end := range b.ends {
+			var m wire.Message
+			err := dec.Decode(b.buf[start:end], &m)
+			start = end
+			now := time.Now()
+			r.mx.parseNS.Record(int64(now.Sub(t)))
+			t = now
+			if err != nil {
+				r.stats.Malformed.Add(1)
+				continue
+			}
+			batch = append(batch, m)
+			if len(batch) == r.batchMax {
+				flush()
+				t = time.Now() // the insert is not the next datagram's parse
+			}
 		}
-		batch = append(batch, m)
+		putBurst(b) // the decoder copied what it needs; recycle immediately
 	}
-	for p := range ch {
-		add(p)
+	for b := range sh.ch {
+		take(b)
 		// Opportunistically drain whatever is already queued, then flush —
 		// batches form under load, latency stays low when idle.
 	drain:
 		for len(batch) < r.batchMax {
 			select {
-			case p, ok := <-ch:
+			case b, ok := <-sh.ch:
 				if !ok {
 					flush()
 					return
 				}
-				add(p)
+				take(b)
 			default:
 				break drain
 			}
@@ -513,44 +564,41 @@ func (r *Receiver) Close() error {
 	r.closeOnce.Do(func() {
 		r.closing.Store(true)
 		if r.conn != nil {
-			// Wake readers blocked in ReadFrom; they observe closing and
-			// exit, leaving the queued datagrams for the drain below.
+			// Wake the reader parked on the netpoller; it observes closing,
+			// drains what the kernel still holds and exits.
 			_ = r.conn.SetReadDeadline(time.Now())
 			r.readerWG.Wait()
-			r.drainSocket()
 			r.closeErr = r.conn.Close()
 		} else {
 			r.readerWG.Wait()
 		}
 		r.startWriters() // a never-started receiver still closes cleanly
 		for _, sh := range r.shards {
-			close(sh)
+			close(sh.ch)
 		}
 		r.writerWG.Wait()
 	})
 	return r.closeErr
 }
 
-// drainSocket empties the kernel socket buffer into the shards: it reads
-// until the socket stays idle for drainIdle (or drainCap total, should a
-// sender still be transmitting), dispatching with backpressure so nothing
-// read here is dropped.
-func (r *Receiver) drainSocket() {
+// drainSocket empties the kernel socket buffer into the shards with the
+// reader's own burst reader: it reads until the socket stays idle for
+// drainIdle (or drainCap total, should a sender still be transmitting),
+// handing off with backpressure so nothing read here is dropped.
+func (r *Receiver) drainSocket(br *batchReader, pending []*burst) {
 	const (
 		drainIdle = 50 * time.Millisecond
 		drainCap  = 2 * time.Second
 	)
 	deadline := time.Now().Add(drainCap)
-	scratch := make([]byte, 64<<10)
 	for time.Now().Before(deadline) {
 		if err := r.conn.SetReadDeadline(time.Now().Add(drainIdle)); err != nil {
 			return
 		}
-		n, _, err := r.conn.ReadFrom(scratch)
-		if err != nil {
+		if err := br.read(); err != nil {
 			return // idle (deadline exceeded) or socket gone: drained
 		}
-		r.ingest(scratch[:n], true)
+		r.ingest(pending, br.msgs, true)
 	}
 }
 

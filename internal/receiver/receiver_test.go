@@ -3,10 +3,13 @@ package receiver
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"siren/internal/obs"
 	"siren/internal/sirendb"
 	"siren/internal/wire"
 )
@@ -183,24 +186,49 @@ func (failingStore) InsertBatch(ms []wire.Message) error {
 
 func TestChannelFullDropsAreCounted(t *testing.T) {
 	store := &blockingStore{gate: make(chan struct{})}
-	r := New(store, Options{Depth: 4, BatchMax: 1, Writers: 1})
+	const depth = 4
+	reg := obs.NewRegistry("test")
+	r := New(store, Options{Depth: depth, BatchMax: 1, Writers: 1, Metrics: reg})
 	r.startWriters()
-
-	// With the writer stalled inside its first InsertBatch (BatchMax 1), the
-	// single shard accepts at most the batched message plus Depth queued
-	// packets; everything beyond that must be counted as dropped, exactly
-	// like a kernel socket-buffer overflow.
-	const n = 32
+	pending := make([]*burst, len(r.shards))
 	d := wire.Encode(mkMsg(1, wire.TypeMetadata))
-	for i := 0; i < n; i++ {
-		r.ingest(d, false)
+
+	// Stall the writer inside its first InsertBatch (BatchMax 1): once it
+	// has taken that datagram off the queue, the queue is empty and nothing
+	// leaves it until the gate opens.
+	r.ingest(pending, [][]byte{d}, false)
+	for r.QueueDepth() != 0 {
+		runtime.Gosched()
 	}
-	if got := r.Stats().Dropped.Load(); got < n-8 {
-		t.Fatalf("Dropped = %d, want >= %d with a stalled writer and depth 4", got, n-8)
+
+	// One burst longer than the shard: exactly Depth datagrams queue, and
+	// every other one is counted as dropped, like a kernel socket-buffer
+	// overflow.
+	burst := make([][]byte, 3*depth)
+	for i := range burst {
+		burst[i] = d
 	}
+	r.ingest(pending, burst, false)
+	if got := r.Stats().Dropped.Load(); got != int64(len(burst)-depth) {
+		t.Fatalf("Dropped = %d, want %d with a stalled writer and depth %d", got, len(burst)-depth, depth)
+	}
+	if got := r.QueueDepth(); got != depth {
+		t.Fatalf("QueueDepth = %d, want %d datagrams", got, depth)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`siren_ingest_queue_depth{shard="0"} %d`, depth); !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition missing %q:\n%s", want, b.String())
+	}
+
 	close(store.gate) // release the writer
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got := store.inserted.Load(); got != 1+depth {
+		t.Errorf("inserted %d, want the stalled datagram plus %d queued", got, depth)
 	}
 	total := store.inserted.Load() + r.Stats().Dropped.Load() + r.Stats().Malformed.Load()
 	if total != r.Stats().Received.Load() {

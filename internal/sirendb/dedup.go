@@ -17,9 +17,9 @@
 // the longest one (tie: smallest rebased first-row sequence number, i.e.
 // the earliest member — the ISSUE's (JOBID, HOST, first-row seq) identity);
 // every other run is suppressed iff it is a sub-multiset of the canonical
-// run, comparing whole encoded datagrams. Multisets, not prefixes: multiple
-// UDP readers may reorder datagrams within one (job, host) before storage,
-// so a recovered member's partial copy is a sub-multiset — but not
+// run, comparing whole encoded datagrams. Multisets, not prefixes: UDP
+// transit may reorder datagrams within one (job, host) before storage, so
+// a recovered member's partial copy is a sub-multiset — but not
 // necessarily a prefix — of the replayed full copy. A run that overlaps
 // without being contained (the senders genuinely produced different data
 // under one key) is NOT suppressed; it is kept and counted in

@@ -118,9 +118,9 @@ func TestDedupPrefixOverlap(t *testing.T) {
 	checkViewConsistency(t, ms)
 }
 
-// TestDedupReorderedSubset: multiple UDP readers can reorder datagrams
-// within one (job, host) before storage, so the recovered member's partial
-// copy may be a sub-multiset without being a prefix. Still suppressed.
+// TestDedupReorderedSubset: UDP transit can reorder datagrams within one
+// (job, host) before storage, so the recovered member's partial copy may
+// be a sub-multiset without being a prefix. Still suppressed.
 func TestDedupReorderedSubset(t *testing.T) {
 	owner, _ := Open("")
 	recovered, _ := Open("")
