@@ -71,6 +71,7 @@ lint: vet fmt-check staticcheck sirenlint
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzWireParse$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzDecoder$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run=NONE -fuzz='^FuzzScan$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzReassemble$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz='^FuzzConsolidate$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/postprocess
 	$(GO) test -run=NONE -fuzz='^FuzzParseDigest$$' -fuzztime=10s ./internal/ssdeep
@@ -167,7 +168,8 @@ bench-serve:
 # tier — indexed identify (analysis and full handler stack), the cold
 # fingerprint-index build a replica pays at start-up, incremental
 # catalog refresh, store insert, receiver ingest, the sealed-vs-replay
-# open pair (the flat sealed open is the storage tier's claim), and the
+# open pair (the flat sealed open is the storage tier's claim), Seal (the
+# store's one rewrite transaction), and the
 # consolidation every refresh and every analysis runs (through the store, over
 # sealed runs plus a replayed head as a restarted store reads it, and the
 # kernel alone on the campaign capture) — plus the
@@ -196,6 +198,7 @@ bench-gate-run:
 	$(GO) test -run=NONE -bench='BenchmarkHistogramRecord$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/obs | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkOpenSealed/rows=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkOpenReplay/rows=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkSeal/rows=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='^BenchmarkConsolidate$$/streaming-workers=1$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkConsolidateCampaign$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkConsolidateSealed$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)

@@ -60,6 +60,10 @@ type SnapshotView interface {
 	// order preserved, hosts possibly grouped — with each row's sequence
 	// number; return false to stop.
 	ShardJobRows(i int, job string, f func(m wire.Message, seq uint64) bool)
+	// ShardJobLen bounds how many rows ShardJobRows(i, job) yields, from
+	// indexes alone (no row is read), so a consumer can size its buffer
+	// before the stream fills it.
+	ShardJobLen(i int, job string) int
 	// JobShardCounts maps every job ID to the number of shards holding rows
 	// of that job — the fan-in count a per-job reducer waits for.
 	JobShardCounts() map[string]int
@@ -150,7 +154,7 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []wire.Message // reused across jobs: amortised to the largest job segment
+			var buf []wire.Message // reused across jobs, sized to the largest job segment
 			for {
 				sh := int(nextShard.Add(1)) - 1
 				if sh >= snap.Shards() {
@@ -159,6 +163,9 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 				for _, job := range snap.ShardJobs(sh) {
 					if opts.JobFilter != nil && !opts.JobFilter(job) {
 						continue
+					}
+					if n := snap.ShardJobLen(sh, job); n > cap(buf) {
+						buf = make([]wire.Message, 0, n)
 					}
 					buf = buf[:0]
 					var firstSeq uint64

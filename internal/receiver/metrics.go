@@ -12,14 +12,15 @@ import (
 // Options.Metrics is nil), so the ingest paths record unconditionally;
 // BenchmarkReceiverIngest gates what that costs.
 type rcvMetrics struct {
-	// parseNS is the writer's decode latency per datagram — the CPU half of the
-	// write path; a p99 jump here means malformed floods or jumbo payloads.
+	// parseNS is the writer's header-scan latency per datagram — the CPU
+	// half of the write path; a p99 jump here means malformed floods or
+	// jumbo payloads.
 	parseNS *obs.Histogram
 	// queueWaitNS is shard-queue residency (hand-off → writer dequeue),
 	// one sample per datagram recorded once per burst — the backpressure
 	// signal: it grows before Dropped does.
 	queueWaitNS *obs.Histogram
-	// insertNS is the InsertBatch/InsertShard call latency per flushed
+	// insertNS is the store's insert call latency per flushed
 	// batch — the disk half; its p99 is what the periodic stats line prints.
 	insertNS *obs.Histogram
 	// recvBatch is the datagrams each receive call returned — the batching
@@ -34,7 +35,7 @@ type rcvMetrics struct {
 // the registry reads the atomics only when scraped).
 func (r *Receiver) registerMetrics(reg *obs.Registry) {
 	r.mx = rcvMetrics{
-		parseNS:     reg.Histogram("siren_ingest_parse_ns", "the writer's wire.Decoder latency per datagram (malformed included)"),
+		parseNS:     reg.Histogram("siren_ingest_parse_ns", "the writer's wire.Scan latency per datagram (malformed included)"),
 		queueWaitNS: reg.Histogram("siren_ingest_queue_wait_ns", "shard-queue residency from hand-off to writer dequeue, per datagram"),
 		insertNS:    reg.Histogram("siren_ingest_insert_ns", "store insert latency per flushed batch"),
 		recvBatch:   reg.Histogram("siren_ingest_recv_batch", "datagrams returned per receive call"),

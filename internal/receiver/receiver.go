@@ -65,7 +65,7 @@ import (
 type Stats struct {
 	Received     atomic.Int64 // datagrams read from the transport
 	Inserted     atomic.Int64 // messages stored in the database
-	Malformed    atomic.Int64 // datagrams that failed to parse (dropped)
+	Malformed    atomic.Int64 // datagrams that failed the header scan (dropped)
 	Dropped      atomic.Int64 // datagrams dropped due to a full shard queue
 	Rejected     atomic.Int64 // datagrams owned by another roster member (dropped by admission)
 	InsertErrors atomic.Int64 // failed InsertBatch calls
@@ -138,10 +138,20 @@ type ShardedStore interface {
 	InsertShard(shard int, ms []wire.Message) error
 }
 
+// ScannedStore is a ShardedStore that takes datagrams as they arrived: the
+// writer hands over each datagram with its wire.Scan, and the store keeps
+// those bytes as the row. Nothing between the socket and the store decodes
+// a datagram or builds a Message. *sirendb.DB implements it.
+type ScannedStore interface {
+	ShardedStore
+	InsertScanned(shard int, ds []wire.Scanned) error
+}
+
 // Receiver drains a datagram source into a Store.
 type Receiver struct {
 	db       Store
 	direct   ShardedStore // non-nil when writer shards map 1:1 onto store shards
+	scanned  ScannedStore // direct, when it takes datagrams as they arrived
 	shards   []*shard
 	stats    *Stats
 	batchMax int
@@ -177,7 +187,7 @@ type Options struct {
 	// (default 256).
 	BatchMax int
 	// Writers is the number of writer shards inserting into the database
-	// (default min(GOMAXPROCS, 4): sharding buys parallel parse+insert, so
+	// (default min(GOMAXPROCS, 4): sharding buys parallel scan+insert, so
 	// extra shards on a single-core host would only add scheduling
 	// overhead). Datagrams are partitioned by hash(JobID, Host), so
 	// sharding never splits one job's messages across writers: within one
@@ -200,12 +210,12 @@ type Options struct {
 	// is the static N-way split. The view must be a member view (its self ID
 	// names this receiver). Admissions whose rank-0 owner is marked down are
 	// counted in Stats.AcceptedFailover. Datagrams whose header cannot be
-	// scanned bypass admission and are counted Malformed by the parse stage,
+	// scanned bypass admission and are counted Malformed by the writer's scan,
 	// identically on every member. Nil (the default) admits everything —
 	// the paper's single-receiver deployment.
 	View *membership.View
 	// Metrics is the registry the receiver's instruments register in:
-	// per-stage latency histograms (parse, shard-queue wait, insert batch),
+	// per-stage latency histograms (header scan, shard-queue wait, insert batch),
 	// per-shard queue-depth gauges, and counter bridges onto every Stats
 	// counter (see internal/obs). Nil gets a private registry; telemetry is
 	// always recorded.
@@ -260,6 +270,7 @@ func New(db Store, opts Options) *Receiver {
 	r.burstCap = min(burstMax, per)
 	if ss, ok := db.(ShardedStore); ok && ss.StoreShards() == len(r.shards) {
 		r.direct = ss
+		r.scanned, _ = ss.(ScannedStore)
 	}
 	reg := opts.Metrics
 	if reg == nil {
@@ -427,10 +438,11 @@ func (r *Receiver) ingest(pending []*burst, msgs [][]byte, block bool) {
 // modulo of wire.PartitionHash), so a member's admitted slice still spreads
 // over all its writer and store shards. A datagram another member owns is
 // counted Rejected and not routed (ok false); one whose header cannot be
-// scanned bypasses admission and lands on shard 0, where Parse counts it as
-// malformed — every member of a roster agrees on that, so a malformed
-// datagram is never double-ingested either. Single-shard receivers without
-// a view skip the header scan entirely (its result would be unused).
+// scanned bypasses admission and lands on shard 0, where the writer's
+// wire.Scan counts it as malformed — every member of a roster agrees on
+// that, so a malformed datagram is never double-ingested either.
+// Single-shard receivers without a view skip the header scan entirely (its
+// result would be unused).
 func (r *Receiver) route(d []byte) (idx int, ok bool) {
 	if r.view == nil && len(r.shards) == 1 {
 		return 0, true
@@ -478,46 +490,45 @@ func (r *Receiver) handOff(sh *shard, b *burst, enq int64, block bool) {
 	sh.ch <- b
 }
 
+// writeLoop is writer idx: it scans each datagram of the bursts it takes —
+// the scan counts the malformed — and batches the rest, still in their
+// bursts' bytes, for the store. A burst goes back to the pool once no batch
+// row points into it.
 func (r *Receiver) writeLoop(idx int, sh *shard) {
 	defer r.writerWG.Done()
-	batch := make([]wire.Message, 0, r.batchMax)
-	var dec wire.Decoder // this writer's alone: header strings shared across its rows
-	insert := func() error {
-		// Direct routing: writer idx's messages all hash to store shard idx
-		// (same partition hash, same shard count), so the batch lands in its
-		// store shard without re-partitioning or cross-shard locking.
-		if r.direct != nil {
-			return r.direct.InsertShard(idx, batch)
-		}
-		return r.db.InsertBatch(batch)
-	}
+	batch := make([]wire.Scanned, 0, r.batchMax)
+	var held []*burst // bursts the unflushed batch points into
+	insert := r.inserter(idx)
 	flush := func() {
-		if len(batch) == 0 {
-			return
+		if len(batch) > 0 {
+			insStart := time.Now()
+			if err := insert(batch); err != nil {
+				// The batch is lost, but never silently: both the failed call
+				// and the message count surface in Stats.
+				r.stats.InsertErrors.Add(1)
+				r.stats.InsertLost.Add(int64(len(batch)))
+			} else {
+				r.stats.Inserted.Add(int64(len(batch)))
+			}
+			r.mx.insertNS.Since(insStart)
+			batch = batch[:0]
 		}
-		insStart := time.Now()
-		if err := insert(); err != nil {
-			// The batch is lost, but never silently: both the failed call
-			// and the message count surface in Stats.
-			r.stats.InsertErrors.Add(1)
-			r.stats.InsertLost.Add(int64(len(batch)))
-		} else {
-			r.stats.Inserted.Add(int64(len(batch)))
+		for _, b := range held {
+			putBurst(b)
 		}
-		r.mx.insertNS.Since(insStart)
-		batch = batch[:0]
+		held = held[:0]
 	}
 	take := func(b *burst) {
 		sh.release(len(b.ends))
 		// One clock read ends the burst's queue wait and starts the first
-		// parse; each parse's end starts the next.
+		// scan; each scan's end starts the next.
 		t := time.Now()
 		r.mx.queueWaitNS.RecordN(t.UnixNano()-b.enq, int64(len(b.ends)))
 		start := 0
 		for _, end := range b.ends {
-			var m wire.Message
-			err := dec.Decode(b.buf[start:end], &m)
+			d := b.buf[start:end:end]
 			start = end
+			f, err := wire.Scan(d)
 			now := time.Now()
 			r.mx.parseNS.Record(int64(now.Sub(t)))
 			t = now
@@ -525,13 +536,17 @@ func (r *Receiver) writeLoop(idx int, sh *shard) {
 				r.stats.Malformed.Add(1)
 				continue
 			}
-			batch = append(batch, m)
+			batch = append(batch, wire.Scanned{Datagram: d, Fields: f})
 			if len(batch) == r.batchMax {
 				flush()
-				t = time.Now() // the insert is not the next datagram's parse
+				t = time.Now() // the insert is not the next datagram's scan
 			}
 		}
-		putBurst(b) // the decoder copied what it needs; recycle immediately
+		if len(batch) == 0 {
+			putBurst(b) // nothing points into it
+		} else {
+			held = append(held, b)
+		}
 	}
 	for b := range sh.ch {
 		take(b)
@@ -553,6 +568,33 @@ func (r *Receiver) writeLoop(idx int, sh *shard) {
 		flush()
 	}
 	flush()
+}
+
+// inserter returns writer idx's insert call. A ScannedStore takes the
+// scanned datagrams as they are; any other store is handed Messages, built
+// from the scans by a Decoder of this writer's own (header strings shared
+// across its rows) into a batch slice it reuses.
+func (r *Receiver) inserter(idx int) func([]wire.Scanned) error {
+	if r.scanned != nil {
+		return func(batch []wire.Scanned) error { return r.scanned.InsertScanned(idx, batch) }
+	}
+	var dec wire.Decoder
+	msgs := make([]wire.Message, 0, r.batchMax)
+	return func(batch []wire.Scanned) error {
+		msgs = msgs[:0]
+		for i := range batch {
+			var m wire.Message
+			dec.Fill(&batch[i], &m)
+			msgs = append(msgs, m)
+		}
+		// Direct routing: writer idx's messages all hash to store shard idx
+		// (same partition hash, same shard count), so the batch lands in its
+		// store shard without re-partitioning or cross-shard locking.
+		if r.direct != nil {
+			return r.direct.InsertShard(idx, msgs)
+		}
+		return r.db.InsertBatch(msgs)
+	}
 }
 
 // Close stops the receiver and waits for in-flight datagrams to be stored:
@@ -602,4 +644,4 @@ func (r *Receiver) drainSocket(br *batchReader, pending []*burst) {
 	}
 }
 
-var _ ShardedStore = (*sirendb.DB)(nil)
+var _ ScannedStore = (*sirendb.DB)(nil)

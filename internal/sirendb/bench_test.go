@@ -171,3 +171,30 @@ func BenchmarkInsertDuringScan(b *testing.B) {
 	wg.Wait()
 	b.ReportMetric(float64(scans.Load()), "bg-scans")
 }
+
+// BenchmarkHeadRead prices reading the WAL head the way a consolidation
+// does: every (shard, job) stream through ShardJobRows, every row handed
+// out as a wire.Message. One op reads 100 000 head rows.
+func BenchmarkHeadRead(b *testing.B) {
+	const rows = 100_000
+	db := benchReadDB(b, 4, rows)
+	defer db.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sn := db.Snapshot()
+		n, size := 0, 0
+		for s := 0; s < sn.Shards(); s++ {
+			for _, job := range sn.ShardJobs(s) {
+				sn.ShardJobRows(s, job, func(m wire.Message, _ uint64) bool {
+					n++
+					size += len(m.Content) + len(m.Host)
+					return true
+				})
+			}
+		}
+		if n != rows || size == 0 {
+			b.Fatalf("read %d of %d rows", n, rows)
+		}
+	}
+}

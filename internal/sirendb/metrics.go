@@ -34,12 +34,17 @@ type storeMetrics struct {
 // of storeMetrics.sealPhaseNS follow it.
 var sealPhases = [4]string{"write-runs", "commit", "truncate", "attach"}
 
-// newStoreMetrics registers the store's instruments in r, or in a private
-// registry when r is nil.
-func newStoreMetrics(r *obs.Registry) storeMetrics {
+// newStoreMetrics registers db's instruments in r, or in a private registry
+// when r is nil. Two gauges split the store's bytes by tier: the WAL head's
+// framed records held in memory, and the sealed run files. Gauges read the
+// store they were registered for, so of several stores sharing a registry
+// the first one reports them.
+func newStoreMetrics(r *obs.Registry, db *DB) storeMetrics {
 	if r == nil {
 		r = obs.NewRegistry("sirendb")
 	}
+	r.GaugeFunc("siren_store_head_bytes", "WAL-head bytes held in memory (framed records)", func() int64 { return db.Stats().HeadBytes })
+	r.GaugeFunc("siren_store_sealed_bytes", "bytes across sealed run files", func() int64 { return db.Stats().SealedBytes })
 	m := storeMetrics{
 		walAppendNS: r.Histogram("siren_wal_append_ns", "WAL segment append (write syscall) latency"),
 		fsyncNS:     r.Histogram("siren_wal_fdatasync_ns", "group-commit fdatasync latency"),

@@ -38,6 +38,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"sort"
@@ -107,16 +108,14 @@ type jobIndex struct {
 }
 
 // Write seals rows into a new run file at path. Rows may arrive in any
-// order; they are sorted by (JOBID, HOST, seq) stably. rows itself is only
-// read — the sort permutes references to it — so a caller may pass storage
-// that concurrent readers share. The file is written through one buffer,
-// flushed, fsynced, and closed; the caller owns directory durability (fsync
-// the parent dir before trusting the file across a crash). Returns the file
-// size. Sealing zero rows is an error — an empty run carries no information
+// order; they are sorted by (JOBID, HOST, seq) stably, encoded one at a time
+// and handed to a Writer. rows itself is only read — the sort permutes
+// references to it — so a caller may pass storage that concurrent readers
+// share. Sealing zero rows is an error — an empty run carries no information
 // an absent file doesn't.
 func Write(path string, rows []Row) (int64, error) {
 	if len(rows) == 0 {
-		return 0, errors.New("runfmt: refusing to write an empty run")
+		return 0, errEmptyRun
 	}
 	sorted := make([]*Row, len(rows))
 	for i := range rows {
@@ -131,77 +130,180 @@ func Write(path string, rows []Row) (int64, error) {
 		}
 		return cmp.Compare(a.Seq, b.Seq)
 	})
-
-	f, err := os.Create(path)
+	w, err := Create(path)
 	if err != nil {
 		return 0, err
 	}
-	fail := func(err error) (int64, error) {
-		_ = f.Close() // abandoning the partial file; the write error wins
-		_ = os.Remove(path)
-		return 0, err
-	}
-	w := &runWriter{w: bufio.NewWriterSize(f, writeBufSize)}
-	if err := w.write([]byte(headerMagic)); err != nil {
-		return fail(err)
-	}
-
-	var jobs []jobIndex
-	i := 0
-	for i < len(sorted) {
-		j := i
-		for j < len(sorted) && sorted[j].Msg.JobID == sorted[i].Msg.JobID {
-			j++
+	var payload []byte
+	for _, r := range sorted {
+		payload = wire.AppendEncode(payload[:0], r.Msg)
+		if err := w.Add(r.Msg.JobID, r.Msg.Host, r.Seq, payload); err != nil {
+			w.Abort()
+			return 0, err
 		}
-		ji, err := w.writeJob(sorted[i:j])
-		if err != nil {
-			return fail(err)
-		}
-		jobs = append(jobs, ji)
-		i = j
 	}
+	return w.Close()
+}
 
-	indexOff := w.off
-	index := encodeIndex(jobs)
-	if err := w.write(index); err != nil {
-		return fail(err)
+var errEmptyRun = errors.New("runfmt: refusing to write an empty run")
+
+// Writer writes one run file from rows handed over already in (JOBID, HOST,
+// seq) order, each as the wire bytes it is stored as: a row costs one copy
+// into its block and is never encoded here. The file is written through one
+// buffer; Close adds the index and footer, flushes, fsyncs and closes, and
+// the caller owns directory durability (fsync the parent dir before trusting
+// the file across a crash). A Writer is not safe for concurrent use.
+type Writer struct {
+	f    *os.File
+	path string
+	w    runWriter
+	jobs []jobIndex
+	ext  extent // the (job, host) group being written; rows 0 before the first Add
+	rows int
+	err  error // first failure; Add and Close report it
+}
+
+// Create starts a run file at path.
+func Create(path string) (*Writer, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
 	}
+	w := &Writer{f: f, path: path, w: runWriter{w: bufio.NewWriterSize(f, writeBufSize)}}
+	w.err = w.w.write([]byte(headerMagic))
+	return w, nil
+}
+
+// Add appends one row: its job and host, its store-wide sequence number and
+// payload, its wire encoding. Rows must come in (job, host, seq) order.
+func (w *Writer) Add(job, host string, seq uint64, payload []byte) error {
+	if w.err != nil {
+		return w.err
+	}
+	if len(payload) > maxRecordLen {
+		w.err = fmt.Errorf("runfmt: message of %d bytes exceeds the %d-byte record limit", len(payload), maxRecordLen)
+		return w.err
+	}
+	if len(w.jobs) == 0 || job != w.jobs[len(w.jobs)-1].job || host != w.ext.host {
+		if err := w.startGroup(job, host); err != nil {
+			w.err = err
+			return err
+		}
+	} else if seq < w.ext.maxSeq {
+		w.err = fmt.Errorf("runfmt: row %d added after row %d of (%q, %q)", seq, w.ext.maxSeq, job, host)
+		return w.err
+	}
+	ji := &w.jobs[len(w.jobs)-1]
+	ji.rows++
+	ji.minSeq, ji.maxSeq = min(ji.minSeq, seq), max(ji.maxSeq, seq)
+	if w.ext.rows == 0 {
+		w.ext.minSeq = seq
+	}
+	w.ext.rows++
+	w.ext.maxSeq = seq
+	var rec [recHdrSize]byte
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(rec[4:12], seq)
+	w.w.payload = append(append(w.w.payload, rec[:]...), payload...)
+	if len(w.w.payload) >= blockTarget {
+		w.err = w.w.flushBlock()
+	}
+	return w.err
+}
+
+// startGroup ends the current (job, host) group and opens the next, and a
+// new job entry when the job changes.
+func (w *Writer) startGroup(job, host string) error {
+	if len(w.jobs) > 0 {
+		last := &w.jobs[len(w.jobs)-1]
+		if job < last.job || job == last.job && host <= w.ext.host {
+			return fmt.Errorf("runfmt: rows of (%q, %q) added after (%q, %q)", job, host, last.job, w.ext.host)
+		}
+		if err := w.endGroup(); err != nil {
+			return err
+		}
+	}
+	if len(w.jobs) == 0 || job != w.jobs[len(w.jobs)-1].job {
+		w.jobs = append(w.jobs, jobIndex{job: job, minSeq: math.MaxUint64})
+	}
+	w.ext = extent{host: host, off: w.w.off}
+	return nil
+}
+
+// endGroup flushes the current group's last block and files its extent
+// under its job.
+func (w *Writer) endGroup() error {
+	if err := w.w.flushBlock(); err != nil {
+		return err
+	}
+	w.ext.length = w.w.off - w.ext.off
+	ji := &w.jobs[len(w.jobs)-1]
+	ji.extents = append(ji.extents, w.ext)
+	return nil
+}
+
+// Close finishes the run — last block, index, footer — makes it durable and
+// returns the file size. A run with no rows is refused and removed.
+func (w *Writer) Close() (int64, error) {
+	if w.err == nil && len(w.jobs) == 0 {
+		w.err = errEmptyRun
+	}
+	if w.err == nil {
+		w.err = w.endGroup()
+	}
+	if w.err != nil {
+		w.Abort()
+		return 0, w.err
+	}
+	indexOff := w.w.off
+	index := encodeIndex(w.jobs)
 	var minSeq, maxSeq uint64
-	for i, ji := range jobs {
+	for i, ji := range w.jobs {
 		if i == 0 || ji.minSeq < minSeq {
 			minSeq = ji.minSeq
 		}
-		if ji.maxSeq > maxSeq {
-			maxSeq = ji.maxSeq
-		}
+		maxSeq = max(maxSeq, ji.maxSeq)
+		w.rows += ji.rows
 	}
 	footer := make([]byte, footerSize)
 	binary.LittleEndian.PutUint64(footer[0:8], uint64(indexOff))
 	binary.LittleEndian.PutUint64(footer[8:16], uint64(len(index)))
 	binary.LittleEndian.PutUint64(footer[16:24], xxhash.Sum64(index))
-	binary.LittleEndian.PutUint64(footer[24:32], uint64(len(sorted)))
+	binary.LittleEndian.PutUint64(footer[24:32], uint64(w.rows))
 	binary.LittleEndian.PutUint64(footer[32:40], minSeq)
 	binary.LittleEndian.PutUint64(footer[40:48], maxSeq)
 	binary.LittleEndian.PutUint32(footer[48:52], Version)
 	copy(footer[56:64], footerMagic)
-	if err := w.write(footer); err != nil {
-		return fail(err)
+	err := w.w.write(index)
+	if err == nil {
+		err = w.w.write(footer)
 	}
-	if err := w.w.Flush(); err != nil {
-		return fail(err)
+	if err == nil {
+		err = w.w.w.Flush()
 	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
+	if err == nil {
+		err = w.f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(path) // file state unknown after a failed close
+	if err != nil {
+		w.err = err
+		w.Abort()
 		return 0, err
 	}
-	return w.off, nil
+	if err := w.f.Close(); err != nil {
+		_ = os.Remove(w.path) // file state unknown after a failed close
+		return 0, err
+	}
+	return w.w.off, nil
+}
+
+// Abort abandons the run and removes its file.
+func (w *Writer) Abort() {
+	_ = w.f.Close() // abandoning the partial file; the write error wins
+	_ = os.Remove(w.path)
 }
 
 // runWriter tracks the write offset so extents can be recorded as blocks go
-// out, and owns the one block-payload buffer every extent is encoded into.
+// out, and owns the one block-payload buffer rows are copied into.
 type runWriter struct {
 	w       *bufio.Writer
 	off     int64
@@ -216,78 +318,22 @@ func (w *runWriter) write(b []byte) error {
 	return nil
 }
 
-// writeJob emits one job's rows (already (host, seq)-sorted) as per-host
-// extents of checksummed blocks and returns the job's index entry.
-func (w *runWriter) writeJob(rows []*Row) (jobIndex, error) {
-	ji := jobIndex{job: rows[0].Msg.JobID, rows: len(rows), minSeq: rows[0].Seq, maxSeq: rows[0].Seq}
-	for _, r := range rows {
-		if r.Seq < ji.minSeq {
-			ji.minSeq = r.Seq
-		}
-		if r.Seq > ji.maxSeq {
-			ji.maxSeq = r.Seq
-		}
-	}
-	i := 0
-	for i < len(rows) {
-		j := i
-		for j < len(rows) && rows[j].Msg.Host == rows[i].Msg.Host {
-			j++
-		}
-		ext, err := w.writeExtent(rows[i:j])
-		if err != nil {
-			return jobIndex{}, err
-		}
-		ji.extents = append(ji.extents, ext)
-		i = j
-	}
-	return ji, nil
-}
-
-// writeExtent emits one (job, host) group as one or more blocks. Each row is
-// encoded once, straight into the writer's payload buffer behind a record
-// header reserved first and filled in once the encoded length is known.
-func (w *runWriter) writeExtent(rows []*Row) (extent, error) {
-	ext := extent{host: rows[0].Msg.Host, off: w.off, rows: len(rows),
-		minSeq: rows[0].Seq, maxSeq: rows[len(rows)-1].Seq}
-	var hdr [blockHdrSize]byte
-	flush := func() error {
-		if len(w.payload) == 0 {
-			return nil
-		}
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(w.payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(xxhash.Sum64(w.payload)))
-		if err := w.write(hdr[:]); err != nil {
-			return err
-		}
-		if err := w.write(w.payload); err != nil {
-			return err
-		}
-		w.payload = w.payload[:0]
+// flushBlock writes the buffered records as one checksummed block.
+func (w *runWriter) flushBlock() error {
+	if len(w.payload) == 0 {
 		return nil
 	}
-	var rec [recHdrSize]byte
-	for _, r := range rows {
-		at := len(w.payload)
-		w.payload = append(w.payload, rec[:]...)
-		w.payload = wire.AppendEncode(w.payload, r.Msg)
-		n := len(w.payload) - at - recHdrSize
-		if n > maxRecordLen {
-			return extent{}, fmt.Errorf("runfmt: message of %d bytes exceeds the %d-byte record limit", n, maxRecordLen)
-		}
-		binary.LittleEndian.PutUint32(w.payload[at:], uint32(n))
-		binary.LittleEndian.PutUint64(w.payload[at+4:], r.Seq)
-		if len(w.payload) >= blockTarget {
-			if err := flush(); err != nil {
-				return extent{}, err
-			}
-		}
+	var hdr [blockHdrSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(w.payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(xxhash.Sum64(w.payload)))
+	if err := w.write(hdr[:]); err != nil {
+		return err
 	}
-	if err := flush(); err != nil {
-		return extent{}, err
+	if err := w.write(w.payload); err != nil {
+		return err
 	}
-	ext.length = w.off - ext.off
-	return ext, nil
+	w.payload = w.payload[:0]
+	return nil
 }
 
 // encodeIndex renders the job directory:

@@ -275,7 +275,7 @@ func (db *DB) Seal() error {
 	}
 	total := 0
 	for _, s := range db.shards {
-		total += len(s.rows)
+		total += len(s.head.entries)
 	}
 	if total == 0 {
 		return nil
@@ -300,11 +300,11 @@ func (db *DB) Seal() error {
 	}
 	maxSeq := db.seq.Load()
 	for i, s := range db.shards {
-		if len(s.rows) == 0 {
+		if len(s.head.entries) == 0 {
 			continue
 		}
 		path := runFilePath(db.path, gen, i)
-		size, err := runfmt.Write(path, s.rows)
+		size, err := s.head.writeRun(path)
 		if err != nil {
 			discard()
 			return fmt.Errorf("sirendb: seal: %w", err)
@@ -382,11 +382,7 @@ func (db *DB) Seal() error {
 		copy(runs, s.runs)
 		s.runs = append(runs, sealedRun{gen: gen, fileShard: w.shard, path: w.path, run: r})
 		s.sealedRows += r.Rows()
-		// The next head starts with room for as many rows as this one held —
-		// the process's own measurement of what a seal interval brings —
-		// instead of doubling its way back up from nil under the insert lock.
-		s.rows = make([]row, 0, len(s.rows))
-		s.byJob = make(map[string][]int)
+		s.head.reset()
 	}
 	db.sealMu.Lock()
 	db.sealGen = gen

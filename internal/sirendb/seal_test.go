@@ -737,3 +737,37 @@ func BenchmarkOpenReplay(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) { benchOpenStore(b, n, false) })
 	}
 }
+
+// BenchmarkSeal prices the store's one rewrite transaction: n head rows over
+// four shards frozen into runs — sort, block copies, fsyncs, commit marker,
+// segment truncation. The inserts that refill the head run untimed; the
+// previous generation is dropped untimed too, so the disk does not fill.
+func BenchmarkSeal(b *testing.B) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			db, err := OpenOptions(filepath.Join(b.TempDir(), "siren.wal"), Options{Shards: 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			corpus := sealCorpus(4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if _, err := db.RetainSealedGenerations(1); err != nil {
+					b.Fatal(err)
+				}
+				for done := 0; done < n; done += len(corpus) {
+					if err := db.InsertBatch(corpus[:min(len(corpus), n-done)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if err := db.Seal(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -235,6 +235,13 @@ func (ms *MergedSnapshot) ShardJobRows(i int, job string, f func(m wire.Message,
 	})
 }
 
+// ShardJobLen bounds how many rows ShardJobRows(i, job) yields: the owning
+// member's count, dedup-suppressed rows included.
+func (ms *MergedSnapshot) ShardJobLen(i int, job string) int {
+	sh := ms.shards[i]
+	return ms.members[sh.member].ShardJobLen(sh.shard, job)
+}
+
 // JobShardCounts maps every job ID to the number of merged shards holding
 // at least one surviving row of that job — the fan-in count per job, summed
 // across members (a multi-host job may span members when its hosts hash to

@@ -1,16 +1,13 @@
 package sirendb
 
 import (
-	"cmp"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"siren/internal/obs"
 	"siren/internal/sirendb/runfmt"
-	"siren/internal/wire"
 )
 
 // sealedRun is one immutable sorted run attached to a shard: the frozen
@@ -25,18 +22,12 @@ type sealedRun struct {
 	run       *runfmt.Run
 }
 
-// row is one stored message plus its store-wide sequence number, the key a
-// snapshot's shard merge orders by. It is the sealed tier's row type, so
-// Seal hands a shard's head to runfmt.Write as it stands, without a copy.
-type row = runfmt.Row
-
-// shard owns one partition of the store: its rows, by-job index, and
-// WAL segment file. All writes to one (JobID, Host) land on one shard, so
-// inserts across shards never contend.
+// shard owns one partition of the store: its WAL head and segment file. All
+// writes to one (JobID, Host) land on one shard, so inserts across shards
+// never contend.
 type shard struct {
 	mu      sync.RWMutex
-	rows    []row
-	byJob   map[string][]int
+	head    head
 	wal     *os.File
 	written int64 // valid bytes appended to the segment (under mu)
 
@@ -68,43 +59,7 @@ type shard struct {
 }
 
 func newShard() *shard {
-	return &shard{
-		byJob: make(map[string][]int),
-		dirty: make(chan struct{}, 1),
-	}
-}
-
-func (s *shard) appendLocked(m wire.Message, seq uint64) {
-	idx := len(s.rows)
-	s.rows = append(s.rows, row{Seq: seq, Msg: m})
-	s.byJob[m.JobID] = append(s.byJob[m.JobID], idx)
-}
-
-// appendReplay adds a replayed row without index maintenance; the caller
-// runs rebuildIndex once after all segments are read. reserve is the
-// caller's estimate of how many more rows follow: when the slice is full it
-// grows to fit them at once instead of doubling its way up from nil.
-func (s *shard) appendReplay(m wire.Message, seq uint64, reserve int) {
-	if len(s.rows) == cap(s.rows) {
-		s.rows = slices.Grow(s.rows, reserve+1)
-	}
-	s.rows = append(s.rows, row{Seq: seq, Msg: m})
-}
-
-// rebuildIndex restores seq order and rebuilds the by-job index. One segment
-// delivers its rows seq-ascending, which is the normal case and needs no
-// sort; only leftovers from an older shard count, replayed after the
-// shard's own segment, interleave.
-func (s *shard) rebuildIndex() {
-	bySeq := func(a, b row) int { return cmp.Compare(a.Seq, b.Seq) }
-	if !slices.IsSortedFunc(s.rows, bySeq) {
-		slices.SortStableFunc(s.rows, bySeq)
-	}
-	s.byJob = make(map[string][]int)
-	for idx := range s.rows {
-		job := s.rows[idx].Msg.JobID
-		s.byJob[job] = append(s.byJob[job], idx)
-	}
+	return &shard{dirty: make(chan struct{}, 1)}
 }
 
 func (s *shard) notifyDirty() {

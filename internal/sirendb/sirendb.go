@@ -26,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,7 +73,8 @@ type Options struct {
 	ReadOnly bool
 	// Metrics is the registry the store's instruments register in: WAL
 	// append and group-commit fdatasync latency, commit batch bytes, Seal
-	// phase durations, and run-read errors (see internal/obs). Nil gets a
+	// phase durations, run-read errors, and the WAL-head and sealed byte
+	// gauges (see internal/obs). Nil gets a
 	// private registry; telemetry is always recorded. Stores sharing a
 	// registry share its instruments, StoreStats.RunReadErrors included.
 	Metrics *obs.Registry
@@ -139,7 +141,7 @@ func Open(path string) (*DB, error) { return OpenOptions(path, Options{}) }
 func OpenOptions(path string, opts Options) (*DB, error) {
 	opts.defaults()
 	db := &DB{path: path, opts: opts, stopSync: make(chan struct{})}
-	db.mx = newStoreMetrics(opts.Metrics)
+	db.mx = newStoreMetrics(opts.Metrics, db)
 	db.shards = make([]*shard, opts.Shards)
 	for i := range db.shards {
 		db.shards[i] = newShard()
@@ -193,10 +195,10 @@ func (db *DB) Insert(m wire.Message) error {
 }
 
 // InsertBatch stores several messages under per-shard lock/flush cycles,
-// partitioning them by wire.PartitionHash(JobID, Host). WAL serialisation
-// happens before any lock is taken, so concurrent callers overlap the
-// encoding work and only the segment append and index update serialise —
-// per shard, not globally.
+// partitioning them by wire.PartitionHash(JobID, Host). Each message is
+// encoded straight into its shard's head chunk and from there takes the
+// path of a datagram InsertScanned stores, so a row is held as the same
+// bytes whichever way it came.
 //
 // Each shard group commits independently: on error the other groups are
 // still attempted (one shard's full disk should not discard rows bound for
@@ -209,11 +211,11 @@ func (db *DB) InsertBatch(ms []wire.Message) error {
 		return nil
 	}
 	if len(db.shards) == 1 {
-		return db.insertShard(db.shards[0], ms)
+		return db.insertMessages(db.shards[0], ms)
 	}
 	groups := make([][]wire.Message, len(db.shards))
 	for _, m := range ms {
-		i := db.shardIndex(m)
+		i := db.shardIndex([]byte(m.JobID), []byte(m.Host))
 		groups[i] = append(groups[i], m)
 	}
 	var errs []error
@@ -221,7 +223,7 @@ func (db *DB) InsertBatch(ms []wire.Message) error {
 		if len(g) == 0 {
 			continue
 		}
-		if err := db.insertShard(db.shards[i], g); err != nil {
+		if err := db.insertMessages(db.shards[i], g); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -243,17 +245,88 @@ func (db *DB) InsertShard(shard int, ms []wire.Message) error {
 	if len(ms) == 0 {
 		return nil
 	}
-	return db.insertShard(db.shards[shard], ms)
+	return db.insertMessages(db.shards[shard], ms)
 }
 
-func (db *DB) shardIndex(m wire.Message) int {
+// InsertScanned is InsertShard for datagrams as they arrived, each with its
+// wire.Scan: the head keeps the datagram's own bytes as the row, copied once
+// into the shard's head chunk, and the same bytes are the WAL append — no
+// decode, no encode, no per-row allocation. A datagram that is not
+// canonical (an integer spelled with '+', a leading zero, -0) is first
+// re-encoded, so the store holds exactly the bytes a decode-and-encode
+// store would. The routing contract is InsertShard's.
+func (db *DB) InsertScanned(shard int, ds []wire.Scanned) error {
+	if shard < 0 || shard >= len(db.shards) {
+		return fmt.Errorf("sirendb: shard %d out of range [0,%d)", shard, len(db.shards))
+	}
+	if len(ds) == 0 {
+		return nil
+	}
+	for i := range ds {
+		if !ds[i].Canonical {
+			return db.insertScanned(db.shards[shard], canonical(ds))
+		}
+	}
+	return db.insertScanned(db.shards[shard], ds)
+}
+
+// canonical returns ds with every non-canonical datagram re-encoded.
+func canonical(ds []wire.Scanned) []wire.Scanned {
+	out := slices.Clone(ds)
+	for i := range out {
+		if out[i].Canonical {
+			continue
+		}
+		m, err := wire.Parse(out[i].Datagram)
+		if err != nil {
+			continue // not a scan of this datagram; stored as handed over
+		}
+		out[i].Datagram, out[i].Fields = wire.AppendEncodeFields(nil, &m)
+	}
+	return out
+}
+
+func (db *DB) shardIndex(job, host []byte) int {
 	if len(db.shards) == 1 {
 		return 0
 	}
-	return int(wire.PartitionHash([]byte(m.JobID), []byte(m.Host)) % uint64(len(db.shards)))
+	return int(wire.PartitionHash(job, host) % uint64(len(db.shards)))
 }
 
-func (db *DB) insertShard(s *shard, ms []wire.Message) error {
+// insertMessages stores ms, each encoded straight into the head chunk.
+func (db *DB) insertMessages(s *shard, ms []wire.Message) error {
+	if err := checkRecordLens(ms); err != nil {
+		return err
+	}
+	size := 0
+	for i := range ms {
+		size += recHdrSize + maxEncoded(&ms[i])
+	}
+	if size > maxBatchBytes {
+		return fmt.Errorf("sirendb: batch of %d bytes exceeds the %d-byte batch limit", size, maxBatchBytes)
+	}
+	return db.insert(s, nil, ms)
+}
+
+func (db *DB) insertScanned(s *shard, ds []wire.Scanned) error {
+	size := 0
+	for i := range ds {
+		n := len(ds[i].Datagram)
+		if n > maxRecordLen {
+			return fmt.Errorf("sirendb: message of %d bytes exceeds the %d-byte record limit", n, maxRecordLen)
+		}
+		size += recHdrSize + n
+	}
+	if size > maxBatchBytes {
+		return fmt.Errorf("sirendb: batch of %d bytes exceeds the %d-byte batch limit", size, maxBatchBytes)
+	}
+	return db.insert(s, ds, nil)
+}
+
+// insert stores one batch in shard s — the datagrams ds, or when ds is nil
+// the messages ms — under one lock: seqs reserved, records framed into the
+// head chunk, that byte range appended to the segment, the rows indexed.
+func (db *DB) insert(s *shard, ds []wire.Scanned, ms []wire.Message) error {
 	if db.opts.ReadOnly {
 		return ErrReadOnly
 	}
@@ -268,14 +341,7 @@ func (db *DB) insertShard(s *shard, ms []wire.Message) error {
 	if persistent && db.syncFailed.Load() {
 		return db.takeSyncErr()
 	}
-	var buf []byte
-	var marks []recordMark
-	if persistent {
-		var err error
-		if buf, marks, err = encodeRecords(ms); err != nil {
-			return err
-		}
-	}
+	n := uint64(len(ds) + len(ms))
 	s.mu.Lock()
 	if persistent && s.wal == nil {
 		s.mu.Unlock()
@@ -284,13 +350,16 @@ func (db *DB) insertShard(s *shard, ms []wire.Message) error {
 	// Sequence numbers are reserved under the shard lock so each shard's
 	// rows (and its segment's records) stay seq-sorted; the atomic keeps
 	// the counter consistent across shards.
-	start := db.seq.Add(uint64(len(ms))) - uint64(len(ms))
-	if buf != nil {
-		for i, mk := range marks {
-			patchRecordSeq(buf, mk, start+1+uint64(i))
-		}
+	first := db.seq.Add(n) - n + 1
+	var framed []byte
+	if ds != nil {
+		framed = s.head.stage(ds, first)
+	} else {
+		framed, ds = s.head.stageMessages(ms, first)
+	}
+	if persistent {
 		appendStart := time.Now()
-		if _, err := s.wal.Write(buf); err != nil {
+		if _, err := s.wal.Write(framed); err != nil {
 			// A short write advanced the file offset past s.written; rewind
 			// so the next append overwrites the partial record instead of
 			// leaving a misframing gap in the segment. If even the rewind
@@ -306,11 +375,9 @@ func (db *DB) insertShard(s *shard, ms []wire.Message) error {
 			return fmt.Errorf("sirendb: WAL write: %w", err)
 		}
 		db.mx.walAppendNS.Since(appendStart)
-		s.written += int64(len(buf))
+		s.written += int64(len(framed))
 	}
-	for i := range ms {
-		s.appendLocked(ms[i], start+1+uint64(i))
-	}
+	s.head.commit(ds, first)
 	s.mu.Unlock()
 	if persistent {
 		if db.opts.SyncInterval < 0 {
@@ -349,7 +416,7 @@ func (db *DB) Count() int {
 	defer db.rlockAll()()
 	n := 0
 	for _, s := range db.shards {
-		n += len(s.rows) + s.sealedRows
+		n += len(s.head.entries) + s.sealedRows
 	}
 	return n
 }
@@ -368,6 +435,7 @@ type StoreStats struct {
 	SealedGen      int    // highest committed seal generation (0 = never sealed)
 	SealedRuns     int    // attached sealed run files
 	SealedRows     int    // rows living in sealed runs
+	HeadBytes      int64  // framed WAL-head bytes held in memory
 	SealedBytes    int64  // bytes across sealed run files
 	RunReadErrors  int    // lazy run-read failures (block corruption found after Open)
 }
@@ -386,7 +454,8 @@ func (db *DB) Stats() StoreStats {
 	db.sealMu.Unlock()
 	for _, s := range db.shards {
 		s.mu.RLock()
-		st.Rows += len(s.rows) + s.sealedRows
+		st.Rows += len(s.head.entries) + s.sealedRows
+		st.HeadBytes += s.head.bytes
 		st.SealedRuns += len(s.runs)
 		st.SealedRows += s.sealedRows
 		for _, sr := range s.runs {

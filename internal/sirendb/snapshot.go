@@ -11,13 +11,14 @@ import (
 // Snapshot is an immutable point-in-time view of the store.
 //
 // Capture cost is deliberately tiny: under a brief all-shard read lock the
-// snapshot copies each shard's row-slice header, its by-job index map (the
-// map itself, not the rows or the index slices — those are shared), and its
-// sealed-run slice header. Everything read afterwards runs without touching
-// a store lock. That works because the store is append-only after open: a
-// shard's row slice and its index lists only ever grow, so the first
-// len(rows) entries captured here are never mutated again — concurrent
-// inserts land beyond the snapshot's length and never surface through it.
+// snapshot copies each shard's head slice headers — its chunks, index
+// entries and string tables — and the outer slice of its per-job row lists
+// (the lists themselves are shared), and its sealed-run slice header.
+// Everything read afterwards runs without touching a store lock. That works
+// because the head is append-only between seals: chunk bytes below the fill
+// mark, the entries, the string tables and the job lists only ever grow, so
+// the prefixes captured here are never mutated again — concurrent inserts
+// land beyond the snapshot's lengths and never surface through it.
 // The sealed-run slices are copy-on-write (Seal and retention swap in fresh
 // slices), so a captured header keeps naming exactly the runs that existed
 // at capture time; a run file unlinked by retention stays readable through
@@ -47,28 +48,24 @@ type Snapshot struct {
 	firstErr error
 }
 
-// shardView is one shard's captured state: immutable prefixes of shared
-// storage plus the then-current sealed-run set, safe to read without locks.
+// shardView is one shard's captured state: immutable prefixes of its head
+// plus the then-current sealed-run set, safe to read without locks.
 type shardView struct {
-	rows       []row
-	byJob      map[string][]int
+	head       *headView
 	runs       []sealedRun
 	sealedRows int
 }
 
 // Snapshot captures the current store contents. The lock is held only for
-// the per-shard header and index-map copies — O(jobs), never O(rows).
+// the per-shard header copies and the job lists' outer slices — O(jobs),
+// never O(rows).
 func (db *DB) Snapshot() *Snapshot {
 	sn := &Snapshot{shards: make([]shardView, len(db.shards)), db: db}
 	unlock := db.rlockAll()
 	sn.lastSeq = db.seq.Load()
 	for i, s := range db.shards {
-		byJob := make(map[string][]int, len(s.byJob))
-		for k, v := range s.byJob {
-			byJob[k] = v // slice header: the first len(v) entries never change
-		}
-		sn.shards[i] = shardView{rows: s.rows, byJob: byJob, runs: s.runs, sealedRows: s.sealedRows}
-		sn.count += len(s.rows) + s.sealedRows
+		sn.shards[i] = shardView{head: s.head.view(), runs: s.runs, sealedRows: s.sealedRows}
+		sn.count += len(s.head.entries) + s.sealedRows
 	}
 	unlock()
 	return sn
@@ -107,15 +104,15 @@ func (sn *Snapshot) Count() int { return sn.count }
 func (sn *Snapshot) LastSeq() uint64 { return sn.lastSeq }
 
 // src is one sequence-ascending row stream inside a merge: a sealed-run
-// cursor, or an in-memory row slice, optionally index-selected. The merge
-// reads each source's next sequence number (peek) and moves only the row it
-// takes: a head row is handed out in place, a sealed row is decoded straight
-// into the merge's one Message slot.
+// cursor, or a head's entries, optionally index-selected. The merge reads
+// each source's next sequence number (peek) and builds only the row it
+// takes, straight into the merge's one Message slot: a head row from its
+// index entry, a sealed row by decoding it.
 type src struct {
 	run   *runfmt.Cursor // non-nil: a sealed run's stream; nil once drained
 	onErr func(error)    // where a run stream's read failure goes
-	rows  []row
-	idxs  []int // non-nil: select rows[idxs[pos]] instead of rows[pos]
+	head  *headView
+	idxs  []uint32 // non-nil: select entries[idxs[pos]] instead of entries[pos]
 	pos   int
 	rem   int // rows not yet yielded (run streams: advertised count)
 }
@@ -137,19 +134,19 @@ func (s *src) peek() (uint64, bool) {
 		if s.pos >= len(s.idxs) {
 			return 0, false
 		}
-		return s.rows[s.idxs[s.pos]].Seq, true
+		return s.head.entries[s.idxs[s.pos]].seq, true
 	}
-	if s.pos >= len(s.rows) {
+	if s.head == nil || s.pos >= len(s.head.entries) {
 		return 0, false
 	}
-	return s.rows[s.pos].Seq, true
+	return s.head.entries[s.pos].seq, true
 }
 
-// take consumes the row the last successful peek reported: a head row in
-// place, a sealed row decoded into *slot. A sealed row that fails to decode
-// is reported like any run-read failure and yields nil.
+// take consumes the row the last successful peek reported into *slot. A
+// sealed row that fails to decode is reported like any run-read failure and
+// yields nil.
 func (s *src) take(slot *wire.Message) (*wire.Message, uint64) {
-	m, seq := slot, uint64(0)
+	var seq uint64
 	if s.run != nil {
 		var ok bool
 		if seq, ok = s.run.NextInto(slot); !ok {
@@ -158,17 +155,17 @@ func (s *src) take(slot *wire.Message) (*wire.Message, uint64) {
 			return nil, 0
 		}
 	} else {
-		i := s.pos
+		i := uint32(s.pos)
 		if s.idxs != nil {
 			i = s.idxs[i]
 		}
 		s.pos++
-		m, seq = &s.rows[i].Msg, s.rows[i].Seq
+		seq = s.head.rowInto(i, slot)
 	}
 	if s.rem > 0 {
 		s.rem--
 	}
-	return m, seq
+	return slot, seq
 }
 
 // mergeSrcs streams the union of the sources in ascending sequence order —
@@ -203,8 +200,8 @@ func (sn *Snapshot) shardSources(i int) []*src {
 	for _, sr := range sv.runs {
 		srcs = append(srcs, runSrc(sr, sn.noteErr))
 	}
-	if len(sv.rows) > 0 {
-		srcs = append(srcs, &src{rows: sv.rows, rem: len(sv.rows)})
+	if n := len(sv.head.entries); n > 0 {
+		srcs = append(srcs, &src{head: sv.head, rem: n})
 	}
 	return srcs
 }
@@ -277,15 +274,13 @@ func (sn *Snapshot) Iter(f func(m wire.Message) bool) {
 }
 
 // Jobs returns the distinct job IDs in the snapshot, sorted. Head jobs come
-// from the captured index maps, run jobs from each run's embedded job index
+// from the captured job lists, run jobs from each run's embedded job index
 // — no row decode. The union runs once per snapshot and is cached.
 func (sn *Snapshot) Jobs() []string {
 	sn.jobsOnce.Do(func() {
 		seen := make(map[string]struct{})
 		for i := range sn.shards {
-			for k := range sn.shards[i].byJob {
-				seen[k] = struct{}{}
-			}
+			sn.shards[i].head.eachJob(func(job string, _ []uint32) { seen[job] = struct{}{} })
 			for _, sr := range sn.shards[i].runs {
 				for _, k := range sr.run.Jobs() {
 					seen[k] = struct{}{}
@@ -306,21 +301,18 @@ func (sn *Snapshot) Jobs() []string {
 // number is strictly greater than since, sorted — the delta an incremental
 // catalog refresh re-consolidates. since=0 returns every job (sequence
 // numbers start at 1). The check is O(shards × jobs), never O(rows): each
-// shard's by-job index list is sequence-ascending (its last entry is the
-// newest head row of the job), and each run's job index carries the job's
-// max sequence number.
+// shard's job list is sequence-ascending (its last entry is the newest head
+// row of the job), and each run's job index carries the job's max sequence
+// number.
 func (sn *Snapshot) JobsChangedSince(since uint64) []string {
 	seen := make(map[string]struct{})
 	for i := range sn.shards {
 		sv := &sn.shards[i]
-		for job, idxs := range sv.byJob {
-			if _, ok := seen[job]; ok {
-				continue
-			}
-			if sv.rows[idxs[len(idxs)-1]].Seq > since {
+		sv.head.eachJob(func(job string, rows []uint32) {
+			if sv.head.entries[rows[len(rows)-1]].seq > since {
 				seen[job] = struct{}{}
 			}
-		}
+		})
 		for _, sr := range sv.runs {
 			sr.run.EachJob(func(job string, _ int, _, maxSeq uint64) bool {
 				if maxSeq > since {
@@ -346,10 +338,8 @@ func (sn *Snapshot) JobsChangedSince(since uint64) []string {
 // the shard's runs.
 func (sn *Snapshot) ShardJobs(i int) []string {
 	sv := &sn.shards[i]
-	first := make(map[string]uint64, len(sv.byJob))
-	for k, idxs := range sv.byJob {
-		first[k] = sv.rows[idxs[0]].Seq
-	}
+	first := make(map[string]uint64, len(sv.head.jobRows))
+	sv.head.eachJob(func(job string, rows []uint32) { first[job] = sv.head.entries[rows[0]].seq })
 	for _, sr := range sv.runs {
 		sr.run.EachJob(func(job string, _ int, minSeq, _ uint64) bool {
 			if cur, ok := first[job]; !ok || minSeq < cur {
@@ -376,15 +366,15 @@ func (sn *Snapshot) JobShardCounts() map[string]int {
 		sv := &sn.shards[i]
 		var jobs map[string]struct{}
 		if len(sv.runs) > 0 {
-			jobs = make(map[string]struct{}, len(sv.byJob))
+			jobs = make(map[string]struct{}, len(sv.head.jobRows))
 		}
-		for k := range sv.byJob {
+		sv.head.eachJob(func(job string, _ []uint32) {
 			if jobs == nil {
-				out[k]++
+				out[job]++
 			} else {
-				jobs[k] = struct{}{}
+				jobs[job] = struct{}{}
 			}
-		}
+		})
 		for _, sr := range sv.runs {
 			for _, k := range sr.run.Jobs() {
 				jobs[k] = struct{}{}
@@ -397,18 +387,32 @@ func (sn *Snapshot) JobShardCounts() map[string]int {
 	return out
 }
 
+// ShardJobLen reports how many rows ShardJobRows(shard, job) yields, from
+// the head's job list and the runs' job indexes — O(runs), no row read. A
+// consumer sizes its buffer with it before the stream fills it. (A run block
+// found corrupt mid-read ends its stream early, so it is a bound.)
+func (sn *Snapshot) ShardJobLen(shard int, job string) int {
+	sv := &sn.shards[shard]
+	n := len(sv.head.job(job))
+	for _, sr := range sv.runs {
+		rows, _, _, _ := sr.run.JobStats(job)
+		n += rows
+	}
+	return n
+}
+
 // ShardJobRows streams shard i's rows of one job in insertion order along
 // with each row's store-wide sequence number; return false to stop. Zero
-// copy for head rows (they alias the stored slice via the index list);
-// sealed rows decode lazily from their run's job extents, merged in by
-// sequence.
+// copy for head rows (each Message is built from its index entry, its
+// content a view of the head chunk); sealed rows decode lazily from their
+// run's job extents, merged in by sequence.
 func (sn *Snapshot) ShardJobRows(shard int, job string, f func(m wire.Message, seq uint64) bool) {
 	sv := &sn.shards[shard]
-	idxs := sv.byJob[job]
+	idxs := sv.head.job(job)
 	if len(sv.runs) == 0 { // head-only fast path: no merge state needed
+		var m wire.Message
 		for _, idx := range idxs {
-			r := &sv.rows[idx]
-			if !f(r.Msg, r.Seq) {
+			if seq := sv.head.rowInto(idx, &m); !f(m, seq) {
 				return
 			}
 		}
@@ -421,7 +425,7 @@ func (sn *Snapshot) ShardJobRows(shard int, job string, f func(m wire.Message, s
 		}
 	}
 	if len(idxs) > 0 {
-		srcs = append(srcs, &src{rows: sv.rows, idxs: idxs, rem: len(idxs)})
+		srcs = append(srcs, &src{head: sv.head, idxs: idxs, rem: len(idxs)})
 	}
 	mergeSrcs(srcs, f)
 }
@@ -439,8 +443,8 @@ func (sn *Snapshot) JobRows(job string, f func(m wire.Message) bool) {
 				srcs = append(srcs, runJobSrc(sr, job, sn.noteErr))
 			}
 		}
-		if idxs := sv.byJob[job]; len(idxs) > 0 {
-			srcs = append(srcs, &src{rows: sv.rows, idxs: idxs, rem: len(idxs)})
+		if idxs := sv.head.job(job); len(idxs) > 0 {
+			srcs = append(srcs, &src{head: sv.head, idxs: idxs, rem: len(idxs)})
 		}
 	}
 	mergeSrcs(srcs, func(m wire.Message, _ uint64) bool { return f(m) })

@@ -23,14 +23,12 @@
 package sirendb
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,46 +49,27 @@ func segmentPath(base string, i int) string {
 	return base + "." + strconv.Itoa(i)
 }
 
-// recordMark locates one framed record inside an encodeRecords buffer and
-// carries its payload hash, so insertShard can patch the sequence in under
-// the shard lock.
+// recordMark locates one framed record in a buffer and carries its payload
+// hash, so patchRecordSeq can fill in a sequence number.
 type recordMark struct {
 	off int
 	sum uint32
 }
 
-// encodeRecords frames ms into one contiguous buffer with zeroed checksum
-// and sequence fields. Every record is appended straight into that buffer
-// (wire.AppendEncode) and its length patched in afterwards; the buffer is
-// sized up front from the field lengths, so a batch costs one allocation of
-// WAL bytes however many rows it carries. A message exceeding maxRecordLen is
-// rejected up front: replay treats an oversized length field as a torn tail,
-// so writing one would make the record — and every record after it in the
-// segment — silently unreplayable.
-func encodeRecords(ms []wire.Message) (buf []byte, marks []recordMark, err error) {
-	// Per record: the frame header, the wire format's fixed text (76 bytes)
-	// and room for its four integers; a longer rendering just grows the buffer.
-	size := 0
+// checkRecordLens rejects a batch holding a message whose encoding exceeds
+// maxRecordLen: replay treats an oversized length field as a torn tail, so
+// writing one would make the record — and every record after it in the
+// segment — unreplayable.
+func checkRecordLens(ms []wire.Message) error {
 	for i := range ms {
-		m := &ms[i]
-		size += recHdrSize + 112 + len(m.JobID) + len(m.StepID) + len(m.Hash) + len(m.Host) +
-			len(m.Layer) + len(m.Type) + len(m.Content)
-	}
-	buf = make([]byte, 0, size)
-	marks = make([]recordMark, len(ms))
-	var hdr [recHdrSize]byte
-	for i := range ms {
-		off := len(buf)
-		buf = append(buf, hdr[:]...)
-		buf = wire.AppendEncode(buf, ms[i])
-		payload := buf[off+recHdrSize:]
-		if len(payload) > maxRecordLen {
-			return nil, nil, fmt.Errorf("sirendb: message of %d bytes exceeds the %d-byte record limit", len(payload), maxRecordLen)
+		if maxEncoded(&ms[i]) <= maxRecordLen {
+			continue
 		}
-		binary.LittleEndian.PutUint32(buf[off:], uint32(len(payload)))
-		marks[i] = recordMark{off: off, sum: uint32(xxhash.Sum64(payload))}
+		if n := len(wire.Encode(ms[i])); n > maxRecordLen {
+			return fmt.Errorf("sirendb: message of %d bytes exceeds the %d-byte record limit", n, maxRecordLen)
+		}
 	}
-	return buf, marks, nil
+	return nil
 }
 
 func patchRecordSeq(buf []byte, mk recordMark, seq uint64) {
@@ -178,7 +157,7 @@ func (db *DB) openSegments() error {
 		if _, ok := have[i]; !ok {
 			created = true
 		}
-		validEnd, err := db.replaySegment(f, segPath, i, true)
+		validEnd, err := db.replaySegment(f, segPath, true)
 		if err != nil {
 			_ = f.Close() // open is failing; the replay error wins
 			return err
@@ -203,7 +182,7 @@ func (db *DB) openSegments() error {
 		if err != nil {
 			return fmt.Errorf("sirendb: opening %s: %w", sf.path, err)
 		}
-		_, err = db.replaySegment(f, sf.path, sf.index, false)
+		_, err = db.replaySegment(f, sf.path, false)
 		_ = f.Close() // read-only replay handle; nothing durable at stake
 		if err != nil {
 			return err
@@ -211,7 +190,7 @@ func (db *DB) openSegments() error {
 		db.staleSegs = append(db.staleSegs, sf.path)
 	}
 	for _, s := range db.shards {
-		s.rebuildIndex()
+		s.head.sortBySeq()
 	}
 	if created {
 		if err := fsyncDir(db.dir); err != nil {
@@ -242,105 +221,110 @@ func (db *DB) openSegmentsReadOnly() error {
 		if err != nil {
 			return fmt.Errorf("sirendb: opening %s: %w", sf.path, err)
 		}
-		_, err = db.replaySegment(f, sf.path, sf.index, false)
+		_, err = db.replaySegment(f, sf.path, false)
 		_ = f.Close() // read-only replay handle; nothing durable at stake
 		if err != nil {
 			return err
 		}
 	}
 	for _, s := range db.shards {
-		s.rebuildIndex()
+		s.head.sortBySeq()
 	}
 	return nil
 }
 
-// replayMeanAfter is how many records replaySegment reads before it trusts
-// their mean size to predict the rest of the segment.
-const replayMeanAfter = 256
+// replayWindow bounds how much of a segment replay reads into one chunk: a
+// chunk is addressed with 32-bit offsets. Segments are normally far smaller
+// and load in one read.
+const replayWindow = 1 << 30
 
-// replaySegment reads every intact record of one segment file, routing each
-// row to its shard by hash (the segment's nominal owner, shard index, is only
-// a locality hint — records in the "wrong" segment still land correctly). It
-// returns the end of the valid prefix — where appends must resume.
-// repairHeader rewrites a missing/torn magic on writable active segments;
-// leftover segments are opened read-only and must not be mutated.
+// replaySegment loads every intact record of one segment file into the
+// heads, routing each row to its shard by hash (the segment a record sits in
+// is only a locality hint — records in the "wrong" segment still land
+// correctly). It returns the end of the valid prefix — where
+// appends must resume. repairHeader rewrites a missing/torn magic on
+// writable active segments; leftover segments are opened read-only and must
+// not be mutated.
 //
-// Rows landing on the segment's own shard — all of them unless the shard
-// count changed — reserve their slice from the file itself: the bytes left
-// divided by the mean record size read so far, so a 100 000-row head is one
-// or two allocations instead of seventeen doublings and their copies. The
-// first replayMeanAfter records grow the slice the ordinary way: a mean taken
-// from fewer is the size of whatever came first, and one small record ahead
-// of near-MTU chunks would reserve an order of magnitude too many rows and
-// hold them until the next Seal.
-func (db *DB) replaySegment(f *os.File, name string, index int, repairHeader bool) (int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("sirendb: %w", err)
-	}
+// The segment's bytes become head chunks as they lie: replay reads the file
+// in one read (or one per replayWindow), checks each record's frame and
+// checksum, scans its header and indexes it in place. Nothing is decoded or
+// copied per row.
+func (db *DB) replaySegment(f *os.File, name string, repairHeader bool) (int64, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return 0, fmt.Errorf("sirendb: %w", err)
 	}
 	size := fi.Size()
-	r := bufio.NewReaderSize(f, 1<<20)
 	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			// Empty or torn-at-creation file: (re)write the magic so the
-			// segment is well-formed before any record lands.
-			if repairHeader {
-				if _, err := f.WriteAt([]byte(segMagic), 0); err != nil {
-					return 0, fmt.Errorf("sirendb: writing segment header %s: %w", name, err)
-				}
-			}
-			return int64(len(segMagic)), nil
+	if n, err := f.ReadAt(magic, 0); n < len(magic) {
+		if err != nil && !errors.Is(err, io.EOF) {
+			return 0, fmt.Errorf("sirendb: reading %s: %w", name, err)
 		}
-		return 0, fmt.Errorf("sirendb: reading %s: %w", name, err)
+		// Empty or torn-at-creation file: (re)write the magic so the
+		// segment is well-formed before any record lands.
+		if repairHeader {
+			if _, err := f.WriteAt([]byte(segMagic), 0); err != nil {
+				return 0, fmt.Errorf("sirendb: writing segment header %s: %w", name, err)
+			}
+		}
+		return int64(len(segMagic)), nil
 	}
 	if string(magic) != segMagic {
 		return 0, fmt.Errorf("sirendb: %s is not a sirendb WAL segment (bad magic)", name)
 	}
-	off := int64(len(segMagic))
-	var hdr [recHdrSize]byte
-	var payload []byte // reused: the decoder copies what it keeps
-	var dec wire.Decoder
-	records := int64(0)
+	off := int64(len(segMagic)) // file offset of the next record
+	for off < size {
+		chunk := make([]byte, min(size-off, replayWindow))
+		if _, err := f.ReadAt(chunk, off); err != nil {
+			return 0, fmt.Errorf("sirendb: replaying %s: %w", name, err)
+		}
+		last := off+int64(len(chunk)) == size
+		used, stop := db.replayChunk(chunk, last)
+		off += int64(used)
+		if stop || used == 0 {
+			break
+		}
+	}
+	return off, nil
+}
+
+// replayChunk indexes the complete records at the front of chunk and
+// returns how many bytes they span. stop reports the end of the segment's
+// valid prefix: a torn header or payload in its last window, or an
+// out-of-bounds length. A shard a record routes to adopts the chunk the
+// first time.
+func (db *DB) replayChunk(chunk []byte, last bool) (used int, stop bool) {
+	adopted := make([]int, len(db.shards)) // chunk index in each shard's head, plus one
+	pos := 0
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return off, nil // clean end or torn header
-			}
-			return 0, fmt.Errorf("sirendb: replaying %s: %w", name, err)
+		if len(chunk)-pos < recHdrSize {
+			return pos, last // clean end or torn header
 		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		seq := binary.LittleEndian.Uint64(hdr[8:16])
+		length := binary.LittleEndian.Uint32(chunk[pos:])
+		sum := binary.LittleEndian.Uint32(chunk[pos+4:])
+		seq := binary.LittleEndian.Uint64(chunk[pos+8:])
 		if length > maxRecordLen {
-			return off, nil // out-of-bounds length: treat as torn tail
+			return pos, true // out-of-bounds length: treat as torn tail
 		}
-		payload = slices.Grow(payload[:0], int(length))[:length]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return off, nil // torn payload
-			}
-			return 0, fmt.Errorf("sirendb: replaying %s: %w", name, err)
+		lo := pos + recHdrSize
+		hi := lo + int(length)
+		if hi > len(chunk) {
+			return pos, last // torn payload, or the next window's
 		}
-		recEnd := off + recHdrSize + int64(length)
-		records++
+		pos = hi
+		payload := chunk[lo:hi]
 		if uint32(xxhash.Sum64(payload))^seqMix(seq) != sum {
 			// An in-bounds corrupt length lands here too: framing may now be
 			// lost, but scanning on recovers any later intact records.
 			db.corrupt.Add(1)
-			off = recEnd
 			continue
 		}
-		var msg wire.Message
-		if err := dec.Decode(payload, &msg); err != nil {
+		fields, err := wire.Scan(payload)
+		if err != nil {
 			db.corrupt.Add(1)
-			off = recEnd
 			continue
 		}
-		off = recEnd
 		if seq <= db.sealedSeq {
 			// Sealed residue: the row's authoritative copy lives in a run
 			// (Seal committed its marker but crashed before truncating this
@@ -350,11 +334,13 @@ func (db *DB) replaySegment(f *os.File, name string, index int, repairHeader boo
 		if cur := db.seq.Load(); seq > cur {
 			db.seq.Store(seq)
 		}
-		sh, reserve := db.shardIndex(msg), 0
-		if sh == index && size > recEnd && records >= replayMeanAfter {
-			reserve = int((size - recEnd) * records / (recEnd - int64(len(segMagic))))
+		sh := db.shardIndex(fields.Value(payload, wire.FieldJobID), fields.Value(payload, wire.FieldHost))
+		h := &db.shards[sh].head
+		if adopted[sh] == 0 {
+			adopted[sh] = h.adopt(chunk) + 1
 		}
-		db.shards[sh].appendReplay(msg, seq, reserve)
+		h.index(adopted[sh]-1, lo, hi, &fields, seq)
+		h.bytes += recHdrSize + int64(length)
 	}
 }
 

@@ -41,10 +41,10 @@ func TestWALBatchBytesPinned(t *testing.T) {
 	}
 }
 
-// TestInsertShardAllocations holds the write path to its budget: a 128-row
-// batch into a persistent store allocates the WAL buffer, the record marks,
-// and — amortised — the growth of the row slice and the by-job index lists.
-// It used to cost about five allocations per row (two encodes, a copy and a
+// TestInsertShardAllocations holds the message path to its budget: a
+// 128-row batch into a persistent store is encoded straight into the head
+// chunk, so only the amortised growth of chunks and index allocates. It
+// used to cost about five allocations per row (two encodes, a copy and a
 // process-key string each).
 func TestInsertShardAllocations(t *testing.T) {
 	db, err := OpenOptions(filepath.Join(t.TempDir(), "siren.wal"), Options{Shards: 1})
@@ -67,11 +67,10 @@ func TestInsertShardAllocations(t *testing.T) {
 	}
 }
 
-// TestReplayReservationFollowsTheSegment: replay sizes a shard's row slice
-// from the segment's length and the mean record size, so the slice must end
-// close to the rows that exist whatever order sizes arrive in. One small
-// record ahead of near-MTU ones used to set the "mean" alone and reserve
-// about fifteen rows for every one that followed.
+// TestReplayReservationFollowsTheSegment: a replayed shard's index must end
+// close to the rows that exist whatever order record sizes arrive in. One
+// small record ahead of near-MTU ones once set a "mean" that reserved about
+// fifteen rows for every one that followed.
 func TestReplayReservationFollowsTheSegment(t *testing.T) {
 	large := strings.Repeat("x", 1300)
 	for name, content := range map[string]func(i int) string{
@@ -99,11 +98,45 @@ func TestReplayReservationFollowsTheSegment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := db.shards[0].rows
+		rows := db.shards[0].head.entries
 		if len(rows) != n || cap(rows) > 2*len(rows) {
 			t.Errorf("%s: replayed %d of %d rows into a slice of capacity %d, want at most %d",
 				name, len(rows), n, cap(rows), 2*n)
 		}
 		db.Close()
+	}
+}
+
+// TestInsertScannedAllocations: the receiver's write path allocates nothing
+// per row once warm — a 64-row batch of scanned datagrams is copied into
+// the head chunk, appended to the segment and indexed without a single
+// allocation, chunks and index growth amortised away.
+func TestInsertScannedAllocations(t *testing.T) {
+	db, err := OpenOptions(filepath.Join(t.TempDir(), "siren.wal"), Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	batch := make([]wire.Scanned, 64)
+	for i := range batch {
+		d := wire.Encode(jobMsg(fmt.Sprintf("job-%d", i%4), "nid0001", 100+i, "3:abcdefghijklmnop:qrstuvwx"))
+		f, err := wire.Scan(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = wire.Scanned{Datagram: d, Fields: f}
+	}
+	insert := func() {
+		if err := db.InsertScanned(0, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		insert() // warm: strings interned, index grown
+	}
+	perBatch := testing.AllocsPerRun(500, insert)
+	t.Logf("InsertScanned of %d rows: %.3f allocations", len(batch), perBatch)
+	if perBatch >= 1 {
+		t.Errorf("InsertScanned of %d rows = %.2f allocations, want < 1", len(batch), perBatch)
 	}
 }

@@ -123,6 +123,81 @@ func FuzzDecoder(f *testing.F) {
 	})
 }
 
+// FuzzScan holds the write path's header scan to the decoder: for every
+// input Scan accepts exactly what Decode and parseOracle (the decoder's
+// independent predecessor) accept, with Decode's error, and its integers,
+// value spans and content offset read what they decode. Canonical must hold
+// exactly when re-encoding the parsed message gives back the input — the
+// bytes a store keeps without re-encoding — and then AppendEncodeFields
+// must report the scan's own Fields.
+func FuzzScan(f *testing.F) {
+	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1|CONTENT=x"))
+	f.Add([]byte("SIREN1|JOBID=|STEPID=|PID=0|HASH=|HOST=|TIME=0|LAYER=|TYPE=|SEQ=0|TOT=1|CONTENT="))
+	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1|CONTENT=a|CONTENT=b"))
+	f.Add([]byte("garbage"))
+	f.Add(Encode(Message{Header: sampleHeader(), Content: []byte("3:abc:def")}))
+	// Every non-canonical spelling in every integer field (TOT=-0 is out of
+	// range: a rejected seed).
+	for _, field := range []string{"PID", "TIME", "SEQ", "TOT"} {
+		for _, v := range []string{"+5", "007", "-0"} {
+			vals := map[string]string{"PID": "4242", "TIME": "1733900000", "SEQ": "0", "TOT": "9"}
+			vals[field] = v
+			f.Add([]byte("SIREN1|JOBID=77|STEPID=0|PID=" + vals["PID"] + "|HASH=abc|HOST=nid1|TIME=" + vals["TIME"] +
+				"|LAYER=SELF|TYPE=FILE_H|SEQ=" + vals["SEQ"] + "|TOT=" + vals["TOT"] + "|CONTENT=x"))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fields, serr := Scan(data)
+		var d Decoder
+		var m Message
+		derr := d.Decode(data, &m)
+		oracle, oerr := parseOracle(data)
+		if (serr == nil) != (derr == nil) || (serr != nil && serr.Error() != derr.Error()) {
+			t.Fatalf("%q: Scan err %v, Decode err %v", data, serr, derr)
+		}
+		if (serr == nil) != (oerr == nil) {
+			t.Fatalf("%q: Scan err %v, oracle err %v", data, serr, oerr)
+		}
+		if serr != nil {
+			return
+		}
+		if fields.PID != m.PID || fields.Time != m.Time || fields.Seq != m.Seq || fields.Total != m.Total {
+			t.Fatalf("%q: Scan integers %+v, Decode %+v", data, fields, m.Header)
+		}
+		for k, want := range []string{oracle.JobID, oracle.StepID, oracle.Hash, oracle.Host, oracle.Layer, oracle.Type} {
+			if got := string(fields.Value(data, k)); got != want {
+				t.Fatalf("%q: Scan value %d = %q, oracle %q", data, k, got, want)
+			}
+		}
+		if !bytes.Equal(data[fields.Content:], oracle.Content) {
+			t.Fatalf("%q: Scan content %q, oracle %q", data, data[fields.Content:], oracle.Content)
+		}
+		reenc, encFields := AppendEncodeFields(nil, &m)
+		if canonical := bytes.Equal(reenc, data); fields.Canonical != canonical {
+			t.Fatalf("%q: Canonical = %v, re-encoding is %q", data, fields.Canonical, reenc)
+		}
+		if fields.Canonical && encFields != fields {
+			t.Fatalf("%q: AppendEncodeFields reports %+v, Scan %+v", data, encFields, fields)
+		}
+		if rescan, err := Scan(reenc); err != nil || !rescan.Canonical || rescan != encFields {
+			t.Fatalf("re-encoding %q scans as %+v, %v; AppendEncodeFields reported %+v", reenc, rescan, err, encFields)
+		}
+	})
+}
+
+// TestScanAllocations: the write path's scan allocates nothing for a
+// well-formed datagram.
+func TestScanAllocations(t *testing.T) {
+	d := Encode(Message{Header: sampleHeader(), Content: []byte("3:abc:def")})
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := Scan(d); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("Scan: %v allocations, want 0", got)
+	}
+}
+
 // TestDecoderAllocations pins the sharing rule's cost: a row that repeats its
 // predecessor's header allocates only its content, a changed LAYER or TYPE
 // naming a package constant nothing more, and any other change one header

@@ -15,11 +15,14 @@
 // comparable; Reassemble's recordKey), and never a string made by joining
 // them around some other "unused" byte: there is none.
 //
-// AppendEncode is the one encoder — senders, the store's WAL batches and its
-// run blocks all append through it into a buffer they own — and Parse its
-// inverse; both sit on the receiver's per-datagram path and Reassemble on
-// the per-row path of every consolidation, so all three are written to
-// allocate as little as the data allows.
+// AppendEncode is the one encoder — senders append through it into a buffer
+// they own, and so does the store for a Message it is handed — and Scan the
+// one set of header checks: the receiver's writers scan each datagram and
+// keep its bytes, and Decoder (Parse) builds a Message on top of a scan.
+// Scan sits on the receiver's per-datagram path, Decoder on the per-row
+// path of every sealed-run read and Reassemble on that of every
+// consolidation, so all are written to allocate as little as the data
+// allows.
 package wire
 
 import (
@@ -86,32 +89,51 @@ type Message struct {
 
 // AppendEncode appends m rendered as a datagram to dst and returns the
 // extended buffer. The content is last and raw, so it may contain any bytes
-// including the field separator. This is the one encoder: the store's WAL
-// batches and run blocks append every row into a buffer they own, so a stored
-// row costs one encode per tier and no intermediate copy.
+// including the field separator. This is the one encoder: senders append
+// their datagrams through it, and the store encodes a Message it is handed
+// (InsertBatch, a run written from rows) through it too, so the bytes a row
+// is stored as never depend on which path brought it.
 func AppendEncode(dst []byte, m Message) []byte {
+	dst, _ = AppendEncodeFields(dst, &m)
+	return dst
+}
+
+// AppendEncodeFields is AppendEncode reporting the Fields of the datagram it
+// appended, offsets counted from the datagram's first byte. They describe m
+// as written even when the datagram would not scan — a header value holding
+// '|', a chunk count out of range — so a store can index a Message it was
+// handed exactly as the Message reads.
+func AppendEncodeFields(dst []byte, m *Message) ([]byte, Fields) {
+	base := len(dst)
+	f := Fields{PID: m.PID, Time: m.Time, Seq: m.Seq, Total: m.Total, Canonical: true}
+	value := func(k int, v string) {
+		lo := len(dst) - base
+		dst = append(dst, v...)
+		f.Values[k] = Span{lo, len(dst) - base}
+	}
 	dst = append(dst, magic+"|JOBID="...)
-	dst = append(dst, m.JobID...)
+	value(FieldJobID, m.JobID)
 	dst = append(dst, "|STEPID="...)
-	dst = append(dst, m.StepID...)
+	value(FieldStepID, m.StepID)
 	dst = append(dst, "|PID="...)
 	dst = strconv.AppendInt(dst, int64(m.PID), 10)
 	dst = append(dst, "|HASH="...)
-	dst = append(dst, m.Hash...)
+	value(FieldHash, m.Hash)
 	dst = append(dst, "|HOST="...)
-	dst = append(dst, m.Host...)
+	value(FieldHost, m.Host)
 	dst = append(dst, "|TIME="...)
 	dst = strconv.AppendInt(dst, m.Time, 10)
 	dst = append(dst, "|LAYER="...)
-	dst = append(dst, m.Layer...)
+	value(FieldLayer, m.Layer)
 	dst = append(dst, "|TYPE="...)
-	dst = append(dst, m.Type...)
+	value(FieldType, m.Type)
 	dst = append(dst, "|SEQ="...)
 	dst = strconv.AppendInt(dst, int64(m.Seq), 10)
 	dst = append(dst, "|TOT="...)
 	dst = strconv.AppendInt(dst, int64(m.Total), 10)
-	dst = append(dst, "|CONTENT="...)
-	return append(dst, m.Content...)
+	dst = append(dst, contentMark...)
+	f.Content = len(dst) - base
+	return append(dst, m.Content...), f
 }
 
 // Encode renders the message as a fresh datagram.
@@ -185,6 +207,133 @@ func Parse(datagram []byte) (Message, error) {
 	return m, err
 }
 
+// String-valued header fields, in wire order: the indexes of Fields.Values.
+const (
+	FieldJobID = iota
+	FieldStepID
+	FieldHash
+	FieldHost
+	FieldLayer
+	FieldType
+	StringFields // how many there are
+)
+
+// Span is the [Lo, Hi) byte range of one header value inside its datagram.
+type Span struct{ Lo, Hi int }
+
+// Fields is what Scan reads from a datagram: the header's integers, where
+// its string values lie, and where the content starts. It holds no pointer
+// and no string, so a writer can keep the datagram's own bytes as the row
+// and never build a Message for it.
+type Fields struct {
+	PID   int
+	Time  int64
+	Seq   int
+	Total int
+	// Values are the spans of JOBID, STEPID, HASH, HOST, LAYER and TYPE,
+	// indexed by the Field* constants.
+	Values [StringFields]Span
+	// Content is the offset of the first content byte.
+	Content int
+	// Canonical reports that the datagram is byte for byte what
+	// AppendEncode makes of the Message it parses to. Only the integers can
+	// be spelled another way: with a '+' sign, with leading zeros, or as -0.
+	Canonical bool
+}
+
+// Value returns the bytes of string field k (a Field* constant) of the
+// datagram f was scanned from.
+func (f *Fields) Value(datagram []byte, k int) []byte {
+	return datagram[f.Values[k].Lo:f.Values[k].Hi]
+}
+
+// Scanned is one datagram together with its scan.
+type Scanned struct {
+	Datagram []byte
+	Fields
+}
+
+// Scan checks a datagram exactly as Decode does — it accepts what Decode
+// accepts and rejects the rest with Decode's error — and reports the header
+// as Fields, allocating nothing on success.
+func Scan(datagram []byte) (Fields, error) {
+	var f Fields
+	if err := scan(datagram, &f); err != nil {
+		return Fields{}, err
+	}
+	return f, nil
+}
+
+// scan is Scan into *f, which holds garbage after an error.
+func scan(datagram []byte, f *Fields) error {
+	ci := bytes.Index(datagram, []byte(contentMark))
+	if ci < 0 {
+		if len(datagram) < len(magic)+1 || string(datagram[:len(magic)+1]) != magic+"|" {
+			return fmt.Errorf("%w: bad magic", ErrMalformed)
+		}
+		return fmt.Errorf("%w: missing CONTENT", ErrMalformed)
+	}
+	hdr := datagram[:ci]
+	if len(hdr) < len(magic)+1 || string(hdr[:len(magic)+1]) != magic+"|" {
+		return fmt.Errorf("%w: bad magic", ErrMalformed)
+	}
+	*f = Fields{Canonical: true}
+	pos := len(magic) + 1
+	for i, prefix := range fieldPrefixes {
+		if len(hdr)-pos < len(prefix) || string(hdr[pos:pos+len(prefix)]) != prefix {
+			return fmt.Errorf("%w: expected field %s", ErrMalformed, prefix[:len(prefix)-1])
+		}
+		pos += len(prefix)
+		lo, hi := pos, len(hdr)
+		if sep := bytes.IndexByte(hdr[pos:], '|'); sep >= 0 {
+			hi, pos = pos+sep, pos+sep+1
+		} else if i == len(fieldPrefixes)-1 {
+			pos = hi // TOT runs to the content marker
+		} else {
+			return fmt.Errorf("%w: unterminated field %s", ErrMalformed, prefix[:len(prefix)-1])
+		}
+		if k := stringField[i]; k >= 0 {
+			f.Values[k] = Span{lo, hi}
+			continue
+		}
+		val := hdr[lo:hi]
+		n, err := decimal(val, i == 5) // TIME is an int64, the rest ints
+		if err != nil {
+			return fmt.Errorf("%w: field %s: %v", ErrMalformed, prefix[:len(prefix)-1], err)
+		}
+		f.Canonical = f.Canonical && canonicalDecimal(val)
+		switch i {
+		case 2:
+			f.PID = int(n)
+		case 5:
+			f.Time = n
+		case 8:
+			f.Seq = int(n)
+		case 9:
+			f.Total = int(n)
+		}
+	}
+	if pos != len(hdr) {
+		// Extra bytes between TOT and the content marker: not Encode output.
+		return fmt.Errorf("%w: trailing header bytes", ErrMalformed)
+	}
+	if f.Total < 1 || f.Seq < 0 || f.Seq >= f.Total {
+		return fmt.Errorf("%w: chunk %d/%d out of range", ErrMalformed, f.Seq, f.Total)
+	}
+	f.Content = ci + len(contentMark)
+	return nil
+}
+
+// canonicalDecimal reports whether a header integer that decimal accepted
+// is spelled as strconv.AppendInt spells its value: no '+', no leading
+// zero, no -0.
+func canonicalDecimal(v []byte) bool {
+	if v[0] == '-' {
+		return v[1] != '0'
+	}
+	return v[0] != '+' && (v[0] != '0' || len(v) == 1)
+}
+
 // Decoder parses datagrams like Parse, remembering the header strings of its
 // previous successful decode. Stored rows arrive in runs of one process — a
 // sealed extent is one (job, host), a job's chunks and categories are written
@@ -203,12 +352,12 @@ func Parse(datagram []byte) (Message, error) {
 // reused (a pooled datagram, a mapped run block) as soon as Decode returns.
 // A Decoder is not safe for concurrent use; its zero value is ready.
 type Decoder struct {
-	prev [6]string // JOBID, STEPID, HASH, HOST, LAYER, TYPE of the last success
+	prev [StringFields]string // JOBID, STEPID, HASH, HOST, LAYER, TYPE of the last success
 }
 
-// stringField maps the string-valued header fields, in wire order, onto the
-// Decoder's memory; -1 marks the integer fields.
-var stringField = [len(fieldPrefixes)]int{0, 1, -1, 2, 3, -1, 4, 5, -1, -1}
+// stringField maps the header fields, in wire order, onto the Field*
+// indexes; -1 marks the integer fields.
+var stringField = [len(fieldPrefixes)]int{FieldJobID, FieldStepID, -1, FieldHash, FieldHost, -1, FieldLayer, FieldType, -1, -1}
 
 // contentMark ends the header region. A valid datagram's header cannot contain
 // '|' inside a value, so its first occurrence is always the real content
@@ -218,90 +367,47 @@ const contentMark = "|CONTENT="
 // Decode parses datagram into *m, overwriting every field. On error *m is the
 // zero Message and the Decoder's memory is unchanged.
 func (d *Decoder) Decode(datagram []byte, m *Message) error {
-	err := d.decode(datagram, m)
-	if err != nil {
+	var f Fields
+	if err := scan(datagram, &f); err != nil {
 		*m = Message{}
+		return err
 	}
-	return err
+	d.fill(datagram, &f, m)
+	return nil
 }
 
-// decode stores *m once, whole, and only on success.
-func (d *Decoder) decode(datagram []byte, m *Message) error {
-	ci := bytes.Index(datagram, []byte(contentMark))
-	if ci < 0 {
-		if len(datagram) < len(magic)+1 || string(datagram[:len(magic)+1]) != magic+"|" {
-			return fmt.Errorf("%w: bad magic", ErrMalformed)
-		}
-		return fmt.Errorf("%w: missing CONTENT", ErrMalformed)
-	}
-	hdr := datagram[:ci]
-	if len(hdr) < len(magic)+1 || string(hdr[:len(magic)+1]) != magic+"|" {
-		return fmt.Errorf("%w: bad magic", ErrMalformed)
-	}
-	vals := d.prev              // committed back only once the whole header is valid
-	var fresh [len(vals)][2]int // [lo, hi) of each value to slice from the region; hi 0 if none
-	var h Header
-	pos := len(magic) + 1
-	for i, prefix := range fieldPrefixes {
-		if len(hdr)-pos < len(prefix) || string(hdr[pos:pos+len(prefix)]) != prefix {
-			return fmt.Errorf("%w: expected field %s", ErrMalformed, prefix[:len(prefix)-1])
-		}
-		pos += len(prefix)
-		lo, hi := pos, len(hdr)
-		if sep := bytes.IndexByte(hdr[pos:], '|'); sep >= 0 {
-			hi, pos = pos+sep, pos+sep+1
-		} else if i == len(fieldPrefixes)-1 {
-			pos = hi // TOT runs to the content marker
-		} else {
-			return fmt.Errorf("%w: unterminated field %s", ErrMalformed, prefix[:len(prefix)-1])
-		}
-		val := hdr[lo:hi]
-		if k := stringField[i]; k >= 0 {
-			if string(val) != vals[k] {
-				fresh[k] = [2]int{lo, hi}
-				if k >= 4 { // LAYER, TYPE
-					if c, ok := constantValue(val); ok {
-						vals[k], fresh[k] = c, [2]int{}
-					}
-				}
-			}
+// Fill builds *m from a datagram and its Scan exactly as Decode would,
+// without scanning the datagram again.
+func (d *Decoder) Fill(s *Scanned, m *Message) { d.fill(s.Datagram, &s.Fields, m) }
+
+func (d *Decoder) fill(datagram []byte, f *Fields, m *Message) {
+	vals := d.prev
+	var region string // the header as one string, made for the first changed value
+	for k, sp := range f.Values {
+		val := datagram[sp.Lo:sp.Hi]
+		if string(val) == vals[k] {
 			continue
 		}
-		n, err := decimal(val, i == 5) // TIME is an int64, the rest ints
-		if err != nil {
-			return fmt.Errorf("%w: field %s: %v", ErrMalformed, prefix[:len(prefix)-1], err)
-		}
-		switch i {
-		case 2:
-			h.PID = int(n)
-		case 5:
-			h.Time = n
-		case 8:
-			h.Seq = int(n)
-		case 9:
-			h.Total = int(n)
-		}
-	}
-	if pos != len(hdr) {
-		// Extra bytes between TOT and the content marker: not Encode output.
-		return fmt.Errorf("%w: trailing header bytes", ErrMalformed)
-	}
-	if h.Total < 1 || h.Seq < 0 || h.Seq >= h.Total {
-		return fmt.Errorf("%w: chunk %d/%d out of range", ErrMalformed, h.Seq, h.Total)
-	}
-	var region string // the header as one string, made for the first changed value
-	for k, f := range fresh {
-		if f[1] != 0 {
-			if region == "" {
-				region = string(hdr)
+		if k >= FieldLayer {
+			if c, ok := constantValue(val); ok {
+				vals[k] = c
+				continue
 			}
-			vals[k] = region[f[0]:f[1]]
 		}
+		if region == "" {
+			region = string(datagram[:f.Content-len(contentMark)])
+		}
+		vals[k] = region[sp.Lo:sp.Hi]
 	}
 	d.prev = vals
-	h.JobID, h.StepID, h.Hash, h.Host, h.Layer, h.Type = vals[0], vals[1], vals[2], vals[3], vals[4], vals[5]
-	*m = Message{Header: h, Content: append([]byte{}, datagram[ci+len(contentMark):]...)} // content non-nil even when empty, like []byte("")
-	return nil
+	*m = Message{
+		Header: Header{
+			JobID: vals[FieldJobID], StepID: vals[FieldStepID], PID: f.PID, Hash: vals[FieldHash],
+			Host: vals[FieldHost], Time: f.Time, Layer: vals[FieldLayer], Type: vals[FieldType],
+			Seq: f.Seq, Total: f.Total,
+		},
+		Content: append([]byte{}, datagram[f.Content:]...), // non-nil even when empty, like []byte("")
+	}
 }
 
 // decimal parses a header integer exactly as strconv.Atoi does, or as
