@@ -277,7 +277,7 @@ func scan(datagram []byte, f *Fields) error {
 	if len(hdr) < len(magic)+1 || string(hdr[:len(magic)+1]) != magic+"|" {
 		return fmt.Errorf("%w: bad magic", ErrMalformed)
 	}
-	*f = Fields{Canonical: true}
+	f.Canonical = true // every other field is set below before a nil return
 	pos := len(magic) + 1
 	for i, prefix := range fieldPrefixes {
 		if len(hdr)-pos < len(prefix) || string(hdr[pos:pos+len(prefix)]) != prefix {
@@ -381,9 +381,10 @@ func (d *Decoder) Decode(datagram []byte, m *Message) error {
 func (d *Decoder) Fill(s *Scanned, m *Message) { d.fill(s.Datagram, &s.Fields, m) }
 
 func (d *Decoder) fill(datagram []byte, f *Fields, m *Message) {
-	vals := d.prev
+	vals := &d.prev   // the scan succeeded, so the memory is updated in place
 	var region string // the header as one string, made for the first changed value
-	for k, sp := range f.Values {
+	for k := range f.Values {
+		sp := &f.Values[k]
 		val := datagram[sp.Lo:sp.Hi]
 		if string(val) == vals[k] {
 			continue
@@ -399,7 +400,6 @@ func (d *Decoder) fill(datagram []byte, f *Fields, m *Message) {
 		}
 		vals[k] = region[sp.Lo:sp.Hi]
 	}
-	d.prev = vals
 	*m = Message{
 		Header: Header{
 			JobID: vals[FieldJobID], StepID: vals[FieldStepID], PID: f.PID, Hash: vals[FieldHash],
