@@ -146,15 +146,16 @@ test-serve:
 		. ./internal/catalog ./internal/server ./internal/sirendb
 
 # Telemetry suite under the race detector (DESIGN.md §13): the obs core
-# (lock-free records racing scrapes and registration), the Prometheus
-# exposition golden and grammar tests, the per-tier instrument tests
-# (receiver stages and the Stats-to-/metrics parity walk, server percentiles,
-# shape-compat and one-instrument pins, the store's single run-read-error
-# counter, membership probe/retry), and the live-campaign /metrics scrape of
-# a real siren-receiver process with -pprof.
+# (lock-free records racing scrapes and registration) and its runtime
+# gauges, the Prometheus exposition golden and grammar tests, the per-tier
+# instrument tests (receiver stages, the Stats-to-/metrics and
+# StoreStats-to-/metrics parity walks, the stats record, server percentiles
+# and the /api/v1/stats-to-/metrics one-instrument pin, membership
+# probe/retry counters), and the /metrics scrapes of real siren-receiver
+# processes, one live campaign with -pprof and one roster member.
 test-obs:
 	$(GO) test -race -count=1 \
-		-run 'Histogram|Counter|Gauge|Registry|RegisterDuringScrape|Prometheus|Expvar|Metrics|StatsLine|Percentiles|DebugVars|ProberInstrumented|RetryTransportBridge|BucketBounds' \
+		-run 'Histogram|Counter|Gauge|Registry|RegisterDuringScrape|Prometheus|Metrics|StatsLine|Percentiles|ProberInstrumented|BucketBounds' \
 		. ./internal/obs ./internal/receiver ./internal/server ./internal/membership ./internal/sirendb
 
 # Serving-tier benchmarks (EXPERIMENTS.md §6): identify throughput through

@@ -12,8 +12,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -94,27 +92,6 @@ func (p *rcvProc) stop(t *testing.T) []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]string(nil), p.lines...)
-}
-
-var statsRe = regexp.MustCompile(`received=(\d+) inserted=(\d+) malformed=(\d+) dropped=(\d+) rejected=(\d+) insert_errors=(\d+) insert_lost=(\d+) accepted_failover=(\d+) queue=(\d+) insert_p99_ns=(\d+) rows=(\d+)`)
-
-type rcvStats struct {
-	received, inserted, malformed, dropped, rejected, insertErrors, insertLost, acceptedFailover, queue, insertP99NS, rows int
-}
-
-func finalStats(t *testing.T, lines []string) rcvStats {
-	t.Helper()
-	for i := len(lines) - 1; i >= 0; i-- {
-		if m := statsRe.FindStringSubmatch(lines[i]); m != nil {
-			f := make([]int, 11)
-			for j := range f {
-				f[j], _ = strconv.Atoi(m[j+1])
-			}
-			return rcvStats{f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7], f[8], f[9], f[10]}
-		}
-	}
-	t.Fatalf("no stats line in receiver output:\n%s", strings.Join(lines, "\n"))
-	return rcvStats{}
 }
 
 // fanoutTransport broadcasts every datagram to all member transports — the
@@ -210,48 +187,48 @@ func TestMultiReceiverClusterEndToEnd(t *testing.T) {
 	}
 	time.Sleep(200 * time.Millisecond) // let the last loopback datagrams land
 
-	singleStats := finalStats(t, single.stop(t))
-	memberStats := make([]rcvStats, parts)
+	singleStats := lastStatsRecord(t, single.stop(t))
+	memberStats := make([]map[string]int, parts)
 	for k, p := range members {
-		memberStats[k] = finalStats(t, p.stop(t))
+		memberStats[k] = lastStatsRecord(t, p.stop(t))
 	}
 
 	// The equality assertions below presuppose lossless delivery; loopback
 	// with an 8 MiB socket buffer and drain-on-close provides it, and this
 	// check tells a kernel-drop flake apart from an admission bug.
-	for i, st := range append([]rcvStats{singleStats}, memberStats...) {
-		if st.received != fan.sent {
-			t.Fatalf("receiver %d saw %d of %d datagrams (kernel loss?); cannot assert admission equalities", i, st.received, fan.sent)
+	for i, st := range append([]map[string]int{singleStats}, memberStats...) {
+		if st["received"] != fan.sent {
+			t.Fatalf("receiver %d saw %d of %d datagrams (kernel loss?); cannot assert admission equalities", i, st["received"], fan.sent)
 		}
-		if st.malformed != 0 || st.dropped != 0 || st.insertErrors != 0 || st.insertLost != 0 {
+		if st["malformed"] != 0 || st["dropped"] != 0 || st["insert_errors"] != 0 || st["insert_lost"] != 0 {
 			t.Fatalf("receiver %d reported losses: %+v", i, st)
 		}
-		if st.acceptedFailover != 0 {
-			t.Errorf("receiver %d accepted_failover=%d under a roster nobody probes, want 0", i, st.acceptedFailover)
+		if st["accepted_failover"] != 0 {
+			t.Errorf("receiver %d accepted_failover=%d under a roster nobody probes, want 0", i, st["accepted_failover"])
 		}
 	}
 
 	// Admission contract: the single receiver ingested the whole campaign;
 	// the members ingested disjoint slices that union to it exactly — zero
 	// double-ingest — and every non-owned datagram is visible as rejected.
-	if singleStats.inserted != fan.sent || singleStats.rejected != 0 {
+	if singleStats["inserted"] != fan.sent || singleStats["rejected"] != 0 {
 		t.Errorf("single receiver: %+v, want inserted=%d rejected=0", singleStats, fan.sent)
 	}
 	sumRows := 0
 	for k, st := range memberStats {
-		if st.inserted == 0 {
+		if st["inserted"] == 0 {
 			t.Errorf("member %d ingested nothing; roster admission over-rejected", k)
 		}
-		if st.rejected != fan.sent-st.inserted {
-			t.Errorf("member %d: rejected=%d, want received-inserted=%d", k, st.rejected, fan.sent-st.inserted)
+		if st["rejected"] != fan.sent-st["inserted"] {
+			t.Errorf("member %d: rejected=%d, want received-inserted=%d", k, st["rejected"], fan.sent-st["inserted"])
 		}
-		if st.rejected == 0 {
+		if st["rejected"] == 0 {
 			t.Errorf("member %d rejected nothing; admission is not filtering", k)
 		}
-		sumRows += st.rows
+		sumRows += st["rows"]
 	}
-	if sumRows != singleStats.rows {
-		t.Errorf("member rows sum to %d, single receiver stored %d: double- or under-ingest across the roster", sumRows, singleStats.rows)
+	if sumRows != singleStats["rows"] {
+		t.Errorf("member rows sum to %d, single receiver stored %d: double- or under-ingest across the roster", sumRows, singleStats["rows"])
 	}
 
 	// Analysis equivalence: the merged member set must reproduce the single

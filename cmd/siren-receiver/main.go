@@ -1,7 +1,7 @@
 // Command siren-receiver is the standalone UDP message receiver: it binds a
 // socket, funnels datagrams through hash-partitioned writer shards into the
-// WAL-backed database, logs a periodic stats line, and reports final
-// statistics on shutdown (SIGINT/SIGTERM) — the Go receiver of the paper's
+// WAL-backed database, logs a periodic stats record, and logs it once more
+// on shutdown (SIGINT/SIGTERM) — the Go receiver of the paper's
 // architecture (Figure 1), scaled out per DESIGN.md.
 //
 // Usage:
@@ -12,12 +12,15 @@
 //	               [-sync-interval 100ms]
 //	               [-rcvbuf BYTES] [-stats-interval 10s]
 //	               [-serve-addr HOST:PORT] [-refresh-interval 5s]
-//	               [-seal-interval 0] [-retain 0] [-pprof]
+//	               [-seal-interval 0] [-retain 0] [-metrics-addr HOST:PORT] [-pprof]
 //
-// The -expvar-addr mux additionally serves GET /metrics — every tier's
-// latency histograms and counters (ingest stages, WAL fsync, seal phases,
-// catalog refresh, probe RTT) in Prometheus text format — and, with -pprof,
-// the net/http/pprof profiling handlers under /debug/pprof/.
+// The stats record is one log/slog text line on stdout (msg=stats) carrying
+// every ingest counter, the queue depth, the insert p99 and the row count.
+// The -metrics-addr mux serves GET /metrics — every tier's counters, gauges
+// and latency histograms (ingest stages, store state, WAL fsync, seal phases,
+// catalog refresh, probe RTT, Go heap and GC) in Prometheus text format —
+// and, with -pprof, the net/http/pprof profiling handlers under
+// /debug/pprof/.
 //
 // -seal-interval periodically freezes the WAL head into immutable sorted
 // run files (sirendb.Seal): restart replay then costs only the rows since
@@ -60,8 +63,8 @@
 //
 // When one receiver dies its keys reassign to survivors with no operator
 // action (admitted keys whose all-live owner was the dead member are counted
-// accepted_failover). -addr and -expvar-addr default from the member's
-// roster entry (UDP@health); the health side of the stats mux serves
+// accepted_failover). -addr and -metrics-addr default from the member's
+// roster entry (UDP@health); the health side of the metrics mux serves
 // /healthz (liveness + ingest-stall, see -health-stall), GET /membership
 // (the live view as JSON), and POST /membership/down?id=X (confirm-probed
 // death reports from senders). A background prober
@@ -71,10 +74,9 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
-	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -99,7 +101,7 @@ func main() {
 }
 
 // run owns the whole process lifecycle so every defer — the store's final
-// fsync-and-close, the receiver drain, the expvar listener — fires on the
+// fsync-and-close, the receiver drain, the metrics listener — fires on the
 // error paths too. The old main called os.Exit from a fatal() helper, which
 // skipped deferred closes: a ListenUDP failure after a successful open
 // leaked the group-commit syncers and bypassed the final WAL fsync.
@@ -112,8 +114,8 @@ func run() (err error) {
 	rcvbuf := flag.Int("rcvbuf", 0, "requested SO_RCVBUF in bytes (0 = default 4 MiB)")
 	syncEvery := flag.Duration("sync-interval", sirendb.DefaultSyncInterval,
 		"group-commit fsync latency bound (negative = fsync every batch)")
-	statsEvery := flag.Duration("stats-interval", 10*time.Second, "period of the stats log line (0 disables)")
-	expvarAddr := flag.String("expvar-addr", "", "HTTP listen address exporting receiver+store stats as expvar under /debug/vars (\"\" disables; defaults to the roster health address in membership mode)")
+	statsEvery := flag.Duration("stats-interval", 10*time.Second, "period of the stats log record (0 disables; the record is still logged at shutdown)")
+	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address serving GET /metrics, /healthz and /membership (\"\" disables; defaults to the roster health address in membership mode)")
 	memberID := flag.String("member-id", "", "this receiver's ID in -roster (enables membership-table admission)")
 	rosterSpec := flag.String("roster", "", "campaign roster as \"id=udp@health,...\" (health optional); requires -member-id")
 	probeEvery := flag.Duration("probe-interval", time.Second, "period of background peer health probes in membership mode (<= 0 disables)")
@@ -121,7 +123,7 @@ func run() (err error) {
 	healthStall := flag.Duration("health-stall", 0, "make /healthz report 503 if the UDP socket is open but no datagram arrived for this long (0 disables stall detection)")
 	sealEvery := flag.Duration("seal-interval", 0, "period of sealing the WAL head into immutable run files (0 disables; bounds restart replay to the rows since the last seal)")
 	retain := flag.Int("retain", 0, "sealed generations to keep after each seal; older runs are deleted (0 keeps everything; requires -seal-interval)")
-	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the -expvar-addr mux")
+	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the -metrics-addr mux")
 	serveAddr := flag.String("serve-addr", "", "HTTP listen address of the online recognition API over the live store (\"\" disables)")
 	refreshEvery := flag.Duration("refresh-interval", 5*time.Second, "period of incremental catalog refresh behind -serve-addr (<= 0 disables: the served catalog then never sees ingested rows)")
 	flag.Parse()
@@ -157,21 +159,22 @@ func run() (err error) {
 		if !setFlags["addr"] {
 			*addr = self.UDPAddr
 		}
-		if !setFlags["expvar-addr"] && self.HealthAddr != "" {
-			*expvarAddr = self.HealthAddr
+		if !setFlags["metrics-addr"] && self.HealthAddr != "" {
+			*metricsAddr = self.HealthAddr
 		}
 	}
 
-	if *pprofOn && *expvarAddr == "" {
-		return errors.New("-pprof needs -expvar-addr: the profiling handlers live on the stats mux")
+	if *pprofOn && *metricsAddr == "" {
+		return errors.New("-pprof needs -metrics-addr: the profiling handlers live on the metrics mux")
 	}
 
 	// One process-wide metrics registry shared by every tier — the store's
 	// WAL/seal histograms, the receiver's pipeline stages, the catalog's
 	// refresh timings, the server's per-endpoint latencies and the prober's
 	// RTTs all register here, so a single GET /metrics scrape covers the
-	// whole pipeline (DESIGN.md §13).
+	// whole pipeline (DESIGN.md §13), Go heap and GC included.
 	reg := obs.NewRegistry("siren-receiver")
+	reg.RegisterRuntime()
 
 	// One store shard (and WAL segment) per writer keeps the writer→store
 	// mapping 1:1, so every batch lands in its store shard without
@@ -212,33 +215,11 @@ func run() (err error) {
 	fmt.Printf("siren-receiver: listening on %s (%s), storing to %s (%d shards, %d replayed rows, %d corrupt skipped, opened in %s)\n",
 		bound, slice, *dbPath, db.StoreShards(), db.Count(), db.CorruptRecords(), opened)
 
-	// Telemetry: the same counters the periodic log line prints, plus the
-	// store's WAL/durability state, as machine-readable expvar JSON — the
-	// backpressure counters (Dropped, Rejected, InsertErrors, InsertLost)
-	// are the ones an operator alerts on. The vars live in a local map
-	// served by a dedicated mux + http.Server: nothing touches the global
-	// expvar registry or http.DefaultServeMux (whose Publish/Handle calls
-	// panic on re-registration — two receivers embedded in one test process
-	// used to collide), and Shutdown on exit drains the listener cleanly
+	// Telemetry: one dedicated mux + http.Server — nothing touches
+	// http.DefaultServeMux — and Shutdown on exit drains the listener
 	// instead of abandoning in-flight scrapes.
-	if *expvarAddr != "" {
-		vars := new(expvar.Map).Init()
-		vars.Set("siren_receiver", expvar.Func(func() any { return rcv.Stats().Snapshot() }))
-		vars.Set("siren_store", expvar.Func(func() any { return db.Stats() }))
-		vars.Set("siren_metrics", reg.Expvar())
-		// Mirror the two vars the expvar package itself publishes, so
-		// scrapes of the old DefaultServeMux endpoint (heap/GC dashboards
-		// read memstats) keep working against the dedicated mux.
-		for _, name := range []string{"cmdline", "memstats"} {
-			if v := expvar.Get(name); v != nil {
-				vars.Set(name, v)
-			}
-		}
+	if *metricsAddr != "" {
 		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			io.WriteString(w, vars.String())
-		})
 		mux.Handle("/metrics", reg.Handler())
 		// Profiling rides the same dedicated mux, registered handler by
 		// handler — never via the package's blank-import side effect, which
@@ -259,7 +240,7 @@ func run() (err error) {
 			mux.Handle("/membership/down", view.DownHandler(*probeTimeout))
 		}
 		hs := &http.Server{Handler: mux}
-		ln, err := net.Listen("tcp", *expvarAddr)
+		ln, err := net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			return err
 		}
@@ -268,10 +249,10 @@ func run() (err error) {
 			defer cancel()
 			hs.Shutdown(ctx)
 		}()
-		fmt.Printf("siren-receiver: expvar on http://%s/debug/vars\n", ln.Addr())
+		fmt.Printf("siren-receiver: metrics on http://%s/metrics\n", ln.Addr())
 		go func() {
 			if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "siren-receiver: expvar server:", err)
+				fmt.Fprintln(os.Stderr, "siren-receiver: metrics server:", err)
 			}
 		}()
 	}
@@ -372,6 +353,8 @@ func run() (err error) {
 		}()
 	}
 
+	logger := slog.New(slog.NewTextHandler(os.Stdout, nil))
+	logStats := func() { rcv.LogStats(logger, slog.Int("rows", db.Count())) }
 	if *statsEvery > 0 {
 		go func() {
 			t := time.NewTicker(*statsEvery)
@@ -379,7 +362,7 @@ func run() (err error) {
 			for {
 				select {
 				case <-t.C:
-					fmt.Printf("siren-receiver: %s rows=%d\n", rcv.StatsLine(), db.Count())
+					logStats()
 				case <-stop:
 					return
 				}
@@ -392,6 +375,6 @@ func run() (err error) {
 	if err := rcv.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("siren-receiver: %s rows=%d\n", rcv.StatsLine(), db.Count())
+	logStats()
 	return db.Close()
 }

@@ -34,8 +34,9 @@
 //
 // API: POST /api/v1/identify, GET /api/v1/jobs, /api/v1/clusters?threshold=,
 // /api/v1/report, /api/v1/stats, /healthz (see internal/server). GET /metrics
-// serves the process's telemetry — per-endpoint latency histograms and the
-// catalog's refresh timings — in Prometheus text format, and -pprof adds the
+// serves the process's telemetry — per-endpoint latency histograms, the
+// catalog's refresh timings, and Go heap and GC gauges — in Prometheus text
+// format, and -pprof adds the
 // net/http/pprof profiling handlers under /debug/pprof/ on the same listener.
 //
 // The catalog is built once at start-up: both open modes hold a lock that
@@ -93,9 +94,11 @@ func run() (err error) {
 	// member close must surface in run's error, not vanish.
 	defer func() { err = errors.Join(err, set.Close()) }()
 
-	// One process registry: the catalog's refresh instruments and the
-	// server's per-endpoint histograms share it, so GET /metrics covers both.
+	// One process registry: the catalog's refresh instruments, the server's
+	// per-endpoint histograms and the runtime gauges share it, so GET
+	// /metrics covers all three.
 	reg := obs.NewRegistry("siren-serve")
+	reg.RegisterRuntime()
 	cat := catalog.New(catalog.SetSource(set), catalog.Options{Workers: *workers, Metrics: reg})
 	rs := cat.Refresh()
 	fmt.Printf("siren-serve: catalog generation %d: %d jobs, %d processes, %d fingerprints (store opened in %s, %s from %d members)\n",

@@ -4,8 +4,6 @@
 package siren_test
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -13,7 +11,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -110,12 +107,12 @@ func TestCommandLineSurface(t *testing.T) {
 	}
 }
 
-// TestReceiverExpvar runs siren-receiver with -expvar-addr as one member of a
-// two-member roster, feeds it real datagrams over UDP — some owned by this
-// member, some by its (absent) sibling — and checks the /debug/vars endpoint
+// TestReceiverMetricsMember runs siren-receiver with -metrics-addr as one
+// member of a two-member roster, feeds it real datagrams over UDP — some
+// owned by this member, some by its (absent) sibling — and checks /metrics
 // serves the receiver and store counters, including the rejected-datagram
-// count.
-func TestReceiverExpvar(t *testing.T) {
+// count, and that nothing answers on /debug/vars.
+func TestReceiverMetricsMember(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping CLI build")
 	}
@@ -151,50 +148,18 @@ func TestReceiverExpvar(t *testing.T) {
 	}
 
 	work := t.TempDir()
-	cmd := exec.Command(bin,
-		"-addr", "127.0.0.1:0",
-		"-db", filepath.Join(work, "siren.wal"),
-		"-member-id", self,
-		"-roster", "r0=127.0.0.1:1,r1=127.0.0.1:2",
-		"-expvar-addr", "127.0.0.1:0",
-		"-stats-interval", "0")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		cmd.Process.Signal(syscall.SIGTERM)
-		done := make(chan error, 1)
-		go func() { done <- cmd.Wait() }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			cmd.Process.Kill()
-			t.Error("receiver did not exit on SIGTERM")
-		}
-	}()
-
-	// The first two stdout lines announce the bound UDP and expvar
-	// addresses.
-	var udpAddr, expvarURL string
-	sc := bufio.NewScanner(stdout)
-	for (udpAddr == "" || expvarURL == "") && sc.Scan() {
-		line := sc.Text()
-		if _, rest, ok := strings.Cut(line, "listening on "); ok {
-			udpAddr = strings.Fields(rest)[0]
-			udpAddr = strings.TrimSuffix(udpAddr, ",")
-		}
-		if _, rest, ok := strings.Cut(line, "expvar on "); ok {
-			expvarURL = strings.TrimSpace(rest)
-		}
-	}
-	if udpAddr == "" || expvarURL == "" {
-		t.Fatalf("startup lines missing (udp=%q expvar=%q): %v", udpAddr, expvarURL, sc.Err())
-	}
+	found, stop := startCmd(t, bin,
+		[]string{
+			"-addr", "127.0.0.1:0",
+			"-db", filepath.Join(work, "siren.wal"),
+			"-member-id", self,
+			"-roster", "r0=127.0.0.1:1,r1=127.0.0.1:2",
+			"-metrics-addr", "127.0.0.1:0",
+			"-stats-interval", "0",
+		},
+		[]string{"listening on ", "metrics on "})
+	defer stop()
+	udpAddr, metricsURL := found["listening on "], found["metrics on "]
 
 	// Feed real datagrams so the counters move: 5 owned by this member,
 	// 3 owned by the (absent) sibling member.
@@ -218,41 +183,36 @@ func TestReceiverExpvar(t *testing.T) {
 		}
 	}
 
-	// Poll /debug/vars until the datagrams surface in the counters.
+	// Poll /metrics until the datagrams surface in the counters.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var vars struct {
-			Receiver struct {
-				Received int64
-				Inserted int64
-				Rejected int64
-			} `json:"siren_receiver"`
-			Store struct {
-				Rows   int
-				Shards int
-			} `json:"siren_store"`
-		}
-		resp, err := http.Get(expvarURL)
-		if err == nil {
-			err = json.NewDecoder(resp.Body).Decode(&vars)
-			resp.Body.Close()
-		}
-		if err == nil && vars.Receiver.Received >= 8 && vars.Store.Rows >= 5 {
-			if vars.Store.Shards < 1 {
-				t.Errorf("store stats missing shard count: %+v", vars.Store)
+		text := scrape(t, metricsURL)
+		if sampleValue(text, "siren_ingest_received_total") >= 8 && sampleValue(text, "siren_store_rows") >= 5 {
+			if got := sampleValue(text, "siren_store_shards"); got < 1 {
+				t.Errorf("siren_store_shards = %d, want the store's shard count", got)
 			}
-			if vars.Receiver.Rejected != 3 {
-				t.Errorf("expvar Rejected = %d, want 3", vars.Receiver.Rejected)
+			if got := sampleValue(text, "siren_ingest_rejected_total"); got != 3 {
+				t.Errorf("siren_ingest_rejected_total = %d, want 3", got)
 			}
-			if vars.Store.Rows != 5 {
-				t.Errorf("store rows = %d, want only the 5 owned datagrams", vars.Store.Rows)
+			if got := sampleValue(text, "siren_store_rows"); got != 5 {
+				t.Errorf("siren_store_rows = %d, want only the 5 owned datagrams", got)
 			}
-			return
+			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("expvar counters never reached 8 datagrams: last err=%v vars=%+v", err, vars)
+			t.Fatalf("counters never reached 8 datagrams:\n%s", text)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+
+	// /metrics is the one exposition: nothing answers on /debug/vars.
+	resp, err := http.Get(strings.TrimSuffix(metricsURL, "/metrics") + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/vars status = %d, want 404", resp.StatusCode)
 	}
 }
 

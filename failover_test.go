@@ -129,7 +129,7 @@ func TestKillOneOfNFailover(t *testing.T) {
 	procs := make([]*rcvProc, members)
 	for k := 0; k < members; k++ {
 		memberWALs[k] = filepath.Join(work, fmt.Sprintf("member-%d.wal", k))
-		// -addr and -expvar-addr default from the roster entry. The
+		// -addr and -metrics-addr default from the roster entry. The
 		// background prober is off: survivors must learn of the death from
 		// the sender's confirm-probed /membership/down report alone.
 		procs[k] = startReceiver(t, receiverBin,
@@ -225,11 +225,11 @@ func TestKillOneOfNFailover(t *testing.T) {
 	}
 	procs[victim].cmd.Wait()
 
-	baseStats := finalStats(t, baseline.stop(t))
-	if baseStats.received != tee.sent {
-		t.Fatalf("baseline saw %d of %d datagrams (kernel loss?); cannot assert byte identity", baseStats.received, tee.sent)
+	baseStats := lastStatsRecord(t, baseline.stop(t))
+	if baseStats["received"] != tee.sent {
+		t.Fatalf("baseline saw %d of %d datagrams (kernel loss?); cannot assert byte identity", baseStats["received"], tee.sent)
 	}
-	if baseStats.inserted != tee.sent || baseStats.rejected != 0 {
+	if baseStats["inserted"] != tee.sent || baseStats["rejected"] != 0 {
 		t.Fatalf("baseline stats %+v, want inserted=%d rejected=0", baseStats, tee.sent)
 	}
 
@@ -241,17 +241,17 @@ func TestKillOneOfNFailover(t *testing.T) {
 		if k == victim {
 			continue
 		}
-		st := finalStats(t, procs[k].stop(t))
-		if st.malformed != 0 || st.dropped != 0 || st.insertErrors != 0 || st.insertLost != 0 {
+		st := lastStatsRecord(t, procs[k].stop(t))
+		if st["malformed"] != 0 || st["dropped"] != 0 || st["insert_errors"] != 0 || st["insert_lost"] != 0 {
 			t.Fatalf("survivor %d reported losses: %+v", k, st)
 		}
-		if st.rejected != 0 {
-			t.Errorf("survivor %d rejected %d datagrams: admission raced the failover report", k, st.rejected)
+		if st["rejected"] != 0 {
+			t.Errorf("survivor %d rejected %d datagrams: admission raced the failover report", k, st["rejected"])
 		}
-		if st.inserted != st.received {
-			t.Errorf("survivor %d inserted %d of %d received", k, st.inserted, st.received)
+		if st["inserted"] != st["received"] {
+			t.Errorf("survivor %d inserted %d of %d received", k, st["inserted"], st["received"])
 		}
-		failoverAccepted += st.acceptedFailover
+		failoverAccepted += st["accepted_failover"]
 	}
 	if failoverAccepted == 0 {
 		t.Error("no survivor counted accepted_failover: reassigned keys were never admitted as such")
@@ -274,10 +274,10 @@ func TestKillOneOfNFailover(t *testing.T) {
 	if dst.Conflicts != 0 {
 		t.Errorf("failover overlap produced %d conflicting runs, want 0 (%+v)", dst.Conflicts, dst)
 	}
-	if snap.Count() != baseStats.rows {
+	if snap.Count() != baseStats["rows"] {
 		t.Errorf("merged rows = %d after dedup (%d before), baseline stored %d: failover %s",
-			snap.Count(), preDedup, baseStats.rows,
-			map[bool]string{true: "double-ingested", false: "lost rows"}[snap.Count() > baseStats.rows])
+			snap.Count(), preDedup, baseStats["rows"],
+			map[bool]string{true: "double-ingested", false: "lost rows"}[snap.Count() > baseStats["rows"]])
 	}
 	if err := set.Close(); err != nil { // release the WAL locks for siren-analyze
 		t.Fatal(err)

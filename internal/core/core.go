@@ -112,12 +112,8 @@ func NewPipeline(opts Options) (*Pipeline, error) {
 	}
 
 	if opts.SendRetries > 0 {
-		p.retryTr = &membership.RetryTransport{
-			T:       p.transport,
-			Retries: opts.SendRetries,
-			Backoff: membership.Backoff{Base: 5 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: 0.2},
-		}
-		p.retryTr.InstrumentWith(opts.Metrics)
+		p.retryTr = membership.NewRetryTransport(p.transport, opts.SendRetries,
+			membership.Backoff{Base: 5 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: 0.2}, opts.Metrics)
 		p.transport = p.retryTr
 	}
 	if opts.LossRate > 0 {

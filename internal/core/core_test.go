@@ -58,7 +58,7 @@ func TestPipelineUDPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Loopback UDP may drop a little under burst, but the bulk must arrive.
-	if got := p.Receiver().Stats().Received.Load(); got == 0 {
+	if got := p.Receiver().Stats().Received.Value(); got == 0 {
 		t.Fatal("nothing received over UDP")
 	}
 	if len(data.Users()) < 10 {

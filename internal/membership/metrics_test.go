@@ -1,6 +1,7 @@
 package membership
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -47,11 +48,11 @@ func TestProberInstrumented(t *testing.T) {
 	}
 }
 
-// TestRetryTransportBridge pins the exposition names of the sender bridge.
-func TestRetryTransportBridge(t *testing.T) {
+// TestRetryTransportMetrics pins the exposition names of the sender's
+// counters, and that Stats reads the same counters /metrics serves.
+func TestRetryTransportMetrics(t *testing.T) {
 	reg := obs.NewRegistry("test")
-	rt := &RetryTransport{T: &flakyTransport{failN: 2}, Retries: 3}
-	rt.InstrumentWith(reg)
+	rt := NewRetryTransport(&flakyTransport{failN: 2}, 3, Backoff{}, reg)
 	if err := rt.Send([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +61,17 @@ func TestRetryTransportBridge(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := b.String()
+	s := rt.Stats()
 	for _, want := range []string{
-		"siren_send_delivered_total 1",
-		"siren_send_retries_total 2",
-		"siren_send_errors_total 0",
+		fmt.Sprintf("siren_send_delivered_total %d\n", s.Sent),
+		fmt.Sprintf("siren_send_retries_total %d\n", s.Retries),
+		fmt.Sprintf("siren_send_errors_total %d\n", s.SendErrors),
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
+	}
+	if s != (SendStats{Sent: 1, Retries: 2}) {
+		t.Fatalf("stats = %+v, want Sent=1 Retries=2 SendErrors=0", s)
 	}
 }

@@ -151,7 +151,7 @@ var _ wire.Transport = (*RetryTransport)(nil)
 
 func TestRetryTransportRecovers(t *testing.T) {
 	f := &flakyTransport{failN: 2}
-	rt := &RetryTransport{T: f, Retries: 3}
+	rt := NewRetryTransport(f, 3, Backoff{}, nil)
 	if err := rt.Send([]byte("x")); err != nil {
 		t.Fatalf("Send with 3 retries over 2 failures: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestRetryTransportRecovers(t *testing.T) {
 
 func TestRetryTransportExhausted(t *testing.T) {
 	f := &flakyTransport{failN: 100}
-	rt := &RetryTransport{T: f, Retries: 2}
+	rt := NewRetryTransport(f, 2, Backoff{}, nil)
 	if err := rt.Send([]byte("x")); err == nil {
 		t.Fatal("Send: want error after exhausting retries")
 	}
@@ -175,7 +175,7 @@ func TestRetryTransportExhausted(t *testing.T) {
 		t.Fatalf("stats = %+v, want Sent=0 Retries=2 SendErrors=1", s)
 	}
 	// Retries=0 fails immediately but still counts the loss.
-	rt0 := &RetryTransport{T: &flakyTransport{failN: 100}}
+	rt0 := NewRetryTransport(&flakyTransport{failN: 100}, 0, Backoff{}, nil)
 	if err := rt0.Send([]byte("x")); err == nil {
 		t.Fatal("Retries=0 Send: want error")
 	}

@@ -1,16 +1,16 @@
 // Package obs is the zero-dependency metrics core shared by every siren
-// serving tier: atomic counters, scrape-time gauges and counters over values
-// a component already tracks, and log-bucketed histograms with percentile
-// snapshots, grouped under a named Registry.
+// serving tier: atomic counters, scrape-time gauges over values a component
+// already tracks, and log-bucketed histograms with percentile snapshots,
+// grouped under a named Registry. A component counts in its registry's
+// counters and reads its own snapshots back from them, so every number has
+// one home.
 //
 // There are no package-level globals and nothing is registered on the
 // process-wide expvar or http.DefaultServeMux registries — a Registry is an
 // ordinary value owned by whoever created it, so several can coexist in one
-// process (mirroring the server's unregistered expvar map; the nodefaultmux
-// lint rule enforces the same contract here). Exposition is pull-based:
-// WritePrometheus / Handler render the Prometheus text format for a
-// GET /metrics endpoint, and Expvar bridges the same instruments into the
-// /debug/vars JSON shape the existing tooling already scrapes.
+// process (the nodefaultmux lint rule enforces the same contract). Exposition
+// is pull-based and single: WritePrometheus / Handler render the Prometheus
+// text format for a GET /metrics endpoint.
 //
 // Recording on the hot path is lock-free and allocation-free: a counter is a
 // single atomic, and Histogram.Record is three atomic adds plus a
@@ -62,17 +62,17 @@ const (
 )
 
 // A Registry is a named, self-contained set of instruments. The name is
-// informational (it appears in error messages and the expvar bridge), not a
-// metric-name prefix. Methods are safe for concurrent use.
+// informational (it appears in error messages), not a metric-name prefix.
+// Methods are safe for concurrent use.
 //
 // Registration serialises on mu; scrapes never take it. What a scrape walks
 // — the name-sorted family list and each family's entry list — is a linked
 // list of atomic next pointers: a node is fully built before one Store
 // links it in, and is never changed afterwards, so a scrape racing a
 // registration sees the list with or without the new node. Registering one
-// instrument costs about two allocations (its family, and its entry with
-// the instrument inside), so a tier that builds a registry per store open
-// pays next to nothing for it.
+// instrument costs one allocation (its entry with the instrument inside,
+// and its family when it starts one), so a tier that builds a registry per
+// store open pays next to nothing for it.
 type Registry struct {
 	name string
 
@@ -122,13 +122,10 @@ func (f *family) entries() iter.Seq[*entry] {
 }
 
 // NewRegistry returns an empty registry. name identifies the owning process
-// or subsystem (e.g. "siren-receiver") in diagnostics and the expvar bridge.
+// or subsystem (e.g. "siren-receiver") in diagnostics.
 func NewRegistry(name string) *Registry {
 	return &Registry{name: name}
 }
-
-// Name returns the registry's name.
-func (r *Registry) Name() string { return r.name }
 
 // sameLabels reports whether two label sets are equal regardless of order.
 // Registration-time only.
@@ -144,15 +141,16 @@ func sameLabels(a, b []Label) bool {
 	return true
 }
 
-// register finds or creates the (name, labels) entry of the given kind; a
-// new entry comes from build — which allocates the entry together with its
-// instrument — and is linked in under the lock, fully built, before any
-// scrape can reach it. Registering the same name+labels twice returns the
-// existing entry, so independent components can share one instrument;
-// re-registering a name with a different kind or a malformed name panics —
-// both are programmer errors, caught at construction time, never on the
-// record path.
-func (r *Registry) register(name, help string, k kind, labels []Label, build func() *entry) *entry {
+// register finds or creates the (name, labels) entry of kind k. A new entry
+// is allocated together with its instrument, of type I, and — when it
+// starts a family — with the family too, so registering costs one
+// allocation; bind points the entry at its instrument. The entry is linked
+// in under the lock, fully built, before any scrape can reach it.
+// Registering the same name+labels twice returns the existing entry, so
+// independent components can share one instrument; re-registering a name
+// with a different kind or a malformed name panics — both are programmer
+// errors, caught at construction time, never on the record path.
+func register[I any](r *Registry, name, help string, k kind, labels []Label, bind func(*entry, *I)) *entry {
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("obs: registry %q: invalid metric name %q", r.name, name))
 	}
@@ -182,20 +180,30 @@ func (r *Registry) register(name, help string, k kind, labels []Label, build fun
 				return e
 			}
 		}
-	}
-	e := build()
-	e.labels = append(e.inline[:0], labels...)
-	if f != nil {
-		f.last.next.Store(e)
-		f.last = e
-		return e
+		n := &struct {
+			e    entry
+			inst I
+		}{}
+		n.e.labels = append(n.e.inline[:0], labels...)
+		bind(&n.e, &n.inst)
+		f.last.next.Store(&n.e)
+		f.last = &n.e
+		return &n.e
 	}
 	// A new family is published with its first entry already in place.
-	f = &family{name: name, help: help, kind: k, last: e}
-	f.first.Store(e)
+	n := &struct {
+		f    family
+		e    entry
+		inst I
+	}{}
+	n.e.labels = append(n.e.inline[:0], labels...)
+	bind(&n.e, &n.inst)
+	f = &n.f
+	f.name, f.help, f.kind, f.last = name, help, k, &n.e
+	f.first.Store(&n.e)
 	f.next.Store(at.Load())
 	at.Store(f)
-	return e
+	return &n.e
 }
 
 // ---- Counter ----
@@ -206,21 +214,9 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Counter finds or creates the counter (name, labels). It panics when that
-// name and label set is already a CounterFunc: the two cannot share a value.
+// Counter finds or creates the counter (name, labels).
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := r.register(name, help, kindCounter, labels, func() *entry {
-		n := &struct {
-			entry
-			c Counter
-		}{}
-		n.counter = &n.c
-		return &n.entry
-	}).counter
-	if c == nil {
-		panic(fmt.Sprintf("obs: registry %q: metric %q registered as a CounterFunc, re-registered as a Counter", r.name, name))
-	}
-	return c
+	return register(r, name, help, kindCounter, labels, func(e *entry, c *Counter) { e.counter = c }).counter
 }
 
 // Inc adds 1.
@@ -238,22 +234,13 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// CounterFunc registers a counter whose value is computed by f at
-// exposition time — the bridge for monotone counts a component already
-// tracks in its own atomics (e.g. receiver Stats): the hot path keeps its
-// single existing increment and the registry reads it only when scraped.
-// f must be monotone non-decreasing and safe to call from any goroutine.
-func (r *Registry) CounterFunc(name, help string, f func() int64, labels ...Label) {
-	r.register(name, help, kindCounter, labels, func() *entry { return &entry{gfunc: f} })
-}
-
 // GaugeFunc registers a gauge whose value is computed by f at exposition
 // time — the natural shape for instantaneous facts the program already
 // tracks, like channel queue depths (len(ch) is already atomic-ish and
 // costs nothing until somebody scrapes). f must be safe to call from any
 // goroutine.
 func (r *Registry) GaugeFunc(name, help string, f func() int64, labels ...Label) {
-	r.register(name, help, kindGauge, labels, func() *entry { return &entry{gfunc: f} })
+	register(r, name, help, kindGauge, labels, func(e *entry, _ *struct{}) { e.gfunc = f })
 }
 
 // ---- Histogram ----
@@ -278,14 +265,7 @@ type Histogram struct {
 
 // Histogram finds or creates the histogram (name, labels).
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	return r.register(name, help, kindHistogram, labels, func() *entry {
-		n := &struct {
-			entry
-			h Histogram
-		}{}
-		n.hist = &n.h
-		return &n.entry
-	}).hist
+	return register(r, name, help, kindHistogram, labels, func(e *entry, h *Histogram) { e.hist = h }).hist
 }
 
 // Record adds one sample. Negative samples clamp to 0 (they can only come

@@ -1,11 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"math"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,9 +47,8 @@ func TestGauge(t *testing.T) {
 func TestRegistryKindMismatchPanics(t *testing.T) {
 	one := func() int64 { return 1 }
 	for name, reregister := range map[string]func(r *Registry){
-		"counter as gauge":     func(r *Registry) { r.Counter("siren_x", ""); r.GaugeFunc("siren_x", "", one) },
-		"counterfunc as value": func(r *Registry) { r.CounterFunc("siren_x", "", one); r.Counter("siren_x", "") },
-		"gaugefunc as value":   func(r *Registry) { r.GaugeFunc("siren_x", "", one); r.Counter("siren_x", "") },
+		"counter as gauge":   func(r *Registry) { r.Counter("siren_x", ""); r.GaugeFunc("siren_x", "", one) },
+		"gaugefunc as value": func(r *Registry) { r.GaugeFunc("siren_x", "", one); r.Counter("siren_x", "") },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -305,32 +304,6 @@ func TestPrometheusGrammar(t *testing.T) {
 	}
 }
 
-func TestExpvarBridge(t *testing.T) {
-	r := NewRegistry("bridge")
-	r.Counter("siren_n_total", "").Add(4)
-	r.GaugeFunc("siren_g", "", func() int64 { return 8 }, L("shard", "2"))
-	h := r.Histogram("siren_h_ns", "")
-	h.Record(1024)
-
-	var m map[string]any
-	if err := json.Unmarshal([]byte(r.Expvar().String()), &m); err != nil {
-		t.Fatalf("expvar bridge emitted invalid JSON: %v", err)
-	}
-	if m["siren_n_total"] != float64(4) {
-		t.Fatalf("counter via expvar = %v", m["siren_n_total"])
-	}
-	if m[`siren_g{shard="2"}`] != float64(8) {
-		t.Fatalf("labeled gauge via expvar = %v (keys %v)", m[`siren_g{shard="2"}`], m)
-	}
-	hist, ok := m["siren_h_ns"].(map[string]any)
-	if !ok {
-		t.Fatalf("histogram via expvar = %T", m["siren_h_ns"])
-	}
-	if hist["count"] != float64(1) || hist["sum"] != float64(1024) || hist["max"] != float64(1024) {
-		t.Fatalf("histogram summary = %v", hist)
-	}
-}
-
 // TestConcurrentRecord hammers one histogram and one counter from many
 // goroutines while snapshots and expositions run concurrently — the -race
 // proof that the record path takes no locks it needs.
@@ -356,7 +329,6 @@ func TestConcurrentRecord(t *testing.T) {
 			_ = h.Snapshot()
 			var b strings.Builder
 			_ = r.WritePrometheus(&b)
-			_ = r.Expvar().String()
 		}
 	}()
 	var wg sync.WaitGroup
@@ -392,7 +364,7 @@ func TestConcurrentRecord(t *testing.T) {
 }
 
 // TestRegisterDuringScrape registers labelled children and whole families
-// while both expositions scrape in a loop — under -race, the proof that a
+// while the exposition scrapes in a loop — under -race, the proof that a
 // scrape only ever reaches fully built, published entries (labelled children
 // are created on first use, long after the first scrape).
 func TestRegisterDuringScrape(t *testing.T) {
@@ -409,7 +381,6 @@ func TestRegisterDuringScrape(t *testing.T) {
 			default:
 			}
 			_ = r.WritePrometheus(io.Discard)
-			_ = r.Expvar().String()
 		}
 	}()
 	const n = 2000
@@ -431,5 +402,27 @@ func TestRegisterDuringScrape(t *testing.T) {
 	}
 	if got := strings.Count(b.String(), "# TYPE siren_fam_"); got != n/100 {
 		t.Errorf("exposition has %d late families, want %d", got, n/100)
+	}
+}
+
+// TestRuntimeGauges: the heap and GC gauges appear in the exposition and
+// read the runtime's live accounting — a forced GC shows as a cycle.
+func TestRuntimeGauges(t *testing.T) {
+	r := NewRegistry("test")
+	r.RegisterRuntime()
+	runtime.GC()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	for _, fam := range []string{"siren_go_heap_live_bytes", "siren_go_gc_cycles", "siren_go_gc_pause_ns"} {
+		m := regexp.MustCompile(`(?m)^` + fam + ` (\d+)$`).FindStringSubmatch(text)
+		if m == nil || !strings.Contains(text, "# TYPE "+fam+" gauge\n") {
+			t.Fatalf("exposition lacks gauge %s:\n%s", fam, text)
+		}
+		if m[1] == "0" {
+			t.Errorf("%s = 0 after a forced GC", fam)
+		}
 	}
 }

@@ -57,7 +57,7 @@ func benchIngest(b *testing.B, writers, payload int) {
 		r.ingest(pending, msgs, true)
 	}
 	// Throughput means stored, not queued: wait until every message landed.
-	for r.stats.Inserted.Load()+r.stats.Malformed.Load() < int64(b.N) {
+	for r.stats.Inserted.Value()+r.stats.Malformed.Value() < int64(b.N) {
 		runtime.Gosched()
 	}
 	b.StopTimer()

@@ -189,10 +189,10 @@ func TestMembershipMalformedBypassesAdmission(t *testing.T) {
 		src.Send([]byte("SIREN1|also garbage"))
 		src.Close()
 		r.Close()
-		if got := r.Stats().Malformed.Load(); got != 2 {
+		if got := r.Stats().Malformed.Value(); got != 2 {
 			t.Errorf("member %d Malformed = %d, want 2", k, got)
 		}
-		if got := r.Stats().Rejected.Load(); got != 0 {
+		if got := r.Stats().Rejected.Value(); got != 0 {
 			t.Errorf("member %d Rejected = %d, want 0 for unscannable headers", k, got)
 		}
 	}
@@ -276,7 +276,7 @@ func TestHealthStallDetection(t *testing.T) {
 	}
 	// Wait for the forwarder goroutine to stamp the receive.
 	deadline := time.Now().Add(5 * time.Second)
-	for r.Stats().Received.Load() == 0 && time.Now().Before(deadline) {
+	for r.Stats().Received.Value() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if ok, detail := r.Health(stall); !ok {
@@ -300,7 +300,7 @@ func TestHealthStallDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(5 * time.Second)
-	for r.Stats().Received.Load() < 2 && time.Now().Before(deadline) {
+	for r.Stats().Received.Value() < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if ok, detail := r.Health(stall); !ok {

@@ -1,7 +1,8 @@
 package receiver
 
 import (
-	"fmt"
+	"context"
+	"log/slog"
 	"strconv"
 
 	"siren/internal/obs"
@@ -21,7 +22,7 @@ type rcvMetrics struct {
 	// signal: it grows before Dropped does.
 	queueWaitNS *obs.Histogram
 	// insertNS is the store's insert call latency per flushed
-	// batch — the disk half; its p99 is what the periodic stats line prints.
+	// batch — the disk half; its p99 is what the stats record carries.
 	insertNS *obs.Histogram
 	// recvBatch is the datagrams each receive call returned — the batching
 	// factor of the socket reader (one recvmmsg call per sample); Sum over
@@ -29,10 +30,8 @@ type rcvMetrics struct {
 	recvBatch *obs.Histogram
 }
 
-// registerMetrics creates the receiver's instruments in reg: the three
-// stage histograms, a queue-depth gauge per writer shard, and a counter
-// bridge onto every Stats atomic (the hot path keeps its single increment;
-// the registry reads the atomics only when scraped).
+// registerMetrics creates the receiver's instruments in reg: the stage
+// histograms, a queue-depth gauge per writer shard, and the Stats counters.
 func (r *Receiver) registerMetrics(reg *obs.Registry) {
 	r.mx = rcvMetrics{
 		parseNS:     reg.Histogram("siren_ingest_parse_ns", "the writer's wire.Scan latency per datagram (malformed included)"),
@@ -44,24 +43,40 @@ func (r *Receiver) registerMetrics(reg *obs.Registry) {
 		reg.GaugeFunc("siren_ingest_queue_depth", "queued datagrams per writer shard",
 			sh.queued.Load, obs.L("shard", strconv.Itoa(i)))
 	}
-	reg.CounterFunc("siren_ingest_received_total", "datagrams read from the transport", r.stats.Received.Load)
-	reg.CounterFunc("siren_ingest_inserted_total", "messages stored in the database", r.stats.Inserted.Load)
-	reg.CounterFunc("siren_ingest_malformed_total", "datagrams that failed to parse", r.stats.Malformed.Load)
-	reg.CounterFunc("siren_ingest_dropped_total", "datagrams dropped on a full shard queue", r.stats.Dropped.Load)
-	reg.CounterFunc("siren_ingest_rejected_total", "datagrams owned by another roster member", r.stats.Rejected.Load)
-	reg.CounterFunc("siren_ingest_insert_errors_total", "failed insert calls", r.stats.InsertErrors.Load)
-	reg.CounterFunc("siren_ingest_insert_lost_total", "messages in failed insert calls", r.stats.InsertLost.Load)
-	reg.CounterFunc("siren_ingest_accepted_failover_total", "datagrams admitted only because their rank-0 owner is down", r.stats.AcceptedFailover.Load)
-	reg.CounterFunc("siren_ingest_read_errors_total", "failed socket reads (the reader keeps serving)", r.stats.ReadErrors.Load)
+	c := func(name, help string) *obs.Counter { return reg.Counter("siren_ingest_"+name+"_total", help) }
+	r.stats = Stats{
+		Received:         c("received", "datagrams read from the transport"),
+		Inserted:         c("inserted", "messages stored in the database"),
+		Malformed:        c("malformed", "datagrams that failed to parse"),
+		Dropped:          c("dropped", "datagrams dropped on a full shard queue"),
+		Rejected:         c("rejected", "datagrams owned by another roster member"),
+		InsertErrors:     c("insert_errors", "failed insert calls"),
+		InsertLost:       c("insert_lost", "messages in failed insert calls"),
+		AcceptedFailover: c("accepted_failover", "datagrams admitted only because their rank-0 owner is down"),
+		ReadErrors:       c("read_errors", "failed socket reads (the reader keeps serving)"),
+	}
 }
 
-// StatsLine renders the periodic log line cmd/siren-receiver prints: the
-// Stats counter snapshot plus the live queue depth and the insert-latency
-// p99 so far (0 while the receiver is idle) — the two
-// leading indicators of a drowning writer tier, visible without a scrape.
-func (r *Receiver) StatsLine() string {
-	return fmt.Sprintf("%s queue=%d insert_p99_ns=%d",
-		r.stats.String(), r.QueueDepth(), r.mx.insertNS.Snapshot().P99)
+// LogStats writes the receiver's stats record to l: every Stats counter,
+// then the live queue depth and the insert-latency p99 so far (0 while the
+// receiver is idle) — the two leading indicators of a drowning writer tier
+// — then the caller's attrs. It is the one rendering of these numbers
+// outside /metrics.
+func (r *Receiver) LogStats(l *slog.Logger, attrs ...slog.Attr) {
+	s := r.stats.Snapshot()
+	l.LogAttrs(context.Background(), slog.LevelInfo, "stats", append([]slog.Attr{
+		slog.Int64("received", s.Received),
+		slog.Int64("inserted", s.Inserted),
+		slog.Int64("malformed", s.Malformed),
+		slog.Int64("dropped", s.Dropped),
+		slog.Int64("rejected", s.Rejected),
+		slog.Int64("insert_errors", s.InsertErrors),
+		slog.Int64("insert_lost", s.InsertLost),
+		slog.Int64("accepted_failover", s.AcceptedFailover),
+		slog.Int64("read_errors", s.ReadErrors),
+		slog.Int("queue", r.QueueDepth()),
+		slog.Int64("insert_p99_ns", r.mx.insertNS.Snapshot().P99),
+	}, attrs...)...)
 }
 
 // QueueDepth reports the total number of datagrams queued across all writer

@@ -2,8 +2,9 @@ package receiver
 
 import (
 	"fmt"
+	"log/slog"
 	"reflect"
-	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ import (
 
 // TestReceiverMetrics drives the instrumented ingest path and checks every
 // stage instrument saw the traffic: parse and queue-wait per datagram,
-// insert per batch, counter bridges mirroring Stats, and the queue-depth
+// insert per batch, the Stats counters, and the queue-depth
 // gauge families present in the exposition.
 func TestReceiverMetrics(t *testing.T) {
 	reg := obs.NewRegistry("test")
@@ -89,7 +90,7 @@ func TestReadErrorMetrics(t *testing.T) {
 	if err := r.conn.SetReadDeadline(time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	for r.Stats().ReadErrors.Load() == 0 {
+	for r.Stats().ReadErrors.Value() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	if err := r.conn.SetReadDeadline(time.Time{}); err != nil {
@@ -113,7 +114,7 @@ func TestReadErrorMetrics(t *testing.T) {
 	if db.Count() != 1 {
 		t.Fatalf("stored %d after the socket recovered, want 1", db.Count())
 	}
-	want := r.Stats().ReadErrors.Load()
+	want := r.Stats().ReadErrors.Value()
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -123,51 +124,95 @@ func TestReadErrorMetrics(t *testing.T) {
 	}
 }
 
-// TestStatsLine pins the periodic log-line shape the cluster e2e parsers
-// match: Stats.String() plus queue depth and insert p99.
+// statsRecord runs LogStats into a text handler and returns the record's
+// integer attributes by key.
+func statsRecord(t *testing.T, r *Receiver) map[string]int64 {
+	t.Helper()
+	var b strings.Builder
+	r.LogStats(slog.New(slog.NewTextHandler(&b, nil)), slog.Int("rows", 7))
+	line := strings.TrimSuffix(b.String(), "\n")
+	if strings.Contains(line, "\n") || !strings.Contains(line, " msg=stats ") {
+		t.Fatalf("stats record is not one msg=stats line: %q", b.String())
+	}
+	attrs := make(map[string]int64)
+	for _, f := range strings.Fields(line) {
+		k, v, _ := strings.Cut(f, "=")
+		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
+			attrs[k] = n
+		}
+	}
+	return attrs
+}
+
+// TestStatsLine pins the stats record the receiver binary logs: every
+// StatsSnapshot field under its snake_case key with the snapshot's value,
+// then the queue depth, the insert p99 and the caller's attributes.
 func TestStatsLine(t *testing.T) {
-	lineRe := regexp.MustCompile(`^received=\d+ inserted=\d+ malformed=\d+ dropped=\d+ rejected=\d+ insert_errors=\d+ insert_lost=\d+ accepted_failover=\d+ queue=\d+ insert_p99_ns=\d+$`)
+	check := func(r *Receiver) map[string]int64 {
+		t.Helper()
+		rec := statsRecord(t, r)
+		snap := reflect.ValueOf(r.Stats().Snapshot())
+		for i := 0; i < snap.NumField(); i++ {
+			key := snakeCase(snap.Type().Field(i).Name)
+			if got, ok := rec[key]; !ok || got != snap.Field(i).Int() {
+				t.Errorf("record %s = %d (present %v), want StatsSnapshot.%s = %d",
+					key, got, ok, snap.Type().Field(i).Name, snap.Field(i).Int())
+			}
+		}
+		if rec["rows"] != 7 {
+			t.Errorf("record rows = %d, want the caller's 7", rec["rows"])
+		}
+		return rec
+	}
 
 	// Idle: nothing inserted yet, so p99 reads 0.
 	db, _ := sirendb.Open("")
-	r := New(db, Options{Writers: 1})
-	if line := r.StatsLine(); !lineRe.MatchString(line) {
-		t.Fatalf("idle StatsLine %q does not match the pinned shape", line)
-	}
-	if !strings.HasSuffix(r.StatsLine(), "queue=0 insert_p99_ns=0") {
-		t.Fatalf("idle StatsLine = %q, want zero telemetry fields", r.StatsLine())
+	if rec := check(New(db, Options{Writers: 1})); rec["queue"] != 0 || rec["insert_p99_ns"] != 0 {
+		t.Fatalf("idle record = %v, want zero telemetry fields", rec)
 	}
 
-	// After traffic the p99 is a real sample, with or without a registry
-	// from the caller.
+	// After traffic the counters and the p99 are real samples, with or
+	// without a registry from the caller.
 	db2, _ := sirendb.OpenOptions("", sirendb.Options{Shards: 1})
 	r2 := New(db2, Options{Writers: 1})
-	src := make(chan []byte, 8)
+	src := make(chan []byte, 9)
 	for i := 0; i < 8; i++ {
 		src <- wire.Encode(mkMsg(200+i, wire.TypeObjects))
 	}
+	src <- []byte("not a siren datagram")
 	close(src)
 	r2.AttachChannel(src)
 	if err := r2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	line := r2.StatsLine()
-	if !lineRe.MatchString(line) {
-		t.Fatalf("StatsLine %q does not match the pinned shape", line)
+	rec := check(r2)
+	if rec["received"] != 9 || rec["inserted"] != 8 || rec["malformed"] != 1 {
+		t.Fatalf("record = %v, want 9 received, 8 inserted, 1 malformed", rec)
 	}
-	if strings.HasSuffix(line, "insert_p99_ns=0") {
-		t.Fatalf("StatsLine %q has p99 = 0 after %d inserts", line, 8)
+	if rec["insert_p99_ns"] == 0 {
+		t.Fatalf("record %v has p99 = 0 after %d inserts", rec, 8)
 	}
 }
 
-// TestStatsMetricsParity requires every StatsSnapshot counter to reach
-// /metrics: field InsertLost must appear as siren_ingest_insert_lost_total,
-// and so on for each field, so a counter added to Stats cannot stay
-// invisible to scrapers.
+// TestStatsMetricsParity requires every StatsSnapshot counter to be a
+// registry counter: field InsertLost must appear as
+// siren_ingest_insert_lost_total with the value Snapshot reads, and so on
+// for each field, after traffic that moves the counters — so a counter added
+// to Stats cannot stay invisible to scrapers, or disagree with them.
 func TestStatsMetricsParity(t *testing.T) {
 	reg := obs.NewRegistry("test")
 	db, _ := sirendb.Open("")
-	New(db, Options{Writers: 1, Metrics: reg})
+	r := New(db, Options{Writers: 1, Metrics: reg})
+	src := make(chan []byte, 4)
+	for i := 0; i < 3; i++ {
+		src <- wire.Encode(mkMsg(300+i, wire.TypeObjects))
+	}
+	src <- []byte("not a siren datagram")
+	close(src)
+	r.AttachChannel(src)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -178,11 +223,21 @@ func TestStatsMetricsParity(t *testing.T) {
 	if !strings.Contains(text, "# TYPE siren_ingest_recv_batch histogram\n") {
 		t.Error("no siren_ingest_recv_batch histogram in the exposition")
 	}
-	fields := reflect.TypeOf(StatsSnapshot{})
-	for i := 0; i < fields.NumField(); i++ {
-		fam := "siren_ingest_" + snakeCase(fields.Field(i).Name) + "_total"
+	snap := reflect.ValueOf(r.Stats().Snapshot())
+	if snap.FieldByName("Received").Int() != 4 || snap.FieldByName("Malformed").Int() != 1 {
+		t.Fatalf("snapshot %+v: the traffic did not move the counters", snap.Interface())
+	}
+	for i := 0; i < snap.NumField(); i++ {
+		name := snap.Type().Field(i).Name
+		fam := "siren_ingest_" + snakeCase(name) + "_total"
 		if !strings.Contains(text, "# TYPE "+fam+" counter\n") {
-			t.Errorf("StatsSnapshot.%s has no %s counter in the exposition", fields.Field(i).Name, fam)
+			t.Errorf("StatsSnapshot.%s has no %s counter in the exposition", name, fam)
+		}
+		if got := reg.Counter(fam, "").Value(); got != snap.Field(i).Int() {
+			t.Errorf("%s = %d, StatsSnapshot.%s = %d", fam, got, name, snap.Field(i).Int())
+		}
+		if sample := fmt.Sprintf("\n%s %d\n", fam, snap.Field(i).Int()); !strings.Contains(text, sample) {
+			t.Errorf("exposition lacks %q", sample)
 		}
 	}
 }

@@ -61,28 +61,28 @@ import (
 	"siren/internal/wire"
 )
 
-// Stats counts receiver activity.
+// Stats is the receiver's counters. Each is an obs.Counter that New
+// registers as siren_ingest_<name>_total: the ingest paths count into the
+// registry, and Snapshot, the stats record and /metrics all read it there.
 type Stats struct {
-	Received     atomic.Int64 // datagrams read from the transport
-	Inserted     atomic.Int64 // messages stored in the database
-	Malformed    atomic.Int64 // datagrams that failed the header scan (dropped)
-	Dropped      atomic.Int64 // datagrams dropped due to a full shard queue
-	Rejected     atomic.Int64 // datagrams owned by another roster member (dropped by admission)
-	InsertErrors atomic.Int64 // failed InsertBatch calls
-	InsertLost   atomic.Int64 // messages in failed InsertBatch calls (upper bound: a partially-applied batch counts whole)
+	Received     *obs.Counter // datagrams read from the transport
+	Inserted     *obs.Counter // messages stored in the database
+	Malformed    *obs.Counter // datagrams that failed the header scan (dropped)
+	Dropped      *obs.Counter // datagrams dropped due to a full shard queue
+	Rejected     *obs.Counter // datagrams owned by another roster member (dropped by admission)
+	InsertErrors *obs.Counter // failed InsertBatch calls
+	InsertLost   *obs.Counter // messages in failed InsertBatch calls (upper bound: a partially-applied batch counts whole)
 	// AcceptedFailover counts admitted datagrams whose key this receiver
 	// owns only because the key's rank-0 member is marked down in the
 	// membership view — the observable trace of a failover reassignment
 	// (always 0 without a view, and under a roster nobody probes).
-	AcceptedFailover atomic.Int64
+	AcceptedFailover *obs.Counter
 	// ReadErrors counts failed socket reads other than the receiver's own
 	// shutdown; the reader keeps serving after each.
-	ReadErrors atomic.Int64
+	ReadErrors *obs.Counter
 }
 
-// StatsSnapshot is a plain-value copy of the counters at one instant — the
-// shape cmd/siren-receiver exports over expvar (the field names become the
-// JSON keys of the "siren_receiver" var).
+// StatsSnapshot is a plain-value copy of the counters at one instant.
 type StatsSnapshot struct {
 	Received         int64
 	Inserted         int64
@@ -100,24 +100,16 @@ type StatsSnapshot struct {
 // received but not yet inserted), which telemetry tolerates.
 func (s *Stats) Snapshot() StatsSnapshot {
 	return StatsSnapshot{
-		Received:         s.Received.Load(),
-		Inserted:         s.Inserted.Load(),
-		Malformed:        s.Malformed.Load(),
-		Dropped:          s.Dropped.Load(),
-		Rejected:         s.Rejected.Load(),
-		InsertErrors:     s.InsertErrors.Load(),
-		InsertLost:       s.InsertLost.Load(),
-		AcceptedFailover: s.AcceptedFailover.Load(),
-		ReadErrors:       s.ReadErrors.Load(),
+		Received:         s.Received.Value(),
+		Inserted:         s.Inserted.Value(),
+		Malformed:        s.Malformed.Value(),
+		Dropped:          s.Dropped.Value(),
+		Rejected:         s.Rejected.Value(),
+		InsertErrors:     s.InsertErrors.Value(),
+		InsertLost:       s.InsertLost.Value(),
+		AcceptedFailover: s.AcceptedFailover.Value(),
+		ReadErrors:       s.ReadErrors.Value(),
 	}
-}
-
-// String renders a one-line snapshot, the shape cmd/siren-receiver logs
-// periodically.
-func (s *Stats) String() string {
-	v := s.Snapshot()
-	return fmt.Sprintf("received=%d inserted=%d malformed=%d dropped=%d rejected=%d insert_errors=%d insert_lost=%d accepted_failover=%d",
-		v.Received, v.Inserted, v.Malformed, v.Dropped, v.Rejected, v.InsertErrors, v.InsertLost, v.AcceptedFailover)
 }
 
 // Store is the destination a receiver drains into. *sirendb.DB implements
@@ -153,7 +145,7 @@ type Receiver struct {
 	direct   ShardedStore // non-nil when writer shards map 1:1 onto store shards
 	scanned  ScannedStore // direct, when it takes datagrams as they arrived
 	shards   []*shard
-	stats    *Stats
+	stats    Stats
 	batchMax int
 	burstCap int // most datagrams in one hand-off: min(burstMax, a shard's limit)
 	readBuf  int
@@ -216,9 +208,9 @@ type Options struct {
 	View *membership.View
 	// Metrics is the registry the receiver's instruments register in:
 	// per-stage latency histograms (header scan, shard-queue wait, insert batch),
-	// per-shard queue-depth gauges, and counter bridges onto every Stats
-	// counter (see internal/obs). Nil gets a private registry; telemetry is
-	// always recorded.
+	// per-shard queue-depth gauges, and every Stats counter (see
+	// internal/obs). Nil gets a private registry; telemetry is always
+	// recorded. Receivers given one registry share its Stats counters.
 	Metrics *obs.Registry
 }
 
@@ -251,7 +243,6 @@ func New(db Store, opts Options) *Receiver {
 	}
 	r := &Receiver{
 		db:       db,
-		stats:    &Stats{},
 		batchMax: opts.BatchMax,
 		readBuf:  opts.ReadBuffer,
 		view:     opts.View,
@@ -289,7 +280,7 @@ func (o Options) ResolvedWriters() int {
 }
 
 // Stats exposes the counters.
-func (r *Receiver) Stats() *Stats { return r.stats }
+func (r *Receiver) Stats() *Stats { return &r.stats }
 
 // DB returns the underlying store.
 func (r *Receiver) DB() Store { return r.db }
@@ -388,7 +379,7 @@ func (r *Receiver) readLoop(br *batchReader) {
 				return
 			}
 			// Transient socket error: count it and keep serving.
-			r.stats.ReadErrors.Add(1)
+			r.stats.ReadErrors.Inc()
 			continue
 		}
 		r.ingest(pending, br.msgs, false)
@@ -457,11 +448,11 @@ func (r *Receiver) route(d []byte) (idx int, ok bool) {
 		// (the key's rank-0 member is down), count it.
 		rank0, owner := r.view.Route(job, host)
 		if owner != r.selfIdx {
-			r.stats.Rejected.Add(1)
+			r.stats.Rejected.Inc()
 			return 0, false
 		}
 		if rank0 != r.selfIdx {
-			r.stats.AcceptedFailover.Add(1)
+			r.stats.AcceptedFailover.Inc()
 		}
 	}
 	if len(r.shards) > 1 {
@@ -505,7 +496,7 @@ func (r *Receiver) writeLoop(idx int, sh *shard) {
 			if err := insert(batch); err != nil {
 				// The batch is lost, but never silently: both the failed call
 				// and the message count surface in Stats.
-				r.stats.InsertErrors.Add(1)
+				r.stats.InsertErrors.Inc()
 				r.stats.InsertLost.Add(int64(len(batch)))
 			} else {
 				r.stats.Inserted.Add(int64(len(batch)))
@@ -533,7 +524,7 @@ func (r *Receiver) writeLoop(idx int, sh *shard) {
 			r.mx.parseNS.Record(int64(now.Sub(t)))
 			t = now
 			if err != nil {
-				r.stats.Malformed.Add(1)
+				r.stats.Malformed.Inc()
 				continue
 			}
 			batch = append(batch, wire.Scanned{Datagram: d, Fields: f})

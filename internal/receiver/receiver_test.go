@@ -53,7 +53,7 @@ func TestUDPEndToEnd(t *testing.T) {
 	if got := db.Count(); got != n {
 		t.Errorf("stored %d messages, want %d (loopback should not drop)", got, n)
 	}
-	if r.Stats().Malformed.Load() != 0 {
+	if r.Stats().Malformed.Value() != 0 {
 		t.Error("unexpected malformed datagrams")
 	}
 }
@@ -76,8 +76,8 @@ func TestChannelModeAndBatching(t *testing.T) {
 	if db.Count() != n {
 		t.Errorf("stored %d, want %d", db.Count(), n)
 	}
-	if r.Stats().Inserted.Load() != n {
-		t.Errorf("Inserted = %d", r.Stats().Inserted.Load())
+	if r.Stats().Inserted.Value() != n {
+		t.Errorf("Inserted = %d", r.Stats().Inserted.Value())
 	}
 }
 
@@ -94,8 +94,8 @@ func TestMalformedDatagramsDropped(t *testing.T) {
 	if db.Count() != 1 {
 		t.Errorf("stored %d, want 1", db.Count())
 	}
-	if r.Stats().Malformed.Load() != 2 {
-		t.Errorf("Malformed = %d, want 2", r.Stats().Malformed.Load())
+	if r.Stats().Malformed.Value() != 2 {
+		t.Errorf("Malformed = %d, want 2", r.Stats().Malformed.Value())
 	}
 }
 
@@ -209,7 +209,7 @@ func TestChannelFullDropsAreCounted(t *testing.T) {
 		burst[i] = d
 	}
 	r.ingest(pending, burst, false)
-	if got := r.Stats().Dropped.Load(); got != int64(len(burst)-depth) {
+	if got := r.Stats().Dropped.Value(); got != int64(len(burst)-depth) {
 		t.Fatalf("Dropped = %d, want %d with a stalled writer and depth %d", got, len(burst)-depth, depth)
 	}
 	if got := r.QueueDepth(); got != depth {
@@ -230,11 +230,11 @@ func TestChannelFullDropsAreCounted(t *testing.T) {
 	if got := store.inserted.Load(); got != 1+depth {
 		t.Errorf("inserted %d, want the stalled datagram plus %d queued", got, depth)
 	}
-	total := store.inserted.Load() + r.Stats().Dropped.Load() + r.Stats().Malformed.Load()
-	if total != r.Stats().Received.Load() {
+	total := store.inserted.Load() + r.Stats().Dropped.Value() + r.Stats().Malformed.Value()
+	if total != r.Stats().Received.Value() {
 		t.Errorf("inserted %d + dropped %d + malformed %d != received %d",
-			store.inserted.Load(), r.Stats().Dropped.Load(),
-			r.Stats().Malformed.Load(), r.Stats().Received.Load())
+			store.inserted.Load(), r.Stats().Dropped.Value(),
+			r.Stats().Malformed.Value(), r.Stats().Received.Value())
 	}
 }
 
@@ -253,15 +253,15 @@ func TestInsertBatchFailuresAreCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := r.Stats()
-	if st.Inserted.Load() != 0 {
-		t.Errorf("Inserted = %d with a failing store", st.Inserted.Load())
+	if st.Inserted.Value() != 0 {
+		t.Errorf("Inserted = %d with a failing store", st.Inserted.Value())
 	}
-	if st.InsertErrors.Load() == 0 {
+	if st.InsertErrors.Value() == 0 {
 		t.Error("failing InsertBatch must increment Stats.InsertErrors")
 	}
-	if st.InsertLost.Load() != n {
+	if st.InsertLost.Value() != n {
 		t.Errorf("InsertLost = %d, want %d (every message of every failed batch)",
-			st.InsertLost.Load(), n)
+			st.InsertLost.Value(), n)
 	}
 }
 
@@ -320,7 +320,7 @@ func TestMalformedAcrossShards(t *testing.T) {
 	if db.Count() != 1 {
 		t.Errorf("stored %d, want 1", db.Count())
 	}
-	if got := r.Stats().Malformed.Load(); got != 2 {
+	if got := r.Stats().Malformed.Value(); got != 2 {
 		t.Errorf("Malformed = %d, want 2", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Telemetry contract tests for the query tier: the /api/v1/stats JSON stays
-// field-for-field backward compatible while gaining percentiles, the
-// /debug/vars endpoint shapes stay byte-compatible, and /metrics serves a
-// Prometheus exposition with a latency histogram per endpoint.
+// field-for-field backward compatible while gaining percentiles, and
+// /metrics serves a Prometheus exposition with a latency histogram per
+// endpoint, read from the same instruments as /api/v1/stats.
 package server_test
 
 import (
@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -74,44 +73,6 @@ func TestStatsPercentiles(t *testing.T) {
 	}
 }
 
-// TestDebugVarsShapeCompat pins the /debug/vars endpoint grouping existing
-// scrapers parse: endpoint_<name> maps with exactly the original three keys.
-func TestDebugVarsShapeCompat(t *testing.T) {
-	_, _, ts := newServed(t, 1)
-	getJSON(t, ts.URL+"/api/v1/jobs", nil)
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("/debug/vars is not valid JSON: %v", err)
-	}
-	var ep map[string]int64
-	if err := json.Unmarshal(vars["endpoint_jobs"], &ep); err != nil {
-		t.Fatalf("endpoint_jobs: %v", err)
-	}
-	keys := make([]string, 0, len(ep))
-	for k := range ep {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if want := []string{"errors", "latency_ns_total", "requests"}; !reflect.DeepEqual(keys, want) {
-		t.Fatalf("endpoint_jobs keys = %v, want %v (scraper compat)", keys, want)
-	}
-	// The histogram summaries ride along under the new bridged key.
-	if _, ok := vars["siren_metrics"]; !ok {
-		t.Fatalf("/debug/vars missing siren_metrics bridge; keys: %v", func() []string {
-			ks := make([]string, 0, len(vars))
-			for k := range vars {
-				ks = append(ks, k)
-			}
-			return ks
-		}())
-	}
-}
-
 // TestMetricsExposition scrapes GET /metrics and checks the per-endpoint
 // histogram families are served in Prometheus text format.
 func TestMetricsExposition(t *testing.T) {
@@ -145,11 +106,10 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestDebugVarsOneInstrument pins that /debug/vars, /api/v1/stats and
-// /metrics report each endpoint's requests, errors and cumulative latency
-// from the same instruments, and that the endpoint_<name> maps keep their
-// exact expvar rendering.
-func TestDebugVarsOneInstrument(t *testing.T) {
+// TestStatsMetricsOneInstrument pins that /api/v1/stats and /metrics
+// report each endpoint's requests, errors and cumulative latency from the
+// same instruments.
+func TestStatsMetricsOneInstrument(t *testing.T) {
 	_, _, ts := newServed(t, 1)
 	getJSON(t, ts.URL+"/api/v1/jobs", nil)
 	getJSON(t, ts.URL+"/api/v1/jobs", nil)
@@ -162,8 +122,6 @@ func TestDebugVarsOneInstrument(t *testing.T) {
 		t.Fatalf("empty identify: status %d, want 400", resp.StatusCode)
 	}
 
-	var vars map[string]json.RawMessage
-	getJSON(t, ts.URL+"/debug/vars", &vars)
 	var stats server.StatsResponse
 	getJSON(t, ts.URL+"/api/v1/stats", &stats)
 	mr, err := http.Get(ts.URL + "/metrics")
@@ -184,10 +142,6 @@ func TestDebugVarsOneInstrument(t *testing.T) {
 		ep := stats.Endpoints[c.endpoint]
 		if ep.Requests != c.requests || ep.Errors != c.errs || ep.LatencyNSTotal <= 0 {
 			t.Fatalf("%s stats = %+v, want %d requests, %d errors", c.endpoint, ep, c.requests, c.errs)
-		}
-		want := fmt.Sprintf(`{"errors": %d, "latency_ns_total": %d, "requests": %d}`, ep.Errors, ep.LatencyNSTotal, ep.Requests)
-		if got := string(vars["endpoint_"+c.endpoint]); got != want {
-			t.Fatalf("/debug/vars endpoint_%s = %s, want %s", c.endpoint, got, want)
 		}
 		for _, sample := range []string{
 			fmt.Sprintf("siren_http_request_ns_count{endpoint=%q} %d\n", c.endpoint, ep.Requests),

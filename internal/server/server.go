@@ -15,29 +15,25 @@
 //	GET  /api/v1/report              full evaluation (report.JSONReport)
 //	GET  /api/v1/stats               catalog generation + request counters
 //	GET  /healthz                    liveness
-//	GET  /debug/vars                 per-endpoint request counters
 //	GET  /metrics                    Prometheus text exposition (internal/obs)
 //
 // Every endpoint has exactly two instruments (internal/obs): a log-bucketed
 // latency histogram, whose count and sum are the endpoint's request count
-// and cumulative latency, and an error counter. /metrics exposes them,
-// /api/v1/stats adds the histogram's tail percentiles, and the /debug/vars
-// endpoint maps existing tooling parses are rendered from the same two
-// instruments in their original shape.
+// and cumulative latency, and an error counter. /metrics exposes them, and
+// /api/v1/stats renders the same two instruments with the histogram's tail
+// percentiles added.
 //
 // The server owns a dedicated mux and http.Server — nothing registers on
-// http.DefaultServeMux, and nothing publishes to the global expvar registry,
-// so many servers coexist in one process (tests, a receiver serving next to
-// its expvar listener) and Shutdown drains cleanly.
+// http.DefaultServeMux, so many servers coexist in one process (tests, a
+// receiver serving next to its metrics listener) and Shutdown drains
+// cleanly.
 package server
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -56,7 +52,7 @@ import (
 const DefaultTopK = 10
 
 // endpointVars are one endpoint's instruments, the single source of both
-// /debug/vars and /api/v1/stats: lat's Count and Sum are the request count
+// /metrics and /api/v1/stats: lat's Count and Sum are the request count
 // and cumulative latency, errs counts failed requests.
 type endpointVars struct {
 	lat  *obs.Histogram
@@ -65,11 +61,10 @@ type endpointVars struct {
 
 // Server is the query tier over one catalog.
 type Server struct {
-	cat  *catalog.Catalog
-	mux  *http.ServeMux
-	hs   *http.Server
-	vars *expvar.Map   // unregistered: never touches the global expvar registry
-	reg  *obs.Registry // the /metrics registry; shared when injected
+	cat *catalog.Catalog
+	mux *http.ServeMux
+	hs  *http.Server
+	reg *obs.Registry // the /metrics registry; shared when injected
 
 	endpoints map[string]*endpointVars
 	started   time.Time
@@ -109,7 +104,6 @@ func NewWithMetrics(cat *catalog.Catalog, reg *obs.Registry) *Server {
 	s := &Server{
 		cat:            cat,
 		mux:            http.NewServeMux(),
-		vars:           new(expvar.Map).Init(),
 		reg:            reg,
 		endpoints:      make(map[string]*endpointVars),
 		started:        time.Now(),
@@ -123,21 +117,6 @@ func NewWithMetrics(cat *catalog.Catalog, reg *obs.Registry) *Server {
 	s.handle("report", "/api/v1/report", s.handleReport)
 	s.handle("stats", "/api/v1/stats", s.handleStats)
 	s.handle("healthz", "/healthz", s.handleHealthz)
-	s.vars.Set("siren_catalog", expvar.Func(func() any {
-		g := cat.Generation()
-		return map[string]any{
-			"generation": g.Gen,
-			"last_seq":   g.LastSeq,
-			"jobs":       g.Stats.Jobs,
-			"processes":  g.Stats.Processes,
-			"refreshes":  cat.Refreshes(),
-		}
-	}))
-	s.vars.Set("siren_metrics", s.reg.Expvar())
-	s.mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		io.WriteString(w, s.vars.String())
-	})
 	s.mux.Handle("/metrics", s.reg.Handler())
 	return s
 }
@@ -172,19 +151,13 @@ func (cw *committedWriter) Write(p []byte) (int, error) {
 }
 
 // handle wires one instrumented endpoint: its latency histogram and error
-// counter, rendered as request/error/latency-total counters under
-// "endpoint_<name>" in the vars map.
+// counter.
 func (s *Server) handle(name, pattern string, h func(w http.ResponseWriter, r *http.Request) error) {
 	ev := &endpointVars{
 		lat:  s.reg.Histogram("siren_http_request_ns", "request latency per endpoint", obs.L("endpoint", name)),
 		errs: s.reg.Counter("siren_http_errors_total", "requests answered with an error status per endpoint", obs.L("endpoint", name)),
 	}
 	s.endpoints[name] = ev
-	em := new(expvar.Map).Init()
-	em.Set("requests", expvar.Func(func() any { return ev.lat.Snapshot().Count }))
-	em.Set("errors", expvar.Func(func() any { return ev.errs.Value() }))
-	em.Set("latency_ns_total", expvar.Func(func() any { return ev.lat.Snapshot().Sum }))
-	s.vars.Set("endpoint_"+name, em)
 
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()

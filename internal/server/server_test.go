@@ -9,7 +9,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -260,29 +259,13 @@ func TestReadEndpoints(t *testing.T) {
 		t.Errorf("jobs latency gauge = %d, want > 0", stats.Endpoints["jobs"].LatencyNSTotal)
 	}
 
-	// The per-endpoint expvars are served off the dedicated mux.
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
+	if stats.Refreshes != cat.Refreshes() || stats.LastSeq != gen.LastSeq || stats.Jobs != gen.Stats.Jobs {
+		t.Errorf("stats = %+v, want the generation's last_seq and jobs, %d refreshes", stats, cat.Refreshes())
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vars struct {
-		Catalog struct {
-			Generation uint64 `json:"generation"`
-		} `json:"siren_catalog"`
-		Jobs struct {
-			Requests int64 `json:"requests"`
-		} `json:"endpoint_jobs"`
-	}
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v\n%s", err, body)
-	}
-	if vars.Catalog.Generation != gen.Gen || vars.Jobs.Requests < 1 {
-		t.Errorf("/debug/vars = %s", body)
+
+	// /metrics is the one exposition: nothing answers on /debug/vars.
+	if r := getJSON(t, ts.URL+"/debug/vars", nil); r.StatusCode != http.StatusNotFound {
+		t.Errorf("/debug/vars status = %d, want 404", r.StatusCode)
 	}
 }
 

@@ -35,16 +35,34 @@ type storeMetrics struct {
 var sealPhases = [4]string{"write-runs", "commit", "truncate", "attach"}
 
 // newStoreMetrics registers db's instruments in r, or in a private registry
-// when r is nil. Two gauges split the store's bytes by tier: the WAL head's
-// framed records held in memory, and the sealed run files. Gauges read the
-// store they were registered for, so of several stores sharing a registry
-// the first one reports them.
+// when r is nil: the histograms and counter below, and one siren_store_*
+// gauge per StoreStats field that no instrument already counts. Gauges read
+// the store they were registered for, so of several stores sharing a
+// registry the first one reports them.
 func newStoreMetrics(r *obs.Registry, db *DB) storeMetrics {
 	if r == nil {
 		r = obs.NewRegistry("sirendb")
 	}
-	r.GaugeFunc("siren_store_head_bytes", "WAL-head bytes held in memory (framed records)", func() int64 { return db.Stats().HeadBytes })
-	r.GaugeFunc("siren_store_sealed_bytes", "bytes across sealed run files", func() int64 { return db.Stats().SealedBytes })
+	for _, g := range []struct {
+		name, help string
+		v          func(StoreStats) int64
+	}{
+		{"siren_store_rows", "stored messages (WAL head + sealed runs)", func(s StoreStats) int64 { return int64(s.Rows) }},
+		{"siren_store_shards", "store shards", func(s StoreStats) int64 { return int64(s.Shards) }},
+		{"siren_store_last_seq", "highest assigned store-wide sequence number", func(s StoreStats) int64 { return int64(s.LastSeq) }},
+		{"siren_store_corrupt_records", "WAL records skipped during replay", func(s StoreStats) int64 { return int64(s.CorruptRecords) }},
+		{"siren_store_wal_bytes", "bytes appended across all WAL segments", func(s StoreStats) int64 { return s.WALBytes }},
+		{"siren_store_wal_synced_bytes", "WAL bytes confirmed durable by fdatasync", func(s StoreStats) int64 { return s.WALSynced }},
+		{"siren_store_sync_failed", "1 once a group commit failed and poisoned the store", func(s StoreStats) int64 { return b2i(s.SyncFailed) }},
+		{"siren_store_sealed_generation", "highest committed seal generation (0 = never sealed)", func(s StoreStats) int64 { return int64(s.SealedGen) }},
+		{"siren_store_sealed_runs", "attached sealed run files", func(s StoreStats) int64 { return int64(s.SealedRuns) }},
+		{"siren_store_sealed_rows", "rows living in sealed runs", func(s StoreStats) int64 { return int64(s.SealedRows) }},
+		{"siren_store_head_bytes", "WAL-head bytes held in memory (framed records)", func(s StoreStats) int64 { return s.HeadBytes }},
+		{"siren_store_sealed_bytes", "bytes across sealed run files", func(s StoreStats) int64 { return s.SealedBytes }},
+	} {
+		v := g.v
+		r.GaugeFunc(g.name, g.help, func() int64 { return v(db.Stats()) })
+	}
 	m := storeMetrics{
 		walAppendNS: r.Histogram("siren_wal_append_ns", "WAL segment append (write syscall) latency"),
 		fsyncNS:     r.Histogram("siren_wal_fdatasync_ns", "group-commit fdatasync latency"),
@@ -56,4 +74,11 @@ func newStoreMetrics(r *obs.Registry, db *DB) storeMetrics {
 		m.sealPhaseNS[i] = r.Histogram("siren_seal_phase_ns", "Seal wall time per commit-protocol phase", obs.L("phase", phase))
 	}
 	return m
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -421,9 +421,9 @@ func (db *DB) Count() int {
 	return n
 }
 
-// StoreStats is a point-in-time summary of store state for telemetry
-// (cmd/siren-receiver exports it via expvar alongside the receiver's
-// counters).
+// StoreStats is a point-in-time summary of store state for telemetry. Every
+// field is on /metrics: RunReadErrors as siren_run_read_errors_total, the
+// rest as siren_store_* gauges (metrics.go).
 type StoreStats struct {
 	Rows           int    // stored messages (WAL head + sealed runs)
 	Shards         int    // store shards

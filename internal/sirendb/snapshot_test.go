@@ -238,8 +238,8 @@ func TestSnapshotPerJobOrder(t *testing.T) {
 	}
 }
 
-// TestStoreStats sanity-checks the telemetry snapshot the expvar endpoint
-// serves.
+// TestStoreStats sanity-checks the telemetry snapshot the siren_store_*
+// gauges read.
 func TestStoreStats(t *testing.T) {
 	path := t.TempDir() + "/stats.wal"
 	db, err := OpenOptions(path, Options{Shards: 2})

@@ -2,7 +2,9 @@
 // sealing its WAL, refreshing its catalog, and answering API queries — is
 // scraped over GET /metrics mid-campaign, and every pipeline stage's
 // histogram must show the traffic. The pprof handlers gated by -pprof must
-// answer on the same mux.
+// answer on the same mux. The helpers here are the one way the e2e tests
+// read a receiver's numbers: scrape and sampleValue for /metrics,
+// statsRecord for the stats record it logs.
 package siren_test
 
 import (
@@ -13,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -54,6 +57,44 @@ func sampleValue(text, name string) int64 {
 	return v
 }
 
+// statsRecord parses one line of siren-receiver's stdout as its stats
+// record (the slog text line with msg=stats) into the record's integer
+// attributes; ok is false for any other line.
+func statsRecord(line string) (attrs map[string]int, ok bool) {
+	fields := strings.Fields(line)
+	if !slices.Contains(fields, "msg=stats") {
+		return nil, false
+	}
+	attrs = make(map[string]int)
+	for _, f := range fields {
+		k, v, _ := strings.Cut(f, "=")
+		if n, err := strconv.Atoi(v); err == nil {
+			attrs[k] = n
+		}
+	}
+	return attrs, true
+}
+
+// lastStatsRecord returns the last stats record in a receiver's output —
+// the one it logs at shutdown — failing the test when it lacks a key, so a
+// missing count never reads as 0.
+func lastStatsRecord(t *testing.T, lines []string) map[string]int {
+	t.Helper()
+	for i := len(lines) - 1; i >= 0; i-- {
+		if attrs, ok := statsRecord(lines[i]); ok {
+			for _, k := range []string{"received", "inserted", "malformed", "dropped", "rejected",
+				"insert_errors", "insert_lost", "accepted_failover", "read_errors", "queue", "insert_p99_ns", "rows"} {
+				if _, ok := attrs[k]; !ok {
+					t.Fatalf("stats record lacks %s: %s", k, lines[i])
+				}
+			}
+			return attrs
+		}
+	}
+	t.Fatalf("no stats record in receiver output:\n%s", strings.Join(lines, "\n"))
+	return nil
+}
+
 func TestReceiverMetricsE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping CLI build")
@@ -70,7 +111,7 @@ func TestReceiverMetricsE2E(t *testing.T) {
 		[]string{
 			"-addr", "127.0.0.1:0",
 			"-db", filepath.Join(work, "siren.wal"),
-			"-expvar-addr", "127.0.0.1:0",
+			"-metrics-addr", "127.0.0.1:0",
 			"-pprof",
 			"-serve-addr", "127.0.0.1:0",
 			"-refresh-interval", "50ms",
@@ -78,9 +119,9 @@ func TestReceiverMetricsE2E(t *testing.T) {
 			"-sync-interval", "20ms",
 			"-stats-interval", "0",
 		},
-		[]string{"listening on ", "expvar on ", "serving recognition API on "})
+		[]string{"listening on ", "metrics on ", "serving recognition API on "})
 	udpAddr := found["listening on "]
-	statsBase := strings.TrimSuffix(found["expvar on "], "/debug/vars")
+	statsBase := strings.TrimSuffix(found["metrics on "], "/metrics")
 	apiBase := found["serving recognition API on "]
 
 	// A small live campaign: real datagrams over UDP, spread across jobs.
@@ -153,6 +194,12 @@ func TestReceiverMetricsE2E(t *testing.T) {
 	if sampleValue(text, "siren_seal_phase_ns_count{phase=\"commit\"}") < 1 {
 		t.Errorf("seal phase histograms missing commit samples:\n%s", text)
 	}
+	// The Go runtime's heap and GC accounting rides the same scrape.
+	for _, fam := range []string{"siren_go_heap_live_bytes", "siren_go_gc_cycles", "siren_go_gc_pause_ns"} {
+		if sampleValue(text, fam) < 0 {
+			t.Errorf("runtime gauge %s missing from /metrics", fam)
+		}
+	}
 
 	// The query listener serves the same registry.
 	if apiText := scrape(t, apiBase+"/metrics"); sampleValue(apiText, "siren_ingest_parse_ns_count") < 1 {
@@ -170,10 +217,10 @@ func TestReceiverMetricsE2E(t *testing.T) {
 		t.Errorf("pprof cmdline: status %d body %q", resp.StatusCode, body)
 	}
 
-	// The final stats line carries the telemetry suffix the cluster e2e
-	// parser pins (queue depth + insert p99).
-	out := stop()
-	if !regexp.MustCompile(`queue=\d+ insert_p99_ns=[1-9]\d* rows=200`).MatchString(out) {
-		t.Errorf("final stats line missing live telemetry fields:\n%s", out)
+	// The final stats record carries the live telemetry beside the
+	// counters: queue depth, insert p99 and the store's rows.
+	rec := lastStatsRecord(t, strings.Split(stop(), "\n"))
+	if rec["insert_p99_ns"] < 1 || rec["rows"] != 200 || rec["received"] != 200 {
+		t.Errorf("final stats record %v, want a nonzero insert p99, 200 received and 200 rows", rec)
 	}
 }

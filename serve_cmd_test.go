@@ -172,6 +172,11 @@ func TestServeCommand(t *testing.T) {
 	if got := sampleValue(text, "siren_catalog_index_bytes"); got <= 0 {
 		t.Errorf("siren_catalog_index_bytes = %d, want the served index's size", got)
 	}
+	for _, fam := range []string{"siren_go_heap_live_bytes", "siren_go_gc_cycles", "siren_go_gc_pause_ns"} {
+		if sampleValue(text, fam) < 0 {
+			t.Errorf("runtime gauge %s missing from /metrics", fam)
+		}
+	}
 
 	out := stop()
 	if !strings.Contains(out, "drained") {
