@@ -76,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzConsolidate$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/postprocess
 	$(GO) test -run=NONE -fuzz='^FuzzParseDigest$$' -fuzztime=10s ./internal/ssdeep
 	$(GO) test -run=NONE -fuzz='^FuzzIndexCandidates$$' -fuzztime=10s ./internal/ssdeep
+	$(GO) test -run=NONE -fuzz='^FuzzHashOnePass$$' -fuzztime=10s ./internal/ssdeep
 	$(GO) test -run=NONE -fuzz='^FuzzRunDecode$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/sirendb/runfmt
 	$(GO) test -run=NONE -fuzz='^FuzzEditKernels$$' -fuzztime=10s ./internal/editdist
 
@@ -173,7 +174,8 @@ bench-serve:
 # store's one rewrite transaction), and the
 # consolidation every refresh and every analysis runs (through the store, over
 # sealed runs plus a replayed head as a restarted store reads it, and the
-# kernel alone on the campaign capture) — plus the
+# kernel alone on the campaign capture), the collector's per-process cost
+# (the CTPH kernel alone, and one user process collected end to end) — plus the
 # scoring kernel by itself (a 64-byte distance): in a geomean over a dozen
 # benchmarks a return to DP cost in BenchmarkIdentify alone would sit at the
 # threshold, with this one beside it it is far past it. Each is run -count times with -benchmem so
@@ -203,6 +205,8 @@ bench-gate-run:
 	$(GO) test -run=NONE -bench='^BenchmarkConsolidate$$/streaming-workers=1$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkConsolidateCampaign$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)
 	$(GO) test -run=NONE -bench='BenchmarkConsolidateSealed$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkHash1M$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/ssdeep | tee -a $(BENCH_GATE_OUT)
+	$(GO) test -run=NONE -bench='BenchmarkCollectUserProcess$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/collector | tee -a $(BENCH_GATE_OUT)
 
 bench-gate: bench-gate-run
 	$(GO) run ./cmd/benchdiff -baseline $(BENCH_BASELINE) -threshold 1.25 $(BENCH_GATE_OUT)

@@ -56,18 +56,28 @@ func main() {
 		os.Exit(2)
 	}
 	for _, path := range args {
-		data, err := os.ReadFile(path)
+		h, err := hashFile(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "siren-hash: %v\n", err)
 			continue
 		}
-		h, err := ssdeep.Hash(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "siren-hash: %s: %v\n", path, err)
-			continue
-		}
 		fmt.Printf("%s,%q\n", h, path)
 	}
+}
+
+// hashFile streams the file at path through the fuzzy hasher, so memory
+// stays flat however large the file is.
+func hashFile(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer func() { _ = f.Close() }() // read only: nothing to lose on close
+	h, err := ssdeep.HashReader(f)
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", path, err)
+	}
+	return h, nil
 }
 
 // digestOf treats arg as a digest if it parses as one, otherwise hashes the
@@ -76,11 +86,7 @@ func digestOf(arg string) (string, error) {
 	if _, err := ssdeep.ParseDigest(arg); err == nil && strings.Count(arg, ":") >= 2 {
 		return arg, nil
 	}
-	data, err := os.ReadFile(arg)
-	if err != nil {
-		return "", err
-	}
-	return ssdeep.Hash(data)
+	return hashFile(arg)
 }
 
 func fatal(err error) {

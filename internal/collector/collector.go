@@ -25,6 +25,7 @@ package collector
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -269,20 +270,17 @@ func (c *Collector) collectStartup(ev slurm.ProcessEvent, hdr wire.Header, cat C
 		if err != nil {
 			c.stats.Failures.Add(1)
 		} else {
-			c.send(hdr, wire.TypeMetadata, renderMetadata(proc, meta, cat))
+			var buf [512]byte
+			c.send(hdr, wire.TypeMetadata, appendMetadata(buf[:0], proc, meta, cat))
 		}
 	}
 
 	if scope.Libraries && ev.Link != nil {
-		objects := strings.Join(ev.Link.LoadedPaths(), "\n")
-		c.send(hdr, wire.TypeObjects, []byte(objects))
-		c.sendHash(hdr, wire.TypeObjectsH, []byte(objects))
+		c.sendList(hdr, wire.TypeObjects, wire.TypeObjectsH, ev.Link.LoadedPaths())
 	}
 
 	if scope.Modules {
-		mods := strings.Join(lmod.ParseLoadedModules(proc.Getenv("LOADEDMODULES")), "\n")
-		c.send(hdr, wire.TypeModules, []byte(mods))
-		c.sendHash(hdr, wire.TypeModulesH, []byte(mods))
+		c.sendList(hdr, wire.TypeModules, wire.TypeModulesH, lmod.ParseLoadedModules(proc.Getenv("LOADEDMODULES")))
 	}
 
 	needBinary := scope.Compilers || scope.FileH || scope.StringsH || scope.SymbolsH
@@ -295,18 +293,16 @@ func (c *Collector) collectStartup(ev slurm.ProcessEvent, hdr wire.Header, cat C
 		return
 	}
 	if scope.Compilers {
-		comps := strings.Join(report.Compilers, "\n")
-		c.send(hdr, wire.TypeCompilers, []byte(comps))
-		c.sendHash(hdr, wire.TypeCompilersH, []byte(comps))
+		c.sendList(hdr, wire.TypeCompilers, wire.TypeCompilersH, report.Compilers)
 	}
 	if scope.FileH {
-		c.send(hdr, wire.TypeFileH, []byte(report.FileH))
+		c.sendDigest(hdr, wire.TypeFileH, report.FileH)
 	}
 	if scope.StringsH {
-		c.send(hdr, wire.TypeStringsH, []byte(report.StringsH))
+		c.sendDigest(hdr, wire.TypeStringsH, report.StringsH)
 	}
 	if scope.SymbolsH {
-		c.send(hdr, wire.TypeSymbolsH, []byte(report.SymbolsH))
+		c.sendDigest(hdr, wire.TypeSymbolsH, report.SymbolsH)
 	}
 }
 
@@ -314,9 +310,9 @@ func (c *Collector) collectExit(ev slurm.ProcessEvent, hdr wire.Header, cat Cate
 	proc := ev.Proc
 
 	if scope.MemoryMap {
-		maps := procfs.RenderMaps(proc.Maps)
-		c.send(hdr, wire.TypeMaps, []byte(maps))
-		c.sendHash(hdr, wire.TypeMapsH, []byte(maps))
+		maps := procfs.AppendMaps(nil, proc.Maps)
+		c.send(hdr, wire.TypeMaps, maps)
+		c.sendHash(hdr, wire.TypeMapsH, maps)
 	}
 
 	// Python input script: metadata plus fuzzy hash under LAYER=SCRIPT.
@@ -329,7 +325,8 @@ func (c *Collector) collectExit(ev slurm.ProcessEvent, hdr wire.Header, cat Cate
 				c.stats.Failures.Add(1)
 				return
 			}
-			c.send(sh, wire.TypeMetadata, renderScriptMetadata(script, meta))
+			var buf [256]byte
+			c.send(sh, wire.TypeMetadata, appendScriptMetadata(buf[:0], script, meta))
 			content, err := ev.FS.ReadFile(script)
 			if err != nil {
 				c.stats.Failures.Add(1)
@@ -351,11 +348,14 @@ func scriptArg(proc *procfs.Proc) string {
 }
 
 // send chunks and transmits one record; errors are counted, not returned
-// (fire and forget).
+// (fire and forget). Each datagram is encoded into a fresh slice of its
+// exact length, which the transport keeps (see wire.Transport); content is
+// only read, so callers may pass a buffer on their stack.
 func (c *Collector) send(hdr wire.Header, typ string, content []byte) {
 	hdr.Type = typ
-	for _, m := range wire.Chunk(hdr, content, c.maxDatagram) {
-		if err := c.transport.Send(wire.Encode(m)); err != nil {
+	n, room := wire.ChunkPlan(hdr, len(content), c.maxDatagram)
+	for i := 0; i < n; i++ {
+		if err := c.transport.Send(wire.Encode(wire.ChunkAt(hdr, content, i, n, room))); err != nil {
 			c.stats.Failures.Add(1)
 			continue
 		}
@@ -363,45 +363,79 @@ func (c *Collector) send(hdr wire.Header, typ string, content []byte) {
 	}
 }
 
+// sendList transmits a list one item per line under typ and its fuzzy hash
+// under hashTyp.
+func (c *Collector) sendList(hdr wire.Header, typ, hashTyp string, items []string) {
+	size := max(len(items)-1, 0)
+	for _, it := range items {
+		size += len(it)
+	}
+	list := make([]byte, 0, size)
+	for i, it := range items {
+		if i > 0 {
+			list = append(list, '\n')
+		}
+		list = append(list, it...)
+	}
+	c.send(hdr, typ, list)
+	c.sendHash(hdr, hashTyp, list)
+}
+
 // sendHash fuzzy-hashes content and transmits the digest under typ.
 func (c *Collector) sendHash(hdr wire.Header, typ string, content []byte) {
-	digest, err := ssdeep.Hash(content)
+	var buf [ssdeep.MaxDigestLen]byte
+	digest, err := ssdeep.AppendHash(buf[:0], content)
 	if err != nil {
 		c.stats.Failures.Add(1)
 		return
 	}
-	c.send(hdr, typ, []byte(digest))
+	c.send(hdr, typ, digest)
 }
 
-// renderMetadata serialises the METADATA record: process identity plus
-// stat(2) fields, as KEY=VALUE lines.
-func renderMetadata(proc *procfs.Proc, meta procfs.FileMeta, cat Category) []byte {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "EXE=%s\n", proc.Exe)
-	fmt.Fprintf(&sb, "CATEGORY=%s\n", cat)
-	fmt.Fprintf(&sb, "PPID=%d\n", proc.PPID)
-	fmt.Fprintf(&sb, "UID=%d\n", proc.UID)
-	fmt.Fprintf(&sb, "GID=%d\n", proc.GID)
-	fmt.Fprintf(&sb, "INODE=%d\n", meta.Inode)
-	fmt.Fprintf(&sb, "SIZE=%d\n", meta.Size)
-	fmt.Fprintf(&sb, "MODE=%o\n", meta.Mode)
-	fmt.Fprintf(&sb, "OWNER_UID=%d\n", meta.UID)
-	fmt.Fprintf(&sb, "OWNER_GID=%d\n", meta.GID)
-	fmt.Fprintf(&sb, "ATIME=%d\n", meta.Atime)
-	fmt.Fprintf(&sb, "MTIME=%d\n", meta.Mtime)
-	fmt.Fprintf(&sb, "CTIME=%d\n", meta.Ctime)
-	return []byte(sb.String())
+// sendDigest transmits a digest computed earlier under typ.
+func (c *Collector) sendDigest(hdr wire.Header, typ, digest string) {
+	var buf [ssdeep.MaxDigestLen]byte
+	c.send(hdr, typ, append(buf[:0], digest...))
 }
 
-func renderScriptMetadata(path string, meta procfs.FileMeta) []byte {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "EXE=%s\n", path)
-	fmt.Fprintf(&sb, "CATEGORY=python-script\n")
-	fmt.Fprintf(&sb, "INODE=%d\n", meta.Inode)
-	fmt.Fprintf(&sb, "SIZE=%d\n", meta.Size)
-	fmt.Fprintf(&sb, "MODE=%o\n", meta.Mode)
-	fmt.Fprintf(&sb, "MTIME=%d\n", meta.Mtime)
-	return []byte(sb.String())
+// appendMetadata appends the METADATA record: process identity plus stat(2)
+// fields, as KEY=VALUE lines.
+func appendMetadata(dst []byte, proc *procfs.Proc, meta procfs.FileMeta, cat Category) []byte {
+	dst = appendLine(dst, "EXE=", proc.Exe)
+	dst = appendLine(dst, "CATEGORY=", cat.String())
+	dst = appendInt(dst, "PPID=", int64(proc.PPID))
+	dst = appendUint(dst, "UID=", uint64(proc.UID), 10)
+	dst = appendUint(dst, "GID=", uint64(proc.GID), 10)
+	dst = appendUint(dst, "INODE=", meta.Inode, 10)
+	dst = appendInt(dst, "SIZE=", meta.Size)
+	dst = appendUint(dst, "MODE=", uint64(meta.Mode), 8)
+	dst = appendUint(dst, "OWNER_UID=", uint64(meta.UID), 10)
+	dst = appendUint(dst, "OWNER_GID=", uint64(meta.GID), 10)
+	dst = appendInt(dst, "ATIME=", meta.Atime)
+	dst = appendInt(dst, "MTIME=", meta.Mtime)
+	return appendInt(dst, "CTIME=", meta.Ctime)
+}
+
+// appendScriptMetadata appends the LAYER=SCRIPT METADATA record.
+func appendScriptMetadata(dst []byte, path string, meta procfs.FileMeta) []byte {
+	dst = appendLine(dst, "EXE=", path)
+	dst = appendLine(dst, "CATEGORY=", "python-script")
+	dst = appendUint(dst, "INODE=", meta.Inode, 10)
+	dst = appendInt(dst, "SIZE=", meta.Size)
+	dst = appendUint(dst, "MODE=", uint64(meta.Mode), 8)
+	return appendInt(dst, "MTIME=", meta.Mtime)
+}
+
+func appendLine(dst []byte, key, value string) []byte {
+	return append(append(append(dst, key...), value...), '\n')
+}
+
+func appendInt(dst []byte, key string, v int64) []byte {
+	return append(strconv.AppendInt(append(dst, key...), v, 10), '\n')
+}
+
+func appendUint(dst []byte, key string, v uint64, base int) []byte {
+	return append(strconv.AppendUint(append(dst, key...), v, base), '\n')
 }
 
 // BinaryReport is the static-analysis result for one executable image.
@@ -415,7 +449,10 @@ type BinaryReport struct {
 }
 
 // ScanBinary statically analyses an ELF image: the shared core between the
-// simulation hook and the real-host siren-scan tool.
+// simulation hook and the real-host siren-scan tool. It reads the symbol
+// table once, and streams the printable-strings dump (strescan.Dump) and the
+// global-symbol dump (one name per line) straight into the fuzzy hasher
+// instead of building them.
 func ScanBinary(img []byte) (*BinaryReport, error) {
 	f, err := elfx.Parse(img)
 	if err != nil {
@@ -425,21 +462,34 @@ func ScanBinary(img []byte) (*BinaryReport, error) {
 		Compilers: f.Comment(),
 		Needed:    f.Needed(),
 	}
-	if rep.FileH, err = ssdeep.Hash(img); err != nil {
-		return nil, err
-	}
-	if rep.StringsH, err = ssdeep.Hash(strescan.Dump(img)); err != nil {
-		return nil, err
-	}
-	symDump, err := f.SymbolDump()
-	if err != nil {
-		return nil, err
-	}
-	if rep.SymbolsH, err = ssdeep.Hash(symDump); err != nil {
-		return nil, err
-	}
 	if rep.Symbols, err = f.GlobalSymbolNames(); err != nil {
 		return nil, err
 	}
+	if rep.FileH, err = ssdeep.Hash(img); err != nil {
+		return nil, err
+	}
+	var h ssdeep.Hasher
+	for s := range strescan.Strings(img, strescan.DefaultOptions()) {
+		h.Write(s)
+		h.WriteByte('\n')
+	}
+	if rep.StringsH, err = digestString(&h); err != nil {
+		return nil, err
+	}
+	h.Reset()
+	for _, name := range rep.Symbols {
+		h.WriteString(name)
+		h.WriteByte('\n')
+	}
+	if rep.SymbolsH, err = digestString(&h); err != nil {
+		return nil, err
+	}
 	return rep, nil
+}
+
+// digestString is h's digest in canonical form.
+func digestString(h *ssdeep.Hasher) (string, error) {
+	var buf [ssdeep.MaxDigestLen]byte
+	d, err := h.AppendDigest(buf[:0])
+	return string(d), err
 }

@@ -111,13 +111,6 @@ func TestRoundTripSymbols(t *testing.T) {
 	if !reflect.DeepEqual(globals, want) {
 		t.Errorf("globals = %q, want %q", globals, want)
 	}
-	dump, err := f.SymbolDump()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(dump) != "icon_run_timestep\nicon_grid_config\nweak_hook\n" {
-		t.Errorf("SymbolDump = %q", dump)
-	}
 }
 
 // TestCrossCheckDebugELF verifies that images we build are accepted by the

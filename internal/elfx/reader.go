@@ -255,20 +255,6 @@ func (f *File) GlobalSymbolNames() ([]string, error) {
 	return out, nil
 }
 
-// SymbolDump renders the global symbol names one per line for fuzzy hashing.
-func (f *File) SymbolDump() ([]byte, error) {
-	names, err := f.GlobalSymbolNames()
-	if err != nil {
-		return nil, err
-	}
-	var sb strings.Builder
-	for _, n := range names {
-		sb.WriteString(n)
-		sb.WriteByte('\n')
-	}
-	return []byte(sb.String()), nil
-}
-
 func strtabString(tab []byte, off uint32) string {
 	if tab == nil || uint64(off) >= uint64(len(tab)) {
 		return ""

@@ -13,6 +13,7 @@ package procfs
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,20 +138,39 @@ type Region struct {
 
 // RenderMaps produces the text form of /proc/<pid>/maps for the regions.
 func RenderMaps(regions []Region) string {
-	var sb strings.Builder
+	return string(AppendMaps(nil, regions))
+}
+
+// AppendMaps appends RenderMaps(regions) to dst.
+func AppendMaps(dst []byte, regions []Region) []byte {
+	const pathColumn = "                    " // 20 spaces before a mapped path
 	for _, r := range regions {
 		dev := r.Dev
 		if dev == "" {
 			dev = "00:00"
 		}
-		fmt.Fprintf(&sb, "%012x-%012x %s %08x %s %d", r.Start, r.End, r.Perms, r.Offset, dev, r.Inode)
+		dst = appendHex(dst, r.Start, 12)
+		dst = append(dst, '-')
+		dst = appendHex(dst, r.End, 12)
+		dst = append(append(append(dst, ' '), r.Perms...), ' ')
+		dst = appendHex(dst, r.Offset, 8)
+		dst = append(append(append(dst, ' '), dev...), ' ')
+		dst = strconv.AppendUint(dst, r.Inode, 10)
 		if r.Path != "" {
-			sb.WriteString(strings.Repeat(" ", 20))
-			sb.WriteString(r.Path)
+			dst = append(append(dst, pathColumn...), r.Path...)
 		}
-		sb.WriteByte('\n')
+		dst = append(dst, '\n')
 	}
-	return sb.String()
+	return dst
+}
+
+// appendHex appends v in lower-case hex, zero-padded to width digits (the
+// %0<width>x verb).
+func appendHex(dst []byte, v uint64, width int) []byte {
+	for n := max(1, (bits.Len64(v)+3)/4); n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendUint(dst, v, 16)
 }
 
 // ParseMaps parses /proc/<pid>/maps text back into regions. Lines that do

@@ -2,6 +2,7 @@ package procfs
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -260,5 +261,32 @@ func BenchmarkRenderParseMaps(b *testing.B) {
 		if _, err := ParseMaps(text); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAppendMapsMatchesPrintf holds the strconv rendering of a maps line to
+// the fmt verbs it replaced, across the zero-padding edges: zero, values
+// wider than the pad, and the empty device and path.
+func TestAppendMapsMatchesPrintf(t *testing.T) {
+	regions := []Region{
+		{},
+		{Start: 0x400000, End: 0x401000, Perms: "r-xp", Offset: 0x1000, Dev: "fd:00", Inode: 1234, Path: "/usr/bin/cat"},
+		{Start: 0xffffffffffffffff, End: 0x1000000000000, Perms: "rw-p", Offset: 0xfffffffff, Inode: 0, Path: "[heap]"},
+		{Start: 0xf, End: 0x10, Perms: "---p", Offset: 0xf, Dev: "08:01"},
+	}
+	var want strings.Builder
+	for _, r := range regions {
+		dev := r.Dev
+		if dev == "" {
+			dev = "00:00"
+		}
+		fmt.Fprintf(&want, "%012x-%012x %s %08x %s %d", r.Start, r.End, r.Perms, r.Offset, dev, r.Inode)
+		if r.Path != "" {
+			want.WriteString(strings.Repeat(" ", 20) + r.Path)
+		}
+		want.WriteByte('\n')
+	}
+	if got := RenderMaps(regions); got != want.String() {
+		t.Errorf("RenderMaps:\n got %q\nwant %q", got, want.String())
 	}
 }

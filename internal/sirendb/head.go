@@ -110,25 +110,19 @@ func (h *head) stage(ds []wire.Scanned, first uint64) []byte {
 	return c[h.fill:off]
 }
 
-// maxEncoded bounds a message's encoding: the format's fixed text (76
-// bytes), four integers of at most 20 bytes, and the values.
-func maxEncoded(m *wire.Message) int {
-	return 156 + len(m.JobID) + len(m.StepID) + len(m.Hash) + len(m.Host) + len(m.Layer) + len(m.Type) + len(m.Content)
-}
-
 // stageMessages is stage for Messages: each is encoded straight into the
 // chunk behind its record header. It returns the framed bytes and the rows
 // as datagrams in the chunk, for commit.
 func (h *head) stageMessages(ms []wire.Message, first uint64) ([]byte, []wire.Scanned) {
 	need := 0
 	for i := range ms {
-		need += recHdrSize + maxEncoded(&ms[i])
+		need += recHdrSize + wire.EncodedLen(&ms[i])
 	}
 	c, off := h.room(need), h.fill
 	h.staged = h.staged[:0]
 	for i := range ms {
-		// c's capacity is its length and need bounds the encoding, so the
-		// append stays in c.
+		// c's capacity is its length and need is the encodings' total, so
+		// the append stays in c.
 		enc, f := wire.AppendEncodeFields(c[:off+recHdrSize], &ms[i])
 		n := len(enc) - off - recHdrSize
 		frameRecord(c[off:], n, first+uint64(i))

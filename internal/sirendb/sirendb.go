@@ -300,7 +300,7 @@ func (db *DB) insertMessages(s *shard, ms []wire.Message) error {
 	}
 	size := 0
 	for i := range ms {
-		size += recHdrSize + maxEncoded(&ms[i])
+		size += recHdrSize + wire.EncodedLen(&ms[i])
 	}
 	if size > maxBatchBytes {
 		return fmt.Errorf("sirendb: batch of %d bytes exceeds the %d-byte batch limit", size, maxBatchBytes)

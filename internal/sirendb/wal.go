@@ -62,10 +62,7 @@ type recordMark struct {
 // segment — unreplayable.
 func checkRecordLens(ms []wire.Message) error {
 	for i := range ms {
-		if maxEncoded(&ms[i]) <= maxRecordLen {
-			continue
-		}
-		if n := len(wire.Encode(ms[i])); n > maxRecordLen {
+		if n := wire.EncodedLen(&ms[i]); n > maxRecordLen {
 			return fmt.Errorf("sirendb: message of %d bytes exceeds the %d-byte record limit", n, maxRecordLen)
 		}
 	}

@@ -76,3 +76,45 @@ func FuzzIndexCandidates(f *testing.F) {
 		mustMatchOracle(t, "fuzz", entries, qs)
 	})
 }
+
+// FuzzHashOnePass holds the one-pass Hasher to hashRetry, the block-size
+// search it replaced: the digest of data must equal the oracle's, and a
+// Hasher fed the same bytes in pieces split at the fuzzed cut points (taken
+// from cuts, two bytes per cut) must produce the one-shot digest. The seeds
+// sit at the edges: lengths 3·2^k·64 ± 1, inputs that retry 0, 1 and several
+// times, levels with 31, 32, 63 and 64 triggers, and a rolling sum that ends
+// at 0.
+func FuzzHashOnePass(f *testing.F) {
+	for _, seed := range onePassSeeds() {
+		f.Add(seed, []byte{0, 5, 1, 0})
+	}
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		want := hashRetry(data)
+		got, err := HashDigest(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("one pass %v, oracle %v (len %d)", got, want, len(data))
+		}
+		var h Hasher
+		rest := data
+		for i := 0; i+1 < len(cuts) && len(rest) > 0; i += 2 {
+			n := min(int(cuts[i])<<8|int(cuts[i+1]), len(rest))
+			if n == 1 && i%4 == 0 {
+				h.WriteByte(rest[0])
+			} else {
+				h.Write(rest[:n])
+			}
+			rest = rest[n:]
+		}
+		h.WriteString(string(rest))
+		streamed, err := h.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if streamed != want {
+			t.Fatalf("streamed %v, one shot %v (len %d, cuts %v)", streamed, want, len(data), cuts)
+		}
+	})
+}

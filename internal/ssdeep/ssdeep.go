@@ -27,7 +27,6 @@ package ssdeep
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -96,124 +95,6 @@ func ParseDigest(s string) (Digest, error) {
 		Sig1:      rest[:second],
 		Sig2:      rest[second+1:],
 	}, nil
-}
-
-// rollingState is the 7-byte rolling hash that triggers chunk boundaries.
-// Its value depends only on the last rollingWindow bytes seen, so identical
-// windows always produce identical trigger decisions — the property that
-// re-synchronises digests after an insertion or deletion.
-type rollingState struct {
-	window [rollingWindow]byte
-	h1     uint32 // sum of window bytes
-	h2     uint32 // weighted sum (position-sensitive)
-	h3     uint32 // shift/xor mix
-	n      uint32 // total bytes consumed
-}
-
-func (rs *rollingState) roll(c byte) uint32 {
-	rs.h2 -= rs.h1
-	rs.h2 += rollingWindow * uint32(c)
-	rs.h1 += uint32(c)
-	rs.h1 -= uint32(rs.window[rs.n%rollingWindow])
-	rs.window[rs.n%rollingWindow] = c
-	rs.n++
-	rs.h3 <<= 5
-	rs.h3 ^= uint32(c)
-	return rs.h1 + rs.h2 + rs.h3
-}
-
-func (rs *rollingState) sum() uint32 { return rs.h1 + rs.h2 + rs.h3 }
-
-// sumHash is the FNV-style piecewise hash accumulated within a chunk.
-func sumHash(c byte, h uint32) uint32 { return (h * hashPrime) ^ uint32(c) }
-
-// Hash computes the fuzzy hash of data and returns it in canonical string
-// form. Hashing is deterministic and never fails for inputs within
-// MaxInputSize.
-func Hash(data []byte) (string, error) {
-	d, err := HashDigest(data)
-	if err != nil {
-		return "", err
-	}
-	return d.String(), nil
-}
-
-// HashString is Hash for string inputs.
-func HashString(s string) (string, error) { return Hash([]byte(s)) }
-
-// HashReader reads r to EOF and hashes the contents. CTPH needs the full
-// input up front because the initial block-size guess may be halved after a
-// first pass produces a too-short signature.
-func HashReader(r io.Reader) (string, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return "", fmt.Errorf("ssdeep: reading input: %w", err)
-	}
-	return Hash(data)
-}
-
-// HashDigest computes the fuzzy hash of data in parsed form.
-func HashDigest(data []byte) (Digest, error) {
-	if int64(len(data)) > MaxInputSize {
-		return Digest{}, fmt.Errorf("ssdeep: input of %d bytes exceeds maximum", len(data))
-	}
-	// Initial block-size guess: the smallest power-of-two multiple of
-	// blockMin such that the expected signature fits in spamsumLength.
-	bs := uint32(blockMin)
-	for uint64(bs)*spamsumLength < uint64(len(data)) {
-		bs *= 2
-	}
-	for {
-		sig1, sig2 := digestOnce(data, bs)
-		// If the first signature came out shorter than half the cap the
-		// block size was too coarse; halve and retry (reference behaviour).
-		if bs > blockMin && len(sig1) < spamsumLength/2 {
-			bs /= 2
-			continue
-		}
-		return Digest{BlockSize: bs, Sig1: sig1, Sig2: sig2}, nil
-	}
-}
-
-// digestOnce runs a single CTPH pass with trigger block size bs, returning
-// the two signatures.
-func digestOnce(data []byte, bs uint32) (string, string) {
-	var sig1 [spamsumLength]byte
-	var sig2 [spamsumLength / 2]byte
-	j, k := 0, 0
-	h1, h2 := uint32(hashInit), uint32(hashInit)
-	var roll rollingState
-	var rh uint32
-	bs2 := bs * 2
-	for _, c := range data {
-		h1 = sumHash(c, h1)
-		h2 = sumHash(c, h2)
-		rh = roll.roll(c)
-		if rh%bs == bs-1 {
-			sig1[j] = base64Chars[h1%64]
-			if j < spamsumLength-1 {
-				// Keep the final slot writable so the very last chunk can
-				// overwrite it; matches reference behaviour for inputs that
-				// trigger more than spamsumLength boundaries.
-				h1 = hashInit
-				j++
-			}
-			if rh%bs2 == bs2-1 {
-				sig2[k] = base64Chars[h2%64]
-				if k < spamsumLength/2-1 {
-					h2 = hashInit
-					k++
-				}
-			}
-		}
-	}
-	if roll.sum() != 0 {
-		sig1[j] = base64Chars[h1%64]
-		j++
-		sig2[k] = base64Chars[h2%64]
-		k++
-	}
-	return string(sig1[:j]), string(sig2[:k])
 }
 
 // Backend selects the edit-distance used to score signature similarity.

@@ -2,7 +2,9 @@ package ssdeep
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +42,186 @@ func mustCompare(t *testing.T, a, b string) int {
 		t.Fatalf("Compare(%q, %q): %v", a, b, err)
 	}
 	return s
+}
+
+// hashRetry is the block-size search as one CTPH pass per candidate block
+// size: guess the block size from the length, halve and re-hash while the
+// first signature is shorter than half the cap. It is the oracle the
+// one-pass Hasher is held to.
+func hashRetry(data []byte) Digest {
+	bs := uint32(blockMin)
+	for uint64(bs)*spamsumLength < uint64(len(data)) {
+		bs *= 2
+	}
+	for {
+		sig1, sig2 := digestOnce(data, bs)
+		if bs > blockMin && len(sig1) < spamsumLength/2 {
+			bs /= 2
+			continue
+		}
+		return Digest{BlockSize: bs, Sig1: sig1, Sig2: sig2}
+	}
+}
+
+// retries is how many times hashRetry halves the block size for data.
+func retries(data []byte) int {
+	d := hashRetry(data)
+	bs := uint32(blockMin)
+	for uint64(bs)*spamsumLength < uint64(len(data)) {
+		bs *= 2
+	}
+	return bits.Len32(bs/d.BlockSize) - 1
+}
+
+// digestOnce runs a single CTPH pass with trigger block size bs, returning
+// the two signatures. The last slot of a signature at its cap is rewritten
+// by every later trigger, and its hash no longer resets.
+func digestOnce(data []byte, bs uint32) (string, string) {
+	var sig1 [spamsumLength]byte
+	var sig2 [spamsumLength / 2]byte
+	j, k := 0, 0
+	h1, h2 := uint32(hashInit), uint32(hashInit)
+	var roll oracleRoll
+	var rh uint32
+	bs2 := bs * 2
+	for _, c := range data {
+		h1 = (h1 * hashPrime) ^ uint32(c)
+		h2 = (h2 * hashPrime) ^ uint32(c)
+		rh = roll.roll(c)
+		if rh%bs == bs-1 {
+			sig1[j] = base64Chars[h1%64]
+			if j < spamsumLength-1 {
+				h1 = hashInit
+				j++
+			}
+			if rh%bs2 == bs2-1 {
+				sig2[k] = base64Chars[h2%64]
+				if k < spamsumLength/2-1 {
+					h2 = hashInit
+					k++
+				}
+			}
+		}
+	}
+	if rh != 0 {
+		sig1[j] = base64Chars[h1%64]
+		j++
+		sig2[k] = base64Chars[h2%64]
+		k++
+	}
+	return string(sig1[:j]), string(sig2[:k])
+}
+
+// oracleRoll is the rolling hash with its window kept as an array.
+type oracleRoll struct {
+	window     [rollingWindow]byte
+	h1, h2, h3 uint32
+	n          uint32
+}
+
+func (rs *oracleRoll) roll(c byte) uint32 {
+	rs.h2 -= rs.h1
+	rs.h2 += rollingWindow * uint32(c)
+	rs.h1 += uint32(c)
+	rs.h1 -= uint32(rs.window[rs.n%rollingWindow])
+	rs.window[rs.n%rollingWindow] = c
+	rs.n++
+	rs.h3 <<= 5
+	rs.h3 ^= uint32(c)
+	return rs.h1 + rs.h2 + rs.h3
+}
+
+// onePassSeeds are the edge inputs of the one-pass kernel: lengths around
+// the block-size guess's steps, inputs that make the search retry, levels
+// with 31, 32, 63 and 64 triggers, and a rolling sum that ends at 0.
+func onePassSeeds() [][]byte {
+	rng := rand.New(rand.NewSource(30))
+	var seeds [][]byte
+	for _, k := range []int{0, 1, 2, 5, 9} {
+		n := blockMin << k * spamsumLength
+		for _, m := range []int{n - 1, n, n + 1} {
+			seeds = append(seeds, randomBlob(rng, m))
+		}
+	}
+	// Retries: a structured blob retries rarely; a short-period text and
+	// runs of one byte retry several times.
+	seeds = append(seeds,
+		randomBlob(rng, 5000),
+		[]byte(strings.Repeat("abcdefghij", 700)),
+		bytes.Repeat([]byte{'x'}, 4000),
+		append(bytes.Repeat([]byte{0}, 3000), randomBlob(rng, 300)...))
+	// A level with exactly 31, 32, 63 and 64 triggers at block size 3.
+	for _, want := range []int{31, 32, 63, 64} {
+		seeds = append(seeds, withTriggers(rng, want))
+	}
+	// A rolling sum that ends at 0: seven zero bytes clear every term but
+	// h3, and h3 shifts a byte out after seven steps.
+	seeds = append(seeds, append(randomBlob(rng, 700), make([]byte, 7)...), make([]byte, 50))
+	return seeds
+}
+
+// withTriggers returns random bytes on which level 0 (block size 3)
+// triggers exactly want times.
+func withTriggers(rng *rand.Rand, want int) []byte {
+	var data []byte
+	var roll oracleRoll
+	for got := 0; got < want; {
+		c := byte(rng.Intn(256))
+		probe := roll
+		if probe.roll(c)%blockMin == blockMin-1 {
+			got++
+		}
+		roll.roll(c)
+		data = append(data, c)
+	}
+	return data
+}
+
+func TestHashMatchesRetryOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	inputs := onePassSeeds()
+	for i := 0; i < 300; i++ {
+		n := rng.Intn(1 << uint(rng.Intn(18)))
+		switch i % 3 {
+		case 0:
+			inputs = append(inputs, randomBlob(rng, n))
+		case 1:
+			b := make([]byte, n)
+			rng.Read(b)
+			inputs = append(inputs, b)
+		default:
+			period := 1 + rng.Intn(40)
+			b := make([]byte, n)
+			for j := range b {
+				b[j] = byte(j%period) * byte(rng.Intn(2))
+			}
+			inputs = append(inputs, b)
+		}
+	}
+	tried := map[int]int{}
+	for _, data := range inputs {
+		want := hashRetry(data)
+		got, err := HashDigest(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("len %d: one pass %v, oracle %v", len(data), got, want)
+		}
+		var h Hasher
+		for rest := data; len(rest) > 0; {
+			n := min(1+rng.Intn(700), len(rest))
+			h.Write(rest[:n])
+			rest = rest[n:]
+		}
+		if streamed, _ := h.Digest(); streamed != want {
+			t.Fatalf("len %d: streamed %v, oracle %v", len(data), streamed, want)
+		}
+		tried[retries(data)]++
+	}
+	if tried[0] == 0 || tried[1] == 0 || len(tried) < 4 {
+		t.Errorf("inputs retried %v times: want 0, 1 and several", tried)
+	}
 }
 
 func TestHashEmpty(t *testing.T) {

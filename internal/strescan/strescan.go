@@ -10,6 +10,7 @@ package strescan
 import (
 	"bytes"
 	"io"
+	"iter"
 )
 
 // DefaultMinLength is the minimum run length reported by default, matching
@@ -54,28 +55,53 @@ func Extract(data []byte) []string {
 
 // ExtractWith returns every printable string in data subject to opts.
 func ExtractWith(data []byte, opts Options) []string {
-	minLen := opts.minLen()
 	var out []string
-	start := -1
-	for i, b := range data {
-		if opts.printable(b) {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		if start >= 0 && i-start >= minLen {
-			out = append(out, string(data[start:i]))
-			if opts.MaxStrings > 0 && len(out) >= opts.MaxStrings {
-				return out
-			}
-		}
-		start = -1
-	}
-	if start >= 0 && len(data)-start >= minLen {
-		out = append(out, string(data[start:]))
+	for s := range Strings(data, opts) {
+		out = append(out, string(s))
 	}
 	return out
+}
+
+// Strings yields every printable string in data subject to opts, in order,
+// each as a slice of data — nothing is copied, so a consumer that only reads
+// the strings (a fuzzy hasher) allocates nothing for them.
+func Strings(data []byte, opts Options) iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
+		minLen, printable := opts.minLen(), &printableASCII
+		if opts.IncludeTab {
+			printable = &printableTab
+		}
+		for i, n := 0, 0; i < len(data); {
+			for i < len(data) && !printable[data[i]] {
+				i++
+			}
+			start := i
+			for i < len(data) && printable[data[i]] {
+				i++
+			}
+			if i-start < minLen {
+				continue
+			}
+			if !yield(data[start:i]) {
+				return
+			}
+			if n++; opts.MaxStrings > 0 && n >= opts.MaxStrings {
+				return
+			}
+		}
+	}
+}
+
+// printableASCII and printableTab are Options.printable as tables, without
+// and with IncludeTab.
+var printableASCII, printableTab = printableTables()
+
+func printableTables() (ascii, tab [256]bool) {
+	for b := 0x20; b <= 0x7E; b++ {
+		ascii[b], tab[b] = true, true
+	}
+	tab['\t'] = true
+	return ascii, tab
 }
 
 // Dump renders all printable strings one per line, the form SIREN feeds to
@@ -88,10 +114,9 @@ func Dump(data []byte) []byte {
 
 // DumpWith is Dump with explicit options.
 func DumpWith(data []byte, opts Options) []byte {
-	ss := ExtractWith(data, opts)
 	var buf bytes.Buffer
-	for _, s := range ss {
-		buf.WriteString(s)
+	for s := range Strings(data, opts) {
+		buf.Write(s)
 		buf.WriteByte('\n')
 	}
 	return buf.Bytes()

@@ -35,6 +35,9 @@ func FuzzWireParse(f *testing.F) {
 		if got, want := AppendEncode(nil, m), encodeOracle(m); !bytes.Equal(got, want) {
 			t.Fatalf("AppendEncode diverged from the old Encode:\n got %q\nwant %q", got, want)
 		}
+		if n, want := EncodedLen(&m), len(encodeOracle(m)); n != want {
+			t.Fatalf("EncodedLen = %d, datagram is %d bytes", n, want)
+		}
 		// Appending after a prefix (the WAL batch and run block shape) leaves
 		// the prefix alone and adds exactly the datagram.
 		prefix := data[:len(data)/2]

@@ -10,6 +10,14 @@ import (
 // Transport delivers encoded datagrams. Implementations must be safe for
 // concurrent Send calls. Send follows fire-and-forget semantics: an error
 // means the datagram was locally rejected, never that delivery failed.
+//
+// Send takes the datagram over. A transport may keep it after Send returns
+// — ChanTransport queues it for the receiver, FailoverTransport journals it
+// for replay, a capture keeps it — so the caller must not modify it
+// afterwards, nor reuse its memory for another datagram. Senders therefore
+// hand over a fresh slice per datagram (wire.Encode makes one), and a
+// transport need not copy what it keeps. Handing one unchanging datagram to
+// several transports, or to one several times, is allowed.
 type Transport interface {
 	Send(datagram []byte) error
 	Close() error
@@ -45,8 +53,8 @@ func (t *UDPTransport) Send(datagram []byte) error {
 func (t *UDPTransport) Close() error { return t.conn.Close() }
 
 // ChanTransport delivers datagrams into an in-process channel — the
-// deterministic test/simulation substitute for a UDP socket. Datagrams are
-// copied, so senders may reuse buffers.
+// deterministic test/simulation substitute for a UDP socket. It queues the
+// datagram it is handed, without a copy (see Transport).
 type ChanTransport struct {
 	mu     sync.Mutex
 	ch     chan []byte
@@ -64,17 +72,16 @@ func NewChanTransport(depth int) *ChanTransport {
 // C exposes the receive side.
 func (t *ChanTransport) C() <-chan []byte { return t.ch }
 
-// Send enqueues a copy of the datagram, dropping it if the buffer is full
-// (exactly how a kernel drops UDP under pressure).
+// Send enqueues the datagram, dropping it if the buffer is full (exactly
+// how a kernel drops UDP under pressure).
 func (t *ChanTransport) Send(datagram []byte) error {
-	cp := append([]byte(nil), datagram...)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return fmt.Errorf("wire: transport closed")
 	}
 	select {
-	case t.ch <- cp:
+	case t.ch <- datagram:
 	default:
 		t.Dropped++
 	}

@@ -136,9 +136,37 @@ func AppendEncodeFields(dst []byte, m *Message) ([]byte, Fields) {
 	return append(dst, m.Content...), f
 }
 
-// Encode renders the message as a fresh datagram.
+// Encode renders the message as a fresh datagram, in one allocation of
+// exactly its length.
 func Encode(m Message) []byte {
-	return AppendEncode(make([]byte, 0, 128+len(m.Content)), m)
+	return AppendEncode(make([]byte, 0, EncodedLen(&m)), m)
+}
+
+// fixedLen is the length of the text AppendEncodeFields writes around the
+// values.
+const fixedLen = len(magic + "|JOBID=|STEPID=|PID=|HASH=|HOST=|TIME=|LAYER=|TYPE=|SEQ=|TOT=" + contentMark)
+
+// EncodedLen is the exact length of the datagram AppendEncode makes of m.
+func EncodedLen(m *Message) int {
+	return headerLen(&m.Header) + len(m.Content)
+}
+
+// headerLen is the encoded length of a datagram carrying h and no content.
+func headerLen(h *Header) int {
+	return fixedLen + len(h.JobID) + len(h.StepID) + len(h.Hash) + len(h.Host) + len(h.Layer) + len(h.Type) +
+		decimalLen(int64(h.PID)) + decimalLen(h.Time) + decimalLen(int64(h.Seq)) + decimalLen(int64(h.Total))
+}
+
+// decimalLen is len(strconv.AppendInt(nil, v, 10)).
+func decimalLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // ErrMalformed is returned by Parse for datagrams that do not follow the
@@ -490,33 +518,35 @@ func constantValue(v []byte) (string, bool) {
 // with empty content still produces one chunk (types like FILE_H always
 // announce themselves even when the hash is empty).
 func Chunk(h Header, content []byte, maxSize int) []Message {
+	n, room := ChunkPlan(h, len(content), maxSize)
+	msgs := make([]Message, n)
+	for i := range msgs {
+		msgs[i] = ChunkAt(h, content, i, n, room)
+	}
+	return msgs
+}
+
+// ChunkPlan reports how Chunk splits a record of size content bytes under
+// header h: into n chunks of room content bytes each, the last one holding
+// the rest. The room is measured against a header with worst-case SEQ/TOT
+// digits, without encoding anything.
+func ChunkPlan(h Header, size, maxSize int) (n, room int) {
 	if maxSize <= 0 {
 		maxSize = MaxDatagram
 	}
-	// Overhead of a chunk with worst-case SEQ/TOT digits.
-	probe := Message{Header: h}
-	probe.Seq, probe.Total = 999999, 999999
-	overhead := len(Encode(probe))
-	room := maxSize - overhead
+	h.Seq, h.Total = 999999, 999999
+	room = maxSize - headerLen(&h)
 	if room < 16 {
 		room = 16 // pathological header: still make progress
 	}
-	n := (len(content) + room - 1) / room
-	if n == 0 {
-		n = 1
-	}
-	msgs := make([]Message, 0, n)
-	for i := 0; i < n; i++ {
-		lo := i * room
-		hi := lo + room
-		if hi > len(content) {
-			hi = len(content)
-		}
-		m := Message{Header: h, Content: content[lo:hi]}
-		m.Seq, m.Total = i, n
-		msgs = append(msgs, m)
-	}
-	return msgs
+	return max(1, (size+room-1)/room), room
+}
+
+// ChunkAt is chunk i of the n that ChunkPlan's room splits content into.
+func ChunkAt(h Header, content []byte, i, n, room int) Message {
+	h.Seq, h.Total = i, n
+	lo := i * room
+	return Message{Header: h, Content: content[lo:min(lo+room, len(content))]}
 }
 
 // Record is a reassembled logical record.

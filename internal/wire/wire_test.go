@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -131,6 +132,51 @@ func TestChunkRespectsMaxSize(t *testing.T) {
 	}
 	if !bytes.Equal(joined, content) {
 		t.Error("chunk contents do not concatenate to the original")
+	}
+}
+
+// TestEncodedLenExact holds EncodedLen to the encoder across the integer
+// spellings: zero, signs, and the extremes of each width.
+func TestEncodedLenExact(t *testing.T) {
+	ints := []int64{0, 1, 9, 10, -1, -9, -10, 999999, math.MaxInt32, math.MinInt32, math.MaxInt64, math.MinInt64}
+	for _, v := range ints {
+		m := Message{Header: sampleHeader(), Content: []byte("payload")}
+		m.Time, m.PID, m.Seq, m.Total = v, int(v), int(v), int(v)
+		if got, want := EncodedLen(&m), len(AppendEncode(nil, m)); got != want {
+			t.Errorf("value %d: EncodedLen = %d, datagram is %d bytes", v, got, want)
+		}
+	}
+}
+
+// TestChunkPlanMatchesProbe pins ChunkPlan's room to what measuring an
+// encoded probe chunk (SEQ and TOT of 999999, no content) gives.
+func TestChunkPlanMatchesProbe(t *testing.T) {
+	h := sampleHeader()
+	for _, maxSize := range []int{0, 40, 200, MaxDatagram, 9000} {
+		probe := Message{Header: h}
+		probe.Seq, probe.Total = 999999, 999999
+		size := maxSize
+		if size <= 0 {
+			size = MaxDatagram
+		}
+		want := max(16, size-len(Encode(probe)))
+		if _, room := ChunkPlan(h, 5000, maxSize); room != want {
+			t.Errorf("maxSize %d: room %d, want %d", maxSize, room, want)
+		}
+	}
+}
+
+// TestEncodeAllocs pins the send path's allocations: Encode makes the
+// datagram and nothing else, and a one-chunk record costs Chunk only its
+// one-element result.
+func TestEncodeAllocs(t *testing.T) {
+	h := sampleHeader()
+	m := Message{Header: h, Content: []byte("3:abcdefgh:ijkl")}
+	if n := testing.AllocsPerRun(100, func() { Encode(m) }); n != 1 {
+		t.Errorf("Encode: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { Chunk(h, m.Content, MaxDatagram) }); n > 1 {
+		t.Errorf("Chunk of one chunk: %v allocations, want at most 1", n)
 	}
 }
 
