@@ -77,7 +77,10 @@ func (rs *rollingState) sum() uint32 { return rs.h1 + rs.h2 + rs.h3 }
 //     holds the same state and is created from it (forked) at its first
 //     trigger;
 //   - a level below one that has 32 triggers and lies within the search is
-//     never chosen, so it is dropped.
+//     never chosen, so it is dropped;
+//   - a second signature's hash stops resetting at its cap, 31 triggers
+//     before the first's, so a level that may still supply one keeps that
+//     hash apart from its 32nd trigger on (it splits).
 //
 // The zero value is ready to use. A Hasher is not safe for concurrent use.
 type Hasher struct {

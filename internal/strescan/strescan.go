@@ -41,11 +41,13 @@ func (o Options) minLen() int {
 	return o.MinLength
 }
 
-func (o Options) printable(b byte) bool {
-	if b >= 0x20 && b <= 0x7E {
-		return true
+// printable is the printable set as a table: printable[b] is 1 when byte b
+// may be part of a string, 0 otherwise.
+func (o Options) printable() *[256]uint8 {
+	if o.IncludeTab {
+		return &printableTab
 	}
-	return o.IncludeTab && b == '\t'
+	return &printableASCII
 }
 
 // Extract returns every printable string in data using DefaultOptions.
@@ -67,40 +69,38 @@ func ExtractWith(data []byte, opts Options) []string {
 // the strings (a fuzzy hasher) allocates nothing for them.
 func Strings(data []byte, opts Options) iter.Seq[[]byte] {
 	return func(yield func([]byte) bool) {
-		minLen, printable := opts.minLen(), &printableASCII
-		if opts.IncludeTab {
-			printable = &printableTab
+		minLen, printable := opts.minLen(), opts.printable()
+		// run is the length of the printable run ending at the current
+		// byte, kept without a branch on each byte's class: binary data
+		// alternates classes too often for one to predict.
+		run, n := 0, 0
+		for i, b := range data {
+			p := int(printable[b])
+			if run >= minLen && p == 0 {
+				if !yield(data[i-run : i]) {
+					return
+				}
+				if n++; opts.MaxStrings > 0 && n >= opts.MaxStrings {
+					return
+				}
+			}
+			run = (run + 1) & -p
 		}
-		for i, n := 0, 0; i < len(data); {
-			for i < len(data) && !printable[data[i]] {
-				i++
-			}
-			start := i
-			for i < len(data) && printable[data[i]] {
-				i++
-			}
-			if i-start < minLen {
-				continue
-			}
-			if !yield(data[start:i]) {
-				return
-			}
-			if n++; opts.MaxStrings > 0 && n >= opts.MaxStrings {
-				return
-			}
+		if run >= minLen {
+			yield(data[len(data)-run:])
 		}
 	}
 }
 
-// printableASCII and printableTab are Options.printable as tables, without
-// and with IncludeTab.
+// printableASCII and printableTab are the printable sets without and with
+// IncludeTab, 1 for a printable byte and 0 for any other.
 var printableASCII, printableTab = printableTables()
 
-func printableTables() (ascii, tab [256]bool) {
+func printableTables() (ascii, tab [256]uint8) {
 	for b := 0x20; b <= 0x7E; b++ {
-		ascii[b], tab[b] = true, true
+		ascii[b], tab[b] = 1, 1
 	}
-	tab['\t'] = true
+	tab['\t'] = 1
 	return ascii, tab
 }
 
@@ -134,11 +134,11 @@ func Scan(r io.Reader) ([]string, error) {
 // Count returns how many printable strings data contains without
 // materialising them.
 func Count(data []byte, opts Options) int {
-	minLen := opts.minLen()
+	minLen, printable := opts.minLen(), opts.printable()
 	n := 0
 	run := 0
 	for _, b := range data {
-		if opts.printable(b) {
+		if printable[b] != 0 {
 			run++
 			continue
 		}

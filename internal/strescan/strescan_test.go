@@ -109,7 +109,7 @@ func TestExtractAllRunsAreValid(t *testing.T) {
 				t.Fatalf("string %q shorter than min length", s)
 			}
 			for j := 0; j < len(s); j++ {
-				if !opts.printable(s[j]) {
+				if c := s[j]; (c < 0x20 || c > 0x7E) && c != '\t' {
 					t.Fatalf("string %q contains unprintable byte %#x", s, s[j])
 				}
 			}
