@@ -150,31 +150,98 @@ func onePassSeeds() [][]byte {
 		[]byte(strings.Repeat("abcdefghij", 700)),
 		bytes.Repeat([]byte{'x'}, 4000),
 		append(bytes.Repeat([]byte{0}, 3000), randomBlob(rng, 300)...))
-	// A level with exactly 31, 32, 63 and 64 triggers at block size 3.
-	for _, want := range []int{31, 32, 63, 64} {
-		seeds = append(seeds, withTriggers(rng, want))
+	// Levels with exactly 31, 32, 63 and 64 triggers, where they supply
+	// the first or the second signature: level 1 of a 192-byte input (its
+	// search starts at level 0, so writeBase hashes it), levels 2 and 3 of
+	// a 768-byte one (it starts at level 2).
+	for _, want := range triggerCounts {
+		for _, at := range []struct{ level, n int }{{1, 192}, {2, 768}, {3, 768}} {
+			seeds = append(seeds, withTriggers(rng, at.level, want, at.n))
+		}
 	}
-	// A rolling sum that ends at 0: seven zero bytes clear every term but
-	// h3, and h3 shifts a byte out after seven steps.
+	// A rolling sum that ends at 0: seven zero bytes empty the window, and
+	// h3, shifted five bits a byte, is clear of the bytes before them.
 	seeds = append(seeds, append(randomBlob(rng, 700), make([]byte, 7)...), make([]byte, 50))
 	return seeds
 }
 
-// withTriggers returns random bytes on which level 0 (block size 3)
-// triggers exactly want times.
-func withTriggers(rng *rand.Rand, want int) []byte {
-	var data []byte
+// triggerCounts are the trigger counts at the signature caps: one below
+// and at the second signature's, one below and at the first's.
+var triggerCounts = []int{31, 32, 63, 64}
+
+// withTriggers returns n random bytes on which level (block size
+// blockMin·2^level) triggers exactly want times, spread evenly: each byte
+// is drawn until it triggers the level or not, as the spread asks so far.
+// A position where no byte can — the rolling sum mod 3 does not depend on
+// the byte while h3's low three bits are 0 — passes its trigger on to the
+// next; the spread ends 16 bytes early so the last one has room.
+func withTriggers(rng *rand.Rand, level, want, n int) []byte {
+	bs := uint32(blockMin) << level
+	data := make([]byte, 0, n)
 	var roll oracleRoll
-	for got := 0; got < want; {
-		c := byte(rng.Intn(256))
-		probe := roll
-		if probe.roll(c)%blockMin == blockMin-1 {
+	got := 0
+	for i := 0; i < n; i++ {
+		trigger := got < min(want, (i+1)*want/(n-16)) // 16 bytes of slack at the end
+		var c byte
+		for try := 0; try < 1024; try++ {
+			c = byte(rng.Intn(256))
+			probe := roll
+			if (probe.roll(c)%bs == bs-1) == trigger {
+				break
+			}
+		}
+		if roll.roll(c)%bs == bs-1 {
 			got++
 		}
-		roll.roll(c)
 		data = append(data, c)
 	}
 	return data
+}
+
+// triggers counts level's triggers over data.
+func triggers(data []byte, level int) int {
+	bs := uint32(blockMin) << level
+	var roll oracleRoll
+	n := 0
+	for _, c := range data {
+		if roll.roll(c)%bs == bs-1 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOnePassSeedsCoverTheEdges keeps FuzzHashOnePass's seeds at the edges
+// they are there for.
+func TestOnePassSeedsCoverTheEdges(t *testing.T) {
+	seeds := onePassSeeds()
+	tried := map[int]int{}
+	zeroSum := false
+	counts := map[[2]int]bool{} // (level, triggers)
+	for _, data := range seeds {
+		tried[min(retries(data), 2)]++
+		var roll oracleRoll
+		for _, c := range data {
+			roll.roll(c)
+		}
+		zeroSum = zeroSum || len(data) > 0 && roll.h1+roll.h2+roll.h3 == 0
+		for level := 1; level <= 3; level++ {
+			counts[[2]int{level, triggers(data, level)}] = true
+		}
+	}
+	if tried[0] == 0 || tried[1] == 0 || tried[2] == 0 {
+		t.Errorf("seeds retry %v times (0, 1, 2 or more): want each", tried)
+	}
+	if !zeroSum {
+		t.Error("no seed ends with a rolling sum of 0")
+	}
+	for _, want := range triggerCounts {
+		for level := 1; level <= 3; level++ {
+			if !counts[[2]int{level, want}] {
+				t.Errorf("no seed has %d triggers at level %d", want, level)
+			}
+		}
+	}
 }
 
 func TestHashMatchesRetryOracle(t *testing.T) {
