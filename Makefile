@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build cross-build test test-race vet fmt fmt-check lint staticcheck sirenlint fuzz-smoke bench bench-smoke bench-store bench-read bench-serve bench-gate bench-gate-run bench-rebaseline test-replay test-serve test-failover test-runs test-obs ci
+.PHONY: build cross-build test test-race vet fmt fmt-check lint staticcheck sirenlint fuzz-smoke bench bench-smoke bench-store bench-read bench-serve bench-gate test-replay test-serve test-failover test-runs test-obs ci
 
 build:
 	$(GO) build ./...
@@ -166,53 +166,44 @@ bench-serve:
 	$(GO) test -run=NONE -bench='BenchmarkIdentify|BenchmarkCatalogRefresh' \
 		-benchmem -benchtime=$(BENCHTIME) ./internal/catalog ./internal/server
 
-# Benchmark-regression gate (DESIGN.md §9). One representative benchmark per
-# tier — indexed identify (analysis and full handler stack), the cold
-# fingerprint-index build a replica pays at start-up, incremental
-# catalog refresh, store insert, receiver ingest, the sealed-vs-replay
-# open pair (the flat sealed open is the storage tier's claim), Seal (the
-# store's one rewrite transaction), and the
-# consolidation every refresh and every analysis runs (through the store, over
-# sealed runs plus a replayed head as a restarted store reads it, and the
-# kernel alone on the campaign capture), the collector's per-process cost
-# (the CTPH kernel alone, and one user process collected end to end) — plus the
-# scoring kernel by itself (a 64-byte distance): in a geomean over a dozen
-# benchmarks a return to DP cost in BenchmarkIdentify alone would sit at the
-# threshold, with this one beside it it is far past it. Each is run -count times with -benchmem so
-# benchdiff can take the noise-resistant minimum, compared against the
-# committed baseline and failing on a >25% geometric-mean slowdown or on any
-# one benchmark's allocs/op rising >10% (counts repeat, so they get no
-# geomean slack). After an
-# intentional perf change, re-baseline with `make bench-rebaseline` on the
-# reference machine and commit the new BENCH_BASELINE.json.
-BENCH_GATE_COUNT ?= 5
-BENCH_BASELINE ?= BENCH_BASELINE.json
-BENCH_GATE_OUT ?= .bench/gate.txt
+# Benchmark-regression gate (DESIGN.md §9): cmd/benchdiff races this
+# checkout against BENCH_PARENT in one session — five alternating pairs of
+# `go test -bench -benchmem -count=1` per gated benchmark, the side that
+# runs first flipping every pair — and fails a benchmark whose median ns/op
+# is more than 25 % above the parent's with more pairs lost than won, whose
+# lowest allocs/op is above the parent's highest, or that the change no
+# longer reports. BENCH_PARENT is a git revision or a directory; in CI's
+# pull-request merge commit HEAD~1 is the base. One representative benchmark
+# per tier, each PACKAGE:'PATTERN': indexed identify (analysis and full
+# handler stack), the cold fingerprint-index build a replica pays at
+# start-up, the scoring kernel by itself (a 64-byte distance), incremental
+# catalog refresh, store insert, receiver ingest, a telemetry record, the
+# sealed-vs-replay open pair (the flat sealed open is the storage tier's
+# claim), Seal (the store's one rewrite transaction), the consolidation every
+# refresh and every analysis runs (through the store, over sealed runs plus a
+# replayed head as a restarted store reads it, and the kernel alone on the
+# campaign capture), and the collector's per-process cost (the CTPH kernel
+# alone, and one user process collected end to end).
+BENCH_PARENT ?= HEAD~1
 
-bench-gate-run:
-	@mkdir -p .bench && rm -f $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkIdentify/n=10000$$/indexed$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/analysis | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkIndexDerive/rebuild/n=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/analysis | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkWeighted64$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/editdist | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkIdentify/serial/jobs=16$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/server | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkCatalogRefresh/incremental/jobs=16$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/catalog | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkInsertBatch/store=mem/shards=4/writers=4$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkReceiverIngest/shards=4/payload=512$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/receiver | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkHistogramRecord$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/obs | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkOpenSealed/rows=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkOpenReplay/rows=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkSeal/rows=10000$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/sirendb | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='^BenchmarkConsolidate$$/streaming-workers=1$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkConsolidateCampaign$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkConsolidateSealed$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/postprocess | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkHash1M$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/ssdeep | tee -a $(BENCH_GATE_OUT)
-	$(GO) test -run=NONE -bench='BenchmarkCollectUserProcess$$' -benchmem -count=$(BENCH_GATE_COUNT) ./internal/collector | tee -a $(BENCH_GATE_OUT)
-
-bench-gate: bench-gate-run
-	$(GO) run ./cmd/benchdiff -baseline $(BENCH_BASELINE) -threshold 1.25 $(BENCH_GATE_OUT)
-
-bench-rebaseline: bench-gate-run
-	$(GO) run ./cmd/benchdiff -write -out $(BENCH_BASELINE) $(BENCH_GATE_OUT)
+bench-gate:
+	$(GO) run ./cmd/benchdiff -parent $(BENCH_PARENT) \
+		./internal/analysis:'BenchmarkIdentify/n=10000$$/indexed$$' \
+		./internal/analysis:'BenchmarkIndexDerive/rebuild/n=10000$$' \
+		./internal/editdist:'BenchmarkWeighted64$$' \
+		./internal/server:'BenchmarkIdentify/serial/jobs=16$$' \
+		./internal/catalog:'BenchmarkCatalogRefresh/incremental/jobs=16$$' \
+		./internal/sirendb:'BenchmarkInsertBatch/store=mem/shards=4/writers=4$$' \
+		./internal/receiver:'BenchmarkReceiverIngest/shards=4/payload=512$$' \
+		./internal/obs:'BenchmarkHistogramRecord$$' \
+		./internal/sirendb:'BenchmarkOpenSealed/rows=10000$$' \
+		./internal/sirendb:'BenchmarkOpenReplay/rows=10000$$' \
+		./internal/sirendb:'BenchmarkSeal/rows=10000$$' \
+		./internal/postprocess:'^BenchmarkConsolidate$$/streaming-workers=1$$' \
+		./internal/postprocess:'BenchmarkConsolidateCampaign$$' \
+		./internal/postprocess:'BenchmarkConsolidateSealed$$' \
+		./internal/ssdeep:'BenchmarkHash1M$$' \
+		./internal/collector:'BenchmarkCollectUserProcess$$'
 
 # Everything the three CI jobs run (test, e2e, bench), serially.
 ci: build cross-build vet fmt-check staticcheck sirenlint test-race test-runs test-failover test-serve test-obs fuzz-smoke bench-smoke

@@ -1,6 +1,6 @@
-// Extension benches: the design-choice ablations added on top of the
-// paper's evaluation — digest caching in the collector, and the
-// similarity-clustering threshold sweep behind `siren-analyze -clusters`.
+// Extension benches: the design-choice ablation added on top of the
+// paper's evaluation — the similarity-clustering threshold sweep behind
+// `siren-analyze -clusters`.
 package siren_test
 
 import (
@@ -8,65 +8,8 @@ import (
 	"testing"
 
 	"siren/internal/analysis"
-	"siren/internal/collector"
-	"siren/internal/ldso"
-	"siren/internal/procfs"
-	"siren/internal/slurm"
 	"siren/internal/ssdeep"
-	"siren/internal/toolchain"
-	"siren/internal/wire"
 )
-
-// BenchmarkAblationDigestCache measures collection cost for a repeatedly
-// launched user binary with and without the (path,inode,size,mtime)-keyed
-// digest cache. The real siren.so always rehashes; the cache is this
-// implementation's opt-in optimisation (results are bit-identical — see
-// collector.TestDigestCacheEquivalence).
-func BenchmarkAblationDigestCache(b *testing.B) {
-	setup := func(b *testing.B, cache bool) (*slurm.Runtime, map[string]string) {
-		fs := procfs.NewFS()
-		lc := ldso.NewCache()
-		lc.Register(ldso.Library{Soname: "libc.so.6", Path: "/lib64/libc.so.6"})
-		lc.Register(ldso.Library{Soname: "siren.so", Path: "/opt/siren/lib/siren.so"})
-		fs.Install("/lib64/libc.so.6", []byte("so"), procfs.FileMeta{})
-		fs.Install("/opt/siren/lib/siren.so", []byte("so"), procfs.FileMeta{})
-		art, err := toolchain.Compile(
-			toolchain.Source{Name: "bench", Version: "1", Functions: []string{"main"}, CodeKB: 64},
-			toolchain.BuildOptions{Compilers: []toolchain.Compiler{toolchain.GCCSUSE}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fs.Install("/users/u/bench", art.Binary, procfs.FileMeta{})
-		tr := wire.NewChanTransport(1 << 20)
-		go func() {
-			for range tr.C() {
-			}
-		}()
-		col := collector.New(tr)
-		if cache {
-			col.EnableDigestCache()
-		}
-		rt := slurm.NewRuntime(fs, procfs.NewTable(0), lc, slurm.NewClock(1733900000))
-		rt.Hook = col
-		env := map[string]string{
-			"LD_PRELOAD": "/opt/siren/lib/siren.so", "SLURM_PROCID": "0",
-			"SLURM_JOB_ID": "1", "HOSTNAME": "n",
-		}
-		return rt, env
-	}
-	for _, cached := range []bool{false, true} {
-		b.Run(fmt.Sprintf("cache=%v", cached), func(b *testing.B) {
-			rt, env := setup(b, cached)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rt.Run("/users/u/bench", slurm.ExecOptions{PPID: 1, Env: env}, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblationClusterThresholds sweeps the similarity threshold of the
 // repeated-execution clustering and reports cluster count and label purity:

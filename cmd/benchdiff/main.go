@@ -1,110 +1,202 @@
-// benchdiff is the benchmark-regression gate behind `make bench-gate`: it
-// parses `go test -bench -benchmem` output, reduces each benchmark to its best
-// (minimum) ns/op, B/op and allocs/op across repeated counts — the run least
-// disturbed by scheduler noise — and either writes that reduction as a
-// baseline JSON or compares it against a committed baseline, failing when the
-// geometric-mean slowdown exceeds the threshold or when any single
-// benchmark's allocs/op rose by more than 10 %. Time is noisy, so it is gated
-// on a geomean with slack; allocation counts repeat from run to run, so each
-// benchmark is held to its own.
+// benchdiff judges a change's speed against its parent, both run in one
+// session on one host. Both modes export their trees with side.prepare and
+// judge alternating pairs with summarize (pairs.go).
 //
-// Write a baseline:
+// The default mode is the micro gate behind `make bench-gate`:
 //
-//	go test -bench ... -count=5 ./... | benchdiff -write -out BENCH_BASELINE.json
+//	benchdiff -parent HEAD~1 [-change .] ./internal/obs:'BenchmarkHistogramRecord$' ...
 //
-// Gate against it:
+// Each argument is one gated benchmark, PACKAGE:PATTERN. In each of
+// gatePairs pairs, `go test -run=NONE -bench=PATTERN -benchmem -count=1
+// PACKAGE` runs in both trees, the side that runs first flipping pair by
+// pair. A benchmark fails when
 //
-//	go test -bench ... -count=5 ./... | benchdiff -baseline BENCH_BASELINE.json
+//   - its median ns/op is more than gateBound above the parent's and the
+//     change lost more pairs than it won;
+//   - the change's lowest allocs/op is above the parent's highest; or
+//   - the parent reported it and the change did not.
 //
-// Benchmarks are keyed by "pkg.Name" (the pkg: header joined with the
-// benchmark line), so identically-named benchmarks in different packages —
-// both analysis and server export BenchmarkIdentify — never collide. A
-// benchmark present in the baseline but missing from the current run fails
-// the gate: a silently-dropped benchmark must not pass as "no regression".
+// One only the change reported is new and not judged. B/op is printed, not
+// gated. Keys are "pkg.Name", so analysis's and server's BenchmarkIdentify
+// never collide.
 //
-// `benchdiff pairs` is the end-to-end counterpart: it alternates bench/run.sh
-// runs of a parent and a change and judges every end-to-end metric over the
-// pairs (pairs.go).
+// `benchdiff pairs` is the end-to-end counterpart: alternating bench/run.sh
+// runs, judged on every end-to-end metric.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
+	"maps"
 	"os"
-	"sort"
+	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Baseline is the committed artifact: benchmark key -> best value per unit.
-type Baseline struct {
-	// Note records how the file was produced, for humans re-baselining.
-	Note string `json:"note"`
-	// NsPerOp maps "pkg.BenchmarkName" to minimum ns/op across counts.
-	NsPerOp map[string]float64 `json:"ns_per_op"`
-	// AllocsPerOp and BytesPerOp hold the -benchmem columns the same way.
-	// Allocations are gated; bytes are recorded for the trajectory.
-	AllocsPerOp map[string]float64 `json:"allocs_per_op"`
-	BytesPerOp  map[string]float64 `json:"bytes_per_op"`
-}
-
-// maxAllocGrowth is how far one benchmark's allocs/op may rise over its
-// baseline: enough for a parallel benchmark's count to wobble, far below
-// what one new allocation per operation adds to any gated benchmark.
-const maxAllocGrowth = 1.10
+const (
+	// gatePairs is how many alternating parent/change pairs each gated
+	// benchmark runs.
+	gatePairs = 5
+	// gateBound is how far the change's median ns/op may rise over the
+	// parent's before lost pairs fail it.
+	gateBound = 0.25
+)
 
 func main() {
+	var err error
 	if len(os.Args) > 1 && os.Args[1] == "pairs" {
-		if err := runPairs(os.Args[2:]); err != nil {
-			fatalf("%v", err)
-		}
-		return
+		err = runPairs(os.Args[2:])
+	} else {
+		err = runGate(os.Args[1:])
 	}
-	write := flag.Bool("write", false, "write a baseline instead of comparing")
-	out := flag.String("out", "BENCH_BASELINE.json", "baseline file to write (with -write)")
-	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "baseline file to compare against")
-	threshold := flag.Float64("threshold", 1.25, "maximum allowed geomean slowdown (current/baseline)")
-	note := flag.String("note", "", "note to embed in the written baseline")
-	flag.Parse()
-
-	var in io.Reader = os.Stdin
-	if args := flag.Args(); len(args) == 1 {
-		f, err := os.Open(args[0])
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer func() { _ = f.Close() }() // read-only input; nothing to lose
-		in = f
-	} else if len(args) > 1 {
-		fatalf("at most one input file (default stdin), got %v", args)
-	}
-
-	cur, err := parseBench(in)
 	if err != nil {
-		fatalf("parsing bench output: %v", err)
+		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
+		os.Exit(1)
 	}
-	if len(cur["ns/op"]) == 0 {
-		fatalf("no benchmark results in input")
-	}
-
-	if *write {
-		writeBaseline(*out, *note, cur)
-		return
-	}
-	compare(*baselinePath, cur, *threshold)
 }
 
-// parseBench reads `go test -bench` output into one map per unit ("ns/op",
-// "B/op", "allocs/op"; custom metrics are skipped). Package headers
-// ("pkg: path") scope the benchmark lines that follow; repeated counts of
-// one benchmark reduce to the minimum of each unit.
-func parseBench(r io.Reader) (map[string]map[string]float64, error) {
-	best := map[string]map[string]float64{"ns/op": {}, "B/op": {}, "allocs/op": {}}
-	pkg := ""
+// samples holds one side's readings: benchmark key -> unit -> one value per
+// pair, in pair order.
+type samples map[string]map[string][]float64
+
+func runGate(args []string) error {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	parentSrc := fs.String("parent", "", "parent: a git revision (exported with git archive) or a directory")
+	changeSrc := fs.String("change", ".", "change: a git revision or a directory")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *parentSrc == "" || fs.NArg() == 0 {
+		return errors.New("usage: benchdiff -parent REV [-change REV|DIR] PACKAGE:PATTERN...")
+	}
+	work, err := os.MkdirTemp("", "benchdiff-gate-")
+	if err != nil {
+		return err
+	}
+	defer func() { _ = os.RemoveAll(work) }() // scratch exports only
+	sides := [2]*side{{Name: "parent", Source: *parentSrc}, {Name: "change", Source: *changeSrc}}
+	for _, s := range sides {
+		if err := s.prepare(work); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(os.Stderr, "benchdiff: parent %s, change %s: %d benchmarks, %d pairs\n",
+		sides[0].Commit, sides[1].Commit, fs.NArg(), gatePairs)
+
+	got := [2]samples{{}, {}}
+	for p := 0; p < gatePairs; p++ {
+		order := [2]int{0, 1}
+		if p%2 == 1 {
+			order = [2]int{1, 0}
+		}
+		for _, arg := range fs.Args() {
+			for _, i := range order {
+				n, err := sides[i].bench(arg, got[i])
+				switch {
+				case i == 1 && err != nil:
+					return err
+				case i == 1 && n == 0:
+					return fmt.Errorf("change: %s ran no benchmark", arg)
+				case err != nil: // a benchmark the parent cannot run is new
+					fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
+				}
+			}
+		}
+		fmt.Fprintf(os.Stderr, "benchdiff: pair %d of %d done\n", p+1, gatePairs)
+	}
+
+	var failed []string
+	fmt.Printf("%-70s %12s %12s %6s %6s %17s %21s  %s\n",
+		"benchmark", "parent ns/op", "change ns/op", "ratio", "faster", "allocs/op", "B/op", "verdict")
+	keys := map[string]bool{}
+	for _, s := range got {
+		for k := range s {
+			keys[k] = true
+		}
+	}
+	for _, k := range slices.Sorted(maps.Keys(keys)) {
+		row, fail := judge(got[0][k], got[1][k])
+		fmt.Printf("%-70s %s\n", k, row)
+		if fail {
+			failed = append(failed, k)
+		}
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("FAIL: %s", strings.Join(failed, ", "))
+	}
+	fmt.Println("benchdiff: PASS")
+	return nil
+}
+
+// bench runs the gated benchmark PACKAGE:PATTERN once in this side's tree
+// and adds its readings to into, returning how many benchmarks reported.
+func (s *side) bench(gated string, into samples) (int, error) {
+	pkg, pattern, ok := strings.Cut(gated, ":")
+	if !ok || pkg == "" || pattern == "" {
+		return 0, fmt.Errorf("%q is not PACKAGE:PATTERN", gated)
+	}
+	cmd := exec.Command("go", "test", "-run=NONE", "-bench="+pattern, "-benchmem", "-count=1", pkg)
+	cmd.Dir = s.Dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return 0, fmt.Errorf("%s: go test -bench=%s %s: %v\n%s", s.Name, pattern, pkg, err, out)
+	}
+	return parseBench(bytes.NewReader(out), into)
+}
+
+// judge applies the gate's rule (see the package comment) to one
+// benchmark's series, unit -> one value per pair, where a side that never
+// reported the benchmark is nil. It returns the table row and whether the
+// benchmark fails.
+func judge(parent, change map[string][]float64) (string, bool) {
+	median := func(xs []float64) string {
+		if len(xs) == 0 {
+			return "-"
+		}
+		return strconv.FormatFloat(quartilesOf(xs).Median, 'f', -1, 64)
+	}
+	pn, cn := parent["ns/op"], change["ns/op"]
+	ratio, faster, allocs, verdict := "", "", "", "ok"
+	var why []string
+	switch {
+	case cn == nil:
+		why = append(why, "missing from the change")
+	case pn == nil:
+		verdict = "new: not judged"
+	case len(pn) != len(cn):
+		why = append(why, fmt.Sprintf("ran in %d parent and %d change pairs", len(pn), len(cn)))
+	default:
+		ns := summarize("", metricSpec{Name: "ns/op", Better: "lower", Bound: gateBound}, pn, cn, false)
+		ratio, faster = fmt.Sprintf("%.2fx", ns.Ratio), fmt.Sprintf("%d/%d", ns.Wins, ns.Pairs)
+		if ns.Verdict == "exceeds bound" && ns.Losses > ns.Wins {
+			why = append(why, fmt.Sprintf("ns/op median ×%.2f, %d of %d pairs lost", ns.Ratio, ns.Losses, ns.Pairs))
+		}
+		if pa, ca := parent["allocs/op"], change["allocs/op"]; len(pa) > 0 && len(ca) > 0 {
+			allocs = fmt.Sprintf("%g-%g → %g-%g", slices.Min(pa), slices.Max(pa), slices.Min(ca), slices.Max(ca))
+			if slices.Min(ca) > slices.Max(pa) {
+				why = append(why, "allocs/op above every parent reading")
+			}
+		}
+	}
+	if len(why) > 0 {
+		verdict = "FAIL: " + strings.Join(why, "; ")
+	}
+	return fmt.Sprintf("%12s %12s %6s %6s %17s %21s  %s", median(pn), median(cn), ratio, faster, allocs,
+		median(parent["B/op"])+" → "+median(change["B/op"]), verdict), len(why) > 0
+}
+
+// parseBench reads `go test -bench` output and appends each benchmark's
+// ns/op, B/op and allocs/op to into (custom metrics are skipped). Package
+// headers ("pkg: path") scope the benchmark lines that follow. It returns
+// how many benchmark lines it read.
+func parseBench(r io.Reader, into samples) (int, error) {
+	n, pkg := 0, ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -113,30 +205,27 @@ func parseBench(r io.Reader) (map[string]map[string]float64, error) {
 			pkg = strings.TrimSpace(after)
 			continue
 		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
 		fields := strings.Fields(line)
 		// Name  N  value unit  [value unit ...]
-		if len(fields) < 4 {
+		if !strings.HasPrefix(line, "Benchmark") || len(fields) < 4 {
 			continue
 		}
 		key := pkg + "." + trimProcSuffix(fields[0])
 		for i := 2; i+1 < len(fields); i += 2 {
-			unit, ok := best[fields[i+1]]
-			if !ok {
-				continue
-			}
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad %s in %q: %v", fields[i+1], line, err)
-			}
-			if old, ok := unit[key]; !ok || v < old {
-				unit[key] = v
+			if unit := fields[i+1]; unit == "ns/op" || unit == "B/op" || unit == "allocs/op" {
+				v, err := strconv.ParseFloat(fields[i], 64)
+				if err != nil {
+					return n, fmt.Errorf("bad %s in %q: %v", unit, line, err)
+				}
+				if into[key] == nil {
+					into[key] = map[string][]float64{}
+				}
+				into[key][unit] = append(into[key][unit], v)
 			}
 		}
+		n++
 	}
-	return best, sc.Err()
+	return n, sc.Err()
 }
 
 // trimProcSuffix drops the "-8" GOMAXPROCS suffix so keys are stable across
@@ -150,88 +239,4 @@ func trimProcSuffix(name string) string {
 		return name
 	}
 	return name[:i]
-}
-
-func writeBaseline(path, note string, cur map[string]map[string]float64) {
-	b := Baseline{Note: note, NsPerOp: cur["ns/op"], AllocsPerOp: cur["allocs/op"], BytesPerOp: cur["B/op"]}
-	if b.Note == "" {
-		b.Note = "min ns/op, allocs/op and B/op across -count repeats; re-baseline with `make bench-rebaseline` (see DESIGN.md §9)"
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("benchdiff: wrote %d benchmarks to %s\n", len(b.NsPerOp), path)
-}
-
-func compare(path string, cur map[string]map[string]float64, threshold float64) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatalf("reading baseline: %v", err)
-	}
-	var base Baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		fatalf("parsing baseline %s: %v", path, err)
-	}
-	if len(base.NsPerOp) == 0 {
-		fatalf("baseline %s holds no benchmarks", path)
-	}
-
-	keys := make([]string, 0, len(base.NsPerOp))
-	for k := range base.NsPerOp {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	logSum, n := 0.0, 0
-	var missing, fatter []string
-	fmt.Printf("%-72s %12s %12s %8s %21s\n", "benchmark", "baseline", "current", "ratio", "allocs/op")
-	for _, k := range keys {
-		b := base.NsPerOp[k]
-		c, ok := cur["ns/op"][k]
-		if !ok {
-			missing = append(missing, k)
-			continue
-		}
-		ratio := c / b
-		allocs := ""
-		if ba, ok := base.AllocsPerOp[k]; ok {
-			ca, ok := cur["allocs/op"][k]
-			if !ok {
-				fatalf("%s has allocs/op in the baseline but none in this run: was it run with -benchmem?", k)
-			}
-			allocs = fmt.Sprintf("%.0f -> %.0f", ba, ca)
-			if ca > ba*maxAllocGrowth {
-				fatter = append(fatter, fmt.Sprintf("%s (%s)", k, allocs))
-			}
-		}
-		fmt.Printf("%-72s %12.0f %12.0f %7.2fx %21s\n", k, b, c, ratio, allocs)
-		logSum += math.Log(ratio)
-		n++
-	}
-	for k, c := range cur["ns/op"] {
-		if _, ok := base.NsPerOp[k]; !ok {
-			fmt.Printf("%-72s %12s %12.0f   (new)\n", k, "-", c)
-		}
-	}
-	if len(missing) > 0 {
-		fatalf("benchmarks in baseline but missing from this run: %s", strings.Join(missing, ", "))
-	}
-	geomean := math.Exp(logSum / float64(n))
-	fmt.Printf("geomean slowdown: %.3fx (threshold %.2fx, %d benchmarks)\n", geomean, threshold, n)
-	if len(fatter) > 0 {
-		fatalf("allocation regression: allocs/op up more than %.0f%% in %s", (maxAllocGrowth-1)*100, strings.Join(fatter, ", "))
-	}
-	if geomean > threshold {
-		fatalf("benchmark regression: geomean %.3fx exceeds threshold %.2fx", geomean, threshold)
-	}
-	fmt.Println("benchdiff: PASS")
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchdiff: "+format+"\n", args...)
-	os.Exit(1)
 }

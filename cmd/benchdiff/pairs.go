@@ -218,9 +218,9 @@ type side struct {
 }
 
 // prepare resolves Source to a directory: an existing directory is used in
-// place; anything else is a git revision of the repository at repo, exported
-// into work/Name.
-func (s *side) prepare(repo, work string) error {
+// place; anything else is a git revision of the repository in the working
+// directory, exported into work/Name.
+func (s *side) prepare(work string) error {
 	if st, err := os.Stat(s.Source); err == nil && st.IsDir() {
 		if s.Dir, err = filepath.Abs(s.Source); err != nil {
 			return err
@@ -232,28 +232,18 @@ func (s *side) prepare(repo, work string) error {
 		}
 		return nil
 	}
-	commit, err := exec.Command("git", "-C", repo, "rev-parse", "--verify", s.Source+"^{commit}").Output()
+	commit, err := exec.Command("git", "rev-parse", "--verify", s.Source+"^{commit}").Output()
 	if err != nil {
-		return fmt.Errorf("%s: %q is neither a directory nor a revision of %s", s.Name, s.Source, repo)
+		return fmt.Errorf("%s: %q is neither a directory nor a revision of this repository", s.Name, s.Source)
 	}
 	s.Commit = strings.TrimSpace(string(commit))
 	s.Dir = filepath.Join(work, s.Name)
 	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
 		return err
 	}
-	archive := exec.Command("git", "-C", repo, "archive", s.Commit)
-	untar := exec.Command("tar", "-x", "-C", s.Dir)
-	pipe, err := archive.StdoutPipe()
-	if err != nil {
-		return err
-	}
-	untar.Stdin = pipe
-	if err := archive.Start(); err != nil {
-		return err
-	}
-	untarErr := untar.Run()
-	if err := errors.Join(archive.Wait(), untarErr); err != nil {
-		return fmt.Errorf("%s: exporting %s: %w", s.Name, s.Commit, err)
+	export := exec.Command("bash", "-c", `set -o pipefail; git archive "$1" | tar -x -C "$2"`, "export", s.Commit, s.Dir)
+	if out, err := export.CombinedOutput(); err != nil {
+		return fmt.Errorf("%s: exporting %s: %v\n%s", s.Name, s.Commit, err, out)
 	}
 	return nil
 }
@@ -309,10 +299,6 @@ func runPairs(args []string) error {
 	if err != nil {
 		return err
 	}
-	repo, err := os.Getwd()
-	if err != nil {
-		return err
-	}
 	if *work == "" {
 		if *work, err = os.MkdirTemp("", "benchdiff-pairs-"); err != nil {
 			return err
@@ -321,7 +307,7 @@ func runPairs(args []string) error {
 	res := pairsResult{UTC: time.Now().UTC().Format(time.RFC3339), Host: probeHost(), Seeds: seeds, Claim: *claim,
 		Parent: side{Name: "parent", Source: *parentSrc}, Change: side{Name: "change", Source: *changeSrc}}
 	for _, s := range []*side{&res.Parent, &res.Change} {
-		if err := s.prepare(repo, *work); err != nil {
+		if err := s.prepare(*work); err != nil {
 			return err
 		}
 	}

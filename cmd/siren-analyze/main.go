@@ -76,18 +76,10 @@ func run() (err error) {
 	// Streaming, shard-parallel consolidation over the merged snapshot
 	// cursor: member databases (one per roster member) and their WAL
 	// shards are grouped per job without ever materialising the whole
-	// message set. A single -db path is the one-member degenerate case.
-	snap := set.Snapshot()
-	if len(paths) > 1 {
-		// Failover merge-back (DESIGN.md §11): a receiver that died and
-		// recovered contributes a WAL whose runs are sub-multisets of the
-		// copies its keys' new owners hold. Suppress those before
-		// consolidating so overlap windows never double-count; the disjoint
-		// members of a static roster dedup to nothing, so this is safe to
-		// always run.
-		snap.DedupOverlaps()
-	}
-	data, stats := analysis.ConsolidateDataset(snap, postprocess.StreamOptions{Workers: *workers})
+	// message set. A single -db path is the one-member degenerate case; over
+	// several, the set's snapshot has already dropped a recovered member's
+	// copies of runs that another member holds in full (DESIGN.md §11).
+	data, stats := analysis.ConsolidateDataset(set.Snapshot(), postprocess.StreamOptions{Workers: *workers})
 
 	if *audit {
 		runAudit(data)

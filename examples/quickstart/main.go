@@ -28,9 +28,9 @@ import (
 func main() {
 	// 1. Two builds of the same source: GCC vs Cray clang.
 	src := toolchain.Source{
-		Name: "wavesolver", Version: "1.4.2",
-		Functions: []string{"ws_init", "ws_step", "ws_output"},
-		Strings:   []string{"wavesolver: explicit FDTD kernel"},
+		Name: "lammps", Version: "2Aug2023",
+		Functions: []string{"lmp_init", "lmp_run", "lmp_output"},
+		Strings:   []string{"LAMMPS: classical molecular dynamics"},
 		CodeKB:    64,
 	}
 	gccBuild, err := toolchain.Compile(src, toolchain.BuildOptions{
@@ -62,7 +62,8 @@ func main() {
 	fmt.Printf("fuzzy SYMBOLS_H score: %d\n", sy)
 
 	// 3. Full pipeline: run both binaries as hooked processes, then identify
-	// the clang build from the database using only its fuzzy hash.
+	// the clang build — an unlabelled a.out — against the labelled software
+	// in the database, using only its fuzzy hash.
 	pipeline, err := core.NewPipeline(core.Options{})
 	if err != nil {
 		log.Fatal(err)
@@ -79,7 +80,7 @@ func main() {
 		cache.Register(lib)
 		fs.Install(lib.Path, []byte("so"), procfs.FileMeta{})
 	}
-	fs.Install("/users/alice/wavesolver/bin/ws", gccBuild.Binary, procfs.FileMeta{})
+	fs.Install("/appl/lammps/2Aug2023/bin/lmp", gccBuild.Binary, procfs.FileMeta{})
 	fs.Install("/scratch/proj/run/a.out", clangBuild.Binary, procfs.FileMeta{})
 
 	col := collector.New(pipeline.Transport())
@@ -89,7 +90,7 @@ func main() {
 		"LD_PRELOAD": "/opt/siren/lib/siren.so", "SLURM_JOB_ID": "1",
 		"SLURM_PROCID": "0", "HOSTNAME": "nid000001",
 	}
-	for _, exe := range []string{"/users/alice/wavesolver/bin/ws", "/scratch/proj/run/a.out"} {
+	for _, exe := range []string{"/appl/lammps/2Aug2023/bin/lmp", "/scratch/proj/run/a.out"} {
 		if _, err := rt.Run(exe, slurm.ExecOptions{PPID: 1, UID: 1000, Env: env}, nil); err != nil {
 			log.Fatal(err)
 		}
@@ -100,9 +101,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\npipeline: %d messages -> %d process records\n", stats.Messages, stats.Processes)
-	matches := data.IdentifyByHash(repB.FileH, 3, ssdeep.BackendWeighted)
+	matches := analysis.NewFingerprintIndex(data.Records).Search(analysis.Digests{File: repB.FileH}, 3, ssdeep.BackendWeighted)
 	for _, m := range matches {
 		fmt.Printf("identify a.out: %-40s score=%d (label %s)\n", m.Exe, m.FileS, m.Label)
 	}
-	_ = analysis.UnknownLabel
 }

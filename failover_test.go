@@ -265,9 +265,8 @@ func TestKillOneOfNFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := set.Snapshot()
-	preDedup := snap.Count()
-	dst := snap.DedupOverlaps()
+	snap := set.Snapshot() // a set of several members comes back deduplicated
+	dst := snap.DedupStats()
 	if dst.OverlappingKeys == 0 || dst.SuppressedRows == 0 {
 		t.Errorf("no overlap deduplicated (%+v): the victim's WAL recovered no pre-kill rows", dst)
 	}
@@ -275,8 +274,8 @@ func TestKillOneOfNFailover(t *testing.T) {
 		t.Errorf("failover overlap produced %d conflicting runs, want 0 (%+v)", dst.Conflicts, dst)
 	}
 	if snap.Count() != baseStats["rows"] {
-		t.Errorf("merged rows = %d after dedup (%d before), baseline stored %d: failover %s",
-			snap.Count(), preDedup, baseStats["rows"],
+		t.Errorf("merged rows = %d after dedup (%d suppressed), baseline stored %d: failover %s",
+			snap.Count(), dst.SuppressedRows, baseStats["rows"],
 			map[bool]string{true: "double-ingested", false: "lost rows"}[snap.Count() > baseStats["rows"]])
 	}
 	if err := set.Close(); err != nil { // release the WAL locks for siren-analyze

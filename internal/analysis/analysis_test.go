@@ -236,17 +236,6 @@ func TestSimilaritySearchRanking(t *testing.T) {
 	}
 }
 
-func TestIdentifyByHash(t *testing.T) {
-	h1, _ := ssdeep.HashString("content one: a long enough string to hash meaningfully with some repetition, a long enough string to hash")
-	d := NewDataset([]*postprocess.ProcessRecord{
-		rec(1, "j", "/users/u/lammps/lmp", "user", withFileH(h1)),
-	})
-	rows := d.IdentifyByHash(h1, 5, ssdeep.BackendWeighted)
-	if len(rows) != 1 || rows[0].Label != "LAMMPS" || rows[0].FileS != 100 {
-		t.Errorf("rows = %+v", rows)
-	}
-}
-
 func TestPythonInterpretersAndPackages(t *testing.T) {
 	d := NewDataset([]*postprocess.ProcessRecord{
 		rec(1, "j1", "/usr/bin/python3.10", "python", withScript("/u/a.py", "3:aa:bb"), withImports("heapq", "numpy")),

@@ -586,54 +586,3 @@ func (d *Dataset) FindUnknown() (*postprocess.ProcessRecord, bool) {
 	}
 	return nil, false
 }
-
-// IdentifyByHash ranks known executables against an arbitrary single digest
-// (FILE_H only) — the simpler identification mode used by the quickstart
-// example and the exact-vs-fuzzy ablation.
-func (d *Dataset) IdentifyByHash(fileH string, topN int, backend ssdeep.Backend) []SimilarityRow {
-	q := prepareChar(fileH)
-	if !q.ok {
-		return nil // an empty or malformed query scores 0 against everything
-	}
-	var sc ssdeep.Scorer
-	sc.Reset(q.p)
-	seen := make(map[string]bool)
-	var rows []SimilarityRow
-	for _, r := range d.Records {
-		if r.Category != "user" || r.FileH == "" || seen[r.FileH] {
-			continue
-		}
-		seen[r.FileH] = true
-		p := prepareChar(r.FileH)
-		if !p.ok {
-			continue
-		}
-		s := sc.Score(p.p, backend)
-		if s == 0 {
-			continue
-		}
-		rows = append(rows, SimilarityRow{Label: DeriveLabel(r.Exe), Exe: r.Exe, FileS: s, Avg: float64(s), file: r.FileH})
-	}
-	slices.SortFunc(rows, func(a, b SimilarityRow) int {
-		switch {
-		case a.Avg > b.Avg:
-			return -1
-		case a.Avg < b.Avg:
-			return 1
-		case a.Exe != b.Exe:
-			if a.Exe < b.Exe {
-				return -1
-			}
-			return 1
-		case a.file < b.file:
-			return -1
-		case a.file > b.file:
-			return 1
-		}
-		return 0
-	})
-	if topN > 0 && len(rows) > topN {
-		rows = rows[:topN]
-	}
-	return rows
-}

@@ -346,6 +346,56 @@ func TestCatalogOverMergedSet(t *testing.T) {
 	}
 }
 
+// TestCatalogOverFailoverSetCountsRunsOnce: after a failover merge-back one
+// member holds a sub-multiset copy of a (job, host) run that another member
+// holds in full (DESIGN.md §11). A catalog over that set — what siren-serve
+// serves — must report exactly what the same rows stored once report, as
+// siren-analyze does.
+func TestCatalogOverFailoverSetCountsRunsOnce(t *testing.T) {
+	dir := t.TempDir()
+	owner, recovered, once := filepath.Join(dir, "owner.wal"), filepath.Join(dir, "recovered.wal"), filepath.Join(dir, "once.wal")
+	for _, p := range []string{owner, once} {
+		db, err := sirendb.OpenOptions(p, sirendb.Options{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 3; j++ {
+			seedJob(t, db, j, 1733900000+int64(j))
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The recovered member ingested the first rows of job-1's nid0000 run,
+	// out of order, before it died.
+	db, err := sirendb.OpenOptions(recovered, sirendb.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := procMessages(t, "job-1", "nid0000", 110, 1733900001, "/appl/gromacs/bin/gmx", "gromacs", 2)
+	if err := db.InsertBatch([]wire.Message{run[2], run[0], run[1], run[3]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	stats := func(paths ...string) postprocess.Stats {
+		set, err := sirendb.OpenSet(paths, sirendb.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer set.Close()
+		cat := catalog.New(catalog.SetSource(set), catalog.Options{})
+		cat.Refresh()
+		return cat.Generation().Stats
+	}
+	want, got := stats(once), stats(owner, recovered)
+	if got != want {
+		t.Errorf("catalog over the failover set: stats %+v, want %+v (the rows stored once)", got, want)
+	}
+}
+
 // TestConcurrentQueriesDuringRefresh hammers the generation pointer from
 // query goroutines while ingest and refreshes run — the atomic-swap
 // contract, checked under -race: a loaded generation stays internally

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"siren/internal/elfx"
@@ -142,13 +141,6 @@ type Collector struct {
 	transport   wire.Transport
 	maxDatagram int
 	stats       *Stats
-
-	// Optional digest cache keyed by (path, inode, size, mtime): the real
-	// siren.so rehashes on every start-up; enabling the cache trades exact
-	// fidelity for throughput when the same executable starts thousands of
-	// times (results are identical because the key pins the file content).
-	cacheMu sync.Mutex
-	cache   map[string]*BinaryReport
 }
 
 // New creates a collector sending datagrams through transport.
@@ -158,52 +150,6 @@ func New(transport wire.Transport) *Collector {
 
 // SetMaxDatagram overrides the chunking threshold (ablation knob).
 func (c *Collector) SetMaxDatagram(n int) { c.maxDatagram = n }
-
-// EnableDigestCache turns on binary-report memoisation (see Collector docs).
-func (c *Collector) EnableDigestCache() {
-	c.cacheMu.Lock()
-	defer c.cacheMu.Unlock()
-	if c.cache == nil {
-		c.cache = make(map[string]*BinaryReport)
-	}
-}
-
-// scanCached runs ScanBinary through the cache when enabled.
-func (c *Collector) scanCached(ev slurm.ProcessEvent, exe string) (*BinaryReport, error) {
-	c.cacheMu.Lock()
-	enabled := c.cache != nil
-	c.cacheMu.Unlock()
-	if !enabled {
-		img, err := ev.FS.ReadFile(exe)
-		if err != nil {
-			return nil, err
-		}
-		return ScanBinary(img)
-	}
-	meta, err := ev.FS.Stat(exe)
-	if err != nil {
-		return nil, err
-	}
-	key := fmt.Sprintf("%s|%d|%d|%d", exe, meta.Inode, meta.Size, meta.Mtime)
-	c.cacheMu.Lock()
-	rep, ok := c.cache[key]
-	c.cacheMu.Unlock()
-	if ok {
-		return rep, nil
-	}
-	img, err := ev.FS.ReadFile(exe)
-	if err != nil {
-		return nil, err
-	}
-	rep, err = ScanBinary(img)
-	if err != nil {
-		return nil, err
-	}
-	c.cacheMu.Lock()
-	c.cache[key] = rep
-	c.cacheMu.Unlock()
-	return rep, nil
-}
 
 // Stats exposes the counters.
 func (c *Collector) Stats() *Stats { return c.stats }
@@ -287,7 +233,12 @@ func (c *Collector) collectStartup(ev slurm.ProcessEvent, hdr wire.Header, cat C
 	if !needBinary {
 		return
 	}
-	report, err := c.scanCached(ev, proc.Exe)
+	img, err := ev.FS.ReadFile(proc.Exe)
+	if err != nil {
+		c.stats.Failures.Add(1)
+		return
+	}
+	report, err := ScanBinary(img)
 	if err != nil {
 		c.stats.Failures.Add(1)
 		return

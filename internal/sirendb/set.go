@@ -90,13 +90,22 @@ func (s *DBSet) Close() error {
 // Snapshot captures a point-in-time view of every member and merges them.
 // The capture is per-member consistent (each member's snapshot is its own
 // consistent cut); cross-member consistency is not needed — members hold
-// disjoint campaign partitions.
+// disjoint campaign partitions, except where a failover left a recovered
+// member's partial copy of runs another member holds in full (DESIGN.md
+// §11). A set of more than one member therefore comes back with
+// DedupOverlaps applied, so every reader of the set — siren-analyze and
+// siren-serve alike — counts each run once; the disjoint members of a
+// static roster dedup to nothing, and a one-member set does no extra work.
 func (s *DBSet) Snapshot() *MergedSnapshot {
 	snaps := make([]*Snapshot, len(s.dbs))
 	for i, db := range s.dbs {
 		snaps[i] = db.Snapshot()
 	}
-	return MergeSnapshots(snaps)
+	ms := MergeSnapshots(snaps)
+	if len(snaps) > 1 {
+		ms.DedupOverlaps()
+	}
+	return ms
 }
 
 // memberShard maps one merged-shard index back to (member, local shard).

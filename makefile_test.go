@@ -15,7 +15,9 @@ import (
 // when an alternative has gone stale, so a renamed or deleted test would
 // otherwise drop out of its focused CI target unnoticed. NONE (the "run no
 // tests" idiom) is skipped, and only the first /-component of a pattern is
-// checked: the rest select subtests and sub-benchmarks.
+// checked: the rest select subtests and sub-benchmarks. The benchmark gate's
+// PACKAGE:'PATTERN' arguments are held tighter still: each alternative must
+// name a Benchmark function of that very package.
 func TestMakefilePatternsMatchTests(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -23,6 +25,7 @@ func TestMakefilePatternsMatchTests(t *testing.T) {
 	}
 	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	var funcs []string
+	benchesIn := map[string][]string{} // package directory -> its Benchmark functions
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -42,6 +45,9 @@ func TestMakefilePatternsMatchTests(t *testing.T) {
 		}
 		for _, m := range funcRE.FindAllSubmatch(src, -1) {
 			funcs = append(funcs, string(m[1]))
+			if strings.HasPrefix(string(m[1]), "Benchmark") {
+				benchesIn[filepath.Dir(path)] = append(benchesIn[filepath.Dir(path)], string(m[1]))
+			}
 		}
 		return nil
 	})
@@ -77,6 +83,25 @@ func TestMakefilePatternsMatchTests(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("found no -run/-bench/-fuzz patterns in the Makefile")
+	}
+
+	gateRE := regexp.MustCompile(`(\./[\w./-]+):'([^']*)'`)
+	gated := gateRE.FindAllStringSubmatch(recipes.String(), -1)
+	if len(gated) == 0 {
+		t.Fatal("found no PACKAGE:'PATTERN' benchmark-gate arguments in the Makefile")
+	}
+	for _, m := range gated {
+		dir := filepath.Clean(m[1])
+		pattern := strings.ReplaceAll(m[2], "$$", "$")
+		first, _, _ := strings.Cut(pattern, "/")
+		for _, alt := range strings.Split(first, "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("gate %s:%q: alternative %q: %v", m[1], pattern, alt, err)
+			} else if !matchesAny(re, benchesIn[dir]) {
+				t.Errorf("gate %s:%q: alternative %q matches no Benchmark function in %s", m[1], pattern, alt, dir)
+			}
+		}
 	}
 }
 
