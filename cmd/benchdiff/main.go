@@ -75,6 +75,11 @@ func runGate(args []string) error {
 	if *parentSrc == "" || fs.NArg() == 0 {
 		return errors.New("usage: benchdiff -parent REV [-change REV|DIR] PACKAGE:PATTERN...")
 	}
+	for _, arg := range fs.Args() {
+		if pkg, pattern, _ := strings.Cut(arg, ":"); pkg == "" || pattern == "" {
+			return fmt.Errorf("%q is not PACKAGE:PATTERN", arg)
+		}
+	}
 	work, err := os.MkdirTemp("", "benchdiff-gate-")
 	if err != nil {
 		return err
@@ -112,7 +117,7 @@ func runGate(args []string) error {
 	}
 
 	var failed []string
-	fmt.Printf("%-70s %12s %12s %6s %6s %17s %21s  %s\n",
+	fmt.Printf("%-70s %12s %12s %6s %6s %25s %23s  %s\n",
 		"benchmark", "parent ns/op", "change ns/op", "ratio", "faster", "allocs/op", "B/op", "verdict")
 	keys := map[string]bool{}
 	for _, s := range got {
@@ -137,10 +142,7 @@ func runGate(args []string) error {
 // bench runs the gated benchmark PACKAGE:PATTERN once in this side's tree
 // and adds its readings to into, returning how many benchmarks reported.
 func (s *side) bench(gated string, into samples) (int, error) {
-	pkg, pattern, ok := strings.Cut(gated, ":")
-	if !ok || pkg == "" || pattern == "" {
-		return 0, fmt.Errorf("%q is not PACKAGE:PATTERN", gated)
-	}
+	pkg, pattern, _ := strings.Cut(gated, ":")
 	cmd := exec.Command("go", "test", "-run=NONE", "-bench="+pattern, "-benchmem", "-count=1", pkg)
 	cmd.Dir = s.Dir
 	out, err := cmd.CombinedOutput()
@@ -187,7 +189,7 @@ func judge(parent, change map[string][]float64) (string, bool) {
 	if len(why) > 0 {
 		verdict = "FAIL: " + strings.Join(why, "; ")
 	}
-	return fmt.Sprintf("%12s %12s %6s %6s %17s %21s  %s", median(pn), median(cn), ratio, faster, allocs,
+	return fmt.Sprintf("%12s %12s %6s %6s %25s %23s  %s", median(pn), median(cn), ratio, faster, allocs,
 		median(parent["B/op"])+" → "+median(change["B/op"]), verdict), len(why) > 0
 }
 
