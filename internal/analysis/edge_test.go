@@ -50,39 +50,54 @@ func TestDeriveLabelEdges(t *testing.T) {
 	}
 }
 
+// TestIdentifyByHashMalformed pins identification by FILE_H alone, the
+// query examples/quickstart makes: an empty or malformed digest on either
+// side of the comparison scores 0 under every backend, and a valid digest
+// still finds its own binary at 100.
+func TestIdentifyByHashMalformed(t *testing.T) {
+	valid, err := ssdeep.HashString("the quick brown fox jumps over the lazy dog, 400 times over, with feeling")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// query is the FILE_H queried, stored the one catalogued binary's.
+	identify := func(query, stored string, backend ssdeep.Backend) []SimilarityRow {
+		ix := NewFingerprintIndex([]*postprocess.ProcessRecord{{JobID: "1", Category: "user", Exe: "/appl/lammps/lmp", FileH: stored}})
+		return ix.Search(Digests{File: query}, 0, backend)
+	}
+	for _, c := range []struct{ name, query, stored string }{
+		{"both empty", "", ""},
+		{"left empty", "", valid},
+		{"right empty", valid, ""},
+		{"no colons", "notadigest", valid},
+		{"one part", "3:abcdef", valid},
+		{"truncated after blocksize", "3:", valid},
+		{"empty signatures", "3::", valid},
+		{"non-numeric blocksize", "x:abc:def", valid},
+		{"zero blocksize", "0:abc:def", valid},
+		{"huge blocksize", "999999999999999999999:abc:def", valid},
+		{"invalid base64 chars", "3:a|b:c~d", valid},
+		{"malformed on the right", valid, "3:abc"},
+	} {
+		for _, backend := range []ssdeep.Backend{ssdeep.BackendWeighted, ssdeep.BackendDamerau, ssdeep.BackendLevenshtein} {
+			if rows := identify(c.query, c.stored, backend); len(rows) != 0 {
+				t.Errorf("Search(%s, backend %v) = %+v, want no rows", c.name, backend, rows)
+			}
+		}
+	}
+	if rows := identify(valid, valid, ssdeep.BackendWeighted); len(rows) != 1 || rows[0].FileS != 100 {
+		t.Errorf("Search(self) = %+v, want one row scoring 100", rows)
+	}
+}
+
 // TestSearchSurvivesMalformedCatalogDigests pins the partial-data contract
 // end to end: a fingerprint whose stored digests are truncated or corrupt
 // still ranks by its remaining comparable characteristics instead of
-// aborting or poisoning the search, and an empty or malformed digest on
-// either side of a comparison scores 0 under every backend.
+// aborting or poisoning the search.
 func TestSearchSurvivesMalformedCatalogDigests(t *testing.T) {
 	good, err := ssdeep.HashString("a perfectly ordinary executable body with enough entropy to digest, repeated and varied 1 2 3 4 5 6 7 8 9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// query is the FILE_H queried, stored the one catalogued binary's.
-	for _, c := range []struct{ name, query, stored string }{
-		{"both empty", "", ""},
-		{"query empty", "", good},
-		{"stored empty", good, ""},
-		{"no colons", "notadigest", good},
-		{"one part", "3:abcdef", good},
-		{"truncated after blocksize", "3:", good},
-		{"empty signatures", "3::", good},
-		{"non-numeric blocksize", "x:abc:def", good},
-		{"zero blocksize", "0:abc:def", good},
-		{"huge blocksize", "999999999999999999999:abc:def", good},
-		{"invalid base64 chars", "3:a|b:c~d", good},
-		{"malformed stored", good, "3:abc"},
-	} {
-		ix := NewFingerprintIndex([]*postprocess.ProcessRecord{{JobID: "1", Category: "user", Exe: "/appl/lammps/lmp", FileH: c.stored}})
-		for _, backend := range []ssdeep.Backend{ssdeep.BackendWeighted, ssdeep.BackendDamerau, ssdeep.BackendLevenshtein} {
-			if rows := ix.Search(Digests{File: c.query}, 0, backend); len(rows) != 0 {
-				t.Errorf("Search(%s, backend %v) = %+v, want no rows", c.name, backend, rows)
-			}
-		}
-	}
-
 	records := []*postprocess.ProcessRecord{
 		{JobID: "1", Category: "user", Exe: "/appl/lammps/lmp", FileH: good, StringsH: "3:corrupted", ModulesH: "nonsense"},
 		{JobID: "1", Category: "user", Exe: "/appl/gromacs/gmx", FileH: "truncated:", StringsH: ""},
