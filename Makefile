@@ -118,10 +118,12 @@ test-replay:
 
 # Sealed-run storage tier suite under the race detector: the seal crash
 # matrix (debris sweep, post-marker roll-forward, torn-committed-run
-# detection), retention, read-only shared-lock opens, and the
-# sealed-vs-replay consolidation equivalence.
+# detection), retention, read-only shared-lock opens, the sealed-vs-replay
+# consolidation equivalence, the canonical-bytes rule on replay and run
+# reads, and the lifetime of the row views a consolidation reads (records
+# outlive the run mappings).
 test-runs:
-	$(GO) test -race -count=1 -run 'Seal|ReadOnly|RoundTrip|JobCursor|WriteSorts|WriteEmpty|CorruptionDetected' \
+	$(GO) test -race -count=1 -run 'Seal|ReadOnly|RoundTrip|JobCursor|WriteSorts|WriteEmpty|CorruptionDetected|Canonical|Lifetime' \
 		./internal/sirendb ./internal/sirendb/runfmt ./internal/postprocess
 
 # Multi-receiver suite under the race detector (DESIGN.md §11): roster

@@ -526,13 +526,28 @@ func BenchmarkAblationChunkSizes(b *testing.B) {
 			b.SetBytes(int64(len(content)))
 			b.ReportAllocs()
 			var chunks int
+			var buf, joined []byte
+			var rows []wire.Scanned
 			for i := 0; i < b.N; i++ {
 				msgs := wire.Chunk(h, content, size)
 				chunks = len(msgs)
-				recs := wire.Reassemble(msgs)
+				buf, rows = buf[:0], rows[:0]
+				for j := range msgs {
+					lo := len(buf)
+					var f wire.Fields
+					buf, f = wire.AppendEncodeFields(buf, &msgs[j])
+					rows = append(rows, wire.Scanned{Datagram: buf[lo:], Fields: f})
+				}
+				lo := 0
+				for j := range rows { // buf may have moved while it grew
+					rows[j].Datagram = buf[lo : lo+len(rows[j].Datagram)]
+					lo += len(rows[j].Datagram)
+				}
+				recs := wire.Reassemble(rows)
 				if len(recs) != 1 || !recs[0].Complete {
 					b.Fatal("reassembly failed")
 				}
+				joined = recs[0].AppendContent(joined[:0])
 			}
 			b.ReportMetric(float64(chunks), "chunks")
 		})

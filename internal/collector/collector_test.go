@@ -280,10 +280,14 @@ func TestChunkedRecordsReassemble(t *testing.T) {
 	if _, err := w.rt.Run("/users/user_3/sim/bin/solver", slurm.ExecOptions{PPID: 1, Env: env(nil)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	recs := wire.Reassemble(w.drain(t))
-	for _, r := range recs {
+	var rows []wire.Scanned
+	for _, m := range w.drain(t) {
+		d, f := wire.AppendEncodeFields(nil, &m)
+		rows = append(rows, wire.Scanned{Datagram: d, Fields: f})
+	}
+	for _, r := range wire.Reassemble(rows) {
 		if !r.Complete {
-			t.Errorf("record %s incomplete without loss", r.Header.Type)
+			t.Errorf("record %s incomplete without loss", r.Row.Value(r.Row.Datagram, wire.FieldType))
 		}
 	}
 }

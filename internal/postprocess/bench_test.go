@@ -46,7 +46,8 @@ func BenchmarkConsolidate(b *testing.B) {
 
 // BenchmarkConsolidateCampaign is the consolidation kernel alone on the
 // traffic the end-to-end benchmark replays: the seed-1 campaign capture in
-// per-job chunks, single goroutine, no store — what one row costs each time
+// per-job chunks of the canonical rows a store holds, single goroutine, no
+// store — what one row costs each time
 // its job is consolidated. ns/row is the headline; allocs/op is per pass over
 // the whole capture.
 func BenchmarkConsolidateCampaign(b *testing.B) {
@@ -54,12 +55,12 @@ func BenchmarkConsolidateCampaign(b *testing.B) {
 		b.Skip("generates the full scale-0.02 campaign capture")
 	}
 	capture := campaignCapture()
-	chunks := jobChunks(capture)
+	chunks := rowChunks(jobChunks(capture))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, chunk := range chunks {
-			consolidateChunk(chunk)
+			consolidateRows(chunk)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(capture)), "ns/row")
@@ -69,48 +70,62 @@ func BenchmarkConsolidateCampaign(b *testing.B) {
 // siren-analyze run take: the campaign capture of BenchmarkConsolidateCampaign
 // in a persistent 4-shard store, two thirds of it sealed into two run
 // generations and the last third left in the WAL head, reopened read-only and
-// consolidated through ConsolidateSnapshot by one worker. Sealed rows decode
-// from their run blocks on every pass, so ns/row and allocs/op cover the run
-// cursors, the sequence merge and the kernel together.
+// consolidated through ConsolidateSnapshot by one worker. Sealed rows are
+// scanned in their run blocks on every pass, so ns/row and allocs/op cover
+// the run cursors, the sequence merge and the kernel together.
 func BenchmarkConsolidateSealed(b *testing.B) {
 	if testing.Short() {
 		b.Skip("generates the full scale-0.02 campaign capture")
 	}
-	capture := campaignCapture()
-	path := filepath.Join(b.TempDir(), "siren.wal")
-	opts := sirendb.Options{Shards: 4}
-	db, err := sirendb.OpenOptions(path, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	third := len(capture) / 3
-	for g, part := range [][]wire.Message{capture[:third], capture[third : 2*third], capture[2*third:]} {
-		if err := db.InsertBatch(part); err != nil {
-			b.Fatal(err)
-		}
-		if g < 2 {
-			if err := db.Seal(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	if err := db.Close(); err != nil {
-		b.Fatal(err)
-	}
-	opts.ReadOnly = true
-	if db, err = sirendb.OpenOptions(path, opts); err != nil {
-		b.Fatal(err)
-	}
+	db, rows := openSealedCapture(b)
 	defer db.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap := db.Snapshot()
-		if _, stats := ConsolidateSnapshot(snap, StreamOptions{Workers: 1}); stats.Messages != len(capture) || snap.Err() != nil {
-			b.Fatalf("consolidated %d of %d rows (%v)", stats.Messages, len(capture), snap.Err())
+		if _, stats := ConsolidateSnapshot(snap, StreamOptions{Workers: 1}); stats.Messages != rows || snap.Err() != nil {
+			b.Fatalf("consolidated %d of %d rows (%v)", stats.Messages, rows, snap.Err())
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(capture)), "ns/row")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+}
+
+// sealedCapture writes the campaign capture into a persistent 4-shard store
+// at a fresh path — two thirds sealed into two run generations, the last
+// third left in the WAL head — closes it, and returns the path and the row
+// count: the store shape a restarted receiver and siren-analyze read.
+func sealedCapture(tb testing.TB) (path string, rows int) {
+	capture := campaignCapture()
+	path = filepath.Join(tb.TempDir(), "siren.wal")
+	db, err := sirendb.OpenOptions(path, sirendb.Options{Shards: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	third := len(capture) / 3
+	for g, part := range [][]wire.Message{capture[:third], capture[third : 2*third], capture[2*third:]} {
+		if err := db.InsertBatch(part); err != nil {
+			tb.Fatal(err)
+		}
+		if g < 2 {
+			if err := db.Seal(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if err := db.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return path, len(capture)
+}
+
+// openSealedCapture opens a sealedCapture store read-only.
+func openSealedCapture(tb testing.TB) (*sirendb.DB, int) {
+	path, rows := sealedCapture(tb)
+	db, err := sirendb.OpenOptions(path, sirendb.Options{Shards: 4, ReadOnly: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db, rows
 }
 
 // samplePeak spawns a 200 µs-period HeapAlloc sampler recording the

@@ -5,20 +5,24 @@
 // imported Python packages recovered from interpreter memory maps).
 //
 // Two layers: stream.go walks a store snapshot shard-parallel and hands each
-// (shard, job) segment to the kernel, consolidateChunk below, which every
-// stored row passes through each time its job is consolidated. The kernel
-// is therefore written to allocate per pass rather than per row, and never
-// to build a string key out of header fields: those may contain any byte
-// but '|', so only field-wise comparison tells two processes apart for
-// certain. The implementation it replaced is kept in kernel_test.go as the
-// oracle it must equal record for record.
+// (shard, job) segment, as views of the datagrams the store holds, to the
+// kernel, consolidateRows below, which every stored row passes through each
+// time its job is consolidated. The kernel is therefore written to allocate
+// per pass or per process rather than per row, and never to build a string
+// key by joining header fields: those may contain any byte but '|', so only
+// the fields themselves — or the canonical header bytes, which parse field
+// for field — tell two processes apart for certain. The implementation it
+// replaced, over decoded Messages, is kept in kernel_test.go as the oracle it
+// must equal record for record.
 package postprocess
 
 import (
+	"bytes"
 	"cmp"
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"siren/internal/procfs"
 	"siren/internal/pyenv"
@@ -136,20 +140,9 @@ func Consolidate(db *sirendb.DB) ([]*ProcessRecord, Stats) {
 	return ConsolidateSnapshot(db.Snapshot(), StreamOptions{})
 }
 
-// identity is the grouping key of one process across its messages: the
-// identity columns without TIME. A comparable struct rather than the fields
-// joined with a separator: header values may contain any byte but '|', so a
-// joined key can make two processes collide (and hand one the other's
-// FILE_H), and building it costs an allocation per record.
-type identity struct {
-	jobID, stepID string
-	pid           int
-	hash, host    string
-}
-
-// consolidateChunk consolidates one self-contained message subset into
+// consolidateRows consolidates one self-contained set of stored rows into
 // process records. "Self-contained" means every chunk and record of every
-// process mentioned is inside msgs — true for the whole store, and equally
+// process mentioned is among the rows — true for the whole store, and equally
 // true for any (job, host)-closed subset, because the grouping key below
 // never crosses a job or a host. That closure is what lets the streaming
 // path consolidate per (shard, job) segment and still produce exactly the
@@ -164,37 +157,61 @@ type identity struct {
 // exec()-style reuse within one second is already separated by the
 // executable-path HASH column, per the paper.
 //
+// Rows are the canonical datagrams the store holds, so a process identity is
+// a byte string: the datagram up to the end of the HOST value, the five
+// identity fields in wire order and nothing else, equal exactly when the
+// fields are (wire.Reassemble keys records the same way, up to TYPE).
+//
 // Records are returned in identity-group first-appearance order, with the
-// derived Python imports already extracted.
+// derived Python imports already extracted. Nothing they hold points into
+// the rows: every row may be a view of a run mapping that is unmapped once
+// its snapshot is garbage.
 //
 // Every stored row passes through here each time its job is consolidated,
-// so the grouping allocates per pass, not per record or per process: records
+// so the grouping allocates per pass or per process, never per row: records
 // are numbered by identity group in one sweep (a record that continues the
 // previous record's identity skips the map), placed group-contiguous by a
 // counting pass, and each group's slice of record numbers is time-sorted
-// only when it is not already in time order. Every step is linear in the
-// records (the sort O(n log n) in a disordered group), whatever the mix of
-// identities, types and chunks.
-func consolidateChunk(msgs []wire.Message) (out []*ProcessRecord, nRecords int) {
-	records := wire.Reassemble(msgs)
+// only when it is not already in time order. A group's identity is made a
+// string once, and its JOBID, STEPID, HASH and HOST are cut from it; LAYER
+// and TYPE are the wire constants; every record's content is copied once,
+// into one string for the pass, and each field is cut from that. Every step
+// is linear in the records (the sort O(n log n) in a disordered group),
+// whatever the mix of identities, types and chunks.
+func consolidateRows(rows []wire.Scanned) (out []*ProcessRecord, nRecords int) {
+	records := wire.Reassemble(rows)
 	nRecords = len(records)
 	if nRecords == 0 {
 		return nil, 0
 	}
 
+	// One copy of every record's content: record i's is text[cut[i]:cut[i+1]].
+	cut := make([]int, len(records)+1)
+	for i := range records {
+		cut[i+1] = cut[i] + records[i].Size()
+	}
+	buf := make([]byte, 0, cut[len(records)])
+	for i := range records {
+		buf = records[i].AppendContent(buf)
+	}
+	text := unsafe.String(unsafe.SliceData(buf), len(buf)) // buf is never written again
+
 	groupOf := make([]int32, len(records)) // record -> identity group, first-appearance numbered
 	var sizes []int32                      // identity group -> record count
-	index := make(map[identity]int32)
-	var lastID identity
+	var ids []string                       // identity group -> its identity bytes
+	index := make(map[string]int32)
+	var lastID []byte
 	last := int32(-1)
 	for i := range records {
-		h := &records[i].Header
-		id := identity{h.JobID, h.StepID, h.PID, h.Hash, h.Host}
-		if last < 0 || id != lastID {
-			g, ok := index[id]
+		r := records[i].Row
+		id := r.Datagram[:r.Values[wire.FieldHost].Hi]
+		if last < 0 || !bytes.Equal(id, lastID) {
+			g, ok := index[string(id)]
 			if !ok {
 				g = int32(len(sizes))
-				index[id] = g
+				s := string(id)
+				index[s] = g
+				ids = append(ids, s)
 				sizes = append(sizes, 0)
 			}
 			last, lastID = g, id
@@ -218,38 +235,44 @@ func consolidateChunk(msgs []wire.Message) (out []*ProcessRecord, nRecords int) 
 		ends[g]++
 	}
 
-	byTime := func(a, b int32) int { return cmp.Compare(records[a].Header.Time, records[b].Header.Time) }
+	byTime := func(a, b int32) int { return cmp.Compare(records[a].Row.Time, records[b].Row.Time) }
 	out = make([]*ProcessRecord, 0, len(ends))
 	begin := int32(0)
-	for _, end := range ends {
+	for g, end := range ends {
 		group := order[begin:end]
 		begin = end
 		if !slices.IsSortedFunc(group, byTime) {
 			slices.SortStableFunc(group, byTime)
 		}
+		id := ids[g]
+		v := &records[group[0]].Row.Values // one identity: one place for its values
+		jobID, stepID := id[v[wire.FieldJobID].Lo:v[wire.FieldJobID].Hi], id[v[wire.FieldStepID].Lo:v[wire.FieldStepID].Hi]
+		hash, host := id[v[wire.FieldHash].Lo:v[wire.FieldHash].Hi], id[v[wire.FieldHost].Lo:v[wire.FieldHost].Hi]
 		var p *ProcessRecord
 		var seen typeSet
 		for _, ri := range group {
 			rec := &records[ri]
-			h := &rec.Header
-			if p == nil || seen.has(h.Layer, h.Type) {
+			r := rec.Row
+			layer := wire.ValueString(r.Value(r.Datagram, wire.FieldLayer))
+			typ := wire.ValueString(r.Value(r.Datagram, wire.FieldType))
+			if p == nil || seen.has(layer, typ) {
 				p = &ProcessRecord{
-					JobID: h.JobID, StepID: h.StepID, PID: h.PID,
-					ExeHash: h.Hash, Host: h.Host, Time: h.Time,
+					JobID: jobID, StepID: stepID, PID: r.PID,
+					ExeHash: hash, Host: host, Time: r.Time,
 				}
 				out = append(out, p)
 				seen = typeSet{}
 			}
-			seen.add(h.Layer, h.Type)
+			seen.add(layer, typ)
 			if !rec.Complete {
-				p.MissingFields = append(p.MissingFields, h.Layer+":"+h.Type)
+				p.MissingFields = append(p.MissingFields, layer+":"+typ)
 			}
-			content := string(rec.Content)
-			if h.Layer == wire.LayerScript {
-				applyScript(p, h.Type, content)
+			content := text[cut[ri]:cut[ri+1]]
+			if layer == wire.LayerScript {
+				applyScript(p, typ, content)
 				continue
 			}
-			applySelf(p, h.Type, content)
+			applySelf(p, typ, content)
 		}
 	}
 

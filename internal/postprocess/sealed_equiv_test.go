@@ -7,9 +7,13 @@ package postprocess
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"siren/internal/sirendb"
 	"siren/internal/wire"
@@ -187,4 +191,64 @@ func TestSealedMergedConsolidationMatchesSingleStore(t *testing.T) {
 
 	diffReports(t, "merged mixed-seal",
 		reportBytes(ConsolidateSnapshot(sirendb.MergeSnapshots(snaps), StreamOptions{})), want)
+}
+
+// TestLifetimeRecordsOutliveRunMappings: consolidation reads sealed rows as
+// views of run mappings, and a run is unmapped by finalizer once nothing
+// references it. Consolidate a sealed store through a set's snapshot, drop
+// the snapshot, the DB and the set, collect until the mappings are gone,
+// then read every string of every record: one that still pointed into a
+// mapping would fault, or read other bytes, here.
+func TestLifetimeRecordsOutliveRunMappings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the full scale-0.02 campaign capture")
+	}
+	path, rows := sealedCapture(t)
+	mapped := func() (bool, error) {
+		maps, err := os.ReadFile("/proc/self/maps")
+		return bytes.Contains(maps, []byte(path+".run.")), err
+	}
+	set, err := sirendb.OpenSet([]string{path}, sirendb.Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, stats := ConsolidateSnapshot(set.Snapshot(), StreamOptions{})
+	if stats.Messages != rows {
+		t.Fatalf("consolidated %d of %d rows", stats.Messages, rows)
+	}
+	want, err := json.Marshal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, procErr := mapped()
+	if err := set.Close(); err != nil {
+		t.Fatal(err)
+	}
+	set = nil // the snapshot, the DB and its runs go with it
+
+	if procErr != nil || !before {
+		// No /proc/self/maps to watch: collect and let the finalizers run.
+		t.Logf("run mappings not observable (%v): collecting blind", procErr)
+		for i := 0; i < 5; i++ {
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	for i := 0; ; i++ {
+		if still, _ := mapped(); !still {
+			break
+		}
+		if i == 200 {
+			t.Fatal("run files still mapped after 200 collections: something keeps a run reachable")
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	got, err := json.Marshal(recs) // every string of every record, Script and Maps included
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("records changed once the run mappings were gone")
+	}
 }

@@ -26,6 +26,7 @@
 package postprocess
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,8 +59,10 @@ type SnapshotView interface {
 	ShardJobs(i int) []string
 	// ShardJobRows streams shard i's rows of one job — per-host insertion
 	// order preserved, hosts possibly grouped — with each row's sequence
-	// number; return false to stop.
-	ShardJobRows(i int, job string, f func(m wire.Message, seq uint64) bool)
+	// number; return false to stop. Each row is a view of the canonical
+	// datagram the store holds, valid while the snapshot is reachable:
+	// whatever a consumer keeps of it, it copies.
+	ShardJobRows(i int, job string, f func(row *wire.Scanned, seq uint64) bool)
 	// ShardJobLen bounds how many rows ShardJobRows(i, job) yields, from
 	// indexes alone (no row is read), so a consumer can size its buffer
 	// before the stream fills it.
@@ -154,7 +157,7 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []wire.Message // reused across jobs, sized to the largest job segment
+			var buf []wire.Scanned // reused across jobs, sized to the largest job segment
 			for {
 				sh := int(nextShard.Add(1)) - 1
 				if sh >= snap.Shards() {
@@ -165,18 +168,21 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 						continue
 					}
 					if n := snap.ShardJobLen(sh, job); n > cap(buf) {
-						buf = make([]wire.Message, 0, n)
+						buf = make([]wire.Scanned, 0, n)
 					}
 					buf = buf[:0]
 					var firstSeq uint64
-					snap.ShardJobRows(sh, job, func(m wire.Message, seq uint64) bool {
+					snap.ShardJobRows(sh, job, func(row *wire.Scanned, seq uint64) bool {
 						if len(buf) == 0 {
 							firstSeq = seq
 						}
-						buf = append(buf, m)
+						buf = append(buf, *row)
 						return true
 					})
-					recs, nRecords := consolidateChunk(buf)
+					// The rows are views into snap's runs; the records copy
+					// out of them, and snap stays reachable until they have.
+					recs, nRecords := consolidateRows(buf)
+					runtime.KeepAlive(snap)
 					select {
 					case segCh <- jobSegment{job: job, firstSeq: firstSeq, recs: recs, records: nRecords, messages: len(buf)}:
 					case <-done:
@@ -231,7 +237,7 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 				msgs = append(msgs, m)
 				return true
 			})
-			jr.Records, records = consolidateChunk(msgs)
+			jr.Records, records = consolidateRows(encodeMessages(msgs))
 			messages = len(msgs)
 		} else {
 			n := 0
@@ -254,6 +260,31 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 		}
 	}
 	return stats
+}
+
+// encodeMessages encodes msgs as the canonical rows a store holds, in one
+// buffer the rows are views of.
+func encodeMessages(msgs []wire.Message) []wire.Scanned {
+	n := 0
+	for i := range msgs {
+		n += wire.EncodedLen(&msgs[i])
+	}
+	buf := make([]byte, 0, n)
+	rows := make([]wire.Scanned, len(msgs))
+	for i := range msgs {
+		lo := len(buf)
+		buf, rows[i].Fields = wire.AppendEncodeFields(buf, &msgs[i]) // within buf's capacity
+		rows[i].Datagram = buf[lo:len(buf):len(buf)]
+	}
+	return rows
+}
+
+// identity is the grouping key of one process across its records: the
+// identity columns without TIME.
+type identity struct {
+	jobID, stepID string
+	pid           int
+	hash, host    string
 }
 
 // identityCollision reports whether two *different* segments of one job

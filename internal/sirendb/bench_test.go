@@ -174,7 +174,7 @@ func BenchmarkInsertDuringScan(b *testing.B) {
 
 // BenchmarkHeadRead prices reading the WAL head the way a consolidation
 // does: every (shard, job) stream through ShardJobRows, every row handed
-// out as a wire.Message. One op reads 100 000 head rows.
+// out as a view with its Fields. One op reads 100 000 head rows.
 func BenchmarkHeadRead(b *testing.B) {
 	const rows = 100_000
 	db := benchReadDB(b, 4, rows)
@@ -186,9 +186,9 @@ func BenchmarkHeadRead(b *testing.B) {
 		n, size := 0, 0
 		for s := 0; s < sn.Shards(); s++ {
 			for _, job := range sn.ShardJobs(s) {
-				sn.ShardJobRows(s, job, func(m wire.Message, _ uint64) bool {
+				sn.ShardJobRows(s, job, func(row *wire.Scanned, _ uint64) bool {
 					n++
-					size += len(m.Content) + len(m.Host)
+					size += len(row.Datagram) - row.Content + len(row.Value(row.Datagram, wire.FieldHost))
 					return true
 				})
 			}

@@ -78,9 +78,10 @@ func (ms *MergedSnapshot) DedupOverlaps() DedupStats {
 			for _, job := range sn.ShardJobs(s) {
 				var cur *runInfo
 				var curHost string
-				sn.ShardJobRows(s, job, func(msg wire.Message, seq uint64) bool {
-					if cur == nil || msg.Host != curHost {
-						key := jobHost{job, msg.Host}
+				sn.ShardJobRows(s, job, func(row *wire.Scanned, seq uint64) bool {
+					if host := row.Value(row.Datagram, wire.FieldHost); cur == nil || string(host) != curHost {
+						curHost = string(host)
+						key := jobHost{job, curHost}
 						rs := runs[key]
 						if len(rs) > 0 && rs[len(rs)-1].member == m {
 							// Same member, host revisited after interleaving
@@ -91,7 +92,6 @@ func (ms *MergedSnapshot) DedupOverlaps() DedupStats {
 							runs[key] = append(rs, runInfo{member: m, shard: s, firstSeq: ms.offsets[m] + seq})
 							cur = &runs[key][len(runs[key])-1]
 						}
-						curHost = msg.Host
 					}
 					cur.rows++
 					return true
@@ -115,10 +115,11 @@ func (ms *MergedSnapshot) DedupOverlaps() DedupStats {
 				canon = i
 			}
 		}
-		// The canonical run's datagram multiset, encoded-bytes keyed.
+		// The canonical run's datagram multiset, keyed by the stored bytes
+		// (canonical, so equal bytes are equal rows).
 		bag := make(map[string]int, rs[canon].rows)
-		ms.runRows(rs[canon], key, func(msg wire.Message) {
-			bag[string(wire.Encode(msg))]++
+		ms.runRows(rs[canon], key, func(d []byte) {
+			bag[string(d)]++
 		})
 		for i, r := range rs {
 			if i == canon {
@@ -129,13 +130,12 @@ func (ms *MergedSnapshot) DedupOverlaps() DedupStats {
 				left[k] = n
 			}
 			contained := true
-			ms.runRows(r, key, func(msg wire.Message) {
-				k := string(wire.Encode(msg))
-				if left[k] == 0 {
+			ms.runRows(r, key, func(d []byte) {
+				if left[string(d)] == 0 {
 					contained = false
 					return
 				}
-				left[k]--
+				left[string(d)]--
 			})
 			if !contained {
 				st.Conflicts++
@@ -162,8 +162,8 @@ func (ms *MergedSnapshot) DedupOverlaps() DedupStats {
 				for s := 0; s < sn.Shards(); s++ {
 					for _, job := range sn.ShardJobs(s) {
 						alive := false
-						sn.ShardJobRows(s, job, func(msg wire.Message, _ uint64) bool {
-							if _, dead := ms.drop[m][jobHost{job, msg.Host}]; !dead {
+						sn.ShardJobRows(s, job, func(row *wire.Scanned, _ uint64) bool {
+							if !ms.droppedRow(m, job, row) {
 								alive = true
 								return false
 							}
@@ -190,14 +190,20 @@ func (ms *MergedSnapshot) DedupOverlaps() DedupStats {
 // dedup was never applied).
 func (ms *MergedSnapshot) DedupStats() DedupStats { return ms.dedup }
 
-// runRows streams one located run's messages.
-func (ms *MergedSnapshot) runRows(r runInfo, key jobHost, f func(msg wire.Message)) {
-	ms.members[r.member].ShardJobRows(r.shard, key.job, func(msg wire.Message, _ uint64) bool {
-		if msg.Host == key.host {
-			f(msg)
+// runRows streams one located run's datagrams, as views.
+func (ms *MergedSnapshot) runRows(r runInfo, key jobHost, f func(d []byte)) {
+	ms.members[r.member].ShardJobRows(r.shard, key.job, func(row *wire.Scanned, _ uint64) bool {
+		if string(row.Value(row.Datagram, wire.FieldHost)) == key.host {
+			f(row.Datagram)
 		}
 		return true
 	})
+}
+
+// droppedRow reports whether row, of member m's job, is in a suppressed run.
+// The host is made a string only when member m has suppressed runs.
+func (ms *MergedSnapshot) droppedRow(m int, job string, row *wire.Scanned) bool {
+	return ms.drop != nil && ms.drop[m] != nil && ms.dropped(m, job, string(row.Value(row.Datagram, wire.FieldHost)))
 }
 
 // dropped reports whether member m's run of (job, host) is suppressed.

@@ -43,7 +43,7 @@ func checkViewConsistency(t *testing.T, ms *MergedSnapshot) {
 		seen := make(map[string]bool)
 		for job := range counts {
 			n := 0
-			ms.ShardJobRows(i, job, func(wire.Message, uint64) bool { n++; return true })
+			ms.ShardJobRows(i, job, func(*wire.Scanned, uint64) bool { n++; return true })
 			if n > 0 {
 				yield[job]++
 				seen[job] = true
@@ -209,7 +209,7 @@ func TestDedupEqualRuns(t *testing.T) {
 	// seqs, so every yielded seq must be <= member 0's LastSeq.
 	var maxSeq uint64
 	for i := 0; i < ms.Shards(); i++ {
-		ms.ShardJobRows(i, "J", func(_ wire.Message, seq uint64) bool {
+		ms.ShardJobRows(i, "J", func(_ *wire.Scanned, seq uint64) bool {
 			if seq > maxSeq {
 				maxSeq = seq
 			}

@@ -8,7 +8,9 @@
 // pointer-free index: one entry per row with its sequence number, where its
 // bytes lie, its four header integers and per-shard ordinals of its six
 // header strings. A read builds the Message from an entry and the interned
-// strings, its Content a view of the chunk, so reading the head never parses;
+// strings, its Content a view of the chunk, and a consolidation's view of the
+// row from the entry's integers and string lengths, so reading the head never
+// parses;
 // Seal sorts entries and copies payload ranges into run blocks, so sealing
 // never encodes.
 //
@@ -246,6 +248,25 @@ func (v *headView) rowInto(i uint32, m *wire.Message) uint64 {
 			Seq: e.cseq, Total: e.total,
 		},
 		Content: v.chunks[e.chunk][e.content:e.end:e.end],
+	}
+	return e.seq
+}
+
+// scannedInto points *row at entry i's datagram in its chunk, with the
+// Fields its entry holds, and returns its sequence number. Nothing is
+// scanned: the head keeps canonical bytes only (DESIGN.md §3), so where each
+// value lies follows from the lengths of its interned strings.
+func (v *headView) scannedInto(i uint32, row *wire.Scanned) uint64 {
+	e := &v.entries[i]
+	var lens [wire.StringFields]int
+	for k := range lens {
+		lens[k] = len(v.vals[k][e.vals[k]])
+	}
+	row.Datagram = v.chunks[e.chunk][e.payload:e.end:e.end]
+	row.Fields = wire.Fields{
+		PID: e.pid, Time: e.time, Seq: e.cseq, Total: e.total,
+		Values:  wire.CanonicalValues(&lens, e.pid, e.time),
+		Content: int(e.content - e.payload), Canonical: true,
 	}
 	return e.seq
 }

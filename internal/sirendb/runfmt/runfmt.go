@@ -620,12 +620,14 @@ func (r *Run) EachJob(f func(job string, rows int, minSeq, maxSeq uint64) bool) 
 // Cursor streams a run's rows in ascending sequence order, k-way merging
 // the per-(job, host) extent streams. Blocks load (and checksum-verify)
 // lazily as the cursor crosses them. The merge compares the sequence numbers
-// in the record headers and decodes only the row it hands out, straight into
-// the caller's Message, through one wire.Decoder per extent — whose rows are
-// one (job, host), so their header strings are mostly shared.
+// in the record headers and scans only the row it hands out: in place, as a
+// view of the block (NextScanned), or decoded straight into the caller's
+// Message through one wire.Decoder per extent — whose rows are one (job,
+// host), so their header strings are mostly shared (NextInto).
 type Cursor struct {
 	streams []*extentCursor
 	best    int // stream holding the next row once PeekSeq found it, else -1
+	last    int // stream that handed out the previous row
 	bestSeq uint64
 	err     error
 }
@@ -682,12 +684,24 @@ func (c *Cursor) PeekSeq() (seq uint64, ok bool) {
 // field, and returns its sequence number. ok=false means exhausted or failed
 // — check Err to distinguish — and *m then holds no row.
 func (c *Cursor) NextInto(m *wire.Message) (seq uint64, ok bool) {
+	var row wire.Scanned
+	if seq, ok = c.NextScanned(&row); ok {
+		c.streams[c.last].dec.Fill(&row, m)
+	}
+	return seq, ok
+}
+
+// NextScanned scans the next row in sequence order in place into *row and
+// returns its sequence number: row.Datagram is a view of the verified block
+// in the run's mapping, valid only while the Run is reachable and open, so
+// nothing built from it may keep it. ok=false means exhausted or failed —
+// check Err to distinguish.
+func (c *Cursor) NextScanned(row *wire.Scanned) (seq uint64, ok bool) {
 	if seq, ok = c.PeekSeq(); !ok {
 		return 0, false
 	}
-	s := c.streams[c.best]
-	c.best = -1
-	if err := s.decodeInto(m); err != nil {
+	c.last, c.best = c.best, -1
+	if err := c.streams[c.last].scanInto(row); err != nil {
 		c.err = err
 		return 0, false
 	}
@@ -739,15 +753,24 @@ func (ec *extentCursor) peekSeq() (uint64, bool, error) {
 	return binary.LittleEndian.Uint64(ec.payload[ec.pos+4:]), true, nil
 }
 
-// decodeInto decodes the record peekSeq last reported into *m and steps past
-// it; it is only valid right after a successful peekSeq.
-func (ec *extentCursor) decodeInto(m *wire.Message) error {
+// scanInto scans the record peekSeq last reported into *row, in place, and
+// steps past it; it is only valid right after a successful peekSeq. A record
+// that does not scan, or is not canonical, was not written by a store —
+// runs are sealed from the head, which holds only canonical bytes — so it is
+// corrupt.
+func (ec *extentCursor) scanInto(row *wire.Scanned) error {
 	length := int(binary.LittleEndian.Uint32(ec.payload[ec.pos:]))
 	start := ec.pos + recHdrSize
-	if err := ec.dec.Decode(ec.payload[start:start+length], m); err != nil {
+	end := start + length
+	f, err := wire.Scan(ec.payload[start:end])
+	if err != nil {
 		return ec.corrupt(fmt.Sprintf("undecodable record: %v", err))
 	}
-	ec.pos = start + length
+	if !f.Canonical {
+		return ec.corrupt("non-canonical record")
+	}
+	row.Datagram, row.Fields = ec.payload[start:end:end], f
+	ec.pos = end
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"siren/internal/wire"
@@ -491,5 +492,44 @@ func TestRunFileBytesPinned(t *testing.T) {
 	// with snapshots) must come back untouched.
 	if !reflect.DeepEqual(rows, before) {
 		t.Error("Write reordered or modified its input")
+	}
+}
+
+// TestRunNonCanonicalRowIsCorrupt: a run is sealed from a store's head,
+// which holds canonical bytes only, so a row in a verified block that spells
+// PID as 007 was not written by a store. Both cursor reads report ErrCorrupt
+// at that row instead of handing it out — a consolidation keys rows by their
+// bytes, which only canonical rows make sound.
+func TestRunNonCanonicalRowIsCorrupt(t *testing.T) {
+	good := "SIREN1|JOBID=J|STEPID=0|PID=7|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=FILE_H|SEQ=0|TOT=1|CONTENT=x"
+	path := filepath.Join(t.TempDir(), "noncanonical.run")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, payload := range []string{good, strings.Replace(good, "PID=7|", "PID=007|", 1)} {
+		if err := w.Add("J", "n", uint64(i+1), []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for name, read := range map[string]func(*Cursor) (uint64, bool){
+		"NextScanned": func(c *Cursor) (uint64, bool) { var row wire.Scanned; return c.NextScanned(&row) },
+		"NextInto":    func(c *Cursor) (uint64, bool) { var m wire.Message; return c.NextInto(&m) },
+	} {
+		c := r.Cursor()
+		if seq, ok := read(c); !ok || seq != 1 {
+			t.Fatalf("%s: first row seq %d ok %v (%v), want the canonical row 1", name, seq, ok, c.Err())
+		}
+		if seq, ok := read(c); ok || !errors.Is(c.Err(), ErrCorrupt) {
+			t.Errorf("%s: PID=007 row read as seq %d ok %v, err %v; want ErrCorrupt", name, seq, ok, c.Err())
+		}
 	}
 }

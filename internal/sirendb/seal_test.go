@@ -523,11 +523,12 @@ func TestSealShardCountChange(t *testing.T) {
 	for s := 0; s < sn.Shards(); s++ {
 		for _, job := range sn.ShardJobs(s) {
 			last := map[string]uint64{}
-			sn.ShardJobRows(s, job, func(m wire.Message, seq uint64) bool {
-				if seq <= last[m.Host] {
-					t.Fatalf("shard %d job %s host %s: seq %d after %d", s, job, m.Host, seq, last[m.Host])
+			sn.ShardJobRows(s, job, func(row *wire.Scanned, seq uint64) bool {
+				host := string(row.Value(row.Datagram, wire.FieldHost))
+				if seq <= last[host] {
+					t.Fatalf("shard %d job %s host %s: seq %d after %d", s, job, host, seq, last[host])
 				}
-				last[m.Host] = seq
+				last[host] = seq
 				return true
 			})
 		}
@@ -567,7 +568,7 @@ func TestSnapshotIsolatedFromSeal(t *testing.T) {
 		total := 0
 		for job := range counts {
 			for s := 0; s < sn.Shards(); s++ {
-				sn.ShardJobRows(s, job, func(wire.Message, uint64) bool { total++; return true })
+				sn.ShardJobRows(s, job, func(*wire.Scanned, uint64) bool { total++; return true })
 			}
 		}
 		if total != len(ms) {

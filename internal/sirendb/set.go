@@ -232,15 +232,15 @@ func (ms *MergedSnapshot) ShardJobs(i int) []string {
 
 // ShardJobRows streams merged shard i's rows of one job in insertion order
 // with rebased sequence numbers, skipping dedup-suppressed runs; return
-// false to stop.
-func (ms *MergedSnapshot) ShardJobRows(i int, job string, f func(m wire.Message, seq uint64) bool) {
+// false to stop. Rows are views, as Snapshot.ShardJobRows hands them out.
+func (ms *MergedSnapshot) ShardJobRows(i int, job string, f func(row *wire.Scanned, seq uint64) bool) {
 	sh := ms.shards[i]
 	off := ms.offsets[sh.member]
-	ms.members[sh.member].ShardJobRows(sh.shard, job, func(m wire.Message, seq uint64) bool {
-		if ms.dropped(sh.member, job, m.Host) {
+	ms.members[sh.member].ShardJobRows(sh.shard, job, func(row *wire.Scanned, seq uint64) bool {
+		if ms.droppedRow(sh.member, job, row) {
 			return true
 		}
-		return f(m, off+seq)
+		return f(row, off+seq)
 	})
 }
 

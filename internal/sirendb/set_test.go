@@ -86,7 +86,7 @@ func TestMergedSnapshotNoInterleavingWithinJob(t *testing.T) {
 	min1 = ^uint64(0)
 	for i := 0; i < ms.Shards(); i++ {
 		var last uint64
-		ms.ShardJobRows(i, "J", func(m wire.Message, seq uint64) bool {
+		ms.ShardJobRows(i, "J", func(_ *wire.Scanned, seq uint64) bool {
 			if seq <= last {
 				t.Fatalf("merged shard %d: seq %d not strictly increasing (last %d)", i, seq, last)
 			}
@@ -111,7 +111,7 @@ func TestMergedSnapshotNoInterleavingWithinJob(t *testing.T) {
 	gotShards := 0
 	for i := 0; i < ms.Shards(); i++ {
 		n := 0
-		ms.ShardJobRows(i, "J", func(wire.Message, uint64) bool { n++; return false })
+		ms.ShardJobRows(i, "J", func(*wire.Scanned, uint64) bool { n++; return false })
 		if n > 0 {
 			gotShards++
 		}

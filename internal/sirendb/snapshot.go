@@ -146,26 +146,44 @@ func (s *src) peek() (uint64, bool) {
 // sealed row that fails to decode is reported like any run-read failure and
 // yields nil.
 func (s *src) take(slot *wire.Message) (*wire.Message, uint64) {
-	var seq uint64
 	if s.run != nil {
-		var ok bool
-		if seq, ok = s.run.NextInto(slot); !ok {
-			s.onErr(s.run.Err())
-			s.run = nil
-			return nil, 0
-		}
-	} else {
-		i := uint32(s.pos)
-		if s.idxs != nil {
-			i = s.idxs[i]
-		}
-		s.pos++
-		seq = s.head.rowInto(i, slot)
+		seq, ok := s.run.NextInto(slot)
+		return ran(s, slot, seq, ok)
 	}
-	if s.rem > 0 {
-		s.rem--
+	return slot, s.head.rowInto(s.next(), slot)
+}
+
+// takeScanned is take for a view of the row (runfmt.Cursor.NextScanned,
+// headView.scannedInto).
+func (s *src) takeScanned(slot *wire.Scanned) (*wire.Scanned, uint64) {
+	if s.run != nil {
+		seq, ok := s.run.NextScanned(slot)
+		return ran(s, slot, seq, ok)
 	}
+	return slot, s.head.scannedInto(s.next(), slot)
+}
+
+// ran accounts for a row read from the run stream, or reports the stream's
+// failure and yields nil.
+func ran[T any](s *src, slot *T, seq uint64, ok bool) (*T, uint64) {
+	if !ok {
+		s.onErr(s.run.Err())
+		s.run = nil
+		return nil, 0
+	}
+	s.rem = max(s.rem-1, 0)
 	return slot, seq
+}
+
+// next steps a head source to its next entry and returns the entry's index.
+func (s *src) next() uint32 {
+	i := uint32(s.pos)
+	if s.idxs != nil {
+		i = s.idxs[i]
+	}
+	s.pos++
+	s.rem = max(s.rem-1, 0)
+	return i
 }
 
 // mergeSrcs streams the union of the sources in ascending sequence order —
@@ -176,6 +194,17 @@ func mergeSrcs(srcs []*src, f func(m wire.Message, seq uint64) bool) {
 	var slot wire.Message
 	for s := c.pick(); s != nil; s = c.pick() {
 		if m, seq := s.take(&slot); m != nil && !f(*m, seq) {
+			return
+		}
+	}
+}
+
+// mergeScanned is mergeSrcs handing out views of the rows.
+func mergeScanned(srcs []*src, f func(row *wire.Scanned, seq uint64) bool) {
+	c := Cursor{srcs: srcs}
+	var slot wire.Scanned
+	for s := c.pick(); s != nil; s = c.pick() {
+		if row, seq := s.takeScanned(&slot); row != nil && !f(row, seq) {
 			return
 		}
 	}
@@ -402,17 +431,20 @@ func (sn *Snapshot) ShardJobLen(shard int, job string) int {
 }
 
 // ShardJobRows streams shard i's rows of one job in insertion order along
-// with each row's store-wide sequence number; return false to stop. Zero
-// copy for head rows (each Message is built from its index entry, its
-// content a view of the head chunk); sealed rows decode lazily from their
-// run's job extents, merged in by sequence.
-func (sn *Snapshot) ShardJobRows(shard int, job string, f func(m wire.Message, seq uint64) bool) {
+// with each row's store-wide sequence number; return false to stop. Each row
+// is handed out as a view of the bytes the store holds — a head row as its
+// datagram in the head chunk with the Fields its index entry holds, a sealed
+// row scanned in place in its verified run block — so nothing is decoded or
+// copied. A view stays valid while the snapshot is reachable and must not be
+// kept past that: run mappings are unmapped once the snapshot is garbage, so
+// whatever a caller keeps of a row, it copies.
+func (sn *Snapshot) ShardJobRows(shard int, job string, f func(row *wire.Scanned, seq uint64) bool) {
 	sv := &sn.shards[shard]
 	idxs := sv.head.job(job)
 	if len(sv.runs) == 0 { // head-only fast path: no merge state needed
-		var m wire.Message
+		var row wire.Scanned
 		for _, idx := range idxs {
-			if seq := sv.head.rowInto(idx, &m); !f(m, seq) {
+			if seq := sv.head.scannedInto(idx, &row); !f(&row, seq) {
 				return
 			}
 		}
@@ -427,7 +459,7 @@ func (sn *Snapshot) ShardJobRows(shard int, job string, f func(m wire.Message, s
 	if len(idxs) > 0 {
 		srcs = append(srcs, &src{head: sv.head, idxs: idxs, rem: len(idxs)})
 	}
-	mergeSrcs(srcs, f)
+	mergeScanned(srcs, f)
 }
 
 // JobRows streams every row of one job in global insertion order, merged

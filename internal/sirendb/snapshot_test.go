@@ -194,7 +194,7 @@ func TestSnapshotPerJobOrder(t *testing.T) {
 	for s := 0; s < snap.Shards(); s++ {
 		var lastSeq uint64
 		n := 0
-		snap.ShardJobRows(s, "spanner", func(m wire.Message, seq uint64) bool {
+		snap.ShardJobRows(s, "spanner", func(_ *wire.Scanned, seq uint64) bool {
 			if seq <= lastSeq {
 				t.Fatalf("shard %d job rows not seq-ascending", s)
 			}

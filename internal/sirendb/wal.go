@@ -318,7 +318,10 @@ func (db *DB) replayChunk(chunk []byte, last bool) (used int, stop bool) {
 			continue
 		}
 		fields, err := wire.Scan(payload)
-		if err != nil {
+		if err != nil || !fields.Canonical {
+			// Only insert writes records, and it writes canonical bytes
+			// (DESIGN.md §3): a row that does not scan, or spells an integer
+			// another way, was not written by this store.
 			db.corrupt.Add(1)
 			continue
 		}

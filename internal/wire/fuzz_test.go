@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -132,11 +133,17 @@ func FuzzDecoder(f *testing.F) {
 // value spans and content offset read what they decode. Canonical must hold
 // exactly when re-encoding the parsed message gives back the input — the
 // bytes a store keeps without re-encoding — and then AppendEncodeFields
-// must report the scan's own Fields.
+// must report the scan's own Fields, and CanonicalValues, from the values'
+// lengths and the two integers before them, the scan's spans. Whatever
+// scan's one-walk path accepts, its checked path reads the same way.
 func FuzzScan(f *testing.F) {
+	f.Add([]byte("SIREN1|JOBID=-1|STEPID=0|PID=-2147483648|HASH==|HOST=n|TIME=-9223372036854775808|LAYER=L|TYPE=T|SEQ=0|TOT=1|CONTENT=x"))
 	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1|CONTENT=x"))
 	f.Add([]byte("SIREN1|JOBID=|STEPID=|PID=0|HASH=|HOST=|TIME=0|LAYER=|TYPE=|SEQ=0|TOT=1|CONTENT="))
 	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1|CONTENT=a|CONTENT=b"))
+	f.Add([]byte("SIREN1|JOBID=1|CONTENT=|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1|CONTENT=x"))
+	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1|CONTENTS=x"))
+	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1"))
 	f.Add([]byte("garbage"))
 	f.Add(Encode(Message{Header: sampleHeader(), Content: []byte("3:abc:def")}))
 	// Every non-canonical spelling in every integer field (TOT=-0 is out of
@@ -151,6 +158,12 @@ func FuzzScan(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fields, serr := Scan(data)
+		var fast, checked Fields
+		if scanWellFormed(data, &fast) {
+			if err := scanChecked(data, &checked); err != nil || checked != fast {
+				t.Fatalf("%q: the one-walk scan read %+v, the checked scan %+v, %v", data, fast, checked, err)
+			}
+		}
 		var d Decoder
 		var m Message
 		derr := d.Decode(data, &m)
@@ -184,6 +197,12 @@ func FuzzScan(f *testing.F) {
 		}
 		if rescan, err := Scan(reenc); err != nil || !rescan.Canonical || rescan != encFields {
 			t.Fatalf("re-encoding %q scans as %+v, %v; AppendEncodeFields reported %+v", reenc, rescan, err, encFields)
+		}
+		// A store hands a canonical row out with the values' places worked
+		// out from their lengths: they must be where a scan finds them.
+		lens := [StringFields]int{len(m.JobID), len(m.StepID), len(m.Hash), len(m.Host), len(m.Layer), len(m.Type)}
+		if got := CanonicalValues(&lens, m.PID, m.Time); got != encFields.Values {
+			t.Fatalf("%q: CanonicalValues = %v, the re-encoding scans as %v", data, got, encFields.Values)
 		}
 	})
 }
@@ -262,7 +281,8 @@ func TestDecimalMatchesStrconv(t *testing.T) {
 }
 
 // FuzzReassemble feeds Reassemble with parsed datagrams (one per line of the
-// fuzz input) plus a chunked-and-reversed version of the raw input, and
+// fuzz input), re-encoded as the canonical rows a store holds, plus a
+// chunked-and-reversed version of the raw input, and
 // checks the structural invariants: no panic, content bounded by the sum of
 // chunk payloads, and Complete records reproducing the chunked content
 // exactly. The giant-TOT seed pins the hostile-Total fix — Reassemble must
@@ -271,8 +291,19 @@ func TestDecimalMatchesStrconv(t *testing.T) {
 // record with reassembleOracle — the map-of-maps implementation this kernel
 // replaced — on the parsed set, on the parsed set delivered twice in opposite
 // orders (every Seq duplicated, so "the later arrival wins" decides the
-// content), and on the chunked input.
+// content), and on the chunked input. The oracle groups by header fields,
+// Reassemble by the bytes before SEQ; the last seeds pin that the two agree
+// on rows that differ only in SEQ/TOT, only in TIME, or in one header byte,
+// and on values holding '=' (which a prefix key must not read as a field
+// boundary).
 func FuzzReassemble(f *testing.F) {
+	const row = "SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|"
+	f.Add([]byte(row+"SEQ=0|TOT=2|CONTENT=a\n"+row+"SEQ=1|TOT=2|CONTENT=b\n"+row+"SEQ=0|TOT=3|CONTENT=c"), uint8(8))
+	f.Add([]byte(row+"SEQ=0|TOT=1|CONTENT=a\n"+strings.Replace(row, "TIME=1|", "TIME=10|", 1)+"SEQ=0|TOT=1|CONTENT=b"), uint8(8))
+	f.Add([]byte(row+"SEQ=0|TOT=1|CONTENT=a\n"+strings.Replace(row, "HOST=n", "HOST=m", 1)+"SEQ=0|TOT=1|CONTENT=b\n"+
+		strings.Replace(row, "PID=1|", "PID=2|", 1)+"SEQ=0|TOT=1|CONTENT=c"), uint8(8))
+	f.Add([]byte("SIREN1|JOBID=1=|STEPID=0|PID=1|HASH=h|HOST=n=1|TIME=1|LAYER=SELF|TYPE=T=|SEQ=0|TOT=1|CONTENT=a\n"+
+		"SIREN1|JOBID=1|STEPID==0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE==T|SEQ=0|TOT=1|CONTENT=b"), uint8(8))
 	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1|CONTENT=x"), uint8(16))
 	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=2000000000|CONTENT=x"), uint8(0))
 	two := Encode(Message{Header: sampleHeader(), Content: []byte("first")})
@@ -292,13 +323,13 @@ func FuzzReassemble(f *testing.F) {
 			msgs = append(msgs, m)
 			payload += len(m.Content)
 		}
-		recs := Reassemble(msgs)
+		recs := reassembleMessages(msgs)
 		if want := reassembleOracle(msgs); !reflect.DeepEqual(recs, want) {
 			t.Fatalf("Reassemble diverged from the oracle:\n got %+v\nwant %+v", recs, want)
 		}
 		twice := append(append([]Message(nil), msgs...), msgs...)
 		slices.Reverse(twice[len(msgs):])
-		if got, want := Reassemble(twice), reassembleOracle(twice); !reflect.DeepEqual(got, want) {
+		if got, want := reassembleMessages(twice), reassembleOracle(twice); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Reassemble diverged from the oracle on duplicated chunks:\n got %+v\nwant %+v", got, want)
 		}
 		for _, r := range recs {
@@ -317,7 +348,7 @@ func FuzzReassemble(f *testing.F) {
 		for i, j := 0, len(chunks)-1; i < j; i, j = i+1, j-1 {
 			chunks[i], chunks[j] = chunks[j], chunks[i]
 		}
-		recs = Reassemble(chunks)
+		recs = reassembleMessages(chunks)
 		if want := reassembleOracle(chunks); !reflect.DeepEqual(recs, want) {
 			t.Fatalf("Reassemble diverged from the oracle on chunked input: %+v vs %+v", recs[0].Header, want[0].Header)
 		}
@@ -360,7 +391,7 @@ func TestParseSurvivesRandomMutations(t *testing.T) {
 func TestReassembleHostileTotal(t *testing.T) {
 	h := sampleHeader()
 	h.Seq, h.Total = 0, 2_000_000_000
-	recs := Reassemble([]Message{{Header: h, Content: []byte("x")}})
+	recs := reassembleMessages([]Message{{Header: h, Content: []byte("x")}})
 	if len(recs) != 1 {
 		t.Fatalf("got %d records", len(recs))
 	}

@@ -9,7 +9,8 @@ import (
 )
 
 // Differential oracles: the implementations Reassemble and Encode had before
-// the allocation-lean rewrite, and Parse before the Decoder, kept as the
+// the allocation-lean rewrite (Reassemble over Messages, keyed by fields
+// rather than by canonical bytes), and Parse before the Decoder, kept as the
 // reference the production kernels are pinned against (FuzzReassemble,
 // FuzzWireParse, FuzzDecoder, the table tests). One
 // deliberate difference: the grouping key length-prefixes every field. The
@@ -28,7 +29,49 @@ func oracleKey(h Header) string {
 	return sb.String()
 }
 
-func reassembleOracle(msgs []Message) []Record {
+// msgRecord is a reassembled record in Message form: what the oracle
+// returns, and what reassembleMessages makes of Reassemble's records.
+type msgRecord struct {
+	Header   Header
+	Content  []byte
+	Complete bool
+}
+
+// scanMessages encodes msgs as the canonical rows a store holds.
+func scanMessages(msgs []Message) []Scanned {
+	var buf []byte
+	fields := make([]Fields, len(msgs))
+	ends := make([]int, len(msgs))
+	for i := range msgs {
+		buf, fields[i] = AppendEncodeFields(buf, &msgs[i])
+		ends[i] = len(buf)
+	}
+	rows := make([]Scanned, len(msgs))
+	lo := 0
+	for i := range rows {
+		rows[i] = Scanned{Datagram: buf[lo:ends[i]:ends[i]], Fields: fields[i]}
+		lo = ends[i]
+	}
+	return rows
+}
+
+// reassembleMessages runs Reassemble over msgs as canonical rows and
+// returns its records in Message form: the first chunk's header with Total
+// raised, the joined content (nil when empty), Complete.
+func reassembleMessages(msgs []Message) []msgRecord {
+	recs := Reassemble(scanMessages(msgs))
+	out := make([]msgRecord, len(recs))
+	var d Decoder
+	for i := range recs {
+		var m Message
+		d.Fill(recs[i].Row, &m)
+		m.Total = recs[i].Total
+		out[i] = msgRecord{Header: m.Header, Content: recs[i].AppendContent(nil), Complete: recs[i].Complete}
+	}
+	return out
+}
+
+func reassembleOracle(msgs []Message) []msgRecord {
 	type group struct {
 		header   Header
 		maxTotal int
@@ -53,7 +96,7 @@ func reassembleOracle(msgs []Message) []Record {
 		}
 		g.chunks[m.Seq] = m.Content
 	}
-	out := make([]Record, 0, len(keys))
+	out := make([]msgRecord, 0, len(keys))
 	for _, k := range keys {
 		g := groups[k]
 		g.header.Total = g.maxTotal
@@ -68,7 +111,7 @@ func reassembleOracle(msgs []Message) []Record {
 		for _, s := range seqs {
 			content = append(content, g.chunks[s]...)
 		}
-		out = append(out, Record{Header: g.header, Content: content, Complete: complete})
+		out = append(out, msgRecord{Header: g.header, Content: content, Complete: complete})
 	}
 	return out
 }

@@ -12,17 +12,18 @@
 //
 // A header value may contain any byte except the field separator '|'. Code
 // that has to tell two headers apart therefore compares fields (Header is
-// comparable; Reassemble's recordKey), and never a string made by joining
-// them around some other "unused" byte: there is none.
+// comparable), or the canonical bytes of a datagram's header, which parse
+// field for field (Reassemble) — never a string made by joining them around
+// some other "unused" byte: there is none.
 //
 // AppendEncode is the one encoder — senders append through it into a buffer
 // they own, and so does the store for a Message it is handed — and Scan the
 // one set of header checks: the receiver's writers scan each datagram and
 // keep its bytes, and Decoder (Parse) builds a Message on top of a scan.
-// Scan sits on the receiver's per-datagram path, Decoder on the per-row
-// path of every sealed-run read and Reassemble on that of every
-// consolidation, so all are written to allocate as little as the data
-// allows.
+// Scan sits on the receiver's per-datagram path and on the per-row path of
+// every sealed-run read, and Reassemble on that of every consolidation,
+// which groups the stored datagrams themselves, so all are written to
+// allocate as little as the data allows.
 package wire
 
 import (
@@ -281,6 +282,29 @@ type Scanned struct {
 	Fields
 }
 
+// CanonicalValues returns the Values that Scan reports for the canonical
+// datagram whose string values are lens bytes long, indexed by the Field*
+// constants, and whose PID and TIME are pid and time: in a datagram
+// AppendEncode wrote, each value starts where the fixed text and everything
+// before it end. A store that indexed a row's values and integers hands the
+// row out with this instead of scanning it again.
+func CanonicalValues(lens *[StringFields]int, pid int, time int64) [StringFields]Span {
+	var v [StringFields]Span
+	pos := len(magic + "|JOBID=")
+	v[FieldJobID] = Span{pos, pos + lens[FieldJobID]}
+	pos = v[FieldJobID].Hi + len("|STEPID=")
+	v[FieldStepID] = Span{pos, pos + lens[FieldStepID]}
+	pos = v[FieldStepID].Hi + len("|PID=") + decimalLen(int64(pid)) + len("|HASH=")
+	v[FieldHash] = Span{pos, pos + lens[FieldHash]}
+	pos = v[FieldHash].Hi + len("|HOST=")
+	v[FieldHost] = Span{pos, pos + lens[FieldHost]}
+	pos = v[FieldHost].Hi + len("|TIME=") + decimalLen(time) + len("|LAYER=")
+	v[FieldLayer] = Span{pos, pos + lens[FieldLayer]}
+	pos = v[FieldLayer].Hi + len("|TYPE=")
+	v[FieldType] = Span{pos, pos + lens[FieldType]}
+	return v
+}
+
 // Scan checks a datagram exactly as Decode does — it accepts what Decode
 // accepts and rejects the rest with Decode's error — and reports the header
 // as Fields, allocating nothing on success.
@@ -294,6 +318,74 @@ func Scan(datagram []byte) (Fields, error) {
 
 // scan is Scan into *f, which holds garbage after an error.
 func scan(datagram []byte, f *Fields) error {
+	if scanWellFormed(datagram, f) {
+		return nil
+	}
+	return scanChecked(datagram, f)
+}
+
+// scanWellFormed is scan for a datagram that has every field where a valid
+// one has it: one walk over the header, each field's prefix checked where it
+// must begin and its value ended by the next '|', the one after TOT
+// beginning the content marker. It reports false, leaving the datagram and
+// its error to scanChecked, at the first byte a valid datagram would not
+// have there. When it succeeds scanChecked succeeds with the same Fields: a
+// value holds no '|', and every '|' before TOT's is followed by a field
+// prefix, so the first content marker is the one after TOT. It exists
+// because scanChecked's search for that marker first costs as much again as
+// the walk (every '|' of the header is a candidate), and every stored row is
+// scanned on each sealed read.
+func scanWellFormed(d []byte, f *Fields) bool {
+	const head = magic + "|"
+	if len(d) < len(head) || string(d[:len(head)]) != head {
+		return false
+	}
+	pos := len(head)
+	f.Canonical = true
+	for i, prefix := range fieldPrefixes {
+		if len(d)-pos < len(prefix) || string(d[pos:pos+len(prefix)]) != prefix {
+			return false
+		}
+		pos += len(prefix)
+		end := bytes.IndexByte(d[pos:], '|')
+		if end < 0 {
+			return false
+		}
+		lo, hi := pos, pos+end
+		pos = hi + 1
+		if k := stringField[i]; k >= 0 {
+			f.Values[k] = Span{lo, hi}
+			continue
+		}
+		n, err := decimal(d[lo:hi], i == 5)
+		if err != nil {
+			return false
+		}
+		f.Canonical = f.Canonical && canonicalDecimal(d[lo:hi])
+		switch i {
+		case 2:
+			f.PID = int(n)
+		case 5:
+			f.Time = n
+		case 8:
+			f.Seq = int(n)
+		case 9:
+			f.Total = int(n)
+		}
+	}
+	ci := pos - 1 // TOT's terminator
+	if len(d)-ci < len(contentMark) || string(d[ci:ci+len(contentMark)]) != contentMark ||
+		f.Total < 1 || f.Seq < 0 || f.Seq >= f.Total {
+		return false
+	}
+	f.Content = ci + len(contentMark)
+	return true
+}
+
+// scanChecked is scan for any datagram: it finds the content marker first
+// and checks the header before it field by field, reporting the first
+// deviation as Decode's error.
+func scanChecked(datagram []byte, f *Fields) error {
 	ci := bytes.Index(datagram, []byte(contentMark))
 	if ci < 0 {
 		if len(datagram) < len(magic)+1 || string(datagram[:len(magic)+1]) != magic+"|" {
@@ -477,6 +569,15 @@ func decimal(v []byte, wide bool) (int64, error) {
 	return int64(n), err
 }
 
+// ValueString returns a LAYER or TYPE value as a string: the package
+// constant it spells, allocating nothing, or else a copy.
+func ValueString(v []byte) string {
+	if c, ok := constantValue(v); ok {
+		return c
+	}
+	return string(v)
+}
+
 // constantValue returns the package constant spelled by a LAYER or TYPE
 // value, so a changed value of a known category allocates nothing.
 func constantValue(v []byte) (string, bool) {
@@ -549,122 +650,135 @@ func ChunkAt(h Header, content []byte, i, n, room int) Message {
 	return Message{Header: h, Content: content[lo:min(lo+room, len(content))]}
 }
 
-// Record is a reassembled logical record.
+// Record is one logical record reassembled from stored rows. It holds no
+// bytes of its own: Row and the chunks are the rows handed to Reassemble,
+// so a Record is valid exactly as long as they are.
 type Record struct {
-	// Header is the first chunk seen, except Total, which is the largest
-	// Total announced by any chunk of the group — the chunk count the record
-	// was reassembled against.
-	Header  Header
-	Content []byte
+	// Row is the record's first chunk to arrive.
+	Row *Scanned
+	// Total is the largest Total any chunk of the record announced — the
+	// chunk count the record was reassembled against.
+	Total int
 	// Complete is false when chunks were lost in transit or when chunks of
 	// the group disagreed on Total (a re-sent record with different content
-	// length interleaving with the original); Content then holds the
+	// length interleaving with the original); the content then is the
 	// concatenation of the chunks that did arrive, in order.
 	Complete bool
+
+	rows     int32      // chunks that arrived, repeats included
+	mismatch bool       // chunks disagreed on Total: two record versions mixed
+	chunks   []*Scanned // two or more rows: the content's chunks in Seq order, each Seq once
+	size     int        // content bytes
 }
 
-// Reassemble groups messages by record key — every header field except
-// Seq/Total — and joins chunk contents. Records with missing chunks are
-// returned with Complete=false — SIREN keeps partial data rather than
-// discarding it (the fuzzy hashes of list categories remain comparable even
-// with gaps, which is why the lists are hashed as well). Records come out in
-// first-appearance order.
+// key is the bytes every chunk of the record shares: its datagram up to the
+// end of the TYPE value — every header field but SEQ and TOT.
+func (r *Record) key() []byte { return r.Row.Datagram[:r.Row.Values[FieldType].Hi] }
+
+// Size is the length of the record's content.
+func (r *Record) Size() int { return r.size }
+
+// AppendContent appends the record's content — its chunks' contents in Seq
+// order — to dst and returns the extended buffer.
+func (r *Record) AppendContent(dst []byte) []byte {
+	if r.chunks == nil {
+		return append(dst, r.Row.Datagram[r.Row.Content:]...)
+	}
+	for _, c := range r.chunks {
+		dst = append(dst, c.Datagram[c.Content:]...)
+	}
+	return dst
+}
+
+// Reassemble groups rows into logical records and orders each record's
+// chunks. Records with missing chunks come out with Complete=false — SIREN
+// keeps partial data rather than discarding it (the fuzzy hashes of list
+// categories remain comparable even with gaps, which is why the lists are
+// hashed as well). Records come out in first-appearance order.
+//
+// Rows are grouped by their datagram up to the end of the TYPE value. The
+// rows must be canonical — every integer spelled as AppendEncode spells it,
+// which is what a store holds (DESIGN.md §3) — and then those bytes are
+// equal exactly when the eight header fields other than SEQ and TOT are:
+// every value is '|'-free and every integer has one spelling, so the
+// prefixes parse field for field.
 //
 // Chunks arrive in any order, so the group's chunk count is the maximum
-// Total announced across its chunks — not the first-seen header's. Sizing
-// the loop from the first chunk silently dropped any chunk with
-// Seq >= firstTotal (a reordered re-send with a larger Total) and could mark
-// the record Complete with data missing. Groups whose chunks disagree on
-// Total mix two versions of the record and are never Complete. When one Seq
-// arrives twice, the later arrival wins.
+// Total announced across its chunks — not the first-seen one. Groups whose
+// chunks disagree on Total mix two versions of the record and are never
+// Complete. When one Seq arrives twice, the later arrival wins.
 //
 // This runs once per stored row on every consolidation, so it is shaped for
 // the traffic that exists: most records are one chunk, and a record's chunks
-// arrive together. A message that continues the previous message's record is
-// matched without a lookup; any other goes through one recordTable. Each
-// record is built in place in the result; a single-chunk record keeps its
-// content without a copy, and only a second chunk allocates a chunk list.
-func Reassemble(msgs []Message) []Record {
-	// While grouping, a Record's Header is its first chunk's with Total raised
-	// to the largest announced, and its Content the first chunk's; state holds
-	// the rest of what is known about it.
-	type state struct {
-		mismatch bool    // chunks disagreed on Total: two record versions mixed
-		chunks   []chunk // every chunk in arrival order, once a second one arrived
-	}
-	out := make([]Record, 0, len(msgs))
-	states := make([]state, 0, len(msgs))
-	index := newRecordTable(len(msgs))
-	var lastKey recordKey
-	last := int32(-1) // the record the previous message belonged to
-	for i := range msgs {
-		m := &msgs[i]
-		key := keyOf(&m.Header)
-		if last < 0 || key != lastKey {
+// arrive together. A row that continues the previous row's record is matched
+// by comparing its key; any other goes through one recordTable. Nothing is
+// copied: a record refers to its rows, and a record of several chunks to a
+// window of one array of row pointers, filled by a counting pass.
+func Reassemble(rows []Scanned) []Record {
+	out := make([]Record, 0, len(rows))
+	recOf := make([]int32, len(rows)) // row -> record
+	index := newRecordTable(len(rows))
+	var lastKey []byte
+	last := int32(-1) // the record the previous row belonged to
+	multi := 0        // rows of records with more than one
+	for i := range rows {
+		r := &rows[i]
+		key := r.Datagram[:r.Values[FieldType].Hi]
+		if last < 0 || !bytes.Equal(key, lastKey) {
 			lastKey = key
 			slot := index.find(key, out)
 			if last = index.slots[slot] - 1; last < 0 { // first chunk of a new record
 				last = int32(len(out))
 				index.slots[slot] = last + 1
-				out = append(out, Record{Header: m.Header, Content: m.Content})
-				states = append(states, state{})
+				out = append(out, Record{Row: r, Total: r.Total, rows: 1, size: len(r.Datagram) - r.Content})
+				recOf[i] = last
 				continue
 			}
 		}
-		rec, st := &out[last], &states[last]
-		if m.Total != rec.Header.Total {
-			st.mismatch = true
-			if m.Total > rec.Header.Total {
-				rec.Header.Total = m.Total
-			}
+		recOf[i] = last
+		rec := &out[last]
+		if r.Total != rec.Total {
+			rec.mismatch = true
+			rec.Total = max(rec.Total, r.Total)
 		}
-		if st.chunks == nil {
-			st.chunks = append(st.chunks, chunk{rec.Header.Seq, rec.Content})
+		if rec.rows++; rec.rows == 2 {
+			multi++
 		}
-		st.chunks = append(st.chunks, chunk{m.Seq, m.Content})
+		multi++
 	}
-	for i := range out {
-		rec, st := &out[i], &states[i]
-		if st.chunks == nil {
-			if len(rec.Content) == 0 {
-				rec.Content = nil
+	if multi > 0 {
+		window := make([]*Scanned, multi)
+		for j := range out {
+			if n := int(out[j].rows); n > 1 {
+				out[j].chunks, window = window[:0:n], window[n:]
 			}
-			rec.Complete = rec.Header.Total == 1 && rec.Header.Seq == 0
+		}
+		for i, j := range recOf {
+			if rec := &out[j]; rec.rows > 1 {
+				rec.chunks = append(rec.chunks, &rows[i]) // within the window's capacity
+			}
+		}
+	}
+	for j := range out {
+		rec := &out[j]
+		if rec.chunks == nil {
+			rec.Complete = rec.Total == 1 && rec.Row.Seq == 0
 			continue
 		}
 		var full bool
-		rec.Content, full = joinChunks(st.chunks, rec.Header.Total)
-		rec.Complete = full && !st.mismatch
+		rec.chunks, rec.size, full = orderChunks(rec.chunks, rec.Total)
+		rec.Complete = full && !rec.mismatch
 	}
 	return out
-}
-
-// recordKey identifies one logical record: every header field except
-// Seq/Total. A comparable struct rather than the fields joined with a
-// separator: header values may contain any byte but '|', so a joined key can
-// make two records collide, and building it costs an allocation per message.
-type recordKey struct {
-	jobID, stepID string
-	pid           int
-	hash, host    string
-	time          int64
-	layer, typ    string
-}
-
-func keyOf(h *Header) recordKey {
-	return recordKey{h.JobID, h.StepID, h.PID, h.Hash, h.Host, h.Time, h.Layer, h.Type}
 }
 
 // recordTable finds a record by its key: an open-addressed table of record
 // numbers plus one, 0 marking an empty slot, linear probing at load at most
 // one half. It is Reassemble's only lookup, sized once per call, so it costs
-// one allocation however many records there are — a Go map keyed by the
-// 112-byte recordKey hashed every miss twice (lookup, then insert) and copied
-// each key into the map.
+// one allocation however many records there are.
 //
-// Keys are hashed with maphash.Comparable under a seed drawn per table, which
-// covers every field of the struct — the two integers included — so a sender
-// who does not know the seed cannot choose keys that share a probe run; and a
+// Keys are hashed with maphash under a seed drawn per table, so a sender who
+// does not know the seed cannot choose keys that share a probe run; and a
 // probe compares full keys, so two keys with one hash are still two records.
 type recordTable struct {
 	seed  maphash.Seed
@@ -682,51 +796,36 @@ func newRecordTable(n int) recordTable {
 
 // find returns the slot holding key's record number, or the empty slot where
 // it belongs. recs are the records numbered so far.
-func (t *recordTable) find(key recordKey, recs []Record) uint64 {
-	i := maphash.Comparable(t.seed, key) & t.mask
-	for t.slots[i] != 0 && keyOf(&recs[t.slots[i]-1].Header) != key {
+func (t *recordTable) find(key []byte, recs []Record) uint64 {
+	i := maphash.Bytes(t.seed, key) & t.mask
+	for t.slots[i] != 0 && !bytes.Equal(recs[t.slots[i]-1].key(), key) {
 		i = (i + 1) & t.mask
 	}
 	return i
 }
 
-// chunk is one arrived piece of a multi-chunk record.
-type chunk struct {
-	seq     int
-	content []byte
-}
-
-// joinChunks concatenates a record's chunks in Seq order and reports whether
-// they cover exactly [0, total). It walks the chunks that actually arrived,
-// never the announced range: a datagram with TOT=2000000000 must not cost two
-// billion steps. Arrival order is Seq order unless UDP reordered or re-sent,
-// so the sort runs only then; it is stable, which leaves the latest arrival
-// of a repeated Seq last in its run — the one that wins. The distinct Seqs
-// are ints, so count == total with min 0 and max total-1 pigeonholes to the
-// full range.
-func joinChunks(chunks []chunk, total int) (content []byte, complete bool) {
-	bySeq := func(a, b chunk) int { return cmp.Compare(a.seq, b.seq) }
+// orderChunks puts a record's chunks in Seq order, keeps only the latest
+// arrival of a repeated Seq, and reports the content size and whether the
+// chunks cover exactly [0, total). It walks the chunks that actually
+// arrived, never the announced range: a datagram with TOT=2000000000 must
+// not cost two billion steps. Arrival order is Seq order unless UDP
+// reordered or re-sent, so the sort runs only then; it is stable, which
+// leaves the latest arrival of a repeated Seq last in its run — the one that
+// wins. The distinct Seqs are ints, so count == total with min 0 and max
+// total-1 pigeonholes to the full range.
+func orderChunks(chunks []*Scanned, total int) (kept []*Scanned, size int, complete bool) {
+	bySeq := func(a, b *Scanned) int { return cmp.Compare(a.Seq, b.Seq) }
 	if !slices.IsSortedFunc(chunks, bySeq) {
 		slices.SortStableFunc(chunks, bySeq)
 	}
-	distinct, size := 0, 0
+	kept = chunks[:0] // in place: kept[k] is written only once chunks[k] was read
 	for i, c := range chunks {
-		if i+1 < len(chunks) && chunks[i+1].seq == c.seq {
+		if i+1 < len(chunks) && chunks[i+1].Seq == c.Seq {
 			continue // superseded by a later arrival of the same Seq
 		}
-		distinct++
-		size += len(c.content)
+		kept = append(kept, c)
+		size += len(c.Datagram) - c.Content
 	}
-	complete = distinct == total && chunks[0].seq == 0 && chunks[len(chunks)-1].seq == total-1
-	if size == 0 {
-		return nil, complete
-	}
-	content = make([]byte, 0, size)
-	for i, c := range chunks {
-		if i+1 < len(chunks) && chunks[i+1].seq == c.seq {
-			continue
-		}
-		content = append(content, c.content...)
-	}
-	return content, complete
+	complete = len(kept) == total && kept[0].Seq == 0 && kept[len(kept)-1].Seq == total-1
+	return kept, size, complete
 }

@@ -194,7 +194,7 @@ func TestReassembleComplete(t *testing.T) {
 	// Shuffle delivery order: UDP does not guarantee ordering.
 	rng := rand.New(rand.NewSource(3))
 	rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
-	recs := Reassemble(msgs)
+	recs := reassembleMessages(msgs)
 	if len(recs) != 1 {
 		t.Fatalf("got %d records", len(recs))
 	}
@@ -212,7 +212,7 @@ func TestReassembleWithLoss(t *testing.T) {
 	msgs := Chunk(h, content, 600)
 	lost := msgs[2]
 	msgs = append(msgs[:2], msgs[3:]...)
-	recs := Reassemble(msgs)
+	recs := reassembleMessages(msgs)
 	if len(recs) != 1 {
 		t.Fatalf("got %d records", len(recs))
 	}
@@ -240,7 +240,7 @@ func TestReassembleReorderedResendWithLargerTotal(t *testing.T) {
 	msgs := []Message{short[0]}
 	msgs = append(msgs, long...)
 	msgs = append(msgs, short[1:]...)
-	recs := Reassemble(msgs)
+	recs := reassembleMessages(msgs)
 	if len(recs) != 1 {
 		t.Fatalf("got %d records, want 1", len(recs))
 	}
@@ -267,7 +267,7 @@ func TestReassembleFirstChunkCarriesSmallerTotal(t *testing.T) {
 	short := Chunk(h, []byte(strings.Repeat("z", 1000)), 600)
 	long := Chunk(h, []byte(strings.Repeat("yz", 2000)), 600)
 	msgs := append(append([]Message{}, long...), short[0])
-	recs := Reassemble(msgs)
+	recs := reassembleMessages(msgs)
 	if len(recs) != 1 {
 		t.Fatalf("got %d records, want 1", len(recs))
 	}
@@ -289,7 +289,7 @@ func TestReassembleFirstChunkLostReordered(t *testing.T) {
 	for i, j := 0, len(rest)-1; i < j; i, j = i+1, j-1 {
 		rest[i], rest[j] = rest[j], rest[i]
 	}
-	recs := Reassemble(rest)
+	recs := reassembleMessages(rest)
 	if len(recs) != 1 {
 		t.Fatalf("got %d records, want 1", len(recs))
 	}
@@ -315,7 +315,7 @@ func TestReassembleSeparatesTypesAndProcesses(t *testing.T) {
 	msgs = append(msgs, Chunk(h1, []byte("objects"), 0)...)
 	msgs = append(msgs, Chunk(h2, []byte("modules"), 0)...)
 	msgs = append(msgs, Chunk(h3, []byte("objects2"), 0)...)
-	recs := Reassemble(msgs)
+	recs := reassembleMessages(msgs)
 	if len(recs) != 3 {
 		t.Fatalf("got %d records, want 3", len(recs))
 	}
@@ -328,7 +328,7 @@ func TestExecPIDReuseDistinguishedByHash(t *testing.T) {
 	h2 := sampleHeader()
 	h2.Hash = "ffffffffffffffffffffffffffffffff"
 	msgs := append(Chunk(h1, []byte("bash"), 0), Chunk(h2, []byte("a.out"), 0)...)
-	recs := Reassemble(msgs)
+	recs := reassembleMessages(msgs)
 	if len(recs) != 2 {
 		t.Fatalf("exec-reused PID collapsed into %d record(s)", len(recs))
 	}
@@ -353,7 +353,7 @@ func TestReassembleSeparatorByteInsideValues(t *testing.T) {
 		}
 		msgs = append(msgs, m)
 	}
-	recs := Reassemble(msgs)
+	recs := reassembleMessages(msgs)
 	if len(recs) != 2 {
 		t.Fatalf("two records of different jobs reassembled into %d", len(recs))
 	}
@@ -388,7 +388,7 @@ func TestReassembleMatchesOracle(t *testing.T) {
 	check := func(name string, in []Message) {
 		t.Helper()
 		want := reassembleOracle(in)
-		if got := Reassemble(in); !reflect.DeepEqual(got, want) {
+		if got := reassembleMessages(in); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Reassemble diverged from the oracle (%d vs %d records)", name, len(got), len(want))
 		}
 	}
@@ -521,12 +521,15 @@ func BenchmarkEncodeParse(b *testing.B) {
 func BenchmarkChunkReassemble64K(b *testing.B) {
 	h := sampleHeader()
 	content := bytes.Repeat([]byte("y"), 64<<10)
+	rows := scanMessages(Chunk(h, content, MaxDatagram))
 	b.SetBytes(int64(len(content)))
 	b.ReportAllocs()
+	var buf []byte
 	for i := 0; i < b.N; i++ {
-		recs := Reassemble(Chunk(h, content, MaxDatagram))
+		recs := Reassemble(rows)
 		if len(recs) != 1 || !recs[0].Complete {
 			b.Fatal("bad reassembly")
 		}
+		buf = recs[0].AppendContent(buf[:0])
 	}
 }
