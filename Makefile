@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build cross-build test test-race vet fmt fmt-check lint staticcheck sirenlint fuzz-smoke bench bench-smoke bench-store bench-read bench-serve bench-gate test-replay test-serve test-failover test-runs test-obs ci
+.PHONY: build cross-build test test-race test-386 vet fmt fmt-check lint staticcheck sirenlint fuzz-smoke bench bench-smoke bench-store bench-read bench-serve bench-gate test-replay test-serve test-failover test-runs test-obs ci
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,14 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The short suite on a 32-bit target (linux/386 runs natively on amd64
+# hosts): every package but bench/, so 64-bit atomics on unaligned fields and
+# int conversions that go negative fail here instead of in the field.
+# CGO_ENABLED=0: the nodefaultmux lint fixture type-checks net/http, which on
+# 386 would otherwise need a 32-bit C toolchain.
+test-386:
+	CGO_ENABLED=0 GOARCH=386 $(GO) test -short $$($(GO) list ./... | grep -v '/bench$$')
 
 vet:
 	$(GO) vet ./...
@@ -208,7 +216,7 @@ bench-gate:
 		./internal/collector:'BenchmarkCollectUserProcess$$'
 
 # Everything the three CI jobs run (test, e2e, bench), serially.
-ci: build cross-build vet fmt-check staticcheck sirenlint test-race test-runs test-failover test-serve test-obs fuzz-smoke bench-smoke
+ci: build cross-build vet fmt-check staticcheck sirenlint test-race test-386 test-runs test-failover test-serve test-obs fuzz-smoke bench-smoke
 	$(MAKE) bench-read BENCHTIME=1x
 	$(MAKE) bench-serve BENCHTIME=1x
 	$(MAKE) bench-gate

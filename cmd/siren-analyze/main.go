@@ -22,6 +22,10 @@
 // new owners hold) are deduplicated before consolidation, so merging a
 // crashed member back in never double-counts its overlap window.
 //
+// A sealed-run block found corrupt while the store is read withholds its
+// rows; siren-analyze then prints the error instead of a report and exits
+// non-zero.
+//
 // -json emits the full report as machine-readable JSON in exactly the shape
 // the serving tier's /api/v1/report endpoint returns (report.JSONReport —
 // one source of truth). -workers bounds the streaming-consolidation workers
@@ -79,7 +83,13 @@ func run() (err error) {
 	// message set. A single -db path is the one-member degenerate case; over
 	// several, the set's snapshot has already dropped a recovered member's
 	// copies of runs that another member holds in full (DESIGN.md §11).
-	data, stats := analysis.ConsolidateDataset(set.Snapshot(), postprocess.StreamOptions{Workers: *workers})
+	snap := set.Snapshot()
+	data, stats := analysis.ConsolidateDataset(snap, postprocess.StreamOptions{Workers: *workers})
+	// A sealed block that fails its checksum ends its stream early; a report
+	// built without its rows would pass a truncated campaign off as whole.
+	if err := snap.Err(); err != nil {
+		return fmt.Errorf("reading the store: %w", err)
+	}
 
 	if *audit {
 		runAudit(data)

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"siren/internal/membership"
+	"siren/internal/sirendb"
+	"siren/internal/wire"
 )
 
 func runCmd(t *testing.T, dir string, name string, args ...string) string {
@@ -249,4 +251,71 @@ func truncate(s string) string {
 		return s[:800] + "…"
 	}
 	return s
+}
+
+// TestAnalyzeRefusesTruncatedStore: a sealed block whose payload rotted on
+// disk stays unnoticed by Open (block checksums are verified lazily), so
+// only the read finds it. siren-analyze must then exit non-zero with the
+// error on stderr and print no report built from the truncated stream.
+func TestAnalyzeRefusesTruncatedStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: skipping CLI build")
+	}
+	repo, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(t.TempDir(), "siren-analyze")
+	runCmd(t, repo, "go", "build", "-o", bin, "./cmd/siren-analyze")
+
+	path := filepath.Join(t.TempDir(), "siren.wal")
+	db, err := sirendb.OpenOptions(path, sirendb.Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := make([]wire.Message, 150)
+	for i := range ms {
+		ms[i] = wire.Message{
+			Header: wire.Header{
+				JobID: fmt.Sprintf("job-%d", i%5), StepID: "0", PID: 100 + i,
+				Hash: fmt.Sprintf("%08x", i), Host: fmt.Sprintf("nid%03d", i%3),
+				Time: 1733900000 + int64(i), Layer: wire.LayerSelf, Type: wire.TypeFileH, Total: 1,
+			},
+			Content: []byte(fmt.Sprintf("row-%d", i)),
+		}
+	}
+	if err := db.InsertBatch(ms); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runs, err := filepath.Glob(path + ".run.*")
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("sealed run files %v (%v), want one", runs, err)
+	}
+	b, err := os.ReadFile(runs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len("SIRENRUN1\n")+8+5] ^= 0x01 // first block's payload, past its header
+	if err := os.WriteFile(runs[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr strings.Builder
+	cmd := exec.Command(bin, "-db", path, "-json")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("siren-analyze over a corrupt run exited 0:\n%s", truncate(stdout.String()))
+	}
+	if !strings.Contains(stderr.String(), "corrupt") {
+		t.Errorf("stderr does not name the corruption: %q", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("siren-analyze printed a report from the truncated stream:\n%s", truncate(stdout.String()))
+	}
 }

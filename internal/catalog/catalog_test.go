@@ -178,7 +178,7 @@ func TestIncrementalRefreshMatchesFull(t *testing.T) {
 	changedRows := 0
 	sn := db.Snapshot()
 	for _, job := range []string{"job-1", fmt.Sprintf("job-%d", initialJobs)} {
-		sn.JobRows(job, func(wire.Message) bool { changedRows++; return true })
+		sn.JobRows(job, func(*wire.Scanned, uint64) bool { changedRows++; return true })
 	}
 	if rs.RowsReconsolidated != changedRows {
 		t.Errorf("incremental pass re-read %d rows, want the two changed jobs' %d", rs.RowsReconsolidated, changedRows)

@@ -1,15 +1,12 @@
 package catalog
 
-import (
-	"siren/internal/postprocess"
-	"siren/internal/sirendb"
-)
+import "siren/internal/sirendb"
 
 // StoreSource serves a live single-receiver store: every refresh captures a
 // fresh consistent cut while ingest keeps running (snapshot capture is
 // O(jobs), and the append-only store makes the cut immutable).
 func StoreSource(db *sirendb.DB) Source {
-	return func() postprocess.SnapshotView { return db.Snapshot() }
+	return db.Snapshot
 }
 
 // SetSource serves a finished campaign behind sirendb.OpenSet — one or many
@@ -19,5 +16,5 @@ func StoreSource(db *sirendb.DB) Source {
 // rebasing offsets behind the merged watermark never move; refreshes after
 // the first are no-ops.
 func SetSource(set *sirendb.DBSet) Source {
-	return func() postprocess.SnapshotView { return set.Snapshot() }
+	return set.Snapshot
 }

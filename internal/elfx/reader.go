@@ -197,7 +197,7 @@ func (f *File) Dynamic() []DynEntry {
 
 func (f *File) dynString(off uint64) string {
 	dyn := f.SectionByType(SHTDynamic)
-	if dyn == nil || int(dyn.Link) >= len(f.Sections) {
+	if dyn == nil || uint64(dyn.Link) >= uint64(len(f.Sections)) {
 		return ""
 	}
 	return strtabString(f.Sections[dyn.Link].Data, uint32(off))
@@ -213,7 +213,7 @@ func (f *File) Symbols() ([]Symbol, error) {
 	if sec == nil {
 		return nil, nil
 	}
-	if int(sec.Link) >= len(f.Sections) {
+	if uint64(sec.Link) >= uint64(len(f.Sections)) {
 		return nil, fmt.Errorf("elfx: symbol table links to invalid string table %d", sec.Link)
 	}
 	strs := f.Sections[sec.Link].Data

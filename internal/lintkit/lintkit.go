@@ -177,7 +177,8 @@ func funcIn(obj types.Object, pkgPath, name string) bool {
 	return p == pkgPath || strings.HasSuffix(p, "/"+pkgPath)
 }
 
-// namedOrPtrTo unwraps pointers and returns the named type behind t, or nil.
+// namedOrPtrTo unwraps aliases and pointers and returns the named type
+// behind t, or nil.
 func namedOrPtrTo(t types.Type) *types.Named {
 	if t == nil {
 		return nil
@@ -185,10 +186,11 @@ func namedOrPtrTo(t types.Type) *types.Named {
 	if p, ok := t.Underlying().(*types.Pointer); ok {
 		t = p.Elem()
 	}
+	t = types.Unalias(t)
 	n, _ := t.(*types.Named)
 	if n == nil {
 		if p, ok := t.(*types.Pointer); ok {
-			n, _ = p.Elem().(*types.Named)
+			n, _ = types.Unalias(p.Elem()).(*types.Named)
 		}
 	}
 	return n

@@ -1,7 +1,8 @@
 // Rule snapshotmut: snapshots are forever-immutable.
 //
 // The lock-free read path (DESIGN.md §5, PR 3/4) works because a
-// sirendb.Snapshot / MergedSnapshot / postprocess.SnapshotView hands every
+// sirendb.Snapshot — also named sirendb.MergedSnapshot and
+// postprocess.SnapshotView, both aliases — hands every
 // caller the same underlying arrays: accessors return shared slices and
 // maps, concurrent scanners iterate them with no lock, and the catalog's
 // incremental refresh assumes rows it saw once never change. Writing
@@ -44,19 +45,14 @@ func (snapshotMut) Run(p *Pass) {
 	}
 }
 
-// snapshotAccessor reports whether call is a method on one of the snapshot
-// types whose result is a (shared) slice or map, returning a description.
+// snapshotAccessor reports whether call is a method on sirendb.Snapshot (or
+// a pointer to it, reached through any alias) whose result is a (shared) slice or map, returning a description.
 func snapshotAccessor(p *Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
-	recv := p.TypeOf(sel.X)
-	switch {
-	case typeIs(recv, "sirendb", "Snapshot"),
-		typeIs(recv, "sirendb", "MergedSnapshot"),
-		typeIs(recv, "postprocess", "SnapshotView"):
-	default:
+	if !typeIs(p.TypeOf(sel.X), "sirendb", "Snapshot") {
 		return "", false
 	}
 	if t := p.TypeOf(call); t != nil {

@@ -44,3 +44,9 @@ func good(snap *sirendb.Snapshot) []sirendb.Row {
 	fresh = append(fresh, cp...) // ok: fresh local slice
 	return fresh
 }
+
+// badAlias reaches the same accessors through a type alias.
+func badAlias(snap *sirendb.MergedSnapshot) {
+	rows := snap.Jobs()
+	rows[0].Seq = 1 // want "element write through snapshot accessor Jobs"
+}

@@ -25,3 +25,6 @@ func (s *Snapshot) Jobs() []Row { return s.rows }
 
 // ByJob returns the shared per-job map — callers must not modify it.
 func (s *Snapshot) ByJob() map[string][]Row { return s.byJob }
+
+// MergedSnapshot is another name for Snapshot, as in the real store.
+type MergedSnapshot = Snapshot

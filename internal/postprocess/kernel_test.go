@@ -566,3 +566,20 @@ func FuzzConsolidate(f *testing.F) {
 		mustMatchOracle(t, "fuzz", fuzzMessages(data))
 	})
 }
+
+// encodeMessages encodes msgs as the canonical rows a store holds, in one
+// buffer the rows are views of.
+func encodeMessages(msgs []wire.Message) []wire.Scanned {
+	n := 0
+	for i := range msgs {
+		n += wire.EncodedLen(&msgs[i])
+	}
+	buf := make([]byte, 0, n)
+	rows := make([]wire.Scanned, len(msgs))
+	for i := range msgs {
+		lo := len(buf)
+		buf, rows[i].Fields = wire.AppendEncodeFields(buf, &msgs[i]) // within buf's capacity
+		rows[i].Datagram = buf[lo:len(buf):len(buf)]
+	}
+	return rows
+}

@@ -35,63 +35,10 @@ import (
 	"siren/internal/wire"
 )
 
-// SnapshotView is the cursor surface the streaming consolidation reads — the
-// interface extracted from *sirendb.Snapshot so the same pipeline runs over
-// one receiver database or the merged view of N (*sirendb.MergedSnapshot,
-// the analysis tier of a partitioned multi-receiver deployment).
-//
-// The contract the consolidation depends on:
-//   - rows of one (job, host) live wholly inside one shard, in insertion
-//     order (the store partitions by wire.PartitionHash(JobID, Host));
-//   - within a ShardJobRows stream, the subsequence of any one host carries
-//     strictly increasing seq values (chunk reassembly order); hosts may be
-//     grouped rather than seq-interleaved — a store whose sealed runs sort
-//     rows by (job, host) yields host blocks, the mutable head yields pure
-//     insertion order — and seqs are globally comparable across shards;
-//   - JobShardCounts()[j] equals the number of shard indexes for which
-//     ShardJobRows(i, j, …) yields at least one row;
-//   - JobRows merges one job's rows across shards preserving each host's
-//     insertion order (same per-host guarantee as ShardJobRows).
-type SnapshotView interface {
-	// Shards reports the number of shard cursors.
-	Shards() int
-	// ShardJobs returns shard i's distinct job IDs in first-appearance order.
-	ShardJobs(i int) []string
-	// ShardJobRows streams shard i's rows of one job — per-host insertion
-	// order preserved, hosts possibly grouped — with each row's sequence
-	// number; return false to stop. Each row is a view of the canonical
-	// datagram the store holds, valid while the snapshot is reachable:
-	// whatever a consumer keeps of it, it copies.
-	ShardJobRows(i int, job string, f func(row *wire.Scanned, seq uint64) bool)
-	// ShardJobLen bounds how many rows ShardJobRows(i, job) yields, from
-	// indexes alone (no row is read), so a consumer can size its buffer
-	// before the stream fills it.
-	ShardJobLen(i int, job string) int
-	// JobShardCounts maps every job ID to the number of shards holding rows
-	// of that job — the fan-in count a per-job reducer waits for.
-	JobShardCounts() map[string]int
-	// JobRows streams every row of one job, preserving per-host insertion
-	// order.
-	JobRows(job string, f func(m wire.Message) bool)
-	// LastSeq reports the highest sequence number the snapshot contains;
-	// every row it yields has seq <= LastSeq. Successive snapshots of a
-	// growing store have non-decreasing LastSeq, which makes the value a
-	// refresh watermark.
-	LastSeq() uint64
-	// JobsChangedSince returns the job IDs with at least one row whose
-	// sequence number is strictly greater than since, sorted; since=0
-	// returns every job. An incremental consumer holding consolidated state
-	// as of watermark W re-consolidates exactly JobsChangedSince(W) against
-	// the new snapshot — the append-only store guarantees every other job's
-	// rows are byte-identical to the previous capture.
-	JobsChangedSince(since uint64) []string
-}
-
-// Both snapshot flavours satisfy the extracted cursor surface.
-var (
-	_ SnapshotView = (*sirendb.Snapshot)(nil)
-	_ SnapshotView = (*sirendb.MergedSnapshot)(nil)
-)
+// SnapshotView is the snapshot the streaming consolidation reads: one
+// receiver database's or the merged view of N (sirendb.Snapshot documents
+// the contract the consolidation depends on).
+type SnapshotView = *sirendb.Snapshot
 
 // StreamOptions configure the streaming consolidation.
 type StreamOptions struct {
@@ -232,13 +179,14 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 			// consolidation would surface as two partial records. Fall back
 			// to consolidating this job from the merged cross-shard stream
 			// — slower, but exactly what a whole-store pass produces.
-			var msgs []wire.Message
-			snap.JobRows(seg.job, func(m wire.Message) bool {
-				msgs = append(msgs, m)
+			var rows []wire.Scanned
+			snap.JobRows(seg.job, func(row *wire.Scanned, _ uint64) bool {
+				rows = append(rows, *row)
 				return true
 			})
-			jr.Records, records = consolidateRows(encodeMessages(msgs))
-			messages = len(msgs)
+			jr.Records, records = consolidateRows(rows)
+			runtime.KeepAlive(snap)
+			messages = len(rows)
 		} else {
 			n := 0
 			for _, s := range segs {
@@ -260,23 +208,6 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 		}
 	}
 	return stats
-}
-
-// encodeMessages encodes msgs as the canonical rows a store holds, in one
-// buffer the rows are views of.
-func encodeMessages(msgs []wire.Message) []wire.Scanned {
-	n := 0
-	for i := range msgs {
-		n += wire.EncodedLen(&msgs[i])
-	}
-	buf := make([]byte, 0, n)
-	rows := make([]wire.Scanned, len(msgs))
-	for i := range msgs {
-		lo := len(buf)
-		buf, rows[i].Fields = wire.AppendEncodeFields(buf, &msgs[i]) // within buf's capacity
-		rows[i].Datagram = buf[lo:len(buf):len(buf)]
-	}
-	return rows
 }
 
 // identity is the grouping key of one process across its records: the

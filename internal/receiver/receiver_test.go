@@ -292,7 +292,13 @@ func TestShardingPreservesPerJobOrder(t *testing.T) {
 	// though four writer shards ran concurrently.
 	for j := 0; j < jobs; j++ {
 		var ms []wire.Message
-		db.Snapshot().JobRows(fmt.Sprintf("job-%d", j), func(m wire.Message) bool { ms = append(ms, m); return true })
+		var d wire.Decoder
+		db.Snapshot().JobRows(fmt.Sprintf("job-%d", j), func(row *wire.Scanned, _ uint64) bool {
+			var m wire.Message
+			d.Fill(row, &m)
+			ms = append(ms, m)
+			return true
+		})
 		if len(ms) != perJob {
 			t.Fatalf("job %d: %d messages, want %d", j, len(ms), perJob)
 		}
@@ -365,7 +371,7 @@ func TestDirectShardRoutingEndToEnd(t *testing.T) {
 	sn := db.Snapshot()
 	for j := 0; j < 9; j++ {
 		got := 0
-		sn.JobRows(fmt.Sprintf("job-%d", j), func(wire.Message) bool { got++; return true })
+		sn.JobRows(fmt.Sprintf("job-%d", j), func(*wire.Scanned, uint64) bool { got++; return true })
 		if got != n/9 {
 			t.Errorf("job-%d: %d rows, want %d", j, got, n/9)
 		}

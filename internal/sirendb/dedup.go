@@ -52,51 +52,55 @@ type jobHost struct{ job, host string }
 // runInfo locates one member's run of one (JOBID, HOST).
 type runInfo struct {
 	member   int
-	shard    int // member-local shard holding the run
+	shard    int // the shard holding the run
 	rows     int
 	firstSeq uint64 // rebased sequence number of the run's first row
 }
 
-// DedupOverlaps scans the member snapshots for (JOBID, HOST) runs held by
-// more than one member and suppresses the duplicate copies from every
-// accessor of the merged view (Count, Iter, JobRows, ShardJobs,
-// ShardJobRows, JobShardCounts — the whole postprocess.SnapshotView
-// surface stays mutually consistent). It is idempotent and returns what it
-// found; call it once after MergeSnapshots/DBSet.Snapshot when the member
-// set may contain a recovered member's WAL. Cost: one streaming pass over
-// all rows to find overlaps, plus one pass over the overlapping runs only.
-func (ms *MergedSnapshot) DedupOverlaps() DedupStats {
-	if ms.drop != nil {
-		return ms.dedup // already applied
+// DedupOverlaps scans a merged snapshot for (JOBID, HOST) runs held by more
+// than one member and suppresses the duplicate copies from every accessor
+// (Count, Iter, JobRows, ShardJobs, ShardJobRows, ShardCursor,
+// JobShardCounts — the surface the streaming consolidation reads stays
+// mutually consistent). It is idempotent and returns what it found;
+// DBSet.Snapshot calls it, and a caller of MergeSnapshots calls it once when
+// the member set may contain a recovered member's WAL. A snapshot of one
+// member has nothing to dedup and costs nothing; otherwise the cost is one
+// streaming pass over all rows to find overlaps, plus one pass over the
+// overlapping runs only.
+func (sn *Snapshot) DedupOverlaps() DedupStats {
+	if sn.drop != nil {
+		return sn.dedup // already applied
 	}
-	ms.drop = make([]map[jobHost]struct{}, len(ms.members))
+	sn.drop = make([]map[jobHost]struct{}, sn.members)
+	if sn.members < 2 {
+		return sn.dedup
+	}
 
 	// Pass 1: locate every member's run of every (JOBID, HOST).
 	runs := make(map[jobHost][]runInfo)
-	for m, sn := range ms.members {
-		for s := 0; s < sn.Shards(); s++ {
-			for _, job := range sn.ShardJobs(s) {
-				var cur *runInfo
-				var curHost string
-				sn.ShardJobRows(s, job, func(row *wire.Scanned, seq uint64) bool {
-					if host := row.Value(row.Datagram, wire.FieldHost); cur == nil || string(host) != curHost {
-						curHost = string(host)
-						key := jobHost{job, curHost}
-						rs := runs[key]
-						if len(rs) > 0 && rs[len(rs)-1].member == m {
-							// Same member, host revisited after interleaving
-							// with another host of the same job+shard: still
-							// one run.
-							cur = &rs[len(rs)-1]
-						} else {
-							runs[key] = append(rs, runInfo{member: m, shard: s, firstSeq: ms.offsets[m] + seq})
-							cur = &runs[key][len(runs[key])-1]
-						}
+	for s := range sn.shards {
+		m := sn.shards[s].member
+		for _, job := range sn.ShardJobs(s) {
+			var cur *runInfo
+			var curHost string
+			sn.ShardJobRows(s, job, func(row *wire.Scanned, seq uint64) bool {
+				if host := row.Value(row.Datagram, wire.FieldHost); cur == nil || string(host) != curHost {
+					curHost = string(host)
+					key := jobHost{job, curHost}
+					rs := runs[key]
+					if len(rs) > 0 && rs[len(rs)-1].member == m {
+						// Same member, host revisited after interleaving
+						// with another host of the same job+shard: still
+						// one run.
+						cur = &rs[len(rs)-1]
+					} else {
+						runs[key] = append(rs, runInfo{member: m, shard: s, firstSeq: seq})
+						cur = &runs[key][len(runs[key])-1]
 					}
-					cur.rows++
-					return true
-				})
-			}
+				}
+				cur.rows++
+				return true
+			})
 		}
 	}
 
@@ -118,7 +122,7 @@ func (ms *MergedSnapshot) DedupOverlaps() DedupStats {
 		// The canonical run's datagram multiset, keyed by the stored bytes
 		// (canonical, so equal bytes are equal rows).
 		bag := make(map[string]int, rs[canon].rows)
-		ms.runRows(rs[canon], key, func(d []byte) {
+		sn.runRows(rs[canon], key, func(d []byte) {
 			bag[string(d)]++
 		})
 		for i, r := range rs {
@@ -130,7 +134,7 @@ func (ms *MergedSnapshot) DedupOverlaps() DedupStats {
 				left[k] = n
 			}
 			contained := true
-			ms.runRows(r, key, func(d []byte) {
+			sn.runRows(r, key, func(d []byte) {
 				if left[string(d)] == 0 {
 					contained = false
 					return
@@ -141,76 +145,54 @@ func (ms *MergedSnapshot) DedupOverlaps() DedupStats {
 				st.Conflicts++
 				continue
 			}
-			if ms.drop[r.member] == nil {
-				ms.drop[r.member] = make(map[jobHost]struct{})
+			if sn.drop[r.member] == nil {
+				sn.drop[r.member] = make(map[jobHost]struct{})
 			}
-			ms.drop[r.member][key] = struct{}{}
+			sn.drop[r.member][key] = struct{}{}
 			st.SuppressedRuns++
 			st.SuppressedRows += r.rows
-			ms.count -= r.rows
+			sn.count -= r.rows
 		}
 	}
 
-	// Pass 3: jobs whose every row in one member-shard was suppressed must
-	// vanish from that shard's job listing, or JobShardCounts would promise
-	// the consolidator a shard segment that ShardJobRows never delivers.
+	// Pass 3: jobs whose every row in one shard was suppressed must vanish
+	// from that shard's job listing, or JobShardCounts would promise the
+	// consolidator a shard segment that ShardJobRows never delivers.
 	if st.SuppressedRuns > 0 {
-		ms.deadShardJobs = make(map[int]map[string]struct{})
-		base := 0
-		for m, sn := range ms.members {
-			if ms.drop[m] != nil {
-				for s := 0; s < sn.Shards(); s++ {
-					for _, job := range sn.ShardJobs(s) {
-						alive := false
-						sn.ShardJobRows(s, job, func(row *wire.Scanned, _ uint64) bool {
-							if !ms.droppedRow(m, job, row) {
-								alive = true
-								return false
-							}
-							return true
-						})
-						if !alive {
-							gi := base + s
-							if ms.deadShardJobs[gi] == nil {
-								ms.deadShardJobs[gi] = make(map[string]struct{})
-							}
-							ms.deadShardJobs[gi][job] = struct{}{}
-						}
+		sn.deadShardJobs = make(map[int]map[string]struct{})
+		for s := range sn.shards {
+			if sn.drop[sn.shards[s].member] == nil {
+				continue
+			}
+			for _, job := range sn.ShardJobs(s) {
+				alive := false
+				sn.ShardJobRows(s, job, func(*wire.Scanned, uint64) bool {
+					alive = true
+					return false
+				})
+				if !alive {
+					if sn.deadShardJobs[s] == nil {
+						sn.deadShardJobs[s] = make(map[string]struct{})
 					}
+					sn.deadShardJobs[s][job] = struct{}{}
 				}
 			}
-			base += sn.Shards()
 		}
 	}
-	ms.dedup = st
+	sn.dedup = st
 	return st
 }
 
 // DedupStats returns what the applied DedupOverlaps found (zero value when
 // dedup was never applied).
-func (ms *MergedSnapshot) DedupStats() DedupStats { return ms.dedup }
+func (sn *Snapshot) DedupStats() DedupStats { return sn.dedup }
 
 // runRows streams one located run's datagrams, as views.
-func (ms *MergedSnapshot) runRows(r runInfo, key jobHost, f func(d []byte)) {
-	ms.members[r.member].ShardJobRows(r.shard, key.job, func(row *wire.Scanned, _ uint64) bool {
+func (sn *Snapshot) runRows(r runInfo, key jobHost, f func(d []byte)) {
+	sn.ShardJobRows(r.shard, key.job, func(row *wire.Scanned, _ uint64) bool {
 		if string(row.Value(row.Datagram, wire.FieldHost)) == key.host {
 			f(row.Datagram)
 		}
 		return true
 	})
-}
-
-// droppedRow reports whether row, of member m's job, is in a suppressed run.
-// The host is made a string only when member m has suppressed runs.
-func (ms *MergedSnapshot) droppedRow(m int, job string, row *wire.Scanned) bool {
-	return ms.drop != nil && ms.drop[m] != nil && ms.dropped(m, job, string(row.Value(row.Datagram, wire.FieldHost)))
-}
-
-// dropped reports whether member m's run of (job, host) is suppressed.
-func (ms *MergedSnapshot) dropped(m int, job, host string) bool {
-	if ms.drop == nil || ms.drop[m] == nil {
-		return false
-	}
-	_, ok := ms.drop[m][jobHost{job, host}]
-	return ok
 }

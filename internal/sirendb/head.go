@@ -7,9 +7,8 @@
 // write(2) buffer of the WAL append. Beside the chunks sits a fixed-width,
 // pointer-free index: one entry per row with its sequence number, where its
 // bytes lie, its four header integers and per-shard ordinals of its six
-// header strings. A read builds the Message from an entry and the interned
-// strings, its Content a view of the chunk, and a consolidation's view of the
-// row from the entry's integers and string lengths, so reading the head never
+// header strings. A read builds its view of the row from the entry's
+// integers and the lengths of its interned strings, so reading the head never
 // parses;
 // Seal sorts entries and copies payload ranges into run blocks, so sealing
 // never encodes.
@@ -233,23 +232,6 @@ type headView struct {
 
 	jobsOnce sync.Once
 	byJob    map[string]uint32 // job → JOBID ordinal, built on first lookup
-}
-
-// rowInto builds entry i's Message in *m and returns its sequence number.
-// The content is a view of the chunk, capped so an append by the caller
-// copies instead of overwriting the next record.
-func (v *headView) rowInto(i uint32, m *wire.Message) uint64 {
-	e := &v.entries[i]
-	*m = wire.Message{
-		Header: wire.Header{
-			JobID: v.vals[wire.FieldJobID][e.vals[wire.FieldJobID]], StepID: v.vals[wire.FieldStepID][e.vals[wire.FieldStepID]],
-			PID: e.pid, Hash: v.vals[wire.FieldHash][e.vals[wire.FieldHash]], Host: v.vals[wire.FieldHost][e.vals[wire.FieldHost]],
-			Time: e.time, Layer: v.vals[wire.FieldLayer][e.vals[wire.FieldLayer]], Type: v.vals[wire.FieldType][e.vals[wire.FieldType]],
-			Seq: e.cseq, Total: e.total,
-		},
-		Content: v.chunks[e.chunk][e.content:e.end:e.end],
-	}
-	return e.seq
 }
 
 // scannedInto points *row at entry i's datagram in its chunk, with the

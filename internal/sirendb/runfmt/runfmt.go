@@ -620,14 +620,11 @@ func (r *Run) EachJob(f func(job string, rows int, minSeq, maxSeq uint64) bool) 
 // Cursor streams a run's rows in ascending sequence order, k-way merging
 // the per-(job, host) extent streams. Blocks load (and checksum-verify)
 // lazily as the cursor crosses them. The merge compares the sequence numbers
-// in the record headers and scans only the row it hands out: in place, as a
-// view of the block (NextScanned), or decoded straight into the caller's
-// Message through one wire.Decoder per extent — whose rows are one (job,
-// host), so their header strings are mostly shared (NextInto).
+// in the record headers and scans only the row it hands out, in place, as a
+// view of the block (NextScanned).
 type Cursor struct {
 	streams []*extentCursor
 	best    int // stream holding the next row once PeekSeq found it, else -1
-	last    int // stream that handed out the previous row
 	bestSeq uint64
 	err     error
 }
@@ -680,17 +677,6 @@ func (c *Cursor) PeekSeq() (seq uint64, ok bool) {
 	return c.bestSeq, c.best >= 0
 }
 
-// NextInto decodes the next row in sequence order into *m, overwriting every
-// field, and returns its sequence number. ok=false means exhausted or failed
-// — check Err to distinguish — and *m then holds no row.
-func (c *Cursor) NextInto(m *wire.Message) (seq uint64, ok bool) {
-	var row wire.Scanned
-	if seq, ok = c.NextScanned(&row); ok {
-		c.streams[c.last].dec.Fill(&row, m)
-	}
-	return seq, ok
-}
-
 // NextScanned scans the next row in sequence order in place into *row and
 // returns its sequence number: row.Datagram is a view of the verified block
 // in the run's mapping, valid only while the Run is reachable and open, so
@@ -700,8 +686,9 @@ func (c *Cursor) NextScanned(row *wire.Scanned) (seq uint64, ok bool) {
 	if seq, ok = c.PeekSeq(); !ok {
 		return 0, false
 	}
-	c.last, c.best = c.best, -1
-	if err := c.streams[c.last].scanInto(row); err != nil {
+	s := c.streams[c.best]
+	c.best = -1
+	if err := s.scanInto(row); err != nil {
 		c.err = err
 		return 0, false
 	}
@@ -719,7 +706,6 @@ type extentCursor struct {
 	end     int64
 	payload []byte // current block's verified payload
 	pos     int    // start of the next record's header within payload
-	dec     wire.Decoder
 }
 
 func newExtentCursor(r *Run, e *extent) *extentCursor {

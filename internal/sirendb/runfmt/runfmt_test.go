@@ -43,8 +43,13 @@ func testRows(n int) []Row {
 
 // next takes one row from c by value — the shape the assertions compare.
 func next(c *Cursor) (wire.Message, uint64, bool) {
+	var row wire.Scanned
 	var m wire.Message
-	seq, ok := c.NextInto(&m)
+	seq, ok := c.NextScanned(&row)
+	if ok {
+		var d wire.Decoder
+		d.Fill(&row, &m)
+	}
 	return m, seq, ok
 }
 
@@ -522,7 +527,6 @@ func TestRunNonCanonicalRowIsCorrupt(t *testing.T) {
 	defer r.Close()
 	for name, read := range map[string]func(*Cursor) (uint64, bool){
 		"NextScanned": func(c *Cursor) (uint64, bool) { var row wire.Scanned; return c.NextScanned(&row) },
-		"NextInto":    func(c *Cursor) (uint64, bool) { var m wire.Message; return c.NextInto(&m) },
 	} {
 		c := r.Cursor()
 		if seq, ok := read(c); !ok || seq != 1 {

@@ -65,8 +65,8 @@ func TestMergedSnapshotNoInterleavingWithinJob(t *testing.T) {
 	}
 
 	var got []string
-	ms.JobRows("J", func(m wire.Message) bool {
-		got = append(got, string(m.Content))
+	ms.JobRows("J", func(row *wire.Scanned, _ uint64) bool {
+		got = append(got, string(row.Datagram[row.Content:]))
 		return true
 	})
 	if len(got) != len(want0)+len(want1) {

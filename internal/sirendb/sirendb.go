@@ -200,7 +200,9 @@ func (db *DB) Insert(m wire.Message) error {
 // path of a datagram InsertScanned stores, so a row is held as the same
 // bytes whichever way it came.
 //
-// Each shard group commits independently: on error the other groups are
+// A batch holding a message the store could not read back (checkRecordLens)
+// is refused whole, before anything is written. Beyond that, each shard
+// group commits independently: on error the other groups are
 // still attempted (one shard's full disk should not discard rows bound for
 // healthy shards), so a non-nil return means *some* messages were not
 // stored, not that none were. Callers must not blindly retry the whole
@@ -209,6 +211,9 @@ func (db *DB) Insert(m wire.Message) error {
 func (db *DB) InsertBatch(ms []wire.Message) error {
 	if len(ms) == 0 {
 		return nil
+	}
+	if err := checkRecordLens(ms); err != nil {
+		return err
 	}
 	if len(db.shards) == 1 {
 		return db.insertMessages(db.shards[0], ms)
@@ -244,6 +249,9 @@ func (db *DB) InsertShard(shard int, ms []wire.Message) error {
 	}
 	if len(ms) == 0 {
 		return nil
+	}
+	if err := checkRecordLens(ms); err != nil {
+		return err
 	}
 	return db.insertMessages(db.shards[shard], ms)
 }
@@ -293,11 +301,9 @@ func (db *DB) shardIndex(job, host []byte) int {
 	return int(wire.PartitionHash(job, host) % uint64(len(db.shards)))
 }
 
-// insertMessages stores ms, each encoded straight into the head chunk.
+// insertMessages stores ms, which checkRecordLens accepted, each encoded
+// straight into the head chunk.
 func (db *DB) insertMessages(s *shard, ms []wire.Message) error {
-	if err := checkRecordLens(ms); err != nil {
-		return err
-	}
 	size := 0
 	for i := range ms {
 		size += recHdrSize + wire.EncodedLen(&ms[i])

@@ -29,7 +29,13 @@ func allRows(db *DB) []wire.Message {
 // order.
 func jobRows(db *DB, job string) []wire.Message {
 	var out []wire.Message
-	db.Snapshot().JobRows(job, func(m wire.Message) bool { out = append(out, m); return true })
+	var d wire.Decoder
+	db.Snapshot().JobRows(job, func(row *wire.Scanned, _ uint64) bool {
+		var m wire.Message
+		d.Fill(row, &m)
+		out = append(out, m)
+		return true
+	})
 	return out
 }
 

@@ -8,7 +8,9 @@ import (
 	"siren/internal/wire"
 )
 
-// Snapshot is an immutable point-in-time view of the store.
+// Snapshot is an immutable point-in-time view of one store, or of the N
+// member stores of a multi-receiver deployment (MergeSnapshots,
+// DBSet.Snapshot): every accessor below serves both.
 //
 // Capture cost is deliberately tiny: under a brief all-shard read lock the
 // snapshot copies each shard's head slice headers — its chunks, index
@@ -35,86 +37,153 @@ import (
 // checksum fails mid-read (bit rot after Open's index validation) ends that
 // run's stream early rather than yielding wrong rows; the first such error
 // is sticky on the snapshot (Err) and counted in the store's stats.
+//
+// The streaming consolidation (postprocess.ConsolidateStream) depends on
+// this contract:
+//   - rows of one (job, host) live wholly inside one shard, in insertion
+//     order (the store partitions by wire.PartitionHash(JobID, Host), and a
+//     roster admits by the same pair);
+//   - within a ShardJobRows stream, the subsequence of any one host carries
+//     strictly increasing seq values (chunk reassembly order); hosts may be
+//     grouped rather than seq-interleaved — sealed runs sort rows by (job,
+//     host), the head yields pure insertion order — and seqs are comparable
+//     across shards and members;
+//   - JobShardCounts()[j] equals the number of shard indexes for which
+//     ShardJobRows(i, j, …) yields at least one row — the fan-in count;
+//   - JobRows merges one job's rows across shards preserving each host's
+//     insertion order;
+//   - LastSeq is a refresh watermark: a consumer holding consolidated state
+//     as of watermark W re-consolidates exactly JobsChangedSince(W) against
+//     a later snapshot — the append-only store guarantees every other job's
+//     rows are byte-identical to the previous capture.
 type Snapshot struct {
 	shards  []shardView
+	members int // member stores behind the snapshot: 1 for DB.Snapshot
 	count   int
-	lastSeq uint64 // highest sequence number assigned at capture time
-	db      *DB    // owner of the run-read error counter
+	lastSeq uint64 // highest sequence number the snapshot contains
 
 	jobsOnce sync.Once
 	jobs     []string
 
-	errMu    sync.Mutex
-	firstErr error
+	// Overlap-dedup state (dedup.go; nil/zero until DedupOverlaps): drop[m]
+	// holds member m's suppressed (job, host) runs, deadShardJobs maps a
+	// shard index to the jobs with zero surviving rows there.
+	drop          []map[jobHost]struct{}
+	deadShardJobs map[int]map[string]struct{}
+	dedup         DedupStats
 }
 
 // shardView is one shard's captured state: immutable prefixes of its head
-// plus the then-current sealed-run set, safe to read without locks.
+// plus the then-current sealed-run set, safe to read without locks, and the
+// member store it belongs to.
 type shardView struct {
-	head       *headView
-	runs       []sealedRun
-	sealedRows int
+	head   *headView
+	runs   []sealedRun
+	member int      // the member's index in a set snapshot
+	off    uint64   // added to every seq: the preceding members' LastSeq sum
+	errs   *runErrs // where the member's run-read failures go
+}
+
+// runErrs keeps the first lazy run-read failure of one member's snapshot and
+// forwards each to the store's telemetry counter.
+type runErrs struct {
+	db    *DB
+	mu    sync.Mutex
+	first error
+}
+
+func (e *runErrs) note(err error) {
+	e.mu.Lock()
+	if e.first == nil {
+		e.first = err
+	}
+	e.mu.Unlock()
+	e.db.mx.runReadErrs.Inc()
+}
+
+func (e *runErrs) err() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.first
 }
 
 // Snapshot captures the current store contents. The lock is held only for
 // the per-shard header copies and the job lists' outer slices — O(jobs),
 // never O(rows).
 func (db *DB) Snapshot() *Snapshot {
-	sn := &Snapshot{shards: make([]shardView, len(db.shards)), db: db}
+	sn := &Snapshot{shards: make([]shardView, len(db.shards)), members: 1}
+	errs := &runErrs{db: db}
 	unlock := db.rlockAll()
 	sn.lastSeq = db.seq.Load()
 	for i, s := range db.shards {
-		sn.shards[i] = shardView{head: s.head.view(), runs: s.runs, sealedRows: s.sealedRows}
+		sn.shards[i] = shardView{head: s.head.view(), runs: s.runs, errs: errs}
 		sn.count += len(s.head.entries) + s.sealedRows
 	}
 	unlock()
 	return sn
 }
 
-// noteErr records the first lazy run-read failure and forwards it to the
-// store's telemetry counter.
-func (sn *Snapshot) noteErr(err error) {
-	sn.errMu.Lock()
-	if sn.firstErr == nil {
-		sn.firstErr = err
+// MergeSnapshots presents member snapshots, each captured by DB.Snapshot, as
+// one (see set.go): the shard axis is the concatenation of every member's
+// shards, member 0's first, and member m's rows carry its own sequence
+// numbers plus the sum of the preceding members' LastSeq values. Useful when
+// the members' capture points are controlled individually; DBSet.Snapshot
+// is the common path.
+func MergeSnapshots(members []*Snapshot) *Snapshot {
+	out := &Snapshot{}
+	for _, sn := range members {
+		for _, sv := range sn.shards {
+			sv.member += out.members
+			sv.off += out.lastSeq
+			out.shards = append(out.shards, sv)
+		}
+		out.members += sn.members
+		out.lastSeq += sn.lastSeq
+		out.count += sn.count
 	}
-	sn.errMu.Unlock()
-	sn.db.mx.runReadErrs.Inc()
+	return out
 }
 
 // Err reports the first sealed-run read failure any cursor or stream of
-// this snapshot encountered — the signal that some run rows were withheld
-// (never corrupted rows, never silently wrong ones). Nil means every stream
-// so far was complete.
+// this snapshot, or of a snapshot sharing one of its members, encountered —
+// the signal that some run rows were withheld (never corrupted rows, never
+// silently wrong ones). Nil means every stream so far was complete.
 func (sn *Snapshot) Err() error {
-	sn.errMu.Lock()
-	defer sn.errMu.Unlock()
-	return sn.firstErr
+	for i := range sn.shards {
+		if err := sn.shards[i].errs.err(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// Shards reports the number of store shards behind the snapshot.
+// Shards reports the number of shards behind the snapshot: in a merged
+// snapshot, the sum of every member's shards.
 func (sn *Snapshot) Shards() int { return len(sn.shards) }
 
 // Count reports the number of messages in the snapshot, sealed runs
-// included.
+// included and dedup-suppressed runs not.
 func (sn *Snapshot) Count() int { return sn.count }
 
-// LastSeq reports the highest store-wide sequence number the snapshot
-// contains; every row it yields has Seq <= LastSeq.
+// LastSeq reports the highest sequence number the snapshot contains; every
+// row it yields has seq <= LastSeq. Successive snapshots of a growing store
+// have non-decreasing LastSeq, which makes the value a refresh watermark.
 func (sn *Snapshot) LastSeq() uint64 { return sn.lastSeq }
 
 // src is one sequence-ascending row stream inside a merge: a sealed-run
 // cursor, or a head's entries, optionally index-selected. The merge reads
-// each source's next sequence number (peek) and builds only the row it
-// takes, straight into the merge's one Message slot: a head row from its
-// index entry, a sealed row by decoding it.
+// each source's next sequence number (peek) and takes only the row it picks,
+// as a view: a head row from its index entry, a sealed row scanned in place.
 type src struct {
-	run   *runfmt.Cursor // non-nil: a sealed run's stream; nil once drained
-	onErr func(error)    // where a run stream's read failure goes
-	head  *headView
-	idxs  []uint32 // non-nil: select entries[idxs[pos]] instead of entries[pos]
-	pos   int
-	rem   int // rows not yet yielded (run streams: advertised count)
+	run  *runfmt.Cursor // non-nil: a sealed run's stream; nil once drained
+	head *headView
+	idxs []uint32 // non-nil: select entries[idxs[pos]] instead of entries[pos]
+	pos  int
+	rem  int // rows not yet yielded (run streams: advertised count)
+
+	off  uint64               // the shard view's seq rebase
+	errs *runErrs             // where a run stream's read failure goes
+	drop map[jobHost]struct{} // the member's suppressed runs, nil when none
 }
 
 func (s *src) peek() (uint64, bool) {
@@ -124,121 +193,123 @@ func (s *src) peek() (uint64, bool) {
 			// Drained or failed: report a failure once, then the source is
 			// an empty row slice.
 			if err := s.run.Err(); err != nil {
-				s.onErr(err)
+				s.errs.note(err)
 			}
 			s.run = nil
 		}
-		return seq, ok
+		return s.off + seq, ok
 	}
 	if s.idxs != nil {
 		if s.pos >= len(s.idxs) {
 			return 0, false
 		}
-		return s.head.entries[s.idxs[s.pos]].seq, true
+		return s.off + s.head.entries[s.idxs[s.pos]].seq, true
 	}
 	if s.head == nil || s.pos >= len(s.head.entries) {
 		return 0, false
 	}
-	return s.head.entries[s.pos].seq, true
+	return s.off + s.head.entries[s.pos].seq, true
 }
 
-// take consumes the row the last successful peek reported into *slot. A
-// sealed row that fails to decode is reported like any run-read failure and
-// yields nil.
-func (s *src) take(slot *wire.Message) (*wire.Message, uint64) {
-	if s.run != nil {
-		seq, ok := s.run.NextInto(slot)
-		return ran(s, slot, seq, ok)
-	}
-	return slot, s.head.rowInto(s.next(), slot)
-}
-
-// takeScanned is take for a view of the row (runfmt.Cursor.NextScanned,
-// headView.scannedInto).
-func (s *src) takeScanned(slot *wire.Scanned) (*wire.Scanned, uint64) {
+// take consumes the row the last successful peek reported into *slot and
+// returns it with its rebased sequence number (runfmt.Cursor.NextScanned,
+// headView.scannedInto). A sealed row that fails to scan is reported like
+// any run-read failure and yields nil.
+func (s *src) take(slot *wire.Scanned) (*wire.Scanned, uint64) {
 	if s.run != nil {
 		seq, ok := s.run.NextScanned(slot)
-		return ran(s, slot, seq, ok)
+		if !ok {
+			s.errs.note(s.run.Err())
+			s.run = nil
+			return nil, 0
+		}
+		s.rem = max(s.rem-1, 0)
+		return slot, s.off + seq
 	}
-	return slot, s.head.scannedInto(s.next(), slot)
-}
-
-// ran accounts for a row read from the run stream, or reports the stream's
-// failure and yields nil.
-func ran[T any](s *src, slot *T, seq uint64, ok bool) (*T, uint64) {
-	if !ok {
-		s.onErr(s.run.Err())
-		s.run = nil
-		return nil, 0
-	}
-	s.rem = max(s.rem-1, 0)
-	return slot, seq
-}
-
-// next steps a head source to its next entry and returns the entry's index.
-func (s *src) next() uint32 {
 	i := uint32(s.pos)
 	if s.idxs != nil {
 		i = s.idxs[i]
 	}
 	s.pos++
 	s.rem = max(s.rem-1, 0)
-	return i
+	return slot, s.off + s.head.scannedInto(i, slot)
 }
 
-// mergeSrcs streams the union of the sources in ascending sequence order —
-// a Cursor driven to the end, handing each row straight from its source to
-// f; return false to stop.
-func mergeSrcs(srcs []*src, f func(m wire.Message, seq uint64) bool) {
-	c := Cursor{srcs: srcs}
-	var slot wire.Message
-	for s := c.pick(); s != nil; s = c.pick() {
-		if m, seq := s.take(&slot); m != nil && !f(*m, seq) {
-			return
-		}
+// dropped reports whether row belongs to one of the member's suppressed
+// runs.
+func (s *src) dropped(row *wire.Scanned) bool {
+	if s.drop == nil {
+		return false
 	}
+	_, ok := s.drop[jobHost{string(row.Value(row.Datagram, wire.FieldJobID)), string(row.Value(row.Datagram, wire.FieldHost))}]
+	return ok
 }
 
-// mergeScanned is mergeSrcs handing out views of the rows.
-func mergeScanned(srcs []*src, f func(row *wire.Scanned, seq uint64) bool) {
-	c := Cursor{srcs: srcs}
-	var slot wire.Scanned
-	for s := c.pick(); s != nil; s = c.pick() {
-		if row, seq := s.takeScanned(&slot); row != nil && !f(row, seq) {
-			return
-		}
+// source returns a source of shard view sv's rows, rebased and filtered as
+// the view's member requires.
+func (sn *Snapshot) source(sv *shardView) *src {
+	return &src{off: sv.off, errs: sv.errs, drop: sn.dropOf(sv.member)}
+}
+
+// dropOf returns member m's suppressed runs, nil when it has none.
+func (sn *Snapshot) dropOf(m int) map[jobHost]struct{} {
+	if sn.drop == nil {
+		return nil
 	}
+	return sn.drop[m]
 }
 
-// runSrc builds a source over one sealed run's full row stream.
-func runSrc(sr sealedRun, onErr func(error)) *src {
-	return &src{run: sr.run.Cursor(), onErr: onErr, rem: sr.run.Rows()}
-}
-
-// runJobSrc builds a source over one job's rows in a sealed run.
-func runJobSrc(sr sealedRun, job string, onErr func(error)) *src {
-	rows, _, _, _ := sr.run.JobStats(job)
-	return &src{run: sr.run.JobCursor(job), onErr: onErr, rem: rows}
-}
-
-// shardSources builds shard i's sources: its sealed runs (oldest generation
-// first) plus its head rows.
-func (sn *Snapshot) shardSources(i int) []*src {
+// shardSources appends shard i's sources to srcs: its sealed runs (oldest
+// generation first) plus its head rows.
+func (sn *Snapshot) shardSources(srcs []*src, i int) []*src {
 	sv := &sn.shards[i]
-	srcs := make([]*src, 0, len(sv.runs)+1)
 	for _, sr := range sv.runs {
-		srcs = append(srcs, runSrc(sr, sn.noteErr))
+		s := sn.source(sv)
+		s.run, s.rem = sr.run.Cursor(), sr.run.Rows()
+		srcs = append(srcs, s)
 	}
 	if n := len(sv.head.entries); n > 0 {
-		srcs = append(srcs, &src{head: sv.head, rem: n})
+		s := sn.source(sv)
+		s.head, s.rem = sv.head, n
+		srcs = append(srcs, s)
 	}
 	return srcs
+}
+
+// jobSources is shardSources for one job's rows.
+func (sn *Snapshot) jobSources(srcs []*src, i int, job string) []*src {
+	sv := &sn.shards[i]
+	for _, sr := range sv.runs {
+		if sr.run.HasJob(job) {
+			s := sn.source(sv)
+			s.run = sr.run.JobCursor(job)
+			s.rem, _, _, _ = sr.run.JobStats(job)
+			srcs = append(srcs, s)
+		}
+	}
+	if idxs := sv.head.job(job); len(idxs) > 0 {
+		s := sn.source(sv)
+		s.head, s.idxs, s.rem = sv.head, idxs, len(idxs)
+		srcs = append(srcs, s)
+	}
+	return srcs
+}
+
+// mergeScanned streams the union of the sources in ascending sequence order,
+// handing each surviving row straight from its source to f; return false to
+// stop.
+func mergeScanned(srcs []*src, f func(row *wire.Scanned, seq uint64) bool) {
+	c := Cursor{srcs: srcs}
+	for row, seq, ok := c.nextScanned(); ok && f(row, seq); row, seq, ok = c.nextScanned() {
+	}
 }
 
 // Cursor iterates one shard's snapshot rows in sequence order, lock-free —
 // a sequence-merge of the shard's sealed runs and its WAL head.
 type Cursor struct {
 	srcs []*src
+	slot wire.Scanned
+	dec  wire.Decoder
 }
 
 // ShardCursor returns a cursor over shard i's rows, sealed runs included.
@@ -246,12 +317,13 @@ type Cursor struct {
 // several cursors by Next's seq value reconstructs global insertion order
 // (Iter does exactly that).
 func (sn *Snapshot) ShardCursor(i int) *Cursor {
-	return &Cursor{srcs: sn.shardSources(i)}
+	return &Cursor{srcs: sn.shardSources(nil, i)}
 }
 
 // Len reports how many rows remain ahead of the cursor. Run streams count
 // their advertised (footer) rows, so a mid-read corruption can end a stream
-// with Len still positive — the snapshot's Err reports why.
+// with Len still positive — the snapshot's Err reports why — and rows of
+// dedup-suppressed runs count until they are skipped.
 func (c *Cursor) Len() int {
 	n := 0
 	for _, s := range c.srcs {
@@ -260,22 +332,35 @@ func (c *Cursor) Len() int {
 	return n
 }
 
-// Next returns the next message and its store-wide sequence number.
+// Next returns the next message and its sequence number. The Message is
+// built by the cursor's one wire.Decoder and shares nothing with the store.
 func (c *Cursor) Next() (wire.Message, uint64, bool) {
-	var slot wire.Message
+	row, seq, ok := c.nextScanned()
+	if !ok {
+		return wire.Message{}, 0, false
+	}
+	var m wire.Message
+	c.dec.Fill(row, &m)
+	return m, seq, true
+}
+
+// nextScanned returns a view of the next surviving row, valid until the
+// next call, and its sequence number — the one merge step behind every
+// stream of the snapshot.
+func (c *Cursor) nextScanned() (*wire.Scanned, uint64, bool) {
 	for s := c.pick(); s != nil; s = c.pick() {
-		if m, seq := s.take(&slot); m != nil {
-			return *m, seq, true
+		if row, seq := s.take(&c.slot); row != nil && !s.dropped(row) {
+			return row, seq, true
 		}
 	}
-	return wire.Message{}, 0, false
+	return nil, 0, false
 }
 
 // pick returns the source whose next row has the lowest sequence number, or
 // nil once every source is drained — the one best-pick loop behind every
 // merge. A linear scan per step is fine at the store's source counts
-// (shards × runs-per-shard, both small); a peek reads a sequence number, never
-// a row, so it is one comparison per source per step.
+// (members × shards × runs-per-shard, all small); a peek reads a sequence
+// number, never a row, so it is one comparison per source per step.
 func (c *Cursor) pick() *src {
 	var best *src
 	var bestSeq uint64
@@ -291,15 +376,18 @@ func (c *Cursor) pick() *src {
 // all shards' runs and heads; return false to stop. Head rows come out in
 // global insertion order, a sealed run's rows in its on-disk (job, host,
 // seq) sort — so any one (job, host) stream is always in insertion order,
-// while rows of different hosts may be grouped once sealed. No store lock
-// is held: the callback may block, take arbitrarily long, or insert into
-// the store without stalling writers or deadlocking.
+// while rows of different hosts may be grouped once sealed. In a merged
+// snapshot the members follow one another. No store lock is held: the
+// callback may block, take arbitrarily long, or insert into the store
+// without stalling writers or deadlocking.
 func (sn *Snapshot) Iter(f func(m wire.Message) bool) {
 	var srcs []*src
 	for i := range sn.shards {
-		srcs = append(srcs, sn.shardSources(i)...)
+		srcs = sn.shardSources(srcs, i)
 	}
-	mergeSrcs(srcs, func(m wire.Message, _ uint64) bool { return f(m) })
+	c := Cursor{srcs: srcs}
+	for m, _, ok := c.Next(); ok && f(m); m, _, ok = c.Next() {
+	}
 }
 
 // Jobs returns the distinct job IDs in the snapshot, sorted. Head jobs come
@@ -316,14 +404,19 @@ func (sn *Snapshot) Jobs() []string {
 				}
 			}
 		}
-		out := make([]string, 0, len(seen))
-		for k := range seen {
-			out = append(out, k)
-		}
-		sort.Strings(out)
-		sn.jobs = out
+		sn.jobs = sortedKeys(seen)
 	})
 	return sn.jobs
+}
+
+// sortedKeys returns a set's members, sorted.
+func sortedKeys(set map[string]struct{}) []string {
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // JobsChangedSince returns the job IDs with at least one row whose sequence
@@ -333,30 +426,34 @@ func (sn *Snapshot) Jobs() []string {
 // shard's job list is sequence-ascending (its last entry is the newest head
 // row of the job), and each run's job index carries the job's max sequence
 // number.
+//
+// Watermarks of merged snapshots are only comparable with the same member
+// set in the same order and non-shrinking members (both deployment shapes
+// guarantee that: a live store only appends, and an OpenSet holds every
+// member's exclusive lock), since the rebase offsets are cumulative member
+// LastSeqs. After DedupOverlaps the result is conservative: a job may be
+// reported changed when its only new rows were suppressed duplicates (the
+// refresh then re-consolidates it from the surviving rows — wasted work,
+// never wrong data).
 func (sn *Snapshot) JobsChangedSince(since uint64) []string {
 	seen := make(map[string]struct{})
 	for i := range sn.shards {
 		sv := &sn.shards[i]
 		sv.head.eachJob(func(job string, rows []uint32) {
-			if sv.head.entries[rows[len(rows)-1]].seq > since {
+			if sv.off+sv.head.entries[rows[len(rows)-1]].seq > since {
 				seen[job] = struct{}{}
 			}
 		})
 		for _, sr := range sv.runs {
 			sr.run.EachJob(func(job string, _ int, _, maxSeq uint64) bool {
-				if maxSeq > since {
+				if sv.off+maxSeq > since {
 					seen[job] = struct{}{}
 				}
 				return true
 			})
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for job := range seen {
-		out = append(out, job)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(seen)
 }
 
 // ShardJobs returns shard i's distinct job IDs in first-appearance
@@ -364,7 +461,8 @@ func (sn *Snapshot) JobsChangedSince(since uint64) []string {
 // consolidation workers, chosen so each worker visits its jobs roughly in
 // the order their first rows arrived. A job's first appearance is the
 // minimum of its first head row's sequence and its min sequence in any of
-// the shard's runs.
+// the shard's runs. Jobs whose every row there was dedup-suppressed are
+// left out.
 func (sn *Snapshot) ShardJobs(i int) []string {
 	sv := &sn.shards[i]
 	first := make(map[string]uint64, len(sv.head.jobRows))
@@ -377,9 +475,12 @@ func (sn *Snapshot) ShardJobs(i int) []string {
 			return true
 		})
 	}
+	dead := sn.deadShardJobs[i]
 	out := make([]string, 0, len(first))
 	for k := range first {
-		out = append(out, k)
+		if _, gone := dead[k]; !gone {
+			out = append(out, k)
+		}
 	}
 	sort.Slice(out, func(a, b int) bool { return first[out[a]] < first[out[b]] })
 	return out
@@ -388,38 +489,36 @@ func (sn *Snapshot) ShardJobs(i int) []string {
 // JobShardCounts maps every job ID in the snapshot to the number of shards
 // holding rows of that job — the fan-in count a streaming per-job reducer
 // waits for before declaring a job complete. Jobs running on several hosts
-// can span shards because partitioning hashes (JobID, Host).
+// can span shards because partitioning hashes (JobID, Host), and members
+// because admission hashes it too. Shards whose rows of a job were all
+// dedup-suppressed do not count, so the count is exact: ShardJobRows yields
+// rows of the job in exactly that many shards.
 func (sn *Snapshot) JobShardCounts() map[string]int {
 	out := make(map[string]int)
 	for i := range sn.shards {
 		sv := &sn.shards[i]
-		var jobs map[string]struct{}
-		if len(sv.runs) > 0 {
-			jobs = make(map[string]struct{}, len(sv.head.jobRows))
-		}
-		sv.head.eachJob(func(job string, _ []uint32) {
-			if jobs == nil {
-				out[job]++
-			} else {
-				jobs[job] = struct{}{}
-			}
-		})
+		jobs := make(map[string]struct{}, len(sv.head.jobRows))
+		sv.head.eachJob(func(job string, _ []uint32) { jobs[job] = struct{}{} })
 		for _, sr := range sv.runs {
 			for _, k := range sr.run.Jobs() {
 				jobs[k] = struct{}{}
 			}
 		}
+		dead := sn.deadShardJobs[i]
 		for k := range jobs {
-			out[k]++
+			if _, gone := dead[k]; !gone {
+				out[k]++
+			}
 		}
 	}
 	return out
 }
 
-// ShardJobLen reports how many rows ShardJobRows(shard, job) yields, from
-// the head's job list and the runs' job indexes — O(runs), no row read. A
+// ShardJobLen bounds how many rows ShardJobRows(shard, job) yields, from the
+// head's job list and the runs' job indexes — O(runs), no row read. A
 // consumer sizes its buffer with it before the stream fills it. (A run block
-// found corrupt mid-read ends its stream early, so it is a bound.)
+// found corrupt mid-read ends its stream early, and dedup-suppressed rows
+// count, so it is a bound.)
 func (sn *Snapshot) ShardJobLen(shard int, job string) int {
 	sv := &sn.shards[shard]
 	n := len(sv.head.job(job))
@@ -431,53 +530,37 @@ func (sn *Snapshot) ShardJobLen(shard int, job string) int {
 }
 
 // ShardJobRows streams shard i's rows of one job in insertion order along
-// with each row's store-wide sequence number; return false to stop. Each row
-// is handed out as a view of the bytes the store holds — a head row as its
-// datagram in the head chunk with the Fields its index entry holds, a sealed
-// row scanned in place in its verified run block — so nothing is decoded or
-// copied. A view stays valid while the snapshot is reachable and must not be
-// kept past that: run mappings are unmapped once the snapshot is garbage, so
-// whatever a caller keeps of a row, it copies.
-func (sn *Snapshot) ShardJobRows(shard int, job string, f func(row *wire.Scanned, seq uint64) bool) {
-	sv := &sn.shards[shard]
-	idxs := sv.head.job(job)
-	if len(sv.runs) == 0 { // head-only fast path: no merge state needed
+// with each row's sequence number; return false to stop. Each row is handed
+// out as a view of the bytes the store holds — a head row as its datagram in
+// the head chunk with the Fields its index entry holds, a sealed row scanned
+// in place in its verified run block — so nothing is decoded or copied. A
+// view stays valid while the snapshot is reachable and must not be kept past
+// that: run mappings are unmapped once the snapshot is garbage, so whatever
+// a caller keeps of a row, it copies.
+func (sn *Snapshot) ShardJobRows(i int, job string, f func(row *wire.Scanned, seq uint64) bool) {
+	sv := &sn.shards[i]
+	if len(sv.runs) == 0 && sn.dropOf(sv.member) == nil {
+		// Head only, nothing suppressed: no merge state needed.
 		var row wire.Scanned
-		for _, idx := range idxs {
-			if seq := sv.head.scannedInto(idx, &row); !f(&row, seq) {
+		for _, idx := range sv.head.job(job) {
+			if seq := sv.head.scannedInto(idx, &row); !f(&row, sv.off+seq) {
 				return
 			}
 		}
 		return
 	}
-	var srcs []*src
-	for _, sr := range sv.runs {
-		if sr.run.HasJob(job) {
-			srcs = append(srcs, runJobSrc(sr, job, sn.noteErr))
-		}
-	}
-	if len(idxs) > 0 {
-		srcs = append(srcs, &src{head: sv.head, idxs: idxs, rem: len(idxs)})
-	}
-	mergeScanned(srcs, f)
+	mergeScanned(sn.jobSources(nil, i, job), f)
 }
 
 // JobRows streams every row of one job in global insertion order, merged
-// across shards and tiers, without copying head rows or re-sorting: each
-// head index list is already sequence-ascending and each run decodes its
-// job extents in sequence order.
-func (sn *Snapshot) JobRows(job string, f func(m wire.Message) bool) {
+// across shards, tiers and members, as ShardJobRows hands rows out; return
+// false to stop. Nothing is copied or re-sorted: each head index list is
+// already sequence-ascending and each run scans its job extents in sequence
+// order.
+func (sn *Snapshot) JobRows(job string, f func(row *wire.Scanned, seq uint64) bool) {
 	var srcs []*src
 	for i := range sn.shards {
-		sv := &sn.shards[i]
-		for _, sr := range sv.runs {
-			if sr.run.HasJob(job) {
-				srcs = append(srcs, runJobSrc(sr, job, sn.noteErr))
-			}
-		}
-		if idxs := sv.head.job(job); len(idxs) > 0 {
-			srcs = append(srcs, &src{head: sv.head, idxs: idxs, rem: len(idxs)})
-		}
+		srcs = sn.jobSources(srcs, i, job)
 	}
-	mergeSrcs(srcs, func(m wire.Message, _ uint64) bool { return f(m) })
+	mergeScanned(srcs, f)
 }

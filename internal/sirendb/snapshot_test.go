@@ -168,8 +168,8 @@ func TestSnapshotPerJobOrder(t *testing.T) {
 	db.Insert(jobMsg("late-job", "nid0009", 1, "late"))
 
 	var got []string
-	snap.JobRows("spanner", func(m wire.Message) bool {
-		got = append(got, string(m.Content))
+	snap.JobRows("spanner", func(row *wire.Scanned, _ uint64) bool {
+		got = append(got, string(row.Datagram[row.Content:]))
 		return true
 	})
 	want := make([]string, 0, 500)
@@ -181,8 +181,8 @@ func TestSnapshotPerJobOrder(t *testing.T) {
 	}
 	// Early stop honoured, same order and content.
 	var streamed []string
-	snap.JobRows("spanner", func(m wire.Message) bool {
-		streamed = append(streamed, string(m.Content))
+	snap.JobRows("spanner", func(row *wire.Scanned, _ uint64) bool {
+		streamed = append(streamed, string(row.Datagram[row.Content:]))
 		return len(streamed) < 250
 	})
 	if !reflect.DeepEqual(streamed, want[:250]) {

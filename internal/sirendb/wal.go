@@ -56,14 +56,26 @@ type recordMark struct {
 	sum uint32
 }
 
-// checkRecordLens rejects a batch holding a message whose encoding exceeds
-// maxRecordLen: replay treats an oversized length field as a torn tail, so
-// writing one would make the record — and every record after it in the
-// segment — unreplayable.
+// checkRecordLens rejects a batch holding a message the store could not read
+// back. One whose encoding exceeds maxRecordLen: replay treats an oversized
+// length field as a torn tail, so writing one would make the record — and
+// every record after it in the segment — unreplayable. One whose encoding
+// does not scan — a header value holding '|', or a chunk outside
+// 0 <= Seq < Total — would be acknowledged and then counted corrupt by the
+// next open.
 func checkRecordLens(ms []wire.Message) error {
 	for i := range ms {
-		if n := wire.EncodedLen(&ms[i]); n > maxRecordLen {
+		m := &ms[i]
+		if n := wire.EncodedLen(m); n > maxRecordLen {
 			return fmt.Errorf("sirendb: message of %d bytes exceeds the %d-byte record limit", n, maxRecordLen)
+		}
+		for _, v := range [...]string{m.JobID, m.StepID, m.Hash, m.Host, m.Layer, m.Type} {
+			if strings.IndexByte(v, '|') >= 0 {
+				return fmt.Errorf("sirendb: %w: header value %q holds '|'", wire.ErrMalformed, v)
+			}
+		}
+		if m.Total < 1 || m.Seq < 0 || m.Seq >= m.Total {
+			return fmt.Errorf("sirendb: %w: chunk %d/%d out of range", wire.ErrMalformed, m.Seq, m.Total)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package sirendb
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -138,5 +139,56 @@ func TestInsertScannedAllocations(t *testing.T) {
 	t.Logf("InsertScanned of %d rows: %.3f allocations", len(batch), perBatch)
 	if perBatch >= 1 {
 		t.Errorf("InsertScanned of %d rows = %.2f allocations, want < 1", len(batch), perBatch)
+	}
+}
+
+// TestInsertRefusesUnreadableMessages: a Message whose encoding would not
+// scan — a header value holding '|', a chunk outside 0 <= Seq < Total — is
+// refused with an error before anything is written, through every Message
+// insert path, instead of being acknowledged and then counted corrupt by
+// the next open. A batch holding one is refused whole.
+func TestInsertRefusesUnreadableMessages(t *testing.T) {
+	good := setMsg("J", "a", 1, 0)
+	bad := map[string]func(m *wire.Message){
+		"pipe in HOST":  func(m *wire.Message) { m.Host = "a|b" },
+		"pipe in JOBID": func(m *wire.Message) { m.JobID = "J|" },
+		"pipe in TYPE":  func(m *wire.Message) { m.Type = "|" },
+		"seq past tot":  func(m *wire.Message) { m.Seq, m.Total = 2, 1 },
+		"zero tot":      func(m *wire.Message) { m.Seq, m.Total = 0, 0 },
+		"negative seq":  func(m *wire.Message) { m.Seq, m.Total = -1, 3 },
+	}
+	for name, spoil := range bad {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "siren.wal")
+			db, err := OpenOptions(path, Options{Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := setMsg("K", "b", 2, 1)
+			spoil(&m)
+			for how, insert := range map[string]func() error{
+				"Insert":      func() error { return db.Insert(m) },
+				"InsertBatch": func() error { return db.InsertBatch([]wire.Message{good, m}) },
+				"InsertShard": func() error { return db.InsertShard(0, []wire.Message{good, m}) },
+			} {
+				if err := insert(); !errors.Is(err, wire.ErrMalformed) {
+					t.Errorf("%s: err = %v, want wire.ErrMalformed", how, err)
+				}
+			}
+			if n := db.Count(); n != 0 {
+				t.Errorf("Count = %d after refused inserts, want 0", n)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db, err = Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if db.Count() != 0 || db.CorruptRecords() != 0 {
+				t.Errorf("reopened: Count = %d, CorruptRecords = %d, want 0 and 0", db.Count(), db.CorruptRecords())
+			}
+		})
 	}
 }

@@ -19,7 +19,7 @@ import (
 type Cluster struct {
 	Name    string
 	nodes   []string
-	nextJob int64
+	nextJob atomic.Int64
 }
 
 // NewCluster creates a cluster with n nodes named nid001001, nid001002, ….
@@ -38,7 +38,7 @@ func (c *Cluster) Nodes() []string { return append([]string(nil), c.nodes...) }
 func (c *Cluster) Node(i int) string { return c.nodes[i%len(c.nodes)] }
 
 // NextJobID allocates a cluster-unique job ID (thread-safe).
-func (c *Cluster) NextJobID() int { return int(atomic.AddInt64(&c.nextJob, 1)) }
+func (c *Cluster) NextJobID() int { return int(c.nextJob.Add(1)) }
 
 // Job carries the identity Slurm assigns to one submitted job.
 type Job struct {
