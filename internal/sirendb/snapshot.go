@@ -211,11 +211,11 @@ func (s *src) peek() (uint64, bool) {
 	return s.off + s.head.entries[s.pos].seq, true
 }
 
-// take consumes the row the last successful peek reported into *slot and
-// returns it with its rebased sequence number (runfmt.Cursor.NextScanned,
-// headView.scannedInto). A sealed row that fails to scan is reported like
-// any run-read failure and yields nil.
-func (s *src) take(slot *wire.Scanned) (*wire.Scanned, uint64) {
+// takeScanned consumes the row the last successful peek reported into *slot
+// and returns it with its rebased sequence number (runfmt.Cursor.NextScanned,
+// headView.scannedInto). A sealed row that fails to scan is reported like any
+// run-read failure and yields nil.
+func (s *src) takeScanned(slot *wire.Scanned) (*wire.Scanned, uint64) {
 	if s.run != nil {
 		seq, ok := s.run.NextScanned(slot)
 		if !ok {
@@ -349,7 +349,7 @@ func (c *Cursor) Next() (wire.Message, uint64, bool) {
 // stream of the snapshot.
 func (c *Cursor) nextScanned() (*wire.Scanned, uint64, bool) {
 	for s := c.pick(); s != nil; s = c.pick() {
-		if row, seq := s.take(&c.slot); row != nil && !s.dropped(row) {
+		if row, seq := s.takeScanned(&c.slot); row != nil && !s.dropped(row) {
 			return row, seq, true
 		}
 	}
