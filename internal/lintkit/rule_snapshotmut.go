@@ -46,7 +46,8 @@ func (snapshotMut) Run(p *Pass) {
 }
 
 // snapshotAccessor reports whether call is a method on sirendb.Snapshot (or
-// a pointer to it, reached through any alias) whose result is a (shared) slice or map, returning a description.
+// a pointer to it, reached through any alias) whose result is a (shared)
+// slice or map, returning a description.
 func snapshotAccessor(p *Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
