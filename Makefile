@@ -189,11 +189,13 @@ bench-serve:
 # start-up, the scoring kernel by itself (a 64-byte distance), incremental
 # catalog refresh, store insert, receiver ingest, a telemetry record, the
 # sealed-vs-replay open pair (the flat sealed open is the storage tier's
-# claim), Seal (the store's one rewrite transaction), the consolidation every
+# claim; the 100k-row replay is where the four segments replay concurrently),
+# Seal (the store's one rewrite transaction), the consolidation every
 # refresh and every analysis runs (through the store, over sealed runs plus a
-# replayed head as a restarted store reads it, and the kernel alone on the
-# campaign capture), and the collector's per-process cost (the CTPH kernel
-# alone, and one user process collected end to end).
+# replayed head as a restarted store reads it, by one worker and by the
+# default one per shard, and the kernel alone on the campaign capture), and
+# the collector's per-process cost (the CTPH kernel alone, and one user
+# process collected end to end).
 BENCH_PARENT ?= HEAD~1
 
 bench-gate:
@@ -208,10 +210,12 @@ bench-gate:
 		./internal/obs:'BenchmarkHistogramRecord$$' \
 		./internal/sirendb:'BenchmarkOpenSealed/rows=10000$$' \
 		./internal/sirendb:'BenchmarkOpenReplay/rows=10000$$' \
+		./internal/sirendb:'BenchmarkOpenReplay/rows=100000$$' \
 		./internal/sirendb:'BenchmarkSeal/rows=10000$$' \
 		./internal/postprocess:'^BenchmarkConsolidate$$/streaming-workers=1$$' \
 		./internal/postprocess:'BenchmarkConsolidateCampaign$$' \
 		./internal/postprocess:'BenchmarkConsolidateSealed$$' \
+		./internal/postprocess:'BenchmarkConsolidateSealedParallel$$' \
 		./internal/ssdeep:'BenchmarkHash1M$$' \
 		./internal/collector:'BenchmarkCollectUserProcess$$'
 

@@ -77,7 +77,7 @@ func run() (err error) {
 		return err
 	}
 	defer func() { err = errors.Join(err, set.Close()) }()
-	// Streaming, shard-parallel consolidation over the merged snapshot
+	// Streaming, job-parallel consolidation over the merged snapshot
 	// cursor: member databases (one per roster member) and their WAL
 	// shards are grouped per job without ever materialising the whole
 	// message set. A single -db path is the one-member degenerate case; over

@@ -38,14 +38,14 @@ func NewDataset(records []*postprocess.ProcessRecord) *Dataset {
 }
 
 // ConsolidateDataset consolidates a store snapshot through the streaming,
-// shard-parallel read path and wraps the records in a Dataset — the
+// job-parallel read path and wraps the records in a Dataset — the
 // analysis-side entry point for whole-campaign group-bys. The store is
 // never materialised as one []wire.Message; only the consolidated process
 // records (what the tables and figures actually consume) are held. The
 // snapshot may be a single store's (DB.Snapshot) or the merged view of an
 // N-receiver deployment (DBSet.Snapshot) — one *sirendb.Snapshot type, and
 // the analysis is identical either way. opts tune the streaming pass (worker count, job
-// filter); the zero value is the shard-mirrored default.
+// filter); the zero value is the default.
 func ConsolidateDataset(snap postprocess.SnapshotView, opts postprocess.StreamOptions) (*Dataset, postprocess.Stats) {
 	records, stats := postprocess.ConsolidateSnapshot(snap, opts)
 	return NewDataset(records), stats

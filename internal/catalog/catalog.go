@@ -48,7 +48,7 @@ type Source func() postprocess.SnapshotView
 // Options tune the catalog.
 type Options struct {
 	// Workers bounds the streaming-consolidation workers per refresh pass
-	// (0 = one per shard cursor, the shard-mirrored default).
+	// (0 = one per shard, the default).
 	Workers int
 	// Metrics is the registry the catalog's instruments register in:
 	// Refresh wall-time histogram and counters for jobs spliced forward vs
@@ -251,7 +251,7 @@ func (c *Catalog) Refresh() RefreshStats {
 	rs.Carried = len(jobs)
 	rs.Reconsolidated = len(changed)
 
-	// Re-consolidate only the changed jobs, streaming and shard-parallel.
+	// Re-consolidate only the changed jobs, streaming and job-parallel.
 	var fresh []*postprocess.ProcessRecord
 	postprocess.ConsolidateStream(snap, postprocess.StreamOptions{
 		Workers: c.opts.Workers,

@@ -172,7 +172,7 @@ func (p *Pipeline) Drain() error {
 }
 
 // Analyze drains the pipeline (if needed), consolidates all messages via
-// the streaming, shard-parallel read path (snapshot cursors end to end —
+// the streaming, job-parallel read path (snapshot cursors end to end —
 // the store is never materialised as one message slice), and returns the
 // analysis dataset plus post-processing statistics.
 func (p *Pipeline) Analyze() (*analysis.Dataset, postprocess.Stats, error) {

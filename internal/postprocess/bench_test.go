@@ -2,7 +2,7 @@
 //
 //	go test -bench=BenchmarkConsolidate -benchmem ./internal/postprocess
 //
-// BenchmarkConsolidate times the streaming, shard-parallel path; the
+// BenchmarkConsolidate times the streaming, job-parallel path; the
 // headline is -benchmem, whose footprint tracks the in-flight jobs, not the
 // total message count.
 package postprocess
@@ -84,6 +84,27 @@ func BenchmarkConsolidateSealed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		snap := db.Snapshot()
 		if _, stats := ConsolidateSnapshot(snap, StreamOptions{Workers: 1}); stats.Messages != rows || snap.Err() != nil {
+			b.Fatalf("consolidated %d of %d rows (%v)", stats.Messages, rows, snap.Err())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+}
+
+// BenchmarkConsolidateSealedParallel is BenchmarkConsolidateSealed at the
+// default worker count — one per store shard, four here, bounded in effect
+// by GOMAXPROCS — so the gate sees what the (shard, job) unit cursor gives
+// siren-analyze on every core.
+func BenchmarkConsolidateSealedParallel(b *testing.B) {
+	if testing.Short() {
+		b.Skip("generates the full scale-0.02 campaign capture")
+	}
+	db, rows := openSealedCapture(b)
+	defer db.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap := db.Snapshot()
+		if _, stats := ConsolidateSnapshot(snap, StreamOptions{}); stats.Messages != rows || snap.Err() != nil {
 			b.Fatalf("consolidated %d of %d rows (%v)", stats.Messages, rows, snap.Err())
 		}
 	}

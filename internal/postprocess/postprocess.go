@@ -4,7 +4,7 @@
 // interpreter rows — and derives the fields later analyses consume (e.g.
 // imported Python packages recovered from interpreter memory maps).
 //
-// Two layers: stream.go walks a store snapshot shard-parallel and hands each
+// Two layers: stream.go walks a store snapshot job-parallel and hands each
 // (shard, job) segment, as views of the datagrams the store holds, to the
 // kernel, consolidateRows below, which every stored row passes through each
 // time its job is consolidated. The kernel is therefore written to allocate
@@ -132,10 +132,10 @@ func (s *Stats) AddJob(records []*ProcessRecord, messages, logical int) {
 // Consolidate snapshots db and produces one ProcessRecord per process
 // instance, sorted by (Time, JobID, PID, ExeHash) for determinism.
 //
-// Internally this rides the streaming, shard-parallel read path
+// Internally this rides the streaming, job-parallel read path
 // (ConsolidateSnapshot): the store is never materialised as one
 // []wire.Message, and peak memory is bounded by the jobs in flight — one
-// per store shard — plus the output records, instead of the whole store.
+// per worker — plus the output records, instead of the whole store.
 func Consolidate(db *sirendb.DB) ([]*ProcessRecord, Stats) {
 	return ConsolidateSnapshot(db.Snapshot(), StreamOptions{})
 }

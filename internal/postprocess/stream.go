@@ -1,33 +1,37 @@
-// Streaming, shard-parallel consolidation — the read-path counterpart of
-// the sharded ingest pipeline.
+// Streaming, job-parallel consolidation — the read-path counterpart of the
+// sharded ingest pipeline.
 //
 // A load-everything pass (every stored message copied into one slice, then
 // one global consolidation) materialises that slice, one global reassembly
 // map, and one global group map before producing a single record: peak
-// memory O(total messages). The streaming path mirrors the store shards
-// instead:
+// memory O(total messages). The streaming path splits the store into
+// (shard, job) units instead — one shard's rows of one job — and workers
+// pull units from one shared cursor:
 //
-//	store shard 0 ── cursor ─▶ worker 0 ─┐  per-(shard, job) segments
-//	store shard 1 ── cursor ─▶ worker 1 ─┼─▶ fan-in reducer ─▶ yield(job)
-//	      …                       …      │   (completes a job once every
-//	store shard S ── cursor ─▶ worker S ─┘    shard holding it reported)
+//	shard 0: j1 j3 j4 …  ┐                ┌─▶ worker 0 ─┐  per-(shard, job) segments
+//	shard 1: j1 j2 j5 …  ┼─▶ unit cursor ─┼─▶ worker 1 ─┼─▶ fan-in reducer ─▶ yield(job)
+//	  …                  │   (round robin │     …       │   (completes a job once every
+//	shard S: j2 j6 …     ┘    over shards)└─▶ worker W ─┘    shard holding it reported)
 //
-// Each worker walks its shard's jobs in first-appearance order and
-// consolidates one job at a time, so a worker's transient memory is one
-// in-flight job (its messages are referenced from the snapshot, not
-// copied). Messages of one (job, host) always live in one shard — the store
-// partitions by wire.PartitionHash(JobID, Host) — and the consolidation
-// grouping key never crosses a job or host, so per-(shard, job) segments
-// consolidate to exactly the records a whole-store pass would produce. Jobs
-// spanning several hosts can span shards; the reducer holds their segments
-// until every shard has reported, then concatenates segments in first-row
-// sequence order — each host's stream stays in its insertion order, and
-// segments follow the order the job first touched each shard.
+// The cursor deals the shards' job lists round robin, each list in
+// first-appearance order, so the workers advance through every shard at
+// once: a large shard does not leave one worker finishing alone, and a job
+// spanning shards completes soon after its first unit. A worker's transient
+// memory is one in-flight unit (its rows are referenced from the snapshot,
+// not copied). Messages of one (job, host) always live in one shard — the
+// store partitions by wire.PartitionHash(JobID, Host) — and the
+// consolidation grouping key never crosses a job or host, so per-(shard,
+// job) segments consolidate to exactly the records a whole-store pass would
+// produce. Jobs spanning several hosts can span shards; the reducer holds
+// their segments until every shard has reported, then concatenates segments
+// in first-row sequence order — each host's stream stays in its insertion
+// order, and segments follow the order the job first touched each shard.
 package postprocess
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,9 +46,8 @@ type SnapshotView = *sirendb.Snapshot
 
 // StreamOptions configure the streaming consolidation.
 type StreamOptions struct {
-	// Workers bounds the number of concurrent shard workers. 0 (or
-	// anything above the snapshot's shard count) means one worker per
-	// shard cursor — the shard-mirrored default.
+	// Workers bounds the number of concurrent workers. 0 (or anything
+	// above the snapshot's shard count) means one worker per shard.
 	Workers int
 	// JobFilter, when non-nil, restricts the pass to jobs it returns true
 	// for; other jobs are skipped before any of their rows are read. This is
@@ -79,14 +82,14 @@ type jobSegment struct {
 	messages int
 }
 
-// ConsolidateStream consolidates a store snapshot shard-parallel and calls
+// ConsolidateStream consolidates a store snapshot job-parallel and calls
 // yield once per job as the job completes, with that job's records ordered
 // as JobRecords documents; return false from yield to stop early. Jobs
 // complete in a scheduler-dependent order across workers — callers needing
 // the global deterministic order use ConsolidateSnapshot.
 //
-// Memory stays bounded by the jobs in flight: each worker holds one job's
-// messages (referenced from the snapshot) while consolidating it, and the
+// Memory stays bounded by the jobs in flight: each worker holds one unit's
+// rows (referenced from the snapshot) while consolidating it, and the
 // reducer holds only record segments of multi-shard jobs still waiting for
 // a sibling shard. The returned Stats cover the jobs yielded; after an
 // early stop they are partial.
@@ -95,46 +98,43 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 	if workers <= 0 || workers > snap.Shards() {
 		workers = snap.Shards()
 	}
+	units := jobUnits(snap, opts.JobFilter)
 
 	segCh := make(chan jobSegment, workers)
 	done := make(chan struct{}) // closed on early stop; unblocks worker sends
-	var nextShard atomic.Int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []wire.Scanned // reused across jobs, sized to the largest job segment
+			var buf []wire.Scanned // reused across units, sized to the largest
 			for {
-				sh := int(nextShard.Add(1)) - 1
-				if sh >= snap.Shards() {
+				k := int(next.Add(1)) - 1
+				if k >= len(units) {
 					return
 				}
-				for _, job := range snap.ShardJobs(sh) {
-					if opts.JobFilter != nil && !opts.JobFilter(job) {
-						continue
+				sh, job := units[k].shard, units[k].job
+				if n := snap.ShardJobLen(sh, job); n > cap(buf) {
+					buf = make([]wire.Scanned, 0, n)
+				}
+				buf = buf[:0]
+				var firstSeq uint64
+				snap.ShardJobRows(sh, job, func(row *wire.Scanned, seq uint64) bool {
+					if len(buf) == 0 {
+						firstSeq = seq
 					}
-					if n := snap.ShardJobLen(sh, job); n > cap(buf) {
-						buf = make([]wire.Scanned, 0, n)
-					}
-					buf = buf[:0]
-					var firstSeq uint64
-					snap.ShardJobRows(sh, job, func(row *wire.Scanned, seq uint64) bool {
-						if len(buf) == 0 {
-							firstSeq = seq
-						}
-						buf = append(buf, *row)
-						return true
-					})
-					// The rows are views into snap's runs; the records copy
-					// out of them, and snap stays reachable until they have.
-					recs, nRecords := consolidateRows(buf)
-					runtime.KeepAlive(snap)
-					select {
-					case segCh <- jobSegment{job: job, firstSeq: firstSeq, recs: recs, records: nRecords, messages: len(buf)}:
-					case <-done:
-						return
-					}
+					buf = append(buf, *row)
+					return true
+				})
+				// The rows are views into snap's runs; the records copy out
+				// of them, and snap stays reachable until they have.
+				recs, nRecords := consolidateRows(buf)
+				runtime.KeepAlive(snap)
+				select {
+				case segCh <- jobSegment{job: job, firstSeq: firstSeq, recs: recs, records: nRecords, messages: len(buf)}:
+				case <-done:
+					return
 				}
 			}
 		}()
@@ -152,55 +152,17 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 		if stopped {
 			continue // drain until the workers exit
 		}
-		segs := append(pending[seg.job], seg)
-		if len(segs) < counts[seg.job] {
-			pending[seg.job] = segs
-			continue
-		}
-		delete(pending, seg.job)
-
-		// Fan-in: segments merge in first-row sequence order. Rows of one
-		// (job, host) normally live within a single segment — the store
-		// routes by hash(JobID, Host) — so every host stream survives the
-		// merge intact.
-		sort.Slice(segs, func(i, j int) bool { return segs[i].firstSeq < segs[j].firstSeq })
-		jr := JobRecords{JobID: seg.job}
-		messages, records := 0, 0
-		for _, s := range segs {
-			messages += s.messages
-			records += s.records
-		}
-		if len(segs) == 1 {
-			jr.Records = segs[0].recs
-		} else if identityCollision(segs) {
-			// Misrouted rows (InsertShard's contract allows them: a batch
-			// may land in a shard its messages don't hash to) can split one
-			// process identity across segments, which per-segment
-			// consolidation would surface as two partial records. Fall back
-			// to consolidating this job from the merged cross-shard stream
-			// — slower, but exactly what a whole-store pass produces.
-			var rows []wire.Scanned
-			snap.JobRows(seg.job, func(row *wire.Scanned, _ uint64) bool {
-				rows = append(rows, *row)
-				return true
-			})
-			jr.Records, records = consolidateRows(rows)
-			runtime.KeepAlive(snap)
-			messages = len(rows)
-		} else {
-			n := 0
-			for _, s := range segs {
-				n += len(s.recs)
+		jr := JobRecords{JobID: seg.job, Records: seg.recs, Messages: seg.messages, Reassembled: seg.records}
+		if n := counts[seg.job]; n > 1 {
+			segs := append(pending[seg.job], seg)
+			if len(segs) < n {
+				pending[seg.job] = segs
+				continue
 			}
-			jr.Records = make([]*ProcessRecord, 0, n)
-			for _, s := range segs {
-				jr.Records = append(jr.Records, s.recs...)
-			}
+			delete(pending, seg.job)
+			jr = fanIn(snap, segs)
 		}
-
-		jr.Messages = messages
-		jr.Reassembled = records
-		stats.AddJob(jr.Records, messages, records)
+		stats.AddJob(jr.Records, jr.Messages, jr.Reassembled)
 
 		if !yield(jr) {
 			stopped = true
@@ -208,6 +170,71 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 		}
 	}
 	return stats
+}
+
+// fanIn merges the segments of a job that spans shards in first-row
+// sequence order. Rows of one (job, host) normally live within a single
+// segment — the store routes by hash(JobID, Host) — so every host stream
+// survives the merge intact.
+func fanIn(snap SnapshotView, segs []jobSegment) JobRecords {
+	slices.SortFunc(segs, func(a, b jobSegment) int { return cmp.Compare(a.firstSeq, b.firstSeq) })
+	jr := JobRecords{JobID: segs[0].job}
+	n := 0
+	for _, s := range segs {
+		jr.Messages += s.messages
+		jr.Reassembled += s.records
+		n += len(s.recs)
+	}
+	if identityCollision(segs) {
+		// Misrouted rows (InsertShard's contract allows them: a batch may
+		// land in a shard its messages don't hash to) can split one process
+		// identity across segments, which per-segment consolidation would
+		// surface as two partial records. Fall back to consolidating this
+		// job from the merged cross-shard stream — slower, but exactly what
+		// a whole-store pass produces.
+		var rows []wire.Scanned
+		snap.JobRows(jr.JobID, func(row *wire.Scanned, _ uint64) bool {
+			rows = append(rows, *row)
+			return true
+		})
+		jr.Records, jr.Reassembled = consolidateRows(rows)
+		runtime.KeepAlive(snap)
+		jr.Messages = len(rows)
+		return jr
+	}
+	jr.Records = make([]*ProcessRecord, 0, n)
+	for _, s := range segs {
+		jr.Records = append(jr.Records, s.recs...)
+	}
+	return jr
+}
+
+// jobUnit is one shard's rows of one job: the work a worker takes at a time.
+type jobUnit struct {
+	shard int
+	job   string
+}
+
+// jobUnits lists the snapshot's (shard, job) units that filter admits (all
+// when nil): the shards' job lists, each in first-appearance order, dealt
+// round robin.
+func jobUnits(snap SnapshotView, filter func(job string) bool) []jobUnit {
+	lists := make([][]string, snap.Shards())
+	n, longest := 0, 0
+	for sh := range lists {
+		lists[sh] = snap.ShardJobs(sh)
+		n += len(lists[sh])
+		longest = max(longest, len(lists[sh]))
+	}
+	units := make([]jobUnit, 0, n)
+	for i := 0; i < longest; i++ {
+		for sh, jobs := range lists {
+			if i < len(jobs) && (filter == nil || filter(jobs[i])) {
+				units = append(units, jobUnit{sh, jobs[i]})
+			}
+		}
+	}
+	return units
 }
 
 // identity is the grouping key of one process across its records: the
@@ -238,7 +265,7 @@ func identityCollision(segs []jobSegment) bool {
 }
 
 // ConsolidateSnapshot consolidates a snapshot via the streaming
-// shard-parallel path and returns every record sorted by (Time, JobID, PID,
+// job-parallel path and returns every record sorted by (Time, JobID, PID,
 // ExeHash) — the same contract as Consolidate, with peak memory bounded by
 // the in-flight jobs plus the output instead of the whole store.
 func ConsolidateSnapshot(snap SnapshotView, opts StreamOptions) ([]*ProcessRecord, Stats) {

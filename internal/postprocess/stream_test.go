@@ -196,16 +196,72 @@ func TestConsolidateStreamEarlyStop(t *testing.T) {
 	}
 }
 
-// TestConsolidateStreamWorkerCap: a worker cap below the shard count still
-// consolidates everything (workers pull shards from a shared queue).
+// skewedWorld inserts a store in which shard 0 holds most jobs: nine of
+// every ten jobs run on one host that hashes there, the tenth on two hosts
+// of other shards, so one worker per shard would leave shard 0's worker
+// finishing alone while job units spread it over every worker.
+func skewedWorld(t testing.TB, shards, jobs int) *sirendb.DB {
+	t.Helper()
+	db, err := sirendb.OpenOptions("", sirendb.Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostOn := func(job string, shard, skip int) string {
+		for h := skip; ; h++ {
+			host := fmt.Sprintf("nid%04d", h)
+			if wire.PartitionHash([]byte(job), []byte(host))%uint64(shards) == uint64(shard) {
+				return host
+			}
+		}
+	}
+	var msgs []wire.Message
+	for j := 0; j < jobs; j++ {
+		job := fmt.Sprintf("job-%03d", j)
+		hosts := []string{hostOn(job, 0, 0)}
+		if j%10 == 9 {
+			hosts = []string{hostOn(job, 1+j%(shards-1), 0), hostOn(job, 1+(j+1)%(shards-1), 100)}
+		}
+		for p, host := range hosts {
+			h := wire.Header{
+				JobID: job, StepID: "0", PID: 1000 + p, Hash: fmt.Sprintf("%08x", j*10+p), Host: host,
+				Time: 1733900000 + int64(j), Layer: wire.LayerSelf,
+			}
+			h.Type = wire.TypeMetadata
+			msgs = append(msgs, wire.Chunk(h, []byte(fmt.Sprintf(
+				"EXE=/users/u%d/app\nCATEGORY=user\nPPID=1\nUID=%d\n", j%4, 1000+j%4)), 0)...)
+			h.Type = wire.TypeObjects
+			msgs = append(msgs, wire.Chunk(h, []byte("/opt/siren/lib/siren.so\n/lib64/libc.so.6\n"), 20)...)
+		}
+	}
+	if err := db.InsertBatch(msgs); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestConsolidateStreamWorkerCap: any worker count, below, at or above the
+// shard count, consolidates to exactly the records and stats of the
+// load-everything pass — on a campaign-shaped store and on a skewed one
+// whose shard 0 holds most jobs (workers pull (shard, job) units from one
+// shared cursor).
 func TestConsolidateStreamWorkerCap(t *testing.T) {
-	db := synthWorld(t, 4, 8, 3)
-	defer db.Close()
-	want, _ := ConsolidateMessages(allRows(db))
-	for _, workers := range []int{1, 2, 8} {
-		got, _ := ConsolidateSnapshot(db.Snapshot(), StreamOptions{Workers: workers})
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d records, want %d", workers, len(got), len(want))
+	for name, db := range map[string]*sirendb.DB{"spread": synthWorld(t, 4, 8, 3), "skewed": skewedWorld(t, 4, 40)} {
+		defer db.Close()
+		if name == "skewed" {
+			snap := db.Snapshot()
+			if n := len(snap.ShardJobs(0)); n*10 < len(snap.Jobs())*8 {
+				t.Fatalf("test premise broken: shard 0 holds %d of %d jobs", n, len(snap.Jobs()))
+			}
+		}
+		want, wantStats := ConsolidateMessages(allRows(db))
+		for _, workers := range []int{1, 2, 8} {
+			got, stats := ConsolidateSnapshot(db.Snapshot(), StreamOptions{Workers: workers})
+			if stats != wantStats {
+				t.Errorf("%s, workers=%d: stats %+v, want %+v", name, workers, stats, wantStats)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, workers=%d: %d records differ from the %d of the load-everything pass", name, workers, len(got), len(want))
+			}
 		}
 	}
 }

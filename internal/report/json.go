@@ -5,6 +5,8 @@
 package report
 
 import (
+	"sync"
+
 	"siren/internal/analysis"
 	"siren/internal/postprocess"
 	"siren/internal/ssdeep"
@@ -138,7 +140,9 @@ func JSONSimilarityRows(rows []analysis.SimilarityRow) []JSONSimilarityRow {
 // BuildJSON assembles the machine-readable report from a consolidated
 // dataset — the same group-bys WriteEvaluation renders, in the same order.
 // The similarity block mirrors the text report: present only when the
-// dataset contains an UNKNOWN baseline, ranked top 10.
+// dataset contains an UNKNOWN baseline, ranked top 10. The tables are
+// independent reads of the dataset, so they are computed concurrently, each
+// into its own fields of the report.
 func BuildJSON(data *analysis.Dataset, stats postprocess.Stats) *JSONReport {
 	rep := &JSONReport{
 		Dataset: JSONDatasetStats{
@@ -149,47 +153,81 @@ func BuildJSON(data *analysis.Dataset, stats postprocess.Stats) *JSONReport {
 			Jobs:                 stats.Jobs,
 			JobsWithMissing:      stats.JobsWithMissing,
 		},
-		SystemExecutableN: data.SystemExecutableCount(),
 	}
-	for _, s := range data.UserStats() {
-		rep.Users = append(rep.Users, JSONUserStat{User: s.User, Jobs: s.Jobs,
-			SystemProcs: s.SystemProcs, UserProcs: s.UserProcs, PythonProcs: s.PythonProcs,
-			TotalProcs: s.TotalProcs})
+	tables := jsonTables(data, rep)
+	var wg sync.WaitGroup
+	for _, table := range tables[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			table()
+		}()
 	}
-	for _, e := range data.TopSystemExecutables(10) {
-		rep.SystemExecutables = append(rep.SystemExecutables, JSONExeStat{Path: e.Path,
-			UniqueUsers: e.UniqueUsers, Jobs: e.Jobs, Processes: e.Processes,
-			UniqueObjectsH: e.UniqueObjectsH})
-	}
-	for _, l := range data.DeriveLabels() {
-		rep.Labels = append(rep.Labels, JSONLabelStat{Label: l.Label, UniqueUsers: l.UniqueUsers,
-			Jobs: l.Jobs, Processes: l.Processes, UniqueFileH: l.UniqueFileH})
-	}
-	for _, c := range data.CompilerTable() {
-		rep.Compilers = append(rep.Compilers, JSONCompilerStat{Compilers: c.Compilers,
-			UniqueUsers: c.UniqueUsers, Jobs: c.Jobs, Processes: c.Processes,
-			UniqueFileH: c.UniqueFileH})
-	}
-	if unknown, ok := data.FindUnknown(); ok {
-		rep.Similarity = &JSONSimilaritySearch{
-			BaselineExe: unknown.Exe,
-			Rows:        JSONSimilarityRows(data.SimilaritySearch(unknown, 10, ssdeep.BackendWeighted)),
-		}
-	}
-	for _, s := range data.PythonInterpreters() {
-		rep.PythonInterpreters = append(rep.PythonInterpreters, JSONInterpreterStat{
-			Interpreter: s.Interpreter, UniqueUsers: s.UniqueUsers, Jobs: s.Jobs,
-			Processes: s.Processes, UniqueScriptH: s.UniqueScriptH})
-	}
-	for _, s := range data.DerivedLibraries() {
-		rep.DerivedLibraries = append(rep.DerivedLibraries, JSONLibraryTagStat{Tag: s.Tag,
-			UniqueUsers: s.UniqueUsers, Jobs: s.Jobs, Processes: s.Processes,
-			UniqueExecutables: s.UniqueExecutables})
-	}
-	for _, s := range data.PythonPackages() {
-		rep.PythonPackages = append(rep.PythonPackages, JSONPackageStat{Package: s.Package,
-			UniqueUsers: s.UniqueUsers, Jobs: s.Jobs, Processes: s.Processes,
-			UniqueScripts: s.UniqueScripts})
-	}
+	tables[0]()
+	wg.Wait()
 	return rep
+}
+
+// jsonTables returns one function per report table, the costliest first;
+// each writes only its own fields of rep.
+func jsonTables(data *analysis.Dataset, rep *JSONReport) []func() {
+	return []func(){
+		func() {
+			if unknown, ok := data.FindUnknown(); ok {
+				rep.Similarity = &JSONSimilaritySearch{
+					BaselineExe: unknown.Exe,
+					Rows:        JSONSimilarityRows(data.SimilaritySearch(unknown, 10, ssdeep.BackendWeighted)),
+				}
+			}
+		},
+		func() { rep.SystemExecutableN = data.SystemExecutableCount() },
+		func() {
+			for _, s := range data.UserStats() {
+				rep.Users = append(rep.Users, JSONUserStat{User: s.User, Jobs: s.Jobs,
+					SystemProcs: s.SystemProcs, UserProcs: s.UserProcs, PythonProcs: s.PythonProcs,
+					TotalProcs: s.TotalProcs})
+			}
+		},
+		func() {
+			for _, e := range data.TopSystemExecutables(10) {
+				rep.SystemExecutables = append(rep.SystemExecutables, JSONExeStat{Path: e.Path,
+					UniqueUsers: e.UniqueUsers, Jobs: e.Jobs, Processes: e.Processes,
+					UniqueObjectsH: e.UniqueObjectsH})
+			}
+		},
+		func() {
+			for _, l := range data.DeriveLabels() {
+				rep.Labels = append(rep.Labels, JSONLabelStat{Label: l.Label, UniqueUsers: l.UniqueUsers,
+					Jobs: l.Jobs, Processes: l.Processes, UniqueFileH: l.UniqueFileH})
+			}
+		},
+		func() {
+			for _, c := range data.CompilerTable() {
+				rep.Compilers = append(rep.Compilers, JSONCompilerStat{Compilers: c.Compilers,
+					UniqueUsers: c.UniqueUsers, Jobs: c.Jobs, Processes: c.Processes,
+					UniqueFileH: c.UniqueFileH})
+			}
+		},
+		func() {
+			for _, s := range data.PythonInterpreters() {
+				rep.PythonInterpreters = append(rep.PythonInterpreters, JSONInterpreterStat{
+					Interpreter: s.Interpreter, UniqueUsers: s.UniqueUsers, Jobs: s.Jobs,
+					Processes: s.Processes, UniqueScriptH: s.UniqueScriptH})
+			}
+		},
+		func() {
+			for _, s := range data.DerivedLibraries() {
+				rep.DerivedLibraries = append(rep.DerivedLibraries, JSONLibraryTagStat{Tag: s.Tag,
+					UniqueUsers: s.UniqueUsers, Jobs: s.Jobs, Processes: s.Processes,
+					UniqueExecutables: s.UniqueExecutables})
+			}
+		},
+		func() {
+			for _, s := range data.PythonPackages() {
+				rep.PythonPackages = append(rep.PythonPackages, JSONPackageStat{Package: s.Package,
+					UniqueUsers: s.UniqueUsers, Jobs: s.Jobs, Processes: s.Processes,
+					UniqueScripts: s.UniqueScripts})
+			}
+		},
+	}
 }

@@ -52,7 +52,7 @@ type jobHost struct{ job, host string }
 // runInfo locates one member's run of one (JOBID, HOST).
 type runInfo struct {
 	member   int
-	shard    int // the shard holding the run
+	shards   []int // the shards holding the run, ascending: more than one after a shard-count change
 	rows     int
 	firstSeq uint64 // rebased sequence number of the run's first row
 }
@@ -90,11 +90,17 @@ func (sn *Snapshot) DedupOverlaps() DedupStats {
 					rs := runs[key]
 					if len(rs) > 0 && rs[len(rs)-1].member == m {
 						// Same member, host revisited after interleaving
-						// with another host of the same job+shard: still
-						// one run.
+						// with another host of the same job+shard, or met
+						// again in another shard of the member (its sealed
+						// runs stay where an earlier shard count put
+						// them): still one run.
 						cur = &rs[len(rs)-1]
+						if cur.shards[len(cur.shards)-1] != s {
+							cur.shards = append(cur.shards, s)
+						}
+						cur.firstSeq = min(cur.firstSeq, seq)
 					} else {
-						runs[key] = append(rs, runInfo{member: m, shard: s, firstSeq: seq})
+						runs[key] = append(rs, runInfo{member: m, shards: []int{s}, firstSeq: seq})
 						cur = &runs[key][len(runs[key])-1]
 					}
 				}
@@ -187,12 +193,14 @@ func (sn *Snapshot) DedupOverlaps() DedupStats {
 // dedup was never applied).
 func (sn *Snapshot) DedupStats() DedupStats { return sn.dedup }
 
-// runRows streams one located run's datagrams, as views.
+// runRows streams one located run's datagrams, every shard of it, as views.
 func (sn *Snapshot) runRows(r runInfo, key jobHost, f func(d []byte)) {
-	sn.ShardJobRows(r.shard, key.job, func(row *wire.Scanned, _ uint64) bool {
-		if string(row.Value(row.Datagram, wire.FieldHost)) == key.host {
-			f(row.Datagram)
-		}
-		return true
-	})
+	for _, s := range r.shards {
+		sn.ShardJobRows(s, key.job, func(row *wire.Scanned, _ uint64) bool {
+			if string(row.Value(row.Datagram, wire.FieldHost)) == key.host {
+				f(row.Datagram)
+			}
+			return true
+		})
+	}
 }

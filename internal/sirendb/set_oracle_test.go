@@ -148,8 +148,9 @@ func buildOracleStores(t *testing.T, seed int64) ([]string, Options) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	n := 1 + r.Intn(3)
-	// One shard count for writing and reading: a changed count re-homes
-	// sealed runs, which can split a member's run across two shards.
+	// The shard count the members are written with; the test reads them at
+	// this count and at another, which re-homes sealed runs and can split a
+	// member's run across two shards.
 	opts := Options{Shards: 1 + r.Intn(3)}
 	perMember := make([][]wire.Message, n)
 	type key struct {
@@ -230,22 +231,28 @@ func buildOracleStores(t *testing.T, seed int64) ([]string, Options) {
 // TestSetSnapshotMatchesMemberOracle checks every accessor of a set's
 // snapshot against an oracle computed from the member snapshots alone, over
 // generated stores: one to three members, sealed runs plus a head, one
-// failover overlap and one conflict.
+// failover overlap and one conflict. Each set is read at the shard count it
+// was written with and again reopened at another.
 func TestSetSnapshotMatchesMemberOracle(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			set, err := OpenSet(buildOracleStores(t, seed))
-			if err != nil {
-				t.Fatal(err)
+			paths, opts := buildOracleStores(t, seed)
+			for _, shards := range []int{opts.Shards, 1 + (opts.Shards+int(seed%3))%4} {
+				set, err := OpenSet(paths, Options{Shards: shards})
+				if err != nil {
+					t.Fatal(err)
+				}
+				members := make([]*Snapshot, len(set.Members()))
+				for i, db := range set.Members() {
+					members[i] = db.Snapshot()
+				}
+				o := buildSetOracle(members)
+				t.Logf("shards=%d: %d members, %d rows, dedup %+v", shards, len(members), len(o.rows), o.stats)
+				checkSetSnapshot(t, set.Snapshot(), o)
+				if err := set.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			defer set.Close()
-			members := make([]*Snapshot, len(set.Members()))
-			for i, db := range set.Members() {
-				members[i] = db.Snapshot()
-			}
-			o := buildSetOracle(members)
-			t.Logf("%d members, %d rows, dedup %+v", len(members), len(o.rows), o.stats)
-			checkSetSnapshot(t, set.Snapshot(), o)
 		})
 	}
 }

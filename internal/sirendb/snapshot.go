@@ -457,9 +457,9 @@ func (sn *Snapshot) JobsChangedSince(since uint64) []string {
 }
 
 // ShardJobs returns shard i's distinct job IDs in first-appearance
-// (insertion) order — the iteration order of the shard-parallel streaming
-// consolidation workers, chosen so each worker visits its jobs roughly in
-// the order their first rows arrived. A job's first appearance is the
+// (insertion) order — the order in which the job-parallel streaming
+// consolidation deals the shard's jobs to its workers, so jobs are visited
+// roughly in the order their first rows arrived. A job's first appearance is the
 // minimum of its first head row's sequence and its min sequence in any of
 // the shard's runs. Jobs whose every row there was dedup-suppressed are
 // left out.

@@ -32,6 +32,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"siren/internal/wire"
 	"siren/internal/xxhash"
@@ -130,13 +131,19 @@ func checkBasePath(path string) error {
 	return nil
 }
 
-// openSegments replays everything on disk and leaves each shard with an
-// append-ready WAL handle. Called once from OpenOptions, before any
-// concurrency exists.
+// openSegments replays everything on disk and, on a writable open, leaves
+// each shard with an append-ready WAL handle. Called once from OpenOptions,
+// before any other concurrency exists.
+//
+// A writable open replays the segments of the current shard count (creating
+// any that are missing, rewriting a torn magic); a read-only open replays
+// the segments that exist from read-only handles, and nothing on disk is
+// created, repaired, truncated, or swept — the shared lock guarantees no
+// writer is live, so the on-disk state is quiescent. Both replay leftover
+// segments of a larger previous shard count read-only: hash routing folds
+// their rows into the current shards, and a writable open remembers them so
+// Seal can delete them once those rows live in runs.
 func (db *DB) openSegments() error {
-	if db.opts.ReadOnly {
-		return db.openSegmentsReadOnly()
-	}
 	if err := checkBasePath(db.path); err != nil {
 		return err
 	}
@@ -152,51 +159,62 @@ func (db *DB) openSegments() error {
 		return err
 	}
 
-	have := make(map[int]*segmentFile, len(segs))
-	for i := range segs {
-		have[segs[i].index] = &segs[i]
+	writable := !db.opts.ReadOnly
+	reps := make([]segReplay, 0, len(db.shards)+len(segs))
+	if writable {
+		for i := range db.shards {
+			reps = append(reps, segReplay{own: i, writable: true})
+		}
+	}
+	for _, sf := range segs {
+		switch {
+		case sf.index >= len(db.shards):
+			reps = append(reps, segReplay{path: sf.path, own: -1})
+		case writable:
+			reps[sf.index].path = sf.path
+		default:
+			reps = append(reps, segReplay{path: sf.path, own: sf.index})
+		}
 	}
 	created := false
-	for i, s := range db.shards {
-		segPath := segmentPath(db.path, i)
-		f, err := os.OpenFile(segPath, os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
-			return fmt.Errorf("sirendb: opening %s: %w", segPath, err)
-		}
-		if _, ok := have[i]; !ok {
+	for i := range reps {
+		if reps[i].path == "" { // an active segment not yet on disk
+			reps[i].path = segmentPath(db.path, i)
 			created = true
 		}
-		validEnd, err := db.replaySegment(f, segPath, true)
-		if err != nil {
-			_ = f.Close() // open is failing; the replay error wins
-			return err
-		}
-		if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
-			_ = f.Close() // open is failing; the seek error wins
-			return fmt.Errorf("sirendb: seeking %s: %w", segPath, err)
-		}
-		s.wal = f
-		s.written = validEnd
-		s.synced.Store(validEnd)
 	}
-	// Leftover segments from a larger previous shard count: replay their
-	// rows (hash routing folds them into the current shards) and remember
-	// them so Seal can delete them once those rows live in runs. Until then
-	// they are read-only.
-	for _, sf := range segs {
-		if sf.index < len(db.shards) {
-			continue
+
+	err = db.replaySegments(reps)
+	for i := range reps {
+		r := &reps[i]
+		switch {
+		case r.f == nil:
+		case err == nil && r.writable:
+			if _, serr := r.f.Seek(r.end, io.SeekStart); serr != nil {
+				err = fmt.Errorf("sirendb: seeking %s: %w", r.path, serr)
+			}
+			s := db.shards[r.own]
+			s.wal = r.f // OpenOptions closes it if the open still fails
+			s.written = r.end
+			s.synced.Store(r.end)
+		default:
+			// A read-only replay handle has nothing durable at stake, and on
+			// a failing open the replay error wins.
+			_ = r.f.Close()
 		}
-		f, err := os.Open(sf.path)
-		if err != nil {
-			return fmt.Errorf("sirendb: opening %s: %w", sf.path, err)
+	}
+	if err != nil {
+		return err
+	}
+	for i := range reps {
+		r := &reps[i]
+		if r.maxSeq > db.seq.Load() {
+			db.seq.Store(r.maxSeq)
 		}
-		_, err = db.replaySegment(f, sf.path, false)
-		_ = f.Close() // read-only replay handle; nothing durable at stake
-		if err != nil {
-			return err
+		db.indexAside(r.aside)
+		if writable && r.own < 0 {
+			db.staleSegs = append(db.staleSegs, r.path)
 		}
-		db.staleSegs = append(db.staleSegs, sf.path)
 	}
 	for _, s := range db.shards {
 		s.head.sortBySeq()
@@ -209,35 +227,104 @@ func (db *DB) openSegments() error {
 	return nil
 }
 
-// openSegmentsReadOnly is the serving-tier open: sealed runs attach in
-// O(index), segments replay from read-only handles, and nothing on disk is
-// created, repaired, truncated, or swept. The shared lock guarantees no
-// writer is live (a writer's exclusive lock would have excluded us), so the
-// on-disk state is quiescent.
-func (db *DB) openSegmentsReadOnly() error {
-	if err := checkBasePath(db.path); err != nil {
-		return err
-	}
-	if err := db.loadRuns(); err != nil {
-		return err
-	}
-	segs, err := discoverSegments(db.path)
-	if err != nil {
-		return err
-	}
-	for _, sf := range segs {
-		f, err := os.Open(sf.path)
-		if err != nil {
-			return fmt.Errorf("sirendb: opening %s: %w", sf.path, err)
-		}
-		_, err = db.replaySegment(f, sf.path, false)
-		_ = f.Close() // read-only replay handle; nothing durable at stake
-		if err != nil {
+// segReplay is one segment file's replay. Between open and the join only
+// the replay of this segment writes it.
+type segReplay struct {
+	path     string
+	own      int  // the shard whose head this segment indexes into; -1 for a leftover
+	writable bool // an active segment of a writable open: created, repaired, kept open
+
+	f      *os.File
+	size   int64
+	end    int64      // end of the valid prefix: where appends resume
+	maxSeq uint64     // highest sequence number replayed
+	aside  []asideRow // rows that route to another shard than own
+	err    error
+}
+
+// asideRow is a replayed row the replay of its segment does not own: a row
+// misrouted by InsertShard, or any row of a leftover segment. The shard it
+// routes to indexes it after the join.
+type asideRow struct {
+	chunk  []byte
+	lo, hi int
+	shard  int
+	seq    uint64
+	fields wire.Fields
+}
+
+// replaySegments opens every segment and replays those holding records, one
+// goroutine each (the first on the caller's). A segment's replay writes only
+// its segReplay and the head of its own shard, so none takes a lock. It
+// returns the first error in segment order; the handles stay in reps either
+// way.
+func (db *DB) replaySegments(reps []segReplay) error {
+	for i := range reps {
+		if err := reps[i].open(); err != nil {
 			return err
 		}
 	}
-	for _, s := range db.shards {
-		s.head.sortBySeq()
+	var wg sync.WaitGroup
+	inline := -1
+	for i := range reps {
+		if reps[i].end >= reps[i].size {
+			continue // nothing beyond the magic
+		}
+		if inline < 0 {
+			inline = i
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i].err = db.replaySegment(&reps[i])
+		}()
+	}
+	if inline >= 0 {
+		reps[inline].err = db.replaySegment(&reps[inline])
+	}
+	wg.Wait()
+	for i := range reps {
+		if reps[i].err != nil {
+			return reps[i].err
+		}
+	}
+	return nil
+}
+
+// open opens the segment and checks its magic. An empty or
+// torn-at-creation writable segment gets the magic (re)written, so it is
+// well-formed before any record lands; any other file is never mutated.
+func (r *segReplay) open() error {
+	var err error
+	if r.writable {
+		r.f, err = os.OpenFile(r.path, os.O_CREATE|os.O_RDWR, 0o644)
+	} else {
+		r.f, err = os.Open(r.path)
+	}
+	if err != nil {
+		return fmt.Errorf("sirendb: opening %s: %w", r.path, err)
+	}
+	fi, err := r.f.Stat()
+	if err != nil {
+		return fmt.Errorf("sirendb: %w", err)
+	}
+	r.size = fi.Size()
+	r.end = int64(len(segMagic))
+	var magic [len(segMagic)]byte
+	if n, err := r.f.ReadAt(magic[:], 0); n < len(magic) {
+		if err != nil && !errors.Is(err, io.EOF) {
+			return fmt.Errorf("sirendb: reading %s: %w", r.path, err)
+		}
+		if r.writable {
+			if _, err := r.f.WriteAt([]byte(segMagic), 0); err != nil {
+				return fmt.Errorf("sirendb: writing segment header %s: %w", r.path, err)
+			}
+		}
+		return nil
+	}
+	if string(magic[:]) != segMagic {
+		return fmt.Errorf("sirendb: %s is not a sirendb WAL segment (bad magic)", r.path)
 	}
 	return nil
 }
@@ -247,64 +334,43 @@ func (db *DB) openSegmentsReadOnly() error {
 // and load in one read.
 const replayWindow = 1 << 30
 
-// replaySegment loads every intact record of one segment file into the
-// heads, routing each row to its shard by hash (the segment a record sits in
-// is only a locality hint — records in the "wrong" segment still land
-// correctly). It returns the end of the valid prefix — where
-// appends must resume. repairHeader rewrites a missing/torn magic on
-// writable active segments; leftover segments are opened read-only and must
-// not be mutated.
+// replaySegment loads every intact record of an opened segment, routing each
+// row to its shard by hash (the segment a record sits in is only a locality
+// hint — records in the "wrong" segment still land correctly): rows of shard
+// r.own are indexed into its head, the rest set aside in r. It advances
+// r.end to the end of the valid prefix.
 //
 // The segment's bytes become head chunks as they lie: replay reads the file
 // in one read (or one per replayWindow), checks each record's frame and
 // checksum, scans its header and indexes it in place. Nothing is decoded or
 // copied per row.
-func (db *DB) replaySegment(f *os.File, name string, repairHeader bool) (int64, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("sirendb: %w", err)
-	}
-	size := fi.Size()
-	magic := make([]byte, len(segMagic))
-	if n, err := f.ReadAt(magic, 0); n < len(magic) {
-		if err != nil && !errors.Is(err, io.EOF) {
-			return 0, fmt.Errorf("sirendb: reading %s: %w", name, err)
+func (db *DB) replaySegment(r *segReplay) error {
+	for r.end < r.size {
+		chunk := make([]byte, min(r.size-r.end, replayWindow))
+		if _, err := r.f.ReadAt(chunk, r.end); err != nil {
+			return fmt.Errorf("sirendb: replaying %s: %w", r.path, err)
 		}
-		// Empty or torn-at-creation file: (re)write the magic so the
-		// segment is well-formed before any record lands.
-		if repairHeader {
-			if _, err := f.WriteAt([]byte(segMagic), 0); err != nil {
-				return 0, fmt.Errorf("sirendb: writing segment header %s: %w", name, err)
-			}
-		}
-		return int64(len(segMagic)), nil
-	}
-	if string(magic) != segMagic {
-		return 0, fmt.Errorf("sirendb: %s is not a sirendb WAL segment (bad magic)", name)
-	}
-	off := int64(len(segMagic)) // file offset of the next record
-	for off < size {
-		chunk := make([]byte, min(size-off, replayWindow))
-		if _, err := f.ReadAt(chunk, off); err != nil {
-			return 0, fmt.Errorf("sirendb: replaying %s: %w", name, err)
-		}
-		last := off+int64(len(chunk)) == size
-		used, stop := db.replayChunk(chunk, last)
-		off += int64(used)
+		last := r.end+int64(len(chunk)) == r.size
+		used, stop := db.replayChunk(r, chunk, last)
+		r.end += int64(used)
 		if stop || used == 0 {
 			break
 		}
 	}
-	return off, nil
+	return nil
 }
 
 // replayChunk indexes the complete records at the front of chunk and
 // returns how many bytes they span. stop reports the end of the segment's
 // valid prefix: a torn header or payload in its last window, or an
-// out-of-bounds length. A shard a record routes to adopts the chunk the
-// first time.
-func (db *DB) replayChunk(chunk []byte, last bool) (used int, stop bool) {
-	adopted := make([]int, len(db.shards)) // chunk index in each shard's head, plus one
+// out-of-bounds length. Shard r.own's head adopts the chunk at its first row
+// there.
+func (db *DB) replayChunk(r *segReplay, chunk []byte, last bool) (used int, stop bool) {
+	var h *head
+	if r.own >= 0 {
+		h = &db.shards[r.own].head
+	}
+	adopted := -1 // the chunk's index in h, once adopted
 	pos := 0
 	for {
 		if len(chunk)-pos < recHdrSize {
@@ -343,16 +409,41 @@ func (db *DB) replayChunk(chunk []byte, last bool) (used int, stop bool) {
 			// segment). Not corruption — just roll-forward leftovers.
 			continue
 		}
-		if cur := db.seq.Load(); seq > cur {
-			db.seq.Store(seq)
-		}
+		r.maxSeq = max(r.maxSeq, seq)
 		sh := db.shardIndex(fields.Value(payload, wire.FieldJobID), fields.Value(payload, wire.FieldHost))
-		h := &db.shards[sh].head
-		if adopted[sh] == 0 {
-			adopted[sh] = h.adopt(chunk) + 1
+		if sh != r.own {
+			r.aside = append(r.aside, asideRow{chunk: chunk, lo: lo, hi: hi, shard: sh, seq: seq, fields: fields})
+			continue
 		}
-		h.index(adopted[sh]-1, lo, hi, &fields, seq)
+		if adopted < 0 {
+			adopted = h.adopt(chunk)
+		}
+		h.index(adopted, lo, hi, &fields, seq)
 		h.bytes += recHdrSize + int64(length)
+	}
+}
+
+// indexAside indexes the rows one segment's replay set aside into the
+// shards they route to, each shard adopting a chunk at its first row there.
+// Called after the join, segment by segment; sortBySeq then restores seq
+// order.
+func (db *DB) indexAside(rows []asideRow) {
+	if len(rows) == 0 {
+		return
+	}
+	type adoption struct {
+		chunk *byte
+		index int
+	}
+	adopted := make([]adoption, len(db.shards))
+	for i := range rows {
+		a := &rows[i]
+		h := &db.shards[a.shard].head
+		if c := &adopted[a.shard]; c.chunk != &a.chunk[0] {
+			c.chunk, c.index = &a.chunk[0], h.adopt(a.chunk)
+		}
+		h.index(adopted[a.shard].index, a.lo, a.hi, &a.fields, a.seq)
+		h.bytes += int64(recHdrSize + a.hi - a.lo)
 	}
 }
 
