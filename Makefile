@@ -128,10 +128,11 @@ test-replay:
 # matrix (debris sweep, post-marker roll-forward, torn-committed-run
 # detection), retention, read-only shared-lock opens, the sealed-vs-replay
 # consolidation equivalence, the canonical-bytes rule on replay and run
-# reads, and the lifetime of the row views a consolidation reads (records
-# outlive the run mappings).
+# reads, the lifetime of the row views a consolidation reads (records
+# outlive the run mappings), and the oracle tests that pin snapshots and the
+# consolidation against whole-store passes.
 test-runs:
-	$(GO) test -race -count=1 -run 'Seal|ReadOnly|RoundTrip|JobCursor|WriteSorts|WriteEmpty|CorruptionDetected|Canonical|Lifetime' \
+	$(GO) test -race -count=1 -run 'Seal|ReadOnly|RoundTrip|JobCursor|WriteSorts|WriteEmpty|CorruptionDetected|Canonical|Lifetime|Oracle' \
 		./internal/sirendb ./internal/sirendb/runfmt ./internal/postprocess
 
 # Multi-receiver suite under the race detector (DESIGN.md §11): roster

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	siren-analyze -db siren.wal [-csv table5] [-json] [-workers N]
+//	siren-analyze -db siren.wal [-csv table5] [-json]
 //	siren-analyze -db 'siren-0.wal,siren-1.wal,siren-2.wal'   # multi-receiver
 //	siren-analyze -db 'campaign/siren-*.wal*'                 # glob over members
 //
@@ -28,9 +28,7 @@
 //
 // -json emits the full report as machine-readable JSON in exactly the shape
 // the serving tier's /api/v1/report endpoint returns (report.JSONReport —
-// one source of truth). -workers bounds the streaming-consolidation workers
-// (0 = one per store shard), the knob behind the multi-core read-curve
-// measurements.
+// one source of truth).
 package main
 
 import (
@@ -63,7 +61,6 @@ func run() (err error) {
 	dbSpec := flag.String("db", "siren.wal", "WAL file(s) to analyse: comma-separated base paths, each optionally a glob")
 	csvTable := flag.String("csv", "", "emit one table as CSV instead of the full report (table2|table3|table5|table8)")
 	jsonOut := flag.Bool("json", false, "emit the full report as JSON (the /api/v1/report shape)")
-	workers := flag.Int("workers", 0, "streaming-consolidation workers (0 = one per store shard)")
 	audit := flag.Bool("audit", false, "cross-reference Python imports against the insecure-package database (paper §6 future work)")
 	clusters := flag.Int("clusters", 0, "report similarity clusters of user executables at this threshold (0 = off)")
 	flag.Parse()
@@ -84,7 +81,7 @@ func run() (err error) {
 	// several, the set's snapshot has already dropped a recovered member's
 	// copies of runs that another member holds in full (DESIGN.md §11).
 	snap := set.Snapshot()
-	data, stats := analysis.ConsolidateDataset(snap, postprocess.StreamOptions{Workers: *workers})
+	data, stats := analysis.ConsolidateDataset(snap, postprocess.StreamOptions{})
 	// A sealed block that fails its checksum ends its stream early; a report
 	// built without its rows would pass a truncated campaign off as whole.
 	if err := snap.Err(); err != nil {

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	siren-serve -db siren.wal [-addr 127.0.0.1:8899] [-readonly] [-workers N] [-pprof]
+//	siren-serve -db siren.wal [-addr 127.0.0.1:8899] [-readonly] [-pprof]
 //	siren-serve -db 'siren-0.wal,siren-1.wal,siren-2.wal'   # multi-receiver
 //	siren-serve -db 'campaign/siren-*.wal*'                 # glob over members
 //
@@ -74,7 +74,6 @@ func main() {
 func run() (err error) {
 	dbSpec := flag.String("db", "siren.wal", "WAL file(s) to serve: comma-separated base paths, each optionally a glob")
 	addr := flag.String("addr", "127.0.0.1:8899", "HTTP listen address of the query API")
-	workers := flag.Int("workers", 0, "streaming-consolidation workers per refresh (0 = one per store shard)")
 	readonly := flag.Bool("readonly", false, "open every member with a shared lock: concurrent serve processes may share the campaign, writers stay excluded")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the query listener")
 	flag.Parse()
@@ -99,7 +98,7 @@ func run() (err error) {
 	// /metrics covers all three.
 	reg := obs.NewRegistry("siren-serve")
 	reg.RegisterRuntime()
-	cat := catalog.New(catalog.SetSource(set), catalog.Options{Workers: *workers, Metrics: reg})
+	cat := catalog.New(catalog.SetSource(set), catalog.Options{Metrics: reg})
 	rs := cat.Refresh()
 	fmt.Printf("siren-serve: catalog generation %d: %d jobs, %d processes, %d fingerprints (store opened in %s, %s from %d members)\n",
 		rs.Gen, rs.Jobs, cat.Generation().Stats.Processes, cat.Generation().Index.Len(), opened, rs.BuildLine(), len(paths))

@@ -10,8 +10,8 @@
 // indexes are sequence-sorted, so "which jobs gained rows after W" is an
 // O(shards × jobs) index probe (SnapshotView.JobsChangedSince), never a row
 // scan. A refresh therefore re-consolidates only the changed jobs through
-// the job-filtered streaming pass, merges their sorted records with the
-// untouched jobs' records, carried forward in order from the previous
+// the streaming pass over just those jobs, merges their sorted records with
+// the untouched jobs' records, carried forward in order from the previous
 // generation, and publishes the result as a new immutable Generation
 // behind an atomic pointer:
 //
@@ -47,9 +47,6 @@ type Source func() postprocess.SnapshotView
 
 // Options tune the catalog.
 type Options struct {
-	// Workers bounds the streaming-consolidation workers per refresh pass
-	// (0 = one per shard, the default).
-	Workers int
 	// Metrics is the registry the catalog's instruments register in:
 	// Refresh wall-time histogram and counters for jobs spliced forward vs
 	// re-consolidated (see internal/obs). Nil gets a private registry.
@@ -136,7 +133,6 @@ func (rs RefreshStats) BuildLine() string {
 // Catalog owns the generation pointer and the refresh loop state.
 type Catalog struct {
 	source Source
-	opts   Options
 
 	cur  atomic.Pointer[Generation]
 	last atomic.Pointer[RefreshStats]
@@ -162,7 +158,6 @@ func New(source Source, opts Options) *Catalog {
 	}
 	c := &Catalog{
 		source:             source,
-		opts:               opts,
 		refreshNS:          reg.Histogram("siren_catalog_refresh_ns", "catalog Refresh wall time per pass (no-ops included)"),
 		indexBuildNS:       reg.Histogram("siren_catalog_index_build_ns", "fingerprint-index derivation time per publishing refresh (splice or rebuild)"),
 		carriedTotal:       reg.Counter("siren_catalog_jobs_carried_total", "jobs spliced forward unchanged across refreshes"),
@@ -253,13 +248,7 @@ func (c *Catalog) Refresh() RefreshStats {
 
 	// Re-consolidate only the changed jobs, streaming and job-parallel.
 	var fresh []*postprocess.ProcessRecord
-	postprocess.ConsolidateStream(snap, postprocess.StreamOptions{
-		Workers: c.opts.Workers,
-		JobFilter: func(job string) bool {
-			_, ok := changedSet[job]
-			return ok
-		},
-	}, func(j postprocess.JobRecords) bool {
+	postprocess.ConsolidateStream(snap, postprocess.StreamOptions{Jobs: changed}, func(j postprocess.JobRecords) bool {
 		jobs[j.JobID] = jobEntry{records: j.Records, messages: j.Messages, logical: j.Reassembled}
 		rs.RowsReconsolidated += j.Messages
 		fresh = append(fresh, j.Records...)

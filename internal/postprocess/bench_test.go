@@ -92,8 +92,8 @@ func BenchmarkConsolidateSealed(b *testing.B) {
 
 // BenchmarkConsolidateSealedParallel is BenchmarkConsolidateSealed at the
 // default worker count — one per store shard, four here, bounded in effect
-// by GOMAXPROCS — so the gate sees what the (shard, job) unit cursor gives
-// siren-analyze on every core.
+// by GOMAXPROCS — so the gate sees what the job cursor gives siren-analyze
+// on every core.
 func BenchmarkConsolidateSealedParallel(b *testing.B) {
 	if testing.Short() {
 		b.Skip("generates the full scale-0.02 campaign capture")

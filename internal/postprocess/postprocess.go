@@ -5,8 +5,8 @@
 // imported Python packages recovered from interpreter memory maps).
 //
 // Two layers: stream.go walks a store snapshot job-parallel and hands each
-// (shard, job) segment, as views of the datagrams the store holds, to the
-// kernel, consolidateRows below, which every stored row passes through each
+// job's rows, as views of the datagrams the store holds, to the kernel,
+// consolidateRows below, which every stored row passes through each
 // time its job is consolidated. The kernel is therefore written to allocate
 // per pass or per process rather than per row, and never to build a string
 // key by joining header fields: those may contain any byte but '|', so only
@@ -145,8 +145,8 @@ func Consolidate(db *sirendb.DB) ([]*ProcessRecord, Stats) {
 // process mentioned is among the rows — true for the whole store, and equally
 // true for any (job, host)-closed subset, because the grouping key below
 // never crosses a job or a host. That closure is what lets the streaming
-// path consolidate per (shard, job) segment and still produce exactly the
-// records a whole-store pass would.
+// path consolidate job by job and still produce exactly the records a
+// whole-store pass would.
 //
 // Constructor and destructor messages of the same process carry different
 // TIME values (data is collected at start-up *and* before termination), so
@@ -378,7 +378,7 @@ func CompareRecords(a, b *ProcessRecord) int {
 // that compare equal belong to one job and keep the order they have in it,
 // so the result depends only on each job's own record order (which a
 // consolidation pass fixes), never on how jobs were interleaved on input —
-// a full pass's fan-in order and an incremental catalog's merge agree
+// a full pass's job order and an incremental catalog's merge agree
 // element by element.
 func SortRecords(out []*ProcessRecord) {
 	slices.SortStableFunc(out, CompareRecords)

@@ -4,34 +4,25 @@
 // A load-everything pass (every stored message copied into one slice, then
 // one global consolidation) materialises that slice, one global reassembly
 // map, and one global group map before producing a single record: peak
-// memory O(total messages). The streaming path splits the store into
-// (shard, job) units instead — one shard's rows of one job — and workers
-// pull units from one shared cursor:
+// memory O(total messages). The streaming path consolidates one job at a
+// time instead, and workers pull jobs from one shared cursor:
 //
-//	shard 0: j1 j3 j4 …  ┐                ┌─▶ worker 0 ─┐  per-(shard, job) segments
-//	shard 1: j1 j2 j5 …  ┼─▶ unit cursor ─┼─▶ worker 1 ─┼─▶ fan-in reducer ─▶ yield(job)
-//	  …                  │   (round robin │     …       │   (completes a job once every
-//	shard S: j2 j6 …     ┘    over shards)└─▶ worker W ─┘    shard holding it reported)
+//	Jobs(): j1 j2 j3 …  ─▶ job cursor ─┬─▶ worker 0 ─┐
+//	                                   ├─▶ worker 1 ─┼─▶ yield(job)
+//	                                   └─▶ worker W ─┘
 //
-// The cursor deals the shards' job lists round robin, each list in
-// first-appearance order, so the workers advance through every shard at
-// once: a large shard does not leave one worker finishing alone, and a job
-// spanning shards completes soon after its first unit. A worker's transient
-// memory is one in-flight unit (its rows are referenced from the snapshot,
-// not copied). Messages of one (job, host) always live in one shard — the
-// store partitions by wire.PartitionHash(JobID, Host) — and the
-// consolidation grouping key never crosses a job or host, so per-(shard,
-// job) segments consolidate to exactly the records a whole-store pass would
-// produce. Jobs spanning several hosts can span shards; the reducer holds
-// their segments until every shard has reported, then concatenates segments
-// in first-row sequence order — each host's stream stays in its insertion
-// order, and segments follow the order the job first touched each shard.
+// The consolidation grouping key — JOBID, STEPID, PID, HASH, HOST — never
+// crosses a job, so a job's rows are a self-contained input and
+// consolidating job by job produces exactly the records a whole-store pass
+// would. A worker reads its job through Snapshot.JobRows, which merges the
+// job's rows across shards, sealed runs and members in sequence order, so
+// no job is ever split and nothing is reassembled after the workers. A
+// worker's transient memory is one job's row views (referenced from the
+// snapshot, not copied) and its records.
 package postprocess
 
 import (
-	"cmp"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -49,19 +40,16 @@ type StreamOptions struct {
 	// Workers bounds the number of concurrent workers. 0 (or anything
 	// above the snapshot's shard count) means one worker per shard.
 	Workers int
-	// JobFilter, when non-nil, restricts the pass to jobs it returns true
-	// for; other jobs are skipped before any of their rows are read. This is
-	// how an incremental catalog refresh consolidates only the jobs changed
-	// since its watermark instead of the whole store.
-	JobFilter func(job string) bool
+	// Jobs, when non-nil, restricts the pass to the listed jobs; other jobs
+	// are never read. This is how an incremental catalog refresh
+	// consolidates only the jobs changed since its watermark instead of the
+	// whole store. Nil means every job of the snapshot.
+	Jobs []string
 }
 
-// JobRecords is one fully consolidated job — the unit the streaming fan-in
-// yields. Records of one host are in that host's insertion order; when a
-// job spans several hosts on different shards, the per-shard record groups
-// are concatenated in first-row sequence order (their sequence ranges may
-// interleave — strict global insertion order across hosts is not
-// reconstructed; ConsolidateSnapshot's final sort does not depend on it).
+// JobRecords is one fully consolidated job — the unit the stream yields.
+// Records are in identity-group first-appearance order over the job's rows
+// in sequence order.
 type JobRecords struct {
 	JobID   string
 	Records []*ProcessRecord
@@ -73,34 +61,26 @@ type JobRecords struct {
 	Reassembled int
 }
 
-// jobSegment is one shard's contribution to a job.
-type jobSegment struct {
-	job      string
-	firstSeq uint64 // store-wide seq of the shard's first row of this job
-	recs     []*ProcessRecord
-	records  int // reassembled logical records in this segment
-	messages int
-}
-
 // ConsolidateStream consolidates a store snapshot job-parallel and calls
-// yield once per job as the job completes, with that job's records ordered
-// as JobRecords documents; return false from yield to stop early. Jobs
-// complete in a scheduler-dependent order across workers — callers needing
-// the global deterministic order use ConsolidateSnapshot.
+// yield once per job as the job completes; return false from yield to stop
+// early. Jobs are handed to the workers in Snapshot.Jobs order (or
+// opts.Jobs order) but complete in a scheduler-dependent order — callers
+// needing the global deterministic order use ConsolidateSnapshot.
 //
-// Memory stays bounded by the jobs in flight: each worker holds one unit's
-// rows (referenced from the snapshot) while consolidating it, and the
-// reducer holds only record segments of multi-shard jobs still waiting for
-// a sibling shard. The returned Stats cover the jobs yielded; after an
-// early stop they are partial.
+// Memory stays bounded by the jobs in flight: each worker holds one job's
+// rows (referenced from the snapshot) while consolidating it. The returned
+// Stats cover the jobs yielded; after an early stop they are partial.
 func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobRecords) bool) Stats {
+	jobs := opts.Jobs
+	if jobs == nil {
+		jobs = snap.Jobs()
+	}
 	workers := opts.Workers
 	if workers <= 0 || workers > snap.Shards() {
 		workers = snap.Shards()
 	}
-	units := jobUnits(snap, opts.JobFilter)
 
-	segCh := make(chan jobSegment, workers)
+	out := make(chan JobRecords, workers)
 	done := make(chan struct{}) // closed on early stop; unblocks worker sends
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -108,22 +88,18 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []wire.Scanned // reused across units, sized to the largest
+			var buf []wire.Scanned // reused across jobs, sized to the largest
 			for {
 				k := int(next.Add(1)) - 1
-				if k >= len(units) {
+				if k >= len(jobs) {
 					return
 				}
-				sh, job := units[k].shard, units[k].job
-				if n := snap.ShardJobLen(sh, job); n > cap(buf) {
+				job := jobs[k]
+				if n := snap.JobLen(job); n > cap(buf) {
 					buf = make([]wire.Scanned, 0, n)
 				}
 				buf = buf[:0]
-				var firstSeq uint64
-				snap.ShardJobRows(sh, job, func(row *wire.Scanned, seq uint64) bool {
-					if len(buf) == 0 {
-						firstSeq = seq
-					}
+				snap.JobRows(job, func(row *wire.Scanned, _ uint64) bool {
 					buf = append(buf, *row)
 					return true
 				})
@@ -132,7 +108,7 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 				recs, nRecords := consolidateRows(buf)
 				runtime.KeepAlive(snap)
 				select {
-				case segCh <- jobSegment{job: job, firstSeq: firstSeq, recs: recs, records: nRecords, messages: len(buf)}:
+				case out <- JobRecords{JobID: job, Records: recs, Messages: len(buf), Reassembled: nRecords}:
 				case <-done:
 					return
 				}
@@ -141,127 +117,22 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 	}
 	go func() {
 		wg.Wait()
-		close(segCh)
+		close(out)
 	}()
 
-	counts := snap.JobShardCounts()
-	pending := make(map[string][]jobSegment) // multi-shard jobs awaiting siblings
 	var stats Stats
 	stopped := false
-	for seg := range segCh {
+	for jr := range out {
 		if stopped {
 			continue // drain until the workers exit
 		}
-		jr := JobRecords{JobID: seg.job, Records: seg.recs, Messages: seg.messages, Reassembled: seg.records}
-		if n := counts[seg.job]; n > 1 {
-			segs := append(pending[seg.job], seg)
-			if len(segs) < n {
-				pending[seg.job] = segs
-				continue
-			}
-			delete(pending, seg.job)
-			jr = fanIn(snap, segs)
-		}
 		stats.AddJob(jr.Records, jr.Messages, jr.Reassembled)
-
 		if !yield(jr) {
 			stopped = true
 			close(done)
 		}
 	}
 	return stats
-}
-
-// fanIn merges the segments of a job that spans shards in first-row
-// sequence order. Rows of one (job, host) normally live within a single
-// segment — the store routes by hash(JobID, Host) — so every host stream
-// survives the merge intact.
-func fanIn(snap SnapshotView, segs []jobSegment) JobRecords {
-	slices.SortFunc(segs, func(a, b jobSegment) int { return cmp.Compare(a.firstSeq, b.firstSeq) })
-	jr := JobRecords{JobID: segs[0].job}
-	n := 0
-	for _, s := range segs {
-		jr.Messages += s.messages
-		jr.Reassembled += s.records
-		n += len(s.recs)
-	}
-	if identityCollision(segs) {
-		// Misrouted rows (InsertShard's contract allows them: a batch may
-		// land in a shard its messages don't hash to) can split one process
-		// identity across segments, which per-segment consolidation would
-		// surface as two partial records. Fall back to consolidating this
-		// job from the merged cross-shard stream — slower, but exactly what
-		// a whole-store pass produces.
-		var rows []wire.Scanned
-		snap.JobRows(jr.JobID, func(row *wire.Scanned, _ uint64) bool {
-			rows = append(rows, *row)
-			return true
-		})
-		jr.Records, jr.Reassembled = consolidateRows(rows)
-		runtime.KeepAlive(snap)
-		jr.Messages = len(rows)
-		return jr
-	}
-	jr.Records = make([]*ProcessRecord, 0, n)
-	for _, s := range segs {
-		jr.Records = append(jr.Records, s.recs...)
-	}
-	return jr
-}
-
-// jobUnit is one shard's rows of one job: the work a worker takes at a time.
-type jobUnit struct {
-	shard int
-	job   string
-}
-
-// jobUnits lists the snapshot's (shard, job) units that filter admits (all
-// when nil): the shards' job lists, each in first-appearance order, dealt
-// round robin.
-func jobUnits(snap SnapshotView, filter func(job string) bool) []jobUnit {
-	lists := make([][]string, snap.Shards())
-	n, longest := 0, 0
-	for sh := range lists {
-		lists[sh] = snap.ShardJobs(sh)
-		n += len(lists[sh])
-		longest = max(longest, len(lists[sh]))
-	}
-	units := make([]jobUnit, 0, n)
-	for i := 0; i < longest; i++ {
-		for sh, jobs := range lists {
-			if i < len(jobs) && (filter == nil || filter(jobs[i])) {
-				units = append(units, jobUnit{sh, jobs[i]})
-			}
-		}
-	}
-	return units
-}
-
-// identity is the grouping key of one process across its records: the
-// identity columns without TIME.
-type identity struct {
-	jobID, stepID string
-	pid           int
-	hash, host    string
-}
-
-// identityCollision reports whether two *different* segments of one job
-// contain records of the same process identity — the fingerprint of
-// misrouted inserts (with hash routing intact, one (job, host) never spans
-// shards, and identity includes the host). Duplicates within one segment
-// are legitimate PID reuse and don't count.
-func identityCollision(segs []jobSegment) bool {
-	seen := make(map[identity]int) // identity → index of the segment that saw it
-	for si := range segs {
-		for _, r := range segs[si].recs {
-			k := identity{r.JobID, r.StepID, r.PID, r.ExeHash, r.Host}
-			if prev, ok := seen[k]; ok && prev != si {
-				return true
-			}
-			seen[k] = si
-		}
-	}
-	return false
 }
 
 // ConsolidateSnapshot consolidates a snapshot via the streaming

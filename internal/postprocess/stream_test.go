@@ -137,14 +137,20 @@ func TestConsolidateStreamPerJob(t *testing.T) {
 	defer db.Close()
 	snap := db.Snapshot()
 
+	shardsOf := make(map[string]int)
+	for s := 0; s < snap.Shards(); s++ {
+		for _, job := range snap.ShardJobs(s) {
+			shardsOf[job]++
+		}
+	}
 	spanning := 0
-	for _, n := range snap.JobShardCounts() {
+	for _, n := range shardsOf {
 		if n > 1 {
 			spanning++
 		}
 	}
 	if spanning == 0 {
-		t.Fatal("workload produced no shard-spanning job; the fan-in path is untested")
+		t.Fatal("workload produced no shard-spanning job; the cross-shard merge is untested")
 	}
 
 	seen := make(map[string]int)
@@ -153,7 +159,7 @@ func TestConsolidateStreamPerJob(t *testing.T) {
 		if len(j.Records) != 6 {
 			t.Errorf("job %s yielded %d records, want 6", j.JobID, len(j.Records))
 		}
-		// Fan-in preserves insertion order within the job: Time (== PID
+		// The job is read in sequence order: Time (== PID
 		// insertion wave here) never decreases within a host stream, and
 		// records of one host must appear in their insertion order.
 		lastByHost := make(map[string]int64)
@@ -199,7 +205,7 @@ func TestConsolidateStreamEarlyStop(t *testing.T) {
 // skewedWorld inserts a store in which shard 0 holds most jobs: nine of
 // every ten jobs run on one host that hashes there, the tenth on two hosts
 // of other shards, so one worker per shard would leave shard 0's worker
-// finishing alone while job units spread it over every worker.
+// finishing alone while one job cursor spreads it over every worker.
 func skewedWorld(t testing.TB, shards, jobs int) *sirendb.DB {
 	t.Helper()
 	db, err := sirendb.OpenOptions("", sirendb.Options{Shards: shards})
@@ -242,8 +248,7 @@ func skewedWorld(t testing.TB, shards, jobs int) *sirendb.DB {
 // TestConsolidateStreamWorkerCap: any worker count, below, at or above the
 // shard count, consolidates to exactly the records and stats of the
 // load-everything pass — on a campaign-shaped store and on a skewed one
-// whose shard 0 holds most jobs (workers pull (shard, job) units from one
-// shared cursor).
+// whose shard 0 holds most jobs (workers pull jobs from one shared cursor).
 func TestConsolidateStreamWorkerCap(t *testing.T) {
 	for name, db := range map[string]*sirendb.DB{"spread": synthWorld(t, 4, 8, 3), "skewed": skewedWorld(t, 4, 40)} {
 		defer db.Close()
@@ -268,9 +273,8 @@ func TestConsolidateStreamWorkerCap(t *testing.T) {
 
 // TestStreamingToleratesMisroutedInserts: InsertShard's contract lets a
 // batch land in a shard its messages don't hash to. When that splits one
-// process's chunks across shards, the fan-in's identity-collision check
-// must re-consolidate the job from the merged stream instead of emitting
-// two partial records.
+// process's chunks across shards, the job is still read whole, so the
+// process consolidates to one record, not two partial ones.
 func TestStreamingToleratesMisroutedInserts(t *testing.T) {
 	db, err := sirendb.OpenOptions("", sirendb.Options{Shards: 4})
 	if err != nil {

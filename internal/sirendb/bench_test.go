@@ -173,8 +173,8 @@ func BenchmarkInsertDuringScan(b *testing.B) {
 }
 
 // BenchmarkHeadRead prices reading the WAL head the way a consolidation
-// does: every (shard, job) stream through ShardJobRows, every row handed
-// out as a view with its Fields. One op reads 100 000 head rows.
+// does: every job through JobRows, every row handed out as a view with its
+// Fields. One op reads 100 000 head rows.
 func BenchmarkHeadRead(b *testing.B) {
 	const rows = 100_000
 	db := benchReadDB(b, 4, rows)
@@ -184,14 +184,12 @@ func BenchmarkHeadRead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sn := db.Snapshot()
 		n, size := 0, 0
-		for s := 0; s < sn.Shards(); s++ {
-			for _, job := range sn.ShardJobs(s) {
-				sn.ShardJobRows(s, job, func(row *wire.Scanned, _ uint64) bool {
-					n++
-					size += len(row.Datagram) - row.Content + len(row.Value(row.Datagram, wire.FieldHost))
-					return true
-				})
-			}
+		for _, job := range sn.Jobs() {
+			sn.JobRows(job, func(row *wire.Scanned, _ uint64) bool {
+				n++
+				size += len(row.Datagram) - row.Content + len(row.Value(row.Datagram, wire.FieldHost))
+				return true
+			})
 		}
 		if n != rows || size == 0 {
 			b.Fatalf("read %d of %d rows", n, rows)

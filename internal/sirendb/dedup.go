@@ -6,10 +6,9 @@
 // keys' new rendezvous owners, so the new owner ends up holding a complete
 // copy of each reassigned key's stream — while the dead member's recovered
 // WAL still holds the partial copy it ingested before dying. Merging all
-// WALs naively would double-count every overlapping row (the consolidator
-// would see the duplicate segments as an identity collision and ingest
-// both). DedupOverlaps resolves the overlap at the merge layer, below
-// consolidation, where member identity is still known.
+// WALs naively would double-count every overlapping row: each would reach
+// the consolidator twice. DedupOverlaps resolves the overlap at the merge
+// layer, below consolidation, where member identity is still known.
 //
 // The unit of dedup is the run: one member's rows of one (JOBID, HOST),
 // which sharding keeps contiguous and insertion-ordered inside that member.
@@ -58,15 +57,15 @@ type runInfo struct {
 }
 
 // DedupOverlaps scans a merged snapshot for (JOBID, HOST) runs held by more
-// than one member and suppresses the duplicate copies from every accessor
-// (Count, Iter, JobRows, ShardJobs, ShardJobRows, ShardCursor,
-// JobShardCounts — the surface the streaming consolidation reads stays
-// mutually consistent). It is idempotent and returns what it found;
-// DBSet.Snapshot calls it, and a caller of MergeSnapshots calls it once when
-// the member set may contain a recovered member's WAL. A snapshot of one
+// than one member and suppresses the duplicate copies from every row stream
+// (Iter, JobRows, ShardJobRows, ShardCursor) and from Count. It is idempotent
+// and returns what it found; DBSet.Snapshot calls it, and a caller of
+// MergeSnapshots calls it once when the member set may contain a recovered
+// member's WAL. A snapshot of one
 // member has nothing to dedup and costs nothing; otherwise the cost is one
 // streaming pass over all rows to find overlaps, plus one pass over the
-// overlapping runs only.
+// overlapping runs only. A suppressed run always has a surviving copy, so
+// every job keeps rows.
 func (sn *Snapshot) DedupOverlaps() DedupStats {
 	if sn.drop != nil {
 		return sn.dedup // already applied
@@ -161,30 +160,6 @@ func (sn *Snapshot) DedupOverlaps() DedupStats {
 		}
 	}
 
-	// Pass 3: jobs whose every row in one shard was suppressed must vanish
-	// from that shard's job listing, or JobShardCounts would promise the
-	// consolidator a shard segment that ShardJobRows never delivers.
-	if st.SuppressedRuns > 0 {
-		sn.deadShardJobs = make(map[int]map[string]struct{})
-		for s := range sn.shards {
-			if sn.drop[sn.shards[s].member] == nil {
-				continue
-			}
-			for _, job := range sn.ShardJobs(s) {
-				alive := false
-				sn.ShardJobRows(s, job, func(*wire.Scanned, uint64) bool {
-					alive = true
-					return false
-				})
-				if !alive {
-					if sn.deadShardJobs[s] == nil {
-						sn.deadShardJobs[s] = make(map[string]struct{})
-					}
-					sn.deadShardJobs[s][job] = struct{}{}
-				}
-			}
-		}
-	}
 	sn.dedup = st
 	return st
 }

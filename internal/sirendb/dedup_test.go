@@ -27,48 +27,35 @@ func mergedContents(ms *MergedSnapshot) map[string]int {
 	return out
 }
 
-// checkViewConsistency verifies the SnapshotView contract the streaming
-// consolidator depends on: JobShardCounts[j] equals the number of merged
-// shards whose ShardJobRows yields at least one row of j, ShardJobs lists
-// exactly the jobs with surviving rows, and Count matches Iter.
+// checkViewConsistency verifies the Snapshot contract the streaming
+// consolidator depends on: ShardJobs lists every job a shard yields rows of,
+// and Iter and the per-job JobRows streams both yield exactly Count rows.
 func checkViewConsistency(t *testing.T, ms *MergedSnapshot) {
 	t.Helper()
-	counts := ms.JobShardCounts()
-	yield := make(map[string]int)
 	for i := 0; i < ms.Shards(); i++ {
 		jobsListed := make(map[string]bool)
 		for _, j := range ms.ShardJobs(i) {
 			jobsListed[j] = true
 		}
-		seen := make(map[string]bool)
-		for job := range counts {
+		for _, job := range ms.Jobs() {
 			n := 0
 			ms.ShardJobRows(i, job, func(*wire.Scanned, uint64) bool { n++; return true })
-			if n > 0 {
-				yield[job]++
-				seen[job] = true
+			if n > 0 && !jobsListed[job] {
+				t.Errorf("shard %d yields rows of %q but ShardJobs omits it", i, job)
 			}
-		}
-		for j := range seen {
-			if !jobsListed[j] {
-				t.Errorf("shard %d yields rows of %q but ShardJobs omits it", i, j)
-			}
-		}
-		for j := range jobsListed {
-			if !seen[j] {
-				t.Errorf("shard %d lists job %q but ShardJobRows yields nothing", i, j)
-			}
-		}
-	}
-	for job, n := range counts {
-		if yield[job] != n {
-			t.Errorf("JobShardCounts[%q] = %d but %d shards yield rows", job, n, yield[job])
 		}
 	}
 	total := 0
 	ms.Iter(func(wire.Message) bool { total++; return true })
 	if total != ms.Count() {
 		t.Errorf("Iter yielded %d rows, Count() = %d", total, ms.Count())
+	}
+	total = 0
+	for _, job := range ms.Jobs() {
+		ms.JobRows(job, func(*wire.Scanned, uint64) bool { total++; return true })
+	}
+	if total != ms.Count() {
+		t.Errorf("JobRows yielded %d rows over all jobs, Count() = %d", total, ms.Count())
 	}
 }
 
@@ -224,8 +211,7 @@ func TestDedupEqualRuns(t *testing.T) {
 
 // TestDedupMultiHostJob: dedup is per (job, host) — a job whose h1 stream
 // was failed over (duplicated) but whose h2 stream stayed clean loses only
-// the duplicate h1 run, and a member-shard whose rows are all suppressed
-// drops out of the job's fan-in count.
+// the duplicate h1 run.
 func TestDedupMultiHostJob(t *testing.T) {
 	owner, _ := Open("")
 	recovered, _ := Open("")

@@ -213,8 +213,9 @@ func (db *DB) loadRuns() error {
 // shard index fits the current shard count the mapping is exact; after a
 // shard-count change the run lands on fileShard % shards — its (job, host)
 // groups may then sit in a different shard than new head rows of the same
-// identity, which the consolidation's cross-shard fan-in already tolerates
-// (the same situation a misrouted InsertShard batch produces).
+// identity, which costs locality only: the consolidation reads each job
+// merged across shards (the same situation a misrouted InsertShard batch
+// produces).
 func (db *DB) attachRun(rf runFile, r *runfmt.Run) {
 	s := db.shards[rf.shard%len(db.shards)]
 	s.runs = append(s.runs, sealedRun{gen: rf.gen, fileShard: rf.shard, path: rf.path, run: r})

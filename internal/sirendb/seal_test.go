@@ -564,9 +564,8 @@ func TestSnapshotIsolatedFromSeal(t *testing.T) {
 		if n != len(ms) {
 			t.Fatalf("%s snapshot yields %d rows", name, n)
 		}
-		counts := sn.JobShardCounts()
 		total := 0
-		for job := range counts {
+		for _, job := range sn.Jobs() {
 			for s := 0; s < sn.Shards(); s++ {
 				sn.ShardJobRows(s, job, func(*wire.Scanned, uint64) bool { total++; return true })
 			}

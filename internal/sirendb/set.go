@@ -12,12 +12,9 @@
 // rows are shifted by the sum of the preceding members' LastSeq values, which
 // preserves every member's internal order and places members strictly one
 // after another — rows of different members never interleave, within a job or
-// globally. That is exactly the contract the streaming consolidation needs:
-// a (job, host) lives wholly inside one member (admission is a deterministic
-// function of the same (JOBID, HOST) pair the store shards by), so member
-// boundaries never split a host's
-// stream, and the fan-in reducer sees each member's segments as contiguous
-// sequence ranges.
+// globally. A job's rows, merged across members by rebased seq, therefore
+// keep every member's insertion order — what the streaming consolidation
+// reads.
 package sirendb
 
 import (

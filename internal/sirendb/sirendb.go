@@ -239,10 +239,9 @@ func (db *DB) InsertBatch(ms []wire.Message) error {
 // per-message hash partitioning. The caller asserts every message hashes to
 // this shard — the receiver's writer shards hold that by construction when
 // writer count equals StoreShards(). A misrouted batch costs segment
-// locality, not correctness: queries merge all shards, replay re-partitions
-// by hash on the next open, and the streaming consolidation's fan-in
-// detects identities split across shards and falls back to a merged
-// cross-shard pass for the affected job.
+// locality, not correctness: queries merge all shards, the streaming
+// consolidation reads each job merged across them, and replay re-partitions
+// by hash on the next open.
 func (db *DB) InsertShard(shard int, ms []wire.Message) error {
 	if shard < 0 || shard >= len(db.shards) {
 		return fmt.Errorf("sirendb: shard %d out of range [0,%d)", shard, len(db.shards))

@@ -38,24 +38,23 @@ import (
 // run's stream early rather than yielding wrong rows; the first such error
 // is sticky on the snapshot (Err) and counted in the store's stats.
 //
-// The streaming consolidation (postprocess.ConsolidateStream) depends on
-// this contract:
-//   - rows of one (job, host) live wholly inside one shard, in insertion
-//     order (the store partitions by wire.PartitionHash(JobID, Host), and a
-//     roster admits by the same pair);
-//   - within a ShardJobRows stream, the subsequence of any one host carries
-//     strictly increasing seq values (chunk reassembly order); hosts may be
-//     grouped rather than seq-interleaved — sealed runs sort rows by (job,
-//     host), the head yields pure insertion order — and seqs are comparable
-//     across shards and members;
-//   - JobShardCounts()[j] equals the number of shard indexes for which
-//     ShardJobRows(i, j, …) yields at least one row — the fan-in count;
-//   - JobRows merges one job's rows across shards preserving each host's
-//     insertion order;
+// The streaming consolidation (postprocess.ConsolidateStream) reads the
+// snapshot one whole job at a time and depends on this contract:
+//   - JobRows yields every surviving row of one job exactly once, merged
+//     across shards, tiers and members in ascending seq order, so each
+//     host's stream comes out in insertion order (chunk reassembly order);
+//     seqs are comparable across shards and members;
+//   - Jobs lists every job that has rows;
 //   - LastSeq is a refresh watermark: a consumer holding consolidated state
 //     as of watermark W re-consolidates exactly JobsChangedSince(W) against
 //     a later snapshot — the append-only store guarantees every other job's
 //     rows are byte-identical to the previous capture.
+//
+// The store keeps the rows of one (job, host) in one shard (it partitions by
+// wire.PartitionHash(JobID, Host), and a roster admits by the same pair), but
+// that is locality only: nothing above depends on it, so misrouted InsertShard
+// rows, a store reopened at another shard count, multi-host jobs and member
+// overlaps are all read the same way.
 type Snapshot struct {
 	shards  []shardView
 	members int // member stores behind the snapshot: 1 for DB.Snapshot
@@ -66,11 +65,9 @@ type Snapshot struct {
 	jobs     []string
 
 	// Overlap-dedup state (dedup.go; nil/zero until DedupOverlaps): drop[m]
-	// holds member m's suppressed (job, host) runs, deadShardJobs maps a
-	// shard index to the jobs with zero surviving rows there.
-	drop          []map[jobHost]struct{}
-	deadShardJobs map[int]map[string]struct{}
-	dedup         DedupStats
+	// holds member m's suppressed (job, host) runs.
+	drop  []map[jobHost]struct{}
+	dedup DedupStats
 }
 
 // shardView is one shard's captured state: immutable prefixes of its head
@@ -373,13 +370,10 @@ func (c *Cursor) pick() *src {
 }
 
 // Iter streams every snapshot message exactly once, a sequence-merge across
-// all shards' runs and heads; return false to stop. Head rows come out in
-// global insertion order, a sealed run's rows in its on-disk (job, host,
-// seq) sort — so any one (job, host) stream is always in insertion order,
-// while rows of different hosts may be grouped once sealed. In a merged
-// snapshot the members follow one another. No store lock is held: the
-// callback may block, take arbitrarily long, or insert into the store
-// without stalling writers or deadlocking.
+// all shards' runs and heads, so in global insertion order; return false to
+// stop. In a merged snapshot the members follow one another. No store lock
+// is held: the callback may block, take arbitrarily long, or insert into the
+// store without stalling writers or deadlocking.
 func (sn *Snapshot) Iter(f func(m wire.Message) bool) {
 	var srcs []*src
 	for i := range sn.shards {
@@ -457,12 +451,9 @@ func (sn *Snapshot) JobsChangedSince(since uint64) []string {
 }
 
 // ShardJobs returns shard i's distinct job IDs in first-appearance
-// (insertion) order — the order in which the job-parallel streaming
-// consolidation deals the shard's jobs to its workers, so jobs are visited
-// roughly in the order their first rows arrived. A job's first appearance is the
-// minimum of its first head row's sequence and its min sequence in any of
-// the shard's runs. Jobs whose every row there was dedup-suppressed are
-// left out.
+// (insertion) order. A job's first appearance is the minimum of its first
+// head row's sequence and its min sequence in any of the shard's runs. A job
+// whose every row there was dedup-suppressed is still listed.
 func (sn *Snapshot) ShardJobs(i int) []string {
 	sv := &sn.shards[i]
 	first := make(map[string]uint64, len(sv.head.jobRows))
@@ -475,56 +466,28 @@ func (sn *Snapshot) ShardJobs(i int) []string {
 			return true
 		})
 	}
-	dead := sn.deadShardJobs[i]
 	out := make([]string, 0, len(first))
 	for k := range first {
-		if _, gone := dead[k]; !gone {
-			out = append(out, k)
-		}
+		out = append(out, k)
 	}
 	sort.Slice(out, func(a, b int) bool { return first[out[a]] < first[out[b]] })
 	return out
 }
 
-// JobShardCounts maps every job ID in the snapshot to the number of shards
-// holding rows of that job — the fan-in count a streaming per-job reducer
-// waits for before declaring a job complete. Jobs running on several hosts
-// can span shards because partitioning hashes (JobID, Host), and members
-// because admission hashes it too. Shards whose rows of a job were all
-// dedup-suppressed do not count, so the count is exact: ShardJobRows yields
-// rows of the job in exactly that many shards.
-func (sn *Snapshot) JobShardCounts() map[string]int {
-	out := make(map[string]int)
+// JobLen bounds how many rows JobRows(job) yields, from the heads' job lists
+// and the runs' job indexes — O(shards × runs), no row read. A consumer sizes
+// its buffer with it before the stream fills it. (A run block found corrupt
+// mid-read ends its stream early, and dedup-suppressed rows count, so it is a
+// bound.)
+func (sn *Snapshot) JobLen(job string) int {
+	n := 0
 	for i := range sn.shards {
 		sv := &sn.shards[i]
-		jobs := make(map[string]struct{}, len(sv.head.jobRows))
-		sv.head.eachJob(func(job string, _ []uint32) { jobs[job] = struct{}{} })
+		n += len(sv.head.job(job))
 		for _, sr := range sv.runs {
-			for _, k := range sr.run.Jobs() {
-				jobs[k] = struct{}{}
-			}
+			rows, _, _, _ := sr.run.JobStats(job)
+			n += rows
 		}
-		dead := sn.deadShardJobs[i]
-		for k := range jobs {
-			if _, gone := dead[k]; !gone {
-				out[k]++
-			}
-		}
-	}
-	return out
-}
-
-// ShardJobLen bounds how many rows ShardJobRows(shard, job) yields, from the
-// head's job list and the runs' job indexes — O(runs), no row read. A
-// consumer sizes its buffer with it before the stream fills it. (A run block
-// found corrupt mid-read ends its stream early, and dedup-suppressed rows
-// count, so it is a bound.)
-func (sn *Snapshot) ShardJobLen(shard int, job string) int {
-	sv := &sn.shards[shard]
-	n := len(sv.head.job(job))
-	for _, sr := range sv.runs {
-		rows, _, _, _ := sr.run.JobStats(job)
-		n += rows
 	}
 	return n
 }
@@ -538,17 +501,6 @@ func (sn *Snapshot) ShardJobLen(shard int, job string) int {
 // that: run mappings are unmapped once the snapshot is garbage, so whatever
 // a caller keeps of a row, it copies.
 func (sn *Snapshot) ShardJobRows(i int, job string, f func(row *wire.Scanned, seq uint64) bool) {
-	sv := &sn.shards[i]
-	if len(sv.runs) == 0 && sn.dropOf(sv.member) == nil {
-		// Head only, nothing suppressed: no merge state needed.
-		var row wire.Scanned
-		for _, idx := range sv.head.job(job) {
-			if seq := sv.head.scannedInto(idx, &row); !f(&row, sv.off+seq) {
-				return
-			}
-		}
-		return
-	}
 	mergeScanned(sn.jobSources(nil, i, job), f)
 }
 
@@ -558,9 +510,43 @@ func (sn *Snapshot) ShardJobRows(i int, job string, f func(row *wire.Scanned, se
 // already sequence-ascending and each run scans its job extents in sequence
 // order.
 func (sn *Snapshot) JobRows(job string, f func(row *wire.Scanned, seq uint64) bool) {
+	if sv, idxs := sn.soleHead(job); sv != nil {
+		// One head holds the whole job: no merge state needed.
+		var row wire.Scanned
+		for _, idx := range idxs {
+			if seq := sv.head.scannedInto(idx, &row); !f(&row, sv.off+seq) {
+				return
+			}
+		}
+		return
+	}
 	var srcs []*src
 	for i := range sn.shards {
 		srcs = sn.jobSources(srcs, i, job)
 	}
 	mergeScanned(srcs, f)
+}
+
+// soleHead returns the shard view whose head holds every row of job, with
+// those rows' entry indexes, when no other head and no sealed run holds any;
+// nil otherwise. None of those rows is dedup-suppressed: DedupOverlaps only
+// suppresses a run that another member holds too.
+func (sn *Snapshot) soleHead(job string) (*shardView, []uint32) {
+	var sole *shardView
+	var idxs []uint32
+	for i := range sn.shards {
+		sv := &sn.shards[i]
+		for _, sr := range sv.runs {
+			if sr.run.HasJob(job) {
+				return nil, nil
+			}
+		}
+		if rows := sv.head.job(job); len(rows) > 0 {
+			if sole != nil {
+				return nil, nil
+			}
+			sole, idxs = sv, rows
+		}
+	}
+	return sole, idxs
 }

@@ -189,7 +189,6 @@ func TestSnapshotPerJobOrder(t *testing.T) {
 		t.Fatalf("early-stopped JobRows diverged from the full stream's prefix (got %d rows)", len(streamed))
 	}
 	// Shard-local segments: seq-ascending, and their union is the job.
-	counts := snap.JobShardCounts()
 	total, shardsWithJob := 0, 0
 	for s := 0; s < snap.Shards(); s++ {
 		var lastSeq uint64
@@ -209,9 +208,6 @@ func TestSnapshotPerJobOrder(t *testing.T) {
 	}
 	if total != 500 {
 		t.Errorf("shard segments sum to %d rows, want 500", total)
-	}
-	if counts["spanner"] != shardsWithJob {
-		t.Errorf("JobShardCounts = %d, observed %d shards", counts["spanner"], shardsWithJob)
 	}
 	if shardsWithJob < 2 {
 		t.Errorf("multi-host job should span shards (got %d); host set too small for the hash?", shardsWithJob)
