@@ -139,10 +139,11 @@ test-runs:
 # admission at the receiver, rendezvous ownership and view convergence,
 # confirm-probed death reporting, sender journal-replay dispatch, merged
 # snapshots over member databases, the merged-vs-single consolidation
-# equivalence, merge-back overlap dedup, and the two UDP end-to-end runs —
-# three members of a roster nobody probes against a single receiver, and
-# kill-one-of-N (SIGKILL a member mid-campaign) — both byte-comparing the
-# merged report.
+# equivalence, the merge-back of rows two members hold (the Dedup shapes and
+# the failover merge, each copy counted once by consolidation), and the two
+# UDP end-to-end runs — three members of a roster nobody probes against a
+# single receiver, and kill-one-of-N (SIGKILL a member mid-campaign) — both
+# byte-comparing the merged report.
 test-failover:
 	$(GO) test -race -count=1 -run 'MultiReceiver|Merged|OpenSet|Failover|Membership|Dedup|Prober|Dispatch|Backoff|Probe|Roster|Route|Health|Score|PartitionHashGolden' \
 		. ./internal/membership ./internal/campaign ./internal/receiver ./internal/sirendb ./internal/postprocess ./internal/wire
@@ -195,8 +196,9 @@ bench-serve:
 # refresh and every analysis runs (through the store, over sealed runs plus a
 # replayed head as a restarted store reads it, by one worker and by the
 # default one per shard, and the kernel alone on the campaign capture), and
-# the collector's per-process cost (the CTPH kernel alone, and one user
-# process collected end to end).
+# the collector's per-process cost (the CTPH kernel alone, one user process
+# collected end to end, and one process of each of four executables of 16 to
+# 64 KiB).
 BENCH_PARENT ?= HEAD~1
 
 bench-gate:
@@ -218,7 +220,8 @@ bench-gate:
 		./internal/postprocess:'BenchmarkConsolidateSealed$$' \
 		./internal/postprocess:'BenchmarkConsolidateSealedParallel$$' \
 		./internal/ssdeep:'BenchmarkHash1M$$' \
-		./internal/collector:'BenchmarkCollectUserProcess$$'
+		./internal/collector:'BenchmarkCollectUserProcess$$' \
+		./internal/collector:'BenchmarkCollectCorpus$$'
 
 # Everything the three CI jobs run (test, e2e, bench), serially.
 ci: build cross-build vet fmt-check staticcheck sirenlint test-race test-386 test-runs test-failover test-serve test-obs fuzz-smoke bench-smoke

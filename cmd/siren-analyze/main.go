@@ -17,9 +17,9 @@
 // 'r0=…,r1=…,r2=…'; a static split is a roster without @health addresses,
 // which nobody probes) — are analysed through one merged
 // snapshot, producing exactly the report a single receiver ingesting the
-// whole campaign would. Overlapping (JOBID, HOST) runs left by a receiver
-// failover (the dead member's recovered WAL vs. the replayed copy its keys'
-// new owners hold) are deduplicated before consolidation, so merging a
+// whole campaign would. A receiver failover leaves rows in two members (the
+// dead member's recovered WAL and the replayed copy its keys' new owners
+// hold); consolidation keeps one copy of each repeated chunk, so merging a
 // crashed member back in never double-counts its overlap window.
 //
 // A sealed-run block found corrupt while the store is read withholds its

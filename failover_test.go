@@ -5,8 +5,9 @@
 // it to the survivors, re-route, and replay the victim's journal; the
 // survivors must admit the reassigned keys; and analysing the three member
 // WALs — including the victim's partial, crash-recovered one — must produce
-// a report byte-identical to the baseline's, with the merged row count equal
-// to the baseline row count (the overlap window deduplicates to nothing).
+// a report byte-identical to the baseline's, with the consolidated message
+// count equal to the baseline row count (the rows the overlap window stored
+// twice count once) and no conflicting chunk.
 package siren_test
 
 import (
@@ -23,6 +24,7 @@ import (
 
 	"siren/internal/campaign"
 	"siren/internal/membership"
+	"siren/internal/postprocess"
 	"siren/internal/sirendb"
 	"siren/internal/wire"
 )
@@ -258,25 +260,26 @@ func TestKillOneOfNFailover(t *testing.T) {
 	}
 
 	// Merge-back in process: the victim's recovered WAL plus the survivors'
-	// WALs dedup to exactly the baseline's row count — the overlap window
-	// (rows the victim ingested before SIGKILL, replayed in full to the new
-	// owners) double-ingests nothing.
+	// WALs consolidate to exactly the baseline's row count — the overlap
+	// window (rows the victim ingested before SIGKILL, replayed in full to
+	// the new owners) is stored twice and counted once — with no chunk whose
+	// copies differ.
 	set, err := sirendb.OpenSet(memberWALs, sirendb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := set.Snapshot() // a set of several members comes back deduplicated
-	dst := snap.DedupStats()
-	if dst.OverlappingKeys == 0 || dst.SuppressedRows == 0 {
-		t.Errorf("no overlap deduplicated (%+v): the victim's WAL recovered no pre-kill rows", dst)
+	snap := set.Snapshot()
+	if snap.Count() <= baseStats["rows"] {
+		t.Errorf("members hold %d rows, baseline %d: the victim's WAL recovered no pre-kill rows", snap.Count(), baseStats["rows"])
 	}
-	if dst.Conflicts != 0 {
-		t.Errorf("failover overlap produced %d conflicting runs, want 0 (%+v)", dst.Conflicts, dst)
+	_, st := postprocess.ConsolidateSnapshot(snap, postprocess.StreamOptions{})
+	if st.Messages != baseStats["rows"] {
+		t.Errorf("merged members consolidate %d messages, baseline stored %d: failover %s",
+			st.Messages, baseStats["rows"],
+			map[bool]string{true: "double-counted", false: "lost rows"}[st.Messages > baseStats["rows"]])
 	}
-	if snap.Count() != baseStats["rows"] {
-		t.Errorf("merged rows = %d after dedup (%d suppressed), baseline stored %d: failover %s",
-			snap.Count(), dst.SuppressedRows, baseStats["rows"],
-			map[bool]string{true: "double-ingested", false: "lost rows"}[snap.Count() > baseStats["rows"]])
+	if st.ChunkConflicts != 0 {
+		t.Errorf("failover overlap produced %d conflicting chunks, want 0", st.ChunkConflicts)
 	}
 	if err := set.Close(); err != nil { // release the WAL locks for siren-analyze
 		t.Fatal(err)

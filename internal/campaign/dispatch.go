@@ -17,9 +17,10 @@
 //     the replay below and concurrent senders' retries, avoids it;
 //  3. seal the dead member's journal and replay every datagram ever sent
 //     to it through normal routing — the keys' new owners receive a
-//     complete copy of the dead member's stream, which is what lets the
-//     recovered WAL merge back as a pure sub-multiset
-//     (sirendb.DedupOverlaps) and the final report come out byte-identical.
+//     complete copy of the dead member's stream. The recovered WAL merges
+//     back as a subset of it, whose rows the consolidation counts once
+//     (a repeated chunk replaces its first copy), so the final report comes
+//     out byte-identical.
 //
 // The journal is the price of that guarantee: every delivered datagram is
 // retained (grouped per member) until the transport closes, so a campaign
@@ -228,9 +229,9 @@ func (f *FailoverTransport) Send(d []byte) error {
 		}
 		if !f.opts.DisableJournal && !ml.append(d) {
 			// Sealed between our send and the journal append: the replay
-			// does not cover this datagram, so re-route it ourselves. The
-			// dying member may also have ingested it — that overlap is
-			// exactly what merge-time dedup removes.
+			// does not cover this datagram, so re-route it ourselves, or it
+			// would be lost. The dying member may also have ingested it;
+			// that copy is a duplicate, which consolidation counts once.
 			f.rerouted.Add(1)
 			lastErr = fmt.Errorf("campaign: member %s sealed mid-send", ml.m.ID)
 			continue

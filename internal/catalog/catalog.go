@@ -75,14 +75,7 @@ type Generation struct {
 	// queries, deduplicated by FILE_H.
 	Index *analysis.FingerprintIndex
 
-	jobs map[string]jobEntry // per-job state the next incremental pass splices from
-}
-
-// jobEntry is one job's consolidated contribution to a generation.
-type jobEntry struct {
-	records  []*postprocess.ProcessRecord
-	messages int // stored wire messages consolidated into the job
-	logical  int // reassembled logical records
+	jobs map[string]postprocess.JobRecords // per-job state the next incremental pass splices from
 }
 
 // JobInfo summarises one job of a generation.
@@ -96,7 +89,7 @@ type JobInfo struct {
 func (g *Generation) Jobs() []JobInfo {
 	out := make([]JobInfo, 0, len(g.jobs))
 	for id, e := range g.jobs {
-		out = append(out, JobInfo{JobID: id, Processes: len(e.records), Messages: e.messages})
+		out = append(out, JobInfo{JobID: id, Processes: len(e.Records), Messages: e.Messages})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
 	return out
@@ -109,9 +102,10 @@ type RefreshStats struct {
 	NewRows        uint64 // sequence numbers gained since the previous generation
 	Jobs           int    // total jobs in the published generation
 	Reconsolidated int    // jobs re-consolidated by this pass
-	// RowsReconsolidated is the stored rows those jobs hold — every one of
-	// them re-read by this pass. Against NewRows it is the refresh's read
-	// amplification: rows re-read per row gained.
+	// RowsReconsolidated is the distinct chunks those jobs hold
+	// (postprocess.Stats.Messages) — the stored rows this pass re-read, on
+	// any store without duplicate rows. Against NewRows it is the refresh's
+	// read amplification: rows re-read per row gained.
 	RowsReconsolidated int
 	Carried            int           // jobs spliced forward unchanged
 	NoOp               bool          // store unchanged: previous generation kept
@@ -170,7 +164,7 @@ func New(source Source, opts Options) *Catalog {
 	boot := &Generation{
 		Dataset: analysis.NewDataset(nil),
 		Index:   analysis.NewFingerprintIndex(nil),
-		jobs:    map[string]jobEntry{},
+		jobs:    map[string]postprocess.JobRecords{},
 	}
 	c.cur.Store(boot)
 	return c
@@ -235,7 +229,7 @@ func (c *Catalog) Refresh() RefreshStats {
 	// Carry every untouched job forward: its rows are byte-identical in the
 	// new snapshot, so its consolidated records (immutable, shared across
 	// generations) are too.
-	jobs := make(map[string]jobEntry, len(prev.jobs)+len(changed))
+	jobs := make(map[string]postprocess.JobRecords, len(prev.jobs)+len(changed))
 	if since > 0 {
 		for id, e := range prev.jobs {
 			if _, ok := changedSet[id]; !ok {
@@ -249,7 +243,7 @@ func (c *Catalog) Refresh() RefreshStats {
 	// Re-consolidate only the changed jobs, streaming and job-parallel.
 	var fresh []*postprocess.ProcessRecord
 	postprocess.ConsolidateStream(snap, postprocess.StreamOptions{Jobs: changed}, func(j postprocess.JobRecords) bool {
-		jobs[j.JobID] = jobEntry{records: j.Records, messages: j.Messages, logical: j.Reassembled}
+		jobs[j.JobID] = j
 		rs.RowsReconsolidated += j.Messages
 		fresh = append(fresh, j.Records...)
 		return true
@@ -261,7 +255,7 @@ func (c *Catalog) Refresh() RefreshStats {
 	// previous generation and are merged in (DESIGN.md §8).
 	var stats postprocess.Stats
 	for _, e := range jobs {
-		stats.AddJob(e.records, e.messages, e.logical)
+		stats.AddJob(e)
 	}
 	postprocess.SortRecords(fresh)
 	records := fresh
@@ -309,11 +303,10 @@ func (c *Catalog) finish(rs RefreshStats) {
 
 // mergeRecords merges fresh (sorted by postprocess.SortRecords) into prev
 // (a generation's ordered records), leaving out prev's records of the
-// changed jobs — one pass, O(len(prev) + len(fresh)). No carried record
-// compares equal to a fresh one (equal records share a JobID, and a job is
-// either carried or fresh), so the result is exactly the order SortRecords
-// gives the union: a full pass and a merged refresh agree element by
-// element.
+// changed jobs — one pass, O(len(prev) + len(fresh)). No two records
+// compare equal (postprocess.CompareRecords is a total order), so the result
+// is exactly the order SortRecords gives the union: a full pass and a merged
+// refresh agree element by element.
 func mergeRecords(prev []*postprocess.ProcessRecord, changed map[string]struct{}, fresh []*postprocess.ProcessRecord) []*postprocess.ProcessRecord {
 	out := make([]*postprocess.ProcessRecord, 0, len(prev)+len(fresh))
 	j := 0

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -337,19 +338,64 @@ func TestScanBinaryReport(t *testing.T) {
 }
 
 func BenchmarkCollectUserProcess(b *testing.B) {
-	fs := procfs.NewFS()
-	cache := ldso.NewCache()
-	cache.Register(ldso.Library{Soname: "libc.so.6", Path: "/lib64/libc.so.6"})
-	cache.Register(ldso.Library{Soname: "siren.so", Path: "/opt/siren/lib/siren.so"})
-	fs.Install("/lib64/libc.so.6", []byte("so"), procfs.FileMeta{})
-	fs.Install("/opt/siren/lib/siren.so", []byte("so"), procfs.FileMeta{})
 	art, err := toolchain.Compile(
 		toolchain.Source{Name: "bench", Version: "1", Functions: []string{"f1", "f2"}},
 		toolchain.BuildOptions{Compilers: []toolchain.Compiler{toolchain.GCCSUSE}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	fs.Install("/users/u/bench", art.Binary, procfs.FileMeta{})
+	benchCollect(b, [][]byte{art.Binary})
+}
+
+// BenchmarkCollectCorpus collects one user process of each of four
+// synthetic executables of the campaign's sizes (16 to 64 KiB of code,
+// generated by toolchain.Compile: other compilers, libraries, symbol counts)
+// per iteration — the collector's per-process cost over a corpus rather
+// than one binary.
+func BenchmarkCollectCorpus(b *testing.B) {
+	var imgs [][]byte
+	for i, o := range []struct {
+		kb   int
+		comp toolchain.Compiler
+		libs []string
+	}{
+		{16, toolchain.GCCSUSE, nil},
+		{24, toolchain.ClangCray, []string{"libm.so.6"}},
+		{48, toolchain.GCCHPE, []string{"libm.so.6", "libc.so.6"}},
+		{64, toolchain.ClangAMD, nil},
+	} {
+		funcs := make([]string, 4+8*i)
+		for f := range funcs {
+			funcs[f] = fmt.Sprintf("app%d_f%d", i, f)
+		}
+		art, err := toolchain.Compile(
+			toolchain.Source{Name: fmt.Sprintf("app%d", i), Version: "1.0", Functions: funcs, CodeKB: o.kb},
+			toolchain.BuildOptions{Compilers: []toolchain.Compiler{o.comp}, Libraries: o.libs, OptLevel: i % 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		imgs = append(imgs, art.Binary)
+	}
+	benchCollect(b, imgs)
+}
+
+// benchCollect installs each image as a user executable and runs one
+// process of each per iteration, collected end to end into a drained
+// transport.
+func benchCollect(b *testing.B, imgs [][]byte) {
+	fs := procfs.NewFS()
+	cache := ldso.NewCache()
+	for _, lib := range []string{"libc.so.6", "libm.so.6"} {
+		cache.Register(ldso.Library{Soname: lib, Path: "/lib64/" + lib})
+		fs.Install("/lib64/"+lib, []byte("so"), procfs.FileMeta{})
+	}
+	cache.Register(ldso.Library{Soname: "siren.so", Path: "/opt/siren/lib/siren.so"})
+	fs.Install("/opt/siren/lib/siren.so", []byte("so"), procfs.FileMeta{})
+	paths := make([]string, len(imgs))
+	for i, img := range imgs {
+		paths[i] = fmt.Sprintf("/users/u/bench%d", i)
+		fs.Install(paths[i], img, procfs.FileMeta{})
+	}
 	tr := wire.NewChanTransport(1 << 20)
 	go func() {
 		for range tr.C() {
@@ -362,8 +408,10 @@ func BenchmarkCollectUserProcess(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rt.Run("/users/u/bench", slurm.ExecOptions{PPID: 1, Env: e}, nil); err != nil {
-			b.Fatal(err)
+		for _, path := range paths {
+			if _, err := rt.Run(path, slurm.ExecOptions{PPID: 1, Env: e}, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -211,16 +211,37 @@ func splitLinesOracle(content string) []string {
 	return out
 }
 
+// chunkCountsOracle counts msgs' distinct (record, Seq) chunks, and the
+// repeats of one whose TOT or content differs from the copy before it.
+func chunkCountsOracle(msgs []wire.Message) (chunks, conflicts int) {
+	last := make(map[string]wire.Message)
+	for _, m := range msgs {
+		h := m.Header
+		k := joinKey(h.JobID, h.StepID, strconv.Itoa(h.PID), h.Hash, h.Host,
+			strconv.FormatInt(h.Time, 10), h.Layer, h.Type, strconv.Itoa(h.Seq))
+		if prev, ok := last[k]; ok && (prev.Total != m.Total || string(prev.Content) != string(m.Content)) {
+			conflicts++
+		}
+		last[k] = m
+	}
+	return len(last), conflicts
+}
+
 // mustMatchOracle runs the kernel over one chunk as the canonical rows a
 // store holds, and the oracle over its Messages, and compares every record
-// (pointers followed) and the reassembled-record count.
+// (pointers followed), the reassembled-record count and the chunk counts.
 func mustMatchOracle(t testing.TB, name string, msgs []wire.Message) {
 	t.Helper()
-	got, gotN := consolidateRows(encodeMessages(msgs))
+	jr := consolidateRows(encodeMessages(msgs))
+	got, gotN := jr.Records, jr.Reassembled
 	want, wantN := consolidateChunkOracle(msgs)
 	if gotN != wantN || len(got) != len(want) {
 		t.Fatalf("%s: kernel produced %d processes from %d records, oracle %d from %d",
 			name, len(got), gotN, len(want), wantN)
+	}
+	if chunks, conflicts := chunkCountsOracle(msgs); jr.Messages != chunks || jr.ChunkConflicts != conflicts {
+		t.Fatalf("%s: kernel counted %d chunks and %d conflicts, oracle %d and %d",
+			name, jr.Messages, jr.ChunkConflicts, chunks, conflicts)
 	}
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
@@ -327,8 +348,7 @@ func TestKernelMatchesOracleOnCampaign(t *testing.T) {
 			incomplete := 0
 			for _, chunk := range chunks {
 				mustMatchOracle(t, "job "+chunk[0].JobID, chunk)
-				recs, _ := consolidateRows(encodeMessages(chunk))
-				for _, r := range recs {
+				for _, r := range consolidateRows(encodeMessages(chunk)).Records {
 					if len(r.MissingFields) > 0 {
 						incomplete++
 					}
@@ -489,7 +509,8 @@ func TestSeparatorByteInsideValuesKeepsProcessesApart(t *testing.T) {
 			}
 			msgs = append(msgs, m)
 		}
-		recs, n := consolidateRows(encodeMessages(msgs))
+		jr := consolidateRows(encodeMessages(msgs))
+		recs, n := jr.Records, jr.Reassembled
 		if len(recs) != 2 || n != 2 {
 			t.Fatalf("%s: %d datagrams of different processes became %d record(s)", name, len(msgs), len(recs))
 		}
@@ -562,6 +583,9 @@ func FuzzConsolidate(f *testing.F) {
 	f.Add([]byte{0, 0x30, 0, 5, 0, 0x31, 0, 5, 0, 0x32, 0, 5})                         // FILE_H rows that differ only in TIME
 	f.Add([]byte{0, 0x30, 0, 5, 0x40, 0x30, 0, 5, 0x08, 0x30, 0, 5, 0x02, 0x30, 0, 5}) // one byte apart: HOST n0/n1, PID 0/1, JOBID 100/200
 	f.Add([]byte{0x20, 0x00, 0, 1, 0x20, 0x30, 0, 5, 0, 0x30, 0, 5})                   // HASH=h=1 beside HASH=h0
+	// Repeated rows: both chunks of one OBJECTS record again, then chunk 1
+	// with other content.
+	f.Add([]byte{0, 0x10, 4, 2, 0, 0x10, 5, 2, 0, 0x10, 4, 2, 0, 0x10, 5, 2, 0, 0x10, 5, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mustMatchOracle(t, "fuzz", fuzzMessages(data))
 	})

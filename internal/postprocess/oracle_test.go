@@ -18,21 +18,19 @@ import (
 // one to three member stores with random shard counts, some InsertShard
 // batches misrouted to a shard their rows do not hash to, one member sealed
 // and then reopened at another shard count, and, with two or more members, a
-// failover-style partial copy of one (job, host) run in a second member,
-// deduped. ConsolidateSnapshot's records and Stats must equal one sorted
+// failover-style partial copy of one (job, host) run in a second member.
+// ConsolidateSnapshot's records and Stats must equal one sorted
 // consolidateRows pass over every row the snapshot holds, in sequence order.
+// Where a copy was planted, they must also equal those of the same
+// deployment without it, unless that deployment's own rows conflict: rows
+// stored twice change nothing.
 func TestConsolidateMatchesWholeStoreOracle(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
-			snap, overlap := oracleDeployment(t, r)
+			d := oracleDeployment(r)
+			snap := d.build(t, r, true)
 
-			if overlap {
-				st := snap.DedupOverlaps()
-				if st.SuppressedRuns == 0 || st.Conflicts != 0 {
-					t.Fatalf("failover overlap not deduped: %+v", st)
-				}
-			}
 			want, wantStats := wholeStorePass(snap)
 			got, gotStats := ConsolidateSnapshot(snap, StreamOptions{Workers: 1 + r.Intn(3)})
 			if err := snap.Err(); err != nil {
@@ -52,14 +50,39 @@ func TestConsolidateMatchesWholeStoreOracle(t *testing.T) {
 					t.Fatalf("record %d diverged:\nstream %+v\noracle %+v", i, got[i], want[i])
 				}
 			}
+			if !d.overlap {
+				return
+			}
+			once, onceStats := ConsolidateSnapshot(d.build(t, r, false), StreamOptions{})
+			if onceStats.ChunkConflicts > 0 {
+				// Two generated processes share a record header, so which
+				// version of the chunk wins depends on arrival order, and the
+				// copy may change it; the conflict must stay counted.
+				if gotStats.ChunkConflicts < onceStats.ChunkConflicts {
+					t.Errorf("with the failover copy: %d conflicts, without it %d", gotStats.ChunkConflicts, onceStats.ChunkConflicts)
+				}
+				return
+			}
+			if gotStats != onceStats {
+				t.Errorf("with the failover copy: stats %+v, without it %+v", gotStats, onceStats)
+			}
+			if !reflect.DeepEqual(got, once) {
+				t.Errorf("with the failover copy: %d records differ from the %d without it", len(got), len(once))
+			}
 		})
 	}
 }
 
-// oracleDeployment builds one random deployment and returns its merged
-// snapshot, and whether a failover-style overlap was planted in it.
-func oracleDeployment(t *testing.T, r *rand.Rand) (*sirendb.Snapshot, bool) {
-	t.Helper()
+// deployment is a random multi-member deployment: each member's rows in
+// insertion order, and which of them are a planted failover copy.
+type deployment struct {
+	members [][]wire.Message
+	copies  [][]bool // copies[m][i]: members[m][i] repeats a row another member holds
+	overlap bool     // a copy was planted
+}
+
+// oracleDeployment draws one random deployment.
+func oracleDeployment(r *rand.Rand) *deployment {
 	members := 1 + r.Intn(3)
 
 	// Every (job, host) run goes to one random member, whole.
@@ -74,31 +97,55 @@ func oracleDeployment(t *testing.T, r *rand.Rand) (*sirendb.Snapshot, bool) {
 			runs[k] = oracleProcesses(r, k.job, k.host)
 		}
 	}
-	perMember := make([][]wire.Message, members)
+	d := &deployment{members: make([][]wire.Message, members), copies: make([][]bool, members)}
+	add := func(m int, msgs []wire.Message, copied bool) {
+		d.members[m] = append(d.members[m], msgs...)
+		for range msgs {
+			d.copies[m] = append(d.copies[m], copied)
+		}
+	}
 	owner := make(map[key]int, len(keys))
 	for _, k := range keys {
 		owner[k] = r.Intn(members)
-		perMember[owner[k]] = append(perMember[owner[k]], runs[k]...)
+		add(owner[k], runs[k], false)
 	}
 
 	// A failover leaves part of one run in a second member as well.
-	overlap := false
 	if members > 1 {
 		for _, k := range keys {
 			if run := runs[k]; len(run) >= 2 {
 				part := slices.Clone(run)
 				r.Shuffle(len(part), func(a, b int) { part[a], part[b] = part[b], part[a] })
-				other := (owner[k] + 1 + r.Intn(members-1)) % members
-				perMember[other] = append(perMember[other], part[:len(part)/2]...)
-				overlap = true
+				add((owner[k]+1+r.Intn(members-1))%members, part[:len(part)/2], true)
+				d.overlap = true
 				break
 			}
 		}
 	}
+	for m, msgs := range d.members {
+		r.Shuffle(len(msgs), func(a, b int) {
+			msgs[a], msgs[b] = msgs[b], msgs[a]
+			d.copies[m][a], d.copies[m][b] = d.copies[m][b], d.copies[m][a]
+		})
+	}
+	return d
+}
 
-	snaps := make([]*sirendb.Snapshot, members)
-	for m, msgs := range perMember {
-		r.Shuffle(len(msgs), func(a, b int) { msgs[a], msgs[b] = msgs[b], msgs[a] })
+// build stores the deployment, its planted copies only withCopies, and
+// returns the merged snapshot. Every member but member 0 is one in-memory
+// store; member 0 seals a third of its rows, leaves a third in the WAL, and
+// is reopened at another shard count for the rest. Rows keep their relative
+// order either way.
+func (d *deployment) build(t *testing.T, r *rand.Rand, withCopies bool) *sirendb.Snapshot {
+	t.Helper()
+	snaps := make([]*sirendb.Snapshot, len(d.members))
+	for m, all := range d.members {
+		var msgs []wire.Message
+		for i, msg := range all {
+			if withCopies || !d.copies[m][i] {
+				msgs = append(msgs, msg)
+			}
+		}
 		shards := 1 + r.Intn(4)
 		if m > 0 {
 			db, err := sirendb.OpenOptions("", sirendb.Options{Shards: shards})
@@ -110,8 +157,6 @@ func oracleDeployment(t *testing.T, r *rand.Rand) (*sirendb.Snapshot, bool) {
 			snaps[m] = db.Snapshot()
 			continue
 		}
-		// Member 0: seal a third of its rows, leave a third in the WAL,
-		// reopen at another shard count and add the rest to the new head.
 		path := filepath.Join(t.TempDir(), "siren.wal")
 		db, err := sirendb.OpenOptions(path, sirendb.Options{Shards: shards})
 		if err != nil {
@@ -137,12 +182,12 @@ func oracleDeployment(t *testing.T, r *rand.Rand) (*sirendb.Snapshot, bool) {
 		oracleInsert(t, r, db, shards, msgs[2*third:])
 		snaps[m] = db.Snapshot()
 	}
-	return sirendb.MergeSnapshots(snaps), overlap
+	return sirendb.MergeSnapshots(snaps)
 }
 
 // oracleProcesses returns the datagrams of one to three processes of job on
 // host. PIDs and times come from small ranges, so processes of one job tie
-// on the (Time, JobID, PID, ExeHash) sort key across hosts and PIDs repeat.
+// on (Time, JobID, PID, ExeHash) across hosts and PIDs repeat.
 func oracleProcesses(r *rand.Rand, job, host string) []wire.Message {
 	var out []wire.Message
 	for range 1 + r.Intn(3) {
@@ -200,9 +245,9 @@ func wholeStorePass(snap *sirendb.Snapshot) ([]*ProcessRecord, Stats) {
 	for i := range all {
 		msgs[i] = all[i].m
 	}
-	out, nRecords := consolidateRows(encodeMessages(msgs))
-	SortRecords(out)
-	stats := Stats{Messages: len(msgs), Records: nRecords}
-	countRecordStats(&stats, out)
-	return out, stats
+	jr := consolidateRows(encodeMessages(msgs))
+	SortRecords(jr.Records)
+	stats := Stats{Messages: jr.Messages, Records: jr.Reassembled, ChunkConflicts: jr.ChunkConflicts}
+	countRecordStats(&stats, jr.Records)
+	return jr.Records, stats
 }

@@ -99,25 +99,34 @@ func (p *ProcessRecord) ExeName() string {
 
 // Stats summarises a consolidation pass.
 type Stats struct {
+	// Messages counts the distinct (record, Seq) chunks consolidated: a row
+	// stored twice — a failover copy merged back beside the full stream, a
+	// re-sent datagram — counts once. On a store without duplicates it is the
+	// row count.
 	Messages             int
 	Records              int // reassembled logical records
 	Processes            int
 	ProcessesWithMissing int
 	Jobs                 int
 	JobsWithMissing      int
+	// ChunkConflicts counts the repeated chunks whose bytes differ from the
+	// chunk that replaced them. Duplicates from failover are exact copies,
+	// so a nonzero count means two senders produced different data under
+	// one record's header: a misconfigured roster or colliding campaigns.
+	ChunkConflicts int
 }
 
 // AddJob folds one consolidated job into the summary — the single
 // accumulation rule shared by the streaming pass and incremental consumers
 // (the serving catalog) splicing carried jobs across refreshes, so both
-// report identical Stats for identical records. messages is the job's
-// stored wire messages, logical its reassembled record count.
-func (s *Stats) AddJob(records []*ProcessRecord, messages, logical int) {
+// report identical Stats for identical records.
+func (s *Stats) AddJob(j JobRecords) {
 	s.Jobs++
-	s.Messages += messages
-	s.Records += logical
+	s.Messages += j.Messages
+	s.Records += j.Reassembled
+	s.ChunkConflicts += j.ChunkConflicts
 	jobMissing := false
-	for _, r := range records {
+	for _, r := range j.Records {
 		s.Processes++
 		if len(r.MissingFields) > 0 {
 			s.ProcessesWithMissing++
@@ -130,7 +139,7 @@ func (s *Stats) AddJob(records []*ProcessRecord, messages, logical int) {
 }
 
 // Consolidate snapshots db and produces one ProcessRecord per process
-// instance, sorted by (Time, JobID, PID, ExeHash) for determinism.
+// instance, sorted by CompareRecords for determinism.
 //
 // Internally this rides the streaming, job-parallel read path
 // (ConsolidateSnapshot): the store is never materialised as one
@@ -147,6 +156,11 @@ func Consolidate(db *sirendb.DB) ([]*ProcessRecord, Stats) {
 // never crosses a job or a host. That closure is what lets the streaming
 // path consolidate job by job and still produce exactly the records a
 // whole-store pass would.
+//
+// A row repeated among the rows — the same chunk stored twice — replaces
+// its first copy in reassembly (wire.Reassemble), so duplicates change no
+// record; the result counts each distinct chunk once in Messages and each
+// replaced chunk whose bytes differ in ChunkConflicts.
 //
 // Constructor and destructor messages of the same process carry different
 // TIME values (data is collected at start-up *and* before termination), so
@@ -178,17 +192,19 @@ func Consolidate(db *sirendb.DB) ([]*ProcessRecord, Stats) {
 // into one string for the pass, and each field is cut from that. Every step
 // is linear in the records (the sort O(n log n) in a disordered group),
 // whatever the mix of identities, types and chunks.
-func consolidateRows(rows []wire.Scanned) (out []*ProcessRecord, nRecords int) {
+func consolidateRows(rows []wire.Scanned) JobRecords {
 	records := wire.Reassemble(rows)
-	nRecords = len(records)
-	if nRecords == 0 {
-		return nil, 0
+	if len(records) == 0 {
+		return JobRecords{}
 	}
 
 	// One copy of every record's content: record i's is text[cut[i]:cut[i+1]].
+	jr := JobRecords{Reassembled: len(records)}
 	cut := make([]int, len(records)+1)
 	for i := range records {
 		cut[i+1] = cut[i] + records[i].Size()
+		jr.Messages += records[i].Chunks()
+		jr.ChunkConflicts += records[i].Conflicts()
 	}
 	buf := make([]byte, 0, cut[len(records)])
 	for i := range records {
@@ -236,7 +252,7 @@ func consolidateRows(rows []wire.Scanned) (out []*ProcessRecord, nRecords int) {
 	}
 
 	byTime := func(a, b int32) int { return cmp.Compare(records[a].Row.Time, records[b].Row.Time) }
-	out = make([]*ProcessRecord, 0, len(ends))
+	out := make([]*ProcessRecord, 0, len(ends))
 	begin := int32(0)
 	for g, end := range ends {
 		group := order[begin:end]
@@ -282,7 +298,8 @@ func consolidateRows(rows []wire.Scanned) (out []*ProcessRecord, nRecords int) {
 			p.Imports = pyenv.ExtractImports(p.Maps)
 		}
 	}
-	return out, nRecords
+	jr.Records = out
+	return jr
 }
 
 // typeSet is the set of LAYER:TYPE pairs one process instance has shown so
@@ -354,12 +371,13 @@ func (s *typeSet) add(layer, typ string) {
 	s.other[[2]string{layer, typ}] = struct{}{}
 }
 
-// CompareRecords orders two records by (Time, JobID, PID, ExeHash) — the
-// key of SortRecords, exported for incremental consumers (the serving
-// catalog) that merge already-ordered record sets instead of re-sorting.
-// It is not a total order: one PID on two hosts of a job, or in two steps,
-// compares equal. Equal records always share a JobID, though, so their
-// relative order can be taken from the job's own record order.
+// CompareRecords orders two records by (Time, JobID, PID, ExeHash, Host,
+// StepID) — the key of SortRecords, exported for incremental consumers (the
+// serving catalog) that merge already-ordered record sets instead of
+// re-sorting. Records of one consolidation never compare equal: one identity
+// (JobID, StepID, PID, ExeHash, Host) starts a second process instance only
+// at a later Time. So the order does not depend on the order in which a
+// job's rows arrived, nor on rows stored twice.
 func CompareRecords(a, b *ProcessRecord) int {
 	if c := cmp.Compare(a.Time, b.Time); c != 0 {
 		return c
@@ -370,18 +388,21 @@ func CompareRecords(a, b *ProcessRecord) int {
 	if c := cmp.Compare(a.PID, b.PID); c != 0 {
 		return c
 	}
-	return strings.Compare(a.ExeHash, b.ExeHash)
+	if c := strings.Compare(a.ExeHash, b.ExeHash); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Host, b.Host); c != 0 {
+		return c
+	}
+	return strings.Compare(a.StepID, b.StepID)
 }
 
 // SortRecords orders records by CompareRecords — the deterministic output
-// order of every consolidation entry point. The sort is stable: records
-// that compare equal belong to one job and keep the order they have in it,
-// so the result depends only on each job's own record order (which a
-// consolidation pass fixes), never on how jobs were interleaved on input —
-// a full pass's job order and an incremental catalog's merge agree
-// element by element.
+// order of every consolidation entry point. The order is total, so a full
+// pass's job order and an incremental catalog's merge agree element by
+// element.
 func SortRecords(out []*ProcessRecord) {
-	slices.SortStableFunc(out, CompareRecords)
+	slices.SortFunc(out, CompareRecords)
 }
 
 func applySelf(p *ProcessRecord, typ, content string) {

@@ -53,12 +53,15 @@ type StreamOptions struct {
 type JobRecords struct {
 	JobID   string
 	Records []*ProcessRecord
-	// Messages is the number of stored wire messages consolidated into this
-	// job; Reassembled the number of logical records after chunk reassembly.
-	// An incremental consumer carrying whole jobs across passes accumulates
-	// these into the Stats a fresh full pass would report.
-	Messages    int
-	Reassembled int
+	// Messages is the number of distinct chunks consolidated into this job
+	// (Stats.Messages); Reassembled the number of logical records after
+	// chunk reassembly; ChunkConflicts the repeated chunks whose bytes
+	// differed (Stats.ChunkConflicts). An incremental consumer carrying
+	// whole jobs across passes accumulates these into the Stats a fresh
+	// full pass would report.
+	Messages       int
+	Reassembled    int
+	ChunkConflicts int
 }
 
 // ConsolidateStream consolidates a store snapshot job-parallel and calls
@@ -105,10 +108,11 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 				})
 				// The rows are views into snap's runs; the records copy out
 				// of them, and snap stays reachable until they have.
-				recs, nRecords := consolidateRows(buf)
+				jr := consolidateRows(buf)
 				runtime.KeepAlive(snap)
+				jr.JobID = job
 				select {
-				case out <- JobRecords{JobID: job, Records: recs, Messages: len(buf), Reassembled: nRecords}:
+				case out <- jr:
 				case <-done:
 					return
 				}
@@ -126,7 +130,7 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 		if stopped {
 			continue // drain until the workers exit
 		}
-		stats.AddJob(jr.Records, jr.Messages, jr.Reassembled)
+		stats.AddJob(jr)
 		if !yield(jr) {
 			stopped = true
 			close(done)
@@ -136,8 +140,8 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 }
 
 // ConsolidateSnapshot consolidates a snapshot via the streaming
-// job-parallel path and returns every record sorted by (Time, JobID, PID,
-// ExeHash) — the same contract as Consolidate, with peak memory bounded by
+// job-parallel path and returns every record sorted by CompareRecords — the
+// same contract as Consolidate, with peak memory bounded by
 // the in-flight jobs plus the output instead of the whole store.
 func ConsolidateSnapshot(snap SnapshotView, opts StreamOptions) ([]*ProcessRecord, Stats) {
 	var out []*ProcessRecord

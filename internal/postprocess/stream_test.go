@@ -73,12 +73,28 @@ func allRows(db *sirendb.DB) []wire.Message {
 	return out
 }
 
+// shardJobs returns the jobs shard s of snap holds rows of, in
+// first-appearance order.
+func shardJobs(snap *sirendb.Snapshot, s int) []string {
+	var out []string
+	seen := make(map[string]bool)
+	c := snap.ShardCursor(s)
+	for m, _, ok := c.Next(); ok; m, _, ok = c.Next() {
+		if !seen[m.JobID] {
+			seen[m.JobID] = true
+			out = append(out, m.JobID)
+		}
+	}
+	return out
+}
+
 // ConsolidateMessages is the load-everything consolidation — one global
 // reassembly and group pass over an explicit message slice, through the
 // oracle kernel (kernel_test.go). It is the equality oracle the streaming,
 // merged and sealed paths are pinned against.
 func ConsolidateMessages(msgs []wire.Message) ([]*ProcessRecord, Stats) {
-	stats := Stats{Messages: len(msgs)}
+	var stats Stats
+	stats.Messages, stats.ChunkConflicts = chunkCountsOracle(msgs)
 	out, nRecords := consolidateChunkOracle(msgs)
 	stats.Records = nRecords
 	SortRecords(out)
@@ -139,7 +155,7 @@ func TestConsolidateStreamPerJob(t *testing.T) {
 
 	shardsOf := make(map[string]int)
 	for s := 0; s < snap.Shards(); s++ {
-		for _, job := range snap.ShardJobs(s) {
+		for _, job := range shardJobs(snap, s) {
 			shardsOf[job]++
 		}
 	}
@@ -254,7 +270,7 @@ func TestConsolidateStreamWorkerCap(t *testing.T) {
 		defer db.Close()
 		if name == "skewed" {
 			snap := db.Snapshot()
-			if n := len(snap.ShardJobs(0)); n*10 < len(snap.Jobs())*8 {
+			if n := len(shardJobs(snap, 0)); n*10 < len(snap.Jobs())*8 {
 				t.Fatalf("test premise broken: shard 0 holds %d of %d jobs", n, len(snap.Jobs()))
 			}
 		}

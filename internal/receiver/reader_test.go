@@ -126,7 +126,7 @@ func TestBurstsAcrossShardsLoseNothing(t *testing.T) {
 	}
 	sn := db.Snapshot()
 	for i := 0; i < sn.Shards(); i++ {
-		if len(sn.ShardJobs(i)) == 0 {
+		if sn.ShardCursor(i).Len() == 0 {
 			t.Errorf("store shard %d received nothing", i)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -82,17 +83,18 @@ func replaySerially(t *testing.T, path string, shards int) *serialReplay {
 	return o
 }
 
-// shardJobs returns shard sh's jobs in first-appearance order.
-func (o *serialReplay) shardJobs(sh int) []string {
-	var jobs []string
-	seen := make(map[string]bool)
-	for _, r := range o.shards[sh] {
-		if !seen[r.job] {
-			seen[r.job] = true
-			jobs = append(jobs, r.job)
+// jobRows returns every job's rows, across shards, seq-ascending.
+func (o *serialReplay) jobRows() map[string][]serialRow {
+	out := make(map[string][]serialRow)
+	for _, rows := range o.shards {
+		for _, r := range rows {
+			out[r.job] = append(out[r.job], r)
 		}
 	}
-	return jobs
+	for _, rows := range out {
+		slices.SortFunc(rows, func(a, b serialRow) int { return cmp.Compare(a.seq, b.seq) })
+	}
+	return out
 }
 
 // buildReplayStore writes a store the concurrent replay has to sort out:
@@ -212,10 +214,21 @@ func checkReplay(t *testing.T, open string, db *DB, want *serialReplay) {
 	if got := snap.LastSeq(); got != want.lastSeq {
 		t.Errorf("%s: LastSeq = %d, want %d", open, got, want.lastSeq)
 	}
-	for sh := range want.shards {
-		if got, w := snap.ShardJobs(sh), want.shardJobs(sh); !slices.Equal(got, w) {
-			t.Errorf("%s: ShardJobs(%d) = %v, want %v", open, sh, got, w)
+	wantJobs := want.jobRows()
+	if got, w := snap.Jobs(), slices.Sorted(maps.Keys(wantJobs)); !slices.Equal(got, w) {
+		t.Errorf("%s: Jobs = %v, want %v", open, got, w)
+	}
+	for job, w := range wantJobs {
+		var got []serialRow
+		snap.JobRows(job, func(row *wire.Scanned, seq uint64) bool {
+			got = append(got, serialRow{seq: seq, bytes: string(row.Datagram), job: job})
+			return true
+		})
+		if !slices.Equal(got, w) {
+			t.Errorf("%s: JobRows(%s) = %d rows, want %d, or they differ", open, job, len(got), len(w))
 		}
+	}
+	for sh := range want.shards {
 		var got []serialRow
 		c := snap.ShardCursor(sh)
 		for m, seq, ok := c.Next(); ok; m, seq, ok = c.Next() {

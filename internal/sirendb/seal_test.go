@@ -516,22 +516,20 @@ func TestSealShardCountChange(t *testing.T) {
 			t.Fatalf("JobRows(%s) = %d rows under new shard count, want 40", job, len(got))
 		}
 	}
-	// Snapshot contract: within every shard-job stream, each host's
-	// subsequence stays strictly seq-ascending (the chunk-reassembly
-	// invariant postprocess.SnapshotView documents).
+	// Snapshot contract: within every job stream, each host's subsequence
+	// stays strictly seq-ascending (the chunk-reassembly invariant
+	// postprocess.SnapshotView documents).
 	sn := db2.Snapshot()
-	for s := 0; s < sn.Shards(); s++ {
-		for _, job := range sn.ShardJobs(s) {
-			last := map[string]uint64{}
-			sn.ShardJobRows(s, job, func(row *wire.Scanned, seq uint64) bool {
-				host := string(row.Value(row.Datagram, wire.FieldHost))
-				if seq <= last[host] {
-					t.Fatalf("shard %d job %s host %s: seq %d after %d", s, job, host, seq, last[host])
-				}
-				last[host] = seq
-				return true
-			})
-		}
+	for _, job := range sn.Jobs() {
+		last := map[string]uint64{}
+		sn.JobRows(job, func(row *wire.Scanned, seq uint64) bool {
+			host := string(row.Value(row.Datagram, wire.FieldHost))
+			if seq <= last[host] {
+				t.Fatalf("job %s host %s: seq %d after %d", job, host, seq, last[host])
+			}
+			last[host] = seq
+			return true
+		})
 	}
 }
 
@@ -566,12 +564,10 @@ func TestSnapshotIsolatedFromSeal(t *testing.T) {
 		}
 		total := 0
 		for _, job := range sn.Jobs() {
-			for s := 0; s < sn.Shards(); s++ {
-				sn.ShardJobRows(s, job, func(*wire.Scanned, uint64) bool { total++; return true })
-			}
+			sn.JobRows(job, func(*wire.Scanned, uint64) bool { total++; return true })
 		}
 		if total != len(ms) {
-			t.Fatalf("%s snapshot ShardJobRows covered %d rows", name, total)
+			t.Fatalf("%s snapshot JobRows covered %d rows", name, total)
 		}
 	}
 }

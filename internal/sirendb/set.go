@@ -86,18 +86,14 @@ func (s *DBSet) Close() error {
 // snapshot is its own consistent cut); cross-member consistency is not
 // needed — members hold disjoint campaign partitions, except where a
 // failover left a recovered member's partial copy of runs another member
-// holds in full (DESIGN.md §11). The set's snapshot therefore comes back
-// with DedupOverlaps applied, so every reader of the set — siren-analyze and
-// siren-serve alike — counts each run once; the disjoint members of a static
-// roster dedup to nothing, and a one-member set does no extra work.
+// holds in full (DESIGN.md §11). Those rows come out twice, and the
+// consolidation counts each once.
 func (s *DBSet) Snapshot() *Snapshot {
 	snaps := make([]*Snapshot, len(s.dbs))
 	for i, db := range s.dbs {
 		snaps[i] = db.Snapshot()
 	}
-	sn := MergeSnapshots(snaps)
-	sn.DedupOverlaps()
-	return sn
+	return MergeSnapshots(snaps)
 }
 
 // MergedSnapshot is another name for Snapshot.

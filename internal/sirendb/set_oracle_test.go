@@ -14,51 +14,41 @@ import (
 // oracleRow is one member row as the member's own snapshot reports it, with
 // the sequence number the merged view must give it.
 type oracleRow struct {
-	member, shard int // shard: index in the set snapshot's shard axis
-	job, host     string
-	bytes         string
-	seq           uint64 // rebased: the member's offset plus its own seq
+	job   string
+	bytes string
+	seq   uint64 // rebased: the member's offset plus its own seq
 }
 
 // setOracle is what a set snapshot must present, computed from the member
 // snapshots and their LastSeqs alone.
 type setOracle struct {
-	rows     []oracleRow // every member row, suppressed or not, by rebased seq
-	lastSeq  uint64
-	jobs     []string
-	stats    DedupStats
-	shardOf  [][2]int // set shard index → (member, member-local shard)
-	members  []*Snapshot
-	suppress map[int]map[jobHost]bool
+	rows    []oracleRow // every member row, by rebased seq
+	lastSeq uint64
+	jobs    []string
+	shardOf [][2]int // set shard index → (member, member-local shard)
+	offs    []uint64 // member → its seq rebase
+	members []*Snapshot
 }
 
-// buildSetOracle reads every member snapshot through its own accessors,
-// rebases the seqs and applies the dedup rule of dedup.go independently:
-// per (job, host) held by two or more members, the longest run (ties: the
-// smallest rebased first seq) is canonical and every other run that is a
-// sub-multiset of it is suppressed; the rest are conflicts.
+// buildSetOracle reads every member snapshot through its own accessors and
+// rebases the seqs. Rows two members hold are kept twice: the set snapshot
+// removes nothing.
 func buildSetOracle(members []*Snapshot) *setOracle {
-	o := &setOracle{suppress: make(map[int]map[jobHost]bool), members: members}
+	o := &setOracle{members: members}
 	var off uint64
 	jobSet := make(map[string]bool)
 	for m, sn := range members {
 		for s := 0; s < sn.Shards(); s++ {
-			gi := len(o.shardOf)
 			o.shardOf = append(o.shardOf, [2]int{m, s})
-			for _, job := range sn.ShardJobs(s) {
-				sn.ShardJobRows(s, job, func(row *wire.Scanned, seq uint64) bool {
-					o.rows = append(o.rows, oracleRow{
-						member: m, shard: gi, job: job,
-						host:  string(row.Value(row.Datagram, wire.FieldHost)),
-						bytes: string(row.Datagram), seq: off + seq,
-					})
-					return true
-				})
-			}
 		}
-		for _, j := range sn.Jobs() {
-			jobSet[j] = true
+		for _, job := range sn.Jobs() {
+			jobSet[job] = true
+			sn.JobRows(job, func(row *wire.Scanned, seq uint64) bool {
+				o.rows = append(o.rows, oracleRow{job: job, bytes: string(row.Datagram), seq: off + seq})
+				return true
+			})
 		}
+		o.offs = append(o.offs, off)
 		off += sn.LastSeq()
 	}
 	o.lastSeq = off
@@ -67,74 +57,25 @@ func buildSetOracle(members []*Snapshot) *setOracle {
 	}
 	sort.Strings(o.jobs)
 	sort.Slice(o.rows, func(a, b int) bool { return o.rows[a].seq < o.rows[b].seq })
-
-	type run struct {
-		member, rows int
-		first        uint64
-		bag          map[string]int
-	}
-	runs := make(map[jobHost][]*run)
-	for _, r := range o.rows {
-		k := jobHost{r.job, r.host}
-		var cur *run
-		for _, x := range runs[k] {
-			if x.member == r.member {
-				cur = x
-			}
-		}
-		if cur == nil {
-			cur = &run{member: r.member, first: r.seq, bag: make(map[string]int)}
-			runs[k] = append(runs[k], cur)
-		}
-		cur.rows++
-		cur.bag[r.bytes]++
-	}
-	for k, rs := range runs {
-		if len(rs) < 2 {
-			continue
-		}
-		o.stats.OverlappingKeys++
-		canon := rs[0]
-		for _, r := range rs[1:] {
-			if r.rows > canon.rows || (r.rows == canon.rows && r.first < canon.first) {
-				canon = r
-			}
-		}
-		for _, r := range rs {
-			if r == canon {
-				continue
-			}
-			contained := true
-			for b, n := range r.bag {
-				if canon.bag[b] < n {
-					contained = false
-				}
-			}
-			if !contained {
-				o.stats.Conflicts++
-				continue
-			}
-			if o.suppress[r.member] == nil {
-				o.suppress[r.member] = make(map[jobHost]bool)
-			}
-			o.suppress[r.member][k] = true
-			o.stats.SuppressedRuns++
-			o.stats.SuppressedRows += r.rows
-		}
-	}
 	return o
 }
 
-func (o *setOracle) suppressed(r oracleRow) bool { return o.suppress[r.member][jobHost{r.job, r.host}] }
-
-// surviving returns the rows the merged view yields, by rebased seq, that
-// keep passes.
-func (o *setOracle) surviving(keep func(r oracleRow) bool) []oracleRow {
+// where returns the rows, by rebased seq, that keep passes.
+func (o *setOracle) where(keep func(r oracleRow) bool) []oracleRow {
 	var out []oracleRow
 	for _, r := range o.rows {
-		if !o.suppressed(r) && keep(r) {
+		if keep(r) {
 			out = append(out, r)
 		}
+	}
+	return out
+}
+
+// cursorRows drains a shard cursor, adding off to every seq.
+func cursorRows(c *Cursor, off uint64) []oracleRow {
+	var out []oracleRow
+	for m, seq, ok := c.Next(); ok; m, seq, ok = c.Next() {
+		out = append(out, oracleRow{bytes: string(wire.Encode(m)), seq: off + seq})
 	}
 	return out
 }
@@ -143,7 +84,7 @@ func (o *setOracle) surviving(keep func(r oracleRow) bool) []oracleRow {
 // member each, rows inserted around one or two seals so every member holds
 // sealed runs and a head; with two or more members, one key's run is copied
 // as a shuffled sub-multiset into another member (a failover overlap) and
-// another key gets a run of different rows in another member (a conflict).
+// another key gets a run of different rows in another member.
 func buildOracleStores(t *testing.T, seed int64) ([]string, Options) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -231,8 +172,8 @@ func buildOracleStores(t *testing.T, seed int64) ([]string, Options) {
 // TestSetSnapshotMatchesMemberOracle checks every accessor of a set's
 // snapshot against an oracle computed from the member snapshots alone, over
 // generated stores: one to three members, sealed runs plus a head, one
-// failover overlap and one conflict. Each set is read at the shard count it
-// was written with and again reopened at another.
+// failover overlap and one key whose rows differ between members. Each set is
+// read at the shard count it was written with and again reopened at another.
 func TestSetSnapshotMatchesMemberOracle(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -247,7 +188,7 @@ func TestSetSnapshotMatchesMemberOracle(t *testing.T) {
 					members[i] = db.Snapshot()
 				}
 				o := buildSetOracle(members)
-				t.Logf("shards=%d: %d members, %d rows, dedup %+v", shards, len(members), len(o.rows), o.stats)
+				t.Logf("shards=%d: %d members, %d rows", shards, len(members), len(o.rows))
 				checkSetSnapshot(t, set.Snapshot(), o)
 				if err := set.Close(); err != nil {
 					t.Fatal(err)
@@ -259,8 +200,7 @@ func TestSetSnapshotMatchesMemberOracle(t *testing.T) {
 
 func checkSetSnapshot(t *testing.T, ms *Snapshot, o *setOracle) {
 	t.Helper()
-	all := func(oracleRow) bool { return true }
-	if got, want := ms.Count(), len(o.surviving(all)); got != want {
+	if got, want := ms.Count(), len(o.rows); got != want {
 		t.Errorf("Count = %d, want %d", got, want)
 	}
 	if got := ms.LastSeq(); got != o.lastSeq {
@@ -268,11 +208,6 @@ func checkSetSnapshot(t *testing.T, ms *Snapshot, o *setOracle) {
 	}
 	if got := ms.Jobs(); !slices.Equal(got, o.jobs) {
 		t.Errorf("Jobs = %v, want %v", got, o.jobs)
-	}
-	if len(o.members) > 1 {
-		if got := ms.DedupStats(); got != o.stats {
-			t.Errorf("DedupStats = %+v, want %+v", got, o.stats)
-		}
 	}
 
 	// JobsChangedSince at every member boundary, around it, and between.
@@ -304,28 +239,20 @@ func checkSetSnapshot(t *testing.T, ms *Snapshot, o *setOracle) {
 	}
 	for i := 0; i < ms.Shards(); i++ {
 		member, local := o.shardOf[i][0], o.shardOf[i][1]
-		if got, want := ms.ShardJobs(i), o.members[member].ShardJobs(local); !slices.Equal(got, want) {
-			t.Errorf("ShardJobs(%d) = %v, want %v", i, got, want)
-		}
-		for _, job := range o.jobs {
-			want := o.surviving(func(r oracleRow) bool { return r.shard == i && r.job == job })
-			var got []oracleRow
-			ms.ShardJobRows(i, job, func(row *wire.Scanned, seq uint64) bool {
-				got = append(got, oracleRow{bytes: string(row.Datagram), seq: seq})
-				return true
-			})
-			checkRows(t, fmt.Sprintf("ShardJobRows(%d, %s)", i, job), got, want, true)
-		}
+		want := cursorRows(o.members[member].ShardCursor(local), o.offs[member])
+		checkRows(t, fmt.Sprintf("ShardCursor(%d)", i), cursorRows(ms.ShardCursor(i), 0), want, true)
 	}
 
+	jobRows := 0
 	for _, job := range o.jobs {
-		want := o.surviving(func(r oracleRow) bool { return r.job == job })
+		want := o.where(func(r oracleRow) bool { return r.job == job })
 		var got []oracleRow
 		ms.JobRows(job, func(row *wire.Scanned, seq uint64) bool {
 			got = append(got, oracleRow{bytes: string(row.Datagram), seq: seq})
 			return true
 		})
 		checkRows(t, "JobRows("+job+")", got, want, true)
+		jobRows += len(got)
 		memberLen := 0
 		for _, sn := range o.members {
 			memberLen += sn.JobLen(job)
@@ -339,7 +266,10 @@ func checkSetSnapshot(t *testing.T, ms *Snapshot, o *setOracle) {
 		iter = append(iter, oracleRow{bytes: string(wire.Encode(m))})
 		return true
 	})
-	checkRows(t, "Iter", iter, o.surviving(all), false)
+	checkRows(t, "Iter", iter, o.rows, false)
+	if len(iter) != ms.Count() || jobRows != ms.Count() {
+		t.Errorf("Iter yielded %d rows and JobRows %d over all jobs, Count = %d", len(iter), jobRows, ms.Count())
+	}
 	if err := ms.Err(); err != nil {
 		t.Errorf("Err = %v", err)
 	}

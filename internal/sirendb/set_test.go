@@ -80,26 +80,24 @@ func TestMergedSnapshotNoInterleavingWithinJob(t *testing.T) {
 
 	// The rebased sequence numbers must reproduce the same contract on the
 	// shard-cursor surface: every member-0 seq < every member-1 seq, and
-	// seqs are strictly increasing within one merged shard's job stream.
+	// seqs are strictly increasing within one merged shard's stream.
 	member0Shards := db0.StoreShards()
 	var max0, min1 uint64
 	min1 = ^uint64(0)
 	for i := 0; i < ms.Shards(); i++ {
 		var last uint64
-		ms.ShardJobRows(i, "J", func(_ *wire.Scanned, seq uint64) bool {
+		c := ms.ShardCursor(i)
+		for _, seq, ok := c.Next(); ok; _, seq, ok = c.Next() {
 			if seq <= last {
 				t.Fatalf("merged shard %d: seq %d not strictly increasing (last %d)", i, seq, last)
 			}
 			last = seq
 			if i < member0Shards {
-				if seq > max0 {
-					max0 = seq
-				}
-			} else if seq < min1 {
-				min1 = seq
+				max0 = max(max0, seq)
+			} else {
+				min1 = min(min1, seq)
 			}
-			return true
-		})
+		}
 	}
 	if max0 >= min1 {
 		t.Errorf("member-0 max rebased seq %d >= member-1 min %d", max0, min1)

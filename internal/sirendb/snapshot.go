@@ -40,7 +40,7 @@ import (
 //
 // The streaming consolidation (postprocess.ConsolidateStream) reads the
 // snapshot one whole job at a time and depends on this contract:
-//   - JobRows yields every surviving row of one job exactly once, merged
+//   - JobRows yields every row of one job exactly once, merged
 //     across shards, tiers and members in ascending seq order, so each
 //     host's stream comes out in insertion order (chunk reassembly order);
 //     seqs are comparable across shards and members;
@@ -53,32 +53,27 @@ import (
 // The store keeps the rows of one (job, host) in one shard (it partitions by
 // wire.PartitionHash(JobID, Host), and a roster admits by the same pair), but
 // that is locality only: nothing above depends on it, so misrouted InsertShard
-// rows, a store reopened at another shard count, multi-host jobs and member
-// overlaps are all read the same way.
+// rows, a store reopened at another shard count and multi-host jobs are all
+// read the same way. Nor is a row held by two members removed: a failover
+// leaves a recovered member's partial copy of rows another member holds in
+// full (DESIGN.md §11), and both copies are yielded. The consolidation
+// kernel makes them harmless, since a repeated chunk replaces its first copy.
 type Snapshot struct {
 	shards  []shardView
-	members int // member stores behind the snapshot: 1 for DB.Snapshot
 	count   int
 	lastSeq uint64 // highest sequence number the snapshot contains
 
 	jobsOnce sync.Once
 	jobs     []string
-
-	// Overlap-dedup state (dedup.go; nil/zero until DedupOverlaps): drop[m]
-	// holds member m's suppressed (job, host) runs.
-	drop  []map[jobHost]struct{}
-	dedup DedupStats
 }
 
 // shardView is one shard's captured state: immutable prefixes of its head
-// plus the then-current sealed-run set, safe to read without locks, and the
-// member store it belongs to.
+// plus the then-current sealed-run set, safe to read without locks.
 type shardView struct {
-	head   *headView
-	runs   []sealedRun
-	member int      // the member's index in a set snapshot
-	off    uint64   // added to every seq: the preceding members' LastSeq sum
-	errs   *runErrs // where the member's run-read failures go
+	head *headView
+	runs []sealedRun
+	off  uint64   // added to every seq: the preceding members' LastSeq sum
+	errs *runErrs // where the member's run-read failures go
 }
 
 // runErrs keeps the first lazy run-read failure of one member's snapshot and
@@ -108,7 +103,7 @@ func (e *runErrs) err() error {
 // the per-shard header copies and the job lists' outer slices — O(jobs),
 // never O(rows).
 func (db *DB) Snapshot() *Snapshot {
-	sn := &Snapshot{shards: make([]shardView, len(db.shards)), members: 1}
+	sn := &Snapshot{shards: make([]shardView, len(db.shards))}
 	errs := &runErrs{db: db}
 	unlock := db.rlockAll()
 	sn.lastSeq = db.seq.Load()
@@ -130,11 +125,9 @@ func MergeSnapshots(members []*Snapshot) *Snapshot {
 	out := &Snapshot{}
 	for _, sn := range members {
 		for _, sv := range sn.shards {
-			sv.member += out.members
 			sv.off += out.lastSeq
 			out.shards = append(out.shards, sv)
 		}
-		out.members += sn.members
 		out.lastSeq += sn.lastSeq
 		out.count += sn.count
 	}
@@ -158,8 +151,8 @@ func (sn *Snapshot) Err() error {
 // snapshot, the sum of every member's shards.
 func (sn *Snapshot) Shards() int { return len(sn.shards) }
 
-// Count reports the number of messages in the snapshot, sealed runs
-// included and dedup-suppressed runs not.
+// Count reports the number of rows in the snapshot, sealed runs included. In
+// a merged snapshot a row that two members hold counts twice.
 func (sn *Snapshot) Count() int { return sn.count }
 
 // LastSeq reports the highest sequence number the snapshot contains; every
@@ -178,9 +171,8 @@ type src struct {
 	pos  int
 	rem  int // rows not yet yielded (run streams: advertised count)
 
-	off  uint64               // the shard view's seq rebase
-	errs *runErrs             // where a run stream's read failure goes
-	drop map[jobHost]struct{} // the member's suppressed runs, nil when none
+	off  uint64   // the shard view's seq rebase
+	errs *runErrs // where a run stream's read failure goes
 }
 
 func (s *src) peek() (uint64, bool) {
@@ -232,43 +224,15 @@ func (s *src) takeScanned(slot *wire.Scanned) (*wire.Scanned, uint64) {
 	return slot, s.off + s.head.scannedInto(i, slot)
 }
 
-// dropped reports whether row belongs to one of the member's suppressed
-// runs.
-func (s *src) dropped(row *wire.Scanned) bool {
-	if s.drop == nil {
-		return false
-	}
-	_, ok := s.drop[jobHost{string(row.Value(row.Datagram, wire.FieldJobID)), string(row.Value(row.Datagram, wire.FieldHost))}]
-	return ok
-}
-
-// source returns a source of shard view sv's rows, rebased and filtered as
-// the view's member requires.
-func (sn *Snapshot) source(sv *shardView) *src {
-	return &src{off: sv.off, errs: sv.errs, drop: sn.dropOf(sv.member)}
-}
-
-// dropOf returns member m's suppressed runs, nil when it has none.
-func (sn *Snapshot) dropOf(m int) map[jobHost]struct{} {
-	if sn.drop == nil {
-		return nil
-	}
-	return sn.drop[m]
-}
-
 // shardSources appends shard i's sources to srcs: its sealed runs (oldest
 // generation first) plus its head rows.
 func (sn *Snapshot) shardSources(srcs []*src, i int) []*src {
 	sv := &sn.shards[i]
 	for _, sr := range sv.runs {
-		s := sn.source(sv)
-		s.run, s.rem = sr.run.Cursor(), sr.run.Rows()
-		srcs = append(srcs, s)
+		srcs = append(srcs, &src{run: sr.run.Cursor(), rem: sr.run.Rows(), off: sv.off, errs: sv.errs})
 	}
 	if n := len(sv.head.entries); n > 0 {
-		s := sn.source(sv)
-		s.head, s.rem = sv.head, n
-		srcs = append(srcs, s)
+		srcs = append(srcs, &src{head: sv.head, rem: n, off: sv.off, errs: sv.errs})
 	}
 	return srcs
 }
@@ -278,23 +242,18 @@ func (sn *Snapshot) jobSources(srcs []*src, i int, job string) []*src {
 	sv := &sn.shards[i]
 	for _, sr := range sv.runs {
 		if sr.run.HasJob(job) {
-			s := sn.source(sv)
-			s.run = sr.run.JobCursor(job)
-			s.rem, _, _, _ = sr.run.JobStats(job)
-			srcs = append(srcs, s)
+			rows, _, _, _ := sr.run.JobStats(job)
+			srcs = append(srcs, &src{run: sr.run.JobCursor(job), rem: rows, off: sv.off, errs: sv.errs})
 		}
 	}
 	if idxs := sv.head.job(job); len(idxs) > 0 {
-		s := sn.source(sv)
-		s.head, s.idxs, s.rem = sv.head, idxs, len(idxs)
-		srcs = append(srcs, s)
+		srcs = append(srcs, &src{head: sv.head, idxs: idxs, rem: len(idxs), off: sv.off, errs: sv.errs})
 	}
 	return srcs
 }
 
 // mergeScanned streams the union of the sources in ascending sequence order,
-// handing each surviving row straight from its source to f; return false to
-// stop.
+// handing each row straight from its source to f; return false to stop.
 func mergeScanned(srcs []*src, f func(row *wire.Scanned, seq uint64) bool) {
 	c := Cursor{srcs: srcs}
 	for row, seq, ok := c.nextScanned(); ok && f(row, seq); row, seq, ok = c.nextScanned() {
@@ -319,8 +278,7 @@ func (sn *Snapshot) ShardCursor(i int) *Cursor {
 
 // Len reports how many rows remain ahead of the cursor. Run streams count
 // their advertised (footer) rows, so a mid-read corruption can end a stream
-// with Len still positive — the snapshot's Err reports why — and rows of
-// dedup-suppressed runs count until they are skipped.
+// with Len still positive — the snapshot's Err reports why.
 func (c *Cursor) Len() int {
 	n := 0
 	for _, s := range c.srcs {
@@ -341,12 +299,13 @@ func (c *Cursor) Next() (wire.Message, uint64, bool) {
 	return m, seq, true
 }
 
-// nextScanned returns a view of the next surviving row, valid until the
-// next call, and its sequence number — the one merge step behind every
-// stream of the snapshot.
+// nextScanned returns a view of the next row, valid until the next call,
+// and its sequence number — the one merge step behind every stream of the
+// snapshot. A sealed row that fails to scan is skipped (its run's stream
+// ends there, and Err reports why).
 func (c *Cursor) nextScanned() (*wire.Scanned, uint64, bool) {
 	for s := c.pick(); s != nil; s = c.pick() {
-		if row, seq := s.takeScanned(&c.slot); row != nil && !s.dropped(row) {
+		if row, seq := s.takeScanned(&c.slot); row != nil {
 			return row, seq, true
 		}
 	}
@@ -425,10 +384,9 @@ func sortedKeys(set map[string]struct{}) []string {
 // set in the same order and non-shrinking members (both deployment shapes
 // guarantee that: a live store only appends, and an OpenSet holds every
 // member's exclusive lock), since the rebase offsets are cumulative member
-// LastSeqs. After DedupOverlaps the result is conservative: a job may be
-// reported changed when its only new rows were suppressed duplicates (the
-// refresh then re-consolidates it from the surviving rows — wasted work,
-// never wrong data).
+// LastSeqs. A job whose only new rows repeat rows another member already
+// holds is reported changed, and a refresh re-consolidates it to the same
+// records.
 func (sn *Snapshot) JobsChangedSince(since uint64) []string {
 	seen := make(map[string]struct{})
 	for i := range sn.shards {
@@ -450,35 +408,10 @@ func (sn *Snapshot) JobsChangedSince(since uint64) []string {
 	return sortedKeys(seen)
 }
 
-// ShardJobs returns shard i's distinct job IDs in first-appearance
-// (insertion) order. A job's first appearance is the minimum of its first
-// head row's sequence and its min sequence in any of the shard's runs. A job
-// whose every row there was dedup-suppressed is still listed.
-func (sn *Snapshot) ShardJobs(i int) []string {
-	sv := &sn.shards[i]
-	first := make(map[string]uint64, len(sv.head.jobRows))
-	sv.head.eachJob(func(job string, rows []uint32) { first[job] = sv.head.entries[rows[0]].seq })
-	for _, sr := range sv.runs {
-		sr.run.EachJob(func(job string, _ int, minSeq, _ uint64) bool {
-			if cur, ok := first[job]; !ok || minSeq < cur {
-				first[job] = minSeq
-			}
-			return true
-		})
-	}
-	out := make([]string, 0, len(first))
-	for k := range first {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(a, b int) bool { return first[out[a]] < first[out[b]] })
-	return out
-}
-
 // JobLen bounds how many rows JobRows(job) yields, from the heads' job lists
 // and the runs' job indexes — O(shards × runs), no row read. A consumer sizes
 // its buffer with it before the stream fills it. (A run block found corrupt
-// mid-read ends its stream early, and dedup-suppressed rows count, so it is a
-// bound.)
+// mid-read ends its stream early, so it is a bound.)
 func (sn *Snapshot) JobLen(job string) int {
 	n := 0
 	for i := range sn.shards {
@@ -492,23 +425,16 @@ func (sn *Snapshot) JobLen(job string) int {
 	return n
 }
 
-// ShardJobRows streams shard i's rows of one job in insertion order along
-// with each row's sequence number; return false to stop. Each row is handed
-// out as a view of the bytes the store holds — a head row as its datagram in
-// the head chunk with the Fields its index entry holds, a sealed row scanned
-// in place in its verified run block — so nothing is decoded or copied. A
-// view stays valid while the snapshot is reachable and must not be kept past
-// that: run mappings are unmapped once the snapshot is garbage, so whatever
-// a caller keeps of a row, it copies.
-func (sn *Snapshot) ShardJobRows(i int, job string, f func(row *wire.Scanned, seq uint64) bool) {
-	mergeScanned(sn.jobSources(nil, i, job), f)
-}
-
 // JobRows streams every row of one job in global insertion order, merged
-// across shards, tiers and members, as ShardJobRows hands rows out; return
-// false to stop. Nothing is copied or re-sorted: each head index list is
-// already sequence-ascending and each run scans its job extents in sequence
-// order.
+// across shards, tiers and members, along with each row's sequence number;
+// return false to stop. Each row is handed out as a view of the bytes the
+// store holds — a head row as its datagram in the head chunk with the Fields
+// its index entry holds, a sealed row scanned in place in its verified run
+// block — so nothing is decoded, copied or re-sorted: each head index list
+// is already sequence-ascending and each run scans its job extents in
+// sequence order. A view stays valid while the snapshot is reachable and
+// must not be kept past that: run mappings are unmapped once the snapshot is
+// garbage, so whatever a caller keeps of a row, it copies.
 func (sn *Snapshot) JobRows(job string, f func(row *wire.Scanned, seq uint64) bool) {
 	if sv, idxs := sn.soleHead(job); sv != nil {
 		// One head holds the whole job: no merge state needed.
@@ -529,8 +455,7 @@ func (sn *Snapshot) JobRows(job string, f func(row *wire.Scanned, seq uint64) bo
 
 // soleHead returns the shard view whose head holds every row of job, with
 // those rows' entry indexes, when no other head and no sealed run holds any;
-// nil otherwise. None of those rows is dedup-suppressed: DedupOverlaps only
-// suppresses a run that another member holds too.
+// nil otherwise.
 func (sn *Snapshot) soleHead(job string) (*shardView, []uint32) {
 	var sole *shardView
 	var idxs []uint32

@@ -148,7 +148,7 @@ func TestInsertInsideScanCallback(t *testing.T) {
 	}
 }
 
-// TestSnapshotPerJobOrder checks JobRows/ShardJobRows: per-job streams are
+// TestSnapshotPerJobOrder checks JobRows: per-job streams are
 // in insertion order (ascending seq), stop early when asked, and jobs
 // created after the capture do not exist in the snapshot but do in a fresh
 // one.
@@ -193,14 +193,16 @@ func TestSnapshotPerJobOrder(t *testing.T) {
 	for s := 0; s < snap.Shards(); s++ {
 		var lastSeq uint64
 		n := 0
-		snap.ShardJobRows(s, "spanner", func(_ *wire.Scanned, seq uint64) bool {
+		c := snap.ShardCursor(s)
+		for m, seq, ok := c.Next(); ok; m, seq, ok = c.Next() {
 			if seq <= lastSeq {
-				t.Fatalf("shard %d job rows not seq-ascending", s)
+				t.Fatalf("shard %d rows not seq-ascending", s)
 			}
 			lastSeq = seq
-			n++
-			return true
-		})
+			if m.JobID == "spanner" {
+				n++
+			}
+		}
 		if n > 0 {
 			shardsWithJob++
 		}

@@ -300,6 +300,10 @@ func FuzzReassemble(f *testing.F) {
 	const row = "SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|"
 	f.Add([]byte(row+"SEQ=0|TOT=2|CONTENT=a\n"+row+"SEQ=1|TOT=2|CONTENT=b\n"+row+"SEQ=0|TOT=3|CONTENT=c"), uint8(8))
 	f.Add([]byte(row+"SEQ=0|TOT=1|CONTENT=a\n"+strings.Replace(row, "TIME=1|", "TIME=10|", 1)+"SEQ=0|TOT=1|CONTENT=b"), uint8(8))
+	// Repeated rows: exact repeats of a chunk replace it silently; a repeat
+	// with other content counts one conflict.
+	f.Add([]byte(row+"SEQ=0|TOT=2|CONTENT=a\n"+row+"SEQ=1|TOT=2|CONTENT=b\n"+row+"SEQ=0|TOT=2|CONTENT=a\n"+
+		row+"SEQ=1|TOT=2|CONTENT=b\n"+row+"SEQ=1|TOT=2|CONTENT=z"), uint8(8))
 	f.Add([]byte(row+"SEQ=0|TOT=1|CONTENT=a\n"+strings.Replace(row, "HOST=n", "HOST=m", 1)+"SEQ=0|TOT=1|CONTENT=b\n"+
 		strings.Replace(row, "PID=1|", "PID=2|", 1)+"SEQ=0|TOT=1|CONTENT=c"), uint8(8))
 	f.Add([]byte("SIREN1|JOBID=1=|STEPID=0|PID=1|HASH=h|HOST=n=1|TIME=1|LAYER=SELF|TYPE=T=|SEQ=0|TOT=1|CONTENT=a\n"+

@@ -32,9 +32,11 @@ func oracleKey(h Header) string {
 // msgRecord is a reassembled record in Message form: what the oracle
 // returns, and what reassembleMessages makes of Reassemble's records.
 type msgRecord struct {
-	Header   Header
-	Content  []byte
-	Complete bool
+	Header    Header
+	Content   []byte
+	Complete  bool
+	Chunks    int // distinct Seqs
+	Conflicts int // repeats of a Seq whose TOT or content differs from the chunk it replaced
 }
 
 // scanMessages encodes msgs as the canonical rows a store holds.
@@ -66,17 +68,19 @@ func reassembleMessages(msgs []Message) []msgRecord {
 		var m Message
 		d.Fill(recs[i].Row, &m)
 		m.Total = recs[i].Total
-		out[i] = msgRecord{Header: m.Header, Content: recs[i].AppendContent(nil), Complete: recs[i].Complete}
+		out[i] = msgRecord{Header: m.Header, Content: recs[i].AppendContent(nil), Complete: recs[i].Complete,
+			Chunks: recs[i].Chunks(), Conflicts: recs[i].Conflicts()}
 	}
 	return out
 }
 
 func reassembleOracle(msgs []Message) []msgRecord {
 	type group struct {
-		header   Header
-		maxTotal int
-		mismatch bool
-		chunks   map[int][]byte
+		header    Header
+		maxTotal  int
+		mismatch  bool
+		conflicts int
+		chunks    map[int]Message
 	}
 	groups := make(map[string]*group)
 	var keys []string
@@ -84,7 +88,7 @@ func reassembleOracle(msgs []Message) []msgRecord {
 		k := oracleKey(m.Header)
 		g, ok := groups[k]
 		if !ok {
-			g = &group{header: m.Header, maxTotal: m.Total, chunks: make(map[int][]byte)}
+			g = &group{header: m.Header, maxTotal: m.Total, chunks: make(map[int]Message)}
 			groups[k] = g
 			keys = append(keys, k)
 		}
@@ -94,7 +98,10 @@ func reassembleOracle(msgs []Message) []msgRecord {
 				g.maxTotal = m.Total
 			}
 		}
-		g.chunks[m.Seq] = m.Content
+		if prev, ok := g.chunks[m.Seq]; ok && (prev.Total != m.Total || !bytes.Equal(prev.Content, m.Content)) {
+			g.conflicts++
+		}
+		g.chunks[m.Seq] = m
 	}
 	out := make([]msgRecord, 0, len(keys))
 	for _, k := range keys {
@@ -109,9 +116,10 @@ func reassembleOracle(msgs []Message) []msgRecord {
 			seqs[0] == 0 && seqs[len(seqs)-1] == g.maxTotal-1
 		var content []byte
 		for _, s := range seqs {
-			content = append(content, g.chunks[s]...)
+			content = append(content, g.chunks[s].Content...)
 		}
-		out = append(out, msgRecord{Header: g.header, Content: content, Complete: complete})
+		out = append(out, msgRecord{Header: g.header, Content: content, Complete: complete,
+			Chunks: len(seqs), Conflicts: g.conflicts})
 	}
 	return out
 }

@@ -665,10 +665,11 @@ type Record struct {
 	// concatenation of the chunks that did arrive, in order.
 	Complete bool
 
-	rows     int32      // chunks that arrived, repeats included
-	mismatch bool       // chunks disagreed on Total: two record versions mixed
-	chunks   []*Scanned // two or more rows: the content's chunks in Seq order, each Seq once
-	size     int        // content bytes
+	rows      int32      // chunks that arrived, repeats included
+	mismatch  bool       // chunks disagreed on Total: two record versions mixed
+	conflicts int32      // superseded chunks whose bytes differ from their replacement's
+	chunks    []*Scanned // two or more rows: the content's chunks in Seq order, each Seq once
+	size      int        // content bytes
 }
 
 // key is the bytes every chunk of the record shares: its datagram up to the
@@ -677,6 +678,21 @@ func (r *Record) key() []byte { return r.Row.Datagram[:r.Row.Values[FieldType].H
 
 // Size is the length of the record's content.
 func (r *Record) Size() int { return r.size }
+
+// Chunks is the number of distinct chunks the record holds: the rows handed
+// to Reassemble, less every repeat of a Seq that a later arrival replaced.
+func (r *Record) Chunks() int {
+	if r.chunks == nil {
+		return 1
+	}
+	return len(r.chunks)
+}
+
+// Conflicts is the number of replaced chunks whose bytes differ from the
+// chunk that replaced them. A re-sent or double-stored datagram is an exact
+// repeat, so a conflict means two senders produced different data under one
+// record's header.
+func (r *Record) Conflicts() int { return int(r.conflicts) }
 
 // AppendContent appends the record's content — its chunks' contents in Seq
 // order — to dst and returns the extended buffer.
@@ -706,7 +722,9 @@ func (r *Record) AppendContent(dst []byte) []byte {
 // Chunks arrive in any order, so the group's chunk count is the maximum
 // Total announced across its chunks — not the first-seen one. Groups whose
 // chunks disagree on Total mix two versions of the record and are never
-// Complete. When one Seq arrives twice, the later arrival wins.
+// Complete. When one Seq arrives twice, the later arrival wins: an exact
+// repeat of a row changes nothing, and a repeat whose bytes differ replaces
+// the earlier copy and counts in Conflicts.
 //
 // This runs once per stored row on every consolidation, so it is shaped for
 // the traffic that exists: most records are one chunk, and a record's chunks
@@ -766,7 +784,7 @@ func Reassemble(rows []Scanned) []Record {
 			continue
 		}
 		var full bool
-		rec.chunks, rec.size, full = orderChunks(rec.chunks, rec.Total)
+		rec.chunks, rec.size, rec.conflicts, full = orderChunks(rec.chunks, rec.Total)
 		rec.Complete = full && !rec.mismatch
 	}
 	return out
@@ -805,15 +823,16 @@ func (t *recordTable) find(key []byte, recs []Record) uint64 {
 }
 
 // orderChunks puts a record's chunks in Seq order, keeps only the latest
-// arrival of a repeated Seq, and reports the content size and whether the
-// chunks cover exactly [0, total). It walks the chunks that actually
+// arrival of a repeated Seq, and reports the content size, how many replaced
+// chunks differ from their replacement, and whether the chunks cover exactly
+// [0, total). It walks the chunks that actually
 // arrived, never the announced range: a datagram with TOT=2000000000 must
 // not cost two billion steps. Arrival order is Seq order unless UDP
 // reordered or re-sent, so the sort runs only then; it is stable, which
 // leaves the latest arrival of a repeated Seq last in its run — the one that
 // wins. The distinct Seqs are ints, so count == total with min 0 and max
 // total-1 pigeonholes to the full range.
-func orderChunks(chunks []*Scanned, total int) (kept []*Scanned, size int, complete bool) {
+func orderChunks(chunks []*Scanned, total int) (kept []*Scanned, size int, conflicts int32, complete bool) {
 	bySeq := func(a, b *Scanned) int { return cmp.Compare(a.Seq, b.Seq) }
 	if !slices.IsSortedFunc(chunks, bySeq) {
 		slices.SortStableFunc(chunks, bySeq)
@@ -821,11 +840,14 @@ func orderChunks(chunks []*Scanned, total int) (kept []*Scanned, size int, compl
 	kept = chunks[:0] // in place: kept[k] is written only once chunks[k] was read
 	for i, c := range chunks {
 		if i+1 < len(chunks) && chunks[i+1].Seq == c.Seq {
+			if !bytes.Equal(chunks[i+1].Datagram, c.Datagram) {
+				conflicts++
+			}
 			continue // superseded by a later arrival of the same Seq
 		}
 		kept = append(kept, c)
 		size += len(c.Datagram) - c.Content
 	}
 	complete = len(kept) == total && kept[0].Seq == 0 && kept[len(kept)-1].Seq == total-1
-	return kept, size, complete
+	return kept, size, conflicts, complete
 }

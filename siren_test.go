@@ -4,6 +4,10 @@
 package siren_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -34,11 +38,26 @@ func evaluationFixture(t *testing.T) (*analysis.Dataset, postprocess.Stats) {
 	return data, stats
 }
 
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
+
+// TestEvaluationReportRenders pins the paper's tables byte for byte: the
+// text report and the indented JSON report (siren-analyze -json's shape) of
+// the seed-11, scale-0.01 campaign must equal testdata/evaluation.txt and
+// testdata/evaluation.json. Regenerate them with
+// `go test -run TestEvaluationReportRenders -update .`; the substrings below
+// keep a regenerated golden from losing a table.
 func TestEvaluationReportRenders(t *testing.T) {
 	data, stats := evaluationFixture(t)
-	var sb strings.Builder
-	report.WriteEvaluation(&sb, data, stats)
-	out := sb.String()
+	var text, js bytes.Buffer
+	report.WriteEvaluation(&text, data, stats)
+	enc := json.NewEncoder(&js)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(report.BuildJSON(data, stats)); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "testdata/evaluation.txt", text.Bytes())
+	checkGolden(t, "testdata/evaluation.json", js.Bytes())
+	out := text.String()
 	for _, want := range []string{
 		"Table 2: users, jobs, and processes",
 		"Table 3: top 10 system-directory executables",
@@ -57,6 +76,32 @@ func TestEvaluationReportRenders(t *testing.T) {
 			t.Errorf("evaluation output missing %q", want)
 		}
 	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gl), len(wl)) {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s: line %d differs:\n got %q\nwant %q", path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: %d lines, want %d", path, len(gl), len(wl))
 }
 
 func TestClusteringIdentifiesUnknownOnCampaignData(t *testing.T) {
