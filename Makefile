@@ -88,7 +88,8 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzRunDecode$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/sirendb/runfmt
 	$(GO) test -run=NONE -fuzz='^FuzzEditKernels$$' -fuzztime=10s ./internal/editdist
 
-# Full benchmark suite (regenerates the evaluation tables alongside timings).
+# Full benchmark suite, timings only: the paper's tables are pinned by
+# TestEvaluationReportRenders and recognition by TestRecognitionOnVariantSweep.
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...
 

@@ -10,9 +10,8 @@
 //
 // The public entry point is internal/core.Pipeline; the cmd/ directory holds
 // runnable tools (siren-campaign regenerates every table and figure of the
-// paper's evaluation), and examples/ contains self-contained scenarios. See
-// DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured comparison.
+// paper's evaluation). See DESIGN.md for the system inventory and
+// EXPERIMENTS.md for the paper-versus-measured comparison.
 package siren
 
 // Version identifies this reproduction build.

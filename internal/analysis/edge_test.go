@@ -51,9 +51,9 @@ func TestDeriveLabelEdges(t *testing.T) {
 }
 
 // TestIdentifyByHashMalformed pins identification by FILE_H alone, the
-// query examples/quickstart makes: an empty or malformed digest on either
-// side of the comparison scores 0 under every backend, and a valid digest
-// still finds its own binary at 100.
+// query of a scanner that hashed one binary: an empty or malformed digest
+// on either side of the comparison scores 0 under every backend, and a
+// valid digest still finds its own binary at 100.
 func TestIdentifyByHashMalformed(t *testing.T) {
 	valid, err := ssdeep.HashString("the quick brown fox jumps over the lazy dog, 400 times over, with feeling")
 	if err != nil {

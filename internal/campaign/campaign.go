@@ -76,9 +76,63 @@ type runState struct {
 	procs   atomic.Int64
 }
 
+// jobUnit is one job to run: a template and the job's index within it.
+type jobUnit struct {
+	tmpl   *template
+	jobIdx int
+	adjust float64
+}
+
 // Run executes the campaign and returns its summary. The transport is not
 // closed; the caller owns it.
 func Run(cfg Config) (*Result, error) {
+	st, err := newRunState(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Expand templates into concrete jobs.
+	var units []jobUnit
+	for _, tmpl := range templates() {
+		t := tmpl
+		scaled := scaleCount(t.jobs, st.cfg.Scale)
+		adjust := float64(t.jobs) * st.cfg.Scale / float64(scaled)
+		if adjust < 0.05 {
+			adjust = 0.05
+		}
+		for j := 0; j < scaled; j++ {
+			units = append(units, jobUnit{tmpl: &t, jobIdx: j, adjust: adjust})
+		}
+	}
+	return st.execute(units)
+}
+
+// Sweep runs every executable of the catalogue once: one job per (app,
+// variant), under the siren module and the app's own module, through the
+// same collector and transport as Run. Its records hold every catalogued
+// executable once, the labelled corpus recognition is evaluated on. Scale
+// is ignored; the transport is not closed.
+func Sweep(cfg Config) (*Result, error) {
+	st, err := newRunState(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var units []jobUnit
+	for _, app := range st.cat.Apps {
+		for vi := range app.Variants {
+			units = append(units, jobUnit{tmpl: &template{
+				name: "sweep-" + app.Label, user: "sweep", uid: 2000, jobName: app.Label,
+				modules: []string{"app-" + app.Label + "/1.0", "siren/1.0"},
+				steps:   []step{{app: app.Label, perJob: 1, ranks: 1, fixedVar: vi}},
+			}, jobIdx: vi, adjust: 1})
+		}
+	}
+	return st.execute(units)
+}
+
+// newRunState builds the world both entry points share: the catalogue, the
+// campaign's extra files, the module tree, the cluster, and the collector
+// hooked into the Slurm runtime.
+func newRunState(cfg Config) (*runState, error) {
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("campaign: Transport is required")
 	}
@@ -109,30 +163,14 @@ func Run(cfg Config) (*Result, error) {
 	st.col = collector.New(cfg.Transport)
 	st.rt = slurm.NewRuntime(st.fs, procfs.NewTable(1<<21), st.cache, slurm.NewClock(cfg.StartTime))
 	st.rt.Hook = st.col
+	return st, nil
+}
 
-	// Expand templates into concrete jobs.
-	type jobUnit struct {
-		tmpl   *template
-		jobIdx int
-		adjust float64
-	}
-	var units []jobUnit
-	for _, tmpl := range templates() {
-		t := tmpl
-		scaled := scaleCount(t.jobs, cfg.Scale)
-		adjust := float64(t.jobs) * cfg.Scale / float64(scaled)
-		if adjust < 0.05 {
-			adjust = 0.05
-		}
-		for j := 0; j < scaled; j++ {
-			units = append(units, jobUnit{tmpl: &t, jobIdx: j, adjust: adjust})
-		}
-	}
-
-	// Execute with a bounded worker pool (Effective Go: a buffered channel
-	// as a semaphore).
+// execute runs units with a bounded worker pool (Effective Go: a buffered
+// channel as a semaphore) and summarises the run.
+func (st *runState) execute(units []jobUnit) (*Result, error) {
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
+	sem := make(chan struct{}, st.cfg.Workers)
 	errCh := make(chan error, 1)
 	for _, u := range units {
 		wg.Add(1)
@@ -156,7 +194,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	return &Result{
-		Catalog:      cat,
+		Catalog:      st.cat,
 		Collector:    st.col,
 		JobsRun:      len(units),
 		ProcessesRun: int(st.procs.Load()),

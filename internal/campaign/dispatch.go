@@ -19,7 +19,7 @@
 //     to it through normal routing — the keys' new owners receive a
 //     complete copy of the dead member's stream. The recovered WAL merges
 //     back as a subset of it, whose rows the consolidation counts once
-//     (a repeated chunk replaces its first copy), so the final report comes
+//     (one copy of a repeated chunk is kept), so the final report comes
 //     out byte-identical.
 //
 // The journal is the price of that guarantee: every delivered datagram is

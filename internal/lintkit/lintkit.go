@@ -159,12 +159,6 @@ func pathElems(pkg *Package, names ...string) bool {
 // isMainPkg reports whether pkg is a command (package main).
 func isMainPkg(pkg *Package) bool { return pkg.Types.Name() == "main" }
 
-// isExample reports whether pkg lives under an examples/ tree — documentation
-// code held to documentation standards, not production invariants.
-func isExample(pkg *Package) bool {
-	return strings.Contains(pkg.ImportPath, "examples/") || strings.HasPrefix(pkg.ImportPath, "examples")
-}
-
 // funcIn reports whether obj is the named function or method of the named
 // package (matched by package-path suffix so fixtures under synthetic module
 // paths behave like the real tree).

@@ -34,9 +34,6 @@ func (errSink) Run(p *Pass) {
 	if !pathElems(p.Pkg, "sirendb", "runfmt", "receiver", "catalog") && !isMainPkg(p.Pkg) {
 		return
 	}
-	if isExample(p.Pkg) {
-		return
-	}
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var call *ast.CallExpr

@@ -25,7 +25,7 @@ func (goroLeak) Doc() string {
 }
 
 func (goroLeak) Run(p *Pass) {
-	if isMainPkg(p.Pkg) || isExample(p.Pkg) {
+	if isMainPkg(p.Pkg) {
 		return
 	}
 	for _, f := range p.Pkg.Files {

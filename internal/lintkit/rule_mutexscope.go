@@ -41,7 +41,7 @@ func (mutexScope) Doc() string {
 }
 
 func (mutexScope) Run(p *Pass) {
-	if isMainPkg(p.Pkg) || isExample(p.Pkg) {
+	if isMainPkg(p.Pkg) {
 		return
 	}
 	for _, f := range p.Pkg.Files {

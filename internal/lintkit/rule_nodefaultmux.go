@@ -32,18 +32,16 @@ func (noDefaultMux) Run(p *Pass) {
 	// pprof.Index/Cmdline/Profile/Symbol/Trace on its own mux, so the
 	// handlers are visible, gated by a flag, and on the listener the
 	// operator chose.
-	if !isExample(p.Pkg) {
-		for _, f := range p.Pkg.Files {
-			for _, imp := range f.Imports {
-				if imp.Name != nil && imp.Name.Name == "_" && imp.Path.Value == `"net/http/pprof"` {
-					p.Reportf(imp.Pos(),
-						"blank net/http/pprof import in package %s registers profiling on the global DefaultServeMux: import it normally and mount its handler funcs on a local mux",
-						p.Pkg.Types.Name())
-				}
+	for _, f := range p.Pkg.Files {
+		for _, imp := range f.Imports {
+			if imp.Name != nil && imp.Name.Name == "_" && imp.Path.Value == `"net/http/pprof"` {
+				p.Reportf(imp.Pos(),
+					"blank net/http/pprof import in package %s registers profiling on the global DefaultServeMux: import it normally and mount its handler funcs on a local mux",
+					p.Pkg.Types.Name())
 			}
 		}
 	}
-	if isMainPkg(p.Pkg) || isExample(p.Pkg) {
+	if isMainPkg(p.Pkg) {
 		return
 	}
 	for _, f := range p.Pkg.Files {

@@ -31,9 +31,6 @@ func (snapshotMut) Doc() string {
 }
 
 func (snapshotMut) Run(p *Pass) {
-	if isExample(p.Pkg) {
-		return
-	}
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

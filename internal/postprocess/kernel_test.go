@@ -43,12 +43,21 @@ type oracleRecord struct {
 	Complete bool
 }
 
+// chunkTail is the part of a chunk's datagram after its SEQ value, where the
+// copies of one (record, Seq) can differ; comparing it compares the whole
+// datagrams.
+func chunkTail(m wire.Message) string {
+	return strconv.Itoa(m.Total) + "|CONTENT=" + string(m.Content)
+}
+
+// reassembleOracle keeps, per record and Seq, the copy whose datagram is
+// greatest.
 func reassembleOracle(msgs []wire.Message) []oracleRecord {
 	type group struct {
 		header   wire.Header
 		maxTotal int
 		mismatch bool
-		chunks   map[int][]byte
+		chunks   map[int]wire.Message
 	}
 	groups := make(map[string]*group)
 	var keys []string
@@ -58,7 +67,7 @@ func reassembleOracle(msgs []wire.Message) []oracleRecord {
 			strconv.FormatInt(h.Time, 10), h.Layer, h.Type)
 		g, ok := groups[k]
 		if !ok {
-			g = &group{header: m.Header, maxTotal: m.Total, chunks: make(map[int][]byte)}
+			g = &group{header: m.Header, maxTotal: m.Total, chunks: make(map[int]wire.Message)}
 			groups[k] = g
 			keys = append(keys, k)
 		}
@@ -68,7 +77,9 @@ func reassembleOracle(msgs []wire.Message) []oracleRecord {
 				g.maxTotal = m.Total
 			}
 		}
-		g.chunks[m.Seq] = m.Content
+		if prev, ok := g.chunks[m.Seq]; !ok || chunkTail(m) > chunkTail(prev) {
+			g.chunks[m.Seq] = m
+		}
 	}
 	out := make([]oracleRecord, 0, len(keys))
 	for _, k := range keys {
@@ -83,7 +94,7 @@ func reassembleOracle(msgs []wire.Message) []oracleRecord {
 			seqs[0] == 0 && seqs[len(seqs)-1] == g.maxTotal-1
 		var content []byte
 		for _, s := range seqs {
-			content = append(content, g.chunks[s]...)
+			content = append(content, g.chunks[s].Content...)
 		}
 		out = append(out, oracleRecord{Header: g.header, Content: content, Complete: complete})
 	}
@@ -211,20 +222,23 @@ func splitLinesOracle(content string) []string {
 	return out
 }
 
-// chunkCountsOracle counts msgs' distinct (record, Seq) chunks, and the
-// repeats of one whose TOT or content differs from the copy before it.
+// chunkCountsOracle counts msgs' distinct (record, Seq) chunks, and their
+// distinct byte versions beyond the first.
 func chunkCountsOracle(msgs []wire.Message) (chunks, conflicts int) {
-	last := make(map[string]wire.Message)
+	versions := make(map[string]map[string]bool)
 	for _, m := range msgs {
 		h := m.Header
 		k := joinKey(h.JobID, h.StepID, strconv.Itoa(h.PID), h.Hash, h.Host,
 			strconv.FormatInt(h.Time, 10), h.Layer, h.Type, strconv.Itoa(h.Seq))
-		if prev, ok := last[k]; ok && (prev.Total != m.Total || string(prev.Content) != string(m.Content)) {
-			conflicts++
+		if versions[k] == nil {
+			versions[k] = make(map[string]bool)
 		}
-		last[k] = m
+		versions[k][chunkTail(m)] = true
 	}
-	return len(last), conflicts
+	for _, v := range versions {
+		conflicts += len(v) - 1
+	}
+	return len(versions), conflicts
 }
 
 // mustMatchOracle runs the kernel over one chunk as the canonical rows a

@@ -12,8 +12,8 @@ import (
 
 // The merge-back shapes of a failover (DESIGN.md §11): member stores that
 // hold some rows twice. The merged snapshot yields every copy; the
-// consolidation counts each distinct chunk once, because a repeated chunk
-// replaces its first copy. Each test consolidates the merged members and
+// consolidation counts each distinct chunk once, because it keeps one copy
+// of each. Each test consolidates the merged members and
 // requires what consolidating the rows stored once gives.
 
 // procRow is the METADATA datagram of process pid of job on host, started
@@ -112,13 +112,14 @@ func TestDedupReorderedSubset(t *testing.T) {
 }
 
 // TestDedupConflictKept: a copy whose bytes differ from the row it repeats
-// is genuinely different data. The later copy replaces the earlier one and
-// the replacement is counted as a conflict, never silently taken; rows only
-// the second member holds are kept.
+// is genuinely different data. The copy with the greater datagram bytes is
+// kept, whichever member merges first, and the other is counted as a
+// conflict, never silently dropped; rows only the second member holds are
+// kept.
 func TestDedupConflictKept(t *testing.T) {
 	a := procRows("J", "h1", 6)
 	other := procRow("J", "h1", 102, 2)
-	other.Content = []byte("EXE=/bin/other")
+	other.Content = []byte("EXE=/bin/other") // sorts below a's "EXE=/bin/x-J-h1-2"
 	b := []wire.Message{a[0], a[1], other, procRow("J", "h1", 200, 100), procRow("J", "h1", 201, 101)}
 
 	recs, st := postprocess.ConsolidateSnapshot(mergeMembers(t, a, b), postprocess.StreamOptions{})
@@ -129,8 +130,12 @@ func TestDedupConflictKept(t *testing.T) {
 	for _, r := range recs {
 		exe[r.PID] = r.Exe
 	}
-	if exe[102] != "/bin/other" || exe[200] == "" || exe[201] == "" {
-		t.Errorf("records by PID %v: want the second member's copy of 102 and its own 200 and 201", exe)
+	if exe[102] != "/bin/x-J-h1-2" || exe[200] == "" || exe[201] == "" {
+		t.Errorf("records by PID %v: want the first member's copy of 102 and the second's 200 and 201", exe)
+	}
+	swapped, swappedSt := postprocess.ConsolidateSnapshot(mergeMembers(t, b, a), postprocess.StreamOptions{})
+	if swappedSt != st || !reflect.DeepEqual(swapped, recs) {
+		t.Errorf("merging the second member first changed the records or stats (%+v, want %+v)", swappedSt, st)
 	}
 }
 

@@ -57,7 +57,7 @@ import (
 // read the same way. Nor is a row held by two members removed: a failover
 // leaves a recovered member's partial copy of rows another member holds in
 // full (DESIGN.md §11), and both copies are yielded. The consolidation
-// kernel makes them harmless, since a repeated chunk replaces its first copy.
+// kernel makes them harmless, since it keeps one copy of a repeated chunk.
 type Snapshot struct {
 	shards  []shardView
 	count   int

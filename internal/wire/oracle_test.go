@@ -36,7 +36,7 @@ type msgRecord struct {
 	Content   []byte
 	Complete  bool
 	Chunks    int // distinct Seqs
-	Conflicts int // repeats of a Seq whose TOT or content differs from the chunk it replaced
+	Conflicts int // byte versions of a Seq beyond its first, summed over Seqs
 }
 
 // scanMessages encodes msgs as the canonical rows a store holds.
@@ -74,13 +74,15 @@ func reassembleMessages(msgs []Message) []msgRecord {
 	return out
 }
 
+// reassembleOracle groups msgs by header fields and keeps, per Seq, the
+// version whose encoding is greatest, counting the other distinct versions
+// as conflicts.
 func reassembleOracle(msgs []Message) []msgRecord {
 	type group struct {
-		header    Header
-		maxTotal  int
-		mismatch  bool
-		conflicts int
-		chunks    map[int]Message
+		header   Header
+		maxTotal int
+		mismatch bool
+		versions map[int]map[string]Message // Seq -> encoding -> chunk
 	}
 	groups := make(map[string]*group)
 	var keys []string
@@ -88,7 +90,7 @@ func reassembleOracle(msgs []Message) []msgRecord {
 		k := oracleKey(m.Header)
 		g, ok := groups[k]
 		if !ok {
-			g = &group{header: m.Header, maxTotal: m.Total, chunks: make(map[int]Message)}
+			g = &group{header: m.Header, maxTotal: m.Total, versions: make(map[int]map[string]Message)}
 			groups[k] = g
 			keys = append(keys, k)
 		}
@@ -98,28 +100,34 @@ func reassembleOracle(msgs []Message) []msgRecord {
 				g.maxTotal = m.Total
 			}
 		}
-		if prev, ok := g.chunks[m.Seq]; ok && (prev.Total != m.Total || !bytes.Equal(prev.Content, m.Content)) {
-			g.conflicts++
+		if g.versions[m.Seq] == nil {
+			g.versions[m.Seq] = make(map[string]Message)
 		}
-		g.chunks[m.Seq] = m
+		g.versions[m.Seq][string(encodeOracle(m))] = m
 	}
 	out := make([]msgRecord, 0, len(keys))
 	for _, k := range keys {
 		g := groups[k]
 		g.header.Total = g.maxTotal
-		seqs := make([]int, 0, len(g.chunks))
-		for s := range g.chunks {
+		seqs := make([]int, 0, len(g.versions))
+		for s := range g.versions {
 			seqs = append(seqs, s)
 		}
 		sort.Ints(seqs)
 		complete := !g.mismatch && len(seqs) == g.maxTotal &&
 			seqs[0] == 0 && seqs[len(seqs)-1] == g.maxTotal-1
 		var content []byte
+		conflicts := 0
 		for _, s := range seqs {
-			content = append(content, g.chunks[s].Content...)
+			greatest := ""
+			for enc := range g.versions[s] {
+				greatest = max(greatest, enc)
+			}
+			content = append(content, g.versions[s][greatest].Content...)
+			conflicts += len(g.versions[s]) - 1
 		}
 		out = append(out, msgRecord{Header: g.header, Content: content, Complete: complete,
-			Chunks: len(seqs), Conflicts: g.conflicts})
+			Chunks: len(seqs), Conflicts: conflicts})
 	}
 	return out
 }

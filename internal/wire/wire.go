@@ -667,7 +667,7 @@ type Record struct {
 
 	rows      int32      // chunks that arrived, repeats included
 	mismatch  bool       // chunks disagreed on Total: two record versions mixed
-	conflicts int32      // superseded chunks whose bytes differ from their replacement's
+	conflicts int32      // byte versions of a Seq beyond its first, summed over Seqs
 	chunks    []*Scanned // two or more rows: the content's chunks in Seq order, each Seq once
 	size      int        // content bytes
 }
@@ -680,7 +680,7 @@ func (r *Record) key() []byte { return r.Row.Datagram[:r.Row.Values[FieldType].H
 func (r *Record) Size() int { return r.size }
 
 // Chunks is the number of distinct chunks the record holds: the rows handed
-// to Reassemble, less every repeat of a Seq that a later arrival replaced.
+// to Reassemble, less every further copy of a Seq.
 func (r *Record) Chunks() int {
 	if r.chunks == nil {
 		return 1
@@ -688,10 +688,10 @@ func (r *Record) Chunks() int {
 	return len(r.chunks)
 }
 
-// Conflicts is the number of replaced chunks whose bytes differ from the
-// chunk that replaced them. A re-sent or double-stored datagram is an exact
-// repeat, so a conflict means two senders produced different data under one
-// record's header.
+// Conflicts is the number of distinct byte versions of each Seq beyond the
+// first, summed over the record's Seqs. A re-sent or double-stored datagram
+// is an exact repeat, so a conflict means two senders produced different
+// data under one record's header.
 func (r *Record) Conflicts() int { return int(r.conflicts) }
 
 // AppendContent appends the record's content — its chunks' contents in Seq
@@ -722,9 +722,12 @@ func (r *Record) AppendContent(dst []byte) []byte {
 // Chunks arrive in any order, so the group's chunk count is the maximum
 // Total announced across its chunks — not the first-seen one. Groups whose
 // chunks disagree on Total mix two versions of the record and are never
-// Complete. When one Seq arrives twice, the later arrival wins: an exact
-// repeat of a row changes nothing, and a repeat whose bytes differ replaces
-// the earlier copy and counts in Conflicts.
+// Complete. When one Seq arrives more than once, the copy whose datagram
+// bytes are greatest is kept, whatever the arrival order: an exact repeat of
+// a row changes nothing, and each further byte version of a Seq counts in
+// Conflicts. So a record is a function of the set of rows handed in, and a
+// copy stored elsewhere (a failover overlap) cannot change which version
+// survives.
 //
 // This runs once per stored row on every consolidation, so it is shaped for
 // the traffic that exists: most records are one chunk, and a record's chunks
@@ -822,20 +825,25 @@ func (t *recordTable) find(key []byte, recs []Record) uint64 {
 	return i
 }
 
-// orderChunks puts a record's chunks in Seq order, keeps only the latest
-// arrival of a repeated Seq, and reports the content size, how many replaced
-// chunks differ from their replacement, and whether the chunks cover exactly
-// [0, total). It walks the chunks that actually
-// arrived, never the announced range: a datagram with TOT=2000000000 must
-// not cost two billion steps. Arrival order is Seq order unless UDP
-// reordered or re-sent, so the sort runs only then; it is stable, which
-// leaves the latest arrival of a repeated Seq last in its run — the one that
-// wins. The distinct Seqs are ints, so count == total with min 0 and max
-// total-1 pigeonholes to the full range.
+// orderChunks sorts a record's chunks by (Seq, datagram bytes), keeps the
+// greatest copy of each Seq, and reports the content size, how many byte
+// versions of a Seq there are beyond the first, and whether the chunks cover
+// exactly [0, total). It walks the chunks that actually arrived, never the
+// announced range: a datagram with TOT=2000000000 must not cost two billion
+// steps. Arrival order is Seq order unless UDP reordered or re-sent, so the
+// sort runs only then. Equal copies sort next to each other, so each change
+// of bytes within a Seq's run is one more version. The distinct Seqs are
+// ints, so count == total with min 0 and max total-1 pigeonholes to the full
+// range.
 func orderChunks(chunks []*Scanned, total int) (kept []*Scanned, size int, conflicts int32, complete bool) {
-	bySeq := func(a, b *Scanned) int { return cmp.Compare(a.Seq, b.Seq) }
+	bySeq := func(a, b *Scanned) int {
+		if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.Datagram, b.Datagram)
+	}
 	if !slices.IsSortedFunc(chunks, bySeq) {
-		slices.SortStableFunc(chunks, bySeq)
+		slices.SortFunc(chunks, bySeq)
 	}
 	kept = chunks[:0] // in place: kept[k] is written only once chunks[k] was read
 	for i, c := range chunks {
@@ -843,7 +851,7 @@ func orderChunks(chunks []*Scanned, total int) (kept []*Scanned, size int, confl
 			if !bytes.Equal(chunks[i+1].Datagram, c.Datagram) {
 				conflicts++
 			}
-			continue // superseded by a later arrival of the same Seq
+			continue // a greater or equal copy of the same Seq follows
 		}
 		kept = append(kept, c)
 		size += len(c.Datagram) - c.Content

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"siren/internal/analysis"
@@ -20,22 +21,34 @@ import (
 	"siren/internal/ssdeep"
 )
 
-// evaluationFixture shares one end-to-end run across the root tests.
+var (
+	evalOnce  sync.Once
+	evalData  *analysis.Dataset
+	evalStats postprocess.Stats
+	evalErr   error
+)
+
+// evaluationFixture shares one end-to-end run (seed 11, scale 0.01) across
+// the root tests; the pipeline is closed once it has been analysed.
 func evaluationFixture(t *testing.T) (*analysis.Dataset, postprocess.Stats) {
 	t.Helper()
-	p, err := core.NewPipeline(core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	evalOnce.Do(func() {
+		p, err := core.NewPipeline(core.Options{})
+		if err != nil {
+			evalErr = err
+			return
+		}
+		defer p.Close()
+		if _, err := p.RunCampaign(campaign.Config{Scale: 0.01, Seed: 11}); err != nil {
+			evalErr = err
+			return
+		}
+		evalData, evalStats, evalErr = p.Analyze()
+	})
+	if evalErr != nil {
+		t.Fatalf("evaluation fixture: %v", evalErr)
 	}
-	t.Cleanup(func() { p.Close() })
-	if _, err := p.RunCampaign(campaign.Config{Scale: 0.01, Seed: 11}); err != nil {
-		t.Fatal(err)
-	}
-	data, stats, err := p.Analyze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, stats
+	return evalData, evalStats
 }
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from this run")
