@@ -127,13 +127,14 @@ test-replay:
 
 # Sealed-run storage tier suite under the race detector: the seal crash
 # matrix (debris sweep, post-marker roll-forward, torn-committed-run
-# detection), retention, read-only shared-lock opens, the sealed-vs-replay
+# detection), retention, read-only shared-lock opens, the run writer's
+# (JOBID, seq) order and empty-run refusals, the sealed-vs-replay
 # consolidation equivalence, the canonical-bytes rule on replay and run
 # reads, the lifetime of the row views a consolidation reads (records
 # outlive the run mappings), and the oracle tests that pin snapshots and the
 # consolidation against whole-store passes.
 test-runs:
-	$(GO) test -race -count=1 -run 'Seal|ReadOnly|RoundTrip|JobCursor|WriteSorts|WriteEmpty|CorruptionDetected|Canonical|Lifetime|Oracle' \
+	$(GO) test -race -count=1 -run 'Seal|ReadOnly|RoundTrip|JobCursor|AddOutOfOrder|CloseEmpty|CorruptionDetected|Canonical|Lifetime|Oracle' \
 		./internal/sirendb ./internal/sirendb/runfmt ./internal/postprocess
 
 # Multi-receiver suite under the race detector (DESIGN.md §11): roster

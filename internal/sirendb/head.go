@@ -280,50 +280,30 @@ func (v *headView) eachJob(f func(job string, rows []uint32)) {
 	}
 }
 
-// writeRun seals the head into a run file at path: entries in (JOBID, HOST,
-// seq) order, each row's payload copied as it lies in its chunk. Called with
+// writeRun seals the head into a run file at path: jobs in name order, each
+// job's rows in its entry list's order — seq-ascending as the list always
+// is — and each row's payload copied as it lies in its chunk. Called with
 // the shard frozen.
 func (h *head) writeRun(path string) (int64, error) {
 	if len(h.entries) == 0 {
 		return 0, errors.New("sirendb: sealing an empty head")
 	}
-	jobs, hosts := &h.vals[wire.FieldJobID], &h.vals[wire.FieldHost]
-	order := make([]uint32, 0, len(jobs.strs))
+	jobs := h.vals[wire.FieldJobID].strs
+	order := make([]uint32, 0, len(jobs))
 	for o, rows := range h.jobRows {
 		if len(rows) > 0 {
 			order = append(order, uint32(o))
 		}
 	}
-	slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(jobs.strs[a], jobs.strs[b]) })
-	// hostRank orders host ordinals by value, so a job's rows sort by
-	// comparing integers.
-	byHost := make([]uint32, len(hosts.strs))
-	for i := range byHost {
-		byHost[i] = uint32(i)
-	}
-	slices.SortFunc(byHost, func(a, b uint32) int { return cmp.Compare(hosts.strs[a], hosts.strs[b]) })
-	hostRank := make([]uint32, len(byHost))
-	for rank, o := range byHost {
-		hostRank[o] = uint32(rank)
-	}
-
+	slices.SortFunc(order, func(a, b uint32) int { return cmp.Compare(jobs[a], jobs[b]) })
 	w, err := runfmt.Create(path)
 	if err != nil {
 		return 0, err
 	}
-	var sorted []uint32
 	for _, job := range order {
-		rows := h.jobRows[job]
-		host := func(i uint32) uint32 { return hostRank[h.entries[i].vals[wire.FieldHost]] }
-		if !slices.IsSortedFunc(rows, func(a, b uint32) int { return cmp.Compare(host(a), host(b)) }) {
-			sorted = append(sorted[:0], rows...)
-			slices.SortStableFunc(sorted, func(a, b uint32) int { return cmp.Compare(host(a), host(b)) })
-			rows = sorted
-		}
-		for _, i := range rows {
+		for _, i := range h.jobRows[job] {
 			e := &h.entries[i]
-			payload := h.chunks[e.chunk][e.payload:e.end]
-			if err := w.Add(jobs.strs[job], hosts.strs[e.vals[wire.FieldHost]], e.seq, payload); err != nil {
+			if err := w.Add(jobs[job], e.seq, h.chunks[e.chunk][e.payload:e.end]); err != nil {
 				w.Abort()
 				return 0, fmt.Errorf("sirendb: %w", err)
 			}

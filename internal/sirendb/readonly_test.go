@@ -70,9 +70,6 @@ func TestReadOnlyOpenServesAndRefusesWrites(t *testing.T) {
 	if err := db.Seal(); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Seal = %v, want ErrReadOnly", err)
 	}
-	if _, err := db.DropSealedBefore(1 << 62); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("DropSealedBefore = %v, want ErrReadOnly", err)
-	}
 	if _, err := db.RetainSealedGenerations(1); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("RetainSealedGenerations = %v, want ErrReadOnly", err)
 	}

@@ -26,8 +26,8 @@ type serialRow struct {
 // its segment files one after another in index order by the rules of wal.go:
 // a torn or out-of-bounds record ends a segment, a checksum or scan failure
 // or a non-canonical row is counted corrupt and skipped, rows at or below
-// the seal marker's floor are residue, and every row routes to
-// PartitionHash(JobID, Host) mod shards whatever segment holds it.
+// the seal marker's floor are residue, and every row of segment k belongs to
+// shard k mod shards, whatever its (JobID, Host) hashes to.
 type serialReplay struct {
 	shards  [][]serialRow // per shard, seq-ascending
 	lastSeq uint64
@@ -71,9 +71,8 @@ func replaySerially(t *testing.T, path string, shards int) *serialReplay {
 			if seq <= floor {
 				continue
 			}
-			job, host := f.Value(payload, wire.FieldJobID), f.Value(payload, wire.FieldHost)
-			sh := int(wire.PartitionHash(job, host) % uint64(shards))
-			o.shards[sh] = append(o.shards[sh], serialRow{seq: seq, bytes: string(payload), job: string(job)})
+			sh := sf.index % shards
+			o.shards[sh] = append(o.shards[sh], serialRow{seq: seq, bytes: string(payload), job: string(f.Value(payload, wire.FieldJobID))})
 			o.lastSeq = max(o.lastSeq, seq)
 		}
 	}
@@ -176,10 +175,11 @@ func buildReplayStore(t *testing.T, r *rand.Rand, path string, shards int) {
 }
 
 // TestParallelReplayMatchesSerial: opening a store replays its segments
-// concurrently, each indexing the rows of its own shard and setting aside
-// misrouted rows and those of leftover segments. Read-write and read-only
-// opens must give every shard exactly the rows and seqs a serial replay
-// gives it, with the same job lists, LastSeq and corrupt-record count.
+// concurrently, one goroutine per shard taking segment k for shard
+// k % shards — misrouted rows and the rows of leftover segments included.
+// Read-write and read-only opens must give every shard exactly the rows and
+// seqs a serial replay gives it, with the same job lists, LastSeq and
+// corrupt-record count.
 func TestParallelReplayMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -228,14 +228,72 @@ func checkReplay(t *testing.T, open string, db *DB, want *serialReplay) {
 			t.Errorf("%s: JobRows(%s) = %d rows, want %d, or they differ", open, job, len(got), len(w))
 		}
 	}
+	got := shardRows(snap)
 	for sh := range want.shards {
-		var got []serialRow
-		c := snap.ShardCursor(sh)
-		for m, seq, ok := c.Next(); ok; m, seq, ok = c.Next() {
-			got = append(got, serialRow{seq: seq, bytes: string(wire.Encode(m)), job: m.JobID})
+		if !slices.Equal(got[sh], want.shards[sh]) {
+			t.Errorf("%s: shard %d holds %d rows, want %d, or they differ", open, sh, len(got[sh]), len(want.shards[sh]))
 		}
-		if !slices.Equal(got, want.shards[sh]) {
-			t.Errorf("%s: shard %d holds %d rows, want %d, or they differ", open, sh, len(got), len(want.shards[sh]))
+	}
+}
+
+// shardRows reads every shard of a snapshot through ShardCursor.
+func shardRows(sn *Snapshot) [][]serialRow {
+	out := make([][]serialRow, sn.Shards())
+	for sh := range out {
+		c := sn.ShardCursor(sh)
+		for m, seq, ok := c.Next(); ok; m, seq, ok = c.Next() {
+			out[sh] = append(out[sh], serialRow{seq: seq, bytes: string(wire.Encode(m)), job: m.JobID})
+		}
+	}
+	return out
+}
+
+// TestReplayKeepsMisroutedRowsOnTheirShard: a row stays on the shard it was
+// written to. A store whose InsertShard batches went to shards their rows do
+// not hash to — before and after a seal — serves every ShardCursor(i) after
+// a reopen at the same shard count, read-only or not, exactly as it did
+// before Close.
+func TestReplayKeepsMisroutedRowsOnTheirShard(t *testing.T) {
+	const shards = 3
+	path := filepath.Join(t.TempDir(), "siren.wal")
+	db, err := OpenOptions(path, Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := sealCorpus(240)
+	for b := 0; b < len(ms); b += 8 {
+		batch := ms[b : b+8]
+		// Every other batch goes to a shard its first row does not hash to.
+		sh := db.shardIndex([]byte(batch[0].JobID), []byte(batch[0].Host))
+		if b/8%2 == 1 {
+			sh = (sh + 1) % shards
+		}
+		if err := db.InsertShard(sh, batch); err != nil {
+			t.Fatal(err)
+		}
+		if b == len(ms)/2 {
+			if err := db.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := shardRows(db.Snapshot())
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, readOnly := range []bool{true, false} {
+		db, err := OpenOptions(path, Options{Shards: shards, ReadOnly: readOnly})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := shardRows(db.Snapshot())
+		for sh := range want {
+			if !slices.Equal(got[sh], want[sh]) {
+				t.Errorf("readonly=%v: shard %d serves %d rows after reopen, %d before Close, or they differ", readOnly, sh, len(got[sh]), len(want[sh]))
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

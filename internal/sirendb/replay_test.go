@@ -408,8 +408,9 @@ func TestOpenConflictReturnsErrLocked(t *testing.T) {
 }
 
 // openShrunkStore writes rows across 4 segments, closes, reopens at 2 shards
-// — so segments 2 and 3 are read-only leftovers whose rows replay re-homed
-// onto shards 0 and 1 — and inserts extra more rows into the shrunk store.
+// — so segments 2 and 3 are read-only leftovers whose rows replay onto
+// shards 0 and 1 (segment k onto shard k % 2) — and inserts extra more rows
+// into the shrunk store.
 // It returns the open store and every row in it.
 func openShrunkStore(t *testing.T, path string, rows, extra int) (*DB, []wire.Message) {
 	t.Helper()

@@ -7,42 +7,38 @@
 // size. Rows are decoded lazily, block by block, when a job is actually
 // read.
 //
-// # Layout (version 1)
+// # Layout (version 2)
 //
 //	[10B header magic "SIRENRUN1\n"]
 //	data:    blocks, each [4B payloadLen][4B checksum][payload]
-//	index:   per-job, per-host extent directory (see below)
+//	index:   per-job extent directory (see below)
 //	footer:  [8B indexOff][8B indexLen][8B indexSum][8B rows]
 //	         [8B minSeq][8B maxSeq][4B version][4B reserved]
 //	         [8B footer magic "SRUNFTR1"]  (64 bytes, at end of file)
 //
-// Rows are sorted by (JOBID, HOST, seq): every (job, host) group is
-// contiguous, so one index extent — (host, offset, length, rows, seq range)
-// under its job — locates a group's whole byte range. A block's payload is
-// framed records ([4B recLen][8B seq][wire-encoded message]) belonging to
-// exactly one (job, host) group; large groups span multiple blocks. The
-// checksum is uint32(xxhash(payload)), verified when a block is first read,
-// so historic bit rot is detected lazily without an O(rows) open. The index
-// is covered by its own xxhash in the footer, and the footer sits at the end
-// of the file — a torn tail from a crashed writer destroys the footer magic
-// and the file is rejected at Open, never silently truncated.
+// Rows are sorted by (JOBID, seq): every job's rows are contiguous, so one
+// index extent — (job, offset, length, rows, seq range) — locates a job's
+// whole byte range. A block's payload is framed records ([4B recLen][8B seq]
+// [wire-encoded message]) belonging to exactly one job; large jobs span
+// multiple blocks. The checksum is uint32(xxhash(payload)), verified when a
+// block is first read, so historic bit rot is detected lazily without an
+// O(rows) open. The index is covered by its own xxhash in the footer, and
+// the footer sits at the end of the file — a torn tail from a crashed writer
+// destroys the footer magic and the file is rejected at Open, never silently
+// truncated.
 //
-// Within one (job, host) group rows are seq-ascending; across hosts of one
-// job they are not. Cursors therefore k-way merge the extent streams by
-// sequence number, reconstructing exactly the insertion order the WAL held.
+// A job's extent reads back in insertion order as it lies; the whole-run
+// cursor k-way merges the job extents by sequence number, reconstructing
+// exactly the insertion order the WAL held.
 package runfmt
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"os"
-	"slices"
 	"sort"
-	"strings"
 
 	"siren/internal/wire"
 	"siren/internal/xxhash"
@@ -54,7 +50,7 @@ const (
 	footerSize  = 64
 
 	// Version is the current run-file format version, stamped in the footer.
-	Version = 1
+	Version = 2
 
 	blockHdrSize = 8  // payload length + checksum
 	recHdrSize   = 12 // record length + sequence
@@ -69,7 +65,7 @@ const (
 	// is corruption by definition.
 	maxRecordLen = 64 << 20
 
-	// writeBufSize is Write's output buffer: a (job, host) extent is often a
+	// writeBufSize is the Writer's output buffer: a job's extent is often a
 	// few kilobytes, and unbuffered each would cost two write(2) calls. Kept
 	// cache-sized on purpose: for the same 27 MB run, write(2) measured ×1.0
 	// CPU through 64 KiB, ×1.4 through 256 KiB and ×4.3 through 1 MiB, where
@@ -82,74 +78,23 @@ const (
 // and reads fail loudly instead of silently dropping rows.
 var ErrCorrupt = errors.New("runfmt: corrupt run file")
 
-// Row is one sealed row: a message plus its store-wide sequence number.
-type Row struct {
-	Seq uint64
-	Msg wire.Message
-}
-
-// extent locates one (job, host) group's contiguous block range.
-type extent struct {
-	host   string
+// jobIndex is one job's index entry: the extent holding its rows.
+type jobIndex struct {
+	job    string
 	off    int64 // first block's offset
-	length int64 // total bytes of the group's blocks (headers included)
+	length int64 // total bytes of the job's blocks (headers included)
 	rows   int
 	minSeq uint64
 	maxSeq uint64
 }
 
-// jobIndex is one job's entry: its extents, host-sorted as written.
-type jobIndex struct {
-	job     string
-	extents []extent
-	rows    int
-	minSeq  uint64
-	maxSeq  uint64
-}
-
-// Write seals rows into a new run file at path. Rows may arrive in any
-// order; they are sorted by (JOBID, HOST, seq) stably, encoded one at a time
-// and handed to a Writer. rows itself is only read — the sort permutes
-// references to it — so a caller may pass storage that concurrent readers
-// share. Sealing zero rows is an error — an empty run carries no information
-// an absent file doesn't.
-func Write(path string, rows []Row) (int64, error) {
-	if len(rows) == 0 {
-		return 0, errEmptyRun
-	}
-	sorted := make([]*Row, len(rows))
-	for i := range rows {
-		sorted[i] = &rows[i]
-	}
-	slices.SortStableFunc(sorted, func(a, b *Row) int {
-		if c := strings.Compare(a.Msg.JobID, b.Msg.JobID); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Msg.Host, b.Msg.Host); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Seq, b.Seq)
-	})
-	w, err := Create(path)
-	if err != nil {
-		return 0, err
-	}
-	var payload []byte
-	for _, r := range sorted {
-		payload = wire.AppendEncode(payload[:0], r.Msg)
-		if err := w.Add(r.Msg.JobID, r.Msg.Host, r.Seq, payload); err != nil {
-			w.Abort()
-			return 0, err
-		}
-	}
-	return w.Close()
-}
-
+// errEmptyRun refuses a run of zero rows: an empty run carries no
+// information an absent file doesn't.
 var errEmptyRun = errors.New("runfmt: refusing to write an empty run")
 
-// Writer writes one run file from rows handed over already in (JOBID, HOST,
-// seq) order, each as the wire bytes it is stored as: a row costs one copy
-// into its block and is never encoded here. The file is written through one
+// Writer writes one run file from rows handed over already in (JOBID, seq)
+// order, each as the wire bytes it is stored as: a row costs one copy into
+// its block and is never encoded here. The file is written through one
 // buffer; Close adds the index and footer, flushes, fsyncs and closes, and
 // the caller owns directory durability (fsync the parent dir before trusting
 // the file across a crash). A Writer is not safe for concurrent use.
@@ -157,10 +102,8 @@ type Writer struct {
 	f    *os.File
 	path string
 	w    runWriter
-	jobs []jobIndex
-	ext  extent // the (job, host) group being written; rows 0 before the first Add
-	rows int
-	err  error // first failure; Add and Close report it
+	jobs []jobIndex // the last is the job being written
+	err  error      // first failure; Add and Close report it
 }
 
 // Create starts a run file at path.
@@ -169,14 +112,18 @@ func Create(path string) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{f: f, path: path, w: runWriter{w: bufio.NewWriterSize(f, writeBufSize)}}
+	// A block is flushed once it reaches blockTarget, so its buffer holds at
+	// most blockTarget plus one row: sized for that here, it is not regrown
+	// (and copied) by append in every run.
+	payload := make([]byte, 0, blockTarget+blockTarget/2)
+	w := &Writer{f: f, path: path, w: runWriter{w: bufio.NewWriterSize(f, writeBufSize), payload: payload}}
 	w.err = w.w.write([]byte(headerMagic))
 	return w, nil
 }
 
-// Add appends one row: its job and host, its store-wide sequence number and
-// payload, its wire encoding. Rows must come in (job, host, seq) order.
-func (w *Writer) Add(job, host string, seq uint64, payload []byte) error {
+// Add appends one row: its job, its store-wide sequence number and payload,
+// its wire encoding. Rows must come in (job, seq) order.
+func (w *Writer) Add(job string, seq uint64, payload []byte) error {
 	if w.err != nil {
 		return w.err
 	}
@@ -184,23 +131,20 @@ func (w *Writer) Add(job, host string, seq uint64, payload []byte) error {
 		w.err = fmt.Errorf("runfmt: message of %d bytes exceeds the %d-byte record limit", len(payload), maxRecordLen)
 		return w.err
 	}
-	if len(w.jobs) == 0 || job != w.jobs[len(w.jobs)-1].job || host != w.ext.host {
-		if err := w.startGroup(job, host); err != nil {
-			w.err = err
-			return err
+	if n := len(w.jobs); n == 0 || job != w.jobs[n-1].job {
+		if w.err = w.startJob(job); w.err != nil {
+			return w.err
 		}
-	} else if seq < w.ext.maxSeq {
-		w.err = fmt.Errorf("runfmt: row %d added after row %d of (%q, %q)", seq, w.ext.maxSeq, job, host)
+	} else if seq < w.jobs[n-1].maxSeq {
+		w.err = fmt.Errorf("runfmt: row %d added after row %d of job %q", seq, w.jobs[n-1].maxSeq, job)
 		return w.err
 	}
 	ji := &w.jobs[len(w.jobs)-1]
-	ji.rows++
-	ji.minSeq, ji.maxSeq = min(ji.minSeq, seq), max(ji.maxSeq, seq)
-	if w.ext.rows == 0 {
-		w.ext.minSeq = seq
+	if ji.rows == 0 {
+		ji.minSeq = seq
 	}
-	w.ext.rows++
-	w.ext.maxSeq = seq
+	ji.rows++
+	ji.maxSeq = seq
 	var rec [recHdrSize]byte
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint64(rec[4:12], seq)
@@ -211,34 +155,28 @@ func (w *Writer) Add(job, host string, seq uint64, payload []byte) error {
 	return w.err
 }
 
-// startGroup ends the current (job, host) group and opens the next, and a
-// new job entry when the job changes.
-func (w *Writer) startGroup(job, host string) error {
-	if len(w.jobs) > 0 {
-		last := &w.jobs[len(w.jobs)-1]
-		if job < last.job || job == last.job && host <= w.ext.host {
-			return fmt.Errorf("runfmt: rows of (%q, %q) added after (%q, %q)", job, host, last.job, w.ext.host)
+// startJob ends the job being written and opens the next, which must sort
+// after it.
+func (w *Writer) startJob(job string) error {
+	if n := len(w.jobs); n > 0 {
+		if job < w.jobs[n-1].job {
+			return fmt.Errorf("runfmt: rows of job %q added after job %q", job, w.jobs[n-1].job)
 		}
-		if err := w.endGroup(); err != nil {
+		if err := w.endJob(); err != nil {
 			return err
 		}
 	}
-	if len(w.jobs) == 0 || job != w.jobs[len(w.jobs)-1].job {
-		w.jobs = append(w.jobs, jobIndex{job: job, minSeq: math.MaxUint64})
-	}
-	w.ext = extent{host: host, off: w.w.off}
+	w.jobs = append(w.jobs, jobIndex{job: job, off: w.w.off})
 	return nil
 }
 
-// endGroup flushes the current group's last block and files its extent
-// under its job.
-func (w *Writer) endGroup() error {
+// endJob flushes the current job's last block and closes its extent.
+func (w *Writer) endJob() error {
 	if err := w.w.flushBlock(); err != nil {
 		return err
 	}
-	w.ext.length = w.w.off - w.ext.off
 	ji := &w.jobs[len(w.jobs)-1]
-	ji.extents = append(ji.extents, w.ext)
+	ji.length = w.w.off - ji.off
 	return nil
 }
 
@@ -249,7 +187,7 @@ func (w *Writer) Close() (int64, error) {
 		w.err = errEmptyRun
 	}
 	if w.err == nil {
-		w.err = w.endGroup()
+		w.err = w.endJob()
 	}
 	if w.err != nil {
 		w.Abort()
@@ -257,19 +195,20 @@ func (w *Writer) Close() (int64, error) {
 	}
 	indexOff := w.w.off
 	index := encodeIndex(w.jobs)
+	var rows int
 	var minSeq, maxSeq uint64
 	for i, ji := range w.jobs {
 		if i == 0 || ji.minSeq < minSeq {
 			minSeq = ji.minSeq
 		}
 		maxSeq = max(maxSeq, ji.maxSeq)
-		w.rows += ji.rows
+		rows += ji.rows
 	}
 	footer := make([]byte, footerSize)
 	binary.LittleEndian.PutUint64(footer[0:8], uint64(indexOff))
 	binary.LittleEndian.PutUint64(footer[8:16], uint64(len(index)))
 	binary.LittleEndian.PutUint64(footer[16:24], xxhash.Sum64(index))
-	binary.LittleEndian.PutUint64(footer[24:32], uint64(w.rows))
+	binary.LittleEndian.PutUint64(footer[24:32], uint64(rows))
 	binary.LittleEndian.PutUint64(footer[32:40], minSeq)
 	binary.LittleEndian.PutUint64(footer[40:48], maxSeq)
 	binary.LittleEndian.PutUint32(footer[48:52], Version)
@@ -339,8 +278,7 @@ func (w *runWriter) flushBlock() error {
 // encodeIndex renders the job directory:
 //
 //	[4B jobCount]
-//	per job:   [4B jobLen][job][4B extentCount]
-//	per extent: [4B hostLen][host][8B off][8B len][8B rows][8B minSeq][8B maxSeq]
+//	per job: [4B jobLen][job][8B off][8B len][8B rows][8B minSeq][8B maxSeq]
 func encodeIndex(jobs []jobIndex) []byte {
 	var b []byte
 	var u32 [4]byte
@@ -357,16 +295,11 @@ func encodeIndex(jobs []jobIndex) []byte {
 	for _, ji := range jobs {
 		put32(uint32(len(ji.job)))
 		b = append(b, ji.job...)
-		put32(uint32(len(ji.extents)))
-		for _, e := range ji.extents {
-			put32(uint32(len(e.host)))
-			b = append(b, e.host...)
-			put64(uint64(e.off))
-			put64(uint64(e.length))
-			put64(uint64(e.rows))
-			put64(e.minSeq)
-			put64(e.maxSeq)
-		}
+		put64(uint64(ji.off))
+		put64(uint64(ji.length))
+		put64(uint64(ji.rows))
+		put64(ji.minSeq)
+		put64(ji.maxSeq)
 	}
 	return b
 }
@@ -380,9 +313,7 @@ type Run struct {
 	size    int64
 	dataEnd int64 // start of the index == end of the block region
 	rows    int
-	minSeq  uint64
 	maxSeq  uint64
-	version uint32
 	jobs    []jobIndex
 	byJob   map[string]int // job -> index into jobs
 	names   []string       // job names, sorted (index order)
@@ -423,15 +354,13 @@ func (r *Run) load() error {
 	if string(footer[56:64]) != footerMagic {
 		return fmt.Errorf("%w: %s: bad footer magic (torn tail?)", ErrCorrupt, r.path)
 	}
-	r.version = binary.LittleEndian.Uint32(footer[48:52])
-	if r.version != Version {
-		return fmt.Errorf("runfmt: %s: unsupported run format version %d", r.path, r.version)
+	if v := binary.LittleEndian.Uint32(footer[48:52]); v != Version {
+		return fmt.Errorf("runfmt: %s: unsupported run format version %d", r.path, v)
 	}
 	indexOff := int64(binary.LittleEndian.Uint64(footer[0:8]))
 	indexLen := int64(binary.LittleEndian.Uint64(footer[8:16]))
 	indexSum := binary.LittleEndian.Uint64(footer[16:24])
 	r.rows = int(binary.LittleEndian.Uint64(footer[24:32]))
-	r.minSeq = binary.LittleEndian.Uint64(footer[32:40])
 	r.maxSeq = binary.LittleEndian.Uint64(footer[40:48])
 	if indexOff < int64(len(headerMagic)) || indexLen < 0 || indexOff+indexLen != r.size-footerSize {
 		return fmt.Errorf("%w: %s: index [%d,+%d) does not abut the footer", ErrCorrupt, r.path, indexOff, indexLen)
@@ -501,49 +430,21 @@ func (r *Run) decodeIndex(b []byte) error {
 		if !ok {
 			return bad("truncated job name")
 		}
-		nExt, ok := u32()
-		if !ok || int64(nExt) > int64(len(b))/8 {
-			return bad("extent count out of bounds")
+		off, ok1 := u64()
+		length, ok2 := u64()
+		rows, ok3 := u64()
+		minSeq, ok4 := u64()
+		maxSeq, ok5 := u64()
+		if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 {
+			return bad("truncated extent")
 		}
-		entry := jobIndex{job: job, extents: make([]extent, 0, nExt)}
-		for ei := uint32(0); ei < nExt; ei++ {
-			hn, ok := u32()
-			if !ok {
-				return bad("truncated host name length")
-			}
-			host, ok := str(hn)
-			if !ok {
-				return bad("truncated host name")
-			}
-			off, ok1 := u64()
-			length, ok2 := u64()
-			rows, ok3 := u64()
-			minSeq, ok4 := u64()
-			maxSeq, ok5 := u64()
-			if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 {
-				return bad("truncated extent")
-			}
-			if off < uint64(len(headerMagic)) || length > uint64(r.dataEnd) || off+length > uint64(r.dataEnd) || off+length < off {
-				return bad("extent outside the data region")
-			}
-			if rows > length/recHdrSize {
-				return bad("implausible extent row count")
-			}
-			entry.extents = append(entry.extents, extent{
-				host: host, off: int64(off), length: int64(length),
-				rows: int(rows), minSeq: minSeq, maxSeq: maxSeq,
-			})
-			entry.rows += int(rows)
-			if len(entry.extents) == 1 || minSeq < entry.minSeq {
-				entry.minSeq = minSeq
-			}
-			if maxSeq > entry.maxSeq {
-				entry.maxSeq = maxSeq
-			}
+		if off < uint64(len(headerMagic)) || length > uint64(r.dataEnd) || off+length > uint64(r.dataEnd) || off+length < off {
+			return bad("extent outside the data region")
 		}
-		if len(entry.extents) == 0 {
-			return bad("job with no extents")
+		if rows == 0 || rows > length/recHdrSize {
+			return bad("implausible extent row count")
 		}
+		entry := jobIndex{job: job, off: int64(off), length: int64(length), rows: int(rows), minSeq: minSeq, maxSeq: maxSeq}
 		if _, dup := r.byJob[job]; dup {
 			return bad("duplicate job entry")
 		}
@@ -570,14 +471,8 @@ func (r *Run) decodeIndex(b []byte) error {
 // the last reference is garbage. Close is idempotent.
 func (r *Run) Close() error { return r.back.Close() }
 
-// Path returns the run file's path.
-func (r *Run) Path() string { return r.path }
-
 // Rows reports the run's total row count (from the footer — O(1)).
 func (r *Run) Rows() int { return r.rows }
-
-// MinSeq reports the smallest sequence number stored in the run.
-func (r *Run) MinSeq() uint64 { return r.minSeq }
 
 // MaxSeq reports the largest sequence number stored in the run.
 func (r *Run) MaxSeq() uint64 { return r.maxSeq }
@@ -617,11 +512,12 @@ func (r *Run) EachJob(f func(job string, rows int, minSeq, maxSeq uint64) bool) 
 	}
 }
 
-// Cursor streams a run's rows in ascending sequence order, k-way merging
-// the per-(job, host) extent streams. Blocks load (and checksum-verify)
-// lazily as the cursor crosses them. The merge compares the sequence numbers
-// in the record headers and scans only the row it hands out, in place, as a
-// view of the block (NextScanned).
+// Cursor streams a run's rows in ascending sequence order. A job cursor
+// reads its one extent as it lies; the whole-run cursor k-way merges the job
+// extents. Blocks load (and checksum-verify) lazily as the cursor crosses
+// them. The merge compares the sequence numbers in the record headers and
+// scans only the row it hands out, in place, as a view of the block
+// (NextScanned).
 type Cursor struct {
 	streams []*extentCursor
 	best    int // stream holding the next row once PeekSeq found it, else -1
@@ -631,26 +527,20 @@ type Cursor struct {
 
 // Cursor returns a cursor over every row of the run, seq-ascending.
 func (r *Run) Cursor() *Cursor {
-	c := &Cursor{best: -1}
+	c := &Cursor{best: -1, streams: make([]*extentCursor, len(r.jobs))}
 	for i := range r.jobs {
-		for e := range r.jobs[i].extents {
-			c.streams = append(c.streams, newExtentCursor(r, &r.jobs[i].extents[e]))
-		}
+		c.streams[i] = newExtentCursor(r, &r.jobs[i])
 	}
 	return c
 }
 
-// JobCursor returns a cursor over one job's rows, seq-ascending (its host
-// extents merged). A job absent from the run yields an immediately-empty
+// JobCursor returns a cursor over one job's rows, seq-ascending: its extent,
+// read in order. A job absent from the run yields an immediately-empty
 // cursor.
 func (r *Run) JobCursor(job string) *Cursor {
 	c := &Cursor{best: -1}
-	i, ok := r.byJob[job]
-	if !ok {
-		return c
-	}
-	for e := range r.jobs[i].extents {
-		c.streams = append(c.streams, newExtentCursor(r, &r.jobs[i].extents[e]))
+	if i, ok := r.byJob[job]; ok {
+		c.streams = []*extentCursor{newExtentCursor(r, &r.jobs[i])}
 	}
 	return c
 }
@@ -699,7 +589,7 @@ func (c *Cursor) NextScanned(row *wire.Scanned) (seq uint64, ok bool) {
 // after a clean exhaustion.
 func (c *Cursor) Err() error { return c.err }
 
-// extentCursor walks one (job, host) extent block by block.
+// extentCursor walks one job's extent block by block.
 type extentCursor struct {
 	r       *Run
 	off     int64 // next unread block
@@ -708,8 +598,8 @@ type extentCursor struct {
 	pos     int    // start of the next record's header within payload
 }
 
-func newExtentCursor(r *Run, e *extent) *extentCursor {
-	return &extentCursor{r: r, off: e.off, end: e.off + e.length}
+func newExtentCursor(r *Run, ji *jobIndex) *extentCursor {
+	return &extentCursor{r: r, off: ji.off, end: ji.off + ji.length}
 }
 
 func (ec *extentCursor) corrupt(what string) error {

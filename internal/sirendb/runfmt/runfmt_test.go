@@ -2,6 +2,7 @@ package runfmt
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,6 +18,13 @@ import (
 
 	"siren/internal/wire"
 )
+
+// Row is one row of a test run: a message plus its store-wide sequence
+// number.
+type Row struct {
+	Seq uint64
+	Msg wire.Message
+}
 
 func testRows(n int) []Row {
 	rows := make([]Row, 0, n)
@@ -53,12 +62,32 @@ func next(c *Cursor) (wire.Message, uint64, bool) {
 	return m, seq, ok
 }
 
+// writeRows writes rows, in any order, into a run file at path: sorted by
+// (JOBID, seq), the order Writer.Add takes, and encoded one at a time.
+func writeRows(tb testing.TB, path string, rows []Row) {
+	tb.Helper()
+	sorted := slices.Clone(rows)
+	slices.SortStableFunc(sorted, func(a, b Row) int {
+		return cmp.Or(strings.Compare(a.Msg.JobID, b.Msg.JobID), cmp.Compare(a.Seq, b.Seq))
+	})
+	w, err := Create(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range sorted {
+		if err := w.Add(r.Msg.JobID, r.Seq, wire.Encode(r.Msg)); err != nil {
+			tb.Fatalf("Add: %v", err)
+		}
+	}
+	if _, err := w.Close(); err != nil {
+		tb.Fatalf("Close: %v", err)
+	}
+}
+
 func writeRun(t *testing.T, rows []Row) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "test.run")
-	if _, err := Write(path, rows); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
+	writeRows(t, path, rows)
 	return path
 }
 
@@ -74,8 +103,10 @@ func TestRoundTrip(t *testing.T) {
 	if r.Rows() != len(rows) {
 		t.Fatalf("Rows = %d, want %d", r.Rows(), len(rows))
 	}
-	if r.MinSeq() != 1 || r.MaxSeq() != uint64(len(rows)) {
-		t.Fatalf("seq range [%d,%d], want [1,%d]", r.MinSeq(), r.MaxSeq(), len(rows))
+	minSeq := uint64(len(rows))
+	r.EachJob(func(_ string, _ int, lo, _ uint64) bool { minSeq = min(minSeq, lo); return true })
+	if minSeq != 1 || r.MaxSeq() != uint64(len(rows)) {
+		t.Fatalf("seq range [%d,%d], want [1,%d]", minSeq, r.MaxSeq(), len(rows))
 	}
 
 	wantJobs := map[string]bool{}
@@ -187,43 +218,51 @@ func TestJobCursorAndStats(t *testing.T) {
 	}
 }
 
-func TestWriteSortsInput(t *testing.T) {
-	rows := testRows(100)
-	shuffled := make([]Row, len(rows))
-	copy(shuffled, rows)
-	// Deterministic scramble: reverse, then swap odd/even pairs.
-	for i, j := 0, len(shuffled)-1; i < j; i, j = i+1, j-1 {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	}
-	path := writeRun(t, shuffled)
-	r, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer r.Close()
-	c := r.Cursor()
-	var prev uint64
-	n := 0
-	for {
-		_, seq, ok := next(c)
-		if !ok {
-			break
-		}
-		if seq <= prev {
-			t.Fatalf("cursor not seq-ascending: %d after %d", seq, prev)
-		}
-		prev = seq
-		n++
-	}
-	if c.Err() != nil || n != len(rows) {
-		t.Fatalf("yielded %d rows (err=%v), want %d", n, c.Err(), len(rows))
+// TestAddOutOfOrderRefused: Writer.Add takes rows in (JOBID, seq) order and
+// refuses a job that sorts before the one being written, or a row older than
+// its job's last; the run is then not written.
+func TestAddOutOfOrderRefused(t *testing.T) {
+	payload := wire.Encode(testRows(1)[0].Msg)
+	for name, rows := range map[string][]struct {
+		job string
+		seq uint64
+	}{
+		"job": {{"b", 1}, {"a", 2}},
+		"seq": {{"a", 2}, {"b", 1}, {"b", 3}, {"b", 2}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "out-of-order.run")
+			w, err := Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var addErr error
+			for _, r := range rows {
+				if addErr = w.Add(r.job, r.seq, payload); addErr != nil {
+					break
+				}
+			}
+			if addErr == nil {
+				t.Fatalf("Add accepted %v", rows)
+			}
+			if _, err := w.Close(); err == nil {
+				t.Fatal("Close succeeded after a refused Add")
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("refused run left a file behind: %v", err)
+			}
+		})
 	}
 }
 
-func TestWriteEmptyRefused(t *testing.T) {
+func TestCloseEmptyRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.run")
-	if _, err := Write(path, nil); err == nil {
-		t.Fatal("Write(nil rows) succeeded")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Close(); err == nil {
+		t.Fatal("Close of a run with no rows succeeded")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("empty run left a file behind: %v", err)
@@ -305,6 +344,11 @@ func TestCorruptionDetected(t *testing.T) {
 		if _, err := Open(p); err == nil {
 			t.Fatal("Open accepted an unknown format version")
 		}
+		// Version 1, whose index split a job by host, is not read.
+		p = mutate(t, path, int64(len(orig))-footerSize+48, Version^1)
+		if _, err := Open(p); err == nil {
+			t.Fatal("Open accepted a version 1 run")
+		}
 	})
 
 	t.Run("empty_file", func(t *testing.T) {
@@ -318,33 +362,34 @@ func TestCorruptionDetected(t *testing.T) {
 	})
 }
 
-// TestCorruptionDetectedWhilePeeked: the merge reads a stream's next sequence
+// TestCorruptionDetectedWhilePeeked: a cursor reads a stream's next sequence
 // number before it takes the row, and that peek is what loads and verifies
 // the stream's next block. A block that fails its checksum while its first
 // record is only peeked must end the cursor with ErrCorrupt, and every row
-// handed out before must be exactly the run's row at that position.
+// handed out before must be exactly the run's row at that position — in the
+// whole-run merge and in a job's own cursor alike.
 func TestCorruptionDetectedWhilePeeked(t *testing.T) {
-	// Host a: small rows at odd seqs; host b: 4 KiB rows at even seqs, so
-	// b's extent spans several blocks and its second block is first read by
-	// a peek while a's rows are still being taken.
-	var rows []Row
+	// Job a: small rows at odd seqs; job b: 4 KiB rows at even seqs, so b's
+	// extent spans several blocks and its second block is first read by a
+	// peek while a's rows are still being taken.
+	var rows, bRows []Row
 	for i := 0; i < 200; i++ {
-		h := wire.Header{JobID: "j", StepID: "0", PID: i, Hash: "h", Host: "a", Time: 1, Layer: wire.LayerSelf, Type: wire.TypeFileH, Total: 1}
+		h := wire.Header{JobID: "a", StepID: "0", PID: i, Hash: "h", Host: "n", Time: 1, Layer: wire.LayerSelf, Type: wire.TypeFileH, Total: 1}
 		content := []byte("x")
 		if i%2 == 1 {
-			h.Host, content = "b", bytes.Repeat([]byte{byte('0' + i%10)}, 4096)
+			h.JobID, content = "b", bytes.Repeat([]byte{byte('0' + i%10)}, 4096)
 		}
 		rows = append(rows, Row{Seq: uint64(i + 1), Msg: wire.Message{Header: h, Content: content}})
+		if h.JobID == "b" {
+			bRows = append(bRows, rows[i])
+		}
 	}
 	path := writeRun(t, rows)
 	r, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := r.jobs[0].extents[1]
-	if b.host != "b" {
-		t.Fatalf("second extent is host %q", b.host)
-	}
+	b := r.jobs[r.byJob["b"]]
 	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +397,7 @@ func TestCorruptionDetectedWhilePeeked(t *testing.T) {
 	r.Close()
 	second := b.off + blockHdrSize + int64(binary.LittleEndian.Uint32(orig[b.off:]))
 	if second >= b.off+b.length {
-		t.Fatal("host b's extent fits one block; the test needs two")
+		t.Fatal("job b's extent fits one block; the test needs two")
 	}
 	// Flip a byte of the first record's message in b's second block.
 	bad := mutate(t, path, second+blockHdrSize+recHdrSize+10, 0x01)
@@ -360,7 +405,11 @@ func TestCorruptionDetectedWhilePeeked(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cursor func(*Run) *Cursor
-	}{{"run", (*Run).Cursor}, {"job", func(r *Run) *Cursor { return r.JobCursor("j") }}} {
+		want   []Row
+	}{
+		{"run", (*Run).Cursor, rows},
+		{"job", func(r *Run) *Cursor { return r.JobCursor("b") }, bRows},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r, err := Open(bad)
 			if err != nil {
@@ -374,11 +423,11 @@ func TestCorruptionDetectedWhilePeeked(t *testing.T) {
 				if !ok {
 					break
 				}
-				want := rows[n]
+				want := tc.want[n]
 				if seq != want.Seq || !reflect.DeepEqual(m, want.Msg) {
 					t.Fatalf("row %d: got seq %d %+v, want seq %d %+v", n, seq, m.Header, want.Seq, want.Msg.Header)
 				}
-				if m.Host == "b" {
+				if m.JobID == "b" {
 					fromB++
 				}
 				n++
@@ -386,8 +435,8 @@ func TestCorruptionDetectedWhilePeeked(t *testing.T) {
 			if !errors.Is(c.Err(), ErrCorrupt) {
 				t.Fatalf("cursor err = %v after %d rows, want ErrCorrupt", c.Err(), n)
 			}
-			if fromB == 0 || n >= len(rows) {
-				t.Fatalf("stream ended after %d rows (%d of host b): the corrupt block was not the one peeked", n, fromB)
+			if fromB == 0 || n >= len(tc.want) {
+				t.Fatalf("stream ended after %d rows (%d of job b): the corrupt block was not the one peeked", n, fromB)
 			}
 			if _, ok := c.PeekSeq(); ok {
 				t.Fatal("PeekSeq reports a row after the cursor failed")
@@ -405,9 +454,7 @@ func FuzzRunDecode(f *testing.F) {
 	rows := testRows(60)
 	dir := f.TempDir()
 	seedPath := filepath.Join(dir, "seed.run")
-	if _, err := Write(seedPath, rows); err != nil {
-		f.Fatal(err)
-	}
+	writeRows(f, seedPath, rows)
 	valid, err := os.ReadFile(seedPath)
 	if err != nil {
 		f.Fatal(err)
@@ -459,8 +506,8 @@ func FuzzRunDecode(f *testing.F) {
 }
 
 // TestRunFileBytesPinned pins the run format byte for byte: the SHA-256 was
-// computed from the file the pre-AppendEncode, copy-and-sort Write produced
-// for this input (5 000 rows, 7 jobs × 5 hosts, seqs permuted so the sort is
+// computed from the version 2 file writeRows produces for this input (5 000
+// rows, 7 jobs × 5 hosts, seqs permuted so the (JOBID, seq) order is
 // exercised, extents that span several blocks). A change to the row order,
 // the framing, the encoder or the index moves it.
 func TestRunFileBytesPinned(t *testing.T) {
@@ -484,19 +531,13 @@ func TestRunFileBytesPinned(t *testing.T) {
 			},
 		}
 	}
-	before := append([]Row(nil), rows...)
 	data, err := os.ReadFile(writeRun(t, rows))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "357dce8eb1bccc1fb49f6fe8f004a468bc0877bb1ab72d263cf47913a32b2d1d"
-	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want || len(data) != 5531789 {
-		t.Errorf("run file = %d bytes, sha256 %s; want 5531789 bytes, %s", len(data), got, want)
-	}
-	// Write sorts references: the caller's rows (a live shard's head, shared
-	// with snapshots) must come back untouched.
-	if !reflect.DeepEqual(rows, before) {
-		t.Error("Write reordered or modified its input")
+	const want = "ad6b9e85f5cd0bcdc50418d2a27f1c91dcccf0ae1041a11198264c35357d618c"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want || len(data) != 5530091 {
+		t.Errorf("run file = %d bytes, sha256 %s; want 5530091 bytes, %s", len(data), got, want)
 	}
 }
 
@@ -513,7 +554,7 @@ func TestRunNonCanonicalRowIsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, payload := range []string{good, strings.Replace(good, "PID=7|", "PID=007|", 1)} {
-		if err := w.Add("J", "n", uint64(i+1), []byte(payload)); err != nil {
+		if err := w.Add("J", uint64(i+1), []byte(payload)); err != nil {
 			t.Fatal(err)
 		}
 	}

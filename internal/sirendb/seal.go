@@ -209,13 +209,11 @@ func (db *DB) loadRuns() error {
 	return nil
 }
 
-// attachRun homes an opened run on an in-memory shard. When the run's file
-// shard index fits the current shard count the mapping is exact; after a
-// shard-count change the run lands on fileShard % shards — its (job, host)
-// groups may then sit in a different shard than new head rows of the same
-// identity, which costs locality only: the consolidation reads each job
-// merged across shards (the same situation a misrouted InsertShard batch
-// produces).
+// attachRun homes an opened run on shard fileShard % shards — the rule
+// replay applies to segments, so a row stays on the shard that wrote it
+// while the shard count holds. After a shard-count change a job's rows may
+// sit in other shards than new head rows of the job, which costs locality
+// only: every reader merges a job across shards.
 func (db *DB) attachRun(rf runFile, r *runfmt.Run) {
 	s := db.shards[rf.shard%len(db.shards)]
 	s.runs = append(s.runs, sealedRun{gen: rf.gen, fileShard: rf.shard, path: rf.path, run: r})
@@ -395,16 +393,6 @@ func (db *DB) Seal() error {
 	db.mx.sealPhaseNS[3].Since(phaseStart)
 	db.mx.sealNS.Since(sealStart)
 	return nil
-}
-
-// DropSealedBefore removes every sealed run whose newest row has
-// seq <= before — the retention hook a catalog-driven rollup calls once a
-// consolidated generation covers that watermark. Whole runs only: a run
-// with even one newer row survives intact. Returns the number of runs
-// dropped. Open snapshots keep reading dropped runs (the mapping outlives
-// the unlink); new snapshots no longer see them.
-func (db *DB) DropSealedBefore(before uint64) (int, error) {
-	return db.dropRuns(func(sr sealedRun) bool { return sr.run.MaxSeq() <= before })
 }
 
 // RetainSealedGenerations keeps the newest n sealed generations and drops

@@ -229,7 +229,14 @@ func TestSealCrashBeforeMarkerDiscardsDebris(t *testing.T) {
 
 	// Simulate the crashed seal: one complete run and one torn run of an
 	// uncommitted generation.
-	if _, err := runfmt.Write(runFilePath(path, 1, 0), []runfmt.Row{{Seq: 1, Msg: ms[0]}}); err != nil {
+	w, err := runfmt.Create(runFilePath(path, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Add(ms[0].JobID, 1, wire.Encode(ms[0])); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(runFilePath(path, 1, 1), []byte("torn mid-write"), 0o644); err != nil {
@@ -434,13 +441,13 @@ func TestSealRetention(t *testing.T) {
 	}
 	old := db.Snapshot() // must keep reading dropped runs
 
-	// Generation 1's rows all have seq <= 100.
-	dropped, err := db.DropSealedBefore(100)
+	// Keeping the newest two generations drops generation 1's runs.
+	dropped, err := db.RetainSealedGenerations(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dropped == 0 {
-		t.Fatal("DropSealedBefore(100) dropped nothing")
+		t.Fatal("RetainSealedGenerations(2) dropped nothing")
 	}
 	if db.Count() != 200 {
 		t.Fatalf("Count after drop = %d, want 200", db.Count())

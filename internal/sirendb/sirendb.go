@@ -56,8 +56,8 @@ type Options struct {
 	// Shards is the number of store shards, each owning its rows, indexes,
 	// and WAL segment (default min(GOMAXPROCS, 4), matching the receiver's
 	// writer-shard default so batches route shard→shard 1:1). Reopening with
-	// a different count is safe: replay re-partitions rows by hash and reads
-	// every segment on disk regardless of the configured count.
+	// a different count is safe: replay reads every segment on disk
+	// regardless of the configured count, segment k into shard k % Shards.
 	Shards int
 	// SyncInterval bounds how long an appended record may stay unsynced
 	// before the group-commit syncer calls fdatasync (0 = DefaultSyncInterval;
@@ -238,10 +238,9 @@ func (db *DB) InsertBatch(ms []wire.Message) error {
 // InsertShard stores a batch directly into one shard, skipping the
 // per-message hash partitioning. The caller asserts every message hashes to
 // this shard — the receiver's writer shards hold that by construction when
-// writer count equals StoreShards(). A misrouted batch costs segment
-// locality, not correctness: queries merge all shards, the streaming
-// consolidation reads each job merged across them, and replay re-partitions
-// by hash on the next open.
+// writer count equals StoreShards(). A misrouted batch costs locality, not
+// correctness: every reader merges a job across shards, and the rows stay
+// on the shard they were inserted into, across a reopen and a seal too.
 func (db *DB) InsertShard(shard int, ms []wire.Message) error {
 	if shard < 0 || shard >= len(db.shards) {
 		return fmt.Errorf("sirendb: shard %d out of range [0,%d)", shard, len(db.shards))

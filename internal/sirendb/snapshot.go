@@ -50,11 +50,12 @@ import (
 //     a later snapshot — the append-only store guarantees every other job's
 //     rows are byte-identical to the previous capture.
 //
-// The store keeps the rows of one (job, host) in one shard (it partitions by
-// wire.PartitionHash(JobID, Host), and a roster admits by the same pair), but
-// that is locality only: nothing above depends on it, so misrouted InsertShard
-// rows, a store reopened at another shard count and multi-host jobs are all
-// read the same way. Nor is a row held by two members removed: a failover
+// A row stays on the shard that wrote it: InsertBatch and the receiver route
+// by wire.PartitionHash(JobID, Host), replay puts segment k back on shard
+// k % shards and a run file on the same rule. That placement is locality
+// only: nothing above depends on it, so misrouted InsertShard rows, a store
+// reopened at another shard count and multi-host jobs are all read the same
+// way. Nor is a row held by two members removed: a failover
 // leaves a recovered member's partial copy of rows another member holds in
 // full (DESIGN.md §11), and both copies are yielded. The consolidation
 // kernel makes them harmless, since it keeps one copy of a repeated chunk.
@@ -431,7 +432,7 @@ func (sn *Snapshot) JobLen(job string) int {
 // store holds — a head row as its datagram in the head chunk with the Fields
 // its index entry holds, a sealed row scanned in place in its verified run
 // block — so nothing is decoded, copied or re-sorted: each head index list
-// is already sequence-ascending and each run scans its job extents in
+// is already sequence-ascending and each run reads its job's one extent in
 // sequence order. A view stays valid while the snapshot is reachable and
 // must not be kept past that: run mappings are unmapped once the snapshot is
 // garbage, so whatever a caller keeps of a row, it copies.

@@ -139,10 +139,11 @@ func checkBasePath(path string) error {
 // any that are missing, rewriting a torn magic); a read-only open replays
 // the segments that exist from read-only handles, and nothing on disk is
 // created, repaired, truncated, or swept — the shared lock guarantees no
-// writer is live, so the on-disk state is quiescent. Both replay leftover
-// segments of a larger previous shard count read-only: hash routing folds
-// their rows into the current shards, and a writable open remembers them so
-// Seal can delete them once those rows live in runs.
+// writer is live, so the on-disk state is quiescent. Segment k's rows belong
+// to shard k % shards, the rule attachRun applies to run files, so both
+// replay leftover segments of a larger previous shard count read-only into
+// the shard the rule names, and a writable open remembers them so Seal can
+// delete them once those rows live in runs.
 func (db *DB) openSegments() error {
 	if err := checkBasePath(db.path); err != nil {
 		return err
@@ -167,13 +168,10 @@ func (db *DB) openSegments() error {
 		}
 	}
 	for _, sf := range segs {
-		switch {
-		case sf.index >= len(db.shards):
-			reps = append(reps, segReplay{path: sf.path, own: -1})
-		case writable:
+		if writable && sf.index < len(db.shards) {
 			reps[sf.index].path = sf.path
-		default:
-			reps = append(reps, segReplay{path: sf.path, own: sf.index})
+		} else {
+			reps = append(reps, segReplay{path: sf.path, own: sf.index % len(db.shards)})
 		}
 	}
 	created := false
@@ -211,8 +209,7 @@ func (db *DB) openSegments() error {
 		if r.maxSeq > db.seq.Load() {
 			db.seq.Store(r.maxSeq)
 		}
-		db.indexAside(r.aside)
-		if writable && r.own < 0 {
+		if writable && !r.writable {
 			db.staleSegs = append(db.staleSegs, r.path)
 		}
 	}
@@ -231,33 +228,21 @@ func (db *DB) openSegments() error {
 // the replay of this segment writes it.
 type segReplay struct {
 	path     string
-	own      int  // the shard whose head this segment indexes into; -1 for a leftover
+	own      int  // the shard whose head this segment indexes into
 	writable bool // an active segment of a writable open: created, repaired, kept open
 
 	f      *os.File
 	size   int64
-	end    int64      // end of the valid prefix: where appends resume
-	maxSeq uint64     // highest sequence number replayed
-	aside  []asideRow // rows that route to another shard than own
+	end    int64  // end of the valid prefix: where appends resume
+	maxSeq uint64 // highest sequence number replayed
 	err    error
 }
 
-// asideRow is a replayed row the replay of its segment does not own: a row
-// misrouted by InsertShard, or any row of a leftover segment. The shard it
-// routes to indexes it after the join.
-type asideRow struct {
-	chunk  []byte
-	lo, hi int
-	shard  int
-	seq    uint64
-	fields wire.Fields
-}
-
 // replaySegments opens every segment and replays those holding records, one
-// goroutine each (the first on the caller's). A segment's replay writes only
-// its segReplay and the head of its own shard, so none takes a lock. It
-// returns the first error in segment order; the handles stay in reps either
-// way.
+// goroutine per shard (the first on the caller's) replaying its segments in
+// turn into its head, so none takes a lock. A shard that took more than one
+// segment is re-sorted by sequence afterwards (openSegments). It returns the
+// first error in segment order; the handles stay in reps either way.
 func (db *DB) replaySegments(reps []segReplay) error {
 	for i := range reps {
 		if err := reps[i].open(); err != nil {
@@ -266,22 +251,22 @@ func (db *DB) replaySegments(reps []segReplay) error {
 	}
 	var wg sync.WaitGroup
 	inline := -1
-	for i := range reps {
-		if reps[i].end >= reps[i].size {
-			continue // nothing beyond the magic
+	for sh := range db.shards {
+		if !holdsRecords(reps, sh) {
+			continue
 		}
 		if inline < 0 {
-			inline = i
+			inline = sh
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reps[i].err = db.replaySegment(&reps[i])
+			db.replayShard(reps, sh)
 		}()
 	}
 	if inline >= 0 {
-		reps[inline].err = db.replaySegment(&reps[inline])
+		db.replayShard(reps, inline)
 	}
 	wg.Wait()
 	for i := range reps {
@@ -290,6 +275,30 @@ func (db *DB) replaySegments(reps []segReplay) error {
 		}
 	}
 	return nil
+}
+
+// holdsRecords reports whether a segment of shard sh holds anything beyond
+// its magic. It reads only what open set, so it may run beside replays.
+func holdsRecords(reps []segReplay, sh int) bool {
+	for i := range reps {
+		if reps[i].own == sh && reps[i].size > int64(len(segMagic)) {
+			return true
+		}
+	}
+	return false
+}
+
+// replayShard replays into shard sh's head, in order, the segments whose
+// rows belong to it. Calls for other shards share reps but read only the
+// own field of this shard's segReplays, which nothing writes.
+func (db *DB) replayShard(reps []segReplay, sh int) {
+	for i := range reps {
+		if r := &reps[i]; r.own == sh && r.end < r.size {
+			if r.err = db.replaySegment(r); r.err != nil {
+				return
+			}
+		}
+	}
 }
 
 // open opens the segment and checks its magic. An empty or
@@ -334,11 +343,10 @@ func (r *segReplay) open() error {
 // and load in one read.
 const replayWindow = 1 << 30
 
-// replaySegment loads every intact record of an opened segment, routing each
-// row to its shard by hash (the segment a record sits in is only a locality
-// hint — records in the "wrong" segment still land correctly): rows of shard
-// r.own are indexed into its head, the rest set aside in r. It advances
-// r.end to the end of the valid prefix.
+// replaySegment loads every intact record of an opened segment into the head
+// of shard r.own, where its rows were written (a row InsertShard misrouted
+// stays on the shard it was inserted into). It advances r.end to the end of
+// the valid prefix.
 //
 // The segment's bytes become head chunks as they lie: replay reads the file
 // in one read (or one per replayWindow), checks each record's frame and
@@ -366,10 +374,7 @@ func (db *DB) replaySegment(r *segReplay) error {
 // out-of-bounds length. Shard r.own's head adopts the chunk at its first row
 // there.
 func (db *DB) replayChunk(r *segReplay, chunk []byte, last bool) (used int, stop bool) {
-	var h *head
-	if r.own >= 0 {
-		h = &db.shards[r.own].head
-	}
+	h := &db.shards[r.own].head
 	adopted := -1 // the chunk's index in h, once adopted
 	pos := 0
 	for {
@@ -410,40 +415,11 @@ func (db *DB) replayChunk(r *segReplay, chunk []byte, last bool) (used int, stop
 			continue
 		}
 		r.maxSeq = max(r.maxSeq, seq)
-		sh := db.shardIndex(fields.Value(payload, wire.FieldJobID), fields.Value(payload, wire.FieldHost))
-		if sh != r.own {
-			r.aside = append(r.aside, asideRow{chunk: chunk, lo: lo, hi: hi, shard: sh, seq: seq, fields: fields})
-			continue
-		}
 		if adopted < 0 {
 			adopted = h.adopt(chunk)
 		}
 		h.index(adopted, lo, hi, &fields, seq)
 		h.bytes += recHdrSize + int64(length)
-	}
-}
-
-// indexAside indexes the rows one segment's replay set aside into the
-// shards they route to, each shard adopting a chunk at its first row there.
-// Called after the join, segment by segment; sortBySeq then restores seq
-// order.
-func (db *DB) indexAside(rows []asideRow) {
-	if len(rows) == 0 {
-		return
-	}
-	type adoption struct {
-		chunk *byte
-		index int
-	}
-	adopted := make([]adoption, len(db.shards))
-	for i := range rows {
-		a := &rows[i]
-		h := &db.shards[a.shard].head
-		if c := &adopted[a.shard]; c.chunk != &a.chunk[0] {
-			c.chunk, c.index = &a.chunk[0], h.adopt(a.chunk)
-		}
-		h.index(adopted[a.shard].index, a.lo, a.hi, &a.fields, a.seq)
-		h.bytes += int64(recHdrSize + a.hi - a.lo)
 	}
 }
 
