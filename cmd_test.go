@@ -4,6 +4,8 @@
 package siren_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -16,6 +18,7 @@ import (
 
 	"siren/internal/membership"
 	"siren/internal/sirendb"
+	"siren/internal/sirendb/runfmt"
 	"siren/internal/wire"
 )
 
@@ -253,69 +256,156 @@ func truncate(s string) string {
 	return s
 }
 
-// TestAnalyzeRefusesTruncatedStore: a sealed block whose payload rotted on
-// disk stays unnoticed by Open (block checksums are verified lazily), so
-// only the read finds it. siren-analyze must then exit non-zero with the
-// error on stderr and print no report built from the truncated stream.
+// TestAnalyzeRefusesTruncatedStore: a sealed run whose bytes went bad
+// stays unnoticed by Open (block checksums are verified lazily, and a row is
+// scanned only when it is read), so only the read finds it. The reading
+// snapshot's Err must then report ErrCorrupt, and siren-analyze must exit
+// non-zero with the error on stderr and print no report built from the
+// truncated stream. The cases are a block that fails its checksum, and rows
+// that are not a canonical datagram of their extent's job inside a block
+// whose checksum holds.
 func TestAnalyzeRefusesTruncatedStore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: skipping CLI build")
+	var bin string
+	if !testing.Short() {
+		repo, err := os.Getwd()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin = filepath.Join(t.TempDir(), "siren-analyze")
+		runCmd(t, repo, "go", "build", "-o", bin, "./cmd/siren-analyze")
 	}
-	repo, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
+	// The first row of job-0 is "…|JOBID=job-0|…|PID=10|…|HOST=nid000|…".
+	edit := func(old, new string) func([]byte) []byte {
+		return func(row []byte) []byte { return bytes.Replace(row, []byte(old), []byte(new), 1) }
 	}
-	bin := filepath.Join(t.TempDir(), "siren-analyze")
-	runCmd(t, repo, "go", "build", "-o", bin, "./cmd/siren-analyze")
+	for _, tc := range []struct {
+		name string
+		// flip, when set, is the file offset of a byte flipped in place;
+		// otherwise the run is rewritten with job-0's first row edited.
+		flip int
+		row  func([]byte) []byte
+	}{
+		{"block checksum", len("SIRENRUN1\n") + 8 + 5, nil}, // first block's payload, past its header
+		{"flipped prefix byte", 0, edit("|HOST=", "|HOSU=")},
+		{"'|' inside a value", 0, edit("HOST=nid000", "HOST=nid|00")},
+		{"+5 in a decimal", 0, edit("PID=10|", "PID=+5|")},
+		{"007 in a decimal", 0, edit("PID=10|", "PID=07|")},
+		{"-0 in a decimal", 0, edit("PID=10|", "PID=-0|")},
+		{"JOBID of another job", 0, edit("JOBID=job-0", "JOBID=job-9")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "siren.wal")
+			db, err := sirendb.OpenOptions(path, sirendb.Options{Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms := make([]wire.Message, 150)
+			for i := range ms {
+				ms[i] = wire.Message{
+					Header: wire.Header{
+						JobID: fmt.Sprintf("job-%d", i%5), StepID: "0", PID: 10 + i,
+						Hash: fmt.Sprintf("%08x", i), Host: fmt.Sprintf("nid%03d", i%3),
+						Time: 1733900000 + int64(i), Layer: wire.LayerSelf, Type: wire.TypeFileH, Total: 1,
+					},
+					Content: []byte(fmt.Sprintf("row-%d", i)),
+				}
+			}
+			if err := db.InsertBatch(ms); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			runs, err := filepath.Glob(path + ".run.*")
+			if err != nil || len(runs) != 1 {
+				t.Fatalf("sealed run files %v (%v), want one", runs, err)
+			}
+			if tc.row != nil {
+				rewriteRun(t, runs[0], tc.row)
+			} else {
+				b, err := os.ReadFile(runs[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				b[tc.flip] ^= 0x01
+				if err := os.WriteFile(runs[0], b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	path := filepath.Join(t.TempDir(), "siren.wal")
-	db, err := sirendb.OpenOptions(path, sirendb.Options{Shards: 1})
+			db, err = sirendb.OpenOptions(path, sirendb.Options{Shards: 1, ReadOnly: true})
+			if err != nil {
+				t.Fatalf("run corruption must stay lazy, Open: %v", err)
+			}
+			sn := db.Snapshot()
+			n := 0
+			sn.Iter(func(wire.Message) bool { n++; return true })
+			if n >= len(ms) || !errors.Is(sn.Err(), runfmt.ErrCorrupt) {
+				t.Errorf("snapshot read %d of %d rows, Err %v; want a truncated stream and ErrCorrupt", n, len(ms), sn.Err())
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if bin == "" {
+				return // short mode: no CLI build
+			}
+			var stdout, stderr strings.Builder
+			cmd := exec.Command(bin, "-db", path, "-json")
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err == nil {
+				t.Fatalf("siren-analyze over a corrupt run exited 0:\n%s", truncate(stdout.String()))
+			}
+			if !strings.Contains(stderr.String(), "corrupt") {
+				t.Errorf("stderr does not name the corruption: %q", stderr.String())
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("siren-analyze printed a report from the truncated stream:\n%s", truncate(stdout.String()))
+			}
+		})
+	}
+}
+
+// rewriteRun rewrites the run file at path through the run writer, row for
+// row, with edit applied to the first row of its first job: the edited row
+// sits in a block whose checksum holds.
+func rewriteRun(t *testing.T, path string, edit func([]byte) []byte) {
+	t.Helper()
+	r, err := runfmt.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := make([]wire.Message, 150)
-	for i := range ms {
-		ms[i] = wire.Message{
-			Header: wire.Header{
-				JobID: fmt.Sprintf("job-%d", i%5), StepID: "0", PID: 100 + i,
-				Hash: fmt.Sprintf("%08x", i), Host: fmt.Sprintf("nid%03d", i%3),
-				Time: 1733900000 + int64(i), Layer: wire.LayerSelf, Type: wire.TypeFileH, Total: 1,
-			},
-			Content: []byte(fmt.Sprintf("row-%d", i)),
+	defer r.Close()
+	w, err := runfmt.Create(path + ".new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, job := range r.Jobs() {
+		c := r.JobCursor(job)
+		for i := 0; ; i++ {
+			var row wire.Scanned
+			seq, ok := c.NextScanned(&row)
+			if !ok {
+				break
+			}
+			d := bytes.Clone(row.Datagram)
+			if i == 0 && j == 0 {
+				d = edit(d)
+			}
+			if err := w.Add(job, seq, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := db.InsertBatch(ms); err != nil {
+	if _, err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Seal(); err != nil {
+	if err := os.Rename(path+".new", path); err != nil {
 		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	runs, err := filepath.Glob(path + ".run.*")
-	if err != nil || len(runs) != 1 {
-		t.Fatalf("sealed run files %v (%v), want one", runs, err)
-	}
-	b, err := os.ReadFile(runs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len("SIRENRUN1\n")+8+5] ^= 0x01 // first block's payload, past its header
-	if err := os.WriteFile(runs[0], b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var stdout, stderr strings.Builder
-	cmd := exec.Command(bin, "-db", path, "-json")
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err == nil {
-		t.Fatalf("siren-analyze over a corrupt run exited 0:\n%s", truncate(stdout.String()))
-	}
-	if !strings.Contains(stderr.String(), "corrupt") {
-		t.Errorf("stderr does not name the corruption: %q", stderr.String())
-	}
-	if stdout.Len() != 0 {
-		t.Errorf("siren-analyze printed a report from the truncated stream:\n%s", truncate(stdout.String()))
 	}
 }

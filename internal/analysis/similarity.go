@@ -100,10 +100,12 @@ func prepareChar(d string) preparedChar {
 	return preparedChar{p: p, ok: err == nil}
 }
 
-// fpEntry is one catalog entry with its parse-once comparison state.
+// fpEntry is one catalog entry with its parse-once comparison state. It keeps
+// no pointer to its source record: an entry outlives the generation that
+// made it, and a record is allocated together with the rest of its job's, so
+// one kept record would keep them all.
 type fpEntry struct {
 	fp    Fingerprint
-	rec   *postprocess.ProcessRecord // source record: fast identity check on carry
 	chars [numChars]preparedChar
 }
 
@@ -227,7 +229,6 @@ func prepareEntry(s selected) fpEntry {
 			Strings:   r.StringsH,
 			Symbols:   r.SymbolsH,
 		},
-		rec: r,
 	}
 	for c, d := range RecordDigests(r).array() {
 		e.chars[c] = prepareChar(d)
@@ -236,14 +237,11 @@ func prepareEntry(s selected) fpEntry {
 }
 
 // sameEntry reports whether a catalogued entry and a selected record carry
-// the same fingerprint content. The record-pointer fast path covers jobs the
-// catalog carried forward unchanged; re-consolidated jobs produce new record
-// pointers and fall back to comparing the digest strings and Exe (the label
-// is derived from Exe, so equal Exe implies equal label).
+// the same fingerprint content: the digest strings and Exe (the label is
+// derived from Exe, so equal Exe implies equal label). For a job the catalog
+// carried forward unchanged the strings are the entry's own, and each
+// comparison ends at their equal pointers.
 func sameEntry(e *fpEntry, s selected) bool {
-	if e.rec == s.rec {
-		return true
-	}
 	r := s.rec
 	return e.fp.Exe == r.Exe &&
 		e.fp.Modules == r.ModulesH &&

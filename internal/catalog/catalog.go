@@ -265,7 +265,8 @@ func (c *Catalog) Refresh() RefreshStats {
 
 	// Derive the fingerprint index from the previous generation's: unchanged
 	// fingerprints keep their parsed digests and base-block postings (carried
-	// jobs share record pointers, so the carry check is a pointer compare),
+	// jobs share their records' strings, so the carry check ends at equal
+	// pointers),
 	// only new or altered ones are re-indexed (DESIGN.md §9).
 	indexStart := time.Now()
 	index := analysis.NewFingerprintIndexFrom(prev.Index, records)

@@ -605,6 +605,13 @@ func FuzzConsolidate(f *testing.F) {
 	})
 }
 
+// consolidateRows consolidates rows in a fresh kernel, as a worker's first
+// job is.
+func consolidateRows(rows []wire.Scanned) JobRecords {
+	var k kernel
+	return k.consolidate(rows)
+}
+
 // encodeMessages encodes msgs as the canonical rows a store holds, in one
 // buffer the rows are views of.
 func encodeMessages(msgs []wire.Message) []wire.Scanned {

@@ -1,6 +1,7 @@
 package postprocess
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math/rand"
@@ -241,4 +242,65 @@ func wholeStorePass(snap *sirendb.Snapshot) ([]*ProcessRecord, Stats) {
 	stats := Stats{Messages: jr.Messages, Records: jr.Reassembled, ChunkConflicts: jr.ChunkConflicts}
 	countRecordStats(&stats, jr.Records)
 	return jr.Records, stats
+}
+
+// TestReusedKernelMatchesFreshKernel: a worker consolidates job after job in
+// one kernel, reusing its working memory. Over the oracle's random
+// deployments plus a job that repeats a chunk, one kernel taking the jobs in
+// random order, twice over, must give every job the records and counts a
+// fresh kernel gives it — compared after the last job, so no result may
+// share memory a later job overwrites.
+func TestReusedKernelMatchesFreshKernel(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			snap := oracleDeployment(r).build(t, r, true)
+			var jobs [][]wire.Scanned
+			for _, job := range snap.Jobs() {
+				var rows []wire.Scanned
+				snap.JobRows(job, func(row *wire.Scanned, _ uint64) bool {
+					rows = append(rows, wire.Scanned{Datagram: bytes.Clone(row.Datagram), Fields: row.Fields})
+					return true
+				})
+				jobs = append(jobs, rows)
+			}
+			if err := snap.Err(); err != nil {
+				t.Fatal(err)
+			}
+			// A job whose rows repeat one chunk of a multi-chunk record.
+			repeated := slices.Clone(jobs[0])
+			for _, row := range jobs[0] {
+				if row.Total > 1 {
+					repeated = append(repeated, row)
+					break
+				}
+			}
+			if len(repeated) == len(jobs[0]) {
+				t.Fatal("job 0 has no chunked record to repeat")
+			}
+			jobs = append(jobs, repeated)
+
+			want := make([]JobRecords, len(jobs))
+			for i, rows := range jobs {
+				want[i] = consolidateRows(rows)
+			}
+			if want[len(jobs)-1].Messages != want[0].Messages || want[len(jobs)-1].Reassembled != want[0].Reassembled {
+				t.Fatalf("the repeated chunk changed the counts: %+v, then %+v", want[0], want[len(jobs)-1])
+			}
+			var k kernel
+			var got []JobRecords
+			var order []int
+			for range 2 {
+				for _, i := range r.Perm(len(jobs)) {
+					got = append(got, k.consolidate(jobs[i]))
+					order = append(order, i)
+				}
+			}
+			for n, i := range order {
+				if !reflect.DeepEqual(got[n], want[i]) {
+					t.Fatalf("job %d, consolidation %d by the reused kernel:\n got %+v\nwant %+v", i, n, got[n], want[i])
+				}
+			}
+		})
+	}
 }

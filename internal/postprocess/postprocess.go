@@ -5,9 +5,9 @@
 // imported Python packages recovered from interpreter memory maps).
 //
 // Two layers: stream.go walks a store snapshot job-parallel and hands each
-// job's rows, as views of the datagrams the store holds, to the kernel,
-// consolidateRows below, which every stored row passes through each
-// time its job is consolidated. The kernel is therefore written to allocate
+// job's rows, as views of the datagrams the store holds, to the kernel
+// below, which every stored row passes through each time its job is
+// consolidated. The kernel is therefore written to allocate
 // per pass or per process rather than per row, and never to build a string
 // key by joining header fields: those may contain any byte but '|', so only
 // the fields themselves — or the canonical header bytes, which parse field
@@ -149,7 +149,24 @@ func Consolidate(db *sirendb.DB) ([]*ProcessRecord, Stats) {
 	return ConsolidateSnapshot(db.Snapshot(), StreamOptions{})
 }
 
-// consolidateRows consolidates one self-contained set of stored rows into
+// kernel is the consolidation kernel with its working memory — the
+// reassembly, the content cuts and the group placement — kept from one job
+// to the next, so a worker allocates for a job only what the job's records
+// keep, its identity map and what is larger than any job before it. The
+// identity map stays the job's own: a map the kernel held would live on
+// the heap, where a job's own small map lives on the stack, and a catalog
+// refresh of one small job would pay for it. A kernel is not safe for
+// concurrent use; its zero value is ready.
+type kernel struct {
+	reassembler wire.Reassembler
+	cut         []int
+	groupOf     []int32 // record -> identity group, first-appearance numbered
+	order       []int32 // record numbers, group by group
+	sizes       []int32 // identity group -> record count, then its end in order
+	ids         []string
+}
+
+// consolidate consolidates one self-contained set of stored rows into
 // process records. "Self-contained" means every chunk and record of every
 // process mentioned is among the rows — true for the whole store, and equally
 // true for any (job, host)-closed subset, because the grouping key below
@@ -189,18 +206,23 @@ func Consolidate(db *sirendb.DB) ([]*ProcessRecord, Stats) {
 // only when it is not already in time order. A group's identity is made a
 // string once, and its JOBID, STEPID, HASH and HOST are cut from it; LAYER
 // and TYPE are the wire constants; every record's content is copied once,
-// into one string for the pass, and each field is cut from that. Every step
-// is linear in the records (the sort O(n log n) in a disordered group),
-// whatever the mix of identities, types and chunks.
-func consolidateRows(rows []wire.Scanned) JobRecords {
-	records := wire.Reassemble(rows)
+// into one string for the pass, and each field is cut from that; the
+// process records are one slice, one per identity group, with only a reused
+// PID's later instances allocated apart. Every step is linear in the records
+// (the sort O(n log n) in a disordered group), whatever the mix of
+// identities, types and chunks. The records handed back share no memory
+// with k, which the next call reuses.
+func (k *kernel) consolidate(rows []wire.Scanned) JobRecords {
+	records := k.reassembler.Reassemble(rows)
 	if len(records) == 0 {
 		return JobRecords{}
 	}
 
 	// One copy of every record's content: record i's is text[cut[i]:cut[i+1]].
 	jr := JobRecords{Reassembled: len(records)}
-	cut := make([]int, len(records)+1)
+	k.cut = reuse(k.cut, len(records)+1)
+	cut := k.cut
+	cut[0] = 0
 	for i := range records {
 		cut[i+1] = cut[i] + records[i].Size()
 		jr.Messages += records[i].Chunks()
@@ -212,9 +234,8 @@ func consolidateRows(rows []wire.Scanned) JobRecords {
 	}
 	text := unsafe.String(unsafe.SliceData(buf), len(buf)) // buf is never written again
 
-	groupOf := make([]int32, len(records)) // record -> identity group, first-appearance numbered
-	var sizes []int32                      // identity group -> record count
-	var ids []string                       // identity group -> its identity bytes
+	k.groupOf = reuse(k.groupOf, len(records))
+	groupOf, sizes, ids := k.groupOf, k.sizes[:0], k.ids[:0]
 	index := make(map[string]int32)
 	var lastID []byte
 	last := int32(-1)
@@ -245,13 +266,16 @@ func consolidateRows(rows []wire.Scanned) JobRecords {
 		ends[g] = n
 		n += size
 	}
-	order := make([]int32, len(records))
+	k.order = reuse(k.order, len(records))
+	order := k.order
 	for i, g := range groupOf {
 		order[ends[g]] = int32(i)
 		ends[g]++
 	}
 
+	k.sizes, k.ids = sizes, ids
 	byTime := func(a, b int32) int { return cmp.Compare(records[a].Row.Time, records[b].Row.Time) }
+	procs := make([]ProcessRecord, len(ends)) // each group's first process instance
 	out := make([]*ProcessRecord, 0, len(ends))
 	begin := int32(0)
 	for g, end := range ends {
@@ -272,7 +296,12 @@ func consolidateRows(rows []wire.Scanned) JobRecords {
 			layer := wire.ValueString(r.Value(r.Datagram, wire.FieldLayer))
 			typ := wire.ValueString(r.Value(r.Datagram, wire.FieldType))
 			if p == nil || seen.has(layer, typ) {
-				p = &ProcessRecord{
+				if p == nil {
+					p = &procs[g]
+				} else {
+					p = new(ProcessRecord)
+				}
+				*p = ProcessRecord{
 					JobID: jobID, StepID: stepID, PID: r.PID,
 					ExeHash: hash, Host: host, Time: r.Time,
 				}
@@ -299,6 +328,7 @@ func consolidateRows(rows []wire.Scanned) JobRecords {
 		}
 	}
 	jr.Records = out
+	clear(ids) // the identities are the records' strings: the kernel keeps none
 	return jr
 }
 
@@ -539,6 +569,15 @@ func splitLines(content string) []string {
 		}
 	}
 	return out
+}
+
+// reuse returns s at length n: s itself while its capacity suffices, else a
+// new slice of exactly n. The elements keep whatever they held.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func atoi(s string) int {

@@ -18,7 +18,8 @@
 // job's rows across shards, sealed runs and members in sequence order, so
 // no job is ever split and nothing is reassembled after the workers. A
 // worker's transient memory is one job's row views (referenced from the
-// snapshot, not copied) and its records.
+// snapshot, not copied), the kernel's working memory for it, and its
+// records; the row buffer and the kernel are reused from job to job.
 package postprocess
 
 import (
@@ -92,6 +93,7 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 		go func() {
 			defer wg.Done()
 			var buf []wire.Scanned // reused across jobs, sized to the largest
+			var kern kernel        // likewise the kernel's working memory
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= len(jobs) {
@@ -108,7 +110,7 @@ func ConsolidateStream(snap SnapshotView, opts StreamOptions, yield func(JobReco
 				})
 				// The rows are views into snap's runs; the records copy out
 				// of them, and snap stays reachable until they have.
-				jr := consolidateRows(buf)
+				jr := kern.consolidate(buf)
 				runtime.KeepAlive(snap)
 				jr.JobID = job
 				select {

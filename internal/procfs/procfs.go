@@ -175,43 +175,104 @@ func appendHex(dst []byte, v uint64, width int) []byte {
 
 // ParseMaps parses /proc/<pid>/maps text back into regions. Lines that do
 // not match the maps grammar produce an error; empty input yields nil.
+// Fields are runs of non-whitespace, and a region's path is its sixth.
+//
+// Every consolidation parses each MAPS record it meets, so the text is cut
+// by hand: the lines and fields are substrings of text, and the one
+// allocation is the result, sized by the line count. A line that holds a
+// non-ASCII byte, where Unicode white space could separate fields, is split
+// by strings.Fields instead.
 func ParseMaps(text string) ([]Region, error) {
 	var out []Region
-	for lineNo, line := range strings.Split(text, "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
+	var fields [6]string
+	rest := text
+	for lineNo := 1; ; lineNo++ {
+		line, tail, more := strings.Cut(rest, "\n")
+		n, ascii := asciiFields(line, &fields)
+		if !ascii {
+			all := strings.Fields(line)
+			n = len(all)
+			copy(fields[:], all)
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 5 {
-			return nil, fmt.Errorf("procfs: maps line %d: %q", lineNo+1, line)
+		if n > 0 {
+			if out == nil {
+				out = make([]Region, 0, strings.Count(rest, "\n")+1)
+			}
+			r, err := parseRegion(lineNo, line, n, &fields)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, r)
 		}
-		addrs := strings.SplitN(fields[0], "-", 2)
-		if len(addrs) != 2 {
-			return nil, fmt.Errorf("procfs: maps line %d: bad address range %q", lineNo+1, fields[0])
+		if !more {
+			return out, nil
 		}
-		start, err := strconv.ParseUint(addrs[0], 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("procfs: maps line %d: %v", lineNo+1, err)
-		}
-		end, err := strconv.ParseUint(addrs[1], 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("procfs: maps line %d: %v", lineNo+1, err)
-		}
-		offset, err := strconv.ParseUint(fields[2], 16, 64)
-		if err != nil {
-			return nil, fmt.Errorf("procfs: maps line %d: %v", lineNo+1, err)
-		}
-		inode, err := strconv.ParseUint(fields[4], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("procfs: maps line %d: %v", lineNo+1, err)
-		}
-		r := Region{Start: start, End: end, Perms: fields[1], Offset: offset, Dev: fields[3], Inode: inode}
-		if len(fields) >= 6 {
-			r.Path = fields[5]
-		}
-		out = append(out, r)
+		rest = tail
 	}
-	return out, nil
+}
+
+// asciiFields stores the first len(fields) white-space-separated fields of
+// line in fields and returns how many line has, or ascii=false for a line
+// holding a non-ASCII byte.
+func asciiFields(line string, fields *[6]string) (n int, ascii bool) {
+	start := -1 // the current field's first byte, -1 between fields
+	for i := 0; i < len(line); i++ {
+		c := line[i]
+		if c >= 0x80 {
+			return 0, false
+		}
+		if c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r' {
+			if start >= 0 {
+				if n < len(fields) {
+					fields[n] = line[start:i]
+				}
+				n++
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		if n < len(fields) {
+			fields[n] = line[start:]
+		}
+		n++
+	}
+	return n, true
+}
+
+// parseRegion parses line lineNo of a maps text, split into its n fields,
+// the first six of which are in fields.
+func parseRegion(lineNo int, line string, n int, fields *[6]string) (Region, error) {
+	if n < 5 {
+		return Region{}, fmt.Errorf("procfs: maps line %d: %q", lineNo, line)
+	}
+	lo, hi, ok := strings.Cut(fields[0], "-")
+	if !ok {
+		return Region{}, fmt.Errorf("procfs: maps line %d: bad address range %q", lineNo, fields[0])
+	}
+	start, err := strconv.ParseUint(lo, 16, 64)
+	if err != nil {
+		return Region{}, fmt.Errorf("procfs: maps line %d: %v", lineNo, err)
+	}
+	end, err := strconv.ParseUint(hi, 16, 64)
+	if err != nil {
+		return Region{}, fmt.Errorf("procfs: maps line %d: %v", lineNo, err)
+	}
+	offset, err := strconv.ParseUint(fields[2], 16, 64)
+	if err != nil {
+		return Region{}, fmt.Errorf("procfs: maps line %d: %v", lineNo, err)
+	}
+	inode, err := strconv.ParseUint(fields[4], 10, 64)
+	if err != nil {
+		return Region{}, fmt.Errorf("procfs: maps line %d: %v", lineNo, err)
+	}
+	r := Region{Start: start, End: end, Perms: fields[1], Offset: offset, Dev: fields[3], Inode: inode}
+	if n >= 6 {
+		r.Path = fields[5]
+	}
+	return r, nil
 }
 
 // MappedPaths returns the distinct file paths in the regions, in first-seen

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -288,5 +289,137 @@ func TestAppendMapsMatchesPrintf(t *testing.T) {
 	}
 	if got := RenderMaps(regions); got != want.String() {
 		t.Errorf("RenderMaps:\n got %q\nwant %q", got, want.String())
+	}
+}
+
+// parseMapsSplit is ParseMaps as it was before it cut lines and fields by
+// hand: the oracle TestParseMapsMatchesSplit holds it to, regions and error
+// text alike.
+func parseMapsSplit(text string) ([]Region, error) {
+	var out []Region
+	for lineNo, line := range strings.Split(text, "\n") {
+		if strings.TrimSpace(line) == "" {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 5 {
+			return nil, fmt.Errorf("procfs: maps line %d: %q", lineNo+1, line)
+		}
+		addrs := strings.SplitN(fields[0], "-", 2)
+		if len(addrs) != 2 {
+			return nil, fmt.Errorf("procfs: maps line %d: bad address range %q", lineNo+1, fields[0])
+		}
+		start, err := strconv.ParseUint(addrs[0], 16, 64)
+		if err != nil {
+			return nil, fmt.Errorf("procfs: maps line %d: %v", lineNo+1, err)
+		}
+		end, err := strconv.ParseUint(addrs[1], 16, 64)
+		if err != nil {
+			return nil, fmt.Errorf("procfs: maps line %d: %v", lineNo+1, err)
+		}
+		offset, err := strconv.ParseUint(fields[2], 16, 64)
+		if err != nil {
+			return nil, fmt.Errorf("procfs: maps line %d: %v", lineNo+1, err)
+		}
+		inode, err := strconv.ParseUint(fields[4], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("procfs: maps line %d: %v", lineNo+1, err)
+		}
+		r := Region{Start: start, End: end, Perms: fields[1], Offset: offset, Dev: fields[3], Inode: inode}
+		if len(fields) >= 6 {
+			r.Path = fields[5]
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// TestParseMapsMatchesSplit: the hand-cut ParseMaps returns exactly what the
+// Split/Fields version returned — the same regions (nil when there are
+// none) or the same error text — on rendered maps, on hand-picked edges
+// (blank lines, CR, tabs, Unicode white space, bad lines), and on random
+// text drawn from the bytes maps lines are made of.
+func TestParseMapsMatchesSplit(t *testing.T) {
+	line := "7f0000000000-7f0000021000 r-xp 00001000 fd:00 1234                    /lib64/libc.so.6"
+	inputs := []string{
+		"", "\n", "\n \n", " \t\r\v\f", line, line + "\n", line + "\r\n" + line + "\r\n",
+		line + "\n\n\n" + line, "\t" + strings.ReplaceAll(line, " ", "\t") + "\t",
+		line + " extra words after the path", strings.Replace(line, "/lib64/libc.so.6", "/opt/my lib/x.so", 1),
+		strings.Replace(line, " ", " ", 1), strings.Replace(line, " ", "\u0085", 2), strings.Replace(line, " ", " ", 3),
+		line + "　/tail", "é" + line, line + "\xff",
+		"nonsense", "1234 r-xp", "zz-yy r-xp 0 fd:00 1", "1-2-3 r 0 d 1", "-1 r 0 d 1", "1- r 0 d 1",
+		"1-2 r zz d 1", "1-2 r 0 d -1", "1-2 r 0 d 99999999999999999999999", line + "\n1-2 r 0 d\n" + line,
+		"10000000000000000-1 r 0 d 1",
+	}
+	var regions []Region
+	for i := 0; i < 40; i++ {
+		regions = append(regions, Region{Start: uint64(i) << 20, End: uint64(i+1) << 20, Perms: "rw-p", Dev: "08:01", Inode: uint64(i), Path: fmt.Sprintf("/lib/l%d.so", i)})
+	}
+	inputs = append(inputs, RenderMaps(regions))
+	rng := rand.New(rand.NewSource(44))
+	alphabet := []string{"0", "7", "a", "f", "z", "-", ":", "/", "[", "p", " ", " ", "\t", "\r", "\n", "\n", "\v", "\u00a0", "\u0085", "é", "\xff"}
+	spaces := []string{" ", "  ", "\t", "\v", "\f", "\r", "\u00a0", "\u0085", "\u3000"}
+	fields := []string{"400000-401000", "r-xp", "00001000", "fd:00", "1234", "/usr/bin/x", "[heap]", "tail"}
+	for i := 0; i < 5000; i++ {
+		var b strings.Builder
+		if i%3 == 0 {
+			for n := rng.Intn(80); n > 0; n-- {
+				b.WriteString(alphabet[rng.Intn(len(alphabet))])
+			}
+		} else {
+			// Lines of four to eight fields, separated by random runs of
+			// white space, ASCII or not.
+			for l := rng.Intn(4); l >= 0; l-- {
+				if rng.Intn(4) == 0 {
+					b.WriteString(spaces[rng.Intn(len(spaces))])
+				}
+				for f, n := 0, 4+rng.Intn(5); f < n; f++ {
+					if f > 0 {
+						b.WriteString(spaces[rng.Intn(len(spaces))])
+					}
+					b.WriteString(fields[f])
+				}
+				b.WriteString([]string{"\n", "\r\n", "\n\n", "\n \n"}[rng.Intn(4)])
+			}
+		}
+		text := b.String()
+		if i%4 == 1 && len(text) > 0 {
+			k := rng.Intn(len(text))
+			text = text[:k] + alphabet[rng.Intn(len(alphabet))] + text[k:]
+		}
+		inputs = append(inputs, text)
+	}
+	parsed, failed := 0, 0
+	for _, text := range inputs {
+		got, gerr := ParseMaps(text)
+		want, werr := parseMapsSplit(text)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("ParseMaps(%q) = %+v, %v; the Split version gives %+v, %v", text, got, gerr, want, werr)
+		}
+		if gerr != nil {
+			failed++
+		} else if len(got) > 0 {
+			parsed++
+		}
+	}
+	if parsed < 500 || failed < 500 {
+		t.Fatalf("%d inputs parsed to regions and %d failed: the random text no longer covers both", parsed, failed)
+	}
+}
+
+// TestParseMapsAllocations: rendered maps text costs one allocation, the
+// result.
+func TestParseMapsAllocations(t *testing.T) {
+	var regions []Region
+	for i := 0; i < 60; i++ {
+		regions = append(regions, Region{Start: uint64(i) << 20, End: uint64(i+1) << 20, Perms: "r-xp", Dev: "fd:00", Inode: uint64(i), Path: "/lib64/libsomething.so.6"})
+	}
+	text := RenderMaps(regions)
+	if got := testing.AllocsPerRun(20, func() {
+		if _, err := ParseMaps(text); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Errorf("ParseMaps allocates %.0f times, want 1", got)
 	}
 }

@@ -592,6 +592,7 @@ func (c *Cursor) Err() error { return c.err }
 // extentCursor walks one job's extent block by block.
 type extentCursor struct {
 	r       *Run
+	job     string
 	off     int64 // next unread block
 	end     int64
 	payload []byte // current block's verified payload
@@ -599,17 +600,17 @@ type extentCursor struct {
 }
 
 func newExtentCursor(r *Run, ji *jobIndex) *extentCursor {
-	return &extentCursor{r: r, off: ji.off, end: ji.off + ji.length}
+	return &extentCursor{r: r, job: ji.job, off: ji.off, end: ji.off + ji.length}
 }
 
 func (ec *extentCursor) corrupt(what string) error {
 	return fmt.Errorf("%w: %s: %s", ErrCorrupt, ec.r.path, what)
 }
 
-// peekSeq reports the sequence number of the next record without decoding
+// peekSeq reports the sequence number of the next record without scanning
 // it: the record header is read in place, loading and verifying the next
 // block when the current payload is exhausted, and its length is checked
-// against the block so decodeInto cannot run past it.
+// against the block so scanInto cannot run past it.
 func (ec *extentCursor) peekSeq() (uint64, bool, error) {
 	for ec.pos >= len(ec.payload) {
 		if ec.off >= ec.end {
@@ -631,21 +632,25 @@ func (ec *extentCursor) peekSeq() (uint64, bool, error) {
 
 // scanInto scans the record peekSeq last reported into *row, in place, and
 // steps past it; it is only valid right after a successful peekSeq. A record
-// that does not scan, or is not canonical, was not written by a store —
-// runs are sealed from the head, which holds only canonical bytes — so it is
-// corrupt.
+// that does not scan, is not canonical, or belongs to another job than its
+// extent's was not written by a store — runs are sealed from the head, which
+// holds only canonical bytes, one extent per job — so it is corrupt.
 func (ec *extentCursor) scanInto(row *wire.Scanned) error {
 	length := int(binary.LittleEndian.Uint32(ec.payload[ec.pos:]))
 	start := ec.pos + recHdrSize
 	end := start + length
-	f, err := wire.Scan(ec.payload[start:end])
+	msg := ec.payload[start:end:end]
+	f, err := wire.Scan(msg)
 	if err != nil {
 		return ec.corrupt(fmt.Sprintf("undecodable record: %v", err))
 	}
 	if !f.Canonical {
 		return ec.corrupt("non-canonical record")
 	}
-	row.Datagram, row.Fields = ec.payload[start:end:end], f
+	if string(f.Value(msg, wire.FieldJobID)) != ec.job {
+		return ec.corrupt("record of another job in the extent")
+	}
+	row.Datagram, row.Fields = msg, f
 	ec.pos = end
 	return nil
 }

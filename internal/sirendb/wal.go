@@ -29,6 +29,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -375,6 +376,7 @@ func (db *DB) replaySegment(r *segReplay) error {
 // there.
 func (db *DB) replayChunk(r *segReplay, chunk []byte, last bool) (used int, stop bool) {
 	h := &db.shards[r.own].head
+	h.entries = slices.Grow(h.entries, countFrames(chunk))
 	adopted := -1 // the chunk's index in h, once adopted
 	pos := 0
 	for {
@@ -421,6 +423,21 @@ func (db *DB) replayChunk(r *segReplay, chunk []byte, last bool) (used int, stop
 		h.index(adopted, lo, hi, &fields, seq)
 		h.bytes += recHdrSize + int64(length)
 	}
+}
+
+// countFrames counts the records framed at the front of chunk by their
+// length fields alone, so replay grows the head's entries once per chunk
+// rather than row by row. Records replay skips are counted too.
+func countFrames(chunk []byte) int {
+	n := 0
+	for pos := 0; len(chunk)-pos >= recHdrSize; n++ {
+		length := binary.LittleEndian.Uint32(chunk[pos:])
+		if length > maxRecordLen || int(length) > len(chunk)-pos-recHdrSize {
+			break
+		}
+		pos += recHdrSize + int(length)
+	}
+	return n
 }
 
 // fsyncDir flushes a directory's entries (renames, creates, removes) to

@@ -139,6 +139,9 @@ func FuzzDecoder(f *testing.F) {
 func FuzzScan(f *testing.F) {
 	f.Add([]byte("SIREN1|JOBID=-1|STEPID=0|PID=-2147483648|HASH==|HOST=n|TIME=-9223372036854775808|LAYER=L|TYPE=T|SEQ=0|TOT=1|CONTENT=x"))
 	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1|CONTENT=x"))
+	// One past each integer's range, on 64 and on 32 bits.
+	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=9223372036854775808|HASH=h|HOST=n|TIME=-9223372036854775809|LAYER=L|TYPE=T|SEQ=0|TOT=1|CONTENT=x"))
+	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=2147483648|HASH=h|HOST=n|TIME=99999999999999999999|LAYER=L|TYPE=T|SEQ=0|TOT=1|CONTENT=x"))
 	f.Add([]byte("SIREN1|JOBID=|STEPID=|PID=0|HASH=|HOST=|TIME=0|LAYER=|TYPE=|SEQ=0|TOT=1|CONTENT="))
 	f.Add([]byte("SIREN1|JOBID=1|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1|CONTENT=a|CONTENT=b"))
 	f.Add([]byte("SIREN1|JOBID=1|CONTENT=|STEPID=0|PID=1|HASH=h|HOST=n|TIME=1|LAYER=SELF|TYPE=T|SEQ=0|TOT=1|CONTENT=x"))

@@ -325,61 +325,112 @@ func scan(datagram []byte, f *Fields) error {
 }
 
 // scanWellFormed is scan for a datagram that has every field where a valid
-// one has it: one walk over the header, each field's prefix checked where it
-// must begin and its value ended by the next '|', the one after TOT
-// beginning the content marker. It reports false, leaving the datagram and
-// its error to scanChecked, at the first byte a valid datagram would not
-// have there. When it succeeds scanChecked succeeds with the same Fields: a
-// value holds no '|', and every '|' before TOT's is followed by a field
-// prefix, so the first content marker is the one after TOT. It exists
-// because scanChecked's search for that marker first costs as much again as
-// the walk (every '|' of the header is a candidate), and every stored row is
-// scanned on each sealed read.
+// one has it and every integer spelled as AppendEncode spells it: one walk
+// over the header, each field's prefix checked where it must begin, a string
+// value ended by the next '|', an integer parsed digit by digit up to its
+// '|', the one after TOT beginning the content marker. It reports false,
+// leaving the datagram and its error to scanChecked, at the first byte such
+// a datagram would not have there — a non-canonical integer included, so
+// whatever it accepts is canonical. When it succeeds scanChecked succeeds
+// with the same Fields: a value holds no '|', and every '|' before TOT's is
+// followed by a field prefix, so the first content marker is the one after
+// TOT. It exists because scanChecked's search for that marker first costs
+// as much again as the walk (every '|' of the header is a candidate), and
+// every stored row is scanned on each sealed read. Each fixed text is
+// written out as a constant, which the compiler compares a word at a time;
+// through a table of prefixes, or a helper, it would be a call per text.
 func scanWellFormed(d []byte, f *Fields) bool {
-	const head = magic + "|"
-	if len(d) < len(head) || string(d[:len(head)]) != head {
+	const first = magic + "|JOBID="
+	if len(d) < fixedLen+4 || string(d[:len(first)]) != first {
 		return false
 	}
-	pos := len(head)
-	f.Canonical = true
-	for i, prefix := range fieldPrefixes {
-		if len(d)-pos < len(prefix) || string(d[pos:pos+len(prefix)]) != prefix {
-			return false
-		}
-		pos += len(prefix)
-		end := bytes.IndexByte(d[pos:], '|')
-		if end < 0 {
-			return false
-		}
-		lo, hi := pos, pos+end
-		pos = hi + 1
-		if k := stringField[i]; k >= 0 {
-			f.Values[k] = Span{lo, hi}
-			continue
-		}
-		n, err := decimal(d[lo:hi], i == 5)
-		if err != nil {
-			return false
-		}
-		f.Canonical = f.Canonical && canonicalDecimal(d[lo:hi])
-		switch i {
-		case 2:
-			f.PID = int(n)
-		case 5:
-			f.Time = n
-		case 8:
-			f.Seq = int(n)
-		case 9:
-			f.Total = int(n)
-		}
-	}
-	ci := pos - 1 // TOT's terminator
-	if len(d)-ci < len(contentMark) || string(d[ci:ci+len(contentMark)]) != contentMark ||
-		f.Total < 1 || f.Seq < 0 || f.Seq >= f.Total {
+	var ok bool
+	var pid, time, seq, total int64
+	p := len(first)
+	if f.Values[FieldJobID], p, ok = stringValue(d, p); !ok ||
+		len(d)-p < len("STEPID=") || string(d[p:p+len("STEPID=")]) != "STEPID=" {
 		return false
 	}
-	f.Content = ci + len(contentMark)
+	if f.Values[FieldStepID], p, ok = stringValue(d, p+len("STEPID=")); !ok ||
+		len(d)-p < len("PID=") || string(d[p:p+len("PID=")]) != "PID=" {
+		return false
+	}
+	if pid, p, ok = intValue(d, p+len("PID="), false); !ok ||
+		len(d)-p < len("HASH=") || string(d[p:p+len("HASH=")]) != "HASH=" {
+		return false
+	}
+	if f.Values[FieldHash], p, ok = stringValue(d, p+len("HASH=")); !ok ||
+		len(d)-p < len("HOST=") || string(d[p:p+len("HOST=")]) != "HOST=" {
+		return false
+	}
+	if f.Values[FieldHost], p, ok = stringValue(d, p+len("HOST=")); !ok ||
+		len(d)-p < len("TIME=") || string(d[p:p+len("TIME=")]) != "TIME=" {
+		return false
+	}
+	if time, p, ok = intValue(d, p+len("TIME="), true); !ok ||
+		len(d)-p < len("LAYER=") || string(d[p:p+len("LAYER=")]) != "LAYER=" {
+		return false
+	}
+	if f.Values[FieldLayer], p, ok = stringValue(d, p+len("LAYER=")); !ok ||
+		len(d)-p < len("TYPE=") || string(d[p:p+len("TYPE=")]) != "TYPE=" {
+		return false
+	}
+	if f.Values[FieldType], p, ok = stringValue(d, p+len("TYPE=")); !ok ||
+		len(d)-p < len("SEQ=") || string(d[p:p+len("SEQ=")]) != "SEQ=" {
+		return false
+	}
+	if seq, p, ok = intValue(d, p+len("SEQ="), false); !ok ||
+		len(d)-p < len("TOT=") || string(d[p:p+len("TOT=")]) != "TOT=" {
+		return false
+	}
+	if total, p, ok = intValue(d, p+len("TOT="), false); !ok ||
+		len(d)-p+1 < len(contentMark) || string(d[p-1:p-1+len(contentMark)]) != contentMark {
+		return false
+	}
+	if total < 1 || seq < 0 || seq >= total {
+		return false
+	}
+	f.PID, f.Time, f.Seq, f.Total = int(pid), time, int(seq), int(total)
+	f.Content, f.Canonical = p-1+len(contentMark), true
 	return true
+}
+
+// stringValue returns the span of the header value at d[p:], which the
+// next '|' ends, and the position after that '|'.
+func stringValue(d []byte, p int) (Span, int, bool) {
+	n := bytes.IndexByte(d[p:], '|')
+	if n < 0 {
+		return Span{}, 0, false
+	}
+	return Span{p, p + n}, p + n + 1, true
+}
+
+// intValue parses the header integer at d[p:] up to its '|', and returns it
+// and the position after that '|'. It reports ok only for an integer spelled
+// as AppendEncode spells it — digits without a sign or a leading zero, or
+// for a signed (TIME) value also '-' and a non-zero digit — and short
+// enough for decimal's quick path, so that it reads what decimal reads.
+func intValue(d []byte, p int, signed bool) (int64, int, bool) {
+	limit := 19 // decimal's quick-path bound on a value's length
+	if !signed && strconv.IntSize == 32 {
+		limit = 10
+	}
+	i, neg := p, false
+	if signed && i < len(d) && d[i] == '-' {
+		i, neg = i+1, true
+	}
+	digits := i
+	var n int64
+	for ; i < len(d) && d[i]-'0' <= 9; i++ {
+		n = n*10 + int64(d[i]-'0')
+	}
+	if i == digits || i-p >= limit || i >= len(d) || d[i] != '|' || (d[digits] == '0' && (neg || i-digits > 1)) {
+		return 0, 0, false
+	}
+	if neg {
+		n = -n
+	}
+	return n, i + 1, true
 }
 
 // scanChecked is scan for any datagram: it finds the content marker first
@@ -736,9 +787,29 @@ func (r *Record) AppendContent(dst []byte) []byte {
 // copied: a record refers to its rows, and a record of several chunks to a
 // window of one array of row pointers, filled by a counting pass.
 func Reassemble(rows []Scanned) []Record {
-	out := make([]Record, 0, len(rows))
-	recOf := make([]int32, len(rows)) // row -> record
-	index := newRecordTable(len(rows))
+	var a Reassembler
+	return a.Reassemble(rows)
+}
+
+// Reassembler is Reassemble with its working memory — the records, the
+// row-to-record map, the chunk window and the table — kept from one call to
+// the next, so a consolidation worker that reassembles job after job
+// allocates only when a job is larger than any before it. The records a
+// call returns are valid until the next call. The table still draws a fresh
+// hash seed on every call. A Reassembler is not safe for concurrent use; its
+// zero value is ready.
+type Reassembler struct {
+	out    []Record
+	recOf  []int32 // row -> record
+	window []*Scanned
+	index  recordTable
+}
+
+// Reassemble is the package-level Reassemble, into a's memory.
+func (a *Reassembler) Reassemble(rows []Scanned) []Record {
+	out, recOf := reuse(a.out, len(rows))[:0], reuse(a.recOf, len(rows))
+	a.index.reset(len(rows))
+	index := &a.index
 	var lastKey []byte
 	last := int32(-1) // the record the previous row belonged to
 	multi := 0        // rows of records with more than one
@@ -767,8 +838,10 @@ func Reassemble(rows []Scanned) []Record {
 		}
 		multi++
 	}
+	a.out, a.recOf = out, recOf
 	if multi > 0 {
-		window := make([]*Scanned, multi)
+		a.window = reuse(a.window, multi)
+		window := a.window
 		for j := range out {
 			if n := int(out[j].rows); n > 1 {
 				out[j].chunks, window = window[:0:n], window[n:]
@@ -793,12 +866,21 @@ func Reassemble(rows []Scanned) []Record {
 	return out
 }
 
+// reuse returns s at length n: s itself while its capacity suffices, else a
+// new slice of exactly n. The elements keep whatever they held.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // recordTable finds a record by its key: an open-addressed table of record
 // numbers plus one, 0 marking an empty slot, linear probing at load at most
 // one half. It is Reassemble's only lookup, sized once per call, so it costs
-// one allocation however many records there are.
+// at most one allocation however many records there are.
 //
-// Keys are hashed with maphash under a seed drawn per table, so a sender who
+// Keys are hashed with maphash under a seed drawn per call, so a sender who
 // does not know the seed cannot choose keys that share a probe run; and a
 // probe compares full keys, so two keys with one hash are still two records.
 type recordTable struct {
@@ -807,12 +889,15 @@ type recordTable struct {
 	slots []int32
 }
 
-func newRecordTable(n int) recordTable {
+// reset empties the table, sized for n keys, under a fresh seed.
+func (t *recordTable) reset(n int) {
 	size := 2
 	for size < 2*n {
 		size <<= 1
 	}
-	return recordTable{seed: maphash.MakeSeed(), mask: uint64(size - 1), slots: make([]int32, size)}
+	t.slots = reuse(t.slots, size)
+	clear(t.slots)
+	t.seed, t.mask = maphash.MakeSeed(), uint64(size-1)
 }
 
 // find returns the slot holding key's record number, or the empty slot where

@@ -533,3 +533,17 @@ func BenchmarkChunkReassemble64K(b *testing.B) {
 		buf = recs[0].AppendContent(buf[:0])
 	}
 }
+
+// BenchmarkScan: one well-formed datagram through Scan, the check every
+// datagram a receiver takes, every WAL row a restart replays and every
+// sealed row a read hands out passes.
+func BenchmarkScan(b *testing.B) {
+	d := Encode(Message{Header: sampleHeader(), Content: []byte("3:abc:def")})
+	b.SetBytes(int64(len(d)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Scan(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
