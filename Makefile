@@ -87,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzHashOnePass$$' -fuzztime=10s ./internal/ssdeep
 	$(GO) test -run=NONE -fuzz='^FuzzRunDecode$$' -fuzztime=10s -fuzzminimizetime=5x ./internal/sirendb/runfmt
 	$(GO) test -run=NONE -fuzz='^FuzzEditKernels$$' -fuzztime=10s ./internal/editdist
+	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/elfx
 
 # Full benchmark suite, timings only: the paper's tables are pinned by
 # TestEvaluationReportRenders and recognition by TestRecognitionOnVariantSweep.

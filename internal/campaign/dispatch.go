@@ -26,9 +26,7 @@
 // retained (grouped per member) until the transport closes, so a campaign
 // of M sent bytes holds M bytes of sender memory. That is the deliberate
 // trade for exactly-one-full-copy semantics without receiver-side
-// cross-member coordination; senders that cannot afford it run the plain
-// single-owner dispatch (DisableJournal) and accept losing the dead
-// member's undelivered slice, exactly as the pre-membership design did.
+// cross-member coordination.
 //
 // Concurrency: member state is a lock-free alive/failing/dead machine;
 // the only mutex guards journal appends and is never held across I/O,
@@ -57,11 +55,6 @@ const (
 
 // FailoverOptions tune a FailoverTransport.
 type FailoverOptions struct {
-	// DisableJournal turns off datagram journaling and with it the
-	// replay-on-death guarantee (see the package comment for the memory
-	// trade-off). Off by default: the byte-identity contract needs the
-	// journal.
-	DisableJournal bool
 	// ProbeTimeout bounds each confirm-probe HTTP request (default 500ms).
 	ProbeTimeout time.Duration
 	// ProbeRetries is how many failed probes confirm a death (default 3).
@@ -196,7 +189,8 @@ func (f *FailoverTransport) Stats() DispatchStats {
 // following ownership across member deaths until it is delivered or
 // MaxSendAttempts is exhausted.
 func (f *FailoverTransport) Send(d []byte) error {
-	job, host, scannable := wire.PartitionFields(d)
+	h, err := wire.Scan(d)
+	job, host := h.Value(d, wire.FieldJobID), h.Value(d, wire.FieldHost)
 	var lastErr error
 	for attempt := 0; attempt < f.opts.MaxSendAttempts; attempt++ {
 		if attempt > 0 {
@@ -208,7 +202,7 @@ func (f *FailoverTransport) Send(d []byte) error {
 			}
 			f.opts.Backoff.Sleep(exp, nil)
 		}
-		ml := f.route(job, host, scannable)
+		ml := f.route(job, host, err == nil)
 		if ml == nil {
 			f.sendErrors.Add(1)
 			return errors.New("campaign: no live members to route to")
@@ -227,7 +221,7 @@ func (f *FailoverTransport) Send(d []byte) error {
 			f.failMember(ml)
 			continue
 		}
-		if !f.opts.DisableJournal && !ml.append(d) {
+		if !ml.append(d) {
 			// Sealed between our send and the journal append: the replay
 			// does not cover this datagram, so re-route it ourselves, or it
 			// would be lost. The dying member may also have ingested it;
@@ -243,11 +237,11 @@ func (f *FailoverTransport) Send(d []byte) error {
 	return fmt.Errorf("campaign: dropping datagram after %d attempts: %w", f.opts.MaxSendAttempts, lastErr)
 }
 
-// route picks the live owner's link. Unscannable datagrams (no parseable
-// header) go to the lowest-indexed live member — every receiver counts
-// them Malformed identically, so the choice only needs to be deterministic.
-func (f *FailoverTransport) route(job, host []byte, scannable bool) *memberLink {
-	if scannable {
+// route picks the live owner's link. Datagrams that fail wire.Scan go to
+// the lowest-indexed live member — every receiver counts them Malformed
+// identically, so the choice only needs to be deterministic.
+func (f *FailoverTransport) route(job, host []byte, scanned bool) *memberLink {
+	if scanned {
 		if _, owner := f.view.Route(job, host); owner >= 0 {
 			return f.members[owner]
 		}

@@ -119,6 +119,17 @@ func dg(job, host string, pid int) []byte {
 	})
 }
 
+// key returns the JOBID and HOST values of a test datagram's scan, the
+// values Send routes on.
+func key(t *testing.T, d []byte) (job, host []byte) {
+	t.Helper()
+	f, err := wire.Scan(d)
+	if err != nil {
+		t.Fatalf("unscannable test datagram: %v", err)
+	}
+	return f.Value(d, wire.FieldJobID), f.Value(d, wire.FieldHost)
+}
+
 // TestDispatchRoutesToOwner: with everyone alive, each datagram lands on
 // exactly its rendezvous owner.
 func TestDispatchRoutesToOwner(t *testing.T) {
@@ -133,10 +144,7 @@ func TestDispatchRoutesToOwner(t *testing.T) {
 	total := 0
 	for i, f := range w.fakes {
 		for d := range f.contents() {
-			job, host, ok := wire.PartitionFields([]byte(d))
-			if !ok {
-				t.Fatal("unscannable test datagram")
-			}
+			job, host := key(t, []byte(d))
 			if owner := w.tbl.RankedOwners(job, host)[0]; owner != i {
 				t.Errorf("datagram for owner %d landed on member %d", owner, i)
 			}
@@ -170,7 +178,7 @@ func TestDispatchFailoverReplaysJournal(t *testing.T) {
 	}
 	victim := -1
 	for _, d := range all {
-		job, host, _ := wire.PartitionFields(d)
+		job, host := key(t, d)
 		victim = w.tbl.RankedOwners(job, host)[0]
 		break
 	}
@@ -238,7 +246,7 @@ func TestDispatchFailoverReplaysJournal(t *testing.T) {
 			continue
 		}
 		for d := range f.contents() {
-			job, host, _ := wire.PartitionFields([]byte(d))
+			job, host := key(t, []byte(d))
 			if _, owner := w.view.Route(job, host); owner != i {
 				t.Errorf("datagram owned by %d rests on member %d", owner, i)
 			}
@@ -255,7 +263,7 @@ func TestDispatchFalseAlarm(t *testing.T) {
 		Backoff:      membership.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
 	})
 	d := dg("job-1", "nid000001", 1)
-	job, host, _ := wire.PartitionFields(d)
+	job, host := key(t, d)
 	owner := w.tbl.RankedOwners(job, host)[0]
 
 	// One-shot failure: error once, then deliver (health stays up).
@@ -326,7 +334,7 @@ func TestDispatchConcurrentSendersOneDeath(t *testing.T) {
 	var victim int
 	// Find some member to kill partway through.
 	d0 := dg("job-0", "nid000001", 0)
-	job, host, _ := wire.PartitionFields(d0)
+	job, host := key(t, d0)
 	victim = w.tbl.RankedOwners(job, host)[0]
 
 	errCh := make(chan error, goroutines*perG)

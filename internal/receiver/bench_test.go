@@ -3,8 +3,8 @@
 //
 //	go test -bench=BenchmarkReceiverIngest -benchmem ./internal/receiver
 //
-// The benchmark drives the post-socket hot path directly (route → burst copy
-// → one hand-off per shard per burst → parse → batch → insert), i.e.
+// The benchmark drives the post-socket hot path directly (header scan →
+// route → burst copy → one hand-off per shard per burst → batch → insert), i.e.
 // everything the UDP reader does with the datagrams one recvmmsg call
 // returns, so numbers isolate the ingest subsystem from kernel scheduling.
 // Messages cycle through 16 jobs so the hash partitioner actually spreads

@@ -1,6 +1,7 @@
 package receiver
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -171,11 +172,16 @@ func TestMembershipFailoverAdmission(t *testing.T) {
 }
 
 // TestMembershipMalformedBypassesAdmission: datagrams whose header cannot be
-// scanned are admitted (and counted Malformed by the parse stage) on every
-// member, never Rejected — rejection is a statement that another member
-// owns the datagram, which is unknowable without a header.
+// scanned are counted Malformed on every member, never Rejected — rejection
+// is a statement that another member owns the datagram, which is unknowable
+// without a header. That holds too for a header whose JOBID and HOST read
+// well but which fails further on.
 func TestMembershipMalformedBypassesAdmission(t *testing.T) {
 	tbl := testRoster(t, 3)
+	badPID := bytes.Replace(wire.Encode(jobMsg("job-1", "nid000001", 1)), []byte("|PID=1|"), []byte("|PID=x|"), 1)
+	if _, err := wire.Scan(badPID); err == nil {
+		t.Fatalf("test datagram %q scans", badPID)
+	}
 	for k := 0; k < tbl.Len(); k++ {
 		view, err := membership.NewView(tbl, fmt.Sprintf("r%d", k))
 		if err != nil {
@@ -187,10 +193,11 @@ func TestMembershipMalformedBypassesAdmission(t *testing.T) {
 		r.AttachChannel(src.C())
 		src.Send([]byte("garbage"))
 		src.Send([]byte("SIREN1|also garbage"))
+		src.Send(badPID)
 		src.Close()
 		r.Close()
-		if got := r.Stats().Malformed.Value(); got != 2 {
-			t.Errorf("member %d Malformed = %d, want 2", k, got)
+		if got := r.Stats().Malformed.Value(); got != 3 {
+			t.Errorf("member %d Malformed = %d, want 3", k, got)
 		}
 		if got := r.Stats().Rejected.Value(); got != 0 {
 			t.Errorf("member %d Rejected = %d, want 0 for unscannable headers", k, got)

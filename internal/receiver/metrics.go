@@ -13,9 +13,11 @@ import (
 // Options.Metrics is nil), so the ingest paths record unconditionally;
 // BenchmarkReceiverIngest gates what that costs.
 type rcvMetrics struct {
-	// parseNS is the writer's header-scan latency per datagram — the CPU
-	// half of the write path; a p99 jump here means malformed floods or
-	// jumbo payloads.
+	// parseNS is the reader's header-scan latency per datagram, malformed
+	// and rejected ones included — the CPU half of the write path; a p99
+	// jump here means malformed floods or jumbo payloads. One clock read
+	// per datagram: a sample runs from the end of the previous scan, so it
+	// also carries the previous datagram's admission and copy into its burst.
 	parseNS *obs.Histogram
 	// queueWaitNS is shard-queue residency (hand-off → writer dequeue),
 	// one sample per datagram recorded once per burst — the backpressure
@@ -34,7 +36,7 @@ type rcvMetrics struct {
 // histograms, a queue-depth gauge per writer shard, and the Stats counters.
 func (r *Receiver) registerMetrics(reg *obs.Registry) {
 	r.mx = rcvMetrics{
-		parseNS:     reg.Histogram("siren_ingest_parse_ns", "the writer's wire.Scan latency per datagram (malformed included)"),
+		parseNS:     reg.Histogram("siren_ingest_parse_ns", "the reader's wire.Scan latency per datagram (malformed and rejected included)"),
 		queueWaitNS: reg.Histogram("siren_ingest_queue_wait_ns", "shard-queue residency from hand-off to writer dequeue, per datagram"),
 		insertNS:    reg.Histogram("siren_ingest_insert_ns", "store insert latency per flushed batch"),
 		recvBatch:   reg.Histogram("siren_ingest_recv_batch", "datagrams returned per receive call"),
@@ -47,7 +49,7 @@ func (r *Receiver) registerMetrics(reg *obs.Registry) {
 	r.stats = Stats{
 		Received:         c("received", "datagrams read from the transport"),
 		Inserted:         c("inserted", "messages stored in the database"),
-		Malformed:        c("malformed", "datagrams that failed to parse"),
+		Malformed:        c("malformed", "datagrams that failed the reader's header scan (never queued)"),
 		Dropped:          c("dropped", "datagrams dropped on a full shard queue"),
 		Rejected:         c("rejected", "datagrams owned by another roster member"),
 		InsertErrors:     c("insert_errors", "failed insert calls"),

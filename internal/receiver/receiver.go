@@ -11,15 +11,17 @@
 //
 // The reader drains the socket (tuned SO_RCVBUF) a burst at a time: on
 // Linux one recvmmsg call returns every queued datagram, up to burstMax,
-// into an arena mapped outside the Go heap (reader.go). Each datagram is
-// hash-partitioned by its (JobID, Host) header fields onto one of M writer
-// shards and copied into that shard's burst; each shard then receives its
-// burst in one channel operation, so the read side pays one system call,
-// one clock read and one hand-off per shard per burst, not per datagram,
-// and allocates nothing once its pool is warm. Messages of one job on one
-// host always land on the same shard — so sharding itself never
-// introduces cross-shard interleaving for a job — while independent jobs
-// insert into the database concurrently. When the store is itself sharded
+// into an arena mapped outside the Go heap (reader.go). The reader scans
+// each datagram's header once (wire.Scan): that one scan decides whether it
+// is malformed, whether this member admits it, and — by hash(JobID, Host)
+// — which of M writer shards takes it. The datagram is copied into that
+// shard's burst beside its scanned Fields, so a writer only batches and
+// never reads a header again. Each shard receives its burst in one channel
+// operation, so the read side pays one system call and one hand-off per
+// shard per burst, not per datagram, and allocates nothing once its pool is
+// warm. Messages of one job on one host always land on the same shard — so
+// sharding itself never introduces cross-shard interleaving for a job —
+// while independent jobs insert into the database concurrently. When the store is itself sharded
 // by the same hash with a matching count (ShardedStore), each writer
 // inserts straight into its own store shard, so the parallelism of the
 // pipeline carries through the database instead of re-serialising on a
@@ -43,7 +45,9 @@
 // drop them — SIREN's loss-tolerant design makes that safe. Every loss and
 // failure mode is counted in Stats (kernel-style queue drops, malformed
 // datagrams, datagrams owned by another member, failed database inserts,
-// failed socket reads) instead of disappearing silently.
+// failed socket reads) instead of disappearing silently, and each datagram
+// in exactly one of them: a malformed datagram is counted where it enters
+// and never takes queue room, nor is it admitted or rejected.
 package receiver
 
 import (
@@ -131,9 +135,9 @@ type ShardedStore interface {
 }
 
 // ScannedStore is a ShardedStore that takes datagrams as they arrived: the
-// writer hands over each datagram with its wire.Scan, and the store keeps
-// those bytes as the row. Nothing between the socket and the store decodes
-// a datagram or builds a Message. *sirendb.DB implements it.
+// writer hands over each datagram with the reader's wire.Scan of it, and the
+// store keeps those bytes as the row. Nothing between the socket and the
+// store decodes a datagram or builds a Message. *sirendb.DB implements it.
 type ScannedStore interface {
 	ShardedStore
 	InsertScanned(shard int, ds []wire.Scanned) error
@@ -195,16 +199,16 @@ type Options struct {
 	// (DESIGN.md §11): a datagram is admitted when this receiver is the
 	// highest-rendezvous-scoring member of the view's live set for the
 	// datagram's (JOBID, HOST); the rest are counted in Stats.Rejected and
-	// discarded before parsing, so N members share one campaign with no
-	// double-ingest even when every sender broadcasts to all of them. A dead
-	// member's slice falls to the surviving next-highest scorers instead of
-	// being lost until restart; a roster nobody probes never changes, which
-	// is the static N-way split. The view must be a member view (its self ID
-	// names this receiver). Admissions whose rank-0 owner is marked down are
-	// counted in Stats.AcceptedFailover. Datagrams whose header cannot be
-	// scanned bypass admission and are counted Malformed by the writer's scan,
-	// identically on every member. Nil (the default) admits everything —
-	// the paper's single-receiver deployment.
+	// discarded before they are queued, so N members share one campaign
+	// with no double-ingest even when every sender broadcasts to all of
+	// them. A dead member's slice falls to the surviving next-highest
+	// scorers instead of being lost until restart; a roster nobody probes
+	// never changes, which is the static N-way split. The view must be a
+	// member view (its self ID names this receiver). Admissions whose
+	// rank-0 owner is marked down are counted in Stats.AcceptedFailover. A
+	// datagram that fails the reader's header scan never reaches
+	// admission: every member counts it Malformed, never Rejected. Nil (the
+	// default) admits everything — the paper's single-receiver deployment.
 	View *membership.View
 	// Metrics is the registry the receiver's instruments register in:
 	// per-stage latency histograms (header scan, shard-queue wait, insert batch),
@@ -387,20 +391,32 @@ func (r *Receiver) readLoop(br *batchReader) {
 }
 
 // ingest takes one receive call's datagrams: it counts them and stamps the
-// last-receive and queue-wait clocks once, routes each datagram to its
-// shard's burst — copying it out of the reader's slot, the only
-// per-datagram work on the read side besides the header scan — and hands
-// every shard its burst in one channel operation. A burst is handed off
-// early when it reaches burstCap, so it always fits an empty shard.
-// pending holds the bursts under construction, one slot per shard, all nil
-// between calls; the socket reader and the channel forwarder each own one.
+// last-receive and queue-wait clocks once, then gives each datagram its one
+// header scan — a datagram that fails it is counted Malformed and goes no
+// further — admits and routes it by that scan, and copies it out of the
+// reader's slot into its shard's burst beside its Fields. Every shard then
+// gets its burst in one channel operation. A burst is handed off early when
+// it reaches burstCap, so it always fits an empty shard. pending holds the
+// bursts under construction, one slot per shard, all nil between calls; the
+// socket reader and the channel forwarder each own one.
 func (r *Receiver) ingest(pending []*burst, msgs [][]byte, block bool) {
-	now := time.Now().UnixNano()
+	// One clock read per datagram after this one: each scan's end starts
+	// the next scan's sample.
+	t := time.Now()
+	now := t.UnixNano()
 	r.stats.Received.Add(int64(len(msgs)))
 	r.lastRecvNano.Store(now)
 	r.mx.recvBatch.Record(int64(len(msgs)))
 	for _, d := range msgs {
-		idx, ok := r.route(d)
+		f, err := wire.Scan(d)
+		end := time.Now()
+		r.mx.parseNS.Record(int64(end.Sub(t)))
+		t = end
+		if err != nil {
+			r.stats.Malformed.Inc()
+			continue
+		}
+		idx, ok := r.route(d, &f)
 		if !ok {
 			continue
 		}
@@ -409,10 +425,11 @@ func (r *Receiver) ingest(pending []*burst, msgs [][]byte, block bool) {
 			b = burstPool.Get().(*burst)
 			pending[idx] = b
 		}
-		b.add(d)
+		b.add(d, &f)
 		if len(b.ends) == r.burstCap {
 			r.handOff(r.shards[idx], b, now, block)
 			pending[idx] = nil
+			t = time.Now() // a hand-off that waited is not the next scan
 		}
 	}
 	for idx, b := range pending {
@@ -423,25 +440,14 @@ func (r *Receiver) ingest(pending []*burst, msgs [][]byte, block bool) {
 	}
 }
 
-// route applies membership admission and picks a datagram's writer shard
-// — both decisions come from one wire.PartitionFields scan of the header,
-// but from independent hashes (rendezvous scores vs the low-bits shard
-// modulo of wire.PartitionHash), so a member's admitted slice still spreads
-// over all its writer and store shards. A datagram another member owns is
-// counted Rejected and not routed (ok false); one whose header cannot be
-// scanned bypasses admission and lands on shard 0, where the writer's
-// wire.Scan counts it as malformed — every member of a roster agrees on
-// that, so a malformed datagram is never double-ingested either.
-// Single-shard receivers without a view skip the header scan entirely (its
-// result would be unused).
-func (r *Receiver) route(d []byte) (idx int, ok bool) {
-	if r.view == nil && len(r.shards) == 1 {
-		return 0, true
-	}
-	job, host, scanned := wire.PartitionFields(d)
-	if !scanned {
-		return 0, true
-	}
+// route applies membership admission and picks a scanned datagram's writer
+// shard. Both read the JOBID and HOST values of its scan, but through
+// independent hashes (rendezvous scores vs the low-bits shard modulo of
+// wire.PartitionHash), so a member's admitted slice still spreads over all
+// its writer and store shards. A datagram another member owns is counted
+// Rejected and not routed (ok false).
+func (r *Receiver) route(d []byte, f *wire.Fields) (idx int, ok bool) {
+	job, host := f.Value(d, wire.FieldJobID), f.Value(d, wire.FieldHost)
 	if r.view != nil {
 		// Membership admission: accept exactly the keys this member owns
 		// under the current live view; when ownership arrived by failover
@@ -481,10 +487,9 @@ func (r *Receiver) handOff(sh *shard, b *burst, enq int64, block bool) {
 	sh.ch <- b
 }
 
-// writeLoop is writer idx: it scans each datagram of the bursts it takes —
-// the scan counts the malformed — and batches the rest, still in their
-// bursts' bytes, for the store. A burst goes back to the pool once no batch
-// row points into it.
+// writeLoop is writer idx: it batches the datagrams of the bursts it takes,
+// still in their bursts' bytes and with the reader's scans, for the store. A
+// burst goes back to the pool once no batch row points into it.
 func (r *Receiver) writeLoop(idx int, sh *shard) {
 	defer r.writerWG.Done()
 	batch := make([]wire.Scanned, 0, r.batchMax)
@@ -511,26 +516,13 @@ func (r *Receiver) writeLoop(idx int, sh *shard) {
 	}
 	take := func(b *burst) {
 		sh.release(len(b.ends))
-		// One clock read ends the burst's queue wait and starts the first
-		// scan; each scan's end starts the next.
-		t := time.Now()
-		r.mx.queueWaitNS.RecordN(t.UnixNano()-b.enq, int64(len(b.ends)))
+		r.mx.queueWaitNS.RecordN(time.Now().UnixNano()-b.enq, int64(len(b.ends)))
 		start := 0
-		for _, end := range b.ends {
-			d := b.buf[start:end:end]
+		for i, end := range b.ends {
+			batch = append(batch, wire.Scanned{Datagram: b.buf[start:end:end], Fields: b.fields[i]})
 			start = end
-			f, err := wire.Scan(d)
-			now := time.Now()
-			r.mx.parseNS.Record(int64(now.Sub(t)))
-			t = now
-			if err != nil {
-				r.stats.Malformed.Inc()
-				continue
-			}
-			batch = append(batch, wire.Scanned{Datagram: d, Fields: f})
 			if len(batch) == r.batchMax {
 				flush()
-				t = time.Now() // the insert is not the next datagram's scan
 			}
 		}
 		if len(batch) == 0 {

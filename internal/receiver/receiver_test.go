@@ -238,6 +238,50 @@ func TestChannelFullDropsAreCounted(t *testing.T) {
 	}
 }
 
+// TestMalformedTakesNoQueueRoom: a malformed datagram is counted where it
+// enters and never queued, so a burst of garbage in front of valid
+// datagrams cannot fill a stalled shard and turn them into drops.
+func TestMalformedTakesNoQueueRoom(t *testing.T) {
+	store := &blockingStore{gate: make(chan struct{})}
+	const depth = 4
+	r := New(store, Options{Depth: depth, BatchMax: 1, Writers: 1})
+	r.startWriters()
+	pending := make([]*burst, len(r.shards))
+	d := wire.Encode(mkMsg(1, wire.TypeMetadata))
+
+	// Stall the writer inside its first InsertBatch, with the queue empty.
+	r.ingest(pending, [][]byte{d}, false)
+	for r.QueueDepth() != 0 {
+		runtime.Gosched()
+	}
+
+	msgs := make([][]byte, 0, 2*depth)
+	for i := 0; i < depth; i++ {
+		msgs = append(msgs, []byte(fmt.Sprintf("garbage %d", i)))
+	}
+	for i := 0; i < depth; i++ {
+		msgs = append(msgs, d)
+	}
+	r.ingest(pending, msgs, false)
+	if got := r.Stats().Dropped.Value(); got != 0 {
+		t.Errorf("Dropped = %d, want 0: malformed datagrams took queue room", got)
+	}
+	if got := r.Stats().Malformed.Value(); got != depth {
+		t.Errorf("Malformed = %d, want %d", got, depth)
+	}
+	if got := r.QueueDepth(); got != depth {
+		t.Errorf("QueueDepth = %d, want the %d valid datagrams", got, depth)
+	}
+
+	close(store.gate)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.inserted.Load(); got != 1+depth {
+		t.Errorf("inserted %d, want the stalled datagram plus %d valid", got, depth)
+	}
+}
+
 func TestInsertBatchFailuresAreCounted(t *testing.T) {
 	r := New(failingStore{}, Options{BatchMax: 8, Writers: 2})
 	src := wire.NewChanTransport(256)

@@ -3,35 +3,42 @@ package receiver
 import (
 	"sync"
 	"sync/atomic"
+
+	"siren/internal/wire"
 )
 
 // burst is one shard's share of one receive call: the datagrams' bytes
-// packed back to back in buf, datagram i ending at ends[i]. A burst is the
-// unit of hand-off — one channel operation and one copy target per shard
-// per receive call, however many datagrams it carries.
+// packed back to back in buf, datagram i ending at ends[i], with the header
+// the reader scanned it into in fields[i]. A burst is the unit of hand-off —
+// one channel operation and one copy target per shard per receive call,
+// however many datagrams it carries.
 type burst struct {
-	buf  []byte
-	ends []int
-	enq  int64 // hand-off time (UnixNano); the writer's queue-wait sample
+	buf    []byte
+	ends   []int
+	fields []wire.Fields
+	enq    int64 // hand-off time (UnixNano); the writer's queue-wait sample
 }
 
-func (b *burst) add(d []byte) {
+func (b *burst) add(d []byte, f *wire.Fields) {
 	b.buf = append(b.buf, d...)
 	b.ends = append(b.ends, len(b.buf))
+	b.fields = append(b.fields, *f)
 }
 
 // truncate keeps the first k datagrams.
 func (b *burst) truncate(k int) {
 	b.buf = b.buf[:b.ends[k-1]]
-	b.ends = b.ends[:k]
+	b.ends, b.fields = b.ends[:k], b.fields[:k]
 }
 
 // burstPool recycles bursts between readers and writers, so the read side
 // allocates nothing per datagram or per burst once warm.
-var burstPool = sync.Pool{New: func() any { return &burst{ends: make([]int, 0, burstMax)} }}
+var burstPool = sync.Pool{New: func() any {
+	return &burst{ends: make([]int, 0, burstMax), fields: make([]wire.Fields, 0, burstMax)}
+}}
 
 func putBurst(b *burst) {
-	b.buf, b.ends = b.buf[:0], b.ends[:0]
+	b.buf, b.ends, b.fields = b.buf[:0], b.ends[:0], b.fields[:0]
 	burstPool.Put(b)
 }
 

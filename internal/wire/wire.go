@@ -174,51 +174,17 @@ func decimalLen(v int64) int {
 // SIREN wire format. The receiver drops such datagrams (graceful failure).
 var ErrMalformed = errors.New("wire: malformed datagram")
 
-// PartitionFields extracts the raw JOBID and HOST header values from an
-// encoded datagram in one bounded scan, without parsing or allocating: the
-// returned slices alias the datagram. The receiver's shard dispatcher uses
-// this to hash-partition datagrams by (JobID, Host) before the full Parse
-// happens on a writer shard.
-//
-// The scan walks the fixed field order exactly like Parse and stops at HOST,
-// so it never touches the content bytes — a "|HOST=" pattern inside CONTENT
-// can never match. It reports ok=false when the magic is wrong or the header
-// deviates from the wire layout (such datagrams fail Parse anyway).
-func PartitionFields(datagram []byte) (job, host []byte, ok bool) {
-	if len(datagram) < len(magic)+1 || string(datagram[:len(magic)+1]) != magic+"|" {
-		return nil, nil, false
-	}
-	rest := datagram[len(magic)+1:]
-	for i, prefix := range fieldPrefixes {
-		if len(rest) < len(prefix) || string(rest[:len(prefix)]) != prefix {
-			return nil, nil, false
-		}
-		rest = rest[len(prefix):]
-		sep := bytes.IndexByte(rest, '|')
-		if sep < 0 {
-			return nil, nil, false // header values are always '|'-terminated
-		}
-		switch i {
-		case 0:
-			job = rest[:sep]
-		case 4:
-			return job, rest[:sep], true // HOST: done, content never reached
-		}
-		rest = rest[sep+1:]
-	}
-	return nil, nil, false
-}
-
 // fieldPrefixes are the ten fixed header fields preceding CONTENT, in wire
 // order. Precomputed so the parse hot path never concatenates strings.
 var fieldPrefixes = [...]string{"JOBID=", "STEPID=", "PID=", "HASH=", "HOST=", "TIME=", "LAYER=", "TYPE=", "SEQ=", "TOT="}
 
 // PartitionHash is the canonical shard-partitioning hash over the JOBID and
-// HOST header values. The receiver's dispatcher and sirendb's store shards
-// must agree on this function: when the receiver's writer-shard count equals
-// the store's shard count, every message a writer handles hashes to the store
-// shard with the writer's own index, so batches route shard→shard with no
-// re-partitioning and no cross-shard lock contention.
+// HOST header values. The receiver's reader, which hashes the values of its
+// Scan of each datagram, and sirendb's store shards must agree on this
+// function: when the receiver's writer-shard count equals the store's shard
+// count, every message a writer handles hashes to the store shard with the
+// writer's own index, so batches route shard→shard with no re-partitioning
+// and no cross-shard lock contention.
 // Membership rendezvous scores are seeded by it too, so it is a
 // cross-process protocol pinned by TestPartitionHashGolden.
 func PartitionHash(job, host []byte) uint64 {

@@ -59,43 +59,21 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestPartitionFields(t *testing.T) {
-	m := Message{Header: sampleHeader(), Content: []byte("payload|HOST=fake|JOBID=fake")}
-	job, host, ok := PartitionFields(Encode(m))
-	if !ok {
-		t.Fatal("PartitionFields rejected a valid datagram")
-	}
-	if string(job) != m.JobID || string(host) != m.Host {
-		t.Errorf("got job=%q host=%q, want %q/%q", job, host, m.JobID, m.Host)
-	}
-	for _, bad := range [][]byte{
-		nil,
-		[]byte("not siren"),
-		[]byte("SIREN1|JOBID=1"),                // unterminated
-		[]byte("SIREN1|JOBID=1|HOST=n|rest"),    // fields out of wire order
-		[]byte("SIREN1|STEPID=0|JOBID=1|HOST="), // ditto
-	} {
-		if _, _, ok := PartitionFields(bad); ok {
-			t.Errorf("PartitionFields accepted %q", bad)
-		}
-	}
-}
-
 func TestPartitionHashAgreesAcrossRepresentations(t *testing.T) {
-	// The receiver hashes the raw header slices from PartitionFields; the
-	// store hashes the parsed Message fields. Both must pick the same shard
-	// for every message, or the writer→store 1:1 routing breaks.
+	// The receiver hashes the raw header values of its Scan; the store
+	// hashes the parsed Message fields. Both must pick the same shard for
+	// every message, or the writer→store 1:1 routing breaks.
 	for i := 0; i < 50; i++ {
 		m := Message{Header: sampleHeader()}
 		m.JobID = fmt.Sprintf("%d", 4242+i)
 		m.Host = fmt.Sprintf("nid%06d", i)
 		m.Content = []byte("x")
 		d := Encode(m)
-		job, host, ok := PartitionFields(d)
-		if !ok {
-			t.Fatal("PartitionFields rejected a valid datagram")
+		f, err := Scan(d)
+		if err != nil {
+			t.Fatalf("Scan rejected a valid datagram: %v", err)
 		}
-		raw := PartitionHash(job, host)
+		raw := PartitionHash(f.Value(d, FieldJobID), f.Value(d, FieldHost))
 		parsed := PartitionHash([]byte(m.JobID), []byte(m.Host))
 		if raw != parsed {
 			t.Fatalf("hash mismatch for job=%s host=%s: raw %x, parsed %x", m.JobID, m.Host, raw, parsed)
