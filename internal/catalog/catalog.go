@@ -161,6 +161,10 @@ func New(source Source, opts Options) *Catalog {
 	}
 	reg.GaugeFunc("siren_catalog_index_bytes", "bytes held by the current generation's fingerprint-index posting tables (gram slots and id rows)",
 		func() int64 { return c.Generation().Index.Stats().Bytes })
+	reg.GaugeFunc("siren_catalog_chunk_conflicts", "repeated chunks in the current generation whose bytes differ from the copy kept: two senders under one record's header (Stats.ChunkConflicts)",
+		func() int64 { return int64(c.Generation().Stats.ChunkConflicts) })
+	reg.GaugeFunc("siren_catalog_processes_with_missing", "processes in the current generation with a record that lost chunks in transit (Stats.ProcessesWithMissing)",
+		func() int64 { return int64(c.Generation().Stats.ProcessesWithMissing) })
 	boot := &Generation{
 		Dataset: analysis.NewDataset(nil),
 		Index:   analysis.NewFingerprintIndex(nil),

@@ -6,6 +6,7 @@
 package catalog_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"path/filepath"
@@ -469,5 +470,57 @@ func TestConcurrentQueriesDuringRefresh(t *testing.T) {
 	offData, offStats := analysis.ConsolidateDataset(db.Snapshot(), postprocess.StreamOptions{})
 	if got, want := reportJSON(t, gen.Dataset, gen.Stats), reportJSON(t, offData, offStats); got != want {
 		t.Errorf("final generation diverges from full consolidation")
+	}
+}
+
+// TestLossGaugesFollowTheGeneration: /metrics carries the current
+// generation's chunk conflicts and processes with missing fields. One
+// stored chunk is repeated with other bytes, and one process loses the
+// second of its OBJECTS record's two chunks.
+func TestLossGaugesFollowTheGeneration(t *testing.T) {
+	db, err := sirendb.OpenOptions("", sirendb.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	reg := obs.NewRegistry("catalog-test")
+	cat := catalog.New(catalog.StoreSource(db), catalog.Options{Metrics: reg})
+	gauges := func() (conflicts, missing string) {
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "siren_catalog_chunk_conflicts "); ok {
+				conflicts = v
+			}
+			if v, ok := strings.CutPrefix(line, "siren_catalog_processes_with_missing "); ok {
+				missing = v
+			}
+		}
+		return conflicts, missing
+	}
+	if c, m := gauges(); c != "0" || m != "0" {
+		t.Fatalf("boot generation: conflicts %q, missing %q, want 0 and 0", c, m)
+	}
+
+	seedJob(t, db, 1, 1733900000)
+	clean := procMessages(t, "job-loss", "nid0001", 501, 1733900000, "/appl/gromacs/bin/gmx", "gromacs", 2)
+	conflicting := clean[1]
+	conflicting.Content = []byte("3:other:bytes")
+	lossy := procMessages(t, "job-loss", "nid0001", 502, 1733900000, "/appl/gromacs/bin/gmx", "gromacs", 3)
+	lost := lossy[0]
+	lost.Type, lost.Total, lost.Content = wire.TypeObjects, 2, []byte("/lib64/libc.so.6")
+	for _, batch := range [][]wire.Message{clean, {conflicting}, lossy, {lost}} {
+		if err := db.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs := cat.Refresh()
+	if st := cat.Generation().Stats; st.ChunkConflicts != 1 || st.ProcessesWithMissing != 1 {
+		t.Fatalf("generation %d stats = %+v, want one conflict and one process with missing fields", rs.Gen, st)
+	}
+	if c, m := gauges(); c != "1" || m != "1" {
+		t.Errorf("conflicts %q, missing %q on /metrics, want 1 and 1", c, m)
 	}
 }

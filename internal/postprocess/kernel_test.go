@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"siren/internal/campaign"
+	"siren/internal/procfs"
 	"siren/internal/pyenv"
 	"siren/internal/wire"
 )
@@ -116,6 +117,7 @@ func consolidateChunkOracle(msgs []wire.Message) (out []*ProcessRecord, nRecords
 		groups[k] = append(groups[k], rec)
 	}
 
+	maps := make(map[*ProcessRecord][]procfs.Region) // each process's last MAPS that parsed
 	for _, k := range order {
 		recs := groups[k]
 		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Header.Time < recs[j].Header.Time })
@@ -142,20 +144,26 @@ func consolidateChunkOracle(msgs []wire.Message) (out []*ProcessRecord, nRecords
 				applyScriptOracle(p, rec.Header.Type, content)
 				continue
 			}
+			if rec.Header.Type == wire.TypeMaps {
+				if regions, err := procfs.ParseMaps(content); err == nil {
+					maps[p] = regions
+				}
+				continue
+			}
 			applySelfOracle(p, rec.Header.Type, content)
 		}
 	}
 	for _, p := range out {
-		if p.Category == "python" && len(p.Maps) > 0 {
-			p.Imports = pyenv.ExtractImports(p.Maps)
+		if p.Category == "python" && len(maps[p]) > 0 {
+			p.Imports = pyenv.ExtractImports(maps[p])
 		}
 	}
 	return out, nRecords
 }
 
-// applySelfOracle is the old applySelf for the types whose parsing changed
-// (METADATA through parseKV's map, the list types through an append-grown
-// split); the untouched ones go to the production code.
+// applySelfOracle is the old applySelf: METADATA through parseKV's map, the
+// list types through an append-grown split, every other type's content kept
+// as it is. MAPS never comes here (the oracle keeps the regions apart).
 func applySelfOracle(p *ProcessRecord, typ, content string) {
 	switch typ {
 	case wire.TypeMetadata:
@@ -179,24 +187,37 @@ func applySelfOracle(p *ProcessRecord, typ, content string) {
 		p.Modules = splitLinesOracle(content)
 	case wire.TypeCompilers:
 		p.Compilers = splitLinesOracle(content)
-	default:
-		applySelf(p, typ, content)
+	case wire.TypeFileH:
+		p.FileH = content
+	case wire.TypeStringsH:
+		p.StringsH = content
+	case wire.TypeSymbolsH:
+		p.SymbolsH = content
+	case wire.TypeObjectsH:
+		p.ObjectsH = content
+	case wire.TypeModulesH:
+		p.ModulesH = content
+	case wire.TypeCompilersH:
+		p.CompilersH = content
+	case wire.TypeMapsH:
+		p.MapsH = content
 	}
 }
 
 func applyScriptOracle(p *ProcessRecord, typ, content string) {
-	if typ != wire.TypeMetadata {
-		applyScript(p, typ, content)
-		return
-	}
 	if p.Script == nil {
 		p.Script = &ScriptRecord{}
 	}
-	kv := parseKV(content)
-	p.Script.Path = kv["EXE"]
-	p.Script.Size = int64(atoi(kv["SIZE"]))
-	p.Script.Mtime = int64(atoi(kv["MTIME"]))
-	p.Script.Inode = uint64(atoi(kv["INODE"]))
+	switch typ {
+	case wire.TypeMetadata:
+		kv := parseKV(content)
+		p.Script.Path = kv["EXE"]
+		p.Script.Size = int64(atoi(kv["SIZE"]))
+		p.Script.Mtime = int64(atoi(kv["MTIME"]))
+		p.Script.Inode = uint64(atoi(kv["INODE"]))
+	case wire.TypeFileH:
+		p.Script.FileH = content
+	}
 }
 
 func parseKV(content string) map[string]string {
@@ -378,10 +399,11 @@ func TestKernelMatchesOracleOnCampaign(t *testing.T) {
 
 // TestConsolidateAllocationsPerRow holds the kernel to its allocation budget
 // on campaign traffic: what a row must cost is its share of the process
-// record, the identity and content strings of its pass and the parsed lists
+// record, the identity strings and what no earlier record of the job had
 // — not keys, maps and per-record bookkeeping (18.6 allocations per row
 // before the first rewrite, 2.0 over decoded Messages, 1.37 over the stored
-// rows; the bound leaves 0.13 of margin).
+// rows, 0.44 once records keep only what is distinct; the bound leaves 0.16
+// of margin).
 func TestConsolidateAllocationsPerRow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates the full scale-0.02 campaign capture")
@@ -395,17 +417,17 @@ func TestConsolidateAllocationsPerRow(t *testing.T) {
 	})
 	perRow := allocs / float64(len(capture))
 	t.Logf("%.2f allocations per row over %d rows in %d jobs", perRow, len(capture), len(chunks))
-	if perRow > 1.5 {
-		t.Errorf("consolidateRows = %.2f allocations per row, want <= 1.5", perRow)
+	if perRow > 0.6 {
+		t.Errorf("consolidateRows = %.2f allocations per row, want <= 0.6", perRow)
 	}
 }
 
 // TestConsolidateSealedAllocationsPerRow is the same budget for the whole
 // read path a restarted store takes: ConsolidateSnapshot over the capture
 // with two thirds of it in sealed runs, by one worker — the run cursors, the
-// sequence merge and the kernel together, 1.40 per row measured. Rows are
-// views, so reading them adds nothing per row; the bound leaves 0.10 of
-// margin.
+// sequence merge and the kernel together, 1.40 per row measured, 0.37 once
+// records keep only what is distinct. Rows are views, so reading them adds
+// nothing per row; the bound leaves 0.23 of margin.
 func TestConsolidateSealedAllocationsPerRow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates the full scale-0.02 campaign capture")
@@ -420,8 +442,8 @@ func TestConsolidateSealedAllocationsPerRow(t *testing.T) {
 	})
 	perRow := allocs / float64(rows)
 	t.Logf("%.2f allocations per row over %d rows", perRow, rows)
-	if perRow > 1.5 {
-		t.Errorf("ConsolidateSnapshot over sealed runs = %.2f allocations per row, want <= 1.5", perRow)
+	if perRow > 0.6 {
+		t.Errorf("ConsolidateSnapshot over sealed runs = %.2f allocations per row, want <= 0.6", perRow)
 	}
 }
 
@@ -536,6 +558,37 @@ func TestSeparatorByteInsideValuesKeepsProcessesApart(t *testing.T) {
 			if got := r.FileH + r.StringsH; got != string(m.Content) {
 				t.Errorf("%s: record %d digest %q, want %q", name, i, got, m.Content)
 			}
+		}
+	}
+}
+
+// TestImportsComeFromTheLastMapsThatParses: a Python interpreter's imports
+// come from its last MAPS that parses. A second MAPS under an unknown LAYER
+// whose text does not parse keeps the first's imports; one that parses but
+// maps nothing leaves none.
+func TestImportsComeFromTheLastMapsThatParses(t *testing.T) {
+	const numpy = "7f00-7f10 r-xp 00000000 08:01 12 /usr/lib/python3.10/site-packages/numpy/core/_multiarray.so\n"
+	h := wire.Header{JobID: "1", StepID: "0", PID: 7, Hash: "h", Host: "n", Time: 1, Layer: wire.LayerSelf, Total: 1}
+	msg := func(layer, typ, content string) wire.Message {
+		m := wire.Message{Header: h, Content: []byte(content)}
+		m.Layer, m.Type = layer, typ
+		return m
+	}
+	meta := msg(wire.LayerSelf, wire.TypeMetadata, "EXE=/usr/bin/python3.10\nCATEGORY=python")
+	for _, tc := range []struct {
+		name   string
+		second string // the second MAPS, under LAYER=OTHER
+		want   []string
+	}{
+		{"unparsable second keeps the first", "not a maps line", []string{"numpy"}},
+		{"empty second gives none", "\n", nil},
+		{"parsable second replaces the first", "7f00-7f10 r-xp 00000000 08:01 12 /usr/lib64/python3.10/lib-dynload/_heapq.cpython-310.so", []string{"heapq"}},
+	} {
+		msgs := []wire.Message{meta, msg(wire.LayerSelf, wire.TypeMaps, numpy), msg("OTHER", wire.TypeMaps, tc.second)}
+		mustMatchOracle(t, tc.name, msgs)
+		recs := consolidateRows(encodeMessages(msgs)).Records
+		if len(recs) != 1 || !reflect.DeepEqual(recs[0].Imports, tc.want) {
+			t.Errorf("%s: imports %q, want %q", tc.name, recs[0].Imports, tc.want)
 		}
 	}
 }

@@ -24,8 +24,6 @@ import (
 	"strings"
 	"unsafe"
 
-	"siren/internal/procfs"
-	"siren/internal/pyenv"
 	"siren/internal/sirendb"
 	"siren/internal/wire"
 )
@@ -41,6 +39,10 @@ type ScriptRecord struct {
 }
 
 // ProcessRecord is the consolidated view of one process instance.
+//
+// A record is read-only once consolidated. Its list fields — Objects,
+// Modules, Compilers and Imports — may be one slice shared by every record
+// of equal content, so writing an element of one writes them all.
 type ProcessRecord struct {
 	// Identity (UDP header columns).
 	JobID   string
@@ -69,7 +71,6 @@ type ProcessRecord struct {
 	Objects   []string
 	Modules   []string
 	Compilers []string
-	Maps      []procfs.Region
 
 	// Fuzzy hashes.
 	FileH      string
@@ -81,7 +82,7 @@ type ProcessRecord struct {
 	MapsH      string
 
 	// Python.
-	Imports []string      // packages recovered from the memory map
+	Imports []string      // packages recovered from the memory map (MAPS)
 	Script  *ScriptRecord // merged input-script row
 
 	// MissingFields lists message types that arrived incomplete (chunk
@@ -150,20 +151,23 @@ func Consolidate(db *sirendb.DB) ([]*ProcessRecord, Stats) {
 }
 
 // kernel is the consolidation kernel with its working memory — the
-// reassembly, the content cuts and the group placement — kept from one job
-// to the next, so a worker allocates for a job only what the job's records
-// keep, its identity map and what is larger than any job before it. The
-// identity map stays the job's own: a map the kernel held would live on
+// reassembly, the joined content and the group placement — kept from one
+// job to the next, so a worker allocates for a job only what the job's
+// records keep, its identity map and what is larger than any job before it.
+// The identity map stays the job's own: a map the kernel held would live on
 // the heap, where a job's own small map lives on the stack, and a catalog
-// refresh of one small job would pay for it. A kernel is not safe for
-// concurrent use; its zero value is ready.
+// refresh of one small job would pay for it. The caches (intern.go) outlive
+// the job too: they are what lets a record keep only what earlier records
+// did not. A kernel is not safe for concurrent use; its zero value is ready.
 type kernel struct {
 	reassembler wire.Reassembler
-	cut         []int
+	joined      []byte  // multi-chunk records' content, joined
 	groupOf     []int32 // record -> identity group, first-appearance numbered
 	order       []int32 // record numbers, group by group
 	sizes       []int32 // identity group -> record count, then its end in order
 	ids         []string
+	maps        []string // the current process's MAPS contents, views
+	caches
 }
 
 // consolidate consolidates one self-contained set of stored rows into
@@ -196,7 +200,8 @@ type kernel struct {
 // Records are returned in identity-group first-appearance order, with the
 // derived Python imports already extracted. Nothing they hold points into
 // the rows: every row may be a view of a run mapping that is unmapped once
-// its snapshot is garbage.
+// its snapshot is garbage, or of a head chunk that a kept view would pin
+// whole.
 //
 // Every stored row passes through here each time its job is consolidated,
 // so the grouping allocates per pass or per process, never per row: records
@@ -205,34 +210,30 @@ type kernel struct {
 // counting pass, and each group's slice of record numbers is time-sorted
 // only when it is not already in time order. A group's identity is made a
 // string once, and its JOBID, STEPID, HASH and HOST are cut from it; LAYER
-// and TYPE are the wire constants; every record's content is copied once,
-// into one string for the pass, and each field is cut from that; the
-// process records are one slice, one per identity group, with only a reused
-// PID's later instances allocated apart. Every step is linear in the records
-// (the sort O(n log n) in a disordered group), whatever the mix of
-// identities, types and chunks. The records handed back share no memory
-// with k, which the next call reuses.
+// and TYPE are the wire constants. A record's content is read where it lies
+// — a view of its one chunk, or of its chunks joined into the kernel's
+// scratch — and what a process record keeps of it is copied out through the
+// kernel's caches (intern.go), so records share one copy of each repeated
+// string and list. The process records are one slice, one per identity
+// group, with only a reused PID's later instances allocated apart. Every
+// step is linear in the records (the sort O(n log n) in a disordered group),
+// whatever the mix of identities, types and chunks. The records handed back
+// share no memory with k's scratch, which the next call reuses.
 func (k *kernel) consolidate(rows []wire.Scanned) JobRecords {
 	records := k.reassembler.Reassemble(rows)
 	if len(records) == 0 {
 		return JobRecords{}
 	}
 
-	// One copy of every record's content: record i's is text[cut[i]:cut[i+1]].
 	jr := JobRecords{Reassembled: len(records)}
-	k.cut = reuse(k.cut, len(records)+1)
-	cut := k.cut
-	cut[0] = 0
 	for i := range records {
-		cut[i+1] = cut[i] + records[i].Size()
 		jr.Messages += records[i].Chunks()
 		jr.ChunkConflicts += records[i].Conflicts()
 	}
-	buf := make([]byte, 0, cut[len(records)])
-	for i := range records {
-		buf = records[i].AppendContent(buf)
-	}
-	text := unsafe.String(unsafe.SliceData(buf), len(buf)) // buf is never written again
+	// The scratch collects the multi-chunk records' content, joined. An
+	// append writes only past the end, and growing leaves the old array as
+	// it was, so a view of the scratch stays valid for the whole call.
+	k.joined = k.joined[:0]
 
 	k.groupOf = reuse(k.groupOf, len(records))
 	groupOf, sizes, ids := k.groupOf, k.sizes[:0], k.ids[:0]
@@ -299,6 +300,7 @@ func (k *kernel) consolidate(rows []wire.Scanned) JobRecords {
 				if p == nil {
 					p = &procs[g]
 				} else {
+					k.finish(p)
 					p = new(ProcessRecord)
 				}
 				*p = ProcessRecord{
@@ -312,24 +314,44 @@ func (k *kernel) consolidate(rows []wire.Scanned) JobRecords {
 			if !rec.Complete {
 				p.MissingFields = append(p.MissingFields, layer+":"+typ)
 			}
-			content := text[cut[ri]:cut[ri+1]]
-			if layer == wire.LayerScript {
-				applyScript(p, typ, content)
-				continue
+			b, ok := rec.Single()
+			if !ok {
+				lo := len(k.joined)
+				k.joined = rec.AppendContent(k.joined)
+				b = k.joined[lo:]
 			}
-			applySelf(p, typ, content)
+			content := unsafe.String(unsafe.SliceData(b), len(b)) // read here, never kept
+			switch {
+			case layer == wire.LayerScript:
+				k.applyScript(p, typ, content)
+			case typ == wire.TypeMaps:
+				k.maps = append(k.maps, content)
+			default:
+				k.applySelf(p, typ, content)
+			}
 		}
-	}
-
-	// Derived: Python imports from interpreter memory maps.
-	for _, p := range out {
-		if p.Category == "python" && len(p.Maps) > 0 {
-			p.Imports = pyenv.ExtractImports(p.Maps)
-		}
+		k.finish(p)
 	}
 	jr.Records = out
 	clear(ids) // the identities are the records' strings: the kernel keeps none
 	return jr
+}
+
+// finish completes process p once its last record is applied: a Python
+// interpreter's imports come from the last of its MAPS that parses (none
+// when that one maps nothing). The kernel then forgets the MAPS, which are
+// views of the rows.
+func (k *kernel) finish(p *ProcessRecord) {
+	if p.Category == "python" {
+		for i := len(k.maps) - 1; i >= 0; i-- {
+			if imports, ok := k.importsOf(k.maps[i]); ok {
+				p.Imports = imports
+				break
+			}
+		}
+	}
+	clear(k.maps)
+	k.maps = k.maps[:0]
 }
 
 // typeSet is the set of LAYER:TYPE pairs one process instance has shown so
@@ -435,7 +457,9 @@ func SortRecords(out []*ProcessRecord) {
 	slices.SortFunc(out, CompareRecords)
 }
 
-func applySelf(p *ProcessRecord, typ, content string) {
+// applySelf applies one record of a layer other than SCRIPT, MAPS aside
+// (the kernel holds those for finish). Every string kept is copied out.
+func (k *kernel) applySelf(p *ProcessRecord, typ, content string) {
 	switch typ {
 	case wire.TypeMetadata:
 		// A process instance sees each LAYER:TYPE once, but any LAYER other
@@ -445,12 +469,12 @@ func applySelf(p *ProcessRecord, typ, content string) {
 		p.Exe, p.Category = "", ""
 		p.PPID, p.UID, p.GID, p.Inode, p.Size, p.Mode = 0, 0, 0, 0, 0, 0
 		p.OwnerUID, p.OwnerGID, p.Atime, p.Mtime, p.Ctime = 0, 0, 0, 0, 0
-		eachKV(content, func(k, v string) {
-			switch k {
+		eachKV(content, func(key, v string) {
+			switch key {
 			case "EXE":
-				p.Exe = v
+				p.Exe = k.str(v)
 			case "CATEGORY":
-				p.Category = v
+				p.Category = k.str(v)
 			case "PPID":
 				p.PPID = atoi(v)
 			case "UID":
@@ -476,42 +500,39 @@ func applySelf(p *ProcessRecord, typ, content string) {
 			}
 		})
 	case wire.TypeObjects:
-		p.Objects = splitLines(content)
+		p.Objects = k.list(content)
 	case wire.TypeModules:
-		p.Modules = splitLines(content)
+		p.Modules = k.list(content)
 	case wire.TypeCompilers:
-		p.Compilers = splitLines(content)
-	case wire.TypeMaps:
-		if regions, err := procfs.ParseMaps(content); err == nil {
-			p.Maps = regions
-		}
+		p.Compilers = k.list(content)
 	case wire.TypeFileH:
-		p.FileH = content
+		p.FileH = k.str(content)
 	case wire.TypeStringsH:
-		p.StringsH = content
+		p.StringsH = k.str(content)
 	case wire.TypeSymbolsH:
-		p.SymbolsH = content
+		p.SymbolsH = k.str(content)
 	case wire.TypeObjectsH:
-		p.ObjectsH = content
+		p.ObjectsH = k.str(content)
 	case wire.TypeModulesH:
-		p.ModulesH = content
+		p.ModulesH = k.str(content)
 	case wire.TypeCompilersH:
-		p.CompilersH = content
+		p.CompilersH = k.str(content)
 	case wire.TypeMapsH:
-		p.MapsH = content
+		p.MapsH = k.str(content)
 	}
 }
 
-func applyScript(p *ProcessRecord, typ, content string) {
+// applyScript applies one SCRIPT-layer record to p's input script.
+func (k *kernel) applyScript(p *ProcessRecord, typ, content string) {
 	if p.Script == nil {
 		p.Script = &ScriptRecord{}
 	}
 	switch typ {
 	case wire.TypeMetadata:
-		eachKV(content, func(k, v string) {
-			switch k {
+		eachKV(content, func(key, v string) {
+			switch key {
 			case "EXE":
-				p.Script.Path = v
+				p.Script.Path = k.str(v)
 			case "SIZE":
 				p.Script.Size = int64(atoi(v))
 			case "MTIME":
@@ -521,7 +542,7 @@ func applyScript(p *ProcessRecord, typ, content string) {
 			}
 		})
 	case wire.TypeFileH:
-		p.Script.FileH = content
+		p.Script.FileH = k.str(content)
 	}
 }
 

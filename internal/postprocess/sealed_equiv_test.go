@@ -244,7 +244,7 @@ func TestLifetimeRecordsOutliveRunMappings(t *testing.T) {
 		runtime.GC()
 		time.Sleep(5 * time.Millisecond)
 	}
-	got, err := json.Marshal(recs) // every string of every record, Script and Maps included
+	got, err := json.Marshal(recs) // every string of every record, Script and Imports included
 	if err != nil {
 		t.Fatal(err)
 	}

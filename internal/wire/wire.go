@@ -686,15 +686,11 @@ type Record struct {
 	mismatch  bool       // chunks disagreed on Total: two record versions mixed
 	conflicts int32      // byte versions of a Seq beyond its first, summed over Seqs
 	chunks    []*Scanned // two or more rows: the content's chunks in Seq order, each Seq once
-	size      int        // content bytes
 }
 
 // key is the bytes every chunk of the record shares: its datagram up to the
 // end of the TYPE value — every header field but SEQ and TOT.
 func (r *Record) key() []byte { return r.Row.Datagram[:r.Row.Values[FieldType].Hi] }
-
-// Size is the length of the record's content.
-func (r *Record) Size() int { return r.size }
 
 // Chunks is the number of distinct chunks the record holds: the rows handed
 // to Reassemble, less every further copy of a Seq.
@@ -710,6 +706,19 @@ func (r *Record) Chunks() int {
 // is an exact repeat, so a conflict means two senders produced different
 // data under one record's header.
 func (r *Record) Conflicts() int { return int(r.conflicts) }
+
+// Single returns the record's content as a view of its one chunk's
+// datagram, or false when the content spans several chunks and must be
+// joined (AppendContent).
+func (r *Record) Single() ([]byte, bool) {
+	switch len(r.chunks) {
+	case 0:
+		return r.Row.Datagram[r.Row.Content:], true
+	case 1:
+		return r.chunks[0].Datagram[r.chunks[0].Content:], true
+	}
+	return nil, false
+}
 
 // AppendContent appends the record's content — its chunks' contents in Seq
 // order — to dst and returns the extended buffer.
@@ -788,7 +797,7 @@ func (a *Reassembler) Reassemble(rows []Scanned) []Record {
 			if last = index.slots[slot] - 1; last < 0 { // first chunk of a new record
 				last = int32(len(out))
 				index.slots[slot] = last + 1
-				out = append(out, Record{Row: r, Total: r.Total, rows: 1, size: len(r.Datagram) - r.Content})
+				out = append(out, Record{Row: r, Total: r.Total, rows: 1})
 				recOf[i] = last
 				continue
 			}
@@ -826,7 +835,7 @@ func (a *Reassembler) Reassemble(rows []Scanned) []Record {
 			continue
 		}
 		var full bool
-		rec.chunks, rec.size, rec.conflicts, full = orderChunks(rec.chunks, rec.Total)
+		rec.chunks, rec.conflicts, full = orderChunks(rec.chunks, rec.Total)
 		rec.Complete = full && !rec.mismatch
 	}
 	return out
@@ -877,16 +886,16 @@ func (t *recordTable) find(key []byte, recs []Record) uint64 {
 }
 
 // orderChunks sorts a record's chunks by (Seq, datagram bytes), keeps the
-// greatest copy of each Seq, and reports the content size, how many byte
-// versions of a Seq there are beyond the first, and whether the chunks cover
-// exactly [0, total). It walks the chunks that actually arrived, never the
+// greatest copy of each Seq, and reports how many byte versions of a Seq
+// there are beyond the first, and whether the chunks cover exactly
+// [0, total). It walks the chunks that actually arrived, never the
 // announced range: a datagram with TOT=2000000000 must not cost two billion
 // steps. Arrival order is Seq order unless UDP reordered or re-sent, so the
 // sort runs only then. Equal copies sort next to each other, so each change
 // of bytes within a Seq's run is one more version. The distinct Seqs are
 // ints, so count == total with min 0 and max total-1 pigeonholes to the full
 // range.
-func orderChunks(chunks []*Scanned, total int) (kept []*Scanned, size int, conflicts int32, complete bool) {
+func orderChunks(chunks []*Scanned, total int) (kept []*Scanned, conflicts int32, complete bool) {
 	bySeq := func(a, b *Scanned) int {
 		if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
 			return c
@@ -905,8 +914,7 @@ func orderChunks(chunks []*Scanned, total int) (kept []*Scanned, size int, confl
 			continue // a greater or equal copy of the same Seq follows
 		}
 		kept = append(kept, c)
-		size += len(c.Datagram) - c.Content
 	}
 	complete = len(kept) == total && kept[0].Seq == 0 && kept[len(kept)-1].Seq == total-1
-	return kept, size, conflicts, complete
+	return kept, conflicts, complete
 }
