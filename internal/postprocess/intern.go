@@ -5,14 +5,13 @@
 // loaded-object lists come back job after job. A record keeps nothing that
 // points into the rows (a run mapping is unmapped, a head chunk would be
 // pinned whole), so what it keeps is copied out; the kernel copies each
-// value once and hands every later record the same copy. Three
+// value once and hands every later record the same copy. Two
 // direct-mapped caches do it, one entry per slot, a newer entry replacing an
 // older one:
 //
 //   - strings, copied into arena blocks (one allocation per block, not per
 //     string);
-//   - lists, whose items come from the string cache;
-//   - the imports of a Python interpreter's MAPS text.
+//   - lists, whose items come from the string cache.
 //
 // A slot holds its key's hash, checked before any bytes are compared: where
 // nothing repeats (a catalogue of distinct builds, every digest new), a
@@ -25,9 +24,6 @@ package postprocess
 import (
 	"hash/maphash"
 	"strings"
-
-	"siren/internal/procfs"
-	"siren/internal/pyenv"
 )
 
 const (
@@ -73,20 +69,12 @@ func (t *table[V]) at(h uint64) *slot[V] {
 // caches is a kernel's memory of what it has copied out. Its zero value is
 // ready.
 type caches struct {
-	seed    maphash.Seed
-	seeded  bool
-	strs    table[string]
-	lists   table[[]string]
-	imports table[mapsImports]
-	arena   strings.Builder // the current block; copied strings are views of it
-	copied  int             // bytes copied out
-}
-
-// mapsImports is what one MAPS text gives a Python interpreter.
-type mapsImports struct {
-	text    string   // the MAPS text, a copy
-	ok      bool     // text parses
-	imports []string // nil when it maps nothing
+	seed   maphash.Seed
+	seeded bool
+	strs   table[string]
+	lists  table[[]string]
+	arena  strings.Builder // the current block; copied strings are views of it
+	copied int             // bytes copied out
 }
 
 // hash hashes a key under the kernel's seed, drawn on first use, so a
@@ -169,24 +157,4 @@ func sameLines(content string, items []string) bool {
 		n++
 	}
 	return n == len(items)
-}
-
-// importsOf returns the packages a Python interpreter with this MAPS text
-// imported, and whether the text parses. The imports are one slice for
-// every record with an equal text.
-func (c *caches) importsOf(text string) ([]string, bool) {
-	h := c.hash(text)
-	e := c.imports.at(h)
-	if e.h != h || e.v.text != text {
-		regions, err := procfs.ParseMaps(text)
-		v := mapsImports{text: strings.Clone(text), ok: err == nil}
-		if len(regions) > 0 {
-			v.imports = pyenv.ExtractImports(regions)
-			for i, s := range v.imports {
-				v.imports[i] = c.str(s)
-			}
-		}
-		*e = slot[mapsImports]{h, v}
-	}
-	return e.v.imports, e.v.ok
 }

@@ -587,7 +587,10 @@ func TestImportsComeFromTheLastMapsThatParses(t *testing.T) {
 		msgs := []wire.Message{meta, msg(wire.LayerSelf, wire.TypeMaps, numpy), msg("OTHER", wire.TypeMaps, tc.second)}
 		mustMatchOracle(t, tc.name, msgs)
 		recs := consolidateRows(encodeMessages(msgs)).Records
-		if len(recs) != 1 || !reflect.DeepEqual(recs[0].Imports, tc.want) {
+		if len(recs) != 1 {
+			t.Fatalf("%s: %d records, want 1", tc.name, len(recs))
+		}
+		if !reflect.DeepEqual(recs[0].Imports, tc.want) {
 			t.Errorf("%s: imports %q, want %q", tc.name, recs[0].Imports, tc.want)
 		}
 	}

@@ -24,6 +24,8 @@ import (
 	"strings"
 	"unsafe"
 
+	"siren/internal/procfs"
+	"siren/internal/pyenv"
 	"siren/internal/sirendb"
 	"siren/internal/wire"
 )
@@ -40,9 +42,9 @@ type ScriptRecord struct {
 
 // ProcessRecord is the consolidated view of one process instance.
 //
-// A record is read-only once consolidated. Its list fields — Objects,
-// Modules, Compilers and Imports — may be one slice shared by every record
-// of equal content, so writing an element of one writes them all.
+// A record is read-only once consolidated. Its list fields Objects,
+// Modules and Compilers may be one slice shared by every record of equal
+// content, so writing an element of one writes them all.
 type ProcessRecord struct {
 	// Identity (UDP header columns).
 	JobID   string
@@ -339,15 +341,22 @@ func (k *kernel) consolidate(rows []wire.Scanned) JobRecords {
 
 // finish completes process p once its last record is applied: a Python
 // interpreter's imports come from the last of its MAPS that parses (none
-// when that one maps nothing). The kernel then forgets the MAPS, which are
-// views of the rows.
+// when that one maps nothing), copied out through the string cache. The
+// kernel then forgets the MAPS, which are views of the rows.
 func (k *kernel) finish(p *ProcessRecord) {
 	if p.Category == "python" {
 		for i := len(k.maps) - 1; i >= 0; i-- {
-			if imports, ok := k.importsOf(k.maps[i]); ok {
-				p.Imports = imports
-				break
+			regions, err := procfs.ParseMaps(k.maps[i])
+			if err != nil {
+				continue
 			}
+			if len(regions) > 0 {
+				p.Imports = pyenv.ExtractImports(regions)
+				for j, s := range p.Imports {
+					p.Imports[j] = k.str(s)
+				}
+			}
+			break
 		}
 	}
 	clear(k.maps)

@@ -145,9 +145,11 @@ func MapRegions(it Interpreter, imports []string, baseAddr uint64) []procfs.Regi
 // under site-packages (take the first path component = distribution name).
 func ExtractImports(regions []procfs.Region) []string {
 	seen := make(map[string]bool)
-	for _, path := range procfs.MappedPaths(regions) {
-		name, ok := packageFromPath(path)
-		if ok {
+	for _, r := range regions {
+		if strings.HasPrefix(r.Path, "[") {
+			continue // a pseudo mapping ("[heap]"), not a file
+		}
+		if name, ok := packageFromPath(r.Path); ok {
 			seen[name] = true
 		}
 	}
